@@ -212,12 +212,15 @@ class VerificationOutcome:
     low_confidence: bool = False
 
 
-def verify(sys: K3System, report: DimensionReport, cfg) -> VerificationOutcome:
+def verify(sys: K3System, report: DimensionReport, cfg, measure=None) -> VerificationOutcome:
     """Compare an engine report against the finite-field oracle.
 
     Skipped (with the reason) when the oracle cannot run: gamma != 4 or the
     condition matrix exceeds the size budget.  UNKNOWN reports are always
     measured so the oracle dimension can be recorded as advisory data.
+    `measure(d, points, cfg)` supplies the oracle measurement; it defaults
+    to measure_k3_cross_checked, and a cache may serve a stored one instead.
+    The verdict itself is always computed here, from the current report.
     """
     from .oracle import measure_k3_cross_checked
 
@@ -232,7 +235,7 @@ def verify(sys: K3System, report: DimensionReport, cfg) -> VerificationOutcome:
             reason=f"condition matrix {rows}x{cols} exceeds budget {cfg.budget_rows}",
         )
     points = [(g.multiplicity, g.count) for g in sys.points]
-    meas = measure_k3_cross_checked(d, points, cfg)
+    meas = (measure or measure_k3_cross_checked)(d, points, cfg)
     if report.dim is None:
         return VerificationOutcome(
             Verdict.SKIPPED,

@@ -1,5 +1,5 @@
 """Command-line front end: single queries, parameter sweeps, verification
-runs, trace export, and a plain-file cache of verified instances.
+runs, trace export, and a plain-file cache of oracle measurements.
 
 Exit codes: 0 success, 1 oracle disagreement found, 2 usage error,
 3 size budget exceeded.  All randomness flows from --seed, so identical
@@ -7,8 +7,10 @@ invocations produce byte-identical outputs.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Tuple
 
@@ -23,7 +25,9 @@ from .oracle import (
     DEFAULT_PRIME2,
     DEFAULT_TRIALS,
     BudgetExceededError,
+    OracleMeasurement,
     PrimeFieldConfig,
+    measure_k3_cross_checked,
 )
 
 SWEEP_HEADER = "gamma,d,m,n,vdim,edim,dim,status,oracle_dim,verdict"
@@ -132,7 +136,12 @@ def cmd_classify(cfg, gamma, d, m, n, trace_path, assume_base):
 
 
 # ---------------------------------------------------------------------------
-# Cache of verified instances, one plain file per (gamma,d,m,n,prime,seed).
+# Cache of oracle measurements, one plain file per (gamma,d,m,n,prime,seed).
+# Only the measurement is stored: it is a pure function of the system and
+# the oracle configuration, while the verdict depends on the engine report
+# and is recomputed on every run.
+
+CACHE_SCHEMA = "k3fat.oracle-measurement/1"
 
 
 def _cache_path(cache_dir, gamma, d, m, n, cfg) -> str:
@@ -140,57 +149,69 @@ def _cache_path(cache_dir, gamma, d, m, n, cfg) -> str:
     return os.path.join(cache_dir, name)
 
 
-def _cache_lookup(cache_dir, gamma, d, m, n, cfg) -> Optional[dict]:
-    path = _cache_path(cache_dir, gamma, d, m, n, cfg)
-    if not os.path.exists(path):
-        return None
+def _cache_key(d, points, cfg) -> dict:
+    return {
+        "schema": CACHE_SCHEMA,
+        "d": d,
+        "points": [list(group) for group in points],
+        "prime": cfg.prime,
+        "prime2": cfg.prime2,
+        "seed": cfg.seed,
+        "trials": cfg.trials,
+    }
+
+
+def _cache_lookup(path, key: dict) -> Optional[OracleMeasurement]:
+    """The stored measurement, or None when the file is missing, unreadable,
+    of another schema, or made under a different configuration."""
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        if any(entry.get(name) != value for name, value in key.items()):
+            return None
+        stored = entry["measurement"]
+        return OracleMeasurement(
+            dim=int(stored["dim"]),
+            trial_dims=tuple(int(t) for t in stored["trial_dims"]),
+            low_confidence=bool(stored["low_confidence"]),
+            prime=int(stored["prime"]),
+            rows=int(stored["rows"]),
+            cols=int(stored["cols"]),
+        )
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
-    config_match = (
-        entry.get("trials") == cfg.trials
-        and entry.get("prime2") == cfg.prime2
-        and entry.get("budget_rows") == cfg.budget_rows
-    )
-    return entry if config_match else None
 
 
-def _cache_store(cache_dir, gamma, d, m, n, cfg, payload: dict) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    payload = dict(payload)
-    payload.update(trials=cfg.trials, prime2=cfg.prime2, budget_rows=cfg.budget_rows)
-    with open(_cache_path(cache_dir, gamma, d, m, n, cfg), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+def _cache_store(path, key: dict, meas: OracleMeasurement) -> None:
+    """Write the entry through a temporary file and an atomic rename, so an
+    interrupted run never leaves a half-written entry."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    entry = dict(key, measurement=dataclasses.asdict(meas))
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, indent=2)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _verify_with_cache(sys_, report, cfg, cache_dir):
-    gamma, d = sys_.gamma, sys_.degree
+    if not cache_dir:
+        return verify(sys_, report, cfg)
     m = sys_.multiplicity if sys_.total_points else 0
-    n = sys_.total_points
-    if cache_dir:
-        entry = _cache_lookup(cache_dir, gamma, d, m, n, cfg)
-        if entry is not None:
-            from .classify import VerificationOutcome
+    path = _cache_path(cache_dir, sys_.gamma, sys_.degree, m, sys_.total_points, cfg)
 
-            return VerificationOutcome(
-                Verdict(entry["verdict"]),
-                oracle_dim=entry.get("oracle_dim"),
-                reason=entry.get("reason"),
-                low_confidence=entry.get("low_confidence", False),
-            )
-    outcome = verify(sys_, report, cfg)
-    if cache_dir:
-        _cache_store(cache_dir, gamma, d, m, n, cfg, {
-            "verdict": outcome.kind.value,
-            "oracle_dim": outcome.oracle_dim,
-            "reason": outcome.reason,
-            "low_confidence": outcome.low_confidence,
-            "engine_dim": report.dim,
-            "engine_status": report.status.value,
-        })
-    return outcome
+    def cached_measure(d, points, cfg):
+        key = _cache_key(d, points, cfg)
+        meas = _cache_lookup(path, key)
+        if meas is None:
+            meas = measure_k3_cross_checked(d, points, cfg)
+            _cache_store(path, key, meas)
+        return meas
+
+    return verify(sys_, report, cfg, cached_measure)
 
 
 @main.command("verify")
@@ -199,7 +220,7 @@ def _verify_with_cache(sys_, report, cfg, cache_dir):
 @click.option("-m", "m", type=int, required=True)
 @click.option("-n", "n", type=int, default=1, show_default=True)
 @click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None,
-              help="Directory of cached verified instances.")
+              help="Directory of cached oracle measurements.")
 @click.pass_context
 def cmd_verify(ctx, gamma, d, m, n, cache_dir):
     """Classify L^gamma(d, m^n) and check the verdict against the oracle."""
@@ -266,7 +287,7 @@ def _sweep_row(task: Tuple) -> Tuple[str, str]:
 @click.option("--oracle/--no-oracle", default=False, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for oracle rows.")
+              help="Worker processes for oracle rows (at most one per CPU and per row).")
 @click.option("--cache", "cache_dir", type=click.Path(file_okay=False), default=None)
 @click.pass_context
 def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache_dir):
@@ -274,6 +295,8 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
     cfg = ctx.obj
     if gamma != 4:
         raise click.UsageError("sweep supports gamma=4 only")
+    if jobs < 1:
+        raise click.UsageError(f"--jobs must be >= 1, got {jobs}")
     d_lo, d_hi = d_range
     m_lo, m_hi = m_range
     if d_lo < 1 or d_lo > d_hi or m_lo < 1 or m_lo > m_hi:
@@ -295,8 +318,9 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
         for m in range(m_lo, m_hi + 1)
         for n in n_values
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_row, tasks))
     else:
         results = [_sweep_row(t) for t in tasks]

@@ -1,9 +1,15 @@
-"""Exact prime-field linear algebra and small-degree univariate root finding.
+"""Exact prime-field linear algebra and root finding for degree <= 4.
 
 Rank computation is plain Gaussian elimination over F_p.  For p below
 isqrt(2^63) the elimination runs vectorized on int64 numpy arrays (products
 of two reduced entries fit in a signed 64-bit word); larger primes fall back
 to object arrays of Python integers, which stay exact at any size.
+
+Roots are found by Cantor-Zassenhaus (Math. Comp. 36, 1981): the root part
+gcd(T^p - T, f) is split by equal-degree splitting with random shifts.  The
+powers T^p mod f and (T + shift)^((p-1)/2) mod g are the hot path; they run
+left to right on four-coefficient residues, one unrolled squaring (each
+coefficient reduced once) and one multiply-by-linear per exponent bit.
 """
 from __future__ import annotations
 
@@ -95,7 +101,7 @@ def rank_mod_p(matrix, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Dense univariate polynomials over F_p, ascending coefficients.
-# Degrees stay tiny (<= 6) so quadratic algorithms are fine.
+# Degrees stay tiny (<= 4) so quadratic algorithms are fine.
 
 
 def _pstrip(f: List[int]) -> List[int]:
@@ -161,19 +167,55 @@ def _pgcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
     return f
 
 
-def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> List[int]:
-    result = [1]
-    base = _pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
+def _sqrmod4(a: Tuple[int, ...], g: Sequence[int], p: int) -> Tuple[int, ...]:
+    """a^2 mod T^4 + g[3] T^3 + g[2] T^2 + g[1] T + g[0], in four coefficients.
+
+    The square is formed in plain integers and each coefficient is reduced
+    mod p once: T^6, T^5 and T^4 fold back onto g from the top down."""
+    a0, a1, a2, a3 = a
+    g0, g1, g2, g3 = g
+    c6 = a3 * a3 % p
+    c5 = (2 * a2 * a3 - c6 * g3) % p
+    c4 = (2 * a1 * a3 + a2 * a2 - c6 * g2 - c5 * g3) % p
+    return (
+        (a0 * a0 - c4 * g0) % p,
+        (2 * a0 * a1 - c5 * g0 - c4 * g1) % p,
+        (2 * a0 * a2 + a1 * a1 - c6 * g0 - c5 * g1 - c4 * g2) % p,
+        (2 * (a0 * a3 + a1 * a2) - c6 * g1 - c5 * g2 - c4 * g3) % p,
+    )
+
+
+def _mul_linear4(a: Tuple[int, ...], shift: int, g: Sequence[int], p: int) -> Tuple[int, ...]:
+    """a * (T + shift) mod the quartic of `_sqrmod4`."""
+    a0, a1, a2, a3 = a
+    g0, g1, g2, g3 = g
+    return (
+        (shift * a0 - a3 * g0) % p,
+        (a0 + shift * a1 - a3 * g1) % p,
+        (a1 + shift * a2 - a3 * g2) % p,
+        (a2 + shift * a3 - a3 * g3) % p,
+    )
+
+
+def _linear_powmod(shift: int, e: int, g: Sequence[int], p: int) -> List[int]:
+    """(T + shift)^e mod a monic g of degree 2 to 4, stripped.
+
+    Left-to-right binary powering: one squaring per bit of e and one
+    multiply-by-(T + shift) per set bit after the leading one.  The powers
+    are kept modulo the quartic g * T^(4 - deg g), a multiple of g, so the
+    same four-coefficient kernels serve every degree; one final reduction
+    mod g gives the result."""
+    low = ([0] * (5 - len(g)) + list(g))[:4]
+    r = (shift % p, 1, 0, 0)
+    for bit in bin(e)[3:]:
+        r = _sqrmod4(r, low, p)
+        if bit == "1":
+            r = _mul_linear4(r, shift, low, p)
+    return _pmod(r, g, p)
 
 
 def poly_roots(coeffs: Sequence[int], p: int, rng) -> List[int]:
-    """Sorted distinct roots in F_p of a nonzero polynomial of small degree.
+    """Sorted distinct roots in F_p of a nonzero polynomial of degree <= 4.
 
     The root part is isolated as gcd(T^p - T, f) and then split by
     equal-degree splitting with random shifts; `rng` drives the shifts, so
@@ -182,10 +224,12 @@ def poly_roots(coeffs: Sequence[int], p: int, rng) -> List[int]:
     f = _monic(coeffs, p)
     if not f:
         raise ValueError("the zero polynomial has every root")
-    if len(f) == 1:
-        return []
-    xp = _ppowmod([0, 1], p, f, p)
-    xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
+    if len(f) > 5:
+        raise ValueError("poly_roots handles degree at most 4")
+    if len(f) <= 2:  # constant or linear: nothing to split, no draws from rng
+        return [(-f[0]) % p] if len(f) == 2 else []
+    xp = _linear_powmod(0, p, f, p)
+    xp_minus_x = xp + [0] * max(0, 2 - len(xp))
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p
     g = _pgcd(_pstrip(xp_minus_x), f, p)
     return sorted(_split_linear(g, p, rng))
@@ -201,8 +245,7 @@ def _split_linear(g: List[int], p: int, rng) -> List[int]:
     half = (p - 1) // 2
     while True:
         shift = rng.randrange(p)
-        h = _ppowmod([shift, 1], half, g, p)
-        h = list(h) if h else [0]
+        h = _linear_powmod(shift, half, g, p) or [0]
         h[0] = (h[0] - 1) % p
         d = _pgcd(_pstrip(h), g, p)
         if 0 < len(d) - 1 < deg:

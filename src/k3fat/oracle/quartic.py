@@ -8,12 +8,22 @@ at P, where the restriction is computed through the implicit local series
 z = phi(x, y) of the surface.  Degree-d multiples of F restrict to zero, so
 the ambient projective dimension is C(d+3,3) - C(d-1,3) - 1 and the
 measured dimension of the system is that minus the condition-matrix rank.
+
+The block of conditions at a point P of multiplicity m is the product
+Sub(P) . Jet3(P) at order m - 1.  Jet3(P) holds, for every degree-d column
+monomial, its Taylor coefficients at P in closed form, prod_c C(e_c, a_c)
+P_c^(e_c - a_c), computed as numpy vectors over the columns.  Sub(P) is the
+small matrix of coefficients of s^i t^j psi^k, where psi = phi - P_solved is
+the local series without its constant term.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core import point_conditions
 from .config import (
@@ -23,9 +33,17 @@ from .config import (
     SamplingError,
     derived_rng,
 )
-from .field import poly_roots, rank_mod_p
+from .field import _INT64_SAFE_PRIME, poly_roots, rank_mod_p
 from .planar import _normalized_groups
-from .series import ChartSingularError, Series2, eval_poly3_scalar, power_table, solve_implicit
+from .series import (
+    ChartSingularError,
+    Series2,
+    dense_mul,
+    eval_poly3_scalar,
+    solve_implicit,
+    triangle,
+    unit_pairs,
+)
 
 _MAX_POINT_ATTEMPTS = 256
 _MAX_SURFACE_ATTEMPTS = 32
@@ -75,8 +93,18 @@ def _affine_partial(f: Dict[Tuple[int, int, int], int], slot: int, p: int):
     return out
 
 
-def _eval_affine(f, x1: int, x2: int, x3: int, p: int) -> int:
-    return eval_poly3_scalar(f, x1, x2, x3, p)
+def _affine_partials(f: Dict[Tuple[int, int, int], int], p: int) -> tuple:
+    """The partials of f along affine slots 1, 2 and 3, at index slot - 1."""
+    return tuple(_affine_partial(f, slot, p) for slot in (1, 2, 3))
+
+
+def _check_points(f, partials, points, p: int) -> None:
+    """F(P) = 0 and a nonzero solved-slot partial at every point."""
+    for pt in points:
+        if eval_poly3_scalar(f, *pt.affine, p) != 0:
+            raise AssertionError(f"stored point {pt.affine} is not on the surface")
+        if eval_poly3_scalar(partials[pt.solved_slot - 1], *pt.affine, p) == 0:
+            raise AssertionError(f"chart is singular at {pt.affine}")
 
 
 @dataclass(frozen=True)
@@ -110,13 +138,7 @@ class QuarticSurfaceInstance:
     def validate(self) -> None:
         """Check F(P) = 0 and chart smoothness at every stored point."""
         f = self.affine_poly()
-        p = self.prime
-        for pt in self.points:
-            if _eval_affine(f, *pt.affine, p) != 0:
-                raise AssertionError(f"stored point {pt.affine} is not on the surface")
-            fs = _affine_partial(f, pt.solved_slot, p)
-            if _eval_affine(fs, *pt.affine, p) == 0:
-                raise AssertionError(f"chart is singular at {pt.affine}")
+        _check_points(f, _affine_partials(f, self.prime), self.points, self.prime)
 
     def to_dict(self) -> dict:
         return {
@@ -178,15 +200,17 @@ def expand_local_series(
     return solve_implicit(g, p1, p2, p3, order, p)
 
 
-def _sample_point(f_affine, p: int, rng, seen) -> Tuple[Tuple[int, int, int], int]:
+def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int, int], int]:
     """One smooth surface point in the chart x0 = 1, with its solved slot."""
-    partials = {slot: _affine_partial(f_affine, slot, p) for slot in (1, 2, 3)}
     for _ in range(_MAX_POINT_ATTEMPTS):
         a = rng.randrange(p)
         b = rng.randrange(p)
+        a_pow = [pow(a, e, p) for e in range(5)]
+        b_pow = [pow(b, e, p) for e in range(5)]
         restricted = [0, 0, 0, 0, 0]
         for (e1, e2, e3), c in f_affine.items():
-            restricted[e3] = (restricted[e3] + c * pow(a, e1, p) * pow(b, e2, p)) % p
+            restricted[e3] += c * a_pow[e1] * b_pow[e2]
+        restricted = [c % p for c in restricted]
         if not any(restricted):
             continue  # the whole vertical line lies on the surface; resample
         roots = poly_roots(restricted, p, rng)
@@ -198,7 +222,7 @@ def _sample_point(f_affine, p: int, rng, seen) -> Tuple[Tuple[int, int, int], in
             continue
         solved = 0
         for slot in (3, 2, 1):  # largest available index first
-            if _eval_affine(partials[slot], a, b, z, p) != 0:
+            if eval_poly3_scalar(partials[slot - 1], a, b, z, p) != 0:
                 solved = slot
                 break
         if solved == 0:
@@ -222,12 +246,13 @@ def sample_quartic_instance(
         if not any(coeffs.values()):
             continue
         f_affine = {k: v for k, v in _dehomogenize(coeffs).items() if v % p}
+        partials = _affine_partials(f_affine, p)
         try:
             points: List[SurfacePoint] = []
             seen = set()
             for m, count in groups:
                 for _ in range(count):
-                    affine, solved = _sample_point(f_affine, p, rng, seen)
+                    affine, solved = _sample_point(f_affine, partials, p, rng, seen)
                     seen.add(affine)
                     params = tuple(s for s in (1, 2, 3) if s != solved)
                     series = None
@@ -237,48 +262,75 @@ def sample_quartic_instance(
                         p2 = affine[params[1] - 1]
                         series = solve_implicit(g, p1, p2, affine[solved - 1], m - 1, p)
                     points.append(SurfacePoint(affine, m, solved, params, series))
-            instance = QuarticSurfaceInstance(
-                p, tuple(sorted(coeffs.items())), tuple(points)
-            )
-            instance.validate()
-            return instance
+            _check_points(f_affine, partials, points, p)
+            return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
         except (SamplingError, ChartSingularError):
             continue
     raise SamplingError("could not sample a usable quartic within budget")
 
 
+def _jet_factors(coord: int, exps, d: int, order: int, p: int, dtype) -> list:
+    """For k = 0..order, the vector over the column exponents e of the s^k
+    coefficient C(e, k) coord^(e - k) of (coord + s)^e mod p (zero if e < k);
+    Jet3 is the product of three such factors, one per affine slot."""
+    powers = np.array([pow(coord, e, p) for e in range(d + 1)], dtype=dtype)
+    out = []
+    for k in range(order + 1):
+        binoms = np.array([comb(e, k) % p for e in range(d + 1)], dtype=dtype)
+        out.append(binoms[exps] * powers[np.maximum(exps - k, 0)] % p)
+    return out
+
+
+def _substitution(psi: List[int], order: int, p: int) -> list:
+    """Sub(P), column by column: for each (i, j, k) with i + j + k <= order,
+    the nonzero coefficients (row, c) of s^i t^j psi^k, psi(0, 0) = 0, where
+    row indexes triangle(order)."""
+    pos = triangle(order)
+    index = {ij: n for n, ij in enumerate(pos)}
+    pairs = unit_pairs(order)
+    powers = [[1] + [0] * (len(pos) - 1)]
+    for _ in range(order):
+        powers.append(dense_mul(powers[-1], psi, pairs, p))
+    out = []
+    for i, j in pos:
+        for k in range(order + 1 - i - j):
+            entries = []
+            for n, (a, b) in enumerate(pos):
+                if a >= i and b >= j:
+                    c = powers[k][index[(a - i, b - j)]]
+                    if c:
+                        entries.append((n, c))
+            out.append((i, j, k, entries))
+    return out
+
+
 def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[List[int]]:
-    """Condition rows over the degree-d monomial columns for every point."""
+    """Condition rows over the degree-d monomial columns for every point.
+
+    Each point contributes the block Sub(P) . Jet3(P) (see the module
+    docstring), one row per coefficient s^i t^j in triangle order.  Entries
+    are reduced mod p; for p <= isqrt(2^63) they are computed in int64, for
+    larger primes in exact Python integers.
+    """
     p = instance.prime
-    columns = monomial_exponents(d)
+    dtype = np.int64 if p <= _INT64_SAFE_PRIME else object
+    exps = np.array(monomial_exponents(d), dtype=np.int64)[:, 1:].T
     rows: List[List[int]] = []
     for pt in instance.points:
-        m = pt.multiplicity
-        a1, a2, a3 = pt.affine
-        if m == 1:
-            x1 = [pow(a1, e, p) for e in range(d + 1)]
-            x2 = [pow(a2, e, p) for e in range(d + 1)]
-            x3 = [pow(a3, e, p) for e in range(d + 1)]
-            rows.append([x1[e1] * x2[e2] % p * x3[e3] % p for (_, e1, e2, e3) in columns])
-            continue
-        order = m - 1
+        order = pt.multiplicity - 1
         sa, sb = pt.param_slots
-        var_series: Dict[int, Series2] = {
-            sa: Series2.linear(p, order, pt.affine[sa - 1], 1, 0),
-            sb: Series2.linear(p, order, pt.affine[sb - 1], 0, 1),
-            pt.solved_slot: pt.local_series.truncate(order),
-        }
-        tables = {slot: power_table(var_series[slot], d) for slot in (1, 2, 3)}
-        coeff_positions = [
-            (i, j) for i in range(order + 1) for j in range(order + 1 - i)
-        ]
-        point_rows = [[0] * len(columns) for _ in coeff_positions]
-        for col, (_, e1, e2, e3) in enumerate(columns):
-            composed = tables[1][e1] * tables[2][e2] * tables[3][e3]
-            values = composed.as_dict()
-            for ridx, ij in enumerate(coeff_positions):
-                point_rows[ridx][col] = values.get(ij, 0)
-        rows.extend(point_rows)
+        jet_a, jet_b, jet_c = (
+            _jet_factors(pt.affine[slot - 1], exps[slot - 1], d, order, p, dtype)
+            for slot in (sa, sb, pt.solved_slot)
+        )
+        series = pt.local_series.as_dict() if order else {}
+        psi = [0] + [series.get(ij, 0) for ij in triangle(order)[1:]]
+        block = [0] * len(psi)
+        for i, j, k, entries in _substitution(psi, order, p):
+            jet = jet_a[i] * jet_b[j] % p * jet_c[k] % p
+            for n, c in entries:
+                block[n] = (block[n] + c * jet) % p
+        rows.extend(row.tolist() for row in block)
     return rows
 
 

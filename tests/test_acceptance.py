@@ -5,6 +5,7 @@ a failure raises through pytest as usual.
 """
 import csv
 import io
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,6 +34,9 @@ SWEEP_ARGS = [
     "--oracle",
 ]
 CFG = PrimeFieldConfig(seed=SEED, trials=3)
+# The acceptance sweep as written by the seed implementation; the oracle
+# kernels may change, the table for a fixed seed may not.
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "acceptance_sweep_seed1.csv"
 
 ADMISSIBLE_N = sorted(
     4**u * 9**w for u in range(7) for w in range(4) if 4**u * 9**w <= 5184
@@ -75,6 +79,10 @@ def test_criterion_1_oracle_engine_equivalence_sweep(sweep_bytes):
     assert definite >= 80
     print(f"\nACCEPTANCE 1 PASS: {definite} definite reports all AGREE with the "
           f"dual-prime oracle over {len(rows)} sweep instances")
+
+
+def test_sweep_matches_golden_table(sweep_bytes):
+    assert sweep_bytes == GOLDEN_SWEEP.read_bytes()
 
 
 def test_criterion_2_special_case_reproduction():

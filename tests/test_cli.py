@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from k3fat import cli
 from k3fat.cli import SWEEP_HEADER, main
 
 
@@ -103,6 +104,74 @@ def test_verify_cache_roundtrip(runner, tmp_path):
     assert entries[0].name == "g4_d2_m2_n4_p2147483647_s1.json"
     second = invoke(runner, *args)
     assert second.output == first.output
+
+
+def test_verify_cache_recomputes_verdict(runner, tmp_path):
+    # L^4(2, 2^4) is empty (engine dim -1); a cached entry may supply only
+    # the oracle measurement, and a wrong one must show up as DISAGREE
+    cache = tmp_path / "cache"
+    args = ("--trials", "2", "--prime2", "0",
+            "verify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4",
+            "--cache", str(cache))
+    fresh = invoke(runner, *args)
+    assert fresh.exit_code == 0 and "verdict=AGREE" in fresh.output
+    (path,) = cache.glob("*.json")
+    entry = json.loads(path.read_text())
+    assert entry["measurement"]["dim"] == -1
+
+    entry["measurement"]["dim"] = 5
+    entry["verdict"] = "AGREE"
+    path.write_text(json.dumps(entry))
+    tampered = runner.invoke(main, list(args))
+    assert tampered.exit_code == 1
+    assert "verdict=DISAGREE" in tampered.output and "oracle_dim=5" in tampered.output
+
+    # an entry of another format (here the former verdict record) is ignored
+    # and replaced by a fresh measurement
+    path.write_text(json.dumps({"verdict": "AGREE", "oracle_dim": 5, "trials": 2,
+                                "prime2": None, "budget_rows": 20000}))
+    assert invoke(runner, *args).output == fresh.output
+    assert json.loads(path.read_text())["measurement"]["dim"] == -1
+    assert [p.name for p in cache.iterdir()] == [path.name]  # no temporary files left
+
+
+def test_sweep_rejects_nonpositive_jobs(runner, tmp_path):
+    result = runner.invoke(main, ["sweep", "--d-range", "1", "1", "--m-range", "1", "1",
+                                  "--n-set", "1", "--jobs", "0",
+                                  "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2
+    assert "--jobs" in result.output
+
+
+def test_sweep_clamps_worker_count(runner, tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps serially."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    base = ["sweep", "--d-range", "1", "1", "--m-range", "1", "1"]
+    out = str(tmp_path / "x.csv")
+    assert invoke(runner, *base, "--n-set", "1,4,9", "--jobs", "1000", "--out", out).exit_code == 0
+    assert invoke(runner, *base, "--n-set", "1,4,9,16,36,64,81,144,256,324",
+                  "--jobs", "1000", "--out", out).exit_code == 0
+    assert started == [3, 8]  # one worker per row, then one per CPU
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert invoke(runner, *base, "--n-set", "1,4,9", "--jobs", "4", "--out", out).exit_code == 0
+    assert started == [3, 8]  # unknown CPU count: serial, no pool
 
 
 def test_sweep_engine_only(runner, tmp_path):

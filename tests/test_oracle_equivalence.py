@@ -1,0 +1,328 @@
+"""The oracle kernels against reference copies of the seed algorithms.
+
+Root finding, the implicit series solve, point sampling and condition-row
+construction were rewritten for speed with the promise that, for a fixed
+seed, every result and every draw from the random generator stays the same.
+The reference implementations below are the original list/dict versions,
+kept here verbatim in behaviour, and each property compares the two.
+"""
+from random import Random
+from typing import Dict, List
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from k3fat.oracle.config import SamplingError
+from k3fat.oracle.field import inverse_mod, poly_roots
+from k3fat.oracle.quartic import (
+    _affine_partial,
+    _dehomogenize,
+    _oriented_poly,
+    QuarticSurfaceInstance,
+    SurfacePoint,
+    k3_condition_rows,
+    monomial_exponents,
+    sample_quartic_instance,
+)
+from k3fat.oracle.series import ChartSingularError, Series2, solve_implicit
+
+PRIMES = (10007, 2**31 - 1, 2**61 - 1)
+ORACLE_PRIMES = (2**31 - 1, 2**61 - 1)
+
+# ---------------------------------------------------------------------------
+# Reference root finding: generic list arithmetic, right-to-left powering.
+
+
+def _ref_strip(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _ref_mul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] = (out[i + j] + fi * gj) % p
+    return _ref_strip(out)
+
+
+def _ref_divmod(f, g, p):
+    f = list(f)
+    dg = len(g) - 1
+    q = [0] * max(0, len(f) - dg)
+    while len(f) - 1 >= dg and f:
+        lead = f[-1] % p
+        shift = len(f) - 1 - dg
+        if lead:
+            q[shift] = lead
+            for i in range(dg):
+                f[shift + i] = (f[shift + i] - lead * g[i]) % p
+        f.pop()
+    return _ref_strip(q), _ref_strip(f)
+
+
+def _ref_monic(f, p):
+    f = _ref_strip([c % p for c in f])
+    if not f:
+        return []
+    inv = inverse_mod(f[-1], p)
+    return [(c * inv) % p for c in f]
+
+
+def _ref_gcd(f, g, p):
+    f, g = _ref_monic(f, p), _ref_monic(g, p)
+    while g:
+        f, g = g, _ref_monic(_ref_divmod(f, g, p)[1], p)
+    return f
+
+
+def _ref_powmod(base, e, mod, p):
+    result = [1]
+    base = _ref_divmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _ref_divmod(_ref_mul(result, base, p), mod, p)[1]
+        base = _ref_divmod(_ref_mul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+def _ref_split(g, p, rng):
+    deg = len(g) - 1
+    if deg <= 0:
+        return []
+    if deg == 1:
+        return [(-g[0]) % p]
+    while True:
+        shift = rng.randrange(p)
+        h = _ref_powmod([shift, 1], (p - 1) // 2, g, p) or [0]
+        h[0] = (h[0] - 1) % p
+        d = _ref_gcd(_ref_strip(h), g, p)
+        if 0 < len(d) - 1 < deg:
+            q, r = _ref_divmod(g, d, p)
+            assert not r
+            return _ref_split(d, p, rng) + _ref_split(_ref_monic(q, p), p, rng)
+
+
+def ref_poly_roots(coeffs, p, rng):
+    f = _ref_monic(coeffs, p)
+    if len(f) == 1:
+        return []
+    xp = _ref_powmod([0, 1], p, f, p)
+    xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
+    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+    return sorted(_ref_split(_ref_gcd(_ref_strip(xp_minus_x), f, p), p, rng))
+
+
+# ---------------------------------------------------------------------------
+# Reference series solve: Newton iteration on Series2 at doubling precision.
+
+
+def _ref_power_table(series, max_exp):
+    table = [Series2.constant(series.p, series.order, 1)]
+    for _ in range(max_exp):
+        table.append(table[-1] * series)
+    return table
+
+
+def _ref_eval_poly3(coeffs, s1, s2, s3):
+    tables = [_ref_power_table(s, max((e[k] for e in coeffs), default=0))
+              for k, s in enumerate((s1, s2, s3))]
+    acc = Series2.constant(s1.p, s1.order, 0)
+    for (e1, e2, e3), c in coeffs.items():
+        if c % s1.p:
+            acc = acc + (tables[0][e1] * tables[1][e2] * tables[2][e3]).scale(c)
+    return acc
+
+
+def _ref_eval_scalar(coeffs, x1, x2, x3, p):
+    return sum(c * pow(x1, e1, p) * pow(x2, e2, p) * pow(x3, e3, p)
+               for (e1, e2, e3), c in coeffs.items()) % p
+
+
+def ref_solve_implicit(coeffs, p1, p2, p3, order, p):
+    fz: Dict = {}
+    for (e1, e2, e3), c in coeffs.items():
+        if e3 > 0:
+            fz[(e1, e2, e3 - 1)] = (fz.get((e1, e2, e3 - 1), 0) + e3 * c) % p
+    if _ref_eval_scalar(fz, p1, p2, p3, p) == 0:
+        raise ChartSingularError("z-partial vanishes")
+    if _ref_eval_scalar(coeffs, p1, p2, p3, p) != 0:
+        raise ValueError("the polynomial does not vanish")
+    phi = Series2.constant(p, 0, p3)
+    prec = 0
+    while prec < order:
+        prec = min(2 * prec + 1, order)
+        phi = Series2.from_dict(p, prec, phi.as_dict())
+        u = Series2.linear(p, prec, p1, 1, 0)
+        v = Series2.linear(p, prec, p2, 0, 1)
+        f_val = _ref_eval_poly3(coeffs, u, v, phi)
+        fz_val = _ref_eval_poly3(fz, u, v, phi)
+        phi = phi - f_val * fz_val.inverse()
+    return phi
+
+
+# ---------------------------------------------------------------------------
+# Reference sampling and condition rows.
+
+
+def _ref_sample_point(f_affine, p, rng, seen):
+    partials = {slot: _affine_partial(f_affine, slot, p) for slot in (1, 2, 3)}
+    for _ in range(256):
+        a = rng.randrange(p)
+        b = rng.randrange(p)
+        restricted = [0, 0, 0, 0, 0]
+        for (e1, e2, e3), c in f_affine.items():
+            restricted[e3] = (restricted[e3] + c * pow(a, e1, p) * pow(b, e2, p)) % p
+        if not any(restricted):
+            continue
+        roots = ref_poly_roots(restricted, p, rng)
+        if not roots:
+            continue
+        z = roots[rng.randrange(len(roots))]
+        if (a, b, z) in seen:
+            continue
+        for slot in (3, 2, 1):
+            if _ref_eval_scalar(partials[slot], a, b, z, p) != 0:
+                return (a, b, z), slot
+    raise SamplingError("could not sample a smooth surface point within budget")
+
+
+def ref_sample_quartic_instance(groups, p, rng):
+    for _ in range(32):
+        coeffs = {e: rng.randrange(p) for e in monomial_exponents(4)}
+        if not any(coeffs.values()):
+            continue
+        f_affine = {k: v for k, v in _dehomogenize(coeffs).items() if v % p}
+        try:
+            points = []
+            seen = set()
+            for m, count in groups:
+                for _ in range(count):
+                    affine, solved = _ref_sample_point(f_affine, p, rng, seen)
+                    seen.add(affine)
+                    params = tuple(s for s in (1, 2, 3) if s != solved)
+                    series = None
+                    if m >= 2:
+                        g = _oriented_poly(f_affine, params, solved)
+                        series = ref_solve_implicit(
+                            g, affine[params[0] - 1], affine[params[1] - 1],
+                            affine[solved - 1], m - 1, p)
+                    points.append(SurfacePoint(affine, m, solved, params, series))
+            return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
+        except (SamplingError, ChartSingularError):
+            continue
+    raise SamplingError("could not sample a usable quartic within budget")
+
+
+def ref_condition_rows(d, instance) -> List[List[int]]:
+    p = instance.prime
+    columns = monomial_exponents(d)
+    rows = []
+    for pt in instance.points:
+        if pt.multiplicity == 1:
+            x1, x2, x3 = ([pow(a, e, p) for e in range(d + 1)] for a in pt.affine)
+            rows.append([x1[e1] * x2[e2] % p * x3[e3] % p for (_, e1, e2, e3) in columns])
+            continue
+        order = pt.multiplicity - 1
+        sa, sb = pt.param_slots
+        var_series = {
+            sa: Series2.linear(p, order, pt.affine[sa - 1], 1, 0),
+            sb: Series2.linear(p, order, pt.affine[sb - 1], 0, 1),
+            pt.solved_slot: pt.local_series,
+        }
+        tables = {slot: _ref_power_table(var_series[slot], d) for slot in (1, 2, 3)}
+        positions = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+        block = [[0] * len(columns) for _ in positions]
+        for col, (_, e1, e2, e3) in enumerate(columns):
+            values = (tables[1][e1] * tables[2][e2] * tables[3][e3]).as_dict()
+            for r, ij in enumerate(positions):
+                block[r][col] = values.get(ij, 0)
+        rows.extend(block)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+
+@st.composite
+def root_problems(draw):
+    """A prime, a polynomial of degree <= 4 with a planted set of roots
+    (repeats allowed), and a generator seed."""
+    p = draw(st.sampled_from(PRIMES))
+    element = st.integers(min_value=0, max_value=p - 1)
+    roots = draw(st.lists(element, max_size=4))
+    f = [draw(st.integers(min_value=1, max_value=p - 1))]
+    for r in roots:
+        f = _ref_mul(f, [(-r) % p, 1], p)
+    extra = draw(st.lists(element, max_size=4 - len(roots)))
+    f = _ref_mul(f, extra + [1], p) if extra else f
+    return p, f, draw(st.integers(min_value=0, max_value=2**32))
+
+
+@given(root_problems())
+@settings(max_examples=150, deadline=None)
+def test_poly_roots_matches_reference_and_rng_stream(problem):
+    p, f, seed = problem
+    new_rng, ref_rng = Random(seed), Random(seed)
+    assert poly_roots(f, p, new_rng) == ref_poly_roots(f, p, ref_rng)
+    assert new_rng.getstate() == ref_rng.getstate()
+
+
+@st.composite
+def implicit_problems(draw):
+    """A trivariate polynomial of degree <= 4 through a random point, the
+    point, an order 1..4 and a prime; sometimes with a singular chart."""
+    p = draw(st.sampled_from(PRIMES))
+    element = st.integers(min_value=0, max_value=p - 1)
+    exps = [(i, j, k) for i in range(5) for j in range(5 - i) for k in range(5 - i - j)]
+    f = {e: draw(element) for e in draw(st.lists(st.sampled_from(exps), min_size=1,
+                                                  max_size=len(exps), unique=True))}
+    point = (draw(element), draw(element), draw(element))
+    f[(0, 0, 0)] = 0
+    f[(0, 0, 0)] = (-_ref_eval_scalar(f, *point, p)) % p
+    return f, point, draw(st.integers(min_value=1, max_value=4)), p
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except (ChartSingularError, ValueError) as exc:
+        return type(exc)
+
+
+@given(implicit_problems())
+@settings(max_examples=120, deadline=None)
+def test_solve_implicit_matches_reference(problem):
+    f, (p1, p2, p3), order, p = problem
+    expected = _outcome(ref_solve_implicit, f, p1, p2, p3, order, p)
+    assert _outcome(solve_implicit, f, p1, p2, p3, order, p) == expected
+
+
+groups_strategy = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=2)),
+    min_size=1, max_size=3, unique_by=lambda g: g[0],
+).map(lambda gs: tuple(sorted(gs, reverse=True)))
+
+
+@given(st.sampled_from(ORACLE_PRIMES), groups_strategy, st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_sample_quartic_instance_matches_reference_and_rng_stream(p, groups, seed):
+    new_rng, ref_rng = Random(seed), Random(seed)
+    assert sample_quartic_instance(groups, p, new_rng) == \
+        ref_sample_quartic_instance(groups, p, ref_rng)
+    assert new_rng.getstate() == ref_rng.getstate()
+
+
+@given(st.sampled_from(ORACLE_PRIMES), groups_strategy,
+       st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_condition_rows_match_reference(p, groups, d, seed):
+    instance = sample_quartic_instance(groups, p, Random(seed))
+    rows = k3_condition_rows(d, instance)
+    assert rows == ref_condition_rows(d, instance)
+    assert all(type(x) is int for row in rows for x in row)

@@ -95,6 +95,12 @@ def test_poly_roots_rejects_zero_polynomial():
         poly_roots([0, 0], P1, Random(0))
 
 
+def test_poly_roots_rejects_degree_above_four():
+    # the powering kernels work on four-coefficient residues
+    with pytest.raises(ValueError):
+        poly_roots([1, 0, 0, 0, 0, 1], P1, Random(0))
+
+
 def test_pgcd_monic():
     p = P1
     f = _pmul([1, 1], [2, 1], p)
