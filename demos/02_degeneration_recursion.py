@@ -29,8 +29,8 @@ def show(node, indent=0):
     print(f"{pad}  step: c={st.c} b={st.b} k={st.k} regime={st.regime.value} "
           f"r_surface={st.r_surface} r_planar={st.r_planar} "
           f"intersection={st.intersection_dim} l0={st.l0}")
-    print(f"{pad}  planar branches: L({st.planar_branch.degree}, ...) dim "
-          f"{st.planar_leaf.dim}; L({st.planar_branch_hat.degree}, ...) dim "
+    print(f"{pad}  planar branches: L({st.planar_leaf.system.degree}, ...) dim "
+          f"{st.planar_leaf.dim}; L({st.planar_hat_leaf.system.degree}, ...) dim "
           f"{st.planar_hat_leaf.dim}")
     show(st.surface_node, indent + 1)
     show(st.surface_hat_node, indent + 1)

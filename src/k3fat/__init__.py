@@ -34,16 +34,8 @@ from .classify import (
     VerificationOutcome,
     base_gamma4,
     classify,
-    planar_dim_c49,
     verify,
 )
-from .oracle import (
-    PrimeFieldConfig,
-    exact_rank,
-    k3_dim_oracle,
-    measure_k3,
-    measure_planar,
-    planar_dim_oracle,
-)
+from .oracle import PrimeFieldConfig, measure_k3, measure_planar, rank_mod_p
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Theorem driver: base-case policies, the gamma = 4 classification of
-homogeneous systems with n = 4^u * 9^w points, the 4-and-9-points planar
-shortcut, and reconciliation with the finite-field oracle.
+homogeneous systems with n = 4^u * 9^w points, and reconciliation with the
+finite-field oracle.
 
 For gamma = 4 (quartic surfaces) the single-point systems are fully
 classified: L^4(d, mu) is non-special unless mu = 2d and d >= 2, in which
@@ -25,9 +25,6 @@ from typing import Optional
 from .core import (
     DimensionReport,
     K3System,
-    Status,
-    edim,
-    planar_dim_nonspecial,
     point_conditions,
     report_conditional,
     report_nonspecial,
@@ -35,13 +32,12 @@ from .core import (
     report_unknown,
     vdim_k3,
 )
-from .degeneration import BaseResolver, EngineError, factor_4_9, recurse
+from .degeneration import BaseResolver, EngineError, recurse
 
 
 class PolicyKind(Enum):
     GAMMA4_PROVED = "GAMMA4_PROVED"
     HYPOTHESIS = "HYPOTHESIS"
-    ORACLE_BACKED = "ORACLE_BACKED"
 
 
 @dataclass(frozen=True)
@@ -51,14 +47,11 @@ class BasePolicy:
     GAMMA4_PROVED uses the full quartic-surface classification (gamma = 4
     only).  HYPOTHESIS assumes every single-point system is non-special and
     marks all downstream reports CONDITIONAL; it is rejected for gamma = 4,
-    where the assumption is known to be false.  ORACLE_BACKED measures each
-    leaf with the finite-field oracle (gamma = 4 only; Monte-Carlo evidence,
-    not proof).
+    where the assumption is known to be false.
     """
 
     kind: PolicyKind
     gamma: Optional[int] = None
-    oracle_cfg: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.kind is PolicyKind.HYPOTHESIS:
@@ -69,8 +62,6 @@ class BasePolicy:
                     "HYPOTHESIS is unavailable for gamma = 4: single-point "
                     "systems L^4(d, 2d) with d >= 2 are special"
                 )
-        if self.kind is PolicyKind.ORACLE_BACKED and self.oracle_cfg is None:
-            raise ValueError("ORACLE_BACKED policy needs a PrimeFieldConfig")
 
     def resolver(self) -> BaseResolver:
         if self.kind is PolicyKind.GAMMA4_PROVED:
@@ -79,21 +70,10 @@ class BasePolicy:
                     raise ValueError("GAMMA4_PROVED resolves gamma = 4 only")
                 return base_gamma4(d, mu)
             return resolve
-        if self.kind is PolicyKind.HYPOTHESIS:
-            def resolve(gamma: int, d: int, mu: int) -> DimensionReport:
-                v = (gamma // 2) * d * d + 1 - point_conditions(mu)
-                return report_conditional(v)
-            return resolve
 
         def resolve(gamma: int, d: int, mu: int) -> DimensionReport:
-            from .oracle import measure_k3
-
-            if gamma != 4:
-                raise ValueError("the oracle supports quartic surfaces only")
-            v = 2 * d * d + 1 - point_conditions(mu)
-            dim = measure_k3(d, [(mu, 1)], self.oracle_cfg).dim
-            status = Status.NONSPECIAL if dim == edim(v) else Status.SPECIAL
-            return DimensionReport(v, edim(v), dim, status)
+            v = (gamma // 2) * d * d + 1 - point_conditions(mu)
+            return report_conditional(v)
         return resolve
 
 
@@ -116,20 +96,6 @@ def base_gamma4(d: int, mu: int) -> DimensionReport:
     return report_nonspecial(v)
 
 
-def planar_dim_c49(delta: int, mu: int, c: int) -> int:
-    """Dimension of the plane system L(delta, mu^c) for c in {4, 9}.
-
-    Homogeneous plane systems with 4 or 9 general points are non-special
-    for every degree and multiplicity, so the dimension is max(-1, vdim);
-    delta < 0 gives the empty system.
-    """
-    if c not in (4, 9):
-        raise ValueError(f"c must be 4 or 9, got {c}")
-    if mu < 1:
-        raise ValueError("mu must be positive")
-    return planar_dim_nonspecial(delta, mu, c)
-
-
 def default_policy(gamma: int) -> BasePolicy:
     if gamma == 4:
         return GAMMA4_PROVED
@@ -145,14 +111,9 @@ def classify(sys: K3System, policy: Optional[BasePolicy] = None) -> DimensionRep
     With the proved gamma = 4 policy the verdict follows the quartic-surface
     classification above; the attached degeneration trace shows how far the
     recursion itself certifies the claim.  With a HYPOTHESIS policy every
-    verdict is CONDITIONAL on the assumed base non-speciality.
+    verdict is CONDITIONAL on the assumed base non-speciality.  The system
+    itself is validated by the recursion.
     """
-    if not sys.is_homogeneous:
-        raise ValueError("classify requires a homogeneous system")
-    n = sys.total_points
-    uw = factor_4_9(n) if n > 0 else (0, 0)
-    if uw is None:
-        raise ValueError(f"point count {n} is not of the form 4^u * 9^w")
     if policy is None:
         policy = default_policy(sys.gamma)
     if policy.kind is PolicyKind.GAMMA4_PROVED and sys.gamma != 4:
@@ -164,7 +125,7 @@ def classify(sys: K3System, policy: Optional[BasePolicy] = None) -> DimensionRep
     if policy.kind is not PolicyKind.GAMMA4_PROVED:
         return chain_report
 
-    verdict = _gamma4_theorem_verdict(sys, uw)
+    verdict = _gamma4_theorem_verdict(sys)
     if verdict.is_definite and chain_report.is_definite:
         if (verdict.dim, verdict.status) != (chain_report.dim, chain_report.status):
             raise EngineError(
@@ -178,8 +139,7 @@ def classify(sys: K3System, policy: Optional[BasePolicy] = None) -> DimensionRep
     return verdict.with_trace(trace)
 
 
-def _gamma4_theorem_verdict(sys: K3System, uw) -> DimensionReport:
-    u, _w = uw
+def _gamma4_theorem_verdict(sys: K3System) -> DimensionReport:
     d = sys.degree
     n = sys.total_points
     v = vdim_k3(sys)
@@ -189,7 +149,7 @@ def _gamma4_theorem_verdict(sys: K3System, uw) -> DimensionReport:
         return base_gamma4(d, sys.multiplicity)
     if v >= -1:
         return report_nonspecial(v)
-    if u > 0 or (2 * d) % 3 != 1:
+    if n % 4 == 0 or (2 * d) % 3 != 1:  # u > 0 in n = 4^u * 9^w
         return report_nonspecial(v)  # empty: dim = edim = -1
     return report_unknown(v)
 
@@ -206,36 +166,36 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class VerificationOutcome:
+    """The verdict; over_budget marks a SKIPPED outcome whose condition
+    matrix exceeded the configured size budget."""
+
     kind: Verdict
     oracle_dim: Optional[int] = None
     reason: Optional[str] = None
     low_confidence: bool = False
+    over_budget: bool = False
 
 
 def verify(sys: K3System, report: DimensionReport, cfg, measure=None) -> VerificationOutcome:
     """Compare an engine report against the finite-field oracle.
 
     Skipped (with the reason) when the oracle cannot run: gamma != 4 or the
-    condition matrix exceeds the size budget.  UNKNOWN reports are always
-    measured so the oracle dimension can be recorded as advisory data.
-    `measure(d, points, cfg)` supplies the oracle measurement; it defaults
-    to measure_k3_cross_checked, and a cache may serve a stored one instead.
-    The verdict itself is always computed here, from the current report.
+    condition matrix exceeds the size budget (the BudgetExceededError of the
+    measurement).  UNKNOWN reports are always measured so the oracle
+    dimension can be recorded as advisory data.  `measure(d, points, cfg)`
+    supplies the oracle measurement; it defaults to measure_k3_cross_checked,
+    and a cache may serve a stored one instead.  The verdict itself is always
+    computed here, from the current report.
     """
-    from .oracle import measure_k3_cross_checked
+    from .oracle import BudgetExceededError, measure_k3_cross_checked
 
     if sys.gamma != 4:
         return VerificationOutcome(Verdict.SKIPPED, reason="oracle supports gamma=4 only")
-    rows = sum(g.count * point_conditions(g.multiplicity) for g in sys.points)
-    d = sys.degree
-    cols = (d + 3) * (d + 2) * (d + 1) // 6
-    if rows > cfg.budget_rows or cols > cfg.budget_rows:
-        return VerificationOutcome(
-            Verdict.SKIPPED,
-            reason=f"condition matrix {rows}x{cols} exceeds budget {cfg.budget_rows}",
-        )
     points = [(g.multiplicity, g.count) for g in sys.points]
-    meas = (measure or measure_k3_cross_checked)(d, points, cfg)
+    try:
+        meas = (measure or measure_k3_cross_checked)(sys.degree, points, cfg)
+    except BudgetExceededError as exc:
+        return VerificationOutcome(Verdict.SKIPPED, reason=str(exc), over_budget=True)
     if report.dim is None:
         return VerificationOutcome(
             Verdict.SKIPPED,

@@ -24,7 +24,6 @@ from .oracle import (
     DEFAULT_PRIME,
     DEFAULT_PRIME2,
     DEFAULT_TRIALS,
-    BudgetExceededError,
     OracleMeasurement,
     PrimeFieldConfig,
     measure_k3_cross_checked,
@@ -139,9 +138,11 @@ def cmd_classify(cfg, gamma, d, m, n, trace_path, assume_base):
 # Cache of oracle measurements, one plain file per (gamma,d,m,n,prime,seed).
 # Only the measurement is stored: it is a pure function of the system and
 # the oracle configuration, while the verdict depends on the engine report
-# and is recomputed on every run.
+# and is recomputed on every run.  The key holds the size budget too, so an
+# entry is served only where the measurement itself would run: over budget
+# the lookup misses and the measurement raises BudgetExceededError.
 
-CACHE_SCHEMA = "k3fat.oracle-measurement/1"
+CACHE_SCHEMA = "k3fat.oracle-measurement/2"
 
 
 def _cache_path(cache_dir, gamma, d, m, n, cfg) -> str:
@@ -158,6 +159,7 @@ def _cache_key(d, points, cfg) -> dict:
         "prime2": cfg.prime2,
         "seed": cfg.seed,
         "trials": cfg.trials,
+        "budget_rows": cfg.budget_rows,
     }
 
 
@@ -231,11 +233,7 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
     if gamma != 4:
         raise click.UsageError("verify requires gamma=4 (the oracle is quartic-only)")
     report = classify(sys_, _policy_for(gamma, False, cfg))
-    try:
-        outcome = _verify_with_cache(sys_, report, cfg, cache_dir)
-    except BudgetExceededError as exc:
-        click.echo(f"verdict=SKIPPED reason={exc}")
-        ctx.exit(3)
+    outcome = _verify_with_cache(sys_, report, cfg, cache_dir)
     engine_dim = "NA" if report.dim is None else report.dim
     oracle_dim = "NA" if outcome.oracle_dim is None else outcome.oracle_dim
     click.echo(
@@ -246,7 +244,7 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
     )
     if outcome.kind is Verdict.DISAGREE:
         ctx.exit(1)
-    if outcome.kind is Verdict.SKIPPED and outcome.reason and "budget" in outcome.reason:
+    if outcome.over_budget:
         ctx.exit(3)
 
 

@@ -10,7 +10,8 @@ systems for a matching degree k:
     planar hat branch   L(k-1, m^c)
 
 The dimensions combine along the b matching curves (degree-k rational
-curves) through the restriction dimensions
+curves), as in the degeneration of Ciliberto and Miranda (J. reine angew.
+Math. 501, 1998), through the restriction dimensions
 
     r_surface = l_S - l_S_hat - 1,   r_planar = l_P - l_P_hat - 1,
 
@@ -22,12 +23,14 @@ The degenerate-fiber dimension l0 bounds the true dimension l from above,
 and l >= edim always, so l0 == edim certifies dim = edim (non-special).
 The engine only ever certifies; when the side conditions of a step fail it
 reports UNKNOWN rather than guessing.
+
+Internally the recursion runs on (gamma, d, m, n) keys, with m = n = 0 for
+the unconditioned system; each distinct key becomes one TraceNode.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import (
@@ -36,16 +39,15 @@ from .core import (
     PlanarSystem,
     Status,
     edim,
-    planar_dim_nonspecial,
     planar_vdim_formula,
     point_conditions,
-    report_unknown,
-    vdim_k3,
-    vdim_planar,
 )
 
 #: Resolves a single-point system L^gamma(d, mu) to a DimensionReport.
 BaseResolver = Callable[[int, int, int], DimensionReport]
+
+#: A homogeneous system L^gamma(d, m^n) as (gamma, d, m, n).
+Key = Tuple[int, int, int, int]
 
 
 class Regime(Enum):
@@ -77,13 +79,31 @@ def is_admissible_count(n: int) -> bool:
     return factor_4_9(n) is not None
 
 
-def _homogeneous_data(sys: K3System) -> Tuple[int, int, int, int]:
-    """(gamma, d, m, n) of a homogeneous system; m = 0 for the empty one."""
+def _key(gamma: int, d: int, m: int, n: int) -> Key:
+    """The key of L^gamma(d, m^n); multiplicity or count 0 is the
+    unconditioned system (gamma, d, 0, 0)."""
+    return (gamma, d, m, n) if m and n else (gamma, d, 0, 0)
+
+
+def _key_of(sys: K3System) -> Key:
     if not sys.is_homogeneous:
         raise ValueError("the recursion handles homogeneous systems only")
     n = sys.total_points
-    m = sys.multiplicity if n > 0 else 0
-    return sys.gamma, sys.degree, m, n
+    return _key(sys.gamma, sys.degree, sys.multiplicity if n else 0, n)
+
+
+def _split_key(sys: K3System, c: int) -> Key:
+    """The key of a system that one step can split into b = n/c planes."""
+    key = _key_of(sys)
+    n = key[3]
+    if c not in (4, 9) or n < c or n % c != 0:
+        raise ValueError(f"c must be 4 or 9 and divide n, got c={c}, n={n}")
+    return key
+
+
+def _vdim(gamma: int, d: int, m: int, n: int) -> int:
+    """Virtual dimension of L^gamma(d, m^n)."""
+    return (gamma // 2) * d * d + 1 - n * point_conditions(m)
 
 
 @dataclass(frozen=True)
@@ -103,8 +123,6 @@ class KSelectionBounds:
     """
 
     regime: Regime
-    alpha: Fraction
-    beta: Fraction
     k_min: int
     k_max: int
 
@@ -136,27 +154,41 @@ def _least_k(pred) -> int:
     return lo
 
 
-def k_selection_bounds(sys: K3System, c: int, regime: Regime) -> KSelectionBounds:
-    """Integer-exact admissible interval for the matching degree k."""
-    gamma, d, m, n = _homogeneous_data(sys)
-    if c not in (4, 9) or n % c != 0:
-        raise ValueError(f"c must be 4 or 9 and divide n, got c={c}, n={n}")
+def _bounds(key: Key, c: int, regime: Regime) -> KSelectionBounds:
+    gamma, d, m, n = key
     b = n // c
     a_num = gamma * d * d + 4
     cm = c * m * (m + 1)
     if regime is Regime.NONNEG:
-        alpha = Fraction(a_num, b)
-        beta = Fraction(cm - 2)
         # k(k+1) <= alpha  and  k(k+3) >= beta
         k_max = _least_k(lambda k: b * (k + 1) * (k + 2) > a_num)
         k_min = _least_k(lambda k: k * (k + 3) >= cm - 2)
     else:
-        alpha = Fraction(a_num, b) - 2
-        beta = Fraction(cm)
         # (k+1)(k+2) >= alpha + 2  and  k(k+1) <= beta
         k_min = _least_k(lambda k: b * (k + 1) * (k + 2) >= a_num)
         k_max = _least_k(lambda k: (k + 1) * (k + 2) > cm)
-    return KSelectionBounds(regime, alpha, beta, k_min, k_max)
+    return KSelectionBounds(regime, k_min, k_max)
+
+
+def k_selection_bounds(sys: K3System, c: int, regime: Regime) -> KSelectionBounds:
+    """Integer-exact admissible interval for the matching degree k."""
+    return _bounds(_split_key(sys, c), c, regime)
+
+
+def _select_k(key: Key, c: int, regime: Regime) -> Optional[int]:
+    bounds = _bounds(key, c, regime)
+    if bounds.is_empty:
+        return None
+    gamma, d, _, n = key
+    if gamma == 4 and n == c:  # the final step, b = 1
+        if regime is Regime.NONNEG and d >= 2:
+            preferred = [k for k in bounds.admissible() if k not in (2 * d - 1, 2 * d)]
+            if preferred:
+                return max(preferred)
+            return bounds.k_max
+        if regime is Regime.NEG and bounds.contains(2 * d):
+            return 2 * d
+    return bounds.k_max
 
 
 def select_k(sys: K3System, c: int, regime: Regime) -> Optional[int]:
@@ -168,20 +200,17 @@ def select_k(sys: K3System, c: int, regime: Regime) -> Optional[int]:
     single-point branches L^4(d, 2d) would be special; in the NEG regime
     k = 2d is forced whenever admissible.
     """
-    bounds = k_selection_bounds(sys, c, regime)
-    if bounds.is_empty:
-        return None
-    gamma, d, m, n = _homogeneous_data(sys)
-    b = n // c
-    if gamma == 4 and b == 1:
-        if regime is Regime.NONNEG and d >= 2:
-            preferred = [k for k in bounds.admissible() if k not in (2 * d - 1, 2 * d)]
-            if preferred:
-                return max(preferred)
-            return bounds.k_max
-        if regime is Regime.NEG and bounds.contains(2 * d):
-            return 2 * d
-    return bounds.k_max
+    return _select_k(_split_key(sys, c), c, regime)
+
+
+def _recombine(
+    l_s: int, l_s_hat: int, l_p: int, l_p_hat: int, b: int, k: int
+) -> Tuple[int, int, int, int]:
+    """(r_surface, r_planar, intersection, l0) of one step."""
+    r_s = l_s - l_s_hat - 1
+    r_p = l_p - l_p_hat - 1
+    intersection = max(-1, r_s + b * r_p - b * k)
+    return r_s, r_p, intersection, intersection + b * (l_p_hat + 1) + l_s_hat + 1
 
 
 def combine_dims(l_s: int, l_s_hat: int, l_p: int, l_p_hat: int, b: int, k: int) -> int:
@@ -191,10 +220,30 @@ def combine_dims(l_s: int, l_s_hat: int, l_p: int, l_p_hat: int, b: int, k: int)
     for l in (l_s, l_s_hat, l_p, l_p_hat):
         if l < -1:
             raise ValueError("branch dimensions must be >= -1")
-    r_s = l_s - l_s_hat - 1
-    r_p = l_p - l_p_hat - 1
-    intersection = max(-1, r_s + b * r_p - b * k)
-    return intersection + b * (l_p_hat + 1) + l_s_hat + 1
+    return _recombine(l_s, l_s_hat, l_p, l_p_hat, b, k)[3]
+
+
+def _branch_vdims(key: Key, c: int, k: int) -> Tuple[int, int, int, int]:
+    """(v_S, v_S_hat, v_P, v_P_hat): the surface branch vdims at
+    multiplicities k, k+1 and the unclamped planar vdims at degrees k, k-1."""
+    gamma, d, m, n = key
+    b = n // c
+    return (
+        _vdim(gamma, d, k, b),
+        _vdim(gamma, d, k + 1, b),
+        planar_vdim_formula(k, m, c),
+        planar_vdim_formula(k - 1, m, c),
+    )
+
+
+def _identity_holds(v: int, b: int, k: int, vdims: Tuple[int, int, int, int]) -> bool:
+    v_s, v_sh, v_p, v_ph = vdims
+    return (
+        v == v_s + b * v_ph + b
+        == v_s + b * (v_p - k)
+        == v_sh + b * v_p + b
+        == v_sh + b * (v_ph + k + 2)
+    )
 
 
 def check_vdim_identity(sys: K3System, c: int, k: int) -> bool:
@@ -207,22 +256,8 @@ def check_vdim_identity(sys: K3System, c: int, k: int) -> bool:
     v_P, v_P_hat the unclamped planar vdims at degrees k, k-1.  Used as a
     permanent self-check inside the recursion.
     """
-    gamma, d, m, n = _homogeneous_data(sys)
-    if c not in (4, 9) or n % c != 0:
-        raise ValueError(f"c must be 4 or 9 and divide n, got c={c}, n={n}")
-    b = n // c
-    half = gamma // 2
-    v = half * d * d + 1 - n * point_conditions(m)
-    v_s = half * d * d + 1 - b * point_conditions(k)
-    v_s_hat = half * d * d + 1 - b * point_conditions(k + 1)
-    v_p = planar_vdim_formula(k, m, c)
-    v_p_hat = planar_vdim_formula(k - 1, m, c)
-    return (
-        v == v_s + b * v_p_hat + b
-        == v_s + b * (v_p - k)
-        == v_s_hat + b * v_p + b
-        == v_s_hat + b * (v_p_hat + k + 2)
-    )
+    key = _split_key(sys, c)
+    return _identity_holds(_vdim(*key), key[3] // c, k, _branch_vdims(key, c, k))
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +293,14 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class DegenerationStep:
-    """One recursion level: the chosen (c, b, k), the four branch systems,
-    the restriction dimensions and the combined fiber dimension l0."""
+    """One recursion level: the chosen (c, b, k), the four branches, the
+    restriction dimensions and the combined fiber dimension l0 (None when
+    a surface branch has no certified dimension)."""
 
     c: int
     b: int
     k: int
     regime: Regime
-    surface_branch: K3System
-    surface_branch_hat: K3System
-    planar_branch: PlanarSystem
-    planar_branch_hat: PlanarSystem
     surface_node: TraceNode
     surface_hat_node: TraceNode
     planar_leaf: PlanarLeaf
@@ -362,61 +394,51 @@ def _node_to_dict(node: TraceNode) -> dict:
 # The recursion
 
 
-def _planar_leaf(delta: int, m: int, c: int) -> PlanarLeaf:
-    system = PlanarSystem.homogeneous(delta, m, c)
-    from .core import vdim_planar
-
-    v = vdim_planar(system)
-    dim = planar_dim_nonspecial(delta, m, c)
-    return PlanarLeaf(system, v, edim(v), dim, Status.NONSPECIAL)
+def _planar_leaf(delta: int, m: int, c: int, v: int) -> PlanarLeaf:
+    """L(delta, m^c) from its unclamped vdim v; delta < 0 is the empty
+    system, of vdim -1.  Being non-special, its dimension is its edim."""
+    if delta < 0:
+        v = -1
+    return PlanarLeaf(PlanarSystem.homogeneous(delta, m, c), v, edim(v), edim(v),
+                      Status.NONSPECIAL)
 
 
 def _attempt_step(
     sys: K3System,
+    key: Key,
     v: int,
     c: int,
-    b: int,
     k: int,
     regime: Regime,
     base: BaseResolver,
-    memo: Dict,
+    memo: Dict[Key, TraceNode],
 ) -> Tuple[bool, bool, DegenerationStep]:
     """Try one degeneration step; returns (certified, conditional, record)."""
-    gamma, d, m, _ = _homogeneous_data(sys)
-    surface = K3System.homogeneous(gamma, d, k, b)
-    surface_hat = K3System.homogeneous(gamma, d, k + 1, b)
-    rep_s, node_s = _recurse(surface, base, memo)
-    rep_sh, node_sh = _recurse(surface_hat, base, memo)
-    leaf_p = _planar_leaf(k, m, c)
-    leaf_ph = _planar_leaf(k - 1, m, c)
+    gamma, d, m, n = key
+    b = n // c
+    vdims = _branch_vdims(key, c, k)
+    if not _identity_holds(v, b, k, vdims):
+        raise EngineError(f"vdim bookkeeping identity failed for {sys}, c={c}, k={k}")
+    v_s, v_sh, v_p, v_ph = vdims
+    node_s = _resolve(_key(gamma, d, k, b), base, memo)
+    node_sh = _resolve(_key(gamma, d, k + 1, b), base, memo)
+    leaf_p = _planar_leaf(k, m, c, v_p)
+    leaf_ph = _planar_leaf(k - 1, m, c, v_ph)
 
-    if rep_s.dim is None or rep_sh.dim is None:
-        step = DegenerationStep(
-            c, b, k, regime, surface, surface_hat, leaf_p.system, leaf_ph.system,
-            node_s, node_sh, leaf_p, leaf_ph, None, None, None, None,
-        )
+    l_s, l_sh = node_s.dim, node_sh.dim
+    if l_s is None or l_sh is None:
+        step = DegenerationStep(c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
+                                None, None, None, None)
         return False, False, step
 
-    l_s, l_sh, l_p, l_ph = rep_s.dim, rep_sh.dim, leaf_p.dim, leaf_ph.dim
-    r_s = l_s - l_sh - 1
-    r_p = l_p - l_ph - 1
-    intersection = max(-1, r_s + b * r_p - b * k)
-    l0 = combine_dims(l_s, l_sh, l_p, l_ph, b, k)
-    step = DegenerationStep(
-        c, b, k, regime, surface, surface_hat, leaf_p.system, leaf_ph.system,
-        node_s, node_sh, leaf_p, leaf_ph, r_s, r_p, intersection, l0,
-    )
-
-    half = gamma // 2
-    v_s = half * d * d + 1 - b * point_conditions(k)
-    v_sh = half * d * d + 1 - b * point_conditions(k + 1)
-    v_p = planar_vdim_formula(k, m, c)
-    v_ph = planar_vdim_formula(k - 1, m, c)
+    step = DegenerationStep(c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
+                            *_recombine(l_s, l_sh, leaf_p.dim, leaf_ph.dim, b, k))
+    l0 = step.l0
     branch_nonspecial = (
-        rep_s.status in (Status.NONSPECIAL, Status.CONDITIONAL)
-        and rep_sh.status in (Status.NONSPECIAL, Status.CONDITIONAL)
+        node_s.status in (Status.NONSPECIAL, Status.CONDITIONAL)
+        and node_sh.status in (Status.NONSPECIAL, Status.CONDITIONAL)
     )
-    conditional = Status.CONDITIONAL in (rep_s.status, rep_sh.status)
+    conditional = Status.CONDITIONAL in (node_s.status, node_sh.status)
 
     if regime is Regime.NONNEG:
         ok = v_s >= -1 and v_p >= -1 and branch_nonspecial
@@ -448,39 +470,27 @@ def _attempt_step(
     return ok, conditional, step
 
 
-def _recurse(
-    sys: K3System, base: BaseResolver, memo: Dict
-) -> Tuple[DimensionReport, TraceNode]:
-    gamma, d, m, n = _homogeneous_data(sys)
-    key = (gamma, d, m, n)
-    if key in memo:
-        return memo[key]
-    if factor_4_9(n) is None and n != 0:
-        raise ValueError(f"point count {n} is not of the form 4^u * 9^w")
+def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> TraceNode:
+    node = memo.get(key)
+    if node is None:
+        node = memo[key] = _new_node(K3System.homogeneous(*key), key, base, memo)
+    return node
 
-    v = vdim_k3(sys)
-    e = edim(v)
 
-    if n == 0:
-        rep = DimensionReport(v, e, v, Status.NONSPECIAL)
-        node = TraceNode(sys, v, e, v, Status.NONSPECIAL, True, "unconditioned")
-    elif n == 1:
+def _new_node(
+    sys: K3System, key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]
+) -> TraceNode:
+    gamma, d, m, n = key
+    if n == 1:
         rep = base(gamma, d, m)
-        node = TraceNode(sys, rep.vdim, rep.edim, rep.dim, rep.status,
+        return TraceNode(sys, rep.vdim, rep.edim, rep.dim, rep.status,
                          rep.dim is not None, "base")
-    else:
-        rep, node = _recurse_composite(sys, v, e, base, memo)
+    v = _vdim(*key)
+    e = edim(v)
+    if n == 0:
+        return TraceNode(sys, v, e, v, Status.NONSPECIAL, True, "unconditioned")
 
-    memo[key] = (rep, node)
-    return rep, node
-
-
-def _recurse_composite(
-    sys: K3System, v: int, e: int, base: BaseResolver, memo: Dict
-) -> Tuple[DimensionReport, TraceNode]:
-    gamma, d, m, n = _homogeneous_data(sys)
     c = 9 if n % 9 == 0 else 4
-    b = n // c
     if v > -1:
         regimes = [Regime.NONNEG]
     elif v < -1:
@@ -490,28 +500,22 @@ def _recurse_composite(
 
     last_step: Optional[DegenerationStep] = None
     for regime in regimes:
-        k = select_k(sys, c, regime)
+        k = _select_k(key, c, regime)
         if k is None:
             continue
-        if not check_vdim_identity(sys, c, k):
-            raise EngineError(f"vdim bookkeeping identity failed for {sys}, c={c}, k={k}")
-        certified, conditional, step = _attempt_step(sys, v, c, b, k, regime, base, memo)
-        last_step = step
+        certified, conditional, last_step = _attempt_step(
+            sys, key, v, c, k, regime, base, memo)
         if certified:
             status = Status.CONDITIONAL if conditional else Status.NONSPECIAL
-            rep = DimensionReport(v, e, e, status)
-            node = TraceNode(sys, v, e, e, status, True, "step", step=step)
-            return rep, node
+            return TraceNode(sys, v, e, e, status, True, "step", step=last_step)
 
     note = (
         "no admissible matching degree"
         if last_step is None
         else "step side conditions failed; dimension not certified"
     )
-    rep = report_unknown(v)
-    node = TraceNode(sys, v, e, None, Status.UNKNOWN, False, "failed",
+    return TraceNode(sys, v, e, None, Status.UNKNOWN, False, "failed",
                      step=last_step, note=note)
-    return rep, node
 
 
 def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, DegenerationTrace]:
@@ -526,7 +530,8 @@ def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, Degener
     n = sys.total_points
     if n != 0 and factor_4_9(n) is None:
         raise ValueError(f"point count {n} is not of the form 4^u * 9^w")
-    memo: Dict = {}
-    rep, node = _recurse(sys, base, memo)
+    # No descendant has the root's key: every step lowers the point count.
+    node = _new_node(sys, _key_of(sys), base, {})
     trace = DegenerationTrace(sys, node)
-    return rep.with_trace(trace), trace
+    report = DimensionReport(node.vdim, node.edim, node.dim, node.status, trace=trace)
+    return report, trace

@@ -11,14 +11,13 @@ from .config import (
     SamplingError,
     derived_rng,
 )
-from .field import ConditionMatrix, exact_rank, poly_roots, rank_mod_p
-from .planar import measure_planar, planar_condition_rows, planar_dim_oracle
+from .field import poly_roots, rank_mod_p
+from .planar import measure_planar, planar_condition_rows
 from .quartic import (
     QuarticSurfaceInstance,
     SurfacePoint,
     expand_local_series,
     k3_condition_rows,
-    k3_dim_oracle,
     measure_k3,
     measure_k3_cross_checked,
     monomial_exponents,
@@ -30,7 +29,6 @@ from .series import ChartSingularError, Series2, solve_implicit
 __all__ = [
     "BudgetExceededError",
     "ChartSingularError",
-    "ConditionMatrix",
     "DEFAULT_BUDGET_ROWS",
     "DEFAULT_PRIME",
     "DEFAULT_PRIME2",
@@ -42,17 +40,14 @@ __all__ = [
     "Series2",
     "SurfacePoint",
     "derived_rng",
-    "exact_rank",
     "expand_local_series",
     "k3_condition_rows",
-    "k3_dim_oracle",
     "measure_k3",
     "measure_k3_cross_checked",
     "measure_planar",
     "monomial_exponents",
     "num_degree_forms",
     "planar_condition_rows",
-    "planar_dim_oracle",
     "poly_roots",
     "rank_mod_p",
     "sample_quartic_instance",

@@ -13,7 +13,6 @@ coefficient reduced once) and one multiply-by-linear per exponent bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -26,43 +25,9 @@ def inverse_mod(a: int, p: int) -> int:
     return pow(a % p, -1, p)
 
 
-@dataclass(frozen=True)
-class ConditionMatrix:
-    """Interpolation conditions: one row per derivative condition per point,
-    one column per ambient monomial, entries in F_p."""
-
-    entries: Tuple[Tuple[int, ...], ...]
-    prime: int
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], prime: int) -> "ConditionMatrix":
-        return ConditionMatrix(tuple(tuple(int(x) % prime for x in r) for r in rows), prime)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-def exact_rank(matrix, prime: int = 0) -> int:
-    """Exact rank of a ConditionMatrix (or raw rows with an explicit prime)."""
-    if isinstance(matrix, ConditionMatrix):
-        if matrix.nrows == 0:
-            return 0
-        return rank_mod_p(matrix.entries, matrix.prime)
-    if not prime:
-        raise ValueError("a prime is required for raw matrix input")
-    rows = np.asarray(matrix)
-    if rows.size == 0:
-        return 0
-    return rank_mod_p(rows, prime)
-
-
 def rank_mod_p(matrix, p: int) -> int:
-    """Exact rank of an integer matrix over F_p by row elimination."""
+    """Exact rank over F_p of an integer matrix (a 2-D array or a list of
+    rows; an empty one has rank 0) by row elimination."""
     arr = np.asarray(matrix)
     if arr.size == 0:
         return 0

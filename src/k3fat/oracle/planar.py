@@ -89,8 +89,3 @@ def measure_planar(sys: PlanarSystem, cfg: PrimeFieldConfig, prime: int = 0) -> 
     dim = min(trial_dims)
     low_confidence = len(set(trial_dims)) > 1
     return OracleMeasurement(dim, tuple(trial_dims), low_confidence, p, nrows, ncols)
-
-
-def planar_dim_oracle(sys: PlanarSystem, cfg: PrimeFieldConfig) -> int:
-    """Measured dimension of a plane system (see measure_planar)."""
-    return measure_planar(sys, cfg).dim

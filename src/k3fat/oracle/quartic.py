@@ -18,7 +18,6 @@ the local series without its constant term.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -139,38 +138,6 @@ class QuarticSurfaceInstance:
         """Check F(P) = 0 and chart smoothness at every stored point."""
         f = self.affine_poly()
         _check_points(f, _affine_partials(f, self.prime), self.points, self.prime)
-
-    def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "quartic": [
-                {"exponents": list(e), "coefficient": c} for e, c in self.coefficients
-            ],
-            "points": [
-                {
-                    "affine": list(pt.affine),
-                    "multiplicity": pt.multiplicity,
-                    "solved_slot": pt.solved_slot,
-                    "param_slots": list(pt.param_slots),
-                    "local_series": (
-                        None
-                        if pt.local_series is None
-                        else [
-                            {"exponents": list(ij), "coefficient": c}
-                            for ij, c in pt.local_series.coeffs
-                        ]
-                    ),
-                }
-                for pt in self.points
-            ],
-        }
-
-    def dump(self, path, matrix=None) -> None:
-        doc = self.to_dict()
-        if matrix is not None:
-            doc["condition_matrix"] = [list(map(int, row)) for row in matrix]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2))
 
 
 def _oriented_poly(f, param_slots, solved_slot):
@@ -378,8 +345,3 @@ def measure_k3_cross_checked(d: int, points, cfg: PrimeFieldConfig) -> OracleMea
         first.rows,
         first.cols,
     )
-
-
-def k3_dim_oracle(d: int, points, cfg: PrimeFieldConfig) -> int:
-    """Measured dimension of L^4(d, ...) on a random quartic (see measure_k3)."""
-    return measure_k3(d, points, cfg).dim

@@ -7,11 +7,10 @@ from k3fat.classify import (
     Verdict,
     base_gamma4,
     classify,
-    planar_dim_c49,
     verify,
 )
-from k3fat.core import K3System, Status, edim, vdim_k3
-from k3fat.oracle import PrimeFieldConfig
+from k3fat.core import K3System, Status, planar_dim_nonspecial, vdim_k3
+from k3fat.oracle import BudgetExceededError, PrimeFieldConfig
 
 
 def test_base_gamma4_special_wall():
@@ -42,12 +41,8 @@ def test_base_gamma4_d1_tangent_section_not_special():
     [(4, 2, 4, 2), (3, 2, 4, -1), (8, 2, 9, 17)],
 )
 def test_planar_dim_c49(delta, mu, c, expected):
-    assert planar_dim_c49(delta, mu, c) == expected
-
-
-def test_planar_dim_c49_validates_c():
-    with pytest.raises(ValueError):
-        planar_dim_c49(4, 2, 5)
+    # plane systems through 4 or 9 general points are non-special
+    assert planar_dim_nonspecial(delta, mu, c) == expected
 
 
 def test_classify_nonneg_case():
@@ -174,10 +169,17 @@ def test_verify_skips_over_budget():
     assert "budget" in outcome.reason
 
 
-def test_oracle_backed_policy(small_cfg):
-    policy = BasePolicy(PolicyKind.ORACLE_BACKED, oracle_cfg=small_cfg)
-    resolve = policy.resolver()
-    rep = resolve(4, 2, 4)
-    assert (rep.dim, rep.status) == (0, Status.SPECIAL)
-    rep = resolve(4, 2, 3)
-    assert (rep.dim, rep.status) == (3, Status.NONSPECIAL)
+def test_verify_marks_only_budget_skips_over_budget(small_cfg):
+    # the marker comes from the measurement's BudgetExceededError, not from
+    # the wording of the reason
+    def refuse(d, points, cfg):
+        raise BudgetExceededError("too large")
+
+    sys = K3System.homogeneous(4, 2, 2, 4)
+    outcome = verify(sys, classify(sys), small_cfg, refuse)
+    assert (outcome.kind, outcome.over_budget, outcome.reason) == (
+        Verdict.SKIPPED, True, "too large")
+    rep = classify(K3System.homogeneous(6, 2, 1, 4), BasePolicy(PolicyKind.HYPOTHESIS, gamma=6))
+    assert not verify(K3System.homogeneous(6, 2, 1, 4), rep, small_cfg).over_budget
+    assert not verify(sys, classify(sys), small_cfg).over_budget
+

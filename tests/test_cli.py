@@ -135,6 +135,18 @@ def test_verify_cache_recomputes_verdict(runner, tmp_path):
     assert [p.name for p in cache.iterdir()] == [path.name]  # no temporary files left
 
 
+def test_verify_cache_respects_budget(runner, tmp_path):
+    # an entry measured under a larger budget is not served under a smaller
+    # one: the run is over budget (exit 3) with or without the cache
+    cache = tmp_path / "cache"
+    args = ("verify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4", "--cache", str(cache))
+    assert invoke(runner, "--trials", "2", "--prime2", "0", *args).exit_code == 0
+    result = runner.invoke(main, ["--trials", "2", "--prime2", "0", "--budget-rows", "5",
+                                  *args])
+    assert result.exit_code == 3
+    assert "verdict=SKIPPED" in result.output and "oracle_dim=NA" in result.output
+
+
 def test_sweep_rejects_nonpositive_jobs(runner, tmp_path):
     result = runner.invoke(main, ["sweep", "--d-range", "1", "1", "--m-range", "1", "1",
                                   "--n-set", "1", "--jobs", "0",

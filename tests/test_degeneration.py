@@ -73,6 +73,18 @@ def test_select_k_requires_divisor():
         select_k(sys, 9, Regime.NONNEG)
 
 
+def test_step_functions_reject_systems_without_points():
+    # a step splits n >= c points; the unconditioned system has none
+    sys = K3System(4, 3)
+    for regime in Regime:
+        with pytest.raises(ValueError):
+            k_selection_bounds(sys, 4, regime)
+        with pytest.raises(ValueError):
+            select_k(sys, 9, regime)
+    with pytest.raises(ValueError):
+        check_vdim_identity(sys, 4, 2)
+
+
 def _regime_inequalities_hold(gamma, d, m, n, c, k, regime):
     b = n // c
     if regime is Regime.NONNEG:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from k3fat.oracle.field import (
-    ConditionMatrix,
     _pgcd,
     _pmul,
-    exact_rank,
     poly_roots,
     rank_mod_p,
 )
@@ -18,7 +16,7 @@ P2 = 2**61 - 1
 
 def test_rank_zero_matrix():
     assert rank_mod_p(np.zeros((4, 7), dtype=np.int64), P1) == 0
-    assert exact_rank(ConditionMatrix.from_rows([], P1)) == 0
+    assert rank_mod_p([], P1) == 0
 
 
 def test_rank_identity_pattern_padded():
@@ -48,11 +46,6 @@ def test_rank_transpose_invariance():
     rng = Random(11)
     m = [[rng.randrange(P1) for _ in range(5)] for _ in range(40)]
     assert rank_mod_p(m, P1) == rank_mod_p(list(map(list, zip(*m))), P1)
-
-
-def test_exact_rank_requires_prime_for_raw_rows():
-    with pytest.raises(ValueError):
-        exact_rank([[1, 2], [3, 4]])
 
 
 def _brute_roots(coeffs, p):

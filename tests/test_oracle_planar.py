@@ -3,11 +3,11 @@ from dataclasses import replace
 import pytest
 
 from k3fat.core import PlanarSystem, vdim_planar
-from k3fat.oracle import BudgetExceededError, PrimeFieldConfig, measure_planar, planar_dim_oracle
+from k3fat.oracle import BudgetExceededError, PrimeFieldConfig, measure_planar
 
 
 def test_line_through_two_points(small_cfg):
-    assert planar_dim_oracle(PlanarSystem.homogeneous(1, 1, 2), small_cfg) == 0
+    assert measure_planar(PlanarSystem.homogeneous(1, 1, 2), small_cfg).dim == 0
 
 
 def test_conics_through_four_points(small_cfg):
@@ -25,8 +25,8 @@ def test_double_conic_is_special(small_cfg):
 
 
 def test_negative_degree_is_empty(small_cfg):
-    assert planar_dim_oracle(PlanarSystem.homogeneous(-1, 2, 3), small_cfg) == -1
-    assert planar_dim_oracle(PlanarSystem.homogeneous(-4, 1, 1), small_cfg) == -1
+    assert measure_planar(PlanarSystem.homogeneous(-1, 2, 3), small_cfg).dim == -1
+    assert measure_planar(PlanarSystem.homogeneous(-4, 1, 1), small_cfg).dim == -1
 
 
 def test_empty_point_set_floor(small_cfg):
@@ -40,16 +40,16 @@ def test_dimension_never_below_minus_one_and_at_least_vdim(small_cfg):
         for mu in (1, 2, 3):
             for nu in (1, 4, 9):
                 sys = PlanarSystem.homogeneous(delta, mu, nu)
-                dim = planar_dim_oracle(sys, small_cfg)
+                dim = measure_planar(sys, small_cfg).dim
                 assert dim >= -1
                 assert dim >= vdim_planar(sys)
 
 
 def test_monotone_in_conditions(small_cfg):
     # appending a point or raising a multiplicity never increases the dim
-    base = planar_dim_oracle(PlanarSystem.homogeneous(5, 2, 4), small_cfg)
-    more_points = planar_dim_oracle(PlanarSystem.homogeneous(5, 2, 5), small_cfg)
-    higher_mult = planar_dim_oracle(PlanarSystem.homogeneous(5, 3, 4), small_cfg)
+    base = measure_planar(PlanarSystem.homogeneous(5, 2, 4), small_cfg).dim
+    more_points = measure_planar(PlanarSystem.homogeneous(5, 2, 5), small_cfg).dim
+    higher_mult = measure_planar(PlanarSystem.homogeneous(5, 3, 4), small_cfg).dim
     assert more_points <= base
     assert higher_mult <= base
 
@@ -81,4 +81,4 @@ def test_prime_independence_sample(small_cfg):
     cfg2 = replace(small_cfg, prime=2**61 - 1)
     for delta, mu, nu in [(3, 1, 4), (5, 2, 9), (2, 2, 2)]:
         sys = PlanarSystem.homogeneous(delta, mu, nu)
-        assert planar_dim_oracle(sys, small_cfg) == planar_dim_oracle(sys, cfg2)
+        assert measure_planar(sys, small_cfg).dim == measure_planar(sys, cfg2).dim

@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 from random import Random
 
@@ -9,7 +8,6 @@ from k3fat.oracle import (
     BudgetExceededError,
     PrimeFieldConfig,
     k3_condition_rows,
-    k3_dim_oracle,
     measure_k3,
     measure_k3_cross_checked,
     monomial_exponents,
@@ -27,11 +25,11 @@ def test_monomial_counts():
 
 
 def test_planes_through_one_point(small_cfg):
-    assert k3_dim_oracle(1, [(1, 1)], small_cfg) == 2
+    assert measure_k3(1, [(1, 1)], small_cfg).dim == 2
 
 
 def test_tangent_plane_unique(small_cfg):
-    assert k3_dim_oracle(1, [(2, 1)], small_cfg) == 0
+    assert measure_k3(1, [(2, 1)], small_cfg).dim == 0
 
 
 def test_doubled_tangent_section_is_special(small_cfg):
@@ -42,8 +40,8 @@ def test_doubled_tangent_section_is_special(small_cfg):
 
 
 def test_wall_cases_d3(small_cfg):
-    assert k3_dim_oracle(3, [(6, 1)], small_cfg) == 0
-    assert k3_dim_oracle(3, [(7, 1)], small_cfg) == -1
+    assert measure_k3(3, [(6, 1)], small_cfg).dim == 0
+    assert measure_k3(3, [(7, 1)], small_cfg).dim == -1
 
 
 def test_empty_point_set_floor(small_cfg):
@@ -64,15 +62,15 @@ def test_oracle_at_least_vdim(small_cfg):
     for d in (1, 2, 3):
         for mu, count in [(1, 4), (2, 4), (1, 9), (3, 1)]:
             sys = K3System.homogeneous(4, d, mu, count)
-            dim = k3_dim_oracle(d, [(mu, count)], small_cfg)
+            dim = measure_k3(d, [(mu, count)], small_cfg).dim
             assert dim >= vdim_k3(sys)
             assert dim >= -1
 
 
 def test_monotone_in_conditions(small_cfg):
-    base = k3_dim_oracle(3, [(2, 4)], small_cfg)
-    more = k3_dim_oracle(3, [(2, 4), (1, 1)], small_cfg)
-    higher = k3_dim_oracle(3, [(3, 1), (2, 3)], small_cfg)
+    base = measure_k3(3, [(2, 4)], small_cfg).dim
+    more = measure_k3(3, [(2, 4), (1, 1)], small_cfg).dim
+    higher = measure_k3(3, [(3, 1), (2, 3)], small_cfg).dim
     assert more <= base
     assert higher <= base
 
@@ -85,7 +83,7 @@ def test_semicontinuity_in_trials():
     assert dims[0] >= dims[1]
 
 
-def test_instance_invariants_and_dump(tmp_path):
+def test_instance_invariants():
     rng = Random(12)
     instance = sample_quartic_instance(((3, 2), (1, 3)), P, rng)
     instance.validate()
@@ -101,12 +99,7 @@ def test_instance_invariants_and_dump(tmp_path):
 
     rows = k3_condition_rows(2, instance)
     assert len(rows) == 2 * 6 + 3 * 1
-    path = tmp_path / "instance.json"
-    instance.dump(path, matrix=rows)
-    doc = json.loads(path.read_text())
-    assert len(doc["quartic"]) == 35
-    assert len(doc["points"]) == 5
-    assert len(doc["condition_matrix"]) == len(rows)
+    assert len(instance.coefficients) == 35
 
 
 def test_determinism_same_seed(small_cfg):
