@@ -12,12 +12,12 @@ from random import Random
 
 from k3fat import K3System, PrimeFieldConfig, vdim_k3
 from k3fat.oracle import (
-    expand_local_series,
     k3_condition_rows,
     measure_k3,
     rank_mod_p,
     sample_quartic_instance,
 )
+from k3fat.oracle.series import triangle
 
 cfg = PrimeFieldConfig(seed=11, trials=3, prime2=None)
 p = cfg.prime
@@ -27,8 +27,7 @@ instance = sample_quartic_instance(((4, 1),), p, Random(3))
 pt = instance.points[0]
 print(f"  point (chart x0=1): {pt.affine}")
 print(f"  solved coordinate slot: {pt.solved_slot}, parameters: {pt.param_slots}")
-phi = expand_local_series(dict(instance.coefficients), pt, 3, p)
-terms = sorted(phi.as_dict().items())[:6]
+terms = [(ij, c) for ij, c in zip(triangle(3), pt.local_series) if c][:6]
 print(f"  local series phi (first terms): {terms}")
 
 print("\nThe doubled tangent-plane section: 10 conditions on 10 quadric")

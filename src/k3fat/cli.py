@@ -8,6 +8,7 @@ invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import tempfile
@@ -135,19 +136,20 @@ def cmd_classify(cfg, gamma, d, m, n, trace_path, assume_base):
 
 
 # ---------------------------------------------------------------------------
-# Cache of oracle measurements, one plain file per (gamma,d,m,n,prime,seed).
-# Only the measurement is stored: it is a pure function of the system and
-# the oracle configuration, while the verdict depends on the engine report
-# and is recomputed on every run.  The key holds the size budget too, so an
-# entry is served only where the measurement itself would run: over budget
-# the lookup misses and the measurement raises BudgetExceededError.
+# Cache of oracle measurements, one plain file per entry key, named by the
+# SHA-256 of the key.  Only the measurement is stored: it is a pure function
+# of the system and the oracle configuration, while the verdict depends on
+# the engine report and is recomputed on every run.  The key holds the size
+# budget too, so an entry is served only where the measurement itself would
+# run: over budget the lookup misses and the measurement raises
+# BudgetExceededError.
 
 CACHE_SCHEMA = "k3fat.oracle-measurement/2"
 
 
-def _cache_path(cache_dir, gamma, d, m, n, cfg) -> str:
-    name = f"g{gamma}_d{d}_m{m}_n{n}_p{cfg.prime}_s{cfg.seed}.json"
-    return os.path.join(cache_dir, name)
+def _cache_path(cache_dir, key: dict) -> str:
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+    return os.path.join(cache_dir, f"{digest}.json")
 
 
 def _cache_key(d, points, cfg) -> dict:
@@ -202,11 +204,10 @@ def _cache_store(path, key: dict, meas: OracleMeasurement) -> None:
 def _verify_with_cache(sys_, report, cfg, cache_dir):
     if not cache_dir:
         return verify(sys_, report, cfg)
-    m = sys_.multiplicity if sys_.total_points else 0
-    path = _cache_path(cache_dir, sys_.gamma, sys_.degree, m, sys_.total_points, cfg)
 
     def cached_measure(d, points, cfg):
         key = _cache_key(d, points, cfg)
+        path = _cache_path(cache_dir, key)
         meas = _cache_lookup(path, key)
         if meas is None:
             meas = measure_k3_cross_checked(d, points, cfg)
@@ -252,28 +253,29 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
 # Parameter sweep
 
 
-def _sweep_row(task: Tuple) -> Tuple[str, str]:
+def _sweep_row(task: Tuple) -> Tuple[str, str, bool]:
     """One sweep row, picklable for the worker pool.
 
-    Returns (csv_row, verdict) with empty oracle fields when the oracle is
-    off or skipped."""
-    gamma, d, m, n, cfg_fields, oracle_on, cache_dir = task
-    cfg = PrimeFieldConfig(*cfg_fields)
+    Returns (csv_row, verdict, low_confidence) with empty oracle fields when
+    the oracle is off or skipped."""
+    gamma, d, m, n, cfg, oracle_on, cache_dir = task
     sys_ = K3System.homogeneous(gamma, d, m, n)
     report = classify(sys_)
     dim = "" if report.dim is None else str(report.dim)
     oracle_dim = ""
     verdict = ""
+    low_confidence = False
     if oracle_on:
         outcome = _verify_with_cache(sys_, report, cfg, cache_dir)
         verdict = outcome.kind.value
+        low_confidence = outcome.low_confidence
         if outcome.oracle_dim is not None:
             oracle_dim = str(outcome.oracle_dim)
     row = (
         f"{gamma},{d},{m},{n},{report.vdim},{report.edim},{dim},"
         f"{report.status.value},{oracle_dim},{verdict}"
     )
-    return row, verdict
+    return row, verdict, low_confidence
 
 
 @main.command("sweep")
@@ -309,9 +311,8 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
         if n < 1 or not is_admissible_count(n):
             raise click.UsageError(f"n-set entry {n} is not of the form 4^u * 9^w")
 
-    cfg_fields = (cfg.prime, cfg.seed, cfg.trials, cfg.prime2, cfg.budget_rows)
     tasks = [
-        (gamma, d, m, n, cfg_fields, oracle, cache_dir)
+        (gamma, d, m, n, cfg, oracle, cache_dir)
         for d in range(d_lo, d_hi + 1)
         for m in range(m_lo, m_hi + 1)
         for n in n_values
@@ -323,12 +324,14 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
     else:
         results = [_sweep_row(t) for t in tasks]
 
-    lines = [SWEEP_HEADER] + [row for row, _ in results]
+    lines = [SWEEP_HEADER] + [row for row, _, _ in results]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    disagreements = sum(1 for _, verdict in results if verdict == "DISAGREE")
+    disagreements = sum(1 for _, verdict, _ in results if verdict == "DISAGREE")
+    low_confidence = sum(1 for _, _, low in results if low)
     click.echo(f"wrote {len(results)} rows to {out_path}"
-               + (f"; {disagreements} DISAGREE" if disagreements else ""))
+               + (f"; {disagreements} DISAGREE" if disagreements else "")
+               + (f"; {low_confidence} low-confidence" if low_confidence else ""))
     if disagreements:
         ctx.exit(1)
 

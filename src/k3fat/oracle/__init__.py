@@ -16,7 +16,6 @@ from .planar import measure_planar, planar_condition_rows
 from .quartic import (
     QuarticSurfaceInstance,
     SurfacePoint,
-    expand_local_series,
     k3_condition_rows,
     measure_k3,
     measure_k3_cross_checked,
@@ -24,7 +23,7 @@ from .quartic import (
     num_degree_forms,
     sample_quartic_instance,
 )
-from .series import ChartSingularError, Series2, solve_implicit
+from .series import ChartSingularError, solve_implicit
 
 __all__ = [
     "BudgetExceededError",
@@ -37,10 +36,8 @@ __all__ = [
     "PrimeFieldConfig",
     "QuarticSurfaceInstance",
     "SamplingError",
-    "Series2",
     "SurfacePoint",
     "derived_rng",
-    "expand_local_series",
     "k3_condition_rows",
     "measure_k3",
     "measure_k3_cross_checked",

@@ -14,12 +14,13 @@ Sub(P) . Jet3(P) at order m - 1.  Jet3(P) holds, for every degree-d column
 monomial, its Taylor coefficients at P in closed form, prod_c C(e_c, a_c)
 P_c^(e_c - a_c), computed as numpy vectors over the columns.  Sub(P) is the
 small matrix of coefficients of s^i t^j psi^k, where psi = phi - P_solved is
-the local series without its constant term.
+the local series without its constant term.  The local series is stored as
+the implicit solve returns it, a dense tuple in triangle order, and Jet3
+reads its factors from the jet table (binomial_shift) that the solve uses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +37,7 @@ from .field import _INT64_SAFE_PRIME, poly_roots, rank_mod_p
 from .planar import _normalized_groups
 from .series import (
     ChartSingularError,
-    Series2,
+    binomial_shift,
     dense_mul,
     eval_poly3_scalar,
     solve_implicit,
@@ -113,14 +114,16 @@ class SurfacePoint:
     Affine coordinates live in the chart x0 = 1.  solved_slot is the affine
     coordinate (1-based) expressed as a series in the other two, which are
     the local parameters; the chart requires the partial of F along the
-    solved coordinate to be nonzero at the point.
+    solved coordinate to be nonzero at the point.  local_series holds the
+    coefficients of z = phi(s, t) in triangle(multiplicity - 1) order, with
+    phi(0, 0), the solved coordinate, first; it is None for multiplicity 1.
     """
 
     affine: Tuple[int, int, int]
     multiplicity: int
     solved_slot: int
     param_slots: Tuple[int, int]
-    local_series: Optional[Series2]
+    local_series: Optional[Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -147,24 +150,6 @@ def _oriented_poly(f, param_slots, solved_slot):
     for exps, c in f.items():
         out[(exps[a - 1], exps[b - 1], exps[solved_slot - 1])] = c
     return out
-
-
-def expand_local_series(
-    coefficients, point: SurfacePoint, order: int, p: int
-) -> Series2:
-    """Local series z = phi(s, t) of the quartic at a stored surface point.
-
-    phi(0, 0) is the solved coordinate of the point and the quartic vanishes
-    identically on (s, t) up to total degree `order` after substitution.
-    Raises ChartSingularError when the solved-coordinate partial vanishes.
-    """
-    f = _dehomogenize(dict(coefficients))
-    g = _oriented_poly(f, point.param_slots, point.solved_slot)
-    a, b = point.param_slots
-    p1 = point.affine[a - 1]
-    p2 = point.affine[b - 1]
-    p3 = point.affine[point.solved_slot - 1]
-    return solve_implicit(g, p1, p2, p3, order, p)
 
 
 def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int, int], int]:
@@ -240,15 +225,10 @@ def _jet_factors(coord: int, exps, d: int, order: int, p: int, dtype) -> list:
     """For k = 0..order, the vector over the column exponents e of the s^k
     coefficient C(e, k) coord^(e - k) of (coord + s)^e mod p (zero if e < k);
     Jet3 is the product of three such factors, one per affine slot."""
-    powers = np.array([pow(coord, e, p) for e in range(d + 1)], dtype=dtype)
-    out = []
-    for k in range(order + 1):
-        binoms = np.array([comb(e, k) % p for e in range(d + 1)], dtype=dtype)
-        out.append(binoms[exps] * powers[np.maximum(exps - k, 0)] % p)
-    return out
+    return [np.array(row, dtype=dtype)[exps] for row in binomial_shift(coord, d, order, p)]
 
 
-def _substitution(psi: List[int], order: int, p: int) -> list:
+def _substitution(psi: Sequence[int], order: int, p: int) -> list:
     """Sub(P), column by column: for each (i, j, k) with i + j + k <= order,
     the nonzero coefficients (row, c) of s^i t^j psi^k, psi(0, 0) = 0, where
     row indexes triangle(order)."""
@@ -290,8 +270,7 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[List[int
             _jet_factors(pt.affine[slot - 1], exps[slot - 1], d, order, p, dtype)
             for slot in (sa, sb, pt.solved_slot)
         )
-        series = pt.local_series.as_dict() if order else {}
-        psi = [0] + [series.get(ij, 0) for ij in triangle(order)[1:]]
+        psi = (0, *pt.local_series[1:]) if order else (0,)
         block = [0] * len(psi)
         for i, j, k, entries in _substitution(psi, order, p):
             jet = jet_a[i] * jet_b[j] % p * jet_c[k] % p

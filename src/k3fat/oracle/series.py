@@ -1,140 +1,28 @@
 """Truncated bivariate power series over F_p and implicit-function solving.
 
-A Series2 is stored as a sparse map (i, j) -> coefficient of s^i t^j with
-i + j <= order; all products are truncated at that total degree.  It is the
-result type of the implicit solve and the reference arithmetic of the tests.
+A series of order N is one dense triangular list: position k holds the
+coefficient of s^i t^j for (i, j) = triangle(N)[k], i + j <= N, in
+lexicographic order, and products are truncated at total degree N through
+precomputed index triples (unit_pairs).  The implicit solve returns the
+local series phi in this layout, and the condition rows read it unchanged.
 
-The hot paths work on dense triangular lists instead: position k of a list
-of order N holds the coefficient of s^i t^j for (i, j) = triangle(N)[k], and
-products run over precomputed index triples (unit_pairs).  The implicit
-solve Taylor-shifts f once to h(s, t, w) = f(p1 + s, p2 + t, p3 + w) and
-solves h(s, t, psi) = 0 degree by degree, which needs the w-partial of h to
-be a unit at the origin; phi = p3 + psi.
+The solve Taylor-shifts f once to h(s, t, w) = f(p1 + s, p2 + t, p3 + w)
+and solves h(s, t, psi) = 0 degree by degree, which needs the w-partial of
+h to be a unit at the origin; phi = p3 + psi.  The Taylor coefficients of
+(x + s)^e come from binomial_shift, the one jet table shared with the
+condition rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from .field import inverse_mod
 
 
 class ChartSingularError(ValueError):
     """The local chart is singular: the solved-coordinate partial vanishes."""
-
-
-@dataclass(frozen=True)
-class Series2:
-    """Truncated bivariate power series over F_p."""
-
-    p: int
-    order: int
-    coeffs: Tuple[Tuple[Tuple[int, int], int], ...]
-
-    @staticmethod
-    def from_dict(p: int, order: int, data: Mapping[Tuple[int, int], int]) -> "Series2":
-        items = tuple(sorted(
-            ((ij, c % p) for ij, c in data.items() if ij[0] + ij[1] <= order and c % p),
-        ))
-        return Series2(p, order, items)
-
-    @staticmethod
-    def constant(p: int, order: int, value: int) -> "Series2":
-        return Series2.from_dict(p, order, {(0, 0): value})
-
-    @staticmethod
-    def linear(p: int, order: int, const: int, cs: int, ct: int) -> "Series2":
-        return Series2.from_dict(p, order, {(0, 0): const, (1, 0): cs, (0, 1): ct})
-
-    def as_dict(self) -> Dict[Tuple[int, int], int]:
-        return dict(self.coeffs)
-
-    def coefficient(self, i: int, j: int) -> int:
-        return dict(self.coeffs).get((i, j), 0)
-
-    def __add__(self, other: "Series2") -> "Series2":
-        out = dict(self.coeffs)
-        for ij, c in other.coeffs:
-            out[ij] = (out.get(ij, 0) + c) % self.p
-        return Series2.from_dict(self.p, min(self.order, other.order), out)
-
-    def __sub__(self, other: "Series2") -> "Series2":
-        out = dict(self.coeffs)
-        for ij, c in other.coeffs:
-            out[ij] = (out.get(ij, 0) - c) % self.p
-        return Series2.from_dict(self.p, min(self.order, other.order), out)
-
-    def __mul__(self, other: "Series2") -> "Series2":
-        order = min(self.order, other.order)
-        p = self.p
-        out: Dict[Tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.coeffs:
-            for (i2, j2), c2 in other.coeffs:
-                i, j = i1 + i2, j1 + j2
-                if i + j <= order:
-                    key = (i, j)
-                    out[key] = (out.get(key, 0) + c1 * c2) % p
-        return Series2.from_dict(p, order, out)
-
-    def scale(self, factor: int) -> "Series2":
-        return Series2.from_dict(self.p, self.order,
-                                 {ij: c * factor for ij, c in self.coeffs})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def inverse(self) -> "Series2":
-        """Multiplicative inverse; requires a unit constant term."""
-        c0 = self.coefficient(0, 0)
-        if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term is not a unit")
-        inv = Series2.constant(self.p, self.order, inverse_mod(c0, self.p))
-        two = Series2.constant(self.p, self.order, 2)
-        prec = 1
-        while prec <= self.order:
-            prec *= 2
-            inv = inv * (two - self * inv)
-        return inv
-
-    def pow(self, e: int) -> "Series2":
-        result = Series2.constant(self.p, self.order, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-
-def power_table(series: Series2, max_exp: int) -> list:
-    """[series^0, ..., series^max_exp], each truncated at series.order."""
-    table = [Series2.constant(series.p, series.order, 1)]
-    for _ in range(max_exp):
-        table.append(table[-1] * series)
-    return table
-
-
-def eval_poly3(
-    coeffs: Mapping[Tuple[int, int, int], int],
-    s1: Series2,
-    s2: Series2,
-    s3: Series2,
-) -> Series2:
-    """Evaluate a trivariate polynomial at three series arguments."""
-    max1 = max((e[0] for e in coeffs), default=0)
-    max2 = max((e[1] for e in coeffs), default=0)
-    max3 = max((e[2] for e in coeffs), default=0)
-    t1 = power_table(s1, max1)
-    t2 = power_table(s2, max2)
-    t3 = power_table(s3, max3)
-    acc = Series2.constant(s1.p, s1.order, 0)
-    for (e1, e2, e3), c in coeffs.items():
-        if c % s1.p:
-            acc = acc + (t1[e1] * t2[e2] * t3[e3]).scale(c)
-    return acc
 
 
 def eval_poly3_scalar(
@@ -146,11 +34,19 @@ def eval_poly3_scalar(
     return acc % p
 
 
+def binomial_shift(x: int, top: int, kmax: int, p: int) -> List[List[int]]:
+    """Rows k = 0..kmax of the jet table of x: entry e = 0..top of row k is
+    the s^k coefficient C(e, k) x^(e - k) of (x + s)^e mod p, zero if e < k."""
+    powers = [pow(x, e, p) for e in range(top + 1)]
+    return [
+        [0] * min(k, top + 1) + [comb(e, k) * powers[e - k] % p for e in range(k, top + 1)]
+        for k in range(kmax + 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# Dense triangular coefficient lists: the coefficient of s^i t^j, i + j <=
-# order, sits at the position k with triangle(order)[k] == (i, j).  The
-# tables are built on first use of each order (one per fat-point
-# multiplicity in use), never at import.
+# Dense triangular coefficient lists.  The tables are built on first use of
+# each order (one per fat-point multiplicity in use), never at import.
 
 
 @lru_cache(maxsize=64)
@@ -174,7 +70,7 @@ def unit_pairs(order: int) -> Tuple[Tuple[int, int, int], ...]:
     )
 
 
-def dense_mul(x: List[int], y: List[int], pairs, p: int) -> List[int]:
+def dense_mul(x, y, pairs, p: int) -> List[int]:
     """x * y mod p for dense lists, y with zero constant term (see unit_pairs)."""
     out = [0] * len(x)
     for a, b, c in pairs:
@@ -190,27 +86,24 @@ def _taylor_shift(coeffs, point, order: int, p: int) -> List[List[int]]:
     p1^(e1-i) p2^(e2-j) p3^(e3-k) over the terms c x^e1 y^e2 z^e3 of f."""
     index = {ij: k for k, ij in enumerate(triangle(order))}
     top = [max((e[c] for e in coeffs), default=0) for c in range(3)]
-    # shifted[c][e][i]: coefficient of s^i in (point[c] + s)^e
-    shifted = [
-        [[comb(e, i) * pow(x, e - i, p) % p for i in range(e + 1)] for e in range(n + 1)]
-        for x, n in zip(point, top)
-    ]
-    sh1, sh2, sh3 = shifted
+    # sh[k][e]: coefficient of s^k in (point[c] + s)^e; w keeps every power
+    kmax = (min(top[0], order), min(top[1], order), top[2])
+    sh1, sh2, sh3 = (binomial_shift(x, n, k, p) for x, n, k in zip(point, top, kmax))
     # Shift in (s, t) first, keeping the z-exponent, then shift in w.
     by_e3 = [[0] * len(index) for _ in range(top[2] + 1)]
     for (e1, e2, e3), c in coeffs.items():
         acc = by_e3[e3]
-        for i, ci in enumerate(sh1[e1][:order + 1]):
-            ci *= c
-            for j, cj in enumerate(sh2[e2][:order + 1 - i]):
-                acc[index[(i, j)]] += ci * cj
+        for i in range(min(e1, order) + 1):
+            ci = sh1[i][e1] * c
+            for j in range(min(e2, order - i) + 1):
+                acc[index[(i, j)]] += ci * sh2[j][e2]
     h = [[0] * len(index) for _ in range(top[2] + 1)]
     for e3, acc in enumerate(by_e3):
         for row, v in enumerate(acc):
             v %= p
             if v:
-                for k, ck in enumerate(sh3[e3]):
-                    h[k][row] += v * ck
+                for k in range(e3 + 1):
+                    h[k][row] += v * sh3[k][e3]
     return [[v % p for v in hk] for hk in h]
 
 
@@ -229,10 +122,11 @@ def solve_implicit(
     p3: int,
     order: int,
     p: int,
-) -> Series2:
+) -> Tuple[int, ...]:
     """Series phi with f(p1 + s, p2 + t, phi) = 0 mod total degree > order,
     phi(0, 0) = p3, for a trivariate polynomial f vanishing at (p1, p2, p3)
-    whose third-variable partial is nonzero there.
+    whose third-variable partial is nonzero there.  phi is returned as its
+    dense coefficients in triangle(order) order, so phi[0] = p3.
 
     f is Taylor-shifted once to h(s, t, w) = f(p1 + s, p2 + t, p3 + w), and
     phi = p3 + psi is solved degree by degree: with psi exact below degree D,
@@ -259,4 +153,4 @@ def solve_implicit(
     if any(_compose(h, psi, pairs, p)):
         raise ArithmeticError("implicit solve did not converge to the requested order")
     psi[0] = p3
-    return Series2.from_dict(p, order, dict(zip(pos, psi)))
+    return tuple(psi)

@@ -1,0 +1,132 @@
+"""Sparse truncated bivariate series over F_p: the tests' reference arithmetic.
+
+A Series2 is a sparse map (i, j) -> coefficient of s^i t^j with i + j <=
+order; all products are truncated at that total degree.  The oracle itself
+works on dense triangular lists only; the reference implementations in the
+tests compute with this slower, independent arithmetic and convert at the
+boundary with to_dense / from_dense.
+"""
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
+
+from k3fat.oracle.field import inverse_mod
+
+
+def positions(order: int):
+    """Exponent pairs (i, j), i + j <= order, in lexicographic order: the
+    layout of a dense coefficient tuple."""
+    return [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+
+
+@dataclass(frozen=True)
+class Series2:
+    """Truncated bivariate power series over F_p."""
+
+    p: int
+    order: int
+    coeffs: Tuple[Tuple[Tuple[int, int], int], ...]
+
+    @staticmethod
+    def from_dict(p: int, order: int, data: Mapping[Tuple[int, int], int]) -> "Series2":
+        items = tuple(sorted(
+            ((ij, c % p) for ij, c in data.items() if ij[0] + ij[1] <= order and c % p),
+        ))
+        return Series2(p, order, items)
+
+    @staticmethod
+    def constant(p: int, order: int, value: int) -> "Series2":
+        return Series2.from_dict(p, order, {(0, 0): value})
+
+    @staticmethod
+    def linear(p: int, order: int, const: int, cs: int, ct: int) -> "Series2":
+        return Series2.from_dict(p, order, {(0, 0): const, (1, 0): cs, (0, 1): ct})
+
+    def as_dict(self) -> Dict[Tuple[int, int], int]:
+        return dict(self.coeffs)
+
+    def coefficient(self, i: int, j: int) -> int:
+        return dict(self.coeffs).get((i, j), 0)
+
+    def __add__(self, other: "Series2") -> "Series2":
+        out = dict(self.coeffs)
+        for ij, c in other.coeffs:
+            out[ij] = (out.get(ij, 0) + c) % self.p
+        return Series2.from_dict(self.p, min(self.order, other.order), out)
+
+    def __sub__(self, other: "Series2") -> "Series2":
+        out = dict(self.coeffs)
+        for ij, c in other.coeffs:
+            out[ij] = (out.get(ij, 0) - c) % self.p
+        return Series2.from_dict(self.p, min(self.order, other.order), out)
+
+    def __mul__(self, other: "Series2") -> "Series2":
+        order = min(self.order, other.order)
+        p = self.p
+        out: Dict[Tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.coeffs:
+            for (i2, j2), c2 in other.coeffs:
+                i, j = i1 + i2, j1 + j2
+                if i + j <= order:
+                    key = (i, j)
+                    out[key] = (out.get(key, 0) + c1 * c2) % p
+        return Series2.from_dict(p, order, out)
+
+    def scale(self, factor: int) -> "Series2":
+        return Series2.from_dict(self.p, self.order,
+                                 {ij: c * factor for ij, c in self.coeffs})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def inverse(self) -> "Series2":
+        """Multiplicative inverse; requires a unit constant term."""
+        c0 = self.coefficient(0, 0)
+        if c0 == 0:
+            raise ZeroDivisionError("series with zero constant term is not a unit")
+        inv = Series2.constant(self.p, self.order, inverse_mod(c0, self.p))
+        two = Series2.constant(self.p, self.order, 2)
+        prec = 1
+        while prec <= self.order:
+            prec *= 2
+            inv = inv * (two - self * inv)
+        return inv
+
+    def pow(self, e: int) -> "Series2":
+        result = Series2.constant(self.p, self.order, 1)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+
+def to_dense(series: Series2) -> Tuple[int, ...]:
+    """The coefficients of `series` in positions(series.order) order."""
+    return tuple(series.coefficient(i, j) for i, j in positions(series.order))
+
+
+def from_dense(p: int, order: int, coeffs) -> Series2:
+    """The Series2 of a dense coefficient tuple of the given order."""
+    return Series2.from_dict(p, order, dict(zip(positions(order), coeffs)))
+
+
+def power_table(series: Series2, max_exp: int) -> list:
+    """[series^0, ..., series^max_exp], each truncated at series.order."""
+    table = [Series2.constant(series.p, series.order, 1)]
+    for _ in range(max_exp):
+        table.append(table[-1] * series)
+    return table
+
+
+def eval_poly3(coeffs: Mapping[Tuple[int, int, int], int],
+               s1: Series2, s2: Series2, s3: Series2) -> Series2:
+    """Evaluate a trivariate polynomial at three series arguments."""
+    tables = [power_table(s, max((e[k] for e in coeffs), default=0))
+              for k, s in enumerate((s1, s2, s3))]
+    acc = Series2.constant(s1.p, s1.order, 0)
+    for (e1, e2, e3), c in coeffs.items():
+        if c % s1.p:
+            acc = acc + (tables[0][e1] * tables[1][e2] * tables[2][e3]).scale(c)
+    return acc

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -101,9 +103,35 @@ def test_verify_cache_roundtrip(runner, tmp_path):
     assert first.exit_code == 0
     entries = list(cache.glob("*.json"))
     assert len(entries) == 1
-    assert entries[0].name == "g4_d2_m2_n4_p2147483647_s1.json"
+    # the file is named by the SHA-256 of the full entry key
+    key = {"schema": cli.CACHE_SCHEMA, "d": 2, "points": [[2, 4]], "prime": 2**31 - 1,
+           "prime2": None, "seed": 1, "trials": 2, "budget_rows": 20000}
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+    assert entries[0].name == f"{digest}.json"
+    entry = json.loads(entries[0].read_text())
+    assert {name: entry[name] for name in key} == key
     second = invoke(runner, *args)
     assert second.output == first.output
+
+
+def test_verify_cache_keeps_one_file_per_key(runner, tmp_path, monkeypatch):
+    # runs that differ only in a key field other than (d, m, n, prime, seed)
+    # keep separate entries: switching back is served from the cache
+    calls = []
+    measure = cli.measure_k3_cross_checked
+
+    def counting_measure(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(cli, "measure_k3_cross_checked", counting_measure)
+    cache = tmp_path / "cache"
+    args = ("verify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4", "--cache", str(cache))
+    outputs = [invoke(runner, "--trials", trials, "--prime2", "0", *args).output
+               for trials in ("2", "3", "2")]
+    assert len(list(cache.glob("*.json"))) == 2
+    assert len(calls) == 2  # the third run measured nothing
+    assert outputs[2] == outputs[0]
 
 
 def test_verify_cache_recomputes_verdict(runner, tmp_path):
@@ -243,6 +271,31 @@ def test_sweep_worker_pool_matches_serial(runner, tmp_path):
     assert invoke(runner, *args, "--out", str(out1)).exit_code == 0
     assert invoke(runner, *args, "--out", str(out2), "--jobs", "2").exit_code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_summary_counts_low_confidence_rows(runner, tmp_path, monkeypatch):
+    # a low-confidence AGREE is counted in the summary line; the CSV bytes
+    # stay those of a clean run
+    import k3fat.oracle
+
+    args = ("--trials", "2", "--prime2", "0",
+            "sweep", "--d-range", "1", "1", "--m-range", "1", "2", "--n-set", "1,4",
+            "--oracle")
+    clean = invoke(runner, *args, "--out", str(tmp_path / "clean.csv"))
+    assert "low-confidence" not in clean.output
+    measure = k3fat.oracle.measure_k3_cross_checked
+
+    def doubtful_measure(d, points, cfg):
+        meas = measure(d, points, cfg)
+        return dataclasses.replace(meas, low_confidence=points[0][0] == 2)
+
+    monkeypatch.setattr(k3fat.oracle, "measure_k3_cross_checked", doubtful_measure)
+    out = tmp_path / "doubtful.csv"
+    result = invoke(runner, *args, "--out", str(out))
+    assert result.exit_code == 0
+    assert result.output == f"wrote 4 rows to {out}; 2 low-confidence\n"
+    assert out.read_bytes() == (tmp_path / "clean.csv").read_bytes()
+    assert all(line.endswith(",AGREE") for line in out.read_text().splitlines()[1:])
 
 
 def test_env_var_overrides(runner):

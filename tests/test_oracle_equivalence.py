@@ -4,13 +4,16 @@ Root finding, the implicit series solve, point sampling and condition-row
 construction were rewritten for speed with the promise that, for a fixed
 seed, every result and every draw from the random generator stays the same.
 The reference implementations below are the original list/dict versions,
-kept here verbatim in behaviour, and each property compares the two.
+kept here verbatim in behaviour, and each property compares the two.  The
+series references compute with the sparse Series2 of series_reference and
+hand their results over in the oracle's dense layout.
 """
 from random import Random
 from typing import Dict, List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from series_reference import Series2, eval_poly3, from_dense, power_table, to_dense
 
 from k3fat.oracle.config import SamplingError
 from k3fat.oracle.field import inverse_mod, poly_roots
@@ -24,7 +27,7 @@ from k3fat.oracle.quartic import (
     monomial_exponents,
     sample_quartic_instance,
 )
-from k3fat.oracle.series import ChartSingularError, Series2, solve_implicit
+from k3fat.oracle.series import ChartSingularError, solve_implicit
 
 PRIMES = (10007, 2**31 - 1, 2**61 - 1)
 ORACLE_PRIMES = (2**31 - 1, 2**61 - 1)
@@ -121,23 +124,6 @@ def ref_poly_roots(coeffs, p, rng):
 # Reference series solve: Newton iteration on Series2 at doubling precision.
 
 
-def _ref_power_table(series, max_exp):
-    table = [Series2.constant(series.p, series.order, 1)]
-    for _ in range(max_exp):
-        table.append(table[-1] * series)
-    return table
-
-
-def _ref_eval_poly3(coeffs, s1, s2, s3):
-    tables = [_ref_power_table(s, max((e[k] for e in coeffs), default=0))
-              for k, s in enumerate((s1, s2, s3))]
-    acc = Series2.constant(s1.p, s1.order, 0)
-    for (e1, e2, e3), c in coeffs.items():
-        if c % s1.p:
-            acc = acc + (tables[0][e1] * tables[1][e2] * tables[2][e3]).scale(c)
-    return acc
-
-
 def _ref_eval_scalar(coeffs, x1, x2, x3, p):
     return sum(c * pow(x1, e1, p) * pow(x2, e2, p) * pow(x3, e3, p)
                for (e1, e2, e3), c in coeffs.items()) % p
@@ -159,10 +145,10 @@ def ref_solve_implicit(coeffs, p1, p2, p3, order, p):
         phi = Series2.from_dict(p, prec, phi.as_dict())
         u = Series2.linear(p, prec, p1, 1, 0)
         v = Series2.linear(p, prec, p2, 0, 1)
-        f_val = _ref_eval_poly3(coeffs, u, v, phi)
-        fz_val = _ref_eval_poly3(fz, u, v, phi)
+        f_val = eval_poly3(coeffs, u, v, phi)
+        fz_val = eval_poly3(fz, u, v, phi)
         phi = phi - f_val * fz_val.inverse()
-    return phi
+    return to_dense(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +218,14 @@ def ref_condition_rows(d, instance) -> List[List[int]]:
         var_series = {
             sa: Series2.linear(p, order, pt.affine[sa - 1], 1, 0),
             sb: Series2.linear(p, order, pt.affine[sb - 1], 0, 1),
-            pt.solved_slot: pt.local_series,
+            pt.solved_slot: from_dense(p, order, pt.local_series),
         }
-        tables = {slot: _ref_power_table(var_series[slot], d) for slot in (1, 2, 3)}
-        positions = [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
-        block = [[0] * len(columns) for _ in positions]
+        tables = {slot: power_table(var_series[slot], d) for slot in (1, 2, 3)}
+        block = [[0] * len(columns) for _ in pt.local_series]
         for col, (_, e1, e2, e3) in enumerate(columns):
-            values = (tables[1][e1] * tables[2][e2] * tables[3][e3]).as_dict()
-            for r, ij in enumerate(positions):
-                block[r][col] = values.get(ij, 0)
+            values = to_dense(tables[1][e1] * tables[2][e2] * tables[3][e3])
+            for r, c in enumerate(values):
+                block[r][col] = c
         rows.extend(block)
     return rows
 

@@ -1,18 +1,26 @@
+from math import comb
 from random import Random
 
 import pytest
+from series_reference import Series2, eval_poly3, from_dense
 
 from k3fat.oracle.field import inverse_mod
-from k3fat.oracle.quartic import expand_local_series, sample_quartic_instance
+from k3fat.oracle.quartic import sample_quartic_instance
 from k3fat.oracle.series import (
     ChartSingularError,
-    Series2,
-    eval_poly3,
+    binomial_shift,
     eval_poly3_scalar,
     solve_implicit,
+    triangle,
 )
 
 P = 2**31 - 1
+
+
+def coefficients(phi, order):
+    """The dense series phi of the given order as a map (i, j) -> coefficient."""
+    assert len(phi) == len(triangle(order))
+    return dict(zip(triangle(order), phi))
 
 
 def test_series_arithmetic_basics():
@@ -49,26 +57,26 @@ def test_solve_implicit_graph_case():
     q = {(i, j): rng.randrange(P) for i in range(5) for j in range(5 - i)}
     f = {(i, j, 0): (-c) % P for (i, j), c in q.items()}
     f[(0, 0, 1)] = 1
-    phi = solve_implicit(f, 0, 0, q[(0, 0)], 3, P)
+    phi = coefficients(solve_implicit(f, 0, 0, q[(0, 0)], 3, P), 3)
     for (i, j), c in q.items():
         if i + j <= 3:
-            assert phi.coefficient(i, j) == c % P
+            assert phi[(i, j)] == c % P
 
 
 def test_solve_implicit_square_root_series():
     # u^2 + v^2 + w^2 - 1 at (0, 0, 1): w = sqrt(1 - u^2 - v^2)
     #   = 1 - (u^2+v^2)/2 - (u^2+v^2)^2/8 - ...
     f = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1}
-    phi = solve_implicit(f, 0, 0, 1, 4, P)
+    phi = coefficients(solve_implicit(f, 0, 0, 1, 4, P), 4)
     inv2 = inverse_mod(2, P)
     inv8 = inverse_mod(8, P)
-    assert phi.coefficient(0, 0) == 1
-    assert phi.coefficient(2, 0) == (-inv2) % P
-    assert phi.coefficient(0, 2) == (-inv2) % P
-    assert phi.coefficient(1, 1) == 0
-    assert phi.coefficient(4, 0) == (-inv8) % P
-    assert phi.coefficient(0, 4) == (-inv8) % P
-    assert phi.coefficient(2, 2) == (-2 * inv8) % P
+    assert phi[(0, 0)] == 1
+    assert phi[(2, 0)] == (-inv2) % P
+    assert phi[(0, 2)] == (-inv2) % P
+    assert phi[(1, 1)] == 0
+    assert phi[(4, 0)] == (-inv8) % P
+    assert phi[(0, 4)] == (-inv8) % P
+    assert phi[(2, 2)] == (-2 * inv8) % P
 
 
 def test_solve_implicit_order_one_is_gradient():
@@ -89,10 +97,10 @@ def test_solve_implicit_order_one_is_gradient():
                  for (i, j, k), c in f.items() if k == 1) % P
         if fw == 0:
             continue
-        phi = solve_implicit(f, p1, p2, 0, 1, P)
+        phi = coefficients(solve_implicit(f, p1, p2, 0, 1, P), 1)
         inv_fw = inverse_mod(fw, P)
-        assert phi.coefficient(1, 0) == (-fu * inv_fw) % P
-        assert phi.coefficient(0, 1) == (-fv * inv_fw) % P
+        assert phi[(1, 0)] == (-fu * inv_fw) % P
+        assert phi[(0, 1)] == (-fv * inv_fw) % P
 
 
 def test_solve_implicit_rejects_singular_chart():
@@ -101,20 +109,32 @@ def test_solve_implicit_rejects_singular_chart():
         solve_implicit(f, 0, 0, 0, 2, P)
 
 
-def test_expand_local_series_residual_vanishes_on_random_quartics():
+def test_local_series_residual_vanishes_on_random_quartics():
     rng = Random(31)
     instance = sample_quartic_instance(((4, 1), (2, 2)), P, rng)
     instance.validate()
+    f = instance.affine_poly()
     for pt in instance.points:
         order = pt.multiplicity - 1
-        phi = expand_local_series(dict(instance.coefficients), pt, order, P)
-        assert phi.coefficient(0, 0) == pt.affine[pt.solved_slot - 1]
         assert pt.local_series is not None
-        assert phi.coeffs == pt.local_series.coeffs
+        assert len(pt.local_series) == len(triangle(order))
+        assert pt.local_series[0] == pt.affine[pt.solved_slot - 1]
         # residual check: substitute the series back into the affine quartic
-        f = instance.affine_poly()
         a, b = pt.param_slots
         args = {a: Series2.linear(P, order, pt.affine[a - 1], 1, 0),
                 b: Series2.linear(P, order, pt.affine[b - 1], 0, 1),
-                pt.solved_slot: phi}
+                pt.solved_slot: from_dense(P, order, pt.local_series)}
         assert eval_poly3(f, args[1], args[2], args[3]).is_zero()
+
+
+def test_binomial_shift_is_the_taylor_table():
+    rng = Random(5)
+    for top, kmax in ((0, 0), (3, 1), (4, 4), (6, 2), (2, 5)):
+        x = rng.randrange(P)
+        table = binomial_shift(x, top, kmax, P)
+        assert len(table) == kmax + 1
+        for k, row in enumerate(table):
+            assert row == [comb(e, k) * x ** (e - k) % P if e >= k else 0
+                           for e in range(top + 1)]
+    assert binomial_shift(0, 3, 3, P) == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                          [0, 0, 0, 1]]
