@@ -4,8 +4,9 @@
 Fat-point conditions in the plane are rows of partial-derivative
 evaluations on the monomial basis; the measured dimension is
 (#monomials) - rank - 1.  Random points over F_p model general position:
-a wrong answer needs an unlucky rank drop, and min-aggregation over
-independently seeded trials plus a second prime make that negligible.
+a wrong answer needs an unlucky rank drop, which one trial suffers with
+probability at most rows * delta / p (Schwartz-Zippel), and the minimum
+over independently seeded trials is wrong only when every trial drops.
 """
 from k3fat import PlanarSystem, PrimeFieldConfig, vdim_planar
 from k3fat.oracle import measure_planar, planar_condition_rows, derived_rng, rank_mod_p

@@ -7,11 +7,12 @@ invocations produce byte-identical outputs.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Tuple
 
@@ -50,7 +51,9 @@ def _build_config(prime, prime2, seed, trials, budget_rows) -> PrimeFieldConfig:
 @click.option("--prime", type=int, default=DEFAULT_PRIME, show_default=True,
               envvar="K3FAT_PRIME", help="Oracle prime (> 2^30).")
 @click.option("--prime2", type=int, default=DEFAULT_PRIME2, show_default=True,
-              envvar="K3FAT_PRIME2", help="Cross-check prime; 0 disables.")
+              envvar="K3FAT_PRIME2",
+              help="Cross-check prime; 0 disables.  Primes above isqrt(2^63) "
+                   "take the slow object-array path.")
 @click.option("--seed", type=int, default=1, show_default=True,
               envvar="K3FAT_SEED", help="Master seed for all sampling.")
 @click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True,
@@ -186,19 +189,27 @@ def _cache_lookup(path, key: dict) -> Optional[OracleMeasurement]:
         return None
 
 
-def _cache_store(path, key: dict, meas: OracleMeasurement) -> None:
-    """Write the entry through a temporary file and an atomic rename, so an
-    interrupted run never leaves a half-written entry."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    entry = dict(key, measurement=dataclasses.asdict(meas))
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+@contextlib.contextmanager
+def _replacing(path):
+    """A new text file beside `path` that replaces it by an atomic rename when
+    the block completes and is removed when the block raises, so an
+    interrupted run never leaves a half-written file."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2)
+        with fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _cache_store(path, key: dict, meas: OracleMeasurement) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with _replacing(path) as fh:
+        json.dump(dict(key, measurement=dataclasses.asdict(meas)), fh, indent=2)
 
 
 def _verify_with_cache(sys_, report, cfg, cache_dir):
@@ -325,7 +336,7 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
         results = [_sweep_row(t) for t in tasks]
 
     lines = [SWEEP_HEADER] + [row for row, _, _ in results]
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _replacing(out_path) as fh:
         fh.write("\n".join(lines) + "\n")
     disagreements = sum(1 for _, verdict, _ in results if verdict == "DISAGREE")
     low_confidence = sum(1 for _, _, low in results if low)

@@ -2,9 +2,17 @@
 
 Oracle answers are Monte-Carlo certificates: points in "general position"
 are modeled by uniform random sampling over a large prime field, so a
-reported dimension can only err on the high side, with probability bounded
-by the chance of an unlucky rank drop; agreement across trials and across
-two primes makes that chance negligible at desk scale.  They are evidence,
+reported dimension can only err on the high side, through an unlucky rank
+drop.  The default primes are DEFAULT_PRIME = 2^31 - 1 and the cross-check
+DEFAULT_PRIME2 = 3037000493, the largest prime up to isqrt(2^63), so every
+default computation runs on int64 arrays.  When each row entry is a
+polynomial of degree at most deg in the sampled coordinates, a maximal minor
+has degree at most rows * deg, and by Schwartz-Zippel one trial at prime p
+drops rank with probability at most rows * deg / p (a sketch: it assumes
+the generic minor stays nonzero mod p and the points are uniform, while
+the quartic's points are roots of restricted equations).  The measured
+dimension is the minimum over trials and primes, so a dimension that is
+too high needs every trial at both primes to drop rank.  They are evidence,
 not proofs.
 """
 from __future__ import annotations
@@ -15,9 +23,44 @@ from random import Random
 from typing import Optional, Tuple
 
 DEFAULT_PRIME = 2**31 - 1
-DEFAULT_PRIME2 = 2**61 - 1
+DEFAULT_PRIME2 = 3_037_000_493
 DEFAULT_TRIALS = 3
 DEFAULT_BUDGET_ROWS = 20_000
+
+
+# Miller-Rabin with the first 12 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_EXACT_BELOW."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _check_prime(name: str, p: int) -> None:
+    if not 2**30 < p < _MR_EXACT_BELOW:
+        raise ValueError(
+            f"{name} must lie in 2^30 < p < {_MR_EXACT_BELOW}, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"{name} must be prime, got {p}")
 
 
 class BudgetExceededError(RuntimeError):
@@ -32,9 +75,13 @@ class SamplingError(RuntimeError):
 class PrimeFieldConfig:
     """Prime, seed and trial count driving every oracle computation.
 
-    prime2 is the cross-check prime; set it to None to disable dual-prime
-    verification.  budget_rows caps both dimensions of any condition matrix
-    so oversized requests fail fast instead of running for hours.
+    prime and prime2 must be primes above 2^30 and below
+    318665857834031151167461, where the Miller-Rabin check is exact; up to
+    isqrt(2^63) the oracle runs on int64 arrays, above on the slow object
+    path.  prime2 is the cross-check prime; set it to None to disable
+    dual-prime verification.  budget_rows caps both dimensions of any
+    condition matrix so oversized requests fail fast instead of running for
+    hours.
     """
 
     prime: int = DEFAULT_PRIME
@@ -44,10 +91,9 @@ class PrimeFieldConfig:
     budget_rows: int = DEFAULT_BUDGET_ROWS
 
     def __post_init__(self) -> None:
-        if self.prime <= 2**30:
-            raise ValueError(f"prime must exceed 2^30, got {self.prime}")
-        if self.prime2 is not None and self.prime2 <= 2**30:
-            raise ValueError(f"prime2 must exceed 2^30, got {self.prime2}")
+        _check_prime("prime", self.prime)
+        if self.prime2 is not None:
+            _check_prime("prime2", self.prime2)
         if self.prime2 == self.prime:
             raise ValueError("prime2 must differ from prime")
         if self.trials < 2:

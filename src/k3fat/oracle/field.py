@@ -1,9 +1,11 @@
 """Exact prime-field linear algebra and root finding for degree <= 4.
 
-Rank computation is plain Gaussian elimination over F_p.  For p below
+Rank computation is plain Gaussian elimination over F_p.  For p up to
 isqrt(2^63) the elimination runs vectorized on int64 numpy arrays (products
-of two reduced entries fit in a signed 64-bit word); larger primes fall back
-to object arrays of Python integers, which stay exact at any size.
+of two reduced entries fit in a signed 64-bit word); larger primes, which
+only an explicit choice reaches, take the slow path on object arrays of
+Python integers, which stay exact at any size.  `field_dtype` makes that
+choice for every array of field elements.
 
 Roots are found by Cantor-Zassenhaus (Math. Comp. 36, 1981): the root part
 gcd(T^p - T, f) is split by equal-degree splitting with random shifts.  The
@@ -17,8 +19,15 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-# Largest modulus for which (p-1)^2 still fits in int64.
+# isqrt(2^63): for p up to this bound, p * (p - 1) < 2^63, so a product of
+# two reduced entries plus one more reduced entry fits in int64.
 _INT64_SAFE_PRIME = 3_037_000_499
+
+
+def field_dtype(p: int):
+    """numpy dtype for arrays of elements of F_p: int64 up to isqrt(2^63),
+    object (exact Python integers) above."""
+    return np.int64 if p <= _INT64_SAFE_PRIME else object
 
 
 def inverse_mod(a: int, p: int) -> int:
@@ -36,8 +45,7 @@ def rank_mod_p(matrix, p: int) -> int:
     # rank(A) = rank(A^T); eliminating on the short side is cheaper.
     if arr.shape[0] > arr.shape[1]:
         arr = arr.T
-    dtype = np.int64 if p <= _INT64_SAFE_PRIME else object
-    a = np.array(arr, dtype=dtype) % p
+    a = np.array(arr, dtype=field_dtype(p)) % p
     n_rows, n_cols = a.shape
     rank = 0
     for col in range(n_cols):

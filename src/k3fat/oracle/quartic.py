@@ -33,7 +33,7 @@ from .config import (
     SamplingError,
     derived_rng,
 )
-from .field import _INT64_SAFE_PRIME, poly_roots, rank_mod_p
+from .field import field_dtype, poly_roots, rank_mod_p
 from .planar import _normalized_groups
 from .series import (
     ChartSingularError,
@@ -256,11 +256,10 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[List[int
 
     Each point contributes the block Sub(P) . Jet3(P) (see the module
     docstring), one row per coefficient s^i t^j in triangle order.  Entries
-    are reduced mod p; for p <= isqrt(2^63) they are computed in int64, for
-    larger primes in exact Python integers.
+    are reduced mod p and computed in the dtype `field_dtype(p)` chooses.
     """
     p = instance.prime
-    dtype = np.int64 if p <= _INT64_SAFE_PRIME else object
+    dtype = field_dtype(p)
     exps = np.array(monomial_exponents(d), dtype=np.int64)[:, 1:].T
     rows: List[List[int]] = []
     for pt in instance.points:

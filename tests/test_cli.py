@@ -323,3 +323,59 @@ def test_sweep_24_row_example(runner, tmp_path):
         cells = line.split(",")
         if cells[7] != "UNKNOWN":
             assert cells[9] == "AGREE"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--prime", "2147483649"),  # 2^31 + 1 = 3 * 715827883
+    ("--prime", "4294967296"),  # 2^32
+    ("--prime2", "3037000499"),  # isqrt(2^63), composite
+])
+def test_composite_prime_is_a_usage_error(runner, flag, value):
+    result = runner.invoke(main, [flag, value, "verify", "--gamma", "4",
+                                  "-d", "2", "-m", "2", "-n", "4"])
+    assert result.exit_code == 2
+    assert "must be prime" in result.output
+
+
+def test_verify_at_the_61_bit_prime_agrees(runner):
+    result = invoke(runner, "--trials", "2", "--prime2", "2305843009213693951",
+                    "verify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4")
+    assert result.exit_code == 0
+    assert "verdict=AGREE" in result.output
+
+
+def test_interrupted_sweep_keeps_the_previous_output(runner, tmp_path, monkeypatch):
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"previous table\n")
+    args = ("sweep", "--d-range", "1", "2", "--m-range", "1", "1", "--n-set", "1",
+            "--out", str(out))
+    sweep_row = cli._sweep_row
+    calls = []
+
+    def failing_row(task):
+        calls.append(task)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return sweep_row(task)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_sweep_row", failing_row)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            invoke(runner, *args)
+    assert out.read_bytes() == b"previous table\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["table.csv"]
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    # a failure after the rows are written: the temporary file goes away
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            invoke(runner, *args)
+    assert out.read_bytes() == b"previous table\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["table.csv"]
+
+    assert invoke(runner, *args).exit_code == 0
+    assert out.read_text().splitlines()[0] == SWEEP_HEADER
+    assert [path.name for path in tmp_path.iterdir()] == ["table.csv"]

@@ -30,7 +30,7 @@ from k3fat.oracle.quartic import (
 from k3fat.oracle.series import ChartSingularError, solve_implicit
 
 PRIMES = (10007, 2**31 - 1, 2**61 - 1)
-ORACLE_PRIMES = (2**31 - 1, 2**61 - 1)
+ORACLE_PRIMES = (2**31 - 1, 3037000493, 2**61 - 1)
 
 # ---------------------------------------------------------------------------
 # Reference root finding: generic list arithmetic, right-to-left powering.

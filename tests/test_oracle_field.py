@@ -3,15 +3,19 @@ from random import Random
 import numpy as np
 import pytest
 
+from k3fat.oracle import DEFAULT_PRIME, DEFAULT_PRIME2, field
 from k3fat.oracle.field import (
+    _INT64_SAFE_PRIME,
     _pgcd,
     _pmul,
+    field_dtype,
     poly_roots,
     rank_mod_p,
 )
 
 P1 = 2**31 - 1
 P2 = 2**61 - 1
+P_EDGE = 3037000493  # the largest prime p with p^2 < 2^63
 
 
 def test_rank_zero_matrix():
@@ -40,6 +44,38 @@ def test_rank_random_consistency_between_dtypes():
         cols = rng.randrange(2, 12)
         m = [[rng.randrange(1000) for _ in range(cols)] for _ in range(rows)]
         assert rank_mod_p(m, P1) == rank_mod_p(m, P2) == np.linalg.matrix_rank(np.array(m))
+
+
+def test_default_primes_take_the_int64_path():
+    for p in (DEFAULT_PRIME, DEFAULT_PRIME2):
+        assert p <= _INT64_SAFE_PRIME
+        assert field_dtype(p) is np.int64
+    assert field_dtype(P2) is object
+
+
+def test_rank_int64_edge_matches_object_path(monkeypatch):
+    # entries next to p make every product in the elimination close to 2^63
+    p = P_EDGE
+    assert field_dtype(p) is np.int64
+    values = (0, p - 3, p - 2, p - 1)
+    rng = Random(19)
+    matrices = []
+    for _ in range(20):
+        n_cols = rng.randrange(2, 16)
+        m = [[rng.choice(values) for _ in range(n_cols)] for _ in range(rng.randrange(2, 12))]
+        independent_bound = len(m)
+        for _ in range(rng.randrange(1, 5)):  # plant dependent rows
+            i, j = rng.randrange(len(m)), rng.randrange(len(m))
+            if rng.random() < 0.5:
+                m.append(list(m[i]))
+            else:
+                a, b = rng.choice(values[1:]), rng.choice(values[1:])
+                m.append([(a * x + b * y) % p for x, y in zip(m[i], m[j])])
+        matrices.append((m, independent_bound))
+    fast = [rank_mod_p(m, p) for m, _ in matrices]
+    assert all(r <= bound for r, (_, bound) in zip(fast, matrices))
+    monkeypatch.setattr(field, "field_dtype", lambda p: object)
+    assert fast == [rank_mod_p(m, p) for m, _ in matrices]
 
 
 def test_rank_transpose_invariance():

@@ -148,3 +148,21 @@ def test_config_validation():
         PrimeFieldConfig(trials=1)
     with pytest.raises(ValueError):
         PrimeFieldConfig(prime2=2**31 - 1)  # equal to default prime
+
+
+def test_config_rejects_composite_and_out_of_range_moduli():
+    # each of these used to pass validation and fail deep inside the oracle
+    for bad in (2**31 + 1, 2**32, 3037000499, 2**61 + 1):
+        with pytest.raises(ValueError, match="must be prime"):
+            PrimeFieldConfig(prime=bad)
+        with pytest.raises(ValueError, match="must be prime"):
+            PrimeFieldConfig(prime2=bad)
+    # strong pseudoprimes to many small bases are still composite
+    for bad in (3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match="must be prime"):
+            PrimeFieldConfig(prime2=bad)
+    with pytest.raises(ValueError, match="must lie in"):
+        PrimeFieldConfig(prime2=2**89 - 1)  # prime, but beyond the exact primality test
+    for good in (2**31 - 1, 3037000493, 2**61 - 1):
+        assert PrimeFieldConfig(prime=good, prime2=None).prime == good
+        assert PrimeFieldConfig(prime=2**31 - 19, prime2=good).prime2 == good
