@@ -7,8 +7,6 @@ degree k, and recombines their dimensions along the matching curves.  The
 recombined fiber dimension l0 bounds the true dimension from above, and
 l0 == edim certifies the system is non-special.
 """
-import json
-
 from k3fat import K3System, Status, classify, recurse
 from k3fat.classify import base_gamma4
 
@@ -60,5 +58,4 @@ print("open.  classify() reports the same verdict:")
 print(" ", classify(K3System.homogeneous(4, 2, 2, 9)).status)
 
 print("\nTraces serialize to JSON for audit:")
-doc = trace.to_dict()
-print(json.dumps(doc, indent=2)[:400], "...")
+print(trace.to_json())

@@ -133,7 +133,7 @@ def cmd_classify(cfg, gamma, d, m, n, trace_path, assume_base):
     report = classify(sys_, policy)
     click.echo(_report_line(gamma, d, m, n, report))
     if trace_path:
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        with _replacing(trace_path) as fh:
             fh.write(report.trace.to_json())
         click.echo(f"trace written to {trace_path}")
 

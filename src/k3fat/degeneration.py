@@ -24,11 +24,21 @@ and l >= edim always, so l0 == edim certifies dim = edim (non-special).
 The engine only ever certifies; when the side conditions of a step fail it
 reports UNKNOWN rather than guessing.
 
+The admissible matching degrees of a step form one interval [k_min, k_max]
+(KSelectionBounds).  Each end is the least k >= 0 with k(k+3) >= r for an
+integer threshold r read off one of the two quadratic inequalities, that is
+ceil((sqrt(9 + 4r) - 3)/2); it is computed in closed form with math.isqrt
+and a +-1 integer fix-up, so no search runs per node.
+
 Internally the recursion runs on (gamma, d, m, n) keys, with m = n = 0 for
-the unconditioned system; each distinct key becomes one TraceNode.
+the unconditioned system; each distinct key becomes one TraceNode, and one
+row of the trace's flat node table (schema k3fat.trace/2).  No K3System is
+built per node: `TraceNode.system` derives it from the key on demand.
 """
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
@@ -137,21 +147,19 @@ class KSelectionBounds:
         return self.k_min <= k <= self.k_max
 
 
-def _least_k(pred) -> int:
-    """Smallest k >= 0 with pred(k) true, for a predicate monotone in k."""
-    k = 0
-    step = 1
-    while not pred(k):
-        k += step
-        step *= 2
-    lo, hi = max(0, k - step // 2), k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _least_k(r: int) -> int:
+    """Smallest k >= 0 with k(k+3) >= r.
+
+    The real root of k^2 + 3k - r is (sqrt(9 + 4r) - 3)/2; isqrt puts the
+    integer guess within one of the answer, and the two loops fix it up."""
+    if r <= 0:
+        return 0
+    k = (math.isqrt(9 + 4 * r) - 2) // 2
+    while k * (k + 3) < r:
+        k += 1
+    while k > 0 and (k - 1) * (k + 2) >= r:
+        k -= 1
+    return k
 
 
 def _bounds(key: Key, c: int, regime: Regime) -> KSelectionBounds:
@@ -159,14 +167,16 @@ def _bounds(key: Key, c: int, regime: Regime) -> KSelectionBounds:
     b = n // c
     a_num = gamma * d * d + 4
     cm = c * m * (m + 1)
+    # With x = (k+1)(k+2) = k(k+3) + 2 an integer, b*x > a_num reads
+    # x > a_num // b and b*x >= a_num reads x >= ceil(a_num / b).
     if regime is Regime.NONNEG:
-        # k(k+1) <= alpha  and  k(k+3) >= beta
-        k_max = _least_k(lambda k: b * (k + 1) * (k + 2) > a_num)
-        k_min = _least_k(lambda k: k * (k + 3) >= cm - 2)
+        # k(k+1) <= alpha: k_max + 1 is the least k with b (k+1)(k+2) > a_num
+        k_max = _least_k(a_num // b - 1)
+        k_min = _least_k(cm - 2)  # k(k+3) >= beta
     else:
-        # (k+1)(k+2) >= alpha + 2  and  k(k+1) <= beta
-        k_min = _least_k(lambda k: b * (k + 1) * (k + 2) >= a_num)
-        k_max = _least_k(lambda k: (k + 1) * (k + 2) > cm)
+        k_min = _least_k(-(-a_num // b) - 2)  # b (k+1)(k+2) >= a_num
+        # k(k+1) <= beta: k_max + 1 is the least k with (k+1)(k+2) > cm
+        k_max = _least_k(cm - 1)
     return KSelectionBounds(regime, k_min, k_max)
 
 
@@ -266,21 +276,27 @@ def check_vdim_identity(sys: K3System, c: int, k: int) -> bool:
 
 @dataclass(frozen=True)
 class PlanarLeaf:
-    """A planar branch resolved by the 4-and-9-points non-speciality rule."""
+    """A planar branch L(delta, m^c), key (delta, m, c), resolved by the
+    4-and-9-points non-speciality rule."""
 
-    system: PlanarSystem
+    key: Tuple[int, int, int]
     vdim: int
     edim: int
     dim: int
     status: Status
 
+    @property
+    def system(self) -> PlanarSystem:
+        return PlanarSystem.homogeneous(*self.key)
+
 
 @dataclass(frozen=True)
 class TraceNode:
-    """One node of the recursion tree: a system with its verdict and,
-    for composite systems, the degeneration step that resolved it."""
+    """One node of the recursion tree: a system, by its key, with its
+    verdict and, for composite systems, the degeneration step that
+    resolved it."""
 
-    system: K3System
+    key: Key
     vdim: int
     edim: int
     dim: Optional[int]
@@ -289,6 +305,10 @@ class TraceNode:
     kind: str  # "unconditioned" | "base" | "step" | "failed"
     step: Optional["DegenerationStep"] = None
     note: Optional[str] = None
+
+    @property
+    def system(self) -> K3System:
+        return K3System.homogeneous(*self.key)
 
 
 @dataclass(frozen=True)
@@ -311,83 +331,77 @@ class DegenerationStep:
     l0: Optional[int]
 
 
+TRACE_SCHEMA = "k3fat.trace/2"
+
+#: Columns of a node row, all scalars.  "surface" and "surface_hat" are the
+#: ids of the two surface branch nodes; the two planar leaves are inline, as
+#: "planar.*" and "planar_hat.*".  The row of a node without a step stops
+#: after "note".
+TRACE_FIELDS = [
+    "gamma", "d", "m", "n", "vdim", "edim", "dim", "status", "certified", "kind", "note",
+    "c", "b", "k", "regime", "surface", "surface_hat",
+    *(f"{leaf}.{name}" for leaf in ("planar", "planar_hat")
+      for name in ("delta", "vdim", "edim", "dim", "status")),
+    "r_surface", "r_planar", "intersection_dim", "l0",
+]
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class DegenerationTrace:
-    """Serializable audit trail of one full recursion."""
+    """Serializable audit trail of one full recursion.
+
+    The document (schema k3fat.trace/2) is a table with one positional row
+    per distinct node, in DFS preorder from the root, whose id is 0:
+
+        {"schema": "k3fat.trace/2", "root": 0, "fields": TRACE_FIELDS,
+         "nodes": [row, ...]}
+
+    A node shared by several steps appears once and is referenced by id.
+    """
 
     root: K3System
     node: TraceNode
 
     def to_dict(self) -> dict:
-        return _node_to_dict(self.node)
+        return {"schema": TRACE_SCHEMA, "root": 0, "fields": list(TRACE_FIELDS),
+                "nodes": _node_rows(self.node)}
 
-    def to_json(self, indent: int = 2) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=indent)
-
-
-def _planar_leaf_dict(leaf: PlanarLeaf) -> dict:
-    return {
-        "delta": leaf.system.degree,
-        "vdim": leaf.vdim,
-        "edim": leaf.edim,
-        "dim": leaf.dim,
-        "status": leaf.status.value,
-    }
+    def to_json(self) -> str:
+        """The document in compact JSON with one node row per line."""
+        doc = self.to_dict()
+        rows = doc.pop("nodes")
+        return (_ENCODER.encode(doc)[:-1] + ',"nodes":[\n'
+                + ",\n".join(map(_ENCODER.encode, rows)) + "\n]}")
 
 
-def _branch_summary(node: TraceNode) -> dict:
-    out = {
-        "vdim": node.vdim,
-        "edim": node.edim,
-        "dim": node.dim,
-        "status": node.status.value,
-        "kind": node.kind,
-    }
-    if node.note:
-        out["note"] = node.note
-    if node.step is not None:
-        out["step"] = _step_to_dict(node.step)
-    return out
-
-
-def _step_to_dict(step: "DegenerationStep") -> dict:
-    return {
-        "c": step.c,
-        "b": step.b,
-        "k": step.k,
-        "regime": step.regime.value,
-        "branches": {
-            "surface": _branch_summary(step.surface_node),
-            "surface_hat": _branch_summary(step.surface_hat_node),
-            "planar": _planar_leaf_dict(step.planar_leaf),
-            "planar_hat": _planar_leaf_dict(step.planar_hat_leaf),
-        },
-        "r_surface": step.r_surface,
-        "r_planar": step.r_planar,
-        "intersection_dim": step.intersection_dim,
-        "l0": step.l0,
-    }
-
-
-def _node_to_dict(node: TraceNode) -> dict:
-    sys = node.system
-    m = sys.multiplicity if sys.total_points > 0 else 0
-    out: dict = {
-        "system": {"gamma": sys.gamma, "d": sys.degree, "m": m, "n": sys.total_points},
-        "vdim": node.vdim,
-        "edim": node.edim,
-        "dim": node.dim,
-        "status": node.status.value,
-        "certified": node.certified,
-        "kind": node.kind,
-    }
-    if node.note:
-        out["note"] = node.note
-    if node.step is not None:
-        out["step"] = _step_to_dict(node.step)
-    return out
+def _node_rows(root: TraceNode) -> list:
+    order = []
+    ids: Dict[Key, int] = {}
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if node.key in ids:
+            continue
+        ids[node.key] = len(order)
+        order.append(node)
+        if node.step is not None:
+            todo += (node.step.surface_hat_node, node.step.surface_node)
+    rows = []
+    for node in order:
+        row = [*node.key, node.vdim, node.edim, node.dim, node.status.value,
+               node.certified, node.kind, node.note]
+        step = node.step
+        if step is not None:
+            p, ph = step.planar_leaf, step.planar_hat_leaf
+            row += [step.c, step.b, step.k, step.regime.value,
+                    ids[step.surface_node.key], ids[step.surface_hat_node.key],
+                    p.key[0], p.vdim, p.edim, p.dim, p.status.value,
+                    ph.key[0], ph.vdim, ph.edim, ph.dim, ph.status.value,
+                    step.r_surface, step.r_planar, step.intersection_dim, step.l0]
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +413,15 @@ def _planar_leaf(delta: int, m: int, c: int, v: int) -> PlanarLeaf:
     system, of vdim -1.  Being non-special, its dimension is its edim."""
     if delta < 0:
         v = -1
-    return PlanarLeaf(PlanarSystem.homogeneous(delta, m, c), v, edim(v), edim(v),
-                      Status.NONSPECIAL)
+    e = edim(v)
+    return PlanarLeaf((delta, m, c), v, e, e, Status.NONSPECIAL)
+
+
+def _name(key: Key) -> str:
+    return "L^{}({}, {}^{})".format(*key)
 
 
 def _attempt_step(
-    sys: K3System,
     key: Key,
     v: int,
     c: int,
@@ -418,7 +435,7 @@ def _attempt_step(
     b = n // c
     vdims = _branch_vdims(key, c, k)
     if not _identity_holds(v, b, k, vdims):
-        raise EngineError(f"vdim bookkeeping identity failed for {sys}, c={c}, k={k}")
+        raise EngineError(f"vdim bookkeeping identity failed for {_name(key)}, c={c}, k={k}")
     v_s, v_sh, v_p, v_ph = vdims
     node_s = _resolve(_key(gamma, d, k, b), base, memo)
     node_sh = _resolve(_key(gamma, d, k + 1, b), base, memo)
@@ -444,7 +461,7 @@ def _attempt_step(
         ok = v_s >= -1 and v_p >= -1 and branch_nonspecial
         if ok and l0 != v:
             raise EngineError(
-                f"NONNEG step for {sys} at k={k} combined to l0={l0} != v={v}"
+                f"NONNEG step for {_name(key)} at k={k} combined to l0={l0} != v={v}"
             )
         return ok, conditional, step
 
@@ -466,29 +483,27 @@ def _attempt_step(
     )
     ok = plain or patched
     if ok and l0 != -1:
-        raise EngineError(f"NEG step for {sys} at k={k} combined to l0={l0} != -1")
+        raise EngineError(f"NEG step for {_name(key)} at k={k} combined to l0={l0} != -1")
     return ok, conditional, step
 
 
 def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> TraceNode:
     node = memo.get(key)
     if node is None:
-        node = memo[key] = _new_node(K3System.homogeneous(*key), key, base, memo)
+        node = memo[key] = _new_node(key, base, memo)
     return node
 
 
-def _new_node(
-    sys: K3System, key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]
-) -> TraceNode:
+def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> TraceNode:
     gamma, d, m, n = key
     if n == 1:
         rep = base(gamma, d, m)
-        return TraceNode(sys, rep.vdim, rep.edim, rep.dim, rep.status,
+        return TraceNode(key, rep.vdim, rep.edim, rep.dim, rep.status,
                          rep.dim is not None, "base")
     v = _vdim(*key)
     e = edim(v)
     if n == 0:
-        return TraceNode(sys, v, e, v, Status.NONSPECIAL, True, "unconditioned")
+        return TraceNode(key, v, e, v, Status.NONSPECIAL, True, "unconditioned")
 
     c = 9 if n % 9 == 0 else 4
     if v > -1:
@@ -504,17 +519,17 @@ def _new_node(
         if k is None:
             continue
         certified, conditional, last_step = _attempt_step(
-            sys, key, v, c, k, regime, base, memo)
+            key, v, c, k, regime, base, memo)
         if certified:
             status = Status.CONDITIONAL if conditional else Status.NONSPECIAL
-            return TraceNode(sys, v, e, e, status, True, "step", step=last_step)
+            return TraceNode(key, v, e, e, status, True, "step", step=last_step)
 
     note = (
         "no admissible matching degree"
         if last_step is None
         else "step side conditions failed; dimension not certified"
     )
-    return TraceNode(sys, v, e, None, Status.UNKNOWN, False, "failed",
+    return TraceNode(key, v, e, None, Status.UNKNOWN, False, "failed",
                      step=last_step, note=note)
 
 
@@ -531,7 +546,7 @@ def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, Degener
     if n != 0 and factor_4_9(n) is None:
         raise ValueError(f"point count {n} is not of the form 4^u * 9^w")
     # No descendant has the root's key: every step lowers the point count.
-    node = _new_node(sys, _key_of(sys), base, {})
+    node = _new_node(_key_of(sys), base, {})
     trace = DegenerationTrace(sys, node)
     report = DimensionReport(node.vdim, node.edim, node.dim, node.status, trace=trace)
     return report, trace

@@ -1,6 +1,7 @@
 """Exact prime-field linear algebra and root finding for degree <= 4.
 
-Rank computation is plain Gaussian elimination over F_p.  For p up to
+Rank computation is plain Gaussian elimination over F_p; each pivot updates
+only the trailing columns, from the pivot column on.  For p up to
 isqrt(2^63) the elimination runs vectorized on int64 numpy arrays (products
 of two reduced entries fit in a signed 64-bit word); larger primes, which
 only an explicit choice reaches, take the slow path on object arrays of
@@ -48,6 +49,8 @@ def rank_mod_p(matrix, p: int) -> int:
     a = np.array(arr, dtype=field_dtype(p)) % p
     n_rows, n_cols = a.shape
     rank = 0
+    # Rows from `rank` down are zero left of `col`, so each pivot touches
+    # only the columns from `col` on.
     for col in range(n_cols):
         pivot = None
         for i in range(rank, n_rows):
@@ -57,15 +60,15 @@ def rank_mod_p(matrix, p: int) -> int:
         if pivot is None:
             continue
         if pivot != rank:
-            a[[rank, pivot], :] = a[[pivot, rank], :]
+            a[[rank, pivot], col:] = a[[pivot, rank], col:]
         inv = inverse_mod(int(a[rank, col]), p)
-        a[rank, :] = (a[rank, :] * inv) % p
+        a[rank, col:] = (a[rank, col:] * inv) % p
         below = a[rank + 1:, col]
         nz = np.nonzero(below)[0]
         if nz.size:
             rows = nz + rank + 1
             factors = a[rows, col]
-            a[rows, :] = (a[rows, :] - factors[:, None] * a[rank, :][None, :]) % p
+            a[rows, col:] = (a[rows, col:] - factors[:, None] * a[rank, col:][None, :]) % p
         rank += 1
         if rank == n_rows:
             break

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from k3fat import cli
 from k3fat.cli import SWEEP_HEADER, main
+from k3fat.degeneration import DegenerationTrace
 
 
 @pytest.fixture()
@@ -43,8 +44,36 @@ def test_classify_with_trace(runner, tmp_path):
     assert result.exit_code == 0
     assert "dim=-1 status=NONSPECIAL" in result.output
     doc = json.loads(trace.read_text())
-    assert doc["system"] == {"gamma": 4, "d": 2, "m": 2, "n": 4}
-    assert doc["step"]["k"] == 4
+    root = dict(zip(doc["fields"], doc["nodes"][doc["root"]]))
+    assert [root[name] for name in ("gamma", "d", "m", "n")] == [4, 2, 2, 4]
+    assert root["k"] == 4
+
+
+def test_interrupted_trace_export_keeps_the_previous_file(runner, tmp_path, monkeypatch):
+    trace = tmp_path / "trace.json"
+    trace.write_bytes(b"previous trace\n")
+    args = ("classify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4",
+            "--trace", str(trace))
+
+    def failing_to_json(self):
+        raise RuntimeError("interrupted")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    for owner, name, failure, error in (
+        (DegenerationTrace, "to_json", failing_to_json, RuntimeError),
+        (cli.os, "replace", failing_replace, OSError),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, failure)
+            with pytest.raises(error):
+                invoke(runner, *args)
+        assert trace.read_bytes() == b"previous trace\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["trace.json"]
+
+    assert invoke(runner, *args).exit_code == 0
+    assert json.loads(trace.read_text())["schema"] == "k3fat.trace/2"
 
 
 def test_classify_open_case(runner):

@@ -252,15 +252,28 @@ def test_recurse_never_returns_special_for_composite_systems():
 
 def test_trace_serialization_field_names():
     rep, trace = recurse(K3System.homogeneous(4, 2, 2, 4), gamma4_base)
-    doc = json.loads(trace.to_json())
-    assert set(doc["system"]) == {"gamma", "d", "m", "n"}
-    step = doc["step"]
-    assert {"c", "b", "k", "regime", "branches", "r_surface", "r_planar",
-            "intersection_dim", "l0"} <= set(step)
-    branches = step["branches"]
-    assert set(branches) == {"surface", "surface_hat", "planar", "planar_hat"}
-    for branch in branches.values():
-        assert {"vdim", "edim", "dim", "status"} <= set(branch)
+    text = trace.to_json()
+    doc = json.loads(text)
+    assert list(doc) == ["schema", "root", "fields", "nodes"]
+    assert (doc["schema"], doc["root"]) == ("k3fat.trace/2", 0)
+    assert doc["fields"] == [
+        "gamma", "d", "m", "n", "vdim", "edim", "dim", "status", "certified", "kind",
+        "note", "c", "b", "k", "regime", "surface", "surface_hat",
+        "planar.delta", "planar.vdim", "planar.edim", "planar.dim", "planar.status",
+        "planar_hat.delta", "planar_hat.vdim", "planar_hat.edim", "planar_hat.dim",
+        "planar_hat.status", "r_surface", "r_planar", "intersection_dim", "l0"]
+    # the root, then its two single-point surface branches
+    assert doc["nodes"] == [
+        [4, 2, 2, 4, -3, -1, -1, "NONSPECIAL", True, "step", None, 4, 1, 4, "NEG", 1, 2,
+         4, 2, 2, 2, "NONSPECIAL", 3, -3, -1, -1, "NONSPECIAL", 0, 2, -1, -1],
+        [4, 2, 4, 1, -1, -1, 0, "SPECIAL", True, "base", None],
+        [4, 2, 5, 1, -6, -1, -1, "NONSPECIAL", True, "base", None],
+    ]
+    # compact rows, one per line
+    rows = text.split("\n")[1:-1]
+    assert rows == [json.dumps(row, separators=(",", ":")) + ("," if i < 2 else "")
+                    for i, row in enumerate(doc["nodes"])]
+    assert trace.to_dict() == doc
 
 
 def test_trace_serialization_deterministic():

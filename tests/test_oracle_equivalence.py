@@ -5,18 +5,20 @@ construction were rewritten for speed with the promise that, for a fixed
 seed, every result and every draw from the random generator stays the same.
 The reference implementations below are the original list/dict versions,
 kept here verbatim in behaviour, and each property compares the two.  The
-series references compute with the sparse Series2 of series_reference and
+rank reference is the elimination that rewrote whole rows at every pivot.
+The series references compute with the sparse Series2 of series_reference and
 hand their results over in the oracle's dense layout.
 """
 from random import Random
 from typing import Dict, List
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from series_reference import Series2, eval_poly3, from_dense, power_table, to_dense
 
 from k3fat.oracle.config import SamplingError
-from k3fat.oracle.field import inverse_mod, poly_roots
+from k3fat.oracle.field import field_dtype, inverse_mod, poly_roots, rank_mod_p
 from k3fat.oracle.quartic import (
     _affine_partial,
     _dehomogenize,
@@ -31,6 +33,43 @@ from k3fat.oracle.series import ChartSingularError, solve_implicit
 
 PRIMES = (10007, 2**31 - 1, 2**61 - 1)
 ORACLE_PRIMES = (2**31 - 1, 3037000493, 2**61 - 1)
+
+# ---------------------------------------------------------------------------
+# Reference rank: whole-row elimination.
+
+
+def ref_rank_mod_p(matrix, p):
+    arr = np.asarray(matrix)
+    if arr.size == 0:
+        return 0
+    if arr.shape[0] > arr.shape[1]:
+        arr = arr.T
+    a = np.array(arr, dtype=field_dtype(p)) % p
+    n_rows, n_cols = a.shape
+    rank = 0
+    for col in range(n_cols):
+        pivot = None
+        for i in range(rank, n_rows):
+            if a[i, col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[[rank, pivot], :] = a[[pivot, rank], :]
+        inv = inverse_mod(int(a[rank, col]), p)
+        a[rank, :] = (a[rank, :] * inv) % p
+        below = a[rank + 1:, col]
+        nz = np.nonzero(below)[0]
+        if nz.size:
+            rows = nz + rank + 1
+            factors = a[rows, col]
+            a[rows, :] = (a[rows, :] - factors[:, None] * a[rank, :][None, :]) % p
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
 
 # ---------------------------------------------------------------------------
 # Reference root finding: generic list arithmetic, right-to-left powering.
@@ -311,3 +350,29 @@ def test_condition_rows_match_reference(p, groups, d, seed):
     rows = k3_condition_rows(d, instance)
     assert rows == ref_condition_rows(d, instance)
     assert all(type(x) is int for row in rows for x in row)
+
+
+@st.composite
+def rank_problems(draw):
+    """A matrix mod p whose rows are combinations of a few random rows, so
+    that rank deficiency, zero columns and late pivots are common."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    n_rows = draw(st.integers(min_value=1, max_value=12))
+    n_cols = draw(st.integers(min_value=1, max_value=12))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    basis = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                          min_size=1, max_size=n_rows))
+    weights = st.lists(st.sampled_from([0, 1, 2, p - 1]),
+                       min_size=len(basis), max_size=len(basis))
+    rows = []
+    for _ in range(n_rows):
+        w = draw(weights)
+        rows.append([sum(c * b[j] for c, b in zip(w, basis)) % p for j in range(n_cols)])
+    return p, rows
+
+
+@given(rank_problems())
+@settings(max_examples=300, deadline=None)
+def test_rank_mod_p_matches_whole_row_reference(problem):
+    p, rows = problem
+    assert rank_mod_p(rows, p) == ref_rank_mod_p(rows, p)

@@ -14,7 +14,9 @@ from k3fat.core import (
     vdim_k3,
 )
 from k3fat.degeneration import (
+    KSelectionBounds,
     Regime,
+    _least_k,
     check_vdim_identity,
     combine_dims,
     factor_4_9,
@@ -166,3 +168,63 @@ def test_classify_matches_recursion_whenever_it_certifies():
                 verdict = classify(sys)
                 if rep.is_definite:
                     assert (verdict.dim, verdict.status) == (rep.dim, rep.status)
+
+
+# --- closed-form k bounds against the doubling search they replaced --------
+
+
+def ref_least_k(pred):
+    """Smallest k >= 0 with pred(k) true, for a predicate monotone in k."""
+    k = 0
+    step = 1
+    while not pred(k):
+        k += step
+        step *= 2
+    lo, hi = max(0, k - step // 2), k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def ref_bounds(gamma, d, m, n, c, regime):
+    b = n // c
+    a_num = gamma * d * d + 4
+    cm = c * m * (m + 1)
+    if regime is Regime.NONNEG:
+        k_max = ref_least_k(lambda k: b * (k + 1) * (k + 2) > a_num)
+        k_min = ref_least_k(lambda k: k * (k + 3) >= cm - 2)
+    else:
+        k_min = ref_least_k(lambda k: b * (k + 1) * (k + 2) >= a_num)
+        k_max = ref_least_k(lambda k: (k + 1) * (k + 2) > cm)
+    return KSelectionBounds(regime, k_min, k_max)
+
+
+@given(
+    st.sampled_from([4, 9]),
+    st.one_of(st.just(1), st.integers(min_value=1, max_value=10**6)),
+    st.sampled_from([4, 6, 8]),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=10**3),
+    st.sampled_from(list(Regime)),
+)
+@settings(max_examples=500, deadline=None)
+def test_closed_form_k_bounds_match_the_search(c, b, gamma, d, m, regime):
+    sys = K3System.homogeneous(gamma, d, m, b * c)
+    assert k_selection_bounds(sys, c, regime) == ref_bounds(gamma, d, m, b * c, c, regime)
+
+
+@given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=-2, max_value=2))
+@settings(max_examples=500, deadline=None)
+def test_least_k_at_its_thresholds(t, delta):
+    # r next to t(t+3), where the integer guess and the fix-up are decided
+    r = t * (t + 3) + delta
+    assert _least_k(r) == ref_least_k(lambda k: k * (k + 3) >= r)
+
+
+def test_least_k_small_thresholds():
+    for r in range(-20, 20000):
+        assert _least_k(r) == ref_least_k(lambda k: k * (k + 3) >= r)
