@@ -28,7 +28,7 @@ The admissible matching degrees of a step form one interval [k_min, k_max]
 (KSelectionBounds).  Each end is the least k >= 0 with k(k+3) >= r for an
 integer threshold r read off one of the two quadratic inequalities, that is
 ceil((sqrt(9 + 4r) - 3)/2); it is computed in closed form with math.isqrt
-and a +-1 integer fix-up, so no search runs per node.
+and one integer correction, so no search runs per node.
 
 Internally the recursion runs on (gamma, d, m, n) keys, with m = n = 0 for
 the unconditioned system; each distinct key becomes one TraceNode, and one
@@ -150,16 +150,13 @@ class KSelectionBounds:
 def _least_k(r: int) -> int:
     """Smallest k >= 0 with k(k+3) >= r.
 
-    The real root of k^2 + 3k - r is (sqrt(9 + 4r) - 3)/2; isqrt puts the
-    integer guess within one of the answer, and the two loops fix it up."""
+    For r > 0 that is ceil(x) with x = (sqrt(9 + 4r) - 3)/2, the positive
+    root of k^2 + 3k - r.  With s = isqrt(9 + 4r), x lies in
+    [(s - 3)/2, (s - 2)/2), so ceil(x) is (s - 2) // 2 or one more."""
     if r <= 0:
         return 0
     k = (math.isqrt(9 + 4 * r) - 2) // 2
-    while k * (k + 3) < r:
-        k += 1
-    while k > 0 and (k - 1) * (k + 2) >= r:
-        k -= 1
-    return k
+    return k if k * (k + 3) >= r else k + 1
 
 
 def _bounds(key: Key, c: int, regime: Regime) -> KSelectionBounds:
@@ -167,16 +164,17 @@ def _bounds(key: Key, c: int, regime: Regime) -> KSelectionBounds:
     b = n // c
     a_num = gamma * d * d + 4
     cm = c * m * (m + 1)
-    # With x = (k+1)(k+2) = k(k+3) + 2 an integer, b*x > a_num reads
-    # x > a_num // b and b*x >= a_num reads x >= ceil(a_num / b).
+    # Each end is the least k meeting one inequality, rewritten as
+    # k(k+3) >= r: for the integer x = (k+1)(k+2) = k(k+3) + 2, b*x > a_num
+    # is x >= a_num // b + 1 and b*x >= a_num is x >= ceil(a_num / b).
     if regime is Regime.NONNEG:
-        # k(k+1) <= alpha: k_max + 1 is the least k with b (k+1)(k+2) > a_num
-        k_max = _least_k(a_num // b - 1)
-        k_min = _least_k(cm - 2)  # k(k+3) >= beta
+        # k(k+1) <= alpha  and  k(k+3) >= beta
+        k_max = _least_k(a_num // b - 1)  # least k with b (k+1)(k+2) > a_num
+        k_min = _least_k(cm - 2)
     else:
-        k_min = _least_k(-(-a_num // b) - 2)  # b (k+1)(k+2) >= a_num
-        # k(k+1) <= beta: k_max + 1 is the least k with (k+1)(k+2) > cm
-        k_max = _least_k(cm - 1)
+        # (k+1)(k+2) >= alpha + 2  and  k(k+1) <= beta
+        k_min = _least_k(-(-a_num // b) - 2)  # least k with b (k+1)(k+2) >= a_num
+        k_max = _least_k(cm - 1)  # least k with (k+1)(k+2) > cm
     return KSelectionBounds(regime, k_min, k_max)
 
 
@@ -274,7 +272,7 @@ def check_vdim_identity(sys: K3System, c: int, k: int) -> bool:
 # Trace records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarLeaf:
     """A planar branch L(delta, m^c), key (delta, m, c), resolved by the
     4-and-9-points non-speciality rule."""
@@ -290,7 +288,7 @@ class PlanarLeaf:
         return PlanarSystem.homogeneous(*self.key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceNode:
     """One node of the recursion tree: a system, by its key, with its
     verdict and, for composite systems, the degeneration step that
@@ -311,7 +309,7 @@ class TraceNode:
         return K3System.homogeneous(*self.key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegenerationStep:
     """One recursion level: the chosen (c, b, k), the four branches, the
     restriction dimensions and the combined fiber dimension l0 (None when
@@ -377,6 +375,7 @@ class DegenerationTrace:
 
 
 def _node_rows(root: TraceNode) -> list:
+    """The rows of the node table; a node's id is its index in DFS preorder."""
     order = []
     ids: Dict[Key, int] = {}
     todo = [root]
