@@ -335,13 +335,13 @@ TRACE_SCHEMA = "k3fat.trace/2"
 #: ids of the two surface branch nodes; the two planar leaves are inline, as
 #: "planar.*" and "planar_hat.*".  The row of a node without a step stops
 #: after "note".
-TRACE_FIELDS = [
+TRACE_FIELDS = (
     "gamma", "d", "m", "n", "vdim", "edim", "dim", "status", "certified", "kind", "note",
     "c", "b", "k", "regime", "surface", "surface_hat",
     *(f"{leaf}.{name}" for leaf in ("planar", "planar_hat")
       for name in ("delta", "vdim", "edim", "dim", "status")),
     "r_surface", "r_planar", "intersection_dim", "l0",
-]
+)
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 

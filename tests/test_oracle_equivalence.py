@@ -352,27 +352,23 @@ def test_condition_rows_match_reference(p, groups, d, seed):
     assert all(type(x) is int for row in rows for x in row)
 
 
-@st.composite
-def rank_problems(draw):
+def _rank_problem(p, n_rows, n_cols, n_basis, seed):
     """A matrix mod p whose rows are combinations of a few random rows, so
     that rank deficiency, zero columns and late pivots are common."""
-    p = draw(st.sampled_from(ORACLE_PRIMES))
-    n_rows = draw(st.integers(min_value=1, max_value=12))
-    n_cols = draw(st.integers(min_value=1, max_value=12))
-    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
-    basis = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
-                          min_size=1, max_size=n_rows))
-    weights = st.lists(st.sampled_from([0, 1, 2, p - 1]),
-                       min_size=len(basis), max_size=len(basis))
+    rng = Random(seed)
+    basis = [[rng.choice((0, 0, 1, p - 1, rng.randrange(p))) for _ in range(n_cols)]
+             for _ in range(n_basis)]
     rows = []
     for _ in range(n_rows):
-        w = draw(weights)
-        rows.append([sum(c * b[j] for c, b in zip(w, basis)) % p for j in range(n_cols)])
-    return p, rows
+        weights = [rng.choice((0, 1, 2, p - 1)) for _ in basis]
+        rows.append([sum(w * b[j] for w, b in zip(weights, basis)) % p for j in range(n_cols)])
+    return rows
 
 
-@given(rank_problems())
+@given(st.sampled_from(ORACLE_PRIMES), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=300, deadline=None)
-def test_rank_mod_p_matches_whole_row_reference(problem):
-    p, rows = problem
+def test_rank_mod_p_matches_whole_row_reference(p, n_rows, n_cols, n_basis, seed):
+    rows = _rank_problem(p, n_rows, n_cols, n_basis, seed)
     assert rank_mod_p(rows, p) == ref_rank_mod_p(rows, p)
