@@ -18,8 +18,7 @@ def base(gamma, d, mu):
 def show(node, indent=0):
     pad = "  " * indent
     s = node.system
-    m = s.multiplicity if s.total_points else 0
-    head = f"{pad}L^4({s.degree}, {m}^{s.total_points})"
+    head = f"{pad}L^4({s.degree}, {s.multiplicity}^{s.count})"
     print(f"{head}: vdim={node.vdim} dim={node.dim} {node.status.value} [{node.kind}]")
     if node.step is None:
         return

@@ -3,7 +3,6 @@ on generic K3 surfaces, by degeneration recursion, with an exact
 finite-field interpolation oracle for independent verification."""
 from .core import (
     DimensionReport,
-    FatPointGroup,
     K3System,
     PlanarSystem,
     Status,

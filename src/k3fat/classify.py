@@ -25,7 +25,7 @@ from typing import Optional
 from .core import (
     DimensionReport,
     K3System,
-    point_conditions,
+    k3_vdim_formula,
     report_conditional,
     report_nonspecial,
     report_special,
@@ -72,8 +72,7 @@ class BasePolicy:
             return resolve
 
         def resolve(gamma: int, d: int, mu: int) -> DimensionReport:
-            v = (gamma // 2) * d * d + 1 - point_conditions(mu)
-            return report_conditional(v)
+            return report_conditional(k3_vdim_formula(gamma, d, mu, 1))
         return resolve
 
 
@@ -90,7 +89,7 @@ def base_gamma4(d: int, mu: int) -> DimensionReport:
     """
     if d < 1 or mu < 1:
         raise ValueError("d and mu must be positive")
-    v = 2 * d * d + 1 - point_conditions(mu)
+    v = k3_vdim_formula(4, d, mu, 1)
     if mu == 2 * d and d >= 2:
         return report_special(v, 0)
     return report_nonspecial(v)
@@ -140,13 +139,12 @@ def classify(sys: K3System, policy: Optional[BasePolicy] = None) -> DimensionRep
 
 
 def _gamma4_theorem_verdict(sys: K3System) -> DimensionReport:
-    d = sys.degree
-    n = sys.total_points
+    _, d, m, n = sys.key
     v = vdim_k3(sys)
     if n == 0:
         return report_nonspecial(v)
     if n == 1:
-        return base_gamma4(d, sys.multiplicity)
+        return base_gamma4(d, m)
     if v >= -1:
         return report_nonspecial(v)
     if n % 4 == 0 or (2 * d) % 3 != 1:  # u > 0 in n = 4^u * 9^w
@@ -191,7 +189,7 @@ def verify(sys: K3System, report: DimensionReport, cfg, measure=None) -> Verific
 
     if sys.gamma != 4:
         return VerificationOutcome(Verdict.SKIPPED, reason="oracle supports gamma=4 only")
-    points = [(g.multiplicity, g.count) for g in sys.points]
+    points = [(sys.multiplicity, sys.count)] if sys.count else []
     try:
         meas = (measure or measure_k3_cross_checked)(sys.degree, points, cfg)
     except BudgetExceededError as exc:

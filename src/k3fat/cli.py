@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import click
 
-from .classify import BasePolicy, PolicyKind, Verdict, classify, verify
+from .classify import GAMMA4_PROVED, BasePolicy, PolicyKind, Verdict, classify, verify
 from .core import K3System, edim, vdim_k3
 from .degeneration import is_admissible_count
 from .oracle import (
@@ -95,9 +95,9 @@ def cmd_vdim(gamma, d, m, n):
     click.echo(f"vdim={v} edim={edim(v)}")
 
 
-def _policy_for(gamma: int, assume_base: bool, cfg: PrimeFieldConfig) -> BasePolicy:
+def _policy_for(gamma: int, assume_base: bool) -> BasePolicy:
     if gamma == 4:
-        return BasePolicy(PolicyKind.GAMMA4_PROVED)
+        return GAMMA4_PROVED
     if assume_base:
         return BasePolicy(PolicyKind.HYPOTHESIS, gamma=gamma)
     raise click.UsageError(
@@ -123,13 +123,12 @@ def _report_line(gamma, d, m, n, report) -> str:
               help="Write the degeneration trace as JSON.")
 @click.option("--assume-base", is_flag=True,
               help="For gamma != 4: assume single-point systems are non-special.")
-@click.pass_obj
-def cmd_classify(cfg, gamma, d, m, n, trace_path, assume_base):
+def cmd_classify(gamma, d, m, n, trace_path, assume_base):
     """Classify L^gamma(d, m^n) and optionally export its recursion trace."""
     sys_ = _validated_system(gamma, d, m, n)
     if not is_admissible_count(n):
         raise click.UsageError(f"n must be of the form 4^u * 9^w, got {n}")
-    policy = _policy_for(gamma, assume_base, cfg)
+    policy = _policy_for(gamma, assume_base)
     report = classify(sys_, policy)
     click.echo(_report_line(gamma, d, m, n, report))
     if trace_path:
@@ -244,7 +243,7 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
         raise click.UsageError(f"n must be of the form 4^u * 9^w, got {n}")
     if gamma != 4:
         raise click.UsageError("verify requires gamma=4 (the oracle is quartic-only)")
-    report = classify(sys_, _policy_for(gamma, False, cfg))
+    report = classify(sys_, _policy_for(gamma, False))
     outcome = _verify_with_cache(sys_, report, cfg, cache_dir)
     engine_dim = "NA" if report.dim is None else report.dim
     oracle_dim = "NA" if outcome.oracle_dim is None else outcome.oracle_dim

@@ -1,16 +1,23 @@
-"""Integer dimension formulas and the system data model shared by all modules.
+"""Integer dimension formulas and the system records shared by all modules.
 
 Everything here is exact arbitrary-precision integer arithmetic; there is no
 floating point anywhere in this module.  A fat point of multiplicity m imposes
 m(m+1)/2 linear conditions; virtual dimensions are the ambient dimension minus
 the imposed conditions, and the expected dimension clamps at -1 (the empty
 system).
+
+Systems are homogeneous records of their key: K3System(gamma, d, m, n) is
+L^gamma(d, m^n) and PlanarSystem(delta, m, n) is L(delta, m^n), with
+m = n = 0 for the unconditioned system.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Tuple
+
+#: A homogeneous system L^gamma(d, m^n) as (gamma, d, m, n).
+Key = Tuple[int, int, int, int]
 
 
 class Status(Enum):
@@ -27,55 +34,40 @@ def point_conditions(multiplicity: int) -> int:
     return multiplicity * (multiplicity + 1) // 2
 
 
-@dataclass(frozen=True)
-class FatPointGroup:
-    """A group of `count` general points sharing one multiplicity."""
-
-    multiplicity: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-
-    @property
-    def conditions(self) -> int:
-        return self.count * point_conditions(self.multiplicity)
+def normalized_points(multiplicity: int, count: int) -> Tuple[int, int]:
+    """(m, n) for the points m^n, where multiplicity or count 0 means no
+    points at all: (0, 0), the unconditioned system."""
+    return (multiplicity, count) if multiplicity and count else (0, 0)
 
 
-def _as_groups(points) -> Tuple[FatPointGroup, ...]:
-    groups = []
-    for entry in points:
-        if isinstance(entry, FatPointGroup):
-            groups.append(entry)
-        else:
-            m, n = entry
-            groups.append(FatPointGroup(m, n))
-    return tuple(groups)
+def _check_points(multiplicity: int, count: int) -> None:
+    if multiplicity < 0 or count < 0 or (multiplicity == 0) != (count == 0):
+        raise ValueError("multiplicity and count must be both 0 (no points) or both "
+                         f"positive, got {multiplicity} and {count}")
 
 
 @dataclass(frozen=True)
 class K3System:
-    """A linear system of curves of degree d through fat points on a generic
-    K3 surface whose Picard generator has self-intersection gamma.
+    """The system L^gamma(degree, multiplicity^count) of curves of degree d
+    through `count` general points of one multiplicity on a generic K3
+    surface whose Picard generator has self-intersection gamma.
 
     gamma is even and >= 2 (gamma = 2g-2 for genus g >= 2); gamma = 4
-    corresponds to quartic surfaces in P^3.  An empty point multiset means the
+    corresponds to quartic surfaces in P^3.  multiplicity = count = 0 is the
     unconditioned system of all degree-d curves.
     """
 
     gamma: int
     degree: int
-    points: Tuple[FatPointGroup, ...] = ()
+    multiplicity: int = 0
+    count: int = 0
 
     def __post_init__(self) -> None:
         if self.gamma < 2 or self.gamma % 2 != 0:
             raise ValueError(f"gamma must be an even integer >= 2, got {self.gamma}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        object.__setattr__(self, "points", _as_groups(self.points))
+        _check_points(self.multiplicity, self.count)
 
     @staticmethod
     def homogeneous(gamma: int, degree: int, multiplicity: int, count: int) -> "K3System":
@@ -83,59 +75,45 @@ class K3System:
         normalize to the unconditioned system."""
         if multiplicity < 0 or count < 0:
             raise ValueError("multiplicity and count must be non-negative")
-        if multiplicity == 0 or count == 0:
-            return K3System(gamma, degree)
-        return K3System(gamma, degree, (FatPointGroup(multiplicity, count),))
+        return K3System(gamma, degree, *normalized_points(multiplicity, count))
 
     @property
-    def total_points(self) -> int:
-        return sum(g.count for g in self.points)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len({g.multiplicity for g in self.points}) <= 1
-
-    @property
-    def multiplicity(self) -> int:
-        """Common multiplicity of a homogeneous nonempty system."""
-        ms = {g.multiplicity for g in self.points}
-        if len(ms) != 1:
-            raise ValueError("system is empty or not homogeneous")
-        return ms.pop()
+    def key(self) -> Key:
+        return (self.gamma, self.degree, self.multiplicity, self.count)
 
 
 @dataclass(frozen=True)
 class PlanarSystem:
-    """A plane system of curves of degree delta through fat points.
+    """The plane system L(degree, multiplicity^count) of curves of degree
+    delta through `count` general points of one multiplicity.
 
     delta < 0 denotes the empty system by convention; the point data is then
-    irrelevant.
+    irrelevant.  multiplicity = count = 0 is the unconditioned system.
     """
 
     degree: int
-    points: Tuple[FatPointGroup, ...] = ()
+    multiplicity: int = 0
+    count: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _as_groups(self.points))
+        _check_points(self.multiplicity, self.count)
 
     @staticmethod
     def homogeneous(degree: int, multiplicity: int, count: int) -> "PlanarSystem":
-        if multiplicity == 0 or count == 0:
-            return PlanarSystem(degree)
-        return PlanarSystem(degree, (FatPointGroup(multiplicity, count),))
-
-    @property
-    def total_points(self) -> int:
-        return sum(g.count for g in self.points)
+        return PlanarSystem(degree, *normalized_points(multiplicity, count))
 
 
-def vdim_k3(sys: K3System) -> int:
-    """Virtual dimension gamma*d^2/2 + 1 - sum n_i * m_i(m_i+1)/2.
+def k3_vdim_formula(gamma: int, d: int, multiplicity: int, count: int) -> int:
+    """Virtual dimension gamma*d^2/2 + 1 - count*m(m+1)/2 of L^gamma(d, m^count).
 
     gamma even guarantees integrality of the ambient term.
     """
-    ambient = (sys.gamma // 2) * sys.degree * sys.degree + 1
-    return ambient - sum(g.conditions for g in sys.points)
+    return (gamma // 2) * d * d + 1 - count * point_conditions(multiplicity)
+
+
+def vdim_k3(sys: K3System) -> int:
+    """Virtual dimension gamma*d^2/2 + 1 - n*m(m+1)/2."""
+    return k3_vdim_formula(*sys.key)
 
 
 def edim(v: int) -> int:
@@ -144,14 +122,14 @@ def edim(v: int) -> int:
 
 
 def vdim_planar(sys: PlanarSystem) -> int:
-    """Virtual dimension delta(delta+3)/2 - sum n_i * m_i(m_i+1)/2.
+    """Virtual dimension delta(delta+3)/2 - n*m(m+1)/2.
 
     For delta < 0 the system is empty by convention and -1 is returned, so
     that the combination formulas stay total.
     """
     if sys.degree < 0:
         return -1
-    return sys.degree * (sys.degree + 3) // 2 - sum(g.conditions for g in sys.points)
+    return planar_vdim_formula(sys.degree, sys.multiplicity, sys.count)
 
 
 def planar_vdim_formula(delta: int, multiplicity: int, count: int) -> int:

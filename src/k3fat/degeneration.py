@@ -30,10 +30,10 @@ integer threshold r read off one of the two quadratic inequalities, that is
 ceil((sqrt(9 + 4r) - 3)/2); it is computed in closed form with math.isqrt
 and one integer correction, so no search runs per node.
 
-Internally the recursion runs on (gamma, d, m, n) keys, with m = n = 0 for
-the unconditioned system; each distinct key becomes one TraceNode, and one
-row of the trace's flat node table (schema k3fat.trace/2).  No K3System is
-built per node: `TraceNode.system` derives it from the key on demand.
+The recursion runs on system keys (gamma, d, m, n), as in K3System.key; each
+distinct key becomes one TraceNode, and one row of the trace's flat node
+table (schema k3fat.trace/2).  No K3System is built per node:
+`TraceNode.system` derives it from the key on demand.
 """
 from __future__ import annotations
 
@@ -46,18 +46,17 @@ from typing import Callable, Dict, Optional, Tuple
 from .core import (
     DimensionReport,
     K3System,
+    Key,
     PlanarSystem,
     Status,
     edim,
+    k3_vdim_formula,
+    normalized_points,
     planar_vdim_formula,
-    point_conditions,
 )
 
 #: Resolves a single-point system L^gamma(d, mu) to a DimensionReport.
 BaseResolver = Callable[[int, int, int], DimensionReport]
-
-#: A homogeneous system L^gamma(d, m^n) as (gamma, d, m, n).
-Key = Tuple[int, int, int, int]
 
 
 class Regime(Enum):
@@ -92,28 +91,15 @@ def is_admissible_count(n: int) -> bool:
 def _key(gamma: int, d: int, m: int, n: int) -> Key:
     """The key of L^gamma(d, m^n); multiplicity or count 0 is the
     unconditioned system (gamma, d, 0, 0)."""
-    return (gamma, d, m, n) if m and n else (gamma, d, 0, 0)
-
-
-def _key_of(sys: K3System) -> Key:
-    if not sys.is_homogeneous:
-        raise ValueError("the recursion handles homogeneous systems only")
-    n = sys.total_points
-    return _key(sys.gamma, sys.degree, sys.multiplicity if n else 0, n)
+    return (gamma, d, *normalized_points(m, n))
 
 
 def _split_key(sys: K3System, c: int) -> Key:
     """The key of a system that one step can split into b = n/c planes."""
-    key = _key_of(sys)
-    n = key[3]
+    n = sys.count
     if c not in (4, 9) or n < c or n % c != 0:
         raise ValueError(f"c must be 4 or 9 and divide n, got c={c}, n={n}")
-    return key
-
-
-def _vdim(gamma: int, d: int, m: int, n: int) -> int:
-    """Virtual dimension of L^gamma(d, m^n)."""
-    return (gamma // 2) * d * d + 1 - n * point_conditions(m)
+    return sys.key
 
 
 @dataclass(frozen=True)
@@ -159,7 +145,8 @@ def _least_k(r: int) -> int:
     return k if k * (k + 3) >= r else k + 1
 
 
-def _bounds(key: Key, c: int, regime: Regime) -> KSelectionBounds:
+def _bounds(key: Key, c: int, regime: Regime) -> Tuple[int, int]:
+    """(k_min, k_max) of KSelectionBounds."""
     gamma, d, m, n = key
     b = n // c
     a_num = gamma * d * d + 4
@@ -175,28 +162,28 @@ def _bounds(key: Key, c: int, regime: Regime) -> KSelectionBounds:
         # (k+1)(k+2) >= alpha + 2  and  k(k+1) <= beta
         k_min = _least_k(-(-a_num // b) - 2)  # least k with b (k+1)(k+2) >= a_num
         k_max = _least_k(cm - 1)  # least k with (k+1)(k+2) > cm
-    return KSelectionBounds(regime, k_min, k_max)
+    return k_min, k_max
 
 
 def k_selection_bounds(sys: K3System, c: int, regime: Regime) -> KSelectionBounds:
     """Integer-exact admissible interval for the matching degree k."""
-    return _bounds(_split_key(sys, c), c, regime)
+    return KSelectionBounds(regime, *_bounds(_split_key(sys, c), c, regime))
 
 
 def _select_k(key: Key, c: int, regime: Regime) -> Optional[int]:
-    bounds = _bounds(key, c, regime)
-    if bounds.is_empty:
+    k_min, k_max = _bounds(key, c, regime)
+    if k_min > k_max:
         return None
     gamma, d, _, n = key
     if gamma == 4 and n == c:  # the final step, b = 1
         if regime is Regime.NONNEG and d >= 2:
-            preferred = [k for k in bounds.admissible() if k not in (2 * d - 1, 2 * d)]
+            preferred = [k for k in range(k_min, k_max + 1) if k not in (2 * d - 1, 2 * d)]
             if preferred:
                 return max(preferred)
-            return bounds.k_max
-        if regime is Regime.NEG and bounds.contains(2 * d):
+            return k_max
+        if regime is Regime.NEG and k_min <= 2 * d <= k_max:
             return 2 * d
-    return bounds.k_max
+    return k_max
 
 
 def select_k(sys: K3System, c: int, regime: Regime) -> Optional[int]:
@@ -237,8 +224,8 @@ def _branch_vdims(key: Key, c: int, k: int) -> Tuple[int, int, int, int]:
     gamma, d, m, n = key
     b = n // c
     return (
-        _vdim(gamma, d, k, b),
-        _vdim(gamma, d, k + 1, b),
+        k3_vdim_formula(gamma, d, k, b),
+        k3_vdim_formula(gamma, d, k + 1, b),
         planar_vdim_formula(k, m, c),
         planar_vdim_formula(k - 1, m, c),
     )
@@ -265,7 +252,7 @@ def check_vdim_identity(sys: K3System, c: int, k: int) -> bool:
     permanent self-check inside the recursion.
     """
     key = _split_key(sys, c)
-    return _identity_holds(_vdim(*key), key[3] // c, k, _branch_vdims(key, c, k))
+    return _identity_holds(k3_vdim_formula(*key), key[3] // c, k, _branch_vdims(key, c, k))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +272,7 @@ class PlanarLeaf:
 
     @property
     def system(self) -> PlanarSystem:
-        return PlanarSystem.homogeneous(*self.key)
+        return PlanarSystem(*self.key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,7 +293,7 @@ class TraceNode:
 
     @property
     def system(self) -> K3System:
-        return K3System.homogeneous(*self.key)
+        return K3System(*self.key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -499,7 +486,7 @@ def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> Trace
         rep = base(gamma, d, m)
         return TraceNode(key, rep.vdim, rep.edim, rep.dim, rep.status,
                          rep.dim is not None, "base")
-    v = _vdim(*key)
+    v = k3_vdim_formula(*key)
     e = edim(v)
     if n == 0:
         return TraceNode(key, v, e, v, Status.NONSPECIAL, True, "unconditioned")
@@ -539,13 +526,11 @@ def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, Degener
     certified report (UNKNOWN when some step's side conditions fail) together
     with the full audit trace.
     """
-    if not sys.is_homogeneous:
-        raise ValueError("recurse requires a homogeneous system")
-    n = sys.total_points
+    n = sys.count
     if n != 0 and factor_4_9(n) is None:
         raise ValueError(f"point count {n} is not of the form 4^u * 9^w")
     # No descendant has the root's key: every step lowers the point count.
-    node = _new_node(_key_of(sys), base, {})
+    node = _new_node(sys.key, base, {})
     trace = DegenerationTrace(sys, node)
     report = DimensionReport(node.vdim, node.edim, node.dim, node.status, trace=trace)
     return report, trace

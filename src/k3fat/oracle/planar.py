@@ -22,17 +22,6 @@ def _falling(a: int, i: int) -> int:
     return out
 
 
-def _normalized_groups(points) -> Tuple[Tuple[int, int], ...]:
-    groups = []
-    for g in points:
-        try:
-            groups.append((g.multiplicity, g.count))
-        except AttributeError:
-            m, n = g
-            groups.append((int(m), int(n)))
-    return tuple(sorted(groups, reverse=True))
-
-
 def planar_condition_rows(
     delta: int, groups: Sequence[Tuple[int, int]], p: int, rng
 ) -> List[List[int]]:
@@ -71,7 +60,7 @@ def measure_planar(sys: PlanarSystem, cfg: PrimeFieldConfig, prime: int = 0) -> 
     """Monte-Carlo dimension of a plane system, min-aggregated over trials."""
     p = prime or cfg.prime
     delta = sys.degree
-    groups = _normalized_groups(sys.points)
+    groups = ((sys.multiplicity, sys.count),) if sys.count else ()
     if delta < 0:
         return OracleMeasurement(-1, (), False, p, 0, 0)
     ncols = (delta + 2) * (delta + 1) // 2

@@ -34,7 +34,6 @@ from .config import (
     derived_rng,
 )
 from .field import field_dtype, poly_roots, rank_mod_p
-from .planar import _normalized_groups
 from .series import (
     ChartSingularError,
     binomial_shift,
@@ -287,7 +286,8 @@ def measure_k3(
     if d < 1:
         raise ValueError("d must be positive")
     p = prime or cfg.prime
-    groups = _normalized_groups(points)
+    # (m, n) as ints, largest first: the groups also tag each trial's RNG
+    groups = tuple(sorted(((int(m), int(n)) for m, n in points), reverse=True))
     ncols = num_degree_forms(d)
     nrows = sum(n * point_conditions(m) for m, n in groups)
     if nrows > cfg.budget_rows or ncols > cfg.budget_rows:

@@ -2,7 +2,6 @@ import pytest
 
 from k3fat.core import (
     DimensionReport,
-    FatPointGroup,
     K3System,
     PlanarSystem,
     Status,
@@ -27,11 +26,6 @@ def test_vdim_k3_unconditioned():
 
 def test_vdim_k3_nine_double_points():
     assert vdim_k3(K3System.homogeneous(4, 3, 2, 9)) == -8
-
-
-def test_vdim_k3_mixed_groups():
-    sys = K3System(4, 3, ((2, 3), (1, 5)))
-    assert vdim_k3(sys) == 19 - 3 * 3 - 5 * 1
 
 
 @pytest.mark.parametrize("v,expected", [(5, 5), (-1, -1), (-8, -1), (0, 0)])
@@ -64,9 +58,9 @@ def test_vdim_planar_negative_degree_convention():
 
 
 def test_append_point_decreases_vdim_by_conditions():
-    sys = K3System.homogeneous(4, 5, 2, 9)
     for m in (1, 2, 3, 7):
-        extended = K3System(4, 5, sys.points + (FatPointGroup(m, 1),))
+        sys = K3System.homogeneous(4, 5, m, 9)
+        extended = K3System.homogeneous(4, 5, m, 10)
         assert vdim_k3(extended) == vdim_k3(sys) - point_conditions(m)
 
 
@@ -79,18 +73,25 @@ def test_gamma_validation():
         K3System(4, 0)
 
 
-def test_fat_point_group_validation():
-    with pytest.raises(ValueError):
-        FatPointGroup(0, 1)
-    with pytest.raises(ValueError):
-        FatPointGroup(2, 0)
+def test_system_records_reject_invalid_points():
+    # a negative field, or points of multiplicity 0, or a multiplicity
+    # without points
+    for m, n in [(-1, 4), (2, -1), (-1, 0), (0, -1), (0, 4), (2, 0)]:
+        with pytest.raises(ValueError):
+            K3System(4, 2, m, n)
+        with pytest.raises(ValueError):
+            PlanarSystem(2, m, n)
 
 
 def test_homogeneous_constructor_normalizes_empty():
-    assert K3System.homogeneous(4, 2, 0, 5).points == ()
-    assert K3System.homogeneous(4, 2, 3, 0).points == ()
+    assert K3System.homogeneous(4, 2, 0, 5).key == (4, 2, 0, 0)
+    assert K3System.homogeneous(4, 2, 3, 0).key == (4, 2, 0, 0)
+    assert K3System(4, 2).key == (4, 2, 0, 0)
+    assert PlanarSystem.homogeneous(2, 0, 4) == PlanarSystem(2)
     sys = K3System.homogeneous(4, 2, 3, 5)
-    assert sys.multiplicity == 3 and sys.total_points == 5
+    assert (sys.multiplicity, sys.count) == (3, 5) and sys.key == (4, 2, 3, 5)
+    with pytest.raises(ValueError):
+        K3System.homogeneous(4, 2, -1, 0)
 
 
 def test_dimension_report_invariants():

@@ -132,6 +132,18 @@ def test_node_table_matches_reference_on_grid(gamma):
         assert_table_matches_reference(report.trace)
 
 
+@pytest.mark.parametrize("gamma", [4, 6, 8])
+def test_node_system_has_the_node_key(gamma):
+    for report in _grid(gamma):
+        todo = [report.trace.node]
+        assert report.trace.root.key == todo[0].key
+        while todo:
+            node = todo.pop()
+            assert node.system.key == node.key
+            if node.step is not None:
+                todo += (node.step.surface_node, node.step.surface_hat_node)
+
+
 @pytest.mark.parametrize("case", GOLDEN_V1["systems"], ids=lambda case: case["name"])
 def test_reference_reproduces_schema1_bytes(case):
     text = json.dumps(reference_dict(_report(*_key(case)).trace), indent=2)

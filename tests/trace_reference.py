@@ -55,9 +55,8 @@ def _step_to_dict(step):
 
 def _node_to_dict(node):
     sys = node.system
-    m = sys.multiplicity if sys.total_points > 0 else 0
     out = {
-        "system": {"gamma": sys.gamma, "d": sys.degree, "m": m, "n": sys.total_points},
+        "system": {"gamma": sys.gamma, "d": sys.degree, "m": sys.multiplicity, "n": sys.count},
         "vdim": node.vdim,
         "edim": node.edim,
         "dim": node.dim,
