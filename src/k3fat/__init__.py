@@ -26,9 +26,6 @@ from .degeneration import (
     select_k,
 )
 from .classify import (
-    GAMMA4_PROVED,
-    BasePolicy,
-    PolicyKind,
     Verdict,
     VerificationOutcome,
     base_gamma4,

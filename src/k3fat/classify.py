@@ -1,20 +1,23 @@
-"""Theorem driver: base-case policies, the gamma = 4 classification of
-homogeneous systems with n = 4^u * 9^w points, and reconciliation with the
-finite-field oracle.
+"""Theorem driver: the gamma = 4 classification of homogeneous systems with
+n = 4^u * 9^w points, and reconciliation with the finite-field oracle.
 
-For gamma = 4 (quartic surfaces) the single-point systems are fully
-classified: L^4(d, mu) is non-special unless mu = 2d and d >= 2, in which
-case its unique divisor is d times the nodal tangent-plane section, so the
-dimension is 0 while the expected dimension is -1.  On top of that base the
-classification of composite systems splits on the sign of the virtual
-dimension v:
+The recursion bottoms out in single-point systems L^gamma(d, mu).  For
+gamma = 4 (quartic surfaces) they are fully classified: L^4(d, mu) is
+non-special unless mu = 2d and d >= 2, in which case its unique divisor is d
+times the nodal tangent-plane section, so the dimension is 0 while the
+expected dimension is -1.  On top of that base the classification of
+composite systems splits on the sign of the virtual dimension v:
 
     v >= -1                              -> non-special, dim = v
     v <= -1 and (u > 0 or 2d != 1 mod 3) -> non-special and empty, dim = -1
     v <= -1, u = 0, 2d = 1 mod 3         -> open; reported UNKNOWN
 
-UNKNOWN verdicts are never silently replaced by oracle measurements; the
-oracle value is recorded as clearly-labeled advisory data instead.
+For gamma != 4 no base is proved: classify(sys, assume_base=True) assumes
+every single-point system non-special and reports CONDITIONAL verdicts, and
+without it classify refuses.  At gamma = 4 the proved base is always used.
+
+UNKNOWN verdicts are never silently replaced by oracle measurements; verify
+records the oracle value as clearly-labeled advisory data instead.
 """
 from __future__ import annotations
 
@@ -32,51 +35,7 @@ from .core import (
     report_unknown,
     vdim_k3,
 )
-from .degeneration import BaseResolver, EngineError, recurse
-
-
-class PolicyKind(Enum):
-    GAMMA4_PROVED = "GAMMA4_PROVED"
-    HYPOTHESIS = "HYPOTHESIS"
-
-
-@dataclass(frozen=True)
-class BasePolicy:
-    """How single-point systems L^gamma(d, mu) are resolved.
-
-    GAMMA4_PROVED uses the full quartic-surface classification (gamma = 4
-    only).  HYPOTHESIS assumes every single-point system is non-special and
-    marks all downstream reports CONDITIONAL; it is rejected for gamma = 4,
-    where the assumption is known to be false.
-    """
-
-    kind: PolicyKind
-    gamma: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is PolicyKind.HYPOTHESIS:
-            if self.gamma is None or self.gamma < 2 or self.gamma % 2 != 0:
-                raise ValueError("HYPOTHESIS policy needs an even gamma >= 2")
-            if self.gamma == 4:
-                raise ValueError(
-                    "HYPOTHESIS is unavailable for gamma = 4: single-point "
-                    "systems L^4(d, 2d) with d >= 2 are special"
-                )
-
-    def resolver(self) -> BaseResolver:
-        if self.kind is PolicyKind.GAMMA4_PROVED:
-            def resolve(gamma: int, d: int, mu: int) -> DimensionReport:
-                if gamma != 4:
-                    raise ValueError("GAMMA4_PROVED resolves gamma = 4 only")
-                return base_gamma4(d, mu)
-            return resolve
-
-        def resolve(gamma: int, d: int, mu: int) -> DimensionReport:
-            return report_conditional(k3_vdim_formula(gamma, d, mu, 1))
-        return resolve
-
-
-GAMMA4_PROVED = BasePolicy(PolicyKind.GAMMA4_PROVED)
+from .degeneration import EngineError, recurse
 
 
 def base_gamma4(d: int, mu: int) -> DimensionReport:
@@ -95,35 +54,34 @@ def base_gamma4(d: int, mu: int) -> DimensionReport:
     return report_nonspecial(v)
 
 
-def default_policy(gamma: int) -> BasePolicy:
-    if gamma == 4:
-        return GAMMA4_PROVED
-    raise ValueError(
-        f"no proved base policy for gamma = {gamma}; pass an explicit "
-        "HYPOTHESIS policy to compute conditional reports"
-    )
+def _proved_base(gamma: int, d: int, mu: int) -> DimensionReport:
+    return base_gamma4(d, mu)
 
 
-def classify(sys: K3System, policy: Optional[BasePolicy] = None) -> DimensionReport:
+def _assumed_base(gamma: int, d: int, mu: int) -> DimensionReport:
+    return report_conditional(k3_vdim_formula(gamma, d, mu, 1))
+
+
+def classify(sys: K3System, *, assume_base: bool = False) -> DimensionReport:
     """Classify a homogeneous system with n = 4^u * 9^w points.
 
-    With the proved gamma = 4 policy the verdict follows the quartic-surface
-    classification above; the attached degeneration trace shows how far the
-    recursion itself certifies the claim.  With a HYPOTHESIS policy every
-    verdict is CONDITIONAL on the assumed base non-speciality.  The system
-    itself is validated by the recursion.
+    At gamma = 4 the verdict follows the quartic-surface classification
+    above, and assume_base has no effect; the attached degeneration trace
+    shows how far the recursion itself certifies the claim.  For gamma != 4,
+    assume_base=True makes every verdict CONDITIONAL on the assumed
+    single-point non-speciality; without it a ValueError is raised.  The
+    system itself is validated by the recursion.
     """
-    if policy is None:
-        policy = default_policy(sys.gamma)
-    if policy.kind is PolicyKind.GAMMA4_PROVED and sys.gamma != 4:
-        raise ValueError("GAMMA4_PROVED policy requires gamma = 4")
-    if policy.kind is PolicyKind.HYPOTHESIS and policy.gamma != sys.gamma:
-        raise ValueError("HYPOTHESIS policy gamma does not match the system")
+    if sys.gamma != 4:
+        if not assume_base:
+            raise ValueError(
+                f"no proved base classification for gamma = {sys.gamma}; pass "
+                "assume_base=True to compute CONDITIONAL reports under the "
+                "non-special-base hypothesis"
+            )
+        return recurse(sys, _assumed_base)[0]
 
-    chain_report, trace = recurse(sys, policy.resolver())
-    if policy.kind is not PolicyKind.GAMMA4_PROVED:
-        return chain_report
-
+    chain_report, trace = recurse(sys, _proved_base)
     verdict = _gamma4_theorem_verdict(sys)
     if verdict.is_definite and chain_report.is_definite:
         if (verdict.dim, verdict.status) != (chain_report.dim, chain_report.status):

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import click
 
-from .classify import GAMMA4_PROVED, BasePolicy, PolicyKind, Verdict, classify, verify
+from .classify import Verdict, classify, verify
 from .core import K3System, edim, vdim_k3
 from .degeneration import is_admissible_count
 from .oracle import (
@@ -68,42 +68,31 @@ def main(ctx, prime, prime2, seed, trials, budget_rows):
 
 
 def _validated_system(gamma: int, d: int, m: Optional[int], n: int) -> K3System:
-    if gamma % 2 != 0:
-        raise click.UsageError("gamma must be even")
-    if gamma < 2:
-        raise click.UsageError("gamma must be >= 2")
-    if d < 1:
-        raise click.UsageError("d must be >= 1")
+    """L^gamma(d, m^n); without m, the unconditioned system L^gamma(d)."""
     if m is None:
-        return K3System(gamma, d)
-    if m < 1:
+        m = n = 0
+    elif m < 1:
         raise click.UsageError("m must be >= 1")
-    if n < 1:
+    elif n < 1:
         raise click.UsageError("n must be >= 1")
-    return K3System.homogeneous(gamma, d, m, n)
+    try:
+        return K3System(gamma, d, m, n)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 @main.command("vdim")
 @click.option("--gamma", "-g", type=int, required=True)
 @click.option("-d", "d", type=int, required=True)
 @click.option("-m", "m", type=int, default=None)
-@click.option("-n", "n", type=int, default=1, show_default=True)
+@click.option("-n", "n", type=int, default=None, help="Point count (1 if absent); needs -m.")
 def cmd_vdim(gamma, d, m, n):
     """Print the virtual and expected dimension of L^gamma(d, m^n)."""
-    sys_ = _validated_system(gamma, d, m, n)
+    if m is None and n is not None:
+        raise click.UsageError("-n needs -m, the multiplicity of the points")
+    sys_ = _validated_system(gamma, d, m, 1 if n is None else n)
     v = vdim_k3(sys_)
     click.echo(f"vdim={v} edim={edim(v)}")
-
-
-def _policy_for(gamma: int, assume_base: bool) -> BasePolicy:
-    if gamma == 4:
-        return GAMMA4_PROVED
-    if assume_base:
-        return BasePolicy(PolicyKind.HYPOTHESIS, gamma=gamma)
-    raise click.UsageError(
-        f"no proved base classification for gamma={gamma}; pass --assume-base "
-        "to compute CONDITIONAL reports under the non-special-base hypothesis"
-    )
 
 
 def _report_line(gamma, d, m, n, report) -> str:
@@ -122,14 +111,19 @@ def _report_line(gamma, d, m, n, report) -> str:
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write the degeneration trace as JSON.")
 @click.option("--assume-base", is_flag=True,
-              help="For gamma != 4: assume single-point systems are non-special.")
+              help="For gamma != 4: assume single-point systems are non-special "
+                   "(no effect at gamma = 4).")
 def cmd_classify(gamma, d, m, n, trace_path, assume_base):
     """Classify L^gamma(d, m^n) and optionally export its recursion trace."""
     sys_ = _validated_system(gamma, d, m, n)
     if not is_admissible_count(n):
         raise click.UsageError(f"n must be of the form 4^u * 9^w, got {n}")
-    policy = _policy_for(gamma, assume_base)
-    report = classify(sys_, policy)
+    if gamma != 4 and not assume_base:
+        raise click.UsageError(
+            f"no proved base classification for gamma={gamma}; pass --assume-base "
+            "to compute CONDITIONAL reports under the non-special-base hypothesis"
+        )
+    report = classify(sys_, assume_base=assume_base)
     click.echo(_report_line(gamma, d, m, n, report))
     if trace_path:
         with _replacing(trace_path) as fh:
@@ -243,7 +237,7 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
         raise click.UsageError(f"n must be of the form 4^u * 9^w, got {n}")
     if gamma != 4:
         raise click.UsageError("verify requires gamma=4 (the oracle is quartic-only)")
-    report = classify(sys_, _policy_for(gamma, False))
+    report = classify(sys_)
     outcome = _verify_with_cache(sys_, report, cfg, cache_dir)
     engine_dim = "NA" if report.dim is None else report.dim
     oracle_dim = "NA" if outcome.oracle_dim is None else outcome.oracle_dim

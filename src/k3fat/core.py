@@ -64,7 +64,7 @@ class K3System:
 
     def __post_init__(self) -> None:
         if self.gamma < 2 or self.gamma % 2 != 0:
-            raise ValueError(f"gamma must be an even integer >= 2, got {self.gamma}")
+            raise ValueError(f"gamma must be even and >= 2, got {self.gamma}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         _check_points(self.multiplicity, self.count)
@@ -158,7 +158,7 @@ class DimensionReport:
     """vdim, edim, computed dimension and speciality verdict for one system.
 
     dim is None exactly when the status is UNKNOWN.  CONDITIONAL marks a
-    dimension that is valid only under an assumed single-point base policy.
+    dimension that is valid only under an assumed single-point base.
     """
 
     vdim: int
@@ -166,7 +166,6 @@ class DimensionReport:
     dim: Optional[int]
     status: Status
     trace: Optional[object] = field(default=None, compare=False, repr=False)
-    oracle_dim: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.edim != max(self.vdim, -1):
@@ -190,10 +189,6 @@ class DimensionReport:
 
     def with_trace(self, trace) -> "DimensionReport":
         return replace(self, trace=trace)
-
-    def with_oracle_dim(self, oracle_dim: int) -> "DimensionReport":
-        """Attach an oracle measurement as advisory data; never a status."""
-        return replace(self, oracle_dim=oracle_dim)
 
 
 def report_nonspecial(v: int) -> DimensionReport:

@@ -346,7 +346,6 @@ class DegenerationTrace:
     A node shared by several steps appears once and is referenced by id.
     """
 
-    root: K3System
     node: TraceNode
 
     def to_dict(self) -> dict:
@@ -531,6 +530,6 @@ def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, Degener
         raise ValueError(f"point count {n} is not of the form 4^u * 9^w")
     # No descendant has the root's key: every step lowers the point count.
     node = _new_node(sys.key, base, {})
-    trace = DegenerationTrace(sys, node)
+    trace = DegenerationTrace(node)
     report = DimensionReport(node.vdim, node.edim, node.dim, node.status, trace=trace)
     return report, trace

@@ -186,8 +186,6 @@ def test_criterion_8_open_case_honesty():
     outcome = verify(sys, rep, CFG)
     assert outcome.kind is Verdict.SKIPPED
     assert isinstance(outcome.oracle_dim, int)
-    annotated = rep.with_oracle_dim(outcome.oracle_dim)
-    assert annotated.status is Status.UNKNOWN  # advisory data only
     print(f"\nACCEPTANCE 8 PASS: the open case stays UNKNOWN; oracle advisory "
           f"dim {outcome.oracle_dim} recorded without changing the status")
 

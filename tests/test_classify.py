@@ -1,14 +1,6 @@
 import pytest
 
-from k3fat.classify import (
-    GAMMA4_PROVED,
-    BasePolicy,
-    PolicyKind,
-    Verdict,
-    base_gamma4,
-    classify,
-    verify,
-)
+from k3fat.classify import Verdict, base_gamma4, classify, verify
 from k3fat.core import K3System, Status, planar_dim_nonspecial, vdim_k3
 from k3fat.oracle import BudgetExceededError, PrimeFieldConfig
 
@@ -111,22 +103,25 @@ def test_classify_theorem_side_condition_chains():
 def test_classify_rejects_bad_inputs():
     with pytest.raises(ValueError):
         classify(K3System.homogeneous(4, 2, 1, 6))
+    with pytest.raises(ValueError, match="assume_base"):
+        classify(K3System.homogeneous(6, 2, 1, 4))  # no proved base
     with pytest.raises(ValueError):
-        classify(K3System.homogeneous(6, 2, 1, 4), GAMMA4_PROVED)
-    with pytest.raises(ValueError):
-        classify(K3System.homogeneous(6, 2, 1, 4))  # no proved policy
+        classify(K3System.homogeneous(6, 2, 1, 6), assume_base=True)
 
 
 def test_hypothesis_policy_marks_conditional():
-    policy = BasePolicy(PolicyKind.HYPOTHESIS, gamma=6)
-    rep = classify(K3System.homogeneous(6, 2, 1, 4), policy)
+    rep = classify(K3System.homogeneous(6, 2, 1, 4), assume_base=True)
     assert rep.status is Status.CONDITIONAL
     assert rep.dim == rep.edim == 9
 
 
-def test_hypothesis_policy_rejected_for_gamma4():
-    with pytest.raises(ValueError):
-        BasePolicy(PolicyKind.HYPOTHESIS, gamma=4)
+def test_assume_base_never_applies_the_false_hypothesis_at_gamma4():
+    # L^4(2, 4) is the special wall: under the hypothesis it would read
+    # CONDITIONAL with dim -1
+    sys = K3System.homogeneous(4, 2, 4, 1)
+    rep = classify(sys, assume_base=True)
+    assert (rep.status, rep.dim) == (Status.SPECIAL, 0)
+    assert rep == classify(sys)
 
 
 def test_verify_agree(small_cfg):
@@ -149,13 +144,12 @@ def test_verify_unknown_records_oracle_dim(small_cfg):
     outcome = verify(sys, rep, small_cfg)
     assert outcome.kind is Verdict.SKIPPED
     assert isinstance(outcome.oracle_dim, int)
-    annotated = rep.with_oracle_dim(outcome.oracle_dim)
-    assert annotated.status is Status.UNKNOWN
+    assert rep.status is Status.UNKNOWN and rep.dim is None
 
 
 def test_verify_skips_non_quartic(small_cfg):
     sys = K3System.homogeneous(6, 2, 1, 4)
-    rep = classify(sys, BasePolicy(PolicyKind.HYPOTHESIS, gamma=6))
+    rep = classify(sys, assume_base=True)
     outcome = verify(sys, rep, small_cfg)
     assert outcome.kind is Verdict.SKIPPED
     assert outcome.oracle_dim is None
@@ -179,7 +173,7 @@ def test_verify_marks_only_budget_skips_over_budget(small_cfg):
     outcome = verify(sys, classify(sys), small_cfg, refuse)
     assert (outcome.kind, outcome.over_budget, outcome.reason) == (
         Verdict.SKIPPED, True, "too large")
-    rep = classify(K3System.homogeneous(6, 2, 1, 4), BasePolicy(PolicyKind.HYPOTHESIS, gamma=6))
+    rep = classify(K3System.homogeneous(6, 2, 1, 4), assume_base=True)
     assert not verify(K3System.homogeneous(6, 2, 1, 4), rep, small_cfg).over_budget
     assert not verify(sys, classify(sys), small_cfg).over_budget
 

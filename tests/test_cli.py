@@ -37,6 +37,28 @@ def test_vdim_rejects_odd_gamma(runner):
     assert "gamma must be even" in result.output
 
 
+def test_vdim_rejects_n_without_m(runner):
+    result = runner.invoke(main, ["vdim", "--gamma", "4", "-d", "2", "-n", "4"])
+    assert result.exit_code == 2
+    assert "-n needs -m" in result.output
+
+
+def test_vdim_m_alone_is_one_point(runner):
+    result = invoke(runner, "vdim", "--gamma", "4", "-d", "2", "-m", "4")
+    assert result.exit_code == 0
+    assert result.output.strip() == "vdim=-1 edim=-1"
+
+
+def test_vdim_record_errors_are_usage_errors(runner):
+    for args, message in ((["--gamma", "0", "-d", "2"], "gamma must be even and >= 2"),
+                          (["--gamma", "4", "-d", "0"], "degree must be >= 1"),
+                          (["--gamma", "4", "-d", "2", "-m", "0"], "m must be >= 1"),
+                          (["--gamma", "4", "-d", "2", "-m", "1", "-n", "0"], "n must be >= 1")):
+        result = runner.invoke(main, ["vdim", *args])
+        assert result.exit_code == 2, args
+        assert message in result.output, args
+
+
 def test_classify_with_trace(runner, tmp_path):
     trace = tmp_path / "trace.json"
     result = invoke(runner, "classify", "--gamma", "4", "-d", "2", "-m", "2",
@@ -92,6 +114,15 @@ def test_classify_hypothesis_policy(runner):
 def test_classify_gamma6_without_assume_base_is_usage_error(runner):
     result = runner.invoke(main, ["classify", "--gamma", "6", "-d", "2", "-m", "1", "-n", "4"])
     assert result.exit_code == 2
+
+
+def test_classify_assume_base_has_no_effect_at_gamma4(runner):
+    args = ("classify", "--gamma", "4", "-d", "2", "-m", "4", "-n", "1")
+    plain = invoke(runner, *args)
+    assumed = invoke(runner, *args, "--assume-base")
+    assert plain.exit_code == assumed.exit_code == 0
+    assert assumed.output == plain.output
+    assert "dim=0 status=SPECIAL" in assumed.output
 
 
 def test_classify_rejects_bad_n(runner):

@@ -112,11 +112,3 @@ def test_dimension_report_invariants():
         DimensionReport(3, 3, None, Status.NONSPECIAL)  # missing dim
     with pytest.raises(ValueError):
         DimensionReport(3, 3, 2, Status.NONSPECIAL)  # dim below edim
-
-
-def test_report_oracle_dim_is_advisory_only():
-    rep = DimensionReport(-18, -1, None, Status.UNKNOWN)
-    annotated = rep.with_oracle_dim(-1)
-    assert annotated.status is Status.UNKNOWN
-    assert annotated.oracle_dim == -1
-    assert annotated.dim is None

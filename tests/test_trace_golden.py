@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from k3fat.classify import BasePolicy, PolicyKind, classify
+from k3fat.classify import classify
 from k3fat.core import K3System
 from trace_reference import reference_dict
 
@@ -26,20 +26,22 @@ GOLDEN = json.loads((DATA / "trace_sha256.json").read_text())
 GOLDEN_V1 = json.loads((DATA / "trace_v1_sha256.json").read_text())
 
 
-def _policy(gamma):
-    return None if gamma == 4 else BasePolicy(PolicyKind.HYPOTHESIS, gamma=gamma)
-
-
 def _report(gamma, d, m, n):
-    return classify(K3System.homogeneous(gamma, d, m, n), _policy(gamma))
+    # the proved base at gamma = 4, the assumed non-special base elsewhere
+    return classify(K3System.homogeneous(gamma, d, m, n), assume_base=gamma != 4)
 
 
-def _grid(gamma):
+def _grid_keys(gamma):
     # every system of the acceptance grid, in grid order
     for d in range(1, 7):
         for m in range(1, 4):
             for n in (1, 4, 9, 16, 36):
-                yield _report(gamma, d, m, n)
+                yield gamma, d, m, n
+
+
+def _grid(gamma):
+    for key in _grid_keys(gamma):
+        yield _report(*key)
 
 
 def _key(case):
@@ -134,9 +136,9 @@ def test_node_table_matches_reference_on_grid(gamma):
 
 @pytest.mark.parametrize("gamma", [4, 6, 8])
 def test_node_system_has_the_node_key(gamma):
-    for report in _grid(gamma):
-        todo = [report.trace.node]
-        assert report.trace.root.key == todo[0].key
+    for key in _grid_keys(gamma):
+        todo = [_report(*key).trace.node]
+        assert todo[0].key == key
         while todo:
             node = todo.pop()
             assert node.system.key == node.key
