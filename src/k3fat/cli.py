@@ -138,9 +138,11 @@ def cmd_classify(gamma, d, m, n, trace_path, assume_base):
 # the engine report and is recomputed on every run.  The key holds the size
 # budget too, so an entry is served only where the measurement itself would
 # run: over budget the lookup misses and the measurement raises
-# BudgetExceededError.
+# BudgetExceededError.  Schema 3 stores cols = 2d^2 + 2, the standard
+# monomials the oracle ranks against; entries of schema 2, which stored
+# C(d+3, 3), are measured again rather than served.
 
-CACHE_SCHEMA = "k3fat.oracle-measurement/2"
+CACHE_SCHEMA = "k3fat.oracle-measurement/3"
 
 
 def _cache_path(cache_dir, key: dict) -> str:

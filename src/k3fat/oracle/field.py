@@ -1,12 +1,27 @@
 """Exact prime-field linear algebra and root finding for degree <= 4.
 
-Rank computation is plain Gaussian elimination over F_p; each pivot updates
-only the trailing columns, from the pivot column on.  For p up to
-isqrt(2^63) the elimination runs vectorized on int64 numpy arrays (products
-of two reduced entries fit in a signed 64-bit word); larger primes, which
-only an explicit choice reaches, take the slow path on object arrays of
-Python integers, which stay exact at any size.  `field_dtype` makes that
-choice for every array of field elements.
+For p up to isqrt(2^63) field elements live in int64 numpy arrays (a product
+of two reduced entries fits in a signed 64-bit word); larger primes, which
+only an explicit choice reaches, take object arrays of Python integers,
+which stay exact at any size.  `field_dtype` makes that choice for every
+array of field elements.
+
+`matmul_mod_p` is the one matrix product.  On int64 it is float64 BLAS on
+16-bit limbs with delayed reduction, in the style of FFLAS-FFPACK (Dumas,
+Giorgi and Pernet, ISSAC 2004 and ACM TOMS 35(3), 2008).  The left factor
+is split into its high and low 16-bit limbs, and each limb times the right
+factor is one float64 product per slab of _SLAB inner indices.  A limb is
+below 2^16 and an entry below p < 2^32, so a slab sum stays below
+_SLAB * 2^16 * 2^32 = 2^53, where float64 is exact.  The slab sums are added
+up in int64 and reduced mod p once per _SLABS_PER_REDUCTION slabs and at
+the end.  On object arrays the product is (a @ b) % p.
+
+`rank_mod_p` is blocked Gaussian elimination, one algorithm for both dtypes.
+Each panel of _PANEL columns is factored column by column while every row
+records its multipliers on the panel's original pivot rows; the rows without
+a pivot then get their trailing columns from one kernel call,
+T[k:] + G21 . T[:k].  The rank is the pivot count plus the rank of that
+trailing block, so the pivot rows themselves are never transformed.
 
 Roots are found by Cantor-Zassenhaus (Math. Comp. 36, 1981): the root part
 gcd(T^p - T, f) is split by equal-degree splitting with random shifts.  The
@@ -24,6 +39,17 @@ import numpy as np
 # two reduced entries plus one more reduced entry fits in int64.
 _INT64_SAFE_PRIME = 3_037_000_499
 
+# Inner-dimension slab of the limb product (32 * 2^16 * 2^32 = 2^53) and
+# column width of an elimination panel; a panel's pivot count never exceeds
+# a slab, so each trailing update is a single slab.
+_SLAB = 32
+_PANEL = 24
+_LIMB_BITS = 16
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# Slab sums are added up in int64 and reduced once per this many slabs:
+# 2^9 sums below 2^53 on top of a reduced entry stay below 2^63 - 2^48.
+_SLABS_PER_REDUCTION = 1 << 9
+
 
 def field_dtype(p: int):
     """numpy dtype for arrays of elements of F_p: int64 up to isqrt(2^63),
@@ -35,9 +61,31 @@ def inverse_mod(a: int, p: int) -> int:
     return pow(a % p, -1, p)
 
 
+def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for two matrices, or two stacks of as many matrices,
+    with entries in [0, p), in their dtype.
+
+    int64 operands (p <= isqrt(2^63) < 2^32) go through float64 BLAS on the
+    16-bit limbs of `a`, slab by slab (see the module docstring); object
+    operands multiply exactly as Python integers."""
+    if a.dtype == object or b.dtype == object:
+        return (a @ b) % p
+    hi = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+    lo = np.zeros_like(hi)
+    for count, start in enumerate(range(0, a.shape[-1], _SLAB), 1):
+        part = a[..., start:start + _SLAB]
+        slab = b[..., start:start + _SLAB, :].astype(np.float64)
+        hi += ((part >> _LIMB_BITS).astype(np.float64) @ slab).astype(np.int64)
+        lo += ((part & _LIMB_MASK).astype(np.float64) @ slab).astype(np.int64)
+        if count % _SLABS_PER_REDUCTION == 0:
+            hi %= p
+            lo %= p
+    return ((hi % p << _LIMB_BITS) + lo) % p
+
+
 def rank_mod_p(matrix, p: int) -> int:
-    """Exact rank over F_p of an integer matrix (a 2-D array or a list of
-    rows; an empty one has rank 0) by row elimination."""
+    """Exact rank over F_p of an integer matrix (a 2-D array or a sequence
+    of rows; an empty one has rank 0) by blocked row elimination."""
     arr = np.asarray(matrix)
     if arr.size == 0:
         return 0
@@ -46,33 +94,49 @@ def rank_mod_p(matrix, p: int) -> int:
     # rank(A) = rank(A^T); eliminating on the short side is cheaper.
     if arr.shape[0] > arr.shape[1]:
         arr = arr.T
-    a = np.array(arr, dtype=field_dtype(p)) % p
-    n_rows, n_cols = a.shape
+    block = np.array(arr, dtype=field_dtype(p), order="C") % p
     rank = 0
-    # Rows from `rank` down are zero left of `col`, so each pivot touches
-    # only the columns from `col` on.
-    for col in range(n_cols):
-        pivot = None
-        for i in range(rank, n_rows):
-            if a[i, col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot], col:] = a[[pivot, rank], col:]
-        inv = inverse_mod(int(a[rank, col]), p)
-        a[rank, col:] = (a[rank, col:] * inv) % p
-        below = a[rank + 1:, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            rows = nz + rank + 1
-            factors = a[rows, col]
-            a[rows, col:] = (a[rows, col:] - factors[:, None] * a[rank, col:][None, :]) % p
-        rank += 1
-        if rank == n_rows:
-            break
+    while block.shape[0] and block.shape[1]:
+        pivots, block = _eliminate_panel(block, p)
+        rank += pivots
     return rank
+
+
+def _eliminate_panel(block: np.ndarray, p: int):
+    """Eliminate the first panel of columns of `block`; returns the number
+    of pivots k it holds and the trailing columns of the other rows, reduced
+    against the k pivot rows.
+
+    `work` holds the panel and, beside it, each row's multipliers on the
+    original pivot rows found so far: a pivot row's own multiplier is 1, so
+    subtracting f times a pivot row subtracts f times its multipliers."""
+    n_rows = block.shape[0]
+    width = min(_PANEL, block.shape[1])
+    work = np.zeros((n_rows, 2 * width), dtype=block.dtype)
+    work[:, :width] = block[:, :width]
+    order = np.arange(n_rows)
+    k = 0
+    for col in range(width):
+        nz = np.flatnonzero(work[k:, col])
+        if nz.size == 0:
+            continue
+        pivot = k + nz[0]
+        if pivot != k:
+            work[[k, pivot]] = work[[pivot, k]]
+            order[[k, pivot]] = order[[pivot, k]]
+        work[k, width + k] = 1
+        rows = k + 1 + np.flatnonzero(work[k + 1:, col])
+        if rows.size:
+            factors = work[rows, col] * inverse_mod(int(work[k, col]), p) % p
+            work[rows] = (work[rows] - factors[:, None] * work[k]) % p
+        k += 1
+        if k == n_rows:
+            break
+    trailing = block[order[k:], width:]
+    if k == 0 or trailing.size == 0:
+        return k, trailing
+    multipliers = work[k:, width:width + k]
+    return k, (trailing + matmul_mod_p(multipliers, block[order[:k], width:], p)) % p
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,37 @@ degree-d systems on a K3 surface with gamma = 4.  A fat point of
 multiplicity m at a smooth point P of S imposes the vanishing of every
 coefficient of total degree < m of G restricted to S in local coordinates
 at P, where the restriction is computed through the implicit local series
-z = phi(x, y) of the surface.  Degree-d multiples of F restrict to zero, so
-the ambient projective dimension is C(d+3,3) - C(d-1,3) - 1 and the
-measured dimension of the system is that minus the condition-matrix rank.
+z = phi(x, y) of the surface.
+
+The columns are a basis of H^0(O_S(d)), not of all degree-d forms.  Let x_v
+be the first homogeneous variable whose pure fourth power has a nonzero
+coefficient in F (no random draw picks it).  In lex order with x_v first the
+leading term of F is a multiple of x_v^4, so the division algorithm writes
+every degree-d form as F * G plus a combination of the standard monomials,
+those with e_v <= 3, and F * G is zero on S (standard monomials: Cox, Little
+and O'Shea, Ideals, Varieties, and Algorithms, ch. 2).  There are
+C(d+3,3) - C(d-1,3) = 2d^2 + 2 of them, so the ambient projective dimension
+is ncols - 1 and the measured dimension of the system is that minus the
+rank of the condition matrix.  Every condition row vanishes on the multiples
+of F, so the rank on the standard columns equals the rank on all monomials.
+A quartic with no pure fourth power keeps every monomial as a column; the
+multiples of F then span C(d-1,3) of them and the ambient stays 2d^2 + 2.
 
 The block of conditions at a point P of multiplicity m is the product
-Sub(P) . Jet3(P) at order m - 1.  Jet3(P) holds, for every degree-d column
-monomial, its Taylor coefficients at P in closed form, prod_c C(e_c, a_c)
-P_c^(e_c - a_c), computed as numpy vectors over the columns.  Sub(P) is the
-small matrix of coefficients of s^i t^j psi^k, where psi = phi - P_solved is
-the local series without its constant term.  The local series is stored as
-the implicit solve returns it, a dense tuple in triangle order, and Jet3
-reads its factors from the jet table (binomial_shift) that the solve uses.
+Sub(P) . Jet3(P) at order m - 1; the blocks of a run of points of equal
+multiplicity come from one stacked call of the modular matmul kernel.
+Jet3(P) holds, for every (i, j, k) with i + j + k <= m - 1 and every column
+monomial, its Taylor coefficient prod_c C(e_c, a_c) P_c^(e_c - a_c) at P,
+the outer product of three jet tables (binomial_shift, the one the implicit
+solve uses).  Sub(P) holds the coefficients of s^i t^j psi^k, where
+psi = phi - P_solved is the local series without its constant term, stored
+as the implicit solve returns it, a dense tuple in triangle order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +48,7 @@ from .config import (
     SamplingError,
     derived_rng,
 )
-from .field import field_dtype, poly_roots, rank_mod_p
+from .field import field_dtype, matmul_mod_p, poly_roots, rank_mod_p
 from .series import (
     ChartSingularError,
     binomial_shift,
@@ -69,6 +84,20 @@ def binom3(n: int) -> int:
 def num_degree_forms(d: int) -> int:
     """Monomial count C(d+3, 3) of degree-d forms in four variables."""
     return binom3(d + 3)
+
+
+def num_surface_forms(d: int) -> int:
+    """dim H^0(O_S(d)) = C(d+3,3) - C(d-1,3) = 2d^2 + 2 for a quartic S and
+    d >= 1: the number of standard monomials of degree d."""
+    return 2 * d * d + 2
+
+
+@lru_cache(maxsize=64)
+def _degree_exponents(d: int) -> np.ndarray:
+    """monomial_exponents(d) as a read-only (C(d+3,3), 4) array."""
+    exps = np.array(monomial_exponents(d), dtype=np.int64)
+    exps.flags.writeable = False
+    return exps
 
 
 def _dehomogenize(coeffs: Dict[Exponents, int]) -> Dict[Tuple[int, int, int], int]:
@@ -135,6 +164,18 @@ class QuarticSurfaceInstance:
 
     def affine_poly(self) -> Dict[Tuple[int, int, int], int]:
         return _dehomogenize(dict(self.coefficients))
+
+    def column_exponents(self, d: int) -> np.ndarray:
+        """The degree-d monomials indexing the condition columns, as rows
+        (e0, e1, e2, e3) in monomial_exponents order: those with e_v <= 3
+        for the first variable v whose pure fourth power has a nonzero
+        coefficient in F, or all of them when none has."""
+        exps = _degree_exponents(d)
+        coeffs = dict(self.coefficients)
+        for v in range(4):
+            if coeffs.get(tuple(4 * (c == v) for c in range(4))):
+                return exps[exps[:, v] <= 3]
+        return exps
 
     def validate(self) -> None:
         """Check F(P) = 0 and chart smoothness at every stored point."""
@@ -220,38 +261,68 @@ def sample_quartic_instance(
     raise SamplingError("could not sample a usable quartic within budget")
 
 
-def _jet_factors(coord: int, exps, d: int, order: int, p: int, dtype) -> list:
-    """For k = 0..order, the vector over the column exponents e of the s^k
-    coefficient C(e, k) coord^(e - k) of (coord + s)^e mod p (zero if e < k);
-    Jet3 is the product of three such factors, one per affine slot."""
-    return [np.array(row, dtype=dtype)[exps] for row in binomial_shift(coord, d, order, p)]
+@lru_cache(maxsize=64)
+def _triples(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (i, j, k) with i + j + k <= order that index Sub's columns and
+    Jet3's rows: (i, j) in triangle(order) order, then k ascending."""
+    ijk = [(i, j, k) for i, j in triangle(order) for k in range(order + 1 - i - j)]
+    return tuple(np.array(ijk, dtype=np.intp).T)
 
 
-def _substitution(psi: Sequence[int], order: int, p: int) -> list:
-    """Sub(P), column by column: for each (i, j, k) with i + j + k <= order,
-    the nonzero coefficients (row, c) of s^i t^j psi^k, psi(0, 0) = 0, where
-    row indexes triangle(order)."""
+def _jet3(points, exps: np.ndarray, d: int, order: int, p: int, dtype) -> np.ndarray:
+    """Jet3 of each point, stacked: row (i, j, k) of a point's matrix is, over
+    the columns, the product mod p of the s^i, t^j and z^k coefficients of
+    the column monomial shifted to the point along its two parameter slots
+    and its solved slot.  Each factor comes from the jet table of the slot's
+    coordinate (binomial_shift), read at the column's exponent of that slot."""
+    tables = np.array(
+        [[binomial_shift(x, d, order, p) for x in pt.affine] for pt in points], dtype=dtype
+    )  # tables[n, slot - 1, k, e]
+    n = np.arange(len(points))[:, None, None]
+    power = np.arange(order + 1)[None, :, None]
+    jets = []
+    for role in range(3):  # parameter s, parameter t, solved coordinate
+        slot = np.array([(*pt.param_slots, pt.solved_slot)[role] - 1 for pt in points])
+        jets.append(tables[n, slot[:, None, None], power, exps[slot][:, None, :]])
+    i, j, k = _triples(order)
+    jet3 = jets[0][:, i]  # in place from here on: one temporary at a time
+    jet3 *= jets[1][:, j]
+    jet3 %= p
+    jet3 *= jets[2][:, k]
+    jet3 %= p
+    return jet3
+
+
+def _substitution(points, order: int, p: int, dtype) -> np.ndarray:
+    """Sub of each point, stacked: row (a, b) of triangle(order), column
+    (i, j, k) of _triples(order), holds the s^a t^b coefficient of
+    s^i t^j psi^k, that is the s^(a-i) t^(b-j) coefficient of psi^k (zero
+    unless a >= i and b >= j)."""
     pos = triangle(order)
-    index = {ij: n for n, ij in enumerate(pos)}
     pairs = unit_pairs(order)
-    powers = [[1] + [0] * (len(pos) - 1)]
-    for _ in range(order):
-        powers.append(dense_mul(powers[-1], psi, pairs, p))
-    out = []
+    a, b = np.array(pos, dtype=np.intp).T
+    # grid[n, k, a, b]: the s^a t^b coefficient of psi^k at point n
+    grid = np.zeros((len(points),) + (order + 1,) * 3, dtype=dtype)
+    for n, pt in enumerate(points):
+        psi = (0, *pt.local_series[1:]) if order else (0,)
+        powers = [[1] + [0] * (len(pos) - 1)]
+        for _ in range(order):
+            powers.append(dense_mul(powers[-1], psi, pairs, p))
+        grid[n][:, a, b] = np.array(powers, dtype=dtype)
+    sub = np.zeros((len(points), len(pos), len(_triples(order)[0])), dtype=dtype)
+    col = 0
     for i, j in pos:
-        for k in range(order + 1 - i - j):
-            entries = []
-            for n, (a, b) in enumerate(pos):
-                if a >= i and b >= j:
-                    c = powers[k][index[(a - i, b - j)]]
-                    if c:
-                        entries.append((n, c))
-            out.append((i, j, k, entries))
-    return out
+        rows = np.flatnonzero((a >= i) & (b >= j))
+        width = order + 1 - i - j
+        sub[:, rows, col:col + width] = grid[:, :width, a[rows] - i, b[rows] - j].transpose(0, 2, 1)
+        col += width
+    return sub
 
 
-def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[List[int]]:
-    """Condition rows over the degree-d monomial columns for every point.
+def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarray]:
+    """Condition rows over the columns `instance.column_exponents(d)` for
+    every point: the rows of one 2-D array, as a list, so that truth tests
+    and len() keep working for callers.
 
     Each point contributes the block Sub(P) . Jet3(P) (see the module
     docstring), one row per coefficient s^i t^j in triangle order.  Entries
@@ -259,23 +330,15 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[List[int
     """
     p = instance.prime
     dtype = field_dtype(p)
-    exps = np.array(monomial_exponents(d), dtype=np.int64)[:, 1:].T
-    rows: List[List[int]] = []
-    for pt in instance.points:
-        order = pt.multiplicity - 1
-        sa, sb = pt.param_slots
-        jet_a, jet_b, jet_c = (
-            _jet_factors(pt.affine[slot - 1], exps[slot - 1], d, order, p, dtype)
-            for slot in (sa, sb, pt.solved_slot)
-        )
-        psi = (0, *pt.local_series[1:]) if order else (0,)
-        block = [0] * len(psi)
-        for i, j, k, entries in _substitution(psi, order, p):
-            jet = jet_a[i] * jet_b[j] % p * jet_c[k] % p
-            for n, c in entries:
-                block[n] = (block[n] + c * jet) % p
-        rows.extend(row.tolist() for row in block)
-    return rows
+    exps = instance.column_exponents(d)[:, 1:].T
+    blocks = [np.zeros((0, exps.shape[1]), dtype=dtype)]
+    for multiplicity, run in groupby(instance.points, key=lambda pt: pt.multiplicity):
+        run = list(run)
+        order = multiplicity - 1
+        sub = _substitution(run, order, p, dtype)
+        jet3 = _jet3(run, exps, d, order, p, dtype)
+        blocks.append(matmul_mod_p(sub, jet3, p).reshape(-1, exps.shape[1]))
+    return list(np.concatenate(blocks))
 
 
 def measure_k3(
@@ -288,20 +351,25 @@ def measure_k3(
     p = prime or cfg.prime
     # (m, n) as ints, largest first: the groups also tag each trial's RNG
     groups = tuple(sorted(((int(m), int(n)) for m, n in points), reverse=True))
-    ncols = num_degree_forms(d)
+    ncols = num_surface_forms(d)
     nrows = sum(n * point_conditions(m) for m, n in groups)
     if nrows > cfg.budget_rows or ncols > cfg.budget_rows:
         raise BudgetExceededError(
             f"quartic condition matrix {nrows}x{ncols} exceeds budget {cfg.budget_rows}"
         )
-    ambient = ncols - binom3(d - 1)  # degree-d multiples of F cut no divisor
     trial_dims = []
     for trial in range(cfg.trials):
         rng = derived_rng(cfg.seed, "k3", p, d, groups, trial)
         instance = sample_quartic_instance(groups, p, rng)
+        columns = len(instance.column_exponents(d))
+        if columns > cfg.budget_rows:  # a quartic without pure fourth powers
+            raise BudgetExceededError(
+                f"quartic condition matrix {nrows}x{columns} (all monomials) "
+                f"exceeds budget {cfg.budget_rows}"
+            )
         rows = k3_condition_rows(d, instance)
         rank = rank_mod_p(rows, p) if rows else 0
-        trial_dims.append(ambient - rank - 1)
+        trial_dims.append(ncols - rank - 1)
     dim = min(trial_dims)
     low_confidence = len(set(trial_dims)) > 1
     return OracleMeasurement(dim, tuple(trial_dims), low_confidence, p, nrows, ncols)

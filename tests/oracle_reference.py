@@ -1,0 +1,102 @@
+"""The seed's condition rows and rank: the tests' reference for the oracle.
+
+`ref_k3_condition_rows` builds the condition rows over every degree-d
+monomial, C(d+3, 3) columns, one (i, j, k) term of Sub(P) . Jet3(P) at a
+time; the oracle itself keeps only the standard monomials of
+`QuarticSurfaceInstance.column_exponents` and forms each block with one
+kernel product.  `ref_rank_mod_p` is the unblocked elimination, one pivot
+at a time over the trailing columns.  Both are kept verbatim in behaviour,
+and the tests compare the oracle with them.
+"""
+from typing import List, Sequence
+
+import numpy as np
+
+from k3fat.oracle.field import field_dtype, inverse_mod
+from k3fat.oracle.quartic import monomial_exponents
+from k3fat.oracle.series import binomial_shift, dense_mul, triangle, unit_pairs
+
+
+def ref_rank_mod_p(matrix, p: int) -> int:
+    """Exact rank over F_p by row elimination, one pivot at a time."""
+    arr = np.asarray(matrix)
+    if arr.size == 0:
+        return 0
+    if arr.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    if arr.shape[0] > arr.shape[1]:
+        arr = arr.T
+    a = np.array(arr, dtype=field_dtype(p)) % p
+    n_rows, n_cols = a.shape
+    rank = 0
+    for col in range(n_cols):
+        pivot = None
+        for i in range(rank, n_rows):
+            if a[i, col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != rank:
+            a[[rank, pivot], col:] = a[[pivot, rank], col:]
+        inv = inverse_mod(int(a[rank, col]), p)
+        a[rank, col:] = (a[rank, col:] * inv) % p
+        below = a[rank + 1:, col]
+        nz = np.nonzero(below)[0]
+        if nz.size:
+            rows = nz + rank + 1
+            factors = a[rows, col]
+            a[rows, col:] = (a[rows, col:] - factors[:, None] * a[rank, col:][None, :]) % p
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _jet_factors(coord: int, exps, d: int, order: int, p: int, dtype) -> list:
+    return [np.array(row, dtype=dtype)[exps] for row in binomial_shift(coord, d, order, p)]
+
+
+def _substitution(psi: Sequence[int], order: int, p: int) -> list:
+    """For each (i, j, k) with i + j + k <= order, the nonzero coefficients
+    (row, c) of s^i t^j psi^k, where row indexes triangle(order)."""
+    pos = triangle(order)
+    index = {ij: n for n, ij in enumerate(pos)}
+    pairs = unit_pairs(order)
+    powers = [[1] + [0] * (len(pos) - 1)]
+    for _ in range(order):
+        powers.append(dense_mul(powers[-1], psi, pairs, p))
+    out = []
+    for i, j in pos:
+        for k in range(order + 1 - i - j):
+            entries = []
+            for n, (a, b) in enumerate(pos):
+                if a >= i and b >= j:
+                    c = powers[k][index[(a - i, b - j)]]
+                    if c:
+                        entries.append((n, c))
+            out.append((i, j, k, entries))
+    return out
+
+
+def ref_k3_condition_rows(d: int, instance) -> List[List[int]]:
+    """Condition rows over all C(d+3, 3) degree-d monomial columns."""
+    p = instance.prime
+    dtype = field_dtype(p)
+    exps = np.array(monomial_exponents(d), dtype=np.int64)[:, 1:].T
+    rows: List[List[int]] = []
+    for pt in instance.points:
+        order = pt.multiplicity - 1
+        sa, sb = pt.param_slots
+        jet_a, jet_b, jet_c = (
+            _jet_factors(pt.affine[slot - 1], exps[slot - 1], d, order, p, dtype)
+            for slot in (sa, sb, pt.solved_slot)
+        )
+        psi = (0, *pt.local_series[1:]) if order else (0,)
+        block = [0] * len(psi)
+        for i, j, k, entries in _substitution(psi, order, p):
+            jet = jet_a[i] * jet_b[j] % p * jet_c[k] % p
+            for n, c in entries:
+                block[n] = (block[n] + c * jet) % p
+        rows.extend(row.tolist() for row in block)
+    return rows

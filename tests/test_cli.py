@@ -174,6 +174,27 @@ def test_verify_cache_roundtrip(runner, tmp_path):
     assert second.output == first.output
 
 
+def test_verify_cache_measures_schema_2_entries_again(runner, tmp_path):
+    # schema 2 stored the raw monomial count C(d+3, 3) as cols; such an
+    # entry, even one with a wrong dim, is never served
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old_key = {"schema": "k3fat.oracle-measurement/2", "d": 4, "points": [[2, 4]],
+               "prime": 2**31 - 1, "prime2": None, "seed": 1, "trials": 2,
+               "budget_rows": 20000}
+    digest = hashlib.sha256(json.dumps(old_key, sort_keys=True).encode()).hexdigest()
+    stale = dict(old_key, measurement={"dim": 9, "trial_dims": [9, 9], "low_confidence": False,
+                                       "prime": 2**31 - 1, "rows": 12, "cols": 35})
+    (cache / f"{digest}.json").write_text(json.dumps(stale))
+    result = invoke(runner, "--trials", "2", "--prime2", "0", "verify", "--gamma", "4",
+                    "-d", "4", "-m", "2", "-n", "4", "--cache", str(cache))
+    assert "verdict=AGREE" in result.output and "oracle_dim=21" in result.output
+    (fresh,) = [p for p in cache.glob("*.json") if p.name != f"{digest}.json"]
+    entry = json.loads(fresh.read_text())
+    assert entry["schema"] == "k3fat.oracle-measurement/3"
+    assert (entry["measurement"]["dim"], entry["measurement"]["cols"]) == (21, 34)
+
+
 def test_verify_cache_keeps_one_file_per_key(runner, tmp_path, monkeypatch):
     # runs that differ only in a key field other than (d, m, n, prime, seed)
     # keep separate entries: switching back is served from the cache

@@ -7,17 +7,31 @@ The reference implementations below are the original list/dict versions,
 kept here verbatim in behaviour, and each property compares the two.  The
 rank reference is the elimination that rewrote whole rows at every pivot.
 The series references compute with the sparse Series2 of series_reference and
-hand their results over in the oracle's dense layout.
+hand their results over in the oracle's dense layout.  The condition-row
+reference spans every degree-d monomial; the oracle keeps the standard
+monomials only, so the rows are compared on the kept columns, and the
+dimensions against the full-column pipeline of oracle_reference.
 """
+from dataclasses import replace
 from random import Random
 from typing import Dict, List
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_reference import ref_k3_condition_rows
+from oracle_reference import ref_rank_mod_p as ref_one_pivot_rank
 from series_reference import Series2, eval_poly3, from_dense, power_table, to_dense
 
-from k3fat.oracle.config import SamplingError
+from k3fat.oracle import quartic
+from k3fat.oracle.config import (
+    DEFAULT_PRIME,
+    DEFAULT_PRIME2,
+    BudgetExceededError,
+    PrimeFieldConfig,
+    SamplingError,
+)
 from k3fat.oracle.field import field_dtype, inverse_mod, poly_roots, rank_mod_p
 from k3fat.oracle.quartic import (
     _affine_partial,
@@ -25,8 +39,12 @@ from k3fat.oracle.quartic import (
     _oriented_poly,
     QuarticSurfaceInstance,
     SurfacePoint,
+    binom3,
     k3_condition_rows,
+    measure_k3,
     monomial_exponents,
+    num_degree_forms,
+    num_surface_forms,
     sample_quartic_instance,
 )
 from k3fat.oracle.series import ChartSingularError, solve_implicit
@@ -342,33 +360,121 @@ def test_sample_quartic_instance_matches_reference_and_rng_stream(p, groups, see
     assert new_rng.getstate() == ref_rng.getstate()
 
 
+def kept_columns(d, instance):
+    """Positions of the oracle's columns among all degree-d monomials."""
+    index = {e: n for n, e in enumerate(monomial_exponents(d))}
+    return [index[tuple(e)] for e in instance.column_exponents(d).tolist()]
+
+
 @given(st.sampled_from(ORACLE_PRIMES), groups_strategy,
        st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=25, deadline=None)
 def test_condition_rows_match_reference(p, groups, d, seed):
     instance = sample_quartic_instance(groups, p, Random(seed))
+    rows = np.array(k3_condition_rows(d, instance))
+    full = ref_condition_rows(d, instance)
+    assert ref_k3_condition_rows(d, instance) == full
+    keep = kept_columns(d, instance)
+    assert len(keep) == 2 * d * d + 2
+    assert rows.tolist() == [[row[n] for n in keep] for row in full]
+
+
+class NoPurePowers(Random):
+    """A generator whose first draws, the coefficients of the first sampled
+    quartic, are 0 at the four pure fourth powers x_v^4."""
+
+    PURE = frozenset(n for n, e in enumerate(monomial_exponents(4)) if 4 in e)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.draws += 1
+        return 0 if self.draws - 1 in self.PURE else value
+
+
+def full_column_dim(d, instance):
+    """The dimension the seed measured: all C(d+3, 3) monomial columns, less
+    the C(d-1, 3) multiples of F, less the one-pivot rank."""
+    p = instance.prime
+    rank = ref_one_pivot_rank(ref_k3_condition_rows(d, instance), p)
+    return num_degree_forms(d) - binom3(d - 1) - rank - 1
+
+
+def std_column_dim(d, instance):
     rows = k3_condition_rows(d, instance)
-    assert rows == ref_condition_rows(d, instance)
-    assert all(type(x) is int for row in rows for x in row)
+    return num_surface_forms(d) - (rank_mod_p(rows, instance.prime) if rows else 0) - 1
 
 
-def _rank_problem(p, n_rows, n_cols, n_basis, seed):
+point_groups = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6)),
+    min_size=1, max_size=3, unique_by=lambda g: g[0],
+).map(lambda gs: tuple(sorted(gs, reverse=True)))
+
+
+@given(st.sampled_from((DEFAULT_PRIME, DEFAULT_PRIME2)), point_groups,
+       st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_standard_columns_keep_the_dimension(p, groups, d, seed):
+    instance = sample_quartic_instance(groups, p, Random(seed))
+    assert len(instance.column_exponents(d)) == num_surface_forms(d)
+    assert std_column_dim(d, instance) == full_column_dim(d, instance)
+
+
+def test_quartic_without_pure_powers_falls_back_to_all_monomials():
+    for p in (DEFAULT_PRIME, DEFAULT_PRIME2):
+        instance = sample_quartic_instance(((3, 2), (2, 3), (1, 4)), p, NoPurePowers(5))
+        instance.validate()
+        coeffs = dict(instance.coefficients)
+        assert all(coeffs[e] == 0 for e in monomial_exponents(4) if 4 in e)
+        for d in range(1, 10):
+            assert len(instance.column_exponents(d)) == num_degree_forms(d)
+            assert std_column_dim(d, instance) == full_column_dim(d, instance)
+
+
+def test_full_column_fallback_counts_against_the_budget(monkeypatch):
+    # 2d^2 + 2 = 52 standard columns pass a budget of 53; the fallback's
+    # C(8, 3) = 56 columns do not, and the over-budget message says so
+    monkeypatch.setattr(quartic, "derived_rng", lambda seed, *tags: NoPurePowers(seed))
+    cfg = PrimeFieldConfig(prime2=None, trials=2, budget_rows=53)
+    with pytest.raises(BudgetExceededError, match="9x56"):
+        measure_k3(5, [(2, 3)], cfg)
+    m = measure_k3(5, [(2, 3)], replace(cfg, budget_rows=56))
+    assert (m.dim, m.rows, m.cols) == (42, 9, 52)
+
+
+def _rank_problem(p, n_rows, n_cols, n_basis, seed, zero_band=(0, 0)):
     """A matrix mod p whose rows are combinations of a few random rows, so
-    that rank deficiency, zero columns and late pivots are common."""
+    that rank deficiency, zero columns and late pivots are common; the
+    columns in zero_band = (start, width) are zero in every row."""
     rng = Random(seed)
-    basis = [[rng.choice((0, 0, 1, p - 1, rng.randrange(p))) for _ in range(n_cols)]
-             for _ in range(n_basis)]
-    rows = []
-    for _ in range(n_rows):
-        weights = [rng.choice((0, 1, 2, p - 1)) for _ in basis]
-        rows.append([sum(w * b[j] for w, b in zip(weights, basis)) % p for j in range(n_cols)])
-    return rows
+    start, width = zero_band
+    basis = np.array(
+        [[0 if start <= j < start + width else rng.choice((0, 0, 1, p - 1, rng.randrange(p)))
+          for j in range(n_cols)] for _ in range(n_basis)], dtype=object)
+    weights = np.array([[rng.choice((0, 1, 2, p - 1)) for _ in range(n_basis)]
+                        for _ in range(n_rows)], dtype=object)
+    return ((weights @ basis) % p).tolist()
 
 
-@given(st.sampled_from(ORACLE_PRIMES), st.integers(min_value=1, max_value=12),
-       st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
-       st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=300, deadline=None)
-def test_rank_mod_p_matches_whole_row_reference(p, n_rows, n_cols, n_basis, seed):
-    rows = _rank_problem(p, n_rows, n_cols, n_basis, seed)
+@st.composite
+def rank_problems(draw):
+    """Shapes up to 100 x 100, so that the elimination crosses several
+    panels, with a band of zero columns as wide as a whole panel or more."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    n_rows = draw(st.integers(min_value=1, max_value=100))
+    n_cols = draw(st.integers(min_value=1, max_value=100))
+    n_basis = draw(st.integers(min_value=1, max_value=40))
+    start = draw(st.integers(min_value=0, max_value=n_cols))
+    width = draw(st.integers(min_value=0, max_value=60))
+    return _rank_problem(p, n_rows, n_cols, n_basis, draw(st.integers(0, 2**32)),
+                         (start, width)), p
+
+
+@given(rank_problems())
+@settings(max_examples=120, deadline=None)
+def test_rank_mod_p_matches_whole_row_reference(problem):
+    rows, p = problem
     assert rank_mod_p(rows, p) == ref_rank_mod_p(rows, p)

@@ -9,6 +9,7 @@ from k3fat.oracle.field import (
     _pgcd,
     _pmul,
     field_dtype,
+    matmul_mod_p,
     poly_roots,
     rank_mod_p,
 )
@@ -76,6 +77,28 @@ def test_rank_int64_edge_matches_object_path(monkeypatch):
     assert all(r <= bound for r, (_, bound) in zip(fast, matrices))
     monkeypatch.setattr(field, "field_dtype", lambda p: object)
     assert fast == [rank_mod_p(m, p) for m, _ in matrices]
+
+
+@pytest.mark.parametrize("p", (P1, P_EDGE, P2))
+def test_matmul_mod_p_is_exact(p):
+    # entries next to p maximise every limb product, and inner dimensions
+    # around the 32-wide slab cross its boundaries
+    rng = Random(p)
+    values = (0, p - 2, p - 1)
+    for inner in (1, 31, 32, 33, 64):
+        a = [[rng.choice(values) for _ in range(inner)] for _ in range(5)]
+        b = [[rng.choice(values) for _ in range(7)] for _ in range(inner)]
+        expected = (np.array(a, dtype=object) @ np.array(b, dtype=object)) % p
+        got = matmul_mod_p(np.array(a, dtype=field_dtype(p)), np.array(b, dtype=field_dtype(p)), p)
+        assert got.dtype == field_dtype(p)
+        assert got.tolist() == expected.tolist()
+    # 2^11 slabs whose low limbs are all 2^16 - 1: their unreduced sum
+    # would pass 2^63, so this needs the periodic reduction of the slab sums
+    inner = 2**16
+    x = ((p >> 16) - 1) << 16 | 0xFFFF
+    a = np.full((1, inner), x, dtype=field_dtype(p))
+    b = np.full((inner, 1), p - 1, dtype=field_dtype(p))
+    assert matmul_mod_p(a, b, p).tolist() == [[inner * x * (p - 1) % p]]
 
 
 def test_rank_transpose_invariance():

@@ -55,7 +55,7 @@ def test_degree_four_quotient_dimension(small_cfg):
     # dimension matches the ambient projective dimension 2d^2 + 1 for d >= 4
     m = measure_k3(5, [], small_cfg)
     assert m.dim == 51
-    assert m.cols == 56  # raw monomial count, before the quotient
+    assert m.cols == 52  # the standard monomials, 2d^2 + 2
 
 
 def test_oracle_at_least_vdim(small_cfg):
