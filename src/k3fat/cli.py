@@ -32,6 +32,9 @@ from .oracle import (
 )
 
 SWEEP_HEADER = "gamma,d,m,n,vdim,edim,dim,status,oracle_dim,verdict"
+# Most (d, m, n) tasks one sweep may hold; a larger grid is a usage error
+# before any task runs or any worker starts.
+MAX_SWEEP_TASKS = 10_000
 
 
 def _build_config(prime, prime2, seed, trials, budget_rows) -> PrimeFieldConfig:
@@ -316,6 +319,11 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
     for n in n_values:
         if n < 1 or not is_admissible_count(n):
             raise click.UsageError(f"n-set entry {n} is not of the form 4^u * 9^w")
+    count = (d_hi - d_lo + 1) * (m_hi - m_lo + 1) * len(n_values)
+    if count > MAX_SWEEP_TASKS:
+        raise click.UsageError(
+            f"the grid has {count} (d, m, n) tasks; a sweep holds at most {MAX_SWEEP_TASKS}"
+        )
 
     tasks = [
         (gamma, d, m, n, cfg, oracle, cache_dir)

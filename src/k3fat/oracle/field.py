@@ -25,13 +25,24 @@ trailing block, so the pivot rows themselves are never transformed.
 
 Roots are found by Cantor-Zassenhaus (Math. Comp. 36, 1981): the root part
 gcd(T^p - T, f) is split by equal-degree splitting with random shifts.  The
-powers T^p mod f and (T + shift)^((p-1)/2) mod g are the hot path; they run
-left to right on four-coefficient residues, one unrolled squaring (each
-coefficient reduced once) and one multiply-by-linear per exponent bit.
+Frobenius T^p mod f is the hot path.  It runs left to right on
+four-coefficient residues, one unrolled squaring per exponent bit (each
+coefficient reduced once); at a set bit the multiply by T is fused into the
+squaring, a^2 * T with one more fold, so every bit costs one kernel call.
+The root-part gcd runs in place on at most five coefficients with a single
+inverse, for the final monic normalisation.  A root part of degree 2, the
+common case, is solved in closed form with a Tonelli-Shanks square root on
+the builtin pow (Shanks, 1973), and the shifts that splitting would have
+drawn are still drawn: a shift is kept exactly when splitting by it would
+succeed, which one Legendre symbol decides, so the random stream is the
+same.  Root parts of degree 3 and 4 are split by (T + shift)^((p-1)/2),
+one squaring and one multiply-by-linear per exponent bit, and their
+quadratic pieces again take the closed form.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,10 +212,25 @@ def _monic(f: Sequence[int], p: int) -> List[int]:
 
 
 def _pgcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
-    f, g = _monic(f, p), _monic(g, p)
+    """Monic gcd by Euclid's algorithm, in place on two short lists.
+
+    Each remainder is taken up to the factor lead(divisor)^k, which leaves
+    the gcd unchanged and needs no inverse: the one inverse is the final
+    normalisation."""
+    f = _pstrip([c % p for c in f])
+    g = _pstrip([c % p for c in g])
     while g:
-        f, g = g, _monic(_pmod(f, g, p), p)
-    return f
+        lead, dg = g[-1], len(g) - 1
+        while len(f) > dg:  # f <- lead * f - top * T^shift * g, one degree down
+            top = f.pop()
+            if top:
+                shift = len(f) - dg
+                for i in range(shift):
+                    f[i] = f[i] * lead % p
+                for i in range(dg):
+                    f[shift + i] = (f[shift + i] * lead - top * g[i]) % p
+        f, g = g, _pstrip(f)
+    return _monic(f, p)
 
 
 def _sqrmod4(a: Tuple[int, ...], g: Sequence[int], p: int) -> Tuple[int, ...]:
@@ -237,29 +263,91 @@ def _mul_linear4(a: Tuple[int, ...], shift: int, g: Sequence[int], p: int) -> Tu
     )
 
 
+def _sqr_times_t4(a: Tuple[int, ...], g: Sequence[int], p: int) -> Tuple[int, ...]:
+    """a^2 * T mod the quartic of `_sqrmod4`: the squaring and the multiply
+    by T of a set exponent bit in one step, with one more fold (T^7)."""
+    a0, a1, a2, a3 = a
+    g0, g1, g2, g3 = g
+    c7 = a3 * a3 % p
+    c6 = (2 * a2 * a3 - c7 * g3) % p
+    c5 = (2 * a1 * a3 + a2 * a2 - c7 * g2 - c6 * g3) % p
+    c4 = (2 * (a0 * a3 + a1 * a2) - c7 * g1 - c6 * g2 - c5 * g3) % p
+    return (
+        -c4 * g0 % p,
+        (a0 * a0 - c5 * g0 - c4 * g1) % p,
+        (2 * a0 * a1 - c6 * g0 - c5 * g1 - c4 * g2) % p,
+        (2 * a0 * a2 + a1 * a1 - c7 * g0 - c6 * g1 - c5 * g2 - c4 * g3) % p,
+    )
+
+
 def _linear_powmod(shift: int, e: int, g: Sequence[int], p: int) -> List[int]:
     """(T + shift)^e mod a monic g of degree 2 to 4, stripped.
 
     Left-to-right binary powering: one squaring per bit of e and one
-    multiply-by-(T + shift) per set bit after the leading one.  The powers
-    are kept modulo the quartic g * T^(4 - deg g), a multiple of g, so the
-    same four-coefficient kernels serve every degree; one final reduction
-    mod g gives the result."""
+    multiply-by-(T + shift) per set bit after the leading one; for shift 0
+    (the Frobenius T^p) the two are one fused step.  The powers are kept
+    modulo the quartic g * T^(4 - deg g), a multiple of g, so the same
+    four-coefficient kernels serve every degree; one final reduction mod g
+    gives the result."""
     low = ([0] * (5 - len(g)) + list(g))[:4]
-    r = (shift % p, 1, 0, 0)
+    shift %= p
+    r = (shift, 1, 0, 0)
     for bit in bin(e)[3:]:
-        r = _sqrmod4(r, low, p)
-        if bit == "1":
-            r = _mul_linear4(r, shift, low, p)
+        if bit == "0":
+            r = _sqrmod4(r, low, p)
+        elif shift:
+            r = _mul_linear4(_sqrmod4(r, low, p), shift, low, p)
+        else:
+            r = _sqr_times_t4(r, low, p)
     return _pmod(r, g, p)
+
+
+@lru_cache(maxsize=16)
+def _sqrt_constants(p: int) -> Tuple[int, int]:
+    """(s, c) for Tonelli-Shanks at p: p - 1 = q 2^s with q odd, and c = z^q
+    for the least quadratic non-residue z (found by Euler's criterion, so
+    no random draw is spent)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return s, pow(z, (p - 1) >> s, p)
+
+
+def sqrt_mod(a: int, p: int) -> Optional[int]:
+    """A square root of a mod an odd prime p, or None if a is a non-residue.
+
+    Tonelli-Shanks (Shanks, 1973) on the builtin pow: one power
+    w = a^((q - 1)/2) gives r = a w = a^((q + 1)/2) and t = r w = a^q, and
+    while t != 1 the least i with t^(2^i) = 1 is found by squaring, which
+    reaches the current 2-adic bound m exactly when a is a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    m, c = _sqrt_constants(p)
+    w = pow(a, ((p - 1) >> m) >> 1, p)
+    r = a * w % p
+    t = r * w % p
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+            if i == m:
+                return None
+        b = pow(c, 1 << (m - i - 1), p)
+        r, c, m = r * b % p, b * b % p, i
+        t = t * c % p
+    return r
 
 
 def poly_roots(coeffs: Sequence[int], p: int, rng) -> List[int]:
     """Sorted distinct roots in F_p of a nonzero polynomial of degree <= 4.
 
     The root part is isolated as gcd(T^p - T, f) and then split by
-    equal-degree splitting with random shifts; `rng` drives the shifts, so
-    results are deterministic for a fixed seed.
+    equal-degree splitting with random shifts, a quadratic in closed form
+    with the same shifts drawn; `rng` drives the shifts, so results and the
+    generator's state afterwards are deterministic for a fixed seed.
     """
     f = _monic(coeffs, p)
     if not f:
@@ -276,13 +364,31 @@ def poly_roots(coeffs: Sequence[int], p: int, rng) -> List[int]:
 
 
 def _split_linear(g: List[int], p: int, rng) -> List[int]:
-    """Roots of a monic product of distinct linear factors."""
+    """Roots of a monic product of distinct linear factors.
+
+    A quadratic is solved in closed form and then consumes the draws that
+    equal-degree splitting would: a shift splits (T - r1)(T - r2) when
+    exactly one of (r1 + shift)^((p-1)/2) and (r2 + shift)^((p-1)/2) is 1,
+    so shifts are drawn until that holds.  With both factors nonzero, this
+    is the product g(-shift) = (r1 + shift)(r2 + shift) being a
+    non-residue, one power per draw."""
     deg = len(g) - 1
     if deg <= 0:
         return []
     if deg == 1:
         return [(-g[0]) % p]
     half = (p - 1) // 2
+    if deg == 2:
+        roots = _quadratic_roots(g, p)
+        g0, g1 = g[0], g[1]
+        while True:
+            shift = rng.randrange(p)
+            value = (shift * (shift - g1) + g0) % p  # g(-shift)
+            if value:
+                if pow(value, half, p) == p - 1:
+                    return roots
+            elif pow(2 * shift - g1, half, p) == 1:  # the other factor
+                return roots
     while True:
         shift = rng.randrange(p)
         h = _linear_powmod(shift, half, g, p) or [0]
@@ -293,3 +399,17 @@ def _split_linear(g: List[int], p: int, rng) -> List[int]:
             if r:
                 raise ArithmeticError("equal-degree split produced a non-divisor")
             return _split_linear(d, p, rng) + _split_linear(_monic(q, p), p, rng)
+
+
+def _quadratic_roots(g: Sequence[int], p: int) -> List[int]:
+    """The two distinct roots (-g1 +- sqrt(g1^2 - 4 g0)) / 2 of a monic
+    quadratic g that splits into distinct linear factors."""
+    g0, g1 = g[0], g[1]
+    root = sqrt_mod(g1 * g1 - 4 * g0, p)
+    if not root:  # a non-residue or a double root: g is not such a product
+        raise ArithmeticError("the quadratic root part has no two distinct roots")
+    inv2 = (p + 1) // 2
+    roots = [(-g1 + root) * inv2 % p, (-g1 - root) * inv2 % p]
+    if any((r * (r + g1) + g0) % p for r in roots):
+        raise ArithmeticError("closed-form roots do not solve the quadratic")
+    return roots

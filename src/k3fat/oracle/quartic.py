@@ -54,6 +54,7 @@ from .series import (
     binomial_shift,
     dense_mul,
     eval_poly3_scalar,
+    powers,
     solve_implicit,
     triangle,
     unit_pairs,
@@ -129,9 +130,10 @@ def _affine_partials(f: Dict[Tuple[int, int, int], int], p: int) -> tuple:
 def _check_points(f, partials, points, p: int) -> None:
     """F(P) = 0 and a nonzero solved-slot partial at every point."""
     for pt in points:
-        if eval_poly3_scalar(f, *pt.affine, p) != 0:
+        tables = [powers(x, 4, p) for x in pt.affine]
+        if eval_poly3_scalar(f, tables, p) != 0:
             raise AssertionError(f"stored point {pt.affine} is not on the surface")
-        if eval_poly3_scalar(partials[pt.solved_slot - 1], *pt.affine, p) == 0:
+        if eval_poly3_scalar(partials[pt.solved_slot - 1], tables, p) == 0:
             raise AssertionError(f"chart is singular at {pt.affine}")
 
 
@@ -197,8 +199,8 @@ def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int
     for _ in range(_MAX_POINT_ATTEMPTS):
         a = rng.randrange(p)
         b = rng.randrange(p)
-        a_pow = [pow(a, e, p) for e in range(5)]
-        b_pow = [pow(b, e, p) for e in range(5)]
+        a_pow = powers(a, 4, p)
+        b_pow = powers(b, 4, p)
         restricted = [0, 0, 0, 0, 0]
         for (e1, e2, e3), c in f_affine.items():
             restricted[e3] += c * a_pow[e1] * b_pow[e2]
@@ -213,8 +215,9 @@ def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int
         if point in seen:
             continue
         solved = 0
+        tables = (a_pow, b_pow, powers(z, 4, p))
         for slot in (3, 2, 1):  # largest available index first
-            if eval_poly3_scalar(partials[slot - 1], a, b, z, p) != 0:
+            if eval_poly3_scalar(partials[slot - 1], tables, p) != 0:
                 solved = slot
                 break
         if solved == 0:

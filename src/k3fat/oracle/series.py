@@ -8,9 +8,12 @@ local series phi in this layout, and the condition rows read it unchanged.
 
 The solve Taylor-shifts f once to h(s, t, w) = f(p1 + s, p2 + t, p3 + w)
 and solves h(s, t, psi) = 0 degree by degree, which needs the w-partial of
-h to be a unit at the origin; phi = p3 + psi.  The Taylor coefficients of
-(x + s)^e come from binomial_shift, the one jet table shared with the
-condition rows.
+h to be a unit at the origin; phi = p3 + psi.  Since psi has no constant
+term, psi^k has no term below total degree k, so the shift in w stops at
+w^max(order, 1): the higher powers of w never reach the truncated series,
+and w^1 carries the partial that the chart needs.  The Taylor coefficients
+of (x + s)^e come from binomial_shift, the one jet table shared with the
+condition rows, and point values are read from power tables (`powers`).
 """
 from __future__ import annotations
 
@@ -25,21 +28,31 @@ class ChartSingularError(ValueError):
     """The local chart is singular: the solved-coordinate partial vanishes."""
 
 
-def eval_poly3_scalar(
-    coeffs: Mapping[Tuple[int, int, int], int], x1: int, x2: int, x3: int, p: int
-) -> int:
+def powers(x: int, top: int, p: int) -> List[int]:
+    """The power table x^0, ..., x^top mod p."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x % p)
+    return out
+
+
+def eval_poly3_scalar(coeffs: Mapping[Tuple[int, int, int], int], tables, p: int) -> int:
+    """The value mod p of a trivariate polynomial at a point, read from the
+    point's three power tables (`powers` of each coordinate, each reaching
+    the largest exponent of its variable)."""
+    t1, t2, t3 = tables
     acc = 0
     for (e1, e2, e3), c in coeffs.items():
-        acc += c * pow(x1, e1, p) * pow(x2, e2, p) * pow(x3, e3, p)
+        acc += c * t1[e1] * t2[e2] * t3[e3]
     return acc % p
 
 
 def binomial_shift(x: int, top: int, kmax: int, p: int) -> List[List[int]]:
     """Rows k = 0..kmax of the jet table of x: entry e = 0..top of row k is
     the s^k coefficient C(e, k) x^(e - k) of (x + s)^e mod p, zero if e < k."""
-    powers = [pow(x, e, p) for e in range(top + 1)]
+    table = powers(x, top, p)
     return [
-        [0] * min(k, top + 1) + [comb(e, k) * powers[e - k] % p for e in range(k, top + 1)]
+        [0] * min(k, top + 1) + [comb(e, k) * table[e - k] % p for e in range(k, top + 1)]
         for k in range(kmax + 1)
     ]
 
@@ -80,31 +93,40 @@ def dense_mul(x, y, pairs, p: int) -> List[int]:
 
 def _taylor_shift(coeffs, point, order: int, p: int) -> List[List[int]]:
     """h(s, t, w) = f(p1 + s, p2 + t, p3 + w) as dense lists h[k] of the
-    coefficients of w^k, keeping the terms with i + j <= order.
+    coefficients of w^k, keeping the terms with i + j <= order and k <=
+    max(order, 1): psi^k has no term below total degree k, so `_compose`
+    never reads h[k] for k > order, and h[1] holds the chart's w-partial.
 
     The coefficient of s^i t^j w^k gathers C(e1, i) C(e2, j) C(e3, k)
     p1^(e1-i) p2^(e2-j) p3^(e3-k) over the terms c x^e1 y^e2 z^e3 of f."""
-    index = {ij: k for k, ij in enumerate(triangle(order))}
-    top = [max((e[c] for e in coeffs), default=0) for c in range(3)]
-    # sh[k][e]: coefficient of s^k in (point[c] + s)^e; w keeps every power
-    kmax = (min(top[0], order), min(top[1], order), top[2])
+    size = len(triangle(order))
+    top = [max(column) for column in zip(*coeffs)] if coeffs else [0, 0, 0]
+    # sh[k][e]: coefficient of s^k in (point[c] + s)^e
+    kmax = (min(top[0], order), min(top[1], order), min(top[2], max(order, 1)))
     sh1, sh2, sh3 = (binomial_shift(x, n, k, p) for x, n, k in zip(point, top, kmax))
     # Shift in (s, t) first, keeping the z-exponent, then shift in w.
-    by_e3 = [[0] * len(index) for _ in range(top[2] + 1)]
+    by_e3 = [[0] * size for _ in range(top[2] + 1)]
     for (e1, e2, e3), c in coeffs.items():
         acc = by_e3[e3]
-        for i in range(min(e1, order) + 1):
-            ci = sh1[i][e1] * c
-            for j in range(min(e2, order - i) + 1):
-                acc[index[(i, j)]] += ci * sh2[j][e2]
-    h = [[0] * len(index) for _ in range(top[2] + 1)]
+        for i, j, position in _shift_terms(order, e1, e2):
+            acc[position] += c * sh1[i][e1] * sh2[j][e2]
+    h = [[0] * size for _ in range(kmax[2] + 1)]
     for e3, acc in enumerate(by_e3):
-        for row, v in enumerate(acc):
-            v %= p
-            if v:
-                for k in range(e3 + 1):
-                    h[k][row] += v * sh3[k][e3]
+        acc = [v % p for v in acc]
+        for k in range(min(e3, kmax[2]) + 1):
+            w = sh3[k][e3]
+            h[k] = [x + w * v for x, v in zip(h[k], acc)]
     return [[v % p for v in hk] for hk in h]
+
+
+@lru_cache(maxsize=1024)
+def _shift_terms(order: int, e1: int, e2: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(i, j, position of (i, j) in triangle(order)) for the terms s^i t^j
+    of (x + s)^e1 (y + t)^e2 with i + j <= order."""
+    return tuple(
+        (i, j, position) for position, (i, j) in enumerate(triangle(order))
+        if i <= e1 and j <= e2
+    )
 
 
 def _compose(h: List[List[int]], psi: List[int], pairs, p: int) -> List[int]:

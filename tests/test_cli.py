@@ -295,6 +295,31 @@ def test_sweep_clamps_worker_count(runner, tmp_path, monkeypatch):
     assert started == [3, 8]  # unknown CPU count: serial, no pool
 
 
+def test_sweep_rejects_a_grid_over_the_task_cap(runner, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_sweep_row", lambda task: ran.append(task))
+    out = tmp_path / "x.csv"
+    # 101 * 100 * 1 = 10 100 tasks, one more row of d than the cap allows
+    result = runner.invoke(main, ["sweep", "--d-range", "1", "101", "--m-range", "1", "100",
+                                  "--n-set", "1", "--jobs", "1", "--out", str(out)])
+    assert cli.MAX_SWEEP_TASKS == 10_000
+    assert result.exit_code == 2
+    assert "10100 (d, m, n) tasks" in result.output and "at most 10000" in result.output
+    assert ran == [] and not out.exists()
+
+
+def test_sweep_task_cap_counts_d_m_and_n(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_TASKS", 4)
+    out = ["--jobs", "1", "--out", str(tmp_path / "x.csv")]
+    at_cap = ["sweep", "--d-range", "1", "2", "--m-range", "1", "1", "--n-set", "1,4"]
+    assert runner.invoke(main, at_cap + out).exit_code == 0
+    for grid, count in ((["--d-range", "1", "1", "--m-range", "1", "5", "--n-set", "1"], 5),
+                        (["--d-range", "1", "2", "--m-range", "1", "1", "--n-set", "1,4,9"], 6)):
+        result = runner.invoke(main, ["sweep", *grid, *out])
+        assert result.exit_code == 2
+        assert f"{count} (d, m, n) tasks" in result.output
+
+
 def test_sweep_engine_only(runner, tmp_path):
     out = tmp_path / "table.csv"
     result = invoke(runner, "sweep", "--d-range", "1", "2", "--m-range", "1", "2",

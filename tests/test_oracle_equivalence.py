@@ -50,6 +50,10 @@ from k3fat.oracle.quartic import (
 from k3fat.oracle.series import ChartSingularError, solve_implicit
 
 PRIMES = (10007, 2**31 - 1, 2**61 - 1)
+# Root finding also at primes = 1 mod 4, where the square root of the
+# closed-form quadratic takes Tonelli-Shanks steps: p - 1 = q 2^s with s = 2
+# at DEFAULT_PRIME2 and s = 30 at 3 * 2^30 + 1.
+ROOT_PRIMES = PRIMES + (3037000493, 3 * 2**30 + 1)
 ORACLE_PRIMES = (2**31 - 1, 3037000493, 2**61 - 1)
 
 # ---------------------------------------------------------------------------
@@ -295,7 +299,7 @@ def ref_condition_rows(d, instance) -> List[List[int]]:
 def root_problems(draw):
     """A prime, a polynomial of degree <= 4 with a planted set of roots
     (repeats allowed), and a generator seed."""
-    p = draw(st.sampled_from(PRIMES))
+    p = draw(st.sampled_from(ROOT_PRIMES))
     element = st.integers(min_value=0, max_value=p - 1)
     roots = draw(st.lists(element, max_size=4))
     f = [draw(st.integers(min_value=1, max_value=p - 1))]
@@ -307,12 +311,44 @@ def root_problems(draw):
 
 
 @given(root_problems())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_poly_roots_matches_reference_and_rng_stream(problem):
     p, f, seed = problem
     new_rng, ref_rng = Random(seed), Random(seed)
     assert poly_roots(f, p, new_rng) == ref_poly_roots(f, p, ref_rng)
     assert new_rng.getstate() == ref_rng.getstate()
+
+
+class ScriptedShifts(Random):
+    """A generator whose first draws are the given values, then its own;
+    it counts the draws."""
+
+    def __init__(self, seed, values):
+        super().__init__(seed)
+        self.values = list(values)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return self.values.pop(0) if self.values else super().randrange(*args)
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_quadratic_split_replays_a_shift_that_zeroes_a_factor(p):
+    # shift = -r makes r + shift = 0: splitting by it succeeds exactly when
+    # the other factor's (r' - r)^((p-1)/2) is 1, a case random shifts reach
+    # with probability 2/p
+    rng = Random(p)
+    for _ in range(20):
+        r1, r2 = rng.sample(range(p), 2)
+        f = _ref_mul([(-r1) % p, 1], [(-r2) % p, 1], p)
+        for first in ((-r1) % p, (-r2) % p):
+            seed = rng.randrange(2**32)
+            new_rng = ScriptedShifts(seed, [first])
+            ref_rng = ScriptedShifts(seed, [first])
+            assert poly_roots(f, p, new_rng) == ref_poly_roots(f, p, ref_rng) == sorted((r1, r2))
+            assert new_rng.draws == ref_rng.draws
+            assert new_rng.getstate() == ref_rng.getstate()
 
 
 @st.composite

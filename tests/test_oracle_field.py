@@ -8,15 +8,27 @@ from k3fat.oracle.field import (
     _INT64_SAFE_PRIME,
     _pgcd,
     _pmul,
+    _quadratic_roots,
     field_dtype,
     matmul_mod_p,
     poly_roots,
     rank_mod_p,
+    sqrt_mod,
 )
 
 P1 = 2**31 - 1
 P2 = 2**61 - 1
 P_EDGE = 3037000493  # the largest prime p with p^2 < 2^63
+P_TS = 3 * 2**30 + 1  # p - 1 = 3 * 2^30: thirty Tonelli-Shanks levels
+SQRT_PRIMES = (10007, P1, P_EDGE, P_TS, P2)
+
+
+def non_residue(p, start=2):
+    """The least quadratic non-residue mod p from `start` on (Euler's criterion)."""
+    c = start
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return c
 
 
 def test_rank_zero_matrix():
@@ -125,14 +137,51 @@ def test_poly_roots_brute_force_small_prime():
 
 def test_poly_roots_constructed_large_prime():
     rng = Random(7)
-    for p in (P1, P2):
+    for p in (P1, P_EDGE, P2):
+        # (T - r1)(T - r2)(T^2 - c) with c a non-residue: T^2 - c is
+        # irreducible and contributes no roots (at P_EDGE = 1 mod 4, -1 is a
+        # square and T^2 + 1 would split)
+        c = non_residue(p, start=rng.randrange(2, 1000))
         for _ in range(5):
             r1, r2 = rng.randrange(p), rng.randrange(p)
-            # (T - r1)(T - r2)(T^2 + 1); both primes are 3 mod 4 so T^2 + 1
-            # is irreducible and contributes no roots
-            assert p % 4 == 3
-            f = _pmul(_pmul([(-r1) % p, 1], [(-r2) % p, 1], p), [1, 0, 1], p)
+            f = _pmul(_pmul([(-r1) % p, 1], [(-r2) % p, 1], p), [p - c, 0, 1], p)
             assert poly_roots(f, p, Random(1)) == sorted({r1, r2})
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
+def test_sqrt_mod_squares_zero_and_non_residues(p):
+    rng = Random(p)
+    assert sqrt_mod(0, p) == 0
+    assert sqrt_mod(p, p) == 0
+    for x in [1, 2, p - 1, p - 2] + [rng.randrange(1, p) for _ in range(200)]:
+        assert sqrt_mod(x * x, p) in (x, p - x)
+    for _ in range(50):
+        c = non_residue(p, start=rng.randrange(2, p - 1))
+        assert sqrt_mod(c, p) is None
+        assert sqrt_mod(c * rng.randrange(1, p) ** 2, p) is None
+    if p % 4 == 3:
+        assert sqrt_mod(p - 1, p) is None
+    else:
+        assert sqrt_mod(p - 1, p) ** 2 % p == p - 1
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
+def test_quadratic_roots_need_two_distinct_roots(p):
+    r1, r2 = 5, p - 12
+    assert sorted(_quadratic_roots(_pmul([p - r1, 1], [p - r2, 1], p), p)) == sorted((r1, r2))
+    with pytest.raises(ArithmeticError):  # (T - 5)^2: a double root
+        _quadratic_roots(_pmul([p - r1, 1], [p - r1, 1], p), p)
+    with pytest.raises(ArithmeticError):  # T^2 - c for a non-residue c: no root
+        _quadratic_roots([p - non_residue(p), 0, 1], p)
+
+
+def test_quadratic_roots_are_checked(monkeypatch):
+    # a wrong square root gives roots that do not solve the quadratic
+    p = P1
+    g = _pmul([p - 5, 1], [p - 7, 1], p)
+    monkeypatch.setattr(field, "sqrt_mod", lambda a, p: 1)
+    with pytest.raises(ArithmeticError, match="do not solve"):
+        _quadratic_roots(g, p)
 
 
 def test_poly_roots_repeated_root():

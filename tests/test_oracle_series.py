@@ -10,6 +10,7 @@ from k3fat.oracle.series import (
     ChartSingularError,
     binomial_shift,
     eval_poly3_scalar,
+    powers,
     solve_implicit,
     triangle,
 )
@@ -79,6 +80,18 @@ def test_solve_implicit_square_root_series():
     assert phi[(2, 2)] == (-2 * inv8) % P
 
 
+def test_eval_poly3_scalar_reads_the_power_tables_in_order():
+    rng = Random(4)
+    for _ in range(20):
+        f = {(i, j, k): rng.randrange(P)
+             for i in range(5) for j in range(5 - i) for k in range(5 - i - j)}
+        point = [rng.randrange(P) for _ in range(3)]
+        expected = sum(c * pow(point[0], i, P) * pow(point[1], j, P) * pow(point[2], k, P)
+                       for (i, j, k), c in f.items()) % P
+        assert eval_poly3_scalar(f, [powers(x, 4, P) for x in point], P) == expected
+    assert powers(3, 4, 7) == [1, 3, 2, 6, 4]
+
+
 def test_solve_implicit_order_one_is_gradient():
     # first-order implicit differentiation: phi = p3 - (f_u/f_w) s - (f_v/f_w) t
     rng = Random(9)
@@ -88,7 +101,7 @@ def test_solve_implicit_order_one_is_gradient():
         p1, p2 = rng.randrange(P), rng.randrange(P)
         # force f(p1, p2, 0) = 0 by adjusting the constant term
         f[(0, 0, 0)] = 0
-        f[(0, 0, 0)] = (-eval_poly3_scalar(f, p1, p2, 0, P)) % P
+        f[(0, 0, 0)] = (-eval_poly3_scalar(f, [powers(x, 2, P) for x in (p1, p2, 0)], P)) % P
         fu = sum(i * c * pow(p1, i - 1, P) * pow(p2, j, P)
                  for (i, j, k), c in f.items() if i and not k) % P
         fv = sum(j * c * pow(p1, i, P) * pow(p2, j - 1, P)
