@@ -73,19 +73,18 @@ def inverse_mod(a: int, p: int) -> int:
 
 
 def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for two matrices, or two stacks of as many matrices,
-    with entries in [0, p), in their dtype.
+    """(a @ b) mod p for two matrices with entries in [0, p), in their dtype.
 
     int64 operands (p <= isqrt(2^63) < 2^32) go through float64 BLAS on the
     16-bit limbs of `a`, slab by slab (see the module docstring); object
     operands multiply exactly as Python integers."""
     if a.dtype == object or b.dtype == object:
         return (a @ b) % p
-    hi = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+    hi = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     lo = np.zeros_like(hi)
-    for count, start in enumerate(range(0, a.shape[-1], _SLAB), 1):
-        part = a[..., start:start + _SLAB]
-        slab = b[..., start:start + _SLAB, :].astype(np.float64)
+    for count, start in enumerate(range(0, a.shape[1], _SLAB), 1):
+        part = a[:, start:start + _SLAB]
+        slab = b[start:start + _SLAB].astype(np.float64)
         hi += ((part >> _LIMB_BITS).astype(np.float64) @ slab).astype(np.int64)
         lo += ((part & _LIMB_MASK).astype(np.float64) @ slab).astype(np.int64)
         if count % _SLABS_PER_REDUCTION == 0:
@@ -159,18 +158,6 @@ def _pstrip(f: List[int]) -> List[int]:
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def _pmul(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                if gj:
-                    out[i + j] = (out[i + j] + fi * gj) % p
-    return _pstrip(out)
 
 
 def _pmod(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:

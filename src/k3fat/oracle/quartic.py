@@ -21,15 +21,21 @@ of F, so the rank on the standard columns equals the rank on all monomials.
 A quartic with no pure fourth power keeps every monomial as a column; the
 multiples of F then span C(d-1,3) of them and the ambient stays 2d^2 + 2.
 
-The block of conditions at a point P of multiplicity m is the product
-Sub(P) . Jet3(P) at order m - 1; the blocks of a run of points of equal
-multiplicity come from one stacked call of the modular matmul kernel.
-Jet3(P) holds, for every (i, j, k) with i + j + k <= m - 1 and every column
-monomial, its Taylor coefficient prod_c C(e_c, a_c) P_c^(e_c - a_c) at P,
-the outer product of three jet tables (binomial_shift, the one the implicit
-solve uses).  Sub(P) holds the coefficients of s^i t^j psi^k, where
-psi = phi - P_solved is the local series without its constant term, stored
-as the implicit solve returns it, a dense tuple in triangle order.
+The block of conditions at a point P of multiplicity m holds the truncated
+Taylor series of each column monomial restricted along the chart at P: the
+row of s^a t^b, for (a, b) in triangle(m - 1) order, holds its s^a t^b
+coefficient.  With s and t the shifts of the two parameter coordinates and
+phi = P_z + psi the local series of the solved one (psi without constant
+term; the implicit solve returns phi as a dense tuple in triangle order),
+the column x^e restricts to (P_s + s)^(e_s) (P_t + t)^(e_t) phi^(e_z).
+Coefficients are kept as m x m grids over (a, b).  phi^e for e = 0..d is
+formed once per point from the powers of psi and the jet table of P_z
+(binomial_shift, the one the implicit solve uses); each column takes the
+grid of its e_z and is multiplied by the jets of P_s along a and of P_t
+along b, m shift-and-add steps each.  Every step adds one product of two
+reduced entries to a reduced entry and reduces, which stays below p^2 and
+so fits the int64 arrays of `field_dtype`.  The points of a run of equal
+multiplicity are processed together.
 """
 from __future__ import annotations
 
@@ -48,7 +54,7 @@ from .config import (
     SamplingError,
     derived_rng,
 )
-from .field import field_dtype, matmul_mod_p, poly_roots, rank_mod_p
+from .field import field_dtype, poly_roots, rank_mod_p
 from .series import (
     ChartSingularError,
     binomial_shift,
@@ -264,62 +270,28 @@ def sample_quartic_instance(
     raise SamplingError("could not sample a usable quartic within budget")
 
 
-@lru_cache(maxsize=64)
-def _triples(order: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (i, j, k) with i + j + k <= order that index Sub's columns and
-    Jet3's rows: (i, j) in triangle(order) order, then k ascending."""
-    ijk = [(i, j, k) for i, j in triangle(order) for k in range(order + 1 - i - j)]
-    return tuple(np.array(ijk, dtype=np.intp).T)
-
-
-def _jet3(points, exps: np.ndarray, d: int, order: int, p: int, dtype) -> np.ndarray:
-    """Jet3 of each point, stacked: row (i, j, k) of a point's matrix is, over
-    the columns, the product mod p of the s^i, t^j and z^k coefficients of
-    the column monomial shifted to the point along its two parameter slots
-    and its solved slot.  Each factor comes from the jet table of the slot's
-    coordinate (binomial_shift), read at the column's exponent of that slot."""
-    tables = np.array(
-        [[binomial_shift(x, d, order, p) for x in pt.affine] for pt in points], dtype=dtype
-    )  # tables[n, slot - 1, k, e]
-    n = np.arange(len(points))[:, None, None]
-    power = np.arange(order + 1)[None, :, None]
-    jets = []
-    for role in range(3):  # parameter s, parameter t, solved coordinate
-        slot = np.array([(*pt.param_slots, pt.solved_slot)[role] - 1 for pt in points])
-        jets.append(tables[n, slot[:, None, None], power, exps[slot][:, None, :]])
-    i, j, k = _triples(order)
-    jet3 = jets[0][:, i]  # in place from here on: one temporary at a time
-    jet3 *= jets[1][:, j]
-    jet3 %= p
-    jet3 *= jets[2][:, k]
-    jet3 %= p
-    return jet3
-
-
-def _substitution(points, order: int, p: int, dtype) -> np.ndarray:
-    """Sub of each point, stacked: row (a, b) of triangle(order), column
-    (i, j, k) of _triples(order), holds the s^a t^b coefficient of
-    s^i t^j psi^k, that is the s^(a-i) t^(b-j) coefficient of psi^k (zero
-    unless a >= i and b >= j)."""
+def _phi_powers(points, jet: np.ndarray, order: int, p: int) -> np.ndarray:
+    """phi^e for e = 0..d at each point, as coefficient grids: entry
+    [n, e, a, b] is the s^a t^b coefficient of phi^e at point n, zero for
+    a + b > order.  phi = z + psi with z the solved coordinate, so
+    phi^e = sum_k C(e, k) z^(e-k) psi^k, read from jet[n, k, e], the jet
+    table of z (binomial_shift), and the powers psi^k for k <= order: psi
+    has no constant term, so no higher power has a term of degree <= order."""
     pos = triangle(order)
     pairs = unit_pairs(order)
     a, b = np.array(pos, dtype=np.intp).T
-    # grid[n, k, a, b]: the s^a t^b coefficient of psi^k at point n
-    grid = np.zeros((len(points),) + (order + 1,) * 3, dtype=dtype)
+    psi_powers = np.zeros((len(points),) + (order + 1,) * 3, dtype=jet.dtype)  # [n, k, a, b]
     for n, pt in enumerate(points):
         psi = (0, *pt.local_series[1:]) if order else (0,)
-        powers = [[1] + [0] * (len(pos) - 1)]
+        psi_k = [[1] + [0] * (len(pos) - 1)]
         for _ in range(order):
-            powers.append(dense_mul(powers[-1], psi, pairs, p))
-        grid[n][:, a, b] = np.array(powers, dtype=dtype)
-    sub = np.zeros((len(points), len(pos), len(_triples(order)[0])), dtype=dtype)
-    col = 0
-    for i, j in pos:
-        rows = np.flatnonzero((a >= i) & (b >= j))
-        width = order + 1 - i - j
-        sub[:, rows, col:col + width] = grid[:, :width, a[rows] - i, b[rows] - j].transpose(0, 2, 1)
-        col += width
-    return sub
+            psi_k.append(dense_mul(psi_k[-1], psi, pairs, p))
+        psi_powers[n][:, a, b] = psi_k
+    phi = np.zeros((len(points), jet.shape[2]) + (order + 1,) * 2, dtype=jet.dtype)
+    for k in range(order + 1):
+        phi += jet[:, k, :, None, None] * psi_powers[:, k, None]
+        phi %= p
+    return phi
 
 
 def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarray]:
@@ -327,9 +299,10 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     every point: the rows of one 2-D array, as a list, so that truth tests
     and len() keep working for callers.
 
-    Each point contributes the block Sub(P) . Jet3(P) (see the module
-    docstring), one row per coefficient s^i t^j in triangle order.  Entries
-    are reduced mod p and computed in the dtype `field_dtype(p)` chooses.
+    A point's block holds the truncated Taylor series of each column
+    monomial restricted along its chart (see the module docstring), one row
+    per coefficient s^a t^b in triangle order.  Entries are reduced mod p
+    and computed in the dtype `field_dtype(p)` chooses.
     """
     p = instance.prime
     dtype = field_dtype(p)
@@ -338,9 +311,26 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     for multiplicity, run in groupby(instance.points, key=lambda pt: pt.multiplicity):
         run = list(run)
         order = multiplicity - 1
-        sub = _substitution(run, order, p, dtype)
-        jet3 = _jet3(run, exps, d, order, p, dtype)
-        blocks.append(matmul_mod_p(sub, jet3, p).reshape(-1, exps.shape[1]))
+        slots = np.array([(*pt.param_slots, pt.solved_slot) for pt in run]) - 1
+        e = exps[slots]  # e[n, role, column], roles s, t and the solved z
+        n = np.arange(len(run))[:, None]
+        tables = np.array(
+            [[binomial_shift(x, d, order, p) for x in pt.affine] for pt in run], dtype=dtype
+        )  # tables[n, slot, i, e]
+        phi = _phi_powers(run, tables[n[:, 0], slots[:, 2]], order, p)
+        grid = phi[n, e[:, 2]]  # [n, column, a, b]
+        for role in (0, 1):  # times (P_s + s)^e_s along a, then (P_t + t)^e_t along b
+            jet = tables[n, slots[:, role, None], :, e[:, role]]  # [n, column, i]
+            out = np.zeros_like(grid)
+            for i in range(order + 1):  # only a + b <= order is ever read
+                w = order + 1 - i
+                step = grid[:, :, :w, :w] * jet[:, :, i, None, None]
+                step += out[:, :, i:, :w]
+                step %= p
+                out[:, :, i:, :w] = step
+            grid = out.swapaxes(2, 3)  # the next factor runs along the other axis
+        a, b = np.array(triangle(order), dtype=np.intp).T
+        blocks.append(grid[:, :, a, b].transpose(0, 2, 1).reshape(-1, exps.shape[1]))
     return list(np.concatenate(blocks))
 
 

@@ -415,6 +415,17 @@ def test_condition_rows_match_reference(p, groups, d, seed):
     assert rows.tolist() == [[row[n] for n in keep] for row in full]
 
 
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("d, groups", [(6, ((12, 1),)), (7, ((8, 1), (5, 2), (1, 3)))])
+def test_condition_rows_match_reference_at_high_multiplicity(p, d, groups):
+    # order 11 alone, and orders 7, 4 and 0 in one instance: above the
+    # orders the hypothesis test draws, on the int64 and object paths alike
+    instance = sample_quartic_instance(groups, p, Random(d))
+    rows = np.array(k3_condition_rows(d, instance))
+    keep = kept_columns(d, instance)
+    assert rows.tolist() == [[row[n] for n in keep] for row in ref_k3_condition_rows(d, instance)]
+
+
 class NoPurePowers(Random):
     """A generator whose first draws, the coefficients of the first sampled
     quartic, are 0 at the four pure fourth powers x_v^4."""

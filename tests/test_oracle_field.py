@@ -7,7 +7,7 @@ from k3fat.oracle import DEFAULT_PRIME, DEFAULT_PRIME2, field
 from k3fat.oracle.field import (
     _INT64_SAFE_PRIME,
     _pgcd,
-    _pmul,
+    _pstrip,
     _quadratic_roots,
     field_dtype,
     matmul_mod_p,
@@ -21,6 +21,19 @@ P2 = 2**61 - 1
 P_EDGE = 3037000493  # the largest prime p with p^2 < 2^63
 P_TS = 3 * 2**30 + 1  # p - 1 = 3 * 2^30: thirty Tonelli-Shanks levels
 SQRT_PRIMES = (10007, P1, P_EDGE, P_TS, P2)
+
+
+def _pmul(f, g, p):
+    """f * g mod p for ascending coefficient lists, stripped."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, gj in enumerate(g):
+                if gj:
+                    out[i + j] = (out[i + j] + fi * gj) % p
+    return _pstrip(out)
 
 
 def non_residue(p, start=2):

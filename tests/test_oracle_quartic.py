@@ -40,8 +40,10 @@ def test_doubled_tangent_section_is_special(small_cfg):
 
 
 def test_wall_cases_d3(small_cfg):
-    assert measure_k3(3, [(6, 1)], small_cfg).dim == 0
-    assert measure_k3(3, [(7, 1)], small_cfg).dim == -1
+    # the wall mu = 2d at d = 3 and at order 19, where dim 0 is special
+    for d in (3, 10):
+        assert measure_k3(d, [(2 * d, 1)], small_cfg).dim == 0
+        assert measure_k3(d, [(2 * d + 1, 1)], small_cfg).dim == -1
 
 
 def test_empty_point_set_floor(small_cfg):
