@@ -4,12 +4,13 @@
 monomial, C(d+3, 3) columns, as the product Sub(P) . Jet3(P), one (i, j, k)
 term at a time: Jet3 holds the s^i t^j w^k coefficient of each monomial
 shifted to P, at (P_s + s, P_t + t, P_z + w), and Sub the coefficients of
-s^i t^j psi^k, psi the local series less its constant term.  The oracle itself keeps only the
-standard monomials of `QuarticSurfaceInstance.column_exponents` and forms
-each block from the monomials restricted along the chart, on coefficient
-grids.  `ref_rank_mod_p` is the unblocked elimination, one pivot at a time
-over the trailing columns.  Both are kept verbatim in behaviour, and the
-tests compare the oracle with them.
+s^i t^j psi^k, psi the local series less its constant term.  The oracle
+itself keeps only the standard monomials of
+`QuarticSurfaceInstance.column_exponents` and forms each block from the
+monomials restricted along the chart, on coefficient grids.
+`ref_rank_mod_p` is the unblocked elimination, one pivot at a time over the
+trailing columns.  Both are kept verbatim in behaviour, and the tests
+compare the oracle with them.
 """
 from typing import List, Sequence
 
