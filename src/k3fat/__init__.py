@@ -15,15 +15,9 @@ from .core import (
 from .degeneration import (
     DegenerationStep,
     DegenerationTrace,
-    KSelectionBounds,
     Regime,
-    check_vdim_identity,
-    combine_dims,
     factor_4_9,
-    is_admissible_count,
-    k_selection_bounds,
     recurse,
-    select_k,
 )
 from .classify import (
     Verdict,

@@ -20,7 +20,7 @@ import click
 
 from .classify import Verdict, classify, verify
 from .core import K3System, edim, vdim_k3
-from .degeneration import is_admissible_count
+from .degeneration import factor_4_9
 from .oracle import (
     DEFAULT_BUDGET_ROWS,
     DEFAULT_PRIME,
@@ -119,7 +119,7 @@ def _report_line(gamma, d, m, n, report) -> str:
 def cmd_classify(gamma, d, m, n, trace_path, assume_base):
     """Classify L^gamma(d, m^n) and optionally export its recursion trace."""
     sys_ = _validated_system(gamma, d, m, n)
-    if not is_admissible_count(n):
+    if factor_4_9(n) is None:
         raise click.UsageError(f"n must be of the form 4^u * 9^w, got {n}")
     if gamma != 4 and not assume_base:
         raise click.UsageError(
@@ -238,7 +238,7 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
     """Classify L^gamma(d, m^n) and check the verdict against the oracle."""
     cfg = ctx.obj
     sys_ = _validated_system(gamma, d, m, n)
-    if not is_admissible_count(n):
+    if factor_4_9(n) is None:
         raise click.UsageError(f"n must be of the form 4^u * 9^w, got {n}")
     if gamma != 4:
         raise click.UsageError("verify requires gamma=4 (the oracle is quartic-only)")
@@ -317,7 +317,7 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
     if not n_values:
         raise click.UsageError("n-set must not be empty")
     for n in n_values:
-        if n < 1 or not is_admissible_count(n):
+        if factor_4_9(n) is None:
             raise click.UsageError(f"n-set entry {n} is not of the form 4^u * 9^w")
     count = (d_hi - d_lo + 1) * (m_hi - m_lo + 1) * len(n_values)
     if count > MAX_SWEEP_TASKS:

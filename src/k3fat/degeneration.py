@@ -25,15 +25,21 @@ The engine only ever certifies; when the side conditions of a step fail it
 reports UNKNOWN rather than guessing.
 
 The admissible matching degrees of a step form one interval [k_min, k_max]
-(KSelectionBounds).  Each end is the least k >= 0 with k(k+3) >= r for an
+(_bounds).  Each end is the least k >= 0 with k(k+3) >= r for an
 integer threshold r read off one of the two quadratic inequalities, that is
 ceil((sqrt(9 + 4r) - 3)/2); it is computed in closed form with math.isqrt
 and one integer correction, so no search runs per node.
 
 The recursion runs on system keys (gamma, d, m, n), as in K3System.key; each
 distinct key becomes one TraceNode, and one row of the trace's flat node
-table (schema k3fat.trace/2).  No K3System is built per node:
-`TraceNode.system` derives it from the key on demand.
+table (schema k3fat.trace/2).  The records TraceNode, DegenerationStep and
+PlanarLeaf are named tuples, immutable and cheap to build, since every node
+builds four of them.  No K3System is built per node: `TraceNode.system`
+derives it from the key on demand.
+
+One recursion resolves at most MAX_NODES distinct nodes.  Each node past
+that budget is reported UNKNOWN, of kind "failed", with a note, so the
+verdict of a system too deep for the budget is UNKNOWN rather than an error.
 """
 from __future__ import annotations
 
@@ -41,7 +47,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .core import (
     DimensionReport,
@@ -58,12 +64,26 @@ from .core import (
 #: Resolves a single-point system L^gamma(d, mu) to a DimensionReport.
 BaseResolver = Callable[[int, int, int], DimensionReport]
 
+# Most distinct nodes one recursion resolves; every node past them is left
+# UNKNOWN, so a system of any depth costs bounded time and memory.  The
+# deepest case in CI, L^4(500, 100^(4^10 9^5)), has 32 769 nodes.
+MAX_NODES = 150_000
+
 
 class Regime(Enum):
     """Sign regime of the recursion: v >= -1 (NONNEG) or v <= -1 (NEG)."""
 
     NONNEG = "NONNEG"
     NEG = "NEG"
+
+
+# Members read on every node, bound once.
+_NONSPECIAL = Status.NONSPECIAL
+_CONDITIONAL = Status.CONDITIONAL
+_UNKNOWN = Status.UNKNOWN
+_NONNEG = Regime.NONNEG
+_NEG = Regime.NEG
+_BRANCH_OK = (_NONSPECIAL, _CONDITIONAL)
 
 
 class EngineError(RuntimeError):
@@ -84,53 +104,10 @@ def factor_4_9(n: int) -> Optional[Tuple[int, int]]:
     return (u, w) if n == 1 else None
 
 
-def is_admissible_count(n: int) -> bool:
-    return factor_4_9(n) is not None
-
-
 def _key(gamma: int, d: int, m: int, n: int) -> Key:
     """The key of L^gamma(d, m^n); multiplicity or count 0 is the
     unconditioned system (gamma, d, 0, 0)."""
     return (gamma, d, *normalized_points(m, n))
-
-
-def _split_key(sys: K3System, c: int) -> Key:
-    """The key of a system that one step can split into b = n/c planes."""
-    n = sys.count
-    if c not in (4, 9) or n < c or n % c != 0:
-        raise ValueError(f"c must be 4 or 9 and divide n, got c={c}, n={n}")
-    return sys.key
-
-
-@dataclass(frozen=True)
-class KSelectionBounds:
-    """Admissible matching degrees k for one recursion step.
-
-    NONNEG regime: k^2 + k <= alpha and k^2 + 3k >= beta with
-        alpha = (gamma d^2 + 4)/b,    beta = c m(m+1) - 2,
-    equivalent to v_surface >= -1 and v_planar >= -1.
-
-    NEG regime: k^2 + 3k >= alpha and k^2 + k <= beta with
-        alpha = (gamma d^2 + 4)/b - 2,  beta = c m(m+1),
-    equivalent to v_surface_hat <= -1 and v_planar_hat <= -1.
-
-    Either way the admissible non-negative integers form one interval
-    [k_min, k_max], empty when k_min > k_max.
-    """
-
-    regime: Regime
-    k_min: int
-    k_max: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.k_min > self.k_max
-
-    def admissible(self) -> range:
-        return range(self.k_min, self.k_max + 1)
-
-    def contains(self, k: int) -> bool:
-        return self.k_min <= k <= self.k_max
 
 
 def _least_k(r: int) -> int:
@@ -146,7 +123,19 @@ def _least_k(r: int) -> int:
 
 
 def _bounds(key: Key, c: int, regime: Regime) -> Tuple[int, int]:
-    """(k_min, k_max) of KSelectionBounds."""
+    """(k_min, k_max): the admissible matching degrees k of one step.
+
+    NONNEG regime: k^2 + k <= alpha and k^2 + 3k >= beta with
+        alpha = (gamma d^2 + 4)/b,    beta = c m(m+1) - 2,
+    equivalent to v_surface >= -1 and v_planar >= -1.
+
+    NEG regime: k^2 + 3k >= alpha and k^2 + k <= beta with
+        alpha = (gamma d^2 + 4)/b - 2,  beta = c m(m+1),
+    equivalent to v_surface_hat <= -1 and v_planar_hat <= -1.
+
+    Either way the admissible non-negative integers form one interval
+    [k_min, k_max], empty when k_min > k_max.
+    """
     gamma, d, m, n = key
     b = n // c
     a_num = gamma * d * d + 4
@@ -154,7 +143,7 @@ def _bounds(key: Key, c: int, regime: Regime) -> Tuple[int, int]:
     # Each end is the least k meeting one inequality, rewritten as
     # k(k+3) >= r: for the integer x = (k+1)(k+2) = k(k+3) + 2, b*x > a_num
     # is x >= a_num // b + 1 and b*x >= a_num is x >= ceil(a_num / b).
-    if regime is Regime.NONNEG:
+    if regime is _NONNEG:
         # k(k+1) <= alpha  and  k(k+3) >= beta
         k_max = _least_k(a_num // b - 1)  # least k with b (k+1)(k+2) > a_num
         k_min = _least_k(cm - 2)
@@ -165,29 +154,8 @@ def _bounds(key: Key, c: int, regime: Regime) -> Tuple[int, int]:
     return k_min, k_max
 
 
-def k_selection_bounds(sys: K3System, c: int, regime: Regime) -> KSelectionBounds:
-    """Integer-exact admissible interval for the matching degree k."""
-    return KSelectionBounds(regime, *_bounds(_split_key(sys, c), c, regime))
-
-
 def _select_k(key: Key, c: int, regime: Regime) -> Optional[int]:
-    k_min, k_max = _bounds(key, c, regime)
-    if k_min > k_max:
-        return None
-    gamma, d, _, n = key
-    if gamma == 4 and n == c:  # the final step, b = 1
-        if regime is Regime.NONNEG and d >= 2:
-            preferred = [k for k in range(k_min, k_max + 1) if k not in (2 * d - 1, 2 * d)]
-            if preferred:
-                return max(preferred)
-            return k_max
-        if regime is Regime.NEG and k_min <= 2 * d <= k_max:
-            return 2 * d
-    return k_max
-
-
-def select_k(sys: K3System, c: int, regime: Regime) -> Optional[int]:
-    """Pick the matching degree for one step, or None if none is admissible.
+    """The matching degree for one step, or None if none is admissible.
 
     Tie-break: the largest admissible k.  On the final step (b = 1) over
     gamma = 4 the choice mirrors the proved endgame: in the NONNEG regime
@@ -195,7 +163,19 @@ def select_k(sys: K3System, c: int, regime: Regime) -> Optional[int]:
     single-point branches L^4(d, 2d) would be special; in the NEG regime
     k = 2d is forced whenever admissible.
     """
-    return _select_k(_split_key(sys, c), c, regime)
+    k_min, k_max = _bounds(key, c, regime)
+    if k_min > k_max:
+        return None
+    gamma, d, _, n = key
+    if gamma == 4 and n == c:  # the final step, b = 1
+        if regime is _NONNEG and d >= 2:
+            preferred = [k for k in range(k_min, k_max + 1) if k not in (2 * d - 1, 2 * d)]
+            if preferred:
+                return max(preferred)
+            return k_max
+        if regime is _NEG and k_min <= 2 * d <= k_max:
+            return 2 * d
+    return k_max
 
 
 def _recombine(
@@ -206,16 +186,6 @@ def _recombine(
     r_p = l_p - l_p_hat - 1
     intersection = max(-1, r_s + b * r_p - b * k)
     return r_s, r_p, intersection, intersection + b * (l_p_hat + 1) + l_s_hat + 1
-
-
-def combine_dims(l_s: int, l_s_hat: int, l_p: int, l_p_hat: int, b: int, k: int) -> int:
-    """Dimension of the degenerate fiber from the four branch dimensions."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    for l in (l_s, l_s_hat, l_p, l_p_hat):
-        if l < -1:
-            raise ValueError("branch dimensions must be >= -1")
-    return _recombine(l_s, l_s_hat, l_p, l_p_hat, b, k)[3]
 
 
 def _branch_vdims(key: Key, c: int, k: int) -> Tuple[int, int, int, int]:
@@ -232,6 +202,14 @@ def _branch_vdims(key: Key, c: int, k: int) -> Tuple[int, int, int, int]:
 
 
 def _identity_holds(v: int, b: int, k: int, vdims: Tuple[int, int, int, int]) -> bool:
+    """The four equivalent virtual-dimension bookkeeping identities
+
+        v = v_S + b*v_P_hat + b = v_S + b*(v_P - k)
+          = v_S_hat + b*v_P + b = v_S_hat + b*(v_P_hat + k + 2)
+
+    for the branch vdims of _branch_vdims.  A permanent self-check inside
+    the recursion.
+    """
     v_s, v_sh, v_p, v_ph = vdims
     return (
         v == v_s + b * v_ph + b
@@ -241,26 +219,11 @@ def _identity_holds(v: int, b: int, k: int, vdims: Tuple[int, int, int, int]) ->
     )
 
 
-def check_vdim_identity(sys: K3System, c: int, k: int) -> bool:
-    """Verify the four equivalent virtual-dimension bookkeeping identities
-
-        v = v_S + b*v_P_hat + b = v_S + b*(v_P - k)
-          = v_S_hat + b*v_P + b = v_S_hat + b*(v_P_hat + k + 2)
-
-    with v_S, v_S_hat the surface branch vdims at multiplicities k, k+1 and
-    v_P, v_P_hat the unclamped planar vdims at degrees k, k-1.  Used as a
-    permanent self-check inside the recursion.
-    """
-    key = _split_key(sys, c)
-    return _identity_holds(k3_vdim_formula(*key), key[3] // c, k, _branch_vdims(key, c, k))
-
-
 # ---------------------------------------------------------------------------
 # Trace records
 
 
-@dataclass(frozen=True, slots=True)
-class PlanarLeaf:
+class PlanarLeaf(NamedTuple):
     """A planar branch L(delta, m^c), key (delta, m, c), resolved by the
     4-and-9-points non-speciality rule."""
 
@@ -275,8 +238,7 @@ class PlanarLeaf:
         return PlanarSystem(*self.key)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     """One node of the recursion tree: a system, by its key, with its
     verdict and, for composite systems, the degeneration step that
     resolved it."""
@@ -296,8 +258,7 @@ class TraceNode:
         return K3System(*self.key)
 
 
-@dataclass(frozen=True, slots=True)
-class DegenerationStep:
+class DegenerationStep(NamedTuple):
     """One recursion level: the chosen (c, b, k), the four branches, the
     restriction dimensions and the combined fiber dimension l0 (None when
     a surface branch has no certified dimension)."""
@@ -331,6 +292,11 @@ TRACE_FIELDS = (
 )
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+# Node rows per encoder call in to_json; one call for the whole table would
+# hold its text and the joined document at once.
+_ROWS_PER_CHUNK = 64
+# The JSON string of each Status and Regime member.
+_VALUE = {member: member.value for enum in (Status, Regime) for member in enum}
 
 
 @dataclass(frozen=True)
@@ -356,8 +322,13 @@ class DegenerationTrace:
         """The document in compact JSON with one node row per line."""
         doc = self.to_dict()
         rows = doc.pop("nodes")
-        return (_ENCODER.encode(doc)[:-1] + ',"nodes":[\n'
-                + ",\n".join(map(_ENCODER.encode, rows)) + "\n]}")
+        # A row holds only scalars and this module's fixed strings, none of
+        # which contains a bracket, so "],[" in the text of a chunk of rows
+        # is always the boundary between two rows.
+        table = ",\n".join(
+            _ENCODER.encode(rows[i:i + _ROWS_PER_CHUNK])[1:-1].replace("],[", "],\n[")
+            for i in range(0, len(rows), _ROWS_PER_CHUNK))
+        return "".join((_ENCODER.encode(doc)[:-1], ',"nodes":[\n', table, "\n]}"))
 
 
 def _node_rows(root: TraceNode) -> list:
@@ -373,17 +344,18 @@ def _node_rows(root: TraceNode) -> list:
         order.append(node)
         if node.step is not None:
             todo += (node.step.surface_hat_node, node.step.surface_node)
+    value = _VALUE
     rows = []
     for node in order:
-        row = [*node.key, node.vdim, node.edim, node.dim, node.status.value,
+        row = [*node.key, node.vdim, node.edim, node.dim, value[node.status],
                node.certified, node.kind, node.note]
         step = node.step
         if step is not None:
             p, ph = step.planar_leaf, step.planar_hat_leaf
-            row += [step.c, step.b, step.k, step.regime.value,
+            row += [step.c, step.b, step.k, value[step.regime],
                     ids[step.surface_node.key], ids[step.surface_hat_node.key],
-                    p.key[0], p.vdim, p.edim, p.dim, p.status.value,
-                    ph.key[0], ph.vdim, ph.edim, ph.dim, ph.status.value,
+                    p.key[0], p.vdim, p.edim, p.dim, value[p.status],
+                    ph.key[0], ph.vdim, ph.edim, ph.dim, value[ph.status],
                     step.r_surface, step.r_planar, step.intersection_dim, step.l0]
         rows.append(row)
     return rows
@@ -399,7 +371,7 @@ def _planar_leaf(delta: int, m: int, c: int, v: int) -> PlanarLeaf:
     if delta < 0:
         v = -1
     e = edim(v)
-    return PlanarLeaf((delta, m, c), v, e, e, Status.NONSPECIAL)
+    return PlanarLeaf((delta, m, c), v, e, e, _NONSPECIAL)
 
 
 def _name(key: Key) -> str:
@@ -413,7 +385,7 @@ def _attempt_step(
     k: int,
     regime: Regime,
     base: BaseResolver,
-    memo: Dict[Key, TraceNode],
+    memo: Dict[Key, Optional[TraceNode]],
 ) -> Tuple[bool, bool, DegenerationStep]:
     """Try one degeneration step; returns (certified, conditional, record)."""
     gamma, d, m, n = key
@@ -422,8 +394,10 @@ def _attempt_step(
     if not _identity_holds(v, b, k, vdims):
         raise EngineError(f"vdim bookkeeping identity failed for {_name(key)}, c={c}, k={k}")
     v_s, v_sh, v_p, v_ph = vdims
-    node_s = _resolve(_key(gamma, d, k, b), base, memo)
-    node_sh = _resolve(_key(gamma, d, k + 1, b), base, memo)
+    # A node is a non-empty tuple, so `or` falls through only on a miss.
+    key_s, key_sh = _key(gamma, d, k, b), _key(gamma, d, k + 1, b)
+    node_s = memo.get(key_s) or _resolve(key_s, base, memo)
+    node_sh = memo.get(key_sh) or _resolve(key_sh, base, memo)
     leaf_p = _planar_leaf(k, m, c, v_p)
     leaf_ph = _planar_leaf(k - 1, m, c, v_ph)
 
@@ -436,13 +410,11 @@ def _attempt_step(
     step = DegenerationStep(c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
                             *_recombine(l_s, l_sh, leaf_p.dim, leaf_ph.dim, b, k))
     l0 = step.l0
-    branch_nonspecial = (
-        node_s.status in (Status.NONSPECIAL, Status.CONDITIONAL)
-        and node_sh.status in (Status.NONSPECIAL, Status.CONDITIONAL)
-    )
-    conditional = Status.CONDITIONAL in (node_s.status, node_sh.status)
+    status_s, status_sh = node_s.status, node_sh.status
+    branch_nonspecial = status_s in _BRANCH_OK and status_sh in _BRANCH_OK
+    conditional = status_s is _CONDITIONAL or status_sh is _CONDITIONAL
 
-    if regime is Regime.NONNEG:
+    if regime is _NONNEG:
         ok = v_s >= -1 and v_p >= -1 and branch_nonspecial
         if ok and l0 != v:
             raise EngineError(
@@ -472,14 +444,26 @@ def _attempt_step(
     return ok, conditional, step
 
 
-def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> TraceNode:
-    node = memo.get(key)
-    if node is None:
-        node = memo[key] = _new_node(key, base, memo)
+def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]]) -> TraceNode:
+    """Build the node of a key not yet in `memo` and store it there.
+
+    While the memo holds fewer than MAX_NODES keys the node is resolved in
+    full; past that it is UNKNOWN, with a note.  The key is reserved before
+    its branches are resolved, so len(memo) also counts the nodes still in
+    progress.  The placeholder is never read: every step lowers the point
+    count, so no descendant has the key."""
+    if len(memo) < MAX_NODES:
+        memo[key] = None
+        node = _new_node(key, base, memo)
+    else:
+        v = k3_vdim_formula(*key)
+        node = TraceNode(key, v, edim(v), None, _UNKNOWN, False, "failed",
+                         note=f"node budget of {MAX_NODES} spent; dimension not certified")
+    memo[key] = node
     return node
 
 
-def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> TraceNode:
+def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]]) -> TraceNode:
     gamma, d, m, n = key
     if n == 1:
         rep = base(gamma, d, m)
@@ -488,15 +472,15 @@ def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> Trace
     v = k3_vdim_formula(*key)
     e = edim(v)
     if n == 0:
-        return TraceNode(key, v, e, v, Status.NONSPECIAL, True, "unconditioned")
+        return TraceNode(key, v, e, v, _NONSPECIAL, True, "unconditioned")
 
     c = 9 if n % 9 == 0 else 4
     if v > -1:
-        regimes = [Regime.NONNEG]
+        regimes = (_NONNEG,)
     elif v < -1:
-        regimes = [Regime.NEG]
+        regimes = (_NEG,)
     else:
-        regimes = [Regime.NONNEG, Regime.NEG]
+        regimes = (_NONNEG, _NEG)
 
     last_step: Optional[DegenerationStep] = None
     for regime in regimes:
@@ -506,7 +490,7 @@ def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> Trace
         certified, conditional, last_step = _attempt_step(
             key, v, c, k, regime, base, memo)
         if certified:
-            status = Status.CONDITIONAL if conditional else Status.NONSPECIAL
+            status = _CONDITIONAL if conditional else _NONSPECIAL
             return TraceNode(key, v, e, e, status, True, "step", step=last_step)
 
     note = (
@@ -514,7 +498,7 @@ def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, TraceNode]) -> Trace
         if last_step is None
         else "step side conditions failed; dimension not certified"
     )
-    return TraceNode(key, v, e, None, Status.UNKNOWN, False, "failed",
+    return TraceNode(key, v, e, None, _UNKNOWN, False, "failed",
                      step=last_step, note=note)
 
 
@@ -522,14 +506,14 @@ def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, Degener
     """Run the degeneration recursion down to single-point base cases.
 
     `base` resolves L^gamma(d, mu) leaves to dimension reports.  Returns the
-    certified report (UNKNOWN when some step's side conditions fail) together
-    with the full audit trace.
+    certified report (UNKNOWN when some step's side conditions fail, or when
+    the recursion needs more than MAX_NODES nodes) together with the full
+    audit trace.
     """
     n = sys.count
     if n != 0 and factor_4_9(n) is None:
         raise ValueError(f"point count {n} is not of the form 4^u * 9^w")
-    # No descendant has the root's key: every step lowers the point count.
-    node = _new_node(sys.key, base, {})
+    node = _resolve(sys.key, base, {})
     trace = DegenerationTrace(node)
     report = DimensionReport(node.vdim, node.edim, node.dim, node.status, trace=trace)
     return report, trace

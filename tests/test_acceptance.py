@@ -21,7 +21,7 @@ from k3fat.core import (
     vdim_k3,
     vdim_planar,
 )
-from k3fat.degeneration import Regime, check_vdim_identity, select_k
+from k3fat.degeneration import Regime, _branch_vdims, _identity_holds, _select_k
 from k3fat.oracle import PrimeFieldConfig, measure_k3_cross_checked, measure_planar
 
 SEED = 1
@@ -136,7 +136,8 @@ def test_criterion_6_vdim_identity_suite():
         n = rng.choice(COMPOSITE_N)
         c = rng.choice([cc for cc in (4, 9) if n % cc == 0])
         k = rng.randrange(1, 51)
-        if not check_vdim_identity(K3System.homogeneous(gamma, d, m, n), c, k):
+        sys = K3System.homogeneous(gamma, d, m, n)
+        if not _identity_holds(vdim_k3(sys), n // c, k, _branch_vdims(sys.key, c, k)):
             failures += 1
     assert failures == 0
     print("\nACCEPTANCE 6 PASS: all four bookkeeping-identity forms hold on "
@@ -158,7 +159,7 @@ def test_criterion_7_matching_degree_existence():
         regime = Regime.NONNEG if v >= -1 else Regime.NEG
         if confirmed[regime] >= 1000:
             continue
-        k = select_k(sys, c, regime)
+        k = _select_k(sys.key, c, regime)
         if k is None:
             failures += 1
             continue

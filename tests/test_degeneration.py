@@ -4,16 +4,20 @@ from random import Random
 import pytest
 
 from k3fat.classify import base_gamma4
+from k3fat import degeneration
 from k3fat.core import K3System, Status, edim, point_conditions, vdim_k3
 from k3fat.degeneration import (
+    DegenerationStep,
+    PlanarLeaf,
     Regime,
-    check_vdim_identity,
-    combine_dims,
+    TraceNode,
+    _bounds,
+    _branch_vdims,
+    _identity_holds,
+    _recombine,
+    _select_k,
     factor_4_9,
-    is_admissible_count,
-    k_selection_bounds,
     recurse,
-    select_k,
 )
 
 
@@ -30,29 +34,28 @@ def test_factor_4_9():
     assert factor_4_9(5184) == (3, 2)
     assert factor_4_9(6) is None
     assert factor_4_9(72) is None
-    assert not is_admissible_count(0)
+    assert factor_4_9(0) is None
 
 
-# --- select_k -------------------------------------------------------------
+# --- _select_k and _bounds -------------------------------------------------
 
 
 def test_select_k_nonneg_final_step_avoids_special_leaves():
-    sys = K3System.homogeneous(4, 3, 1, 9)
-    bounds = k_selection_bounds(sys, 9, Regime.NONNEG)
+    key = K3System.homogeneous(4, 3, 1, 9).key
+    k_min, k_max = _bounds(key, 9, Regime.NONNEG)
     # brute-force oracle for the admissible set
     admissible = [
         k for k in range(11)
         if k * (k + 1) <= 40 and k * (k + 3) >= 16
     ]
     assert admissible == [3, 4, 5]
-    assert list(bounds.admissible()) == admissible
+    assert list(range(k_min, k_max + 1)) == admissible
     # k in {2d-1, 2d} = {5, 6} is avoided; the largest survivor is 4
-    assert select_k(sys, 9, Regime.NONNEG) == 4
+    assert _select_k(key, 9, Regime.NONNEG) == 4
 
 
 def test_select_k_neg_final_step_forces_2d():
-    sys = K3System.homogeneous(4, 2, 2, 4)
-    k = select_k(sys, 4, Regime.NEG)
+    k = _select_k(K3System.homogeneous(4, 2, 2, 4).key, 4, Regime.NEG)
     assert k == 4
     # and 2d satisfies both NEG inequalities here
     assert k * k + 3 * k >= 18
@@ -62,27 +65,9 @@ def test_select_k_neg_final_step_forces_2d():
 def test_select_k_none_when_hypothesis_fails():
     sys = K3System.homogeneous(4, 1, 5, 4)
     assert vdim_k3(sys) < -1
-    assert select_k(sys, 4, Regime.NONNEG) is None
-    bounds = k_selection_bounds(sys, 4, Regime.NONNEG)
-    assert bounds.is_empty
-
-
-def test_select_k_requires_divisor():
-    sys = K3System.homogeneous(4, 3, 1, 4)
-    with pytest.raises(ValueError):
-        select_k(sys, 9, Regime.NONNEG)
-
-
-def test_step_functions_reject_systems_without_points():
-    # a step splits n >= c points; the unconditioned system has none
-    sys = K3System(4, 3)
-    for regime in Regime:
-        with pytest.raises(ValueError):
-            k_selection_bounds(sys, 4, regime)
-        with pytest.raises(ValueError):
-            select_k(sys, 9, regime)
-    with pytest.raises(ValueError):
-        check_vdim_identity(sys, 4, 2)
+    assert _select_k(sys.key, 4, Regime.NONNEG) is None
+    k_min, k_max = _bounds(sys.key, 4, Regime.NONNEG)
+    assert k_min > k_max
 
 
 def _regime_inequalities_hold(gamma, d, m, n, c, k, regime):
@@ -108,26 +93,31 @@ def test_select_k_output_always_in_admissible_interval():
         sys = K3System.homogeneous(gamma, d, m, n)
         v = vdim_k3(sys)
         regime = Regime.NONNEG if v >= -1 else Regime.NEG
-        k = select_k(sys, c, regime)
+        k = _select_k(sys.key, c, regime)
         if k is None:
             continue
-        bounds = k_selection_bounds(sys, c, regime)
-        assert bounds.contains(k)
+        k_min, k_max = _bounds(sys.key, c, regime)
+        assert k_min <= k <= k_max
         assert _regime_inequalities_hold(gamma, d, m, n, c, k, regime)
         checked += 1
 
 
-# --- combine_dims ----------------------------------------------------------
+# --- _recombine ------------------------------------------------------------
+
+
+def _l0(l_s, l_sh, l_p, l_ph, b, k):
+    """The combined fiber dimension of one step."""
+    return _recombine(l_s, l_sh, l_p, l_ph, b, k)[3]
 
 
 def test_combine_dims_all_empty():
-    assert combine_dims(-1, -1, -1, -1, 3, 2) == -1
+    assert _l0(-1, -1, -1, -1, 3, 2) == -1
 
 
 def test_combine_dims_special_leaf_endgame():
     # the L^4(2, 2^4) final step worked in full: r_surface = 0, r_planar = 2,
     # transversal intersection empty, combined dimension -1
-    assert combine_dims(0, -1, 2, -1, 1, 4) == -1
+    assert _l0(0, -1, 2, -1, 1, 4) == -1
 
 
 def test_combine_dims_matches_simplified_form_when_intersection_nonempty():
@@ -138,22 +128,20 @@ def test_combine_dims_matches_simplified_form_when_intersection_nonempty():
         r_s = l_s - l_sh - 1
         r_p = l_p - l_ph - 1
         assert r_s + b * r_p - b * k >= -1
-        assert combine_dims(l_s, l_sh, l_p, l_ph, b, k) == l_s + b * (l_p - k)
-
-
-def test_combine_dims_rejects_bad_input():
-    with pytest.raises(ValueError):
-        combine_dims(-2, -1, -1, -1, 1, 1)
-    with pytest.raises(ValueError):
-        combine_dims(0, -1, 0, -1, 0, 1)
+        assert _l0(l_s, l_sh, l_p, l_ph, b, k) == l_s + b * (l_p - k)
 
 
 # --- vdim bookkeeping identity ---------------------------------------------
 
 
+def _step_identity(sys, c, k):
+    """The recursion's bookkeeping self-check for one step of `sys`."""
+    return _identity_holds(vdim_k3(sys), sys.count // c, k, _branch_vdims(sys.key, c, k))
+
+
 def test_check_vdim_identity_examples():
-    assert check_vdim_identity(K3System.homogeneous(4, 3, 1, 9), 9, 4)
-    assert check_vdim_identity(K3System.homogeneous(6, 5, 3, 36), 4, 7)
+    assert _step_identity(K3System.homogeneous(4, 3, 1, 9), 9, 4)
+    assert _step_identity(K3System.homogeneous(6, 5, 3, 36), 4, 7)
 
 
 def test_check_vdim_identity_negative_control():
@@ -166,6 +154,12 @@ def test_check_vdim_identity_negative_control():
     v_p = k * (k + 3) // 2 - c * point_conditions(m)
     assert v == v_s + b * (v_p - k)
     assert v != (v_s + 1) + b * (v_p - k)
+    vdims = _branch_vdims(sys.key, c, k)
+    assert vdims[0] == v_s and vdims[2] == v_p
+    assert _identity_holds(v, b, k, vdims)
+    for i in range(4):
+        perturbed = tuple(x + (j == i) for j, x in enumerate(vdims))
+        assert not _identity_holds(v, b, k, perturbed)
 
 
 # --- recurse ---------------------------------------------------------------
@@ -280,3 +274,118 @@ def test_trace_serialization_deterministic():
     rep1, t1 = recurse(K3System.homogeneous(4, 3, 2, 36), gamma4_base)
     rep2, t2 = recurse(K3System.homogeneous(4, 3, 2, 36), gamma4_base)
     assert t1.to_json() == t2.to_json()
+
+
+# --- records, the chunked encoder and the node budget ----------------------
+
+# u + w = 6 systems of each regime, each with more rows than one encoder
+# chunk: NONNEG (v >= -1), NEG (empty, u > 0) and the open case (u = 0,
+# 2d = 1 mod 3), which stays UNKNOWN.
+DEEP6 = {
+    "NONNEG": (K3System.homogeneous(4, 306, 2, 4**3 * 9**3), (Status.NONSPECIAL, 47305)),
+    "NEG": (K3System.homogeneous(4, 100, 2, 4**3 * 9**3), (Status.NONSPECIAL, -1)),
+    "UNKNOWN": (K3System.homogeneous(4, 302, 2, 9**6), (Status.UNKNOWN, None)),
+}
+
+
+def _per_row_json(trace):
+    # to_json as one encoder call per row, the form it had before chunking
+    doc = trace.to_dict()
+    head = json.dumps({key: doc[key] for key in ("schema", "root", "fields")},
+                      separators=(",", ":"))
+    rows = ",\n".join(json.dumps(row, separators=(",", ":")) for row in doc["nodes"])
+    return head[:-1] + ',"nodes":[\n' + rows + "\n]}"
+
+
+@pytest.mark.parametrize("regime", sorted(DEEP6))
+def test_trace_json_chunks_match_per_row_encoding(regime, monkeypatch):
+    sys, expected = DEEP6[regime]
+    rep, trace = recurse(sys, gamma4_base)
+    assert (rep.status, rep.dim) == expected
+    assert len(trace.to_dict()["nodes"]) > degeneration._ROWS_PER_CHUNK
+    reference = _per_row_json(trace)
+    assert trace.to_json() == reference
+    # chunk boundaries anywhere: one row per chunk, and chunks that do not
+    # divide the table
+    for size in (1, 2, 7):
+        monkeypatch.setattr(degeneration, "_ROWS_PER_CHUNK", size)
+        assert trace.to_json() == reference
+
+
+def test_trace_records_are_immutable():
+    _, trace = recurse(K3System.homogeneous(4, 2, 2, 4), gamma4_base)
+    node = trace.node
+    records = (node, node.step, node.step.planar_leaf)
+    assert [type(r) for r in records] == [TraceNode, DegenerationStep, PlanarLeaf]
+    for record in records:
+        with pytest.raises(AttributeError):
+            record.dim = 7
+        with pytest.raises(AttributeError):
+            record.extra = 7
+    assert node.step.planar_leaf.system.degree == node.step.k
+    assert node.system.key == node.key
+
+
+@pytest.mark.parametrize("regime", sorted(DEEP6))
+def test_walk_by_id_visits_one_node_per_row(regime):
+    # the benchmark counts nodes by this walk; the memo shares one object
+    # per key, so objects and rows are in one-to-one correspondence
+    _, trace = recurse(DEEP6[regime][0], gamma4_base)
+    seen, todo = set(), [trace.node]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.step is not None:
+            todo += [node.step.surface_node, node.step.surface_hat_node]
+    assert len(seen) == len(trace.to_dict()["nodes"])
+
+
+def test_node_budget_default_covers_the_deep_case():
+    # L^4(500, 100^(4^10 9^5)) has 32 769 nodes; CI classifies it in full
+    assert degeneration.MAX_NODES >= 4 * 32_769
+
+
+def _budget_rows(trace):
+    rows = [dict(zip(degeneration.TRACE_FIELDS, row)) for row in trace.to_dict()["nodes"]]
+    return [row for row in rows if (row["note"] or "").startswith("node budget")]
+
+
+def test_node_budget_counts_distinct_nodes(monkeypatch):
+    sys = DEEP6["NEG"][0]
+    rep, trace = recurse(sys, gamma4_base)
+    nodes = len(trace.to_dict()["nodes"])
+    text = trace.to_json()
+    # a budget of exactly the node count changes nothing
+    monkeypatch.setattr(degeneration, "MAX_NODES", nodes)
+    rep_at, trace_at = recurse(sys, gamma4_base)
+    assert (rep_at.status, rep_at.dim) == (rep.status, rep.dim)
+    assert trace_at.to_json() == text
+    # one node fewer: the last node to start is left UNKNOWN, and the root
+    # with it
+    monkeypatch.setattr(degeneration, "MAX_NODES", nodes - 1)
+    rep_under, trace_under = recurse(sys, gamma4_base)
+    assert rep_under.status is Status.UNKNOWN and rep_under.dim is None
+    assert len(trace_under.to_dict()["nodes"]) == nodes
+    (row,) = _budget_rows(trace_under)
+    assert (row["status"], row["kind"], row["certified"], row["dim"]) == (
+        "UNKNOWN", "failed", False, None)
+    assert row["note"] == f"node budget of {nodes - 1} spent; dimension not certified"
+
+
+def test_node_budget_spent_gives_unknown_not_an_error(monkeypatch):
+    from k3fat.classify import classify
+
+    monkeypatch.setattr(degeneration, "MAX_NODES", 5)
+    # gamma = 4: the recursion stops early, the theorem verdict stands
+    sys = DEEP6["NONNEG"][0]
+    rep = classify(sys)
+    assert (rep.status, rep.dim) == DEEP6["NONNEG"][1]
+    assert rep.trace.node.status is Status.UNKNOWN
+    rows = rep.trace.to_dict()["nodes"]
+    assert len(rows) - len(_budget_rows(rep.trace)) == 5
+    # assumed base: nothing but the recursion, so the report is UNKNOWN
+    rep = classify(K3System.homogeneous(6, 306, 2, 4**3 * 9**3), assume_base=True)
+    assert rep.status is Status.UNKNOWN and rep.dim is None
+    assert _budget_rows(rep.trace)

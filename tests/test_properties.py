@@ -13,15 +13,15 @@ from k3fat.core import (
     vdim_k3,
 )
 from k3fat.degeneration import (
-    KSelectionBounds,
     Regime,
+    _bounds,
+    _branch_vdims,
+    _identity_holds,
     _least_k,
-    check_vdim_identity,
-    combine_dims,
+    _recombine,
+    _select_k,
     factor_4_9,
-    k_selection_bounds,
     recurse,
-    select_k,
 )
 
 ADMISSIBLE_N = sorted(
@@ -40,7 +40,8 @@ ks = st.integers(min_value=1, max_value=50)
 @settings(max_examples=300, deadline=None)
 def test_vdim_identity_property(gamma, d, m, n, k, rnd):
     c = rnd.choice([cc for cc in (4, 9) if n % cc == 0])
-    assert check_vdim_identity(K3System.homogeneous(gamma, d, m, n), c, k)
+    sys = K3System.homogeneous(gamma, d, m, n)
+    assert _identity_holds(vdim_k3(sys), n // c, k, _branch_vdims(sys.key, c, k))
 
 
 @given(gammas, degrees, mults, st.integers(min_value=0, max_value=5184))
@@ -71,7 +72,7 @@ def test_combine_dims_cross_identity(l_s, l_sh, l_p, l_ph, b, k):
     # when the transversality maximum is attained at the non-(-1) argument,
     # the combination equals l_S + b*(l_P - k)
     r_s, r_p = l_s - l_sh - 1, l_p - l_ph - 1
-    l0 = combine_dims(l_s, l_sh, l_p, l_ph, b, k)
+    l0 = _recombine(l_s, l_sh, l_p, l_ph, b, k)[3]
     if r_s + b * r_p - b * k >= -1:
         assert l0 == l_s + b * (l_p - k)
     else:
@@ -91,7 +92,7 @@ def test_select_k_substitution_bulk():
         sys = K3System.homogeneous(gamma, d, m, n)
         v = vdim_k3(sys)
         regime = Regime.NONNEG if v >= -1 else Regime.NEG
-        k = select_k(sys, c, regime)
+        k = _select_k(sys.key, c, regime)
         assert k is not None, (gamma, d, m, n, c, regime)
         b = n // c
         half = gamma // 2
@@ -121,19 +122,19 @@ def test_any_admissible_k_certifies_the_same_value():
             continue
         c = 9 if n % 9 == 0 else 4
         b = n // c
-        bounds = k_selection_bounds(sys, c, Regime.NONNEG)
-        for k in bounds.admissible():
+        k_min, k_max = _bounds(sys.key, c, Regime.NONNEG)
+        for k in range(k_min, k_max + 1):
             rep_s, _ = recurse(K3System.homogeneous(4, d, k, b), base)
             rep_sh, _ = recurse(K3System.homogeneous(4, d, k + 1, b), base)
             if rep_s.status is not Status.NONSPECIAL or rep_sh.status is not Status.NONSPECIAL:
                 continue
             from k3fat.core import planar_dim_nonspecial
 
-            l0 = combine_dims(
+            l0 = _recombine(
                 rep_s.dim, rep_sh.dim,
                 planar_dim_nonspecial(k, m, c), planar_dim_nonspecial(k - 1, m, c),
                 b, k,
-            )
+            )[3]
             assert l0 == v, (d, m, n, k)
             checked += 1
 
@@ -199,7 +200,7 @@ def ref_bounds(gamma, d, m, n, c, regime):
     else:
         k_min = ref_least_k(lambda k: b * (k + 1) * (k + 2) >= a_num)
         k_max = ref_least_k(lambda k: (k + 1) * (k + 2) > cm)
-    return KSelectionBounds(regime, k_min, k_max)
+    return k_min, k_max
 
 
 @given(
@@ -213,7 +214,7 @@ def ref_bounds(gamma, d, m, n, c, regime):
 @settings(max_examples=500, deadline=None)
 def test_closed_form_k_bounds_match_the_search(c, b, gamma, d, m, regime):
     sys = K3System.homogeneous(gamma, d, m, b * c)
-    assert k_selection_bounds(sys, c, regime) == ref_bounds(gamma, d, m, b * c, c, regime)
+    assert _bounds(sys.key, c, regime) == ref_bounds(gamma, d, m, b * c, c, regime)
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=-2, max_value=2))
