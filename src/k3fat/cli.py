@@ -130,7 +130,7 @@ def cmd_classify(gamma, d, m, n, trace_path, assume_base):
     click.echo(_report_line(gamma, d, m, n, report))
     if trace_path:
         with _replacing(trace_path) as fh:
-            fh.write(report.trace.to_json())
+            fh.writelines(report.trace.json_chunks())
         click.echo(f"trace written to {trace_path}")
 
 

@@ -47,7 +47,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .core import (
     DimensionReport,
@@ -292,8 +293,8 @@ TRACE_FIELDS = (
 )
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-# Node rows per encoder call in to_json; one call for the whole table would
-# hold its text and the joined document at once.
+# Node rows per encoder call in json_chunks; one call for the whole table
+# would hold all of its rows and their text at once.
 _ROWS_PER_CHUNK = 64
 # The JSON string of each Status and Regime member.
 _VALUE = {member: member.value for enum in (Status, Regime) for member in enum}
@@ -316,22 +317,32 @@ class DegenerationTrace:
 
     def to_dict(self) -> dict:
         return {"schema": TRACE_SCHEMA, "root": 0, "fields": list(TRACE_FIELDS),
-                "nodes": _node_rows(self.node)}
+                "nodes": list(_node_rows(self.node))}
 
     def to_json(self) -> str:
         """The document in compact JSON with one node row per line."""
-        doc = self.to_dict()
-        rows = doc.pop("nodes")
-        # A row holds only scalars and this module's fixed strings, none of
-        # which contains a bracket, so "],[" in the text of a chunk of rows
-        # is always the boundary between two rows.
-        table = ",\n".join(
-            _ENCODER.encode(rows[i:i + _ROWS_PER_CHUNK])[1:-1].replace("],[", "],\n[")
-            for i in range(0, len(rows), _ROWS_PER_CHUNK))
-        return "".join((_ENCODER.encode(doc)[:-1], ',"nodes":[\n', table, "\n]}"))
+        return "".join(self.json_chunks())
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of to_json() in pieces, each node row encoded only when
+        its piece is asked for, so that a writer holds one piece at a time."""
+        head = _ENCODER.encode({"schema": TRACE_SCHEMA, "root": 0, "fields": list(TRACE_FIELDS)})
+        yield head[:-1] + ',"nodes":[\n'
+        rows = _node_rows(self.node)
+        separator = ""
+        while True:
+            chunk = list(islice(rows, _ROWS_PER_CHUNK))
+            if not chunk:
+                break
+            # A row holds only scalars and this module's fixed strings, none
+            # of which contains a bracket, so "],[" in the text of a chunk of
+            # rows is always the boundary between two rows.
+            yield separator + _ENCODER.encode(chunk)[1:-1].replace("],[", "],\n[")
+            separator = ",\n"
+        yield "\n]}"
 
 
-def _node_rows(root: TraceNode) -> list:
+def _node_rows(root: TraceNode) -> Iterator[list]:
     """The rows of the node table; a node's id is its index in DFS preorder."""
     order = []
     ids: Dict[Key, int] = {}
@@ -345,7 +356,6 @@ def _node_rows(root: TraceNode) -> list:
         if node.step is not None:
             todo += (node.step.surface_hat_node, node.step.surface_node)
     value = _VALUE
-    rows = []
     for node in order:
         row = [*node.key, node.vdim, node.edim, node.dim, value[node.status],
                node.certified, node.kind, node.note]
@@ -357,8 +367,7 @@ def _node_rows(root: TraceNode) -> list:
                     p.key[0], p.vdim, p.edim, p.dim, value[p.status],
                     ph.key[0], ph.vdim, ph.edim, ph.dim, value[ph.status],
                     step.r_surface, step.r_planar, step.intersection_dim, step.l0]
-        rows.append(row)
-    return rows
+        yield row
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,26 @@ along b, m shift-and-add steps each.  Every step adds one product of two
 reduced entries to a reduced entry and reduces, which stays below p^2 and
 so fits the int64 arrays of `field_dtype`.  The points of a run of equal
 multiplicity are processed together.
+
+A trial stops drawing points once its conditions reach full column rank.
+Its points come in a fixed order from its own random stream; at the first
+point k where the running condition count reaches 2d^2 + 2 with points
+left to draw, the rows of the first k points are ranked.  Rank only grows
+as rows are added and never exceeds 2d^2 + 2, on all-monomial columns too
+since the multiples of F meet no condition, so a prefix of full rank
+gives the trial's dim, -1, and the remaining points are not drawn; any
+other prefix is followed by the rest of the draw and a rank of all rows,
+the same draws and rank as without the stop.  A stopped trial ranks fewer
+rows than the system's n m (m + 1) / 2, so its rows * deg / p error bound
+(see config) only shrinks; OracleMeasurement.rows stays the system's
+condition count, and the bound stated from it still holds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, groupby
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +83,8 @@ _MAX_POINT_ATTEMPTS = 256
 _MAX_SURFACE_ATTEMPTS = 32
 
 Exponents = Tuple[int, int, int, int]
+# (k, enough): sample_quartic_instance's early stop after k points
+Stop = Tuple[int, Callable[["QuarticSurfaceInstance"], bool]]
 
 
 def monomial_exponents(degree: int, nvars: int = 4) -> List[Tuple[int, ...]]:
@@ -233,19 +248,26 @@ def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int
 
 
 def sample_quartic_instance(
-    groups: Sequence[Tuple[int, int]], p: int, rng
+    groups: Sequence[Tuple[int, int]], p: int, rng, *, stop: Optional[Stop] = None
 ) -> QuarticSurfaceInstance:
     """Random quartic plus one smooth point per required fat point.
 
     groups is a normalized ((multiplicity, count), ...) multiset; the local
     series at a point of multiplicity m is expanded to order m - 1, enough
     to impose all conditions of total degree < m.
+
+    stop, a pair (k, enough), may end the draw early: once the first k
+    points are drawn and checked, with more left to draw, the instance of
+    those k points is passed to enough, and when it returns True that
+    instance is returned.  The k points are the first k of the full draw,
+    from the same random stream, so otherwise the result is unchanged.
     """
     quartic_exps = monomial_exponents(4)
     for _ in range(_MAX_SURFACE_ATTEMPTS):
         coeffs = {e: rng.randrange(p) for e in quartic_exps}
         if not any(coeffs.values()):
             continue
+        coefficients = tuple(sorted(coeffs.items()))
         f_affine = {k: v for k, v in _dehomogenize(coeffs).items() if v % p}
         partials = _affine_partials(f_affine, p)
         try:
@@ -263,8 +285,13 @@ def sample_quartic_instance(
                         p2 = affine[params[1] - 1]
                         series = solve_implicit(g, p1, p2, affine[solved - 1], m - 1, p)
                     points.append(SurfacePoint(affine, m, solved, params, series))
+                    if stop is not None and len(points) == stop[0]:
+                        _check_points(f_affine, partials, points, p)
+                        prefix = QuarticSurfaceInstance(p, coefficients, tuple(points))
+                        if stop[1](prefix):
+                            return prefix
             _check_points(f_affine, partials, points, p)
-            return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
+            return QuarticSurfaceInstance(p, coefficients, tuple(points))
         except (SamplingError, ChartSingularError):
             continue
     raise SamplingError("could not sample a usable quartic within budget")
@@ -338,7 +365,16 @@ def measure_k3(
     d: int, points, cfg: PrimeFieldConfig, prime: int = 0
 ) -> OracleMeasurement:
     """Monte-Carlo dimension of the degree-d system through fat points on a
-    random quartic, min-aggregated over independently seeded trials."""
+    random quartic, min-aggregated over independently seeded trials.
+
+    A trial stops drawing points once the rows of its first points reach
+    full column rank, ncols = 2d^2 + 2, and its dim is then -1 (see the
+    module docstring).  The trial dims are those of the full draw unless a
+    later point would have run out of _MAX_POINT_ATTEMPTS and forced a new
+    quartic, with probability about 0.37^256.  `rows` in the result is still
+    the system's condition count n m (m + 1) / 2, of which a stopped trial
+    ranks fewer.
+    """
     if d < 1:
         raise ValueError("d must be positive")
     p = prime or cfg.prime
@@ -350,10 +386,8 @@ def measure_k3(
         raise BudgetExceededError(
             f"quartic condition matrix {nrows}x{ncols} exceeds budget {cfg.budget_rows}"
         )
-    trial_dims = []
-    for trial in range(cfg.trials):
-        rng = derived_rng(cfg.seed, "k3", p, d, groups, trial)
-        instance = sample_quartic_instance(groups, p, rng)
+
+    def rank(instance: QuarticSurfaceInstance) -> int:
         columns = len(instance.column_exponents(d))
         if columns > cfg.budget_rows:  # a quartic without pure fourth powers
             raise BudgetExceededError(
@@ -361,8 +395,18 @@ def measure_k3(
                 f"exceeds budget {cfg.budget_rows}"
             )
         rows = k3_condition_rows(d, instance)
-        rank = rank_mod_p(rows, p) if rows else 0
-        trial_dims.append(ncols - rank - 1)
+        return rank_mod_p(rows, p) if rows else 0
+
+    npoints = sum(n for _, n in groups)
+    running = accumulate(point_conditions(m) for m, n in groups for _ in range(n))
+    k = next((k for k, count in enumerate(running, 1) if count >= ncols), npoints)
+    stop = (k, lambda prefix: rank(prefix) == ncols) if k < npoints else None
+    trial_dims = []
+    for trial in range(cfg.trials):
+        rng = derived_rng(cfg.seed, "k3", p, d, groups, trial)
+        instance = sample_quartic_instance(groups, p, rng, stop=stop)
+        stopped = len(instance.points) < npoints  # at full rank on its prefix
+        trial_dims.append(-1 if stopped else ncols - rank(instance) - 1)
     dim = min(trial_dims)
     low_confidence = len(set(trial_dims)) > 1
     return OracleMeasurement(dim, tuple(trial_dims), low_confidence, p, nrows, ncols)

@@ -9,15 +9,24 @@ itself keeps only the standard monomials of
 `QuarticSurfaceInstance.column_exponents` and forms each block from the
 monomials restricted along the chart, on coefficient grids.
 `ref_rank_mod_p` is the unblocked elimination, one pivot at a time over the
-trailing columns.  Both are kept verbatim in behaviour, and the tests
-compare the oracle with them.
+trailing columns.  `ref_measure_k3` is the trial loop that samples and
+ranks every point of the system; the oracle stops a trial once its rows
+reach full column rank.  All three are kept verbatim in behaviour, and the
+tests compare the oracle with them.
 """
 from typing import List, Sequence
 
 import numpy as np
 
-from k3fat.oracle.field import field_dtype, inverse_mod
-from k3fat.oracle.quartic import monomial_exponents
+from k3fat.core import point_conditions
+from k3fat.oracle.config import BudgetExceededError, OracleMeasurement, derived_rng
+from k3fat.oracle.field import field_dtype, inverse_mod, rank_mod_p
+from k3fat.oracle.quartic import (
+    k3_condition_rows,
+    monomial_exponents,
+    num_surface_forms,
+    sample_quartic_instance,
+)
 from k3fat.oracle.series import binomial_shift, dense_mul, triangle, unit_pairs
 
 
@@ -104,3 +113,33 @@ def ref_k3_condition_rows(d: int, instance) -> List[List[int]]:
                 block[n] = (block[n] + c * jet) % p
         rows.extend(row.tolist() for row in block)
     return rows
+
+
+def ref_measure_k3(d: int, points, cfg, prime: int = 0) -> OracleMeasurement:
+    """measure_k3 with every point of every trial sampled and ranked."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    p = prime or cfg.prime
+    groups = tuple(sorted(((int(m), int(n)) for m, n in points), reverse=True))
+    ncols = num_surface_forms(d)
+    nrows = sum(n * point_conditions(m) for m, n in groups)
+    if nrows > cfg.budget_rows or ncols > cfg.budget_rows:
+        raise BudgetExceededError(
+            f"quartic condition matrix {nrows}x{ncols} exceeds budget {cfg.budget_rows}"
+        )
+    trial_dims = []
+    for trial in range(cfg.trials):
+        rng = derived_rng(cfg.seed, "k3", p, d, groups, trial)
+        instance = sample_quartic_instance(groups, p, rng)
+        columns = len(instance.column_exponents(d))
+        if columns > cfg.budget_rows:
+            raise BudgetExceededError(
+                f"quartic condition matrix {nrows}x{columns} (all monomials) "
+                f"exceeds budget {cfg.budget_rows}"
+            )
+        rows = k3_condition_rows(d, instance)
+        rank = rank_mod_p(rows, p) if rows else 0
+        trial_dims.append(ncols - rank - 1)
+    dim = min(trial_dims)
+    low_confidence = len(set(trial_dims)) > 1
+    return OracleMeasurement(dim, tuple(trial_dims), low_confidence, p, nrows, ncols)

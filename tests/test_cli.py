@@ -7,6 +7,8 @@ from click.testing import CliRunner
 
 from k3fat import cli
 from k3fat.cli import SWEEP_HEADER, main
+from k3fat.classify import classify
+from k3fat.core import K3System
 from k3fat.degeneration import DegenerationTrace
 
 
@@ -71,20 +73,35 @@ def test_classify_with_trace(runner, tmp_path):
     assert root["k"] == 4
 
 
+def test_classify_trace_file_holds_the_to_json_text(runner, tmp_path, monkeypatch):
+    # 2^(4^3 9^3) at d = 100: a table of many chunks, written piece by piece
+    # and never joined into one string
+    trace = tmp_path / "trace.json"
+    args = ("-d", "100", "-m", "2", "-n", str(4**3 * 9**3))
+    with monkeypatch.context() as patch:
+        patch.setattr(DegenerationTrace, "to_json", None)
+        assert invoke(runner, "classify", "--gamma", "4", *args,
+                      "--trace", str(trace)).exit_code == 0
+    report = classify(K3System.homogeneous(4, 100, 2, 4**3 * 9**3))
+    assert trace.read_bytes() == report.trace.to_json().encode()
+
+
 def test_interrupted_trace_export_keeps_the_previous_file(runner, tmp_path, monkeypatch):
     trace = tmp_path / "trace.json"
     trace.write_bytes(b"previous trace\n")
     args = ("classify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4",
             "--trace", str(trace))
 
-    def failing_to_json(self):
+    def failing_json_chunks(self):
+        # interrupted after the first piece has reached the file
+        yield '{"schema":'
         raise RuntimeError("interrupted")
 
     def failing_replace(src, dst):
         raise OSError("disk full")
 
     for owner, name, failure, error in (
-        (DegenerationTrace, "to_json", failing_to_json, RuntimeError),
+        (DegenerationTrace, "json_chunks", failing_json_chunks, RuntimeError),
         (cli.os, "replace", failing_replace, OSError),
     ):
         with monkeypatch.context() as patch:

@@ -312,6 +312,31 @@ def test_trace_json_chunks_match_per_row_encoding(regime, monkeypatch):
         assert trace.to_json() == reference
 
 
+@pytest.mark.parametrize("regime", sorted(DEEP6))
+def test_trace_json_chunks_encode_one_chunk_of_rows_at_a_time(regime, monkeypatch):
+    rep, trace = recurse(DEEP6[regime][0], gamma4_base)
+    text, nrows = trace.to_json(), len(trace.to_dict()["nodes"])
+    pieces = list(trace.json_chunks())
+    assert "".join(pieces) == text
+    assert len(pieces) == 2 + -(-nrows // degeneration._ROWS_PER_CHUNK)
+    assert [piece.lstrip(",\n").count("\n") + 1 for piece in pieces[1:-1]] == \
+        [min(degeneration._ROWS_PER_CHUNK, nrows - i)
+         for i in range(0, nrows, degeneration._ROWS_PER_CHUNK)]
+    # a piece is encoded only when it is asked for
+    calls = []
+    encoder = degeneration._ENCODER
+
+    class Counting:
+        def encode(self, obj):
+            calls.append(obj)
+            return encoder.encode(obj)
+
+    monkeypatch.setattr(degeneration, "_ENCODER", Counting())
+    chunks = trace.json_chunks()
+    assert next(chunks) + next(chunks) == text[:len(pieces[0]) + len(pieces[1])]
+    assert len(calls) == 2
+
+
 def test_trace_records_are_immutable():
     _, trace = recurse(K3System.homogeneous(4, 2, 2, 4), gamma4_base)
     node = trace.node

@@ -10,7 +10,10 @@ The series references compute with the sparse Series2 of series_reference and
 hand their results over in the oracle's dense layout.  The condition-row
 reference spans every degree-d monomial; the oracle keeps the standard
 monomials only, so the rows are compared on the kept columns, and the
-dimensions against the full-column pipeline of oracle_reference.
+dimensions against the full-column pipeline of oracle_reference.  The
+oracle's trials stop drawing points once their rows reach full column rank;
+the measurements are compared with oracle_reference's trial loop, which
+samples and ranks every point.
 """
 from dataclasses import replace
 from random import Random
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_reference import ref_k3_condition_rows
+from oracle_reference import ref_k3_condition_rows, ref_measure_k3
 from oracle_reference import ref_rank_mod_p as ref_one_pivot_rank
 from series_reference import Series2, eval_poly3, from_dense, power_table, to_dense
 
@@ -525,3 +528,93 @@ def rank_problems(draw):
 def test_rank_mod_p_matches_whole_row_reference(problem):
     rows, p = problem
     assert rank_mod_p(rows, p) == ref_rank_mod_p(rows, p)
+
+
+# ---------------------------------------------------------------------------
+# Trials that stop once their rows reach full column rank.
+
+# L^4(d, groups), with the number of points after which the condition count
+# first reaches 2d^2 + 2: 1 of L^4(1, 3^36) at 4 columns, 4 of L^4(2, 2^9) at
+# 10, 6 of L^4(4, 3^16) at 34, 13 of L^4(6, 3^36) at 74, 18 of L^4(5, 2^36)
+# at 52, and 5 of L^4(4, 4^2 3^3 2^4) at 34, inside its second group.
+STOPPING_SYSTEMS = (
+    (1, ((3, 36),), 1),
+    (2, ((2, 9),), 4),
+    (4, ((3, 16),), 6),
+    (6, ((3, 36),), 13),
+    (5, ((2, 36),), 18),
+    (4, ((4, 2), (3, 3), (2, 4)), 5),
+)
+
+
+class Draws:
+    """Counts quartic._sample_point calls and records the points that
+    quartic._check_points receives."""
+
+    def __init__(self, monkeypatch):
+        self.sampled, self.checked = [], set()
+        sample, check = quartic._sample_point, quartic._check_points
+
+        def counting_sample(*args):
+            point = sample(*args)
+            self.sampled.append(point[0])
+            return point
+
+        def recording_check(f, partials, points, p):
+            check(f, partials, points, p)
+            self.checked.update(pt.affine for pt in points)
+
+        monkeypatch.setattr(quartic, "_sample_point", counting_sample)
+        monkeypatch.setattr(quartic, "_check_points", recording_check)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("d, groups, k", STOPPING_SYSTEMS)
+def test_stopped_trials_match_the_full_trial_loop(monkeypatch, p, d, groups, k):
+    cfg = PrimeFieldConfig(prime2=None)
+    draws = Draws(monkeypatch)
+    measured = measure_k3(d, groups, cfg, prime=p)
+    assert len(draws.sampled) == cfg.trials * k < cfg.trials * sum(n for _, n in groups)
+    assert draws.checked == set(draws.sampled)
+    assert measured == ref_measure_k3(d, groups, cfg, prime=p)
+    assert measured.trial_dims == (-1,) * cfg.trials
+    assert measured.rows == sum(n * m * (m + 1) // 2 for m, n in groups)
+
+
+@pytest.mark.parametrize("d, groups, ranks_per_trial", [
+    (3, ((6, 4),), 2),  # the prefix L^4(3, 6^1) is the wall: rank 19 of 20
+    (11, ((2, 64),), 1),  # 192 conditions on 244 columns never reach the stop
+    (2, ((5, 1),), 1),  # 15 conditions on 10 columns, but no point left to draw
+])
+def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_per_trial):
+    cfg = PrimeFieldConfig(prime2=None)
+    draws = Draws(monkeypatch)
+    ranks = []
+    rank = quartic.rank_mod_p
+
+    def counting_rank(rows, p):
+        ranks.append(len(rows))
+        return rank(rows, p)
+
+    monkeypatch.setattr(quartic, "rank_mod_p", counting_rank)
+    measured = measure_k3(d, groups, cfg)
+    assert len(draws.sampled) == cfg.trials * sum(n for _, n in groups)
+    assert draws.checked == set(draws.sampled)
+    assert len(ranks) == cfg.trials * ranks_per_trial
+    assert measured == ref_measure_k3(d, groups, cfg)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_stop_returns_the_prefix_of_the_full_draw(p):
+    groups = ((3, 2), (2, 3), (1, 2))
+    full_rng = Random(p)
+    full = sample_quartic_instance(groups, p, full_rng)
+    for k in range(1, len(full.points)):
+        offered = []
+        prefix = sample_quartic_instance(
+            groups, p, Random(p), stop=(k, lambda inst: not offered.append(inst)))
+        assert offered == [prefix] and prefix.points == full.points[:k]
+        assert prefix.coefficients == full.coefficients
+        rng = Random(p)
+        assert sample_quartic_instance(groups, p, rng, stop=(k, lambda _: False)) == full
+        assert rng.getstate() == full_rng.getstate()
