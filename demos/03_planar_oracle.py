@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """The planar interpolation oracle: exact ranks over a large prime field.
 
-Fat-point conditions in the plane are rows of partial-derivative
-evaluations on the monomial basis; the measured dimension is
-(#monomials) - rank - 1.  Random points over F_p model general position:
-a wrong answer needs an unlucky rank drop, which one trial suffers with
-probability at most rows * delta / p (Schwartz-Zippel), and the minimum
-over independently seeded trials is wrong only when every trial drops.
+Fat-point conditions in the plane are rows of Taylor coefficients: at a
+point (px, py) of multiplicity m, the row of s^i t^j (i + j < m) holds the
+s^i t^j coefficient of every monomial x^a y^b shifted to (px + s, py + t).
+The measured dimension is (#monomials) - rank - 1.  Random points over F_p
+model general position: a wrong answer needs an unlucky rank drop, which
+one trial suffers with probability at most rows * delta / p
+(Schwartz-Zippel), and the minimum over independently seeded trials is
+wrong only when every trial drops.
 """
 from k3fat import PlanarSystem, PrimeFieldConfig, vdim_planar
 from k3fat.oracle import measure_planar, planar_condition_rows, derived_rng, rank_mod_p

@@ -296,8 +296,6 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 # Node rows per encoder call in json_chunks; one call for the whole table
 # would hold all of its rows and their text at once.
 _ROWS_PER_CHUNK = 64
-# The JSON string of each Status and Regime member.
-_VALUE = {member: member.value for enum in (Status, Regime) for member in enum}
 
 
 @dataclass(frozen=True)
@@ -355,17 +353,18 @@ def _node_rows(root: TraceNode) -> Iterator[list]:
         order.append(node)
         if node.step is not None:
             todo += (node.step.surface_hat_node, node.step.surface_node)
-    value = _VALUE
+    # A Status or Regime member's JSON string is its `_value_`, the attribute
+    # that `.value` reads through a descriptor.
     for node in order:
-        row = [*node.key, node.vdim, node.edim, node.dim, value[node.status],
+        row = [*node.key, node.vdim, node.edim, node.dim, node.status._value_,
                node.certified, node.kind, node.note]
         step = node.step
         if step is not None:
             p, ph = step.planar_leaf, step.planar_hat_leaf
-            row += [step.c, step.b, step.k, value[step.regime],
+            row += [step.c, step.b, step.k, step.regime._value_,
                     ids[step.surface_node.key], ids[step.surface_hat_node.key],
-                    p.key[0], p.vdim, p.edim, p.dim, value[p.status],
-                    ph.key[0], ph.vdim, ph.edim, ph.dim, value[ph.status],
+                    p.key[0], p.vdim, p.edim, p.dim, p.status._value_,
+                    ph.key[0], ph.vdim, ph.edim, ph.dim, ph.status._value_,
                     step.r_surface, step.r_planar, step.intersection_dim, step.l0]
         yield row
 

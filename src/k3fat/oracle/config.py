@@ -113,6 +113,13 @@ class OracleMeasurement:
     rows: int
     cols: int
 
+    @classmethod
+    def from_trials(cls, trial_dims, prime: int, rows: int, cols: int) -> "OracleMeasurement":
+        """The aggregate of trial dims: their minimum, flagged low-confidence
+        unless every trial measured the same dim."""
+        dims = tuple(trial_dims)
+        return cls(min(dims), dims, len(set(dims)) > 1, prime, rows, cols)
+
 
 def derived_rng(seed: int, *tags) -> Random:
     """Deterministic child generator for a task, stable across platforms.

@@ -160,20 +160,6 @@ def _pstrip(f: List[int]) -> List[int]:
     return f
 
 
-def _pmod(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
-    """f mod g for monic g."""
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) - 1 >= dg and f:
-        lead = f[-1] % p
-        if lead:
-            shift = len(f) - 1 - dg
-            for i in range(dg):
-                f[shift + i] = (f[shift + i] - lead * g[i]) % p
-        f.pop()
-    return _pstrip(f)
-
-
 def _pdivmod(f: Sequence[int], g: Sequence[int], p: int):
     """(quotient, remainder) of f by monic g."""
     f = list(f)
@@ -286,7 +272,7 @@ def _linear_powmod(shift: int, e: int, g: Sequence[int], p: int) -> List[int]:
             r = _mul_linear4(_sqrmod4(r, low, p), shift, low, p)
         else:
             r = _sqr_times_t4(r, low, p)
-    return _pmod(r, g, p)
+    return _pdivmod(r, g, p)[1]
 
 
 @lru_cache(maxsize=16)

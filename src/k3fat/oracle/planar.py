@@ -1,59 +1,55 @@
 """Brute-force dimensions of plane systems by fat-point interpolation.
 
-The conditions "multiplicity >= m at a point" are the vanishing of all
-partial derivatives of order < m.  Rows are those derivative functionals
-evaluated on the monomial basis of degree-delta forms at uniformly sampled
-affine points; the dimension is (number of monomials) - rank - 1, minimized
-over independently seeded trials.
+The conditions "multiplicity >= m at a point" are the vanishing of every
+Taylor coefficient of total degree < m at the point.  The columns are the
+monomials x^a y^b, a + b <= delta, in triangle(delta) order (the
+dehomogenized basis of degree-delta forms).  At a point (px, py) the row of
+s^i t^j, for (i, j) in triangle(m - 1) order, holds the s^i t^j coefficient
+of (px + s)^a (py + t)^b, which is the product of the jet tables of px and
+py (binomial_shift, the one the quartic rows use): one outer product per
+point.  That row is the (i, j) partial derivative divided by i! j!, a unit
+mod p, so the rank is the same.  Points are sampled uniformly over F_p, and
+the dimension is (number of monomials) - rank - 1, min-aggregated over
+independently seeded trials.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..core import PlanarSystem, point_conditions
 from .config import BudgetExceededError, OracleMeasurement, PrimeFieldConfig, derived_rng
-from .field import rank_mod_p
-
-
-def _falling(a: int, i: int) -> int:
-    out = 1
-    for j in range(i):
-        out *= a - j
-    return out
+from .field import field_dtype, rank_mod_p
+from .series import binomial_shift, triangle
 
 
 def planar_condition_rows(
     delta: int, groups: Sequence[Tuple[int, int]], p: int, rng
-) -> List[List[int]]:
-    """Derivative-condition rows over the degree-delta monomial columns.
+) -> np.ndarray:
+    """Taylor-coefficient rows over the degree-delta monomial columns, one
+    2-D array of dtype `field_dtype(p)`.
 
-    Columns are the monomials x^a y^b with a + b <= delta (the dehomogenized
-    basis); for each sampled point and each derivative order (i, j) with
-    i + j < m the row holds d^(i+j)/dx^i dy^j of every monomial at the point.
+    For each group (m, count), m >= 1, count distinct points are drawn from
+    `rng`; the row of (i, j) in triangle(m - 1) at (px, py) has the entry
+    C(a, i) px^(a-i) C(b, j) py^(b-j) mod p in the column of x^a y^b.
     """
-    monomials = [(a, b) for a in range(delta + 1) for b in range(delta + 1 - a)]
-    rows: List[List[int]] = []
+    dtype = field_dtype(p)
+    a, b = np.array(triangle(delta), dtype=np.intp).T
+    blocks = [np.zeros((0, len(a)), dtype=dtype)]
     seen = set()
     for m, count in groups:
+        i, j = np.array(triangle(m - 1), dtype=np.intp).T
         for _ in range(count):
             while True:
                 px, py = rng.randrange(p), rng.randrange(p)
                 if (px, py) not in seen:
                     seen.add((px, py))
                     break
-            xp = [pow(px, e, p) for e in range(delta + 1)]
-            yp = [pow(py, e, p) for e in range(delta + 1)]
-            for i in range(m):
-                for j in range(m - i):
-                    row = []
-                    for a, b in monomials:
-                        if a < i or b < j:
-                            row.append(0)
-                        else:
-                            coef = _falling(a, i) * _falling(b, j)
-                            row.append(coef * xp[a - i] % p * yp[b - j] % p)
-                    rows.append(row)
-    return rows
+            jet_x = np.array(binomial_shift(px, delta, m - 1, p), dtype=dtype)
+            jet_y = np.array(binomial_shift(py, delta, m - 1, p), dtype=dtype)
+            blocks.append(jet_x[i][:, a] * jet_y[j][:, b] % p)
+    return np.concatenate(blocks)
 
 
 def measure_planar(sys: PlanarSystem, cfg: PrimeFieldConfig, prime: int = 0) -> OracleMeasurement:
@@ -73,8 +69,5 @@ def measure_planar(sys: PlanarSystem, cfg: PrimeFieldConfig, prime: int = 0) -> 
     for trial in range(cfg.trials):
         rng = derived_rng(cfg.seed, "planar", p, delta, groups, trial)
         rows = planar_condition_rows(delta, groups, p, rng)
-        rank = rank_mod_p(rows, p) if rows else 0
-        trial_dims.append(ncols - rank - 1)
-    dim = min(trial_dims)
-    low_confidence = len(set(trial_dims)) > 1
-    return OracleMeasurement(dim, tuple(trial_dims), low_confidence, p, nrows, ncols)
+        trial_dims.append(ncols - rank_mod_p(rows, p) - 1)
+    return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)

@@ -394,8 +394,7 @@ def measure_k3(
                 f"quartic condition matrix {nrows}x{columns} (all monomials) "
                 f"exceeds budget {cfg.budget_rows}"
             )
-        rows = k3_condition_rows(d, instance)
-        return rank_mod_p(rows, p) if rows else 0
+        return rank_mod_p(k3_condition_rows(d, instance), p)
 
     npoints = sum(n for _, n in groups)
     running = accumulate(point_conditions(m) for m, n in groups for _ in range(n))
@@ -407,24 +406,17 @@ def measure_k3(
         instance = sample_quartic_instance(groups, p, rng, stop=stop)
         stopped = len(instance.points) < npoints  # at full rank on its prefix
         trial_dims.append(-1 if stopped else ncols - rank(instance) - 1)
-    dim = min(trial_dims)
-    low_confidence = len(set(trial_dims)) > 1
-    return OracleMeasurement(dim, tuple(trial_dims), low_confidence, p, nrows, ncols)
+    return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)
 
 
 def measure_k3_cross_checked(d: int, points, cfg: PrimeFieldConfig) -> OracleMeasurement:
-    """Measure over cfg.prime and, when set, cfg.prime2; disagreement between
-    the primes (or between trials) flags the result LOW_CONFIDENCE."""
+    """Measure over cfg.prime and, when set, cfg.prime2, aggregating the
+    trials of both primes as one: the dim is the minimum of all of them,
+    low-confidence when any two disagree, within a prime or across."""
     first = measure_k3(d, points, cfg)
     if cfg.prime2 is None:
         return first
     second = measure_k3(d, points, cfg, prime=cfg.prime2)
-    low = first.low_confidence or second.low_confidence or first.dim != second.dim
-    return OracleMeasurement(
-        min(first.dim, second.dim),
-        first.trial_dims + second.trial_dims,
-        low,
-        cfg.prime,
-        first.rows,
-        first.cols,
+    return OracleMeasurement.from_trials(
+        first.trial_dims + second.trial_dims, cfg.prime, first.rows, first.cols
     )

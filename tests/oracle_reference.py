@@ -8,13 +8,16 @@ s^i t^j psi^k, psi the local series less its constant term.  The oracle
 itself keeps only the standard monomials of
 `QuarticSurfaceInstance.column_exponents` and forms each block from the
 monomials restricted along the chart, on coefficient grids.
+`ref_planar_condition_rows` builds the plane rows as partial derivatives,
+one falling-factorial product and one power per entry; the oracle's row
+(i, j) is the Taylor coefficient, the derivative row divided by i! j!.
 `ref_rank_mod_p` is the unblocked elimination, one pivot at a time over the
 trailing columns.  `ref_measure_k3` is the trial loop that samples and
 ranks every point of the system; the oracle stops a trial once its rows
-reach full column rank.  All three are kept verbatim in behaviour, and the
-tests compare the oracle with them.
+reach full column rank.  All of them are kept verbatim in behaviour, and
+the tests compare the oracle with them.
 """
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -112,6 +115,47 @@ def ref_k3_condition_rows(d: int, instance) -> List[List[int]]:
             for n, c in entries:
                 block[n] = (block[n] + c * jet) % p
         rows.extend(row.tolist() for row in block)
+    return rows
+
+
+def _falling(a: int, i: int) -> int:
+    out = 1
+    for j in range(i):
+        out *= a - j
+    return out
+
+
+def ref_planar_condition_rows(
+    delta: int, groups: Sequence[Tuple[int, int]], p: int, rng
+) -> List[List[int]]:
+    """Derivative-condition rows over the degree-delta monomial columns.
+
+    Columns are the monomials x^a y^b with a + b <= delta (the dehomogenized
+    basis); for each sampled point and each derivative order (i, j) with
+    i + j < m the row holds d^(i+j)/dx^i dy^j of every monomial at the point.
+    """
+    monomials = [(a, b) for a in range(delta + 1) for b in range(delta + 1 - a)]
+    rows: List[List[int]] = []
+    seen = set()
+    for m, count in groups:
+        for _ in range(count):
+            while True:
+                px, py = rng.randrange(p), rng.randrange(p)
+                if (px, py) not in seen:
+                    seen.add((px, py))
+                    break
+            xp = [pow(px, e, p) for e in range(delta + 1)]
+            yp = [pow(py, e, p) for e in range(delta + 1)]
+            for i in range(m):
+                for j in range(m - i):
+                    row = []
+                    for a, b in monomials:
+                        if a < i or b < j:
+                            row.append(0)
+                        else:
+                            coef = _falling(a, i) * _falling(b, j)
+                            row.append(coef * xp[a - i] % p * yp[b - j] % p)
+                    rows.append(row)
     return rows
 
 

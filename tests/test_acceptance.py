@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from k3fat.classify import Verdict, classify, verify
-from k3fat.cli import SWEEP_HEADER, main
+from k3fat.cli import main
 from k3fat.core import (
     K3System,
     PlanarSystem,

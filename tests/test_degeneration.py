@@ -5,7 +5,7 @@ import pytest
 
 from k3fat.classify import base_gamma4
 from k3fat import degeneration
-from k3fat.core import K3System, Status, edim, point_conditions, vdim_k3
+from k3fat.core import K3System, Status, point_conditions, vdim_k3
 from k3fat.degeneration import (
     DegenerationStep,
     PlanarLeaf,

@@ -13,9 +13,11 @@ monomials only, so the rows are compared on the kept columns, and the
 dimensions against the full-column pipeline of oracle_reference.  The
 oracle's trials stop drawing points once their rows reach full column rank;
 the measurements are compared with oracle_reference's trial loop, which
-samples and ranks every point.
+samples and ranks every point.  The plane rows are Taylor coefficients, and
+are compared with oracle_reference's derivative rows divided by i! j!.
 """
 from dataclasses import replace
+from math import factorial
 from random import Random
 from typing import Dict, List
 
@@ -23,10 +25,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_reference import ref_k3_condition_rows, ref_measure_k3
+from oracle_reference import ref_k3_condition_rows, ref_measure_k3, ref_planar_condition_rows
 from oracle_reference import ref_rank_mod_p as ref_one_pivot_rank
 from series_reference import Series2, eval_poly3, from_dense, power_table, to_dense
 
+from k3fat.core import PlanarSystem, vdim_planar
 from k3fat.oracle import quartic
 from k3fat.oracle.config import (
     DEFAULT_PRIME,
@@ -50,7 +53,8 @@ from k3fat.oracle.quartic import (
     num_surface_forms,
     sample_quartic_instance,
 )
-from k3fat.oracle.series import ChartSingularError, solve_implicit
+from k3fat.oracle.planar import measure_planar, planar_condition_rows
+from k3fat.oracle.series import ChartSingularError, solve_implicit, triangle
 
 PRIMES = (10007, 2**31 - 1, 2**61 - 1)
 # Root finding also at primes = 1 mod 4, where the square root of the
@@ -618,3 +622,32 @@ def test_stop_returns_the_prefix_of_the_full_draw(p):
         rng = Random(p)
         assert sample_quartic_instance(groups, p, rng, stop=(k, lambda _: False)) == full
         assert rng.getstate() == full_rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# Plane rows: Taylor coefficients against the seed's derivative rows.
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("delta", [0, 2, 5, 24])
+@pytest.mark.parametrize("groups", [((3, 1), (2, 2), (1, 3)), ((8, 2),), ((1, 1),), ()])
+def test_planar_rows_are_derivative_rows_over_factorials(p, delta, groups):
+    rng, ref_rng = Random(delta), Random(delta)
+    rows = planar_condition_rows(delta, groups, p, rng)
+    ref = ref_planar_condition_rows(delta, groups, p, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    ncols = (delta + 1) * (delta + 2) // 2
+    assert rows.dtype == field_dtype(p) and rows.shape == (len(ref), ncols)
+    orders = [ij for m, count in groups for _ in range(count) for ij in triangle(m - 1)]
+    for row, ref_row, (i, j) in zip(rows.tolist(), ref, orders):
+        unit = inverse_mod(factorial(i) * factorial(j), p)
+        assert row == [c * unit % p for c in ref_row]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, DEFAULT_PRIME2])
+def test_planar_oracle_at_the_degree_of_the_planar_leaves(p):
+    sys = PlanarSystem(24, 8, 9)
+    m = measure_planar(sys, PrimeFieldConfig(prime2=None), prime=p)
+    assert (m.rows, m.cols) == (324, 325)
+    assert m.dim == vdim_planar(sys) == 0
+    assert m.trial_dims == (0, 0, 0) and not m.low_confidence

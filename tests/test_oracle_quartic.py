@@ -1,4 +1,3 @@
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -6,12 +5,14 @@ import pytest
 from k3fat.core import K3System, vdim_k3
 from k3fat.oracle import (
     BudgetExceededError,
+    OracleMeasurement,
     PrimeFieldConfig,
     k3_condition_rows,
     measure_k3,
     measure_k3_cross_checked,
     monomial_exponents,
     num_degree_forms,
+    quartic,
     sample_quartic_instance,
 )
 
@@ -133,6 +134,22 @@ def test_cross_checked_measurement(cross_cfg):
     assert m.dim == -1
     assert len(m.trial_dims) == 2 * cross_cfg.trials
     assert not m.low_confidence
+
+
+@pytest.mark.parametrize("first, second, dim, low", [
+    ((3, 3, 3), (2, 2, 2), 2, True),  # each prime agrees, the primes do not
+    ((3, 2, 3), (3, 3, 3), 2, True),
+    ((1, 1, 1), (1, 1, 1), 1, False),
+])
+def test_cross_check_aggregates_the_trials_of_both_primes(
+        monkeypatch, cross_cfg, first, second, dim, low):
+    def fake_measure(d, points, cfg, prime=0):
+        dims = first if (prime or cfg.prime) == cfg.prime else second
+        return OracleMeasurement.from_trials(dims, prime or cfg.prime, 6, 10)
+
+    monkeypatch.setattr(quartic, "measure_k3", fake_measure)
+    m = measure_k3_cross_checked(2, [(2, 1)], cross_cfg)
+    assert m == OracleMeasurement(dim, first + second, low, cross_cfg.prime, 6, 10)
 
 
 def test_budget_refusal():
