@@ -16,6 +16,7 @@ from k3fat.oracle import (
     measure_k3,
     rank_mod_p,
     sample_quartic_instance,
+    series_at,
 )
 from k3fat.oracle.series import triangle
 
@@ -27,7 +28,7 @@ instance = sample_quartic_instance(((4, 1),), p, Random(3))
 pt = instance.points[0]
 print(f"  point (chart x0=1): {pt.affine}")
 print(f"  solved coordinate slot: {pt.solved_slot}, parameters: {pt.param_slots}")
-terms = [(ij, c) for ij, c in zip(triangle(3), pt.local_series) if c][:6]
+terms = [(ij, c) for ij, c in zip(triangle(3), series_at(instance, pt)) if c][:6]
 print(f"  local series phi (first terms): {terms}")
 
 print("\nThe doubled tangent-plane section: 10 conditions on 10 quadric")

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import click
 
 from .classify import Verdict, classify, verify
-from .core import K3System, edim, vdim_k3
+from .core import K3System, edim, point_conditions, vdim_k3
 from .degeneration import factor_4_9
 from .oracle import (
     DEFAULT_BUDGET_ROWS,
@@ -30,6 +30,7 @@ from .oracle import (
     PrimeFieldConfig,
     measure_k3_cross_checked,
 )
+from .oracle.quartic import num_surface_forms
 
 SWEEP_HEADER = "gamma,d,m,n,vdim,edim,dim,status,oracle_dim,verdict"
 # Most (d, m, n) tasks one sweep may hold; a larger grid is a usage error
@@ -68,6 +69,14 @@ def main(ctx, prime, prime2, seed, trials, budget_rows):
     """Dimensions and speciality of fat-point linear systems on generic K3
     surfaces, with finite-field oracle verification."""
     ctx.obj = _build_config(prime, prime2, seed, trials, budget_rows)
+
+
+def _check_out_dir(path: str) -> None:
+    """A usage error, before any work, when the directory that would hold
+    the output file `path` does not exist."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise click.UsageError(f"the directory of {path} does not exist")
 
 
 def _validated_system(gamma: int, d: int, m: Optional[int], n: int) -> K3System:
@@ -126,6 +135,8 @@ def cmd_classify(gamma, d, m, n, trace_path, assume_base):
             f"no proved base classification for gamma={gamma}; pass --assume-base "
             "to compute CONDITIONAL reports under the non-special-base hypothesis"
         )
+    if trace_path:
+        _check_out_dir(trace_path)
     report = classify(sys_, assume_base=assume_base)
     click.echo(_report_line(gamma, d, m, n, report))
     if trace_path:
@@ -143,7 +154,8 @@ def cmd_classify(gamma, d, m, n, trace_path, assume_base):
 # run: over budget the lookup misses and the measurement raises
 # BudgetExceededError.  Schema 3 stores cols = 2d^2 + 2, the standard
 # monomials the oracle ranks against; entries of schema 2, which stored
-# C(d+3, 3), are measured again rather than served.
+# C(d+3, 3), are measured again rather than served.  So is an entry whose
+# measurement is not the one its key and its own trial dims determine.
 
 CACHE_SCHEMA = "k3fat.oracle-measurement/3"
 
@@ -168,21 +180,23 @@ def _cache_key(d, points, cfg) -> dict:
 
 def _cache_lookup(path, key: dict) -> Optional[OracleMeasurement]:
     """The stored measurement, or None when the file is missing, unreadable,
-    of another schema, or made under a different configuration."""
+    of another schema, made under a different configuration, or not what
+    the key and its trial dims determine: trial_dims must be a list of
+    `trials` ints per prime, and the rest what OracleMeasurement.from_trials
+    makes of them with the key's prime and the system's rows and cols."""
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
         if any(entry.get(name) != value for name, value in key.items()):
             return None
         stored = entry["measurement"]
-        return OracleMeasurement(
-            dim=int(stored["dim"]),
-            trial_dims=tuple(int(t) for t in stored["trial_dims"]),
-            low_confidence=bool(stored["low_confidence"]),
-            prime=int(stored["prime"]),
-            rows=int(stored["rows"]),
-            cols=int(stored["cols"]),
-        )
+        dims = stored["trial_dims"]
+        ints = isinstance(dims, list) and all(type(t) is int for t in dims)
+        if not ints or len(dims) != key["trials"] * (2 if key["prime2"] else 1):
+            return None
+        rows = sum(n * point_conditions(m) for m, n in key["points"])
+        meas = OracleMeasurement.from_trials(dims, key["prime"], rows, num_surface_forms(key["d"]))
+        return meas if stored == dict(dataclasses.asdict(meas), trial_dims=dims) else None
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return None
 
@@ -324,6 +338,7 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
         raise click.UsageError(
             f"the grid has {count} (d, m, n) tasks; a sweep holds at most {MAX_SWEEP_TASKS}"
         )
+    _check_out_dir(out_path)
 
     tasks = [
         (gamma, d, m, n, cfg, oracle, cache_dir)

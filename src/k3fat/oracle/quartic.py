@@ -38,24 +38,26 @@ so fits the int64 arrays of `field_dtype`.  The points of a run of equal
 multiplicity are processed together.
 
 A trial stops drawing points once its conditions reach full column rank.
-Its points come in a fixed order from its own random stream; at the first
-point k where the running condition count reaches 2d^2 + 2 with points
-left to draw, the rows of the first k points are ranked.  Rank only grows
-as rows are added and never exceeds 2d^2 + 2, on all-monomial columns too
-since the multiples of F meet no condition, so a prefix of full rank
-gives the trial's dim, -1, and the remaining points are not drawn; any
-other prefix is followed by the rest of the draw and a rank of all rows,
-the same draws and rank as without the stop.  A stopped trial ranks fewer
-rows than the system's n m (m + 1) / 2, so its rows * deg / p error bound
-(see config) only shrinks; OracleMeasurement.rows stays the system's
-condition count, and the bound stated from it still holds.
+Let k be the first point count whose conditions reach 2d^2 + 2 with points
+left to draw.  A trial draws the groups cut after k points from its random
+stream and ranks their rows: at full rank its dim is -1.  Otherwise it
+draws the full groups from a fresh copy of the stream, whose first k points
+are the same, and ranks all rows.  Rank only grows as rows are added and
+never exceeds 2d^2 + 2 (the multiples of F meet no condition), so a full
+draw has full rank whenever its first k points have.  That holds also when
+it leaves the prefix's quartic, because a later point's draw ran out of
+_MAX_POINT_ATTEMPTS, and finishes on a new one.  The one divergence left
+needs such a failed draw (about 0.37^256) and a rank drop on the new
+quartic's prefix.  A stopped trial ranks fewer rows than the system's
+n m (m + 1) / 2, so its rows * deg / p error bound (see config) only
+shrinks, and OracleMeasurement.rows stays the system's condition count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, groupby
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +71,6 @@ from .config import (
 )
 from .field import field_dtype, poly_roots, rank_mod_p
 from .series import (
-    ChartSingularError,
     binomial_shift,
     dense_mul,
     eval_poly3_scalar,
@@ -83,8 +84,6 @@ _MAX_POINT_ATTEMPTS = 256
 _MAX_SURFACE_ATTEMPTS = 32
 
 Exponents = Tuple[int, int, int, int]
-# (k, enough): sample_quartic_instance's early stop after k points
-Stop = Tuple[int, Callable[["QuarticSurfaceInstance"], bool]]
 
 
 def monomial_exponents(degree: int, nvars: int = 4) -> List[Tuple[int, ...]]:
@@ -123,12 +122,9 @@ def _degree_exponents(d: int) -> np.ndarray:
 
 
 def _dehomogenize(coeffs: Dict[Exponents, int]) -> Dict[Tuple[int, int, int], int]:
-    """Set x0 = 1: exponents collapse onto the last three variables."""
-    out: Dict[Tuple[int, int, int], int] = {}
-    for (e0, e1, e2, e3), c in coeffs.items():
-        key = (e1, e2, e3)
-        out[key] = out.get(key, 0) + c
-    return out
+    """Set x0 = 1: the nonzero terms of a form, keyed by their last three
+    exponents (the first one follows from the degree)."""
+    return {(e1, e2, e3): c for (e0, e1, e2, e3), c in coeffs.items() if c}
 
 
 def _affine_partial(f: Dict[Tuple[int, int, int], int], slot: int, p: int):
@@ -160,21 +156,22 @@ def _check_points(f, partials, points, p: int) -> None:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """A smooth point of the sampled quartic with its local chart data.
+    """A smooth point of the sampled quartic and its chart.
 
     Affine coordinates live in the chart x0 = 1.  solved_slot is the affine
     coordinate (1-based) expressed as a series in the other two, which are
     the local parameters; the chart requires the partial of F along the
-    solved coordinate to be nonzero at the point.  local_series holds the
-    coefficients of z = phi(s, t) in triangle(multiplicity - 1) order, with
-    phi(0, 0), the solved coordinate, first; it is None for multiplicity 1.
+    solved coordinate to be nonzero at the point (see series_at).
     """
 
     affine: Tuple[int, int, int]
     multiplicity: int
     solved_slot: int
-    param_slots: Tuple[int, int]
-    local_series: Optional[Tuple[int, ...]]
+
+    @property
+    def param_slots(self) -> Tuple[int, int]:
+        """The two slots other than solved_slot, in increasing order."""
+        return tuple(s for s in (1, 2, 3) if s != self.solved_slot)
 
 
 @dataclass(frozen=True)
@@ -248,73 +245,68 @@ def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int
 
 
 def sample_quartic_instance(
-    groups: Sequence[Tuple[int, int]], p: int, rng, *, stop: Optional[Stop] = None
+    groups: Sequence[Tuple[int, int]], p: int, rng
 ) -> QuarticSurfaceInstance:
     """Random quartic plus one smooth point per required fat point.
 
-    groups is a normalized ((multiplicity, count), ...) multiset; the local
-    series at a point of multiplicity m is expanded to order m - 1, enough
-    to impose all conditions of total degree < m.
-
-    stop, a pair (k, enough), may end the draw early: once the first k
-    points are drawn and checked, with more left to draw, the instance of
-    those k points is passed to enough, and when it returns True that
-    instance is returned.  The k points are the first k of the full draw,
-    from the same random stream, so otherwise the result is unchanged.
+    groups is a normalized ((multiplicity, count), ...) multiset.  The
+    points are drawn one after another from rng, so the groups cut after
+    k points draw the first k points of the full draw on the same quartic.
     """
     quartic_exps = monomial_exponents(4)
     for _ in range(_MAX_SURFACE_ATTEMPTS):
         coeffs = {e: rng.randrange(p) for e in quartic_exps}
         if not any(coeffs.values()):
             continue
-        coefficients = tuple(sorted(coeffs.items()))
-        f_affine = {k: v for k, v in _dehomogenize(coeffs).items() if v % p}
+        f_affine = _dehomogenize(coeffs)
         partials = _affine_partials(f_affine, p)
+        points: List[SurfacePoint] = []
+        seen = set()
         try:
-            points: List[SurfacePoint] = []
-            seen = set()
             for m, count in groups:
                 for _ in range(count):
                     affine, solved = _sample_point(f_affine, partials, p, rng, seen)
                     seen.add(affine)
-                    params = tuple(s for s in (1, 2, 3) if s != solved)
-                    series = None
-                    if m >= 2:
-                        g = _oriented_poly(f_affine, params, solved)
-                        p1 = affine[params[0] - 1]
-                        p2 = affine[params[1] - 1]
-                        series = solve_implicit(g, p1, p2, affine[solved - 1], m - 1, p)
-                    points.append(SurfacePoint(affine, m, solved, params, series))
-                    if stop is not None and len(points) == stop[0]:
-                        _check_points(f_affine, partials, points, p)
-                        prefix = QuarticSurfaceInstance(p, coefficients, tuple(points))
-                        if stop[1](prefix):
-                            return prefix
-            _check_points(f_affine, partials, points, p)
-            return QuarticSurfaceInstance(p, coefficients, tuple(points))
-        except (SamplingError, ChartSingularError):
+                    points.append(SurfacePoint(affine, m, solved))
+        except SamplingError:
             continue
+        _check_points(f_affine, partials, points, p)
+        return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
     raise SamplingError("could not sample a usable quartic within budget")
 
 
-def _phi_powers(points, jet: np.ndarray, order: int, p: int) -> np.ndarray:
-    """phi^e for e = 0..d at each point, as coefficient grids: entry
-    [n, e, a, b] is the s^a t^b coefficient of phi^e at point n, zero for
-    a + b > order.  phi = z + psi with z the solved coordinate, so
-    phi^e = sum_k C(e, k) z^(e-k) psi^k, read from jet[n, k, e], the jet
-    table of z (binomial_shift), and the powers psi^k for k <= order: psi
-    has no constant term, so no higher power has a term of degree <= order."""
+def series_at(instance: QuarticSurfaceInstance, pt: SurfacePoint) -> Tuple[int, ...]:
+    """The local series z = phi(s, t) of the chart at pt, to the order
+    multiplicity - 1 that its conditions need: the coefficients in triangle
+    order, phi(0, 0), the solved coordinate, first (solve_implicit).  A
+    point of multiplicity 1 needs only phi(0, 0), and nothing is solved."""
+    z = pt.affine[pt.solved_slot - 1]
+    if pt.multiplicity == 1:
+        return (z,)
+    s, t = (pt.affine[slot - 1] for slot in pt.param_slots)
+    g = _oriented_poly(instance.affine_poly(), pt.param_slots, pt.solved_slot)
+    return solve_implicit(g, s, t, z, pt.multiplicity - 1, instance.prime)
+
+
+def _phi_powers(series, jet: np.ndarray, order: int, p: int) -> np.ndarray:
+    """phi^e for e = 0..d from the local series phi of each point, as
+    coefficient grids: entry [n, e, a, b] is the s^a t^b coefficient of
+    phi^e at point n, zero for a + b > order.  phi = z + psi with z the
+    solved coordinate, so phi^e = sum_k C(e, k) z^(e-k) psi^k, read from
+    jet[n, k, e], the jet table of z (binomial_shift), and the powers psi^k
+    for k <= order: psi has no constant term, so no higher power has a term
+    of degree <= order."""
     pos = triangle(order)
     pairs = unit_pairs(order)
     a, b = np.array(pos, dtype=np.intp).T
-    psi_powers = np.zeros((len(points),) + (order + 1,) * 3, dtype=jet.dtype)  # [n, k, a, b]
-    for n, pt in enumerate(points):
-        psi = (0, *pt.local_series[1:]) if order else (0,)
+    psi_powers = np.zeros((len(series),) + (order + 1,) * 3, dtype=jet.dtype)  # [n, k, a, b]
+    for n, coeffs in enumerate(series):
+        psi = (0, *coeffs[1:])
         psi_k = [[1] + [0] * (len(pos) - 1)]
         for _ in range(order):
             psi_k.append(dense_mul(psi_k[-1], psi, pairs, p))
         psi_powers[n][:, a, b] = psi_k
-    phi = np.zeros((len(points), jet.shape[2]) + (order + 1,) * 2, dtype=jet.dtype)
+    phi = np.zeros((len(series), jet.shape[2]) + (order + 1,) * 2, dtype=jet.dtype)
     for k in range(order + 1):
         phi += jet[:, k, :, None, None] * psi_powers[:, k, None]
         phi %= p
@@ -344,7 +336,8 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
         tables = np.array(
             [[binomial_shift(x, d, order, p) for x in pt.affine] for pt in run], dtype=dtype
         )  # tables[n, slot, i, e]
-        phi = _phi_powers(run, tables[n[:, 0], slots[:, 2]], order, p)
+        series = [series_at(instance, pt) for pt in run]
+        phi = _phi_powers(series, tables[n[:, 0], slots[:, 2]], order, p)
         grid = phi[n, e[:, 2]]  # [n, column, a, b]
         for role in (0, 1):  # times (P_s + s)^e_s along a, then (P_t + t)^e_t along b
             jet = tables[n, slots[:, role, None], :, e[:, role]]  # [n, column, i]
@@ -367,13 +360,10 @@ def measure_k3(
     """Monte-Carlo dimension of the degree-d system through fat points on a
     random quartic, min-aggregated over independently seeded trials.
 
-    A trial stops drawing points once the rows of its first points reach
-    full column rank, ncols = 2d^2 + 2, and its dim is then -1 (see the
-    module docstring).  The trial dims are those of the full draw unless a
-    later point would have run out of _MAX_POINT_ATTEMPTS and forced a new
-    quartic, with probability about 0.37^256.  `rows` in the result is still
-    the system's condition count n m (m + 1) / 2, of which a stopped trial
-    ranks fewer.
+    A trial reports -1 when the rows of its first k points, whose conditions
+    reach ncols = 2d^2 + 2, have full rank, and otherwise draws and ranks
+    every point again from a fresh generator with the same tags (see the
+    module docstring).  `rows` is the system's condition count.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -396,16 +386,19 @@ def measure_k3(
             )
         return rank_mod_p(k3_condition_rows(d, instance), p)
 
-    npoints = sum(n for _, n in groups)
-    running = accumulate(point_conditions(m) for m, n in groups for _ in range(n))
-    k = next((k for k, count in enumerate(running, 1) if count >= ncols), npoints)
-    stop = (k, lambda prefix: rank(prefix) == ncols) if k < npoints else None
+    multiplicities = [m for m, n in groups for _ in range(n)]  # in draw order
+    running = accumulate(map(point_conditions, multiplicities))
+    k = next((k for k, count in enumerate(running, 1) if count >= ncols), len(multiplicities))
+    cut = multiplicities[:k] if k < len(multiplicities) else []  # points left after k
+    prefix = tuple((m, len(list(run))) for m, run in groupby(cut))  # the groups cut after k
     trial_dims = []
     for trial in range(cfg.trials):
-        rng = derived_rng(cfg.seed, "k3", p, d, groups, trial)
-        instance = sample_quartic_instance(groups, p, rng, stop=stop)
-        stopped = len(instance.points) < npoints  # at full rank on its prefix
-        trial_dims.append(-1 if stopped else ncols - rank(instance) - 1)
+        tags = (cfg.seed, "k3", p, d, groups, trial)
+        if prefix and rank(sample_quartic_instance(prefix, p, derived_rng(*tags))) == ncols:
+            trial_dims.append(-1)
+            continue
+        instance = sample_quartic_instance(groups, p, derived_rng(*tags))
+        trial_dims.append(ncols - rank(instance) - 1)
     return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)
 
 

@@ -4,10 +4,11 @@
 monomial, C(d+3, 3) columns, as the product Sub(P) . Jet3(P), one (i, j, k)
 term at a time: Jet3 holds the s^i t^j w^k coefficient of each monomial
 shifted to P, at (P_s + s, P_t + t, P_z + w), and Sub the coefficients of
-s^i t^j psi^k, psi the local series less its constant term.  The oracle
-itself keeps only the standard monomials of
-`QuarticSurfaceInstance.column_exponents` and forms each block from the
-monomials restricted along the chart, on coefficient grids.
+s^i t^j psi^k, psi the local series less its constant term, which
+series_reference's `ref_series_at` solves.  The oracle itself keeps only
+the standard monomials of `QuarticSurfaceInstance.column_exponents` and
+forms each block from the monomials restricted along the chart, on
+coefficient grids.
 `ref_planar_condition_rows` builds the plane rows as partial derivatives,
 one falling-factorial product and one power per entry; the oracle's row
 (i, j) is the Taylor coefficient, the derivative row divided by i! j!.
@@ -20,6 +21,7 @@ the tests compare the oracle with them.
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from series_reference import ref_series_at
 
 from k3fat.core import point_conditions
 from k3fat.oracle.config import BudgetExceededError, OracleMeasurement, derived_rng
@@ -108,7 +110,7 @@ def ref_k3_condition_rows(d: int, instance) -> List[List[int]]:
             _jet_factors(pt.affine[slot - 1], exps[slot - 1], d, order, p, dtype)
             for slot in (sa, sb, pt.solved_slot)
         )
-        psi = (0, *pt.local_series[1:]) if order else (0,)
+        psi = (0, *ref_series_at(instance, pt)[1:]) if order else (0,)
         block = [0] * len(psi)
         for i, j, k, entries in _substitution(psi, order, p):
             jet = jet_a[i] * jet_b[j] % p * jet_c[k] % p

@@ -4,12 +4,16 @@ A Series2 is a sparse map (i, j) -> coefficient of s^i t^j with i + j <=
 order; all products are truncated at that total degree.  The oracle itself
 works on dense triangular lists only; the reference implementations in the
 tests compute with this slower, independent arithmetic and convert at the
-boundary with to_dense / from_dense.
+boundary with to_dense / from_dense.  `ref_solve_implicit` is the reference
+implicit solve, Newton iteration on Series2 at doubling precision, and
+`ref_series_at` the local series of a sampled point that both reference
+row builders read.
 """
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from k3fat.oracle.field import inverse_mod
+from k3fat.oracle.series import ChartSingularError
 
 
 def positions(order: int):
@@ -130,3 +134,47 @@ def eval_poly3(coeffs: Mapping[Tuple[int, int, int], int],
         if c % s1.p:
             acc = acc + (tables[0][e1] * tables[1][e2] * tables[2][e3]).scale(c)
     return acc
+
+
+def ref_eval_scalar(coeffs, x1, x2, x3, p):
+    """The value mod p of a trivariate polynomial at a point."""
+    return sum(c * pow(x1, e1, p) * pow(x2, e2, p) * pow(x3, e3, p)
+               for (e1, e2, e3), c in coeffs.items()) % p
+
+
+def ref_solve_implicit(coeffs, p1, p2, p3, order, p):
+    """The dense coefficients of phi, phi(0, 0) = p3, with
+    coeffs(p1 + s, p2 + t, phi) = 0 through total degree order."""
+    fz: Dict = {}
+    for (e1, e2, e3), c in coeffs.items():
+        if e3 > 0:
+            fz[(e1, e2, e3 - 1)] = (fz.get((e1, e2, e3 - 1), 0) + e3 * c) % p
+    if ref_eval_scalar(fz, p1, p2, p3, p) == 0:
+        raise ChartSingularError("z-partial vanishes")
+    if ref_eval_scalar(coeffs, p1, p2, p3, p) != 0:
+        raise ValueError("the polynomial does not vanish")
+    phi = Series2.constant(p, 0, p3)
+    prec = 0
+    while prec < order:
+        prec = min(2 * prec + 1, order)
+        phi = Series2.from_dict(p, prec, phi.as_dict())
+        u = Series2.linear(p, prec, p1, 1, 0)
+        v = Series2.linear(p, prec, p2, 0, 1)
+        f_val = eval_poly3(coeffs, u, v, phi)
+        fz_val = eval_poly3(fz, u, v, phi)
+        phi = phi - f_val * fz_val.inverse()
+    return to_dense(phi)
+
+
+def ref_series_at(instance, pt):
+    """The local series of the chart at a sampled point, to order
+    multiplicity - 1: the quartic set to x0 = 1, its exponents ordered as
+    (parameter, parameter, solved coordinate), solved by ref_solve_implicit."""
+    a, b = (slot for slot in (1, 2, 3) if slot != pt.solved_slot)
+    axes = (a - 1, b - 1, pt.solved_slot - 1)
+    f = {}
+    for (_, *exps), c in instance.coefficients:
+        if c % instance.prime:
+            f[tuple(exps[i] for i in axes)] = c
+    return ref_solve_implicit(f, *(pt.affine[i] for i in axes),
+                              pt.multiplicity - 1, instance.prime)

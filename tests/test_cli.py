@@ -245,7 +245,7 @@ def test_verify_cache_recomputes_verdict(runner, tmp_path):
     entry = json.loads(path.read_text())
     assert entry["measurement"]["dim"] == -1
 
-    entry["measurement"]["dim"] = 5
+    entry["measurement"].update(dim=5, trial_dims=[5, 5])
     entry["verdict"] = "AGREE"
     path.write_text(json.dumps(entry))
     tampered = runner.invoke(main, list(args))
@@ -259,6 +259,57 @@ def test_verify_cache_recomputes_verdict(runner, tmp_path):
     assert invoke(runner, *args).output == fresh.output
     assert json.loads(path.read_text())["measurement"]["dim"] == -1
     assert [p.name for p in cache.iterdir()] == [path.name]  # no temporary files left
+
+
+@pytest.mark.parametrize("tampered", [
+    {"dim": -1},  # not the minimum of the trial dims
+    {"low_confidence": True},  # the trial dims agree
+    {"cols": 5},  # L^4(3) has 2 * 3^2 + 2 = 20 standard monomials
+    {"trial_dims": "77"},  # a string, not a list of ints
+    {"trial_dims": [7, 7, 7]},  # 3 trial dims for 2 trials at one prime
+], ids=["dim", "low_confidence", "cols", "string_trial_dims", "trial_count"])
+def test_verify_cache_measures_inconsistent_entries_again(runner, tmp_path, monkeypatch, tampered):
+    calls = []
+    measure = cli.measure_k3_cross_checked
+
+    def counting_measure(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(cli, "measure_k3_cross_checked", counting_measure)
+    cache = tmp_path / "cache"
+    args = ("--trials", "2", "--prime2", "0",
+            "verify", "--gamma", "4", "-d", "3", "-m", "2", "-n", "4", "--cache", str(cache))
+    fresh = invoke(runner, *args)
+    assert "verdict=AGREE" in fresh.output and "oracle_dim=7" in fresh.output
+    (path,) = cache.glob("*.json")
+    entry = json.loads(path.read_text())
+    assert entry["measurement"] == {"dim": 7, "trial_dims": [7, 7], "low_confidence": False,
+                                    "prime": 2**31 - 1, "rows": 12, "cols": 20}
+    path.write_text(json.dumps(dict(entry, measurement=dict(entry["measurement"], **tampered))))
+    assert invoke(runner, *args).output == fresh.output
+    assert len(calls) == 2  # measured again, and the entry overwritten
+    assert json.loads(path.read_text()) == entry
+    assert invoke(runner, *args).output == fresh.output
+    assert len(calls) == 2  # the rewritten entry is served
+
+
+def test_outputs_into_a_missing_directory_are_usage_errors(runner, tmp_path, monkeypatch):
+    # checked before any work: no row computed, no system classified, no file
+    rows, systems = [], []
+    monkeypatch.setattr(cli, "_sweep_row", lambda task: rows.append(task))
+    monkeypatch.setattr(cli, "classify", lambda *args, **kw: systems.append(args))
+    missing = tmp_path / "missing"
+    result = runner.invoke(main, ["sweep", "--d-range", "1", "2", "--m-range", "1", "1",
+                                  "--n-set", "1", "--out", str(missing / "table.csv")])
+    assert result.exit_code == 2
+    assert "the directory of" in result.output and "does not exist" in result.output
+    result = runner.invoke(main, ["classify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4",
+                                  "--trace", str(missing / "trace.json")])
+    assert result.exit_code == 2
+    assert "does not exist" in result.output
+    assert rows == [] and systems == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_cache_respects_budget(runner, tmp_path):

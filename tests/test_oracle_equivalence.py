@@ -19,7 +19,7 @@ are compared with oracle_reference's derivative rows divided by i! j!.
 from dataclasses import replace
 from math import factorial
 from random import Random
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 import pytest
@@ -27,7 +27,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_reference import ref_k3_condition_rows, ref_measure_k3, ref_planar_condition_rows
 from oracle_reference import ref_rank_mod_p as ref_one_pivot_rank
-from series_reference import Series2, eval_poly3, from_dense, power_table, to_dense
+from series_reference import (
+    Series2,
+    from_dense,
+    power_table,
+    ref_eval_scalar,
+    ref_series_at,
+    ref_solve_implicit,
+    to_dense,
+)
 
 from k3fat.core import PlanarSystem, vdim_planar
 from k3fat.oracle import quartic
@@ -42,7 +50,6 @@ from k3fat.oracle.field import field_dtype, inverse_mod, poly_roots, rank_mod_p
 from k3fat.oracle.quartic import (
     _affine_partial,
     _dehomogenize,
-    _oriented_poly,
     QuarticSurfaceInstance,
     SurfacePoint,
     binom3,
@@ -189,37 +196,6 @@ def ref_poly_roots(coeffs, p, rng):
 
 
 # ---------------------------------------------------------------------------
-# Reference series solve: Newton iteration on Series2 at doubling precision.
-
-
-def _ref_eval_scalar(coeffs, x1, x2, x3, p):
-    return sum(c * pow(x1, e1, p) * pow(x2, e2, p) * pow(x3, e3, p)
-               for (e1, e2, e3), c in coeffs.items()) % p
-
-
-def ref_solve_implicit(coeffs, p1, p2, p3, order, p):
-    fz: Dict = {}
-    for (e1, e2, e3), c in coeffs.items():
-        if e3 > 0:
-            fz[(e1, e2, e3 - 1)] = (fz.get((e1, e2, e3 - 1), 0) + e3 * c) % p
-    if _ref_eval_scalar(fz, p1, p2, p3, p) == 0:
-        raise ChartSingularError("z-partial vanishes")
-    if _ref_eval_scalar(coeffs, p1, p2, p3, p) != 0:
-        raise ValueError("the polynomial does not vanish")
-    phi = Series2.constant(p, 0, p3)
-    prec = 0
-    while prec < order:
-        prec = min(2 * prec + 1, order)
-        phi = Series2.from_dict(p, prec, phi.as_dict())
-        u = Series2.linear(p, prec, p1, 1, 0)
-        v = Series2.linear(p, prec, p2, 0, 1)
-        f_val = eval_poly3(coeffs, u, v, phi)
-        fz_val = eval_poly3(fz, u, v, phi)
-        phi = phi - f_val * fz_val.inverse()
-    return to_dense(phi)
-
-
-# ---------------------------------------------------------------------------
 # Reference sampling and condition rows.
 
 
@@ -240,7 +216,7 @@ def _ref_sample_point(f_affine, p, rng, seen):
         if (a, b, z) in seen:
             continue
         for slot in (3, 2, 1):
-            if _ref_eval_scalar(partials[slot], a, b, z, p) != 0:
+            if ref_eval_scalar(partials[slot], a, b, z, p) != 0:
                 return (a, b, z), slot
     raise SamplingError("could not sample a smooth surface point within budget")
 
@@ -258,16 +234,9 @@ def ref_sample_quartic_instance(groups, p, rng):
                 for _ in range(count):
                     affine, solved = _ref_sample_point(f_affine, p, rng, seen)
                     seen.add(affine)
-                    params = tuple(s for s in (1, 2, 3) if s != solved)
-                    series = None
-                    if m >= 2:
-                        g = _oriented_poly(f_affine, params, solved)
-                        series = ref_solve_implicit(
-                            g, affine[params[0] - 1], affine[params[1] - 1],
-                            affine[solved - 1], m - 1, p)
-                    points.append(SurfacePoint(affine, m, solved, params, series))
+                    points.append(SurfacePoint(affine, m, solved))
             return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
-        except (SamplingError, ChartSingularError):
+        except SamplingError:
             continue
     raise SamplingError("could not sample a usable quartic within budget")
 
@@ -283,13 +252,14 @@ def ref_condition_rows(d, instance) -> List[List[int]]:
             continue
         order = pt.multiplicity - 1
         sa, sb = pt.param_slots
+        phi = ref_series_at(instance, pt)
         var_series = {
             sa: Series2.linear(p, order, pt.affine[sa - 1], 1, 0),
             sb: Series2.linear(p, order, pt.affine[sb - 1], 0, 1),
-            pt.solved_slot: from_dense(p, order, pt.local_series),
+            pt.solved_slot: from_dense(p, order, phi),
         }
         tables = {slot: power_table(var_series[slot], d) for slot in (1, 2, 3)}
-        block = [[0] * len(columns) for _ in pt.local_series]
+        block = [[0] * len(columns) for _ in phi]
         for col, (_, e1, e2, e3) in enumerate(columns):
             values = to_dense(tables[1][e1] * tables[2][e2] * tables[3][e3])
             for r, c in enumerate(values):
@@ -369,7 +339,7 @@ def implicit_problems(draw):
                                                   max_size=len(exps), unique=True))}
     point = (draw(element), draw(element), draw(element))
     f[(0, 0, 0)] = 0
-    f[(0, 0, 0)] = (-_ref_eval_scalar(f, *point, p)) % p
+    f[(0, 0, 0)] = (-ref_eval_scalar(f, *point, p)) % p
     return f, point, draw(st.integers(min_value=1, max_value=4)), p
 
 
@@ -602,26 +572,38 @@ def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_
 
     monkeypatch.setattr(quartic, "rank_mod_p", counting_rank)
     measured = measure_k3(d, groups, cfg)
-    assert len(draws.sampled) == cfg.trials * sum(n for _, n in groups)
+    # a trial that ranks twice drew the 1-point prefix of L^4(3, 6^4) first,
+    # then all four points again from a fresh generator, the same point first
+    prefix = 1 if ranks_per_trial == 2 else 0
+    per_trial = prefix + sum(n for _, n in groups)
+    assert len(draws.sampled) == cfg.trials * per_trial
+    for start in range(0, len(draws.sampled), per_trial):
+        drawn = draws.sampled[start:start + per_trial]
+        assert drawn[:prefix] == drawn[prefix:2 * prefix]
     assert draws.checked == set(draws.sampled)
     assert len(ranks) == cfg.trials * ranks_per_trial
     assert measured == ref_measure_k3(d, groups, cfg)
 
 
+def cut_after(groups, k):
+    """groups cut after their first k points."""
+    out = []
+    for m, n in groups:
+        if k > 0:
+            out.append((m, min(n, k)))
+        k -= n
+    return tuple(out)
+
+
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
-def test_stop_returns_the_prefix_of_the_full_draw(p):
+def test_cut_groups_draw_the_prefix_of_the_full_draw(p):
+    # k = 1, 3, 4 and 6 cut inside a group, 2 and 5 between two groups
     groups = ((3, 2), (2, 3), (1, 2))
-    full_rng = Random(p)
-    full = sample_quartic_instance(groups, p, full_rng)
-    for k in range(1, len(full.points)):
-        offered = []
-        prefix = sample_quartic_instance(
-            groups, p, Random(p), stop=(k, lambda inst: not offered.append(inst)))
-        assert offered == [prefix] and prefix.points == full.points[:k]
+    full = sample_quartic_instance(groups, p, Random(p))
+    for k in range(1, len(full.points) + 1):
+        prefix = sample_quartic_instance(cut_after(groups, k), p, Random(p))
         assert prefix.coefficients == full.coefficients
-        rng = Random(p)
-        assert sample_quartic_instance(groups, p, rng, stop=(k, lambda _: False)) == full
-        assert rng.getstate() == full_rng.getstate()
+        assert prefix.points == full.points[:k]
 
 
 # ---------------------------------------------------------------------------

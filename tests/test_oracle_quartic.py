@@ -14,6 +14,7 @@ from k3fat.oracle import (
     num_degree_forms,
     quartic,
     sample_quartic_instance,
+    series_at,
 )
 
 P = 2**31 - 1
@@ -94,11 +95,11 @@ def test_instance_invariants():
     assert len({pt.affine for pt in instance.points}) == 5
     for pt in instance.points:
         assert pt.solved_slot in (1, 2, 3)
-        assert pt.solved_slot not in pt.param_slots
-        if pt.multiplicity == 1:
-            assert pt.local_series is None
-        else:
-            assert pt.local_series is not None
+        assert sorted((*pt.param_slots, pt.solved_slot)) == [1, 2, 3]
+        assert list(pt.param_slots) == sorted(pt.param_slots)
+        phi = series_at(instance, pt)
+        assert len(phi) == pt.multiplicity * (pt.multiplicity + 1) // 2
+        assert phi[0] == pt.affine[pt.solved_slot - 1]
 
     rows = k3_condition_rows(2, instance)
     assert len(rows) == 2 * 6 + 3 * 1

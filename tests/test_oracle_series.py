@@ -5,7 +5,7 @@ import pytest
 from series_reference import Series2, eval_poly3, from_dense
 
 from k3fat.oracle.field import inverse_mod
-from k3fat.oracle.quartic import sample_quartic_instance
+from k3fat.oracle.quartic import sample_quartic_instance, series_at
 from k3fat.oracle.series import (
     ChartSingularError,
     binomial_shift,
@@ -129,14 +129,14 @@ def test_local_series_residual_vanishes_on_random_quartics():
     f = instance.affine_poly()
     for pt in instance.points:
         order = pt.multiplicity - 1
-        assert pt.local_series is not None
-        assert len(pt.local_series) == len(triangle(order))
-        assert pt.local_series[0] == pt.affine[pt.solved_slot - 1]
+        phi = series_at(instance, pt)
+        assert len(phi) == len(triangle(order))
+        assert phi[0] == pt.affine[pt.solved_slot - 1]
         # residual check: substitute the series back into the affine quartic
         a, b = pt.param_slots
         args = {a: Series2.linear(P, order, pt.affine[a - 1], 1, 0),
                 b: Series2.linear(P, order, pt.affine[b - 1], 0, 1),
-                pt.solved_slot: from_dense(P, order, pt.local_series)}
+                pt.solved_slot: from_dense(P, order, phi)}
         assert eval_poly3(f, args[1], args[2], args[3]).is_zero()
 
 
