@@ -16,7 +16,7 @@ from k3fat.oracle import (
     measure_k3,
     rank_mod_p,
     sample_quartic_instance,
-    series_at,
+    solve_implicit,
 )
 from k3fat.oracle.series import triangle
 
@@ -28,7 +28,10 @@ instance = sample_quartic_instance(((4, 1),), p, Random(3))
 pt = instance.points[0]
 print(f"  point (chart x0=1): {pt.affine}")
 print(f"  solved coordinate slot: {pt.solved_slot}, parameters: {pt.param_slots}")
-terms = [(ij, c) for ij, c in zip(triangle(3), series_at(instance, pt)) if c][:6]
+slots = [slot - 1 for slot in (*pt.param_slots, pt.solved_slot)]
+phi = solve_implicit(instance.affine_poly(), [pt.affine], [slots], 3, p)[0]
+phi[0, 0] = pt.affine[pt.solved_slot - 1]  # phi = z + psi
+terms = [(ij, int(phi[ij])) for ij in triangle(3) if phi[ij]][:6]
 print(f"  local series phi (first terms): {terms}")
 
 print("\nThe doubled tangent-plane section: 10 conditions on 10 quadric")

@@ -2,7 +2,8 @@
 runs, trace export, and a plain-file cache of oracle measurements.
 
 Exit codes: 0 success, 1 oracle disagreement found, 2 usage error,
-3 size budget exceeded.  All randomness flows from --seed, so identical
+3 size budget exceeded; a sweep with both a disagreement and a row skipped
+over budget exits 1.  All randomness flows from --seed, so identical
 invocations produce byte-identical outputs.
 """
 from __future__ import annotations
@@ -276,29 +277,30 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
 # Parameter sweep
 
 
-def _sweep_row(task: Tuple) -> Tuple[str, str, bool]:
+def _sweep_row(task: Tuple) -> Tuple[str, str, bool, bool]:
     """One sweep row, picklable for the worker pool.
 
-    Returns (csv_row, verdict, low_confidence) with empty oracle fields when
-    the oracle is off or skipped."""
+    Returns (csv_row, verdict, low_confidence, over_budget) with empty oracle
+    fields when the oracle is off or skipped."""
     gamma, d, m, n, cfg, oracle_on, cache_dir = task
     sys_ = K3System.homogeneous(gamma, d, m, n)
     report = classify(sys_)
     dim = "" if report.dim is None else str(report.dim)
     oracle_dim = ""
     verdict = ""
-    low_confidence = False
+    low_confidence = over_budget = False
     if oracle_on:
         outcome = _verify_with_cache(sys_, report, cfg, cache_dir)
         verdict = outcome.kind.value
         low_confidence = outcome.low_confidence
+        over_budget = outcome.over_budget
         if outcome.oracle_dim is not None:
             oracle_dim = str(outcome.oracle_dim)
     row = (
         f"{gamma},{d},{m},{n},{report.vdim},{report.edim},{dim},"
         f"{report.status.value},{oracle_dim},{verdict}"
     )
-    return row, verdict, low_confidence
+    return row, verdict, low_confidence, over_budget
 
 
 @main.command("sweep")
@@ -353,16 +355,20 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
     else:
         results = [_sweep_row(t) for t in tasks]
 
-    lines = [SWEEP_HEADER] + [row for row, _, _ in results]
+    lines = [SWEEP_HEADER] + [row for row, *_ in results]
     with _replacing(out_path) as fh:
         fh.write("\n".join(lines) + "\n")
-    disagreements = sum(1 for _, verdict, _ in results if verdict == "DISAGREE")
-    low_confidence = sum(1 for _, _, low in results if low)
+    disagreements = sum(1 for _, verdict, _, _ in results if verdict == "DISAGREE")
+    low_confidence = sum(1 for _, _, low, _ in results if low)
+    over_budget = sum(1 for *_, over in results if over)
     click.echo(f"wrote {len(results)} rows to {out_path}"
                + (f"; {disagreements} DISAGREE" if disagreements else "")
-               + (f"; {low_confidence} low-confidence" if low_confidence else ""))
+               + (f"; {low_confidence} low-confidence" if low_confidence else "")
+               + (f"; {over_budget} over budget" if over_budget else ""))
     if disagreements:
         ctx.exit(1)
+    if over_budget:
+        ctx.exit(3)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .quartic import (
     monomial_exponents,
     num_degree_forms,
     sample_quartic_instance,
-    series_at,
 )
 from .series import ChartSingularError, solve_implicit
 
@@ -49,6 +48,5 @@ __all__ = [
     "poly_roots",
     "rank_mod_p",
     "sample_quartic_instance",
-    "series_at",
     "solve_implicit",
 ]

@@ -25,17 +25,16 @@ The block of conditions at a point P of multiplicity m holds the truncated
 Taylor series of each column monomial restricted along the chart at P: the
 row of s^a t^b, for (a, b) in triangle(m - 1) order, holds its s^a t^b
 coefficient.  With s and t the shifts of the two parameter coordinates and
-phi = P_z + psi the local series of the solved one (psi without constant
-term; the implicit solve returns phi as a dense tuple in triangle order),
-the column x^e restricts to (P_s + s)^(e_s) (P_t + t)^(e_t) phi^(e_z).
-Coefficients are kept as m x m grids over (a, b).  phi^e for e = 0..d is
-formed once per point from the powers of psi and the jet table of P_z
-(binomial_shift, the one the implicit solve uses); each column takes the
-grid of its e_z and is multiplied by the jets of P_s along a and of P_t
-along b, m shift-and-add steps each.  Every step adds one product of two
-reduced entries to a reduced entry and reduces, which stays below p^2 and
-so fits the int64 arrays of `field_dtype`.  The points of a run of equal
-multiplicity are processed together.
+z = P_z + psi the solved one, the column x^e restricts to
+(P_s + s)^(e_s) (P_t + t)^(e_t) (P_z + psi)^(e_z).  Series and
+restrictions are one representation, m x m coefficient grids over (a, b)
+(see the series module), with one kernel, `restrict`.  F along the chart
+is sum_e c_e restrict(x^e) over F's own terms, so `solve_implicit` fixes
+psi for a whole run of points of equal multiplicity from that sum, and the
+block of the degree-d columns is `restrict` of those columns with that
+psi.  Every int64 step reduces each product of two reduced entries before
+it adds, also in the sum over F's 35 terms, so it stays exact in the
+arrays of `field_dtype`.
 
 A trial stops drawing points once its conditions reach full column rank.
 Let k be the first point count whose conditions reach 2d^2 + 2 with points
@@ -70,15 +69,7 @@ from .config import (
     derived_rng,
 )
 from .field import field_dtype, poly_roots, rank_mod_p
-from .series import (
-    binomial_shift,
-    dense_mul,
-    eval_poly3_scalar,
-    powers,
-    solve_implicit,
-    triangle,
-    unit_pairs,
-)
+from .series import chart_jets, eval_poly3_scalar, powers, restrict, solve_implicit, triangle
 
 _MAX_POINT_ATTEMPTS = 256
 _MAX_SURFACE_ATTEMPTS = 32
@@ -161,7 +152,7 @@ class SurfacePoint:
     Affine coordinates live in the chart x0 = 1.  solved_slot is the affine
     coordinate (1-based) expressed as a series in the other two, which are
     the local parameters; the chart requires the partial of F along the
-    solved coordinate to be nonzero at the point (see series_at).
+    solved coordinate to be nonzero at the point (see solve_implicit).
     """
 
     affine: Tuple[int, int, int]
@@ -201,15 +192,6 @@ class QuarticSurfaceInstance:
         """Check F(P) = 0 and chart smoothness at every stored point."""
         f = self.affine_poly()
         _check_points(f, _affine_partials(f, self.prime), self.points, self.prime)
-
-
-def _oriented_poly(f, param_slots, solved_slot):
-    """Reorder affine exponents to (param1, param2, solved)."""
-    a, b = param_slots
-    out = {}
-    for exps, c in f.items():
-        out[(exps[a - 1], exps[b - 1], exps[solved_slot - 1])] = c
-    return out
 
 
 def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int, int], int]:
@@ -275,44 +257,6 @@ def sample_quartic_instance(
     raise SamplingError("could not sample a usable quartic within budget")
 
 
-def series_at(instance: QuarticSurfaceInstance, pt: SurfacePoint) -> Tuple[int, ...]:
-    """The local series z = phi(s, t) of the chart at pt, to the order
-    multiplicity - 1 that its conditions need: the coefficients in triangle
-    order, phi(0, 0), the solved coordinate, first (solve_implicit).  A
-    point of multiplicity 1 needs only phi(0, 0), and nothing is solved."""
-    z = pt.affine[pt.solved_slot - 1]
-    if pt.multiplicity == 1:
-        return (z,)
-    s, t = (pt.affine[slot - 1] for slot in pt.param_slots)
-    g = _oriented_poly(instance.affine_poly(), pt.param_slots, pt.solved_slot)
-    return solve_implicit(g, s, t, z, pt.multiplicity - 1, instance.prime)
-
-
-def _phi_powers(series, jet: np.ndarray, order: int, p: int) -> np.ndarray:
-    """phi^e for e = 0..d from the local series phi of each point, as
-    coefficient grids: entry [n, e, a, b] is the s^a t^b coefficient of
-    phi^e at point n, zero for a + b > order.  phi = z + psi with z the
-    solved coordinate, so phi^e = sum_k C(e, k) z^(e-k) psi^k, read from
-    jet[n, k, e], the jet table of z (binomial_shift), and the powers psi^k
-    for k <= order: psi has no constant term, so no higher power has a term
-    of degree <= order."""
-    pos = triangle(order)
-    pairs = unit_pairs(order)
-    a, b = np.array(pos, dtype=np.intp).T
-    psi_powers = np.zeros((len(series),) + (order + 1,) * 3, dtype=jet.dtype)  # [n, k, a, b]
-    for n, coeffs in enumerate(series):
-        psi = (0, *coeffs[1:])
-        psi_k = [[1] + [0] * (len(pos) - 1)]
-        for _ in range(order):
-            psi_k.append(dense_mul(psi_k[-1], psi, pairs, p))
-        psi_powers[n][:, a, b] = psi_k
-    phi = np.zeros((len(series), jet.shape[2]) + (order + 1,) * 2, dtype=jet.dtype)
-    for k in range(order + 1):
-        phi += jet[:, k, :, None, None] * psi_powers[:, k, None]
-        phi %= p
-    return phi
-
-
 def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarray]:
     """Condition rows over the columns `instance.column_exponents(d)` for
     every point: the rows of one 2-D array, as a list, so that truth tests
@@ -325,30 +269,19 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     """
     p = instance.prime
     dtype = field_dtype(p)
-    exps = instance.column_exponents(d)[:, 1:].T
+    f = instance.affine_poly()
+    exps = instance.column_exponents(d)[:, 1:].T  # exps[slot, column]
     blocks = [np.zeros((0, exps.shape[1]), dtype=dtype)]
     for multiplicity, run in groupby(instance.points, key=lambda pt: pt.multiplicity):
         run = list(run)
         order = multiplicity - 1
+        affine = [pt.affine for pt in run]
         slots = np.array([(*pt.param_slots, pt.solved_slot) for pt in run]) - 1
-        e = exps[slots]  # e[n, role, column], roles s, t and the solved z
-        n = np.arange(len(run))[:, None]
-        tables = np.array(
-            [[binomial_shift(x, d, order, p) for x in pt.affine] for pt in run], dtype=dtype
-        )  # tables[n, slot, i, e]
-        series = [series_at(instance, pt) for pt in run]
-        phi = _phi_powers(series, tables[n[:, 0], slots[:, 2]], order, p)
-        grid = phi[n, e[:, 2]]  # [n, column, a, b]
-        for role in (0, 1):  # times (P_s + s)^e_s along a, then (P_t + t)^e_t along b
-            jet = tables[n, slots[:, role, None], :, e[:, role]]  # [n, column, i]
-            out = np.zeros_like(grid)
-            for i in range(order + 1):  # only a + b <= order is ever read
-                w = order + 1 - i
-                step = grid[:, :, :w, :w] * jet[:, :, i, None, None]
-                step += out[:, :, i:, :w]
-                step %= p
-                out[:, :, i:, :w] = step
-            grid = out.swapaxes(2, 3)  # the next factor runs along the other axis
+        if order:
+            psi = solve_implicit(f, affine, slots, order, p)
+        else:  # a simple point needs only phi(0, 0) = P_z
+            psi = np.zeros((len(run), 1, 1), dtype=dtype)
+        grid = restrict(psi, chart_jets(affine, slots, d, order, p), exps[slots], p)
         a, b = np.array(triangle(order), dtype=np.intp).T
         blocks.append(grid[:, :, a, b].transpose(0, 2, 1).reshape(-1, exps.shape[1]))
     return list(np.concatenate(blocks))

@@ -1,27 +1,44 @@
-"""Truncated bivariate power series over F_p and implicit-function solving.
+"""Truncated bivariate power series over F_p on coefficient grids, and the
+implicit-function solve.
 
-A series of order N is one dense triangular list: position k holds the
-coefficient of s^i t^j for (i, j) = triangle(N)[k], i + j <= N, in
-lexicographic order, and products are truncated at total degree N through
-precomputed index triples (unit_pairs).  The implicit solve returns the
-local series phi in this layout, and the condition rows read it unchanged.
+A series of order N in (s, t) is one (N + 1) x (N + 1) grid whose entry
+[a, b] is its s^a t^b coefficient; only the triangle a + b <= N carries
+meaning, and nothing reads the entries above it.  Every array holds a run
+of points at once, the point first.  The chart at a surface point P names
+three affine slots in the roles (s, t, z): s and t are the shifts of the two
+parameter coordinates, and the solved coordinate is the series
+z = phi(s, t) = P_z + psi(s, t), psi without constant term.
 
-The solve Taylor-shifts f once to h(s, t, w) = f(p1 + s, p2 + t, p3 + w)
-and solves h(s, t, psi) = 0 degree by degree, which needs the w-partial of
-h to be a unit at the origin; phi = p3 + psi.  Since psi has no constant
-term, psi^k has no term below total degree k, so the shift in w stops at
-w^max(order, 1): the higher powers of w never reach the truncated series,
-and w^1 carries the partial that the chart needs.  The Taylor coefficients
-of (x + s)^e come from binomial_shift, the one jet table shared with the
-condition rows, and point values are read from power tables (`powers`).
+`restrict` is the one kernel on grids: the monomials x^e restricted along
+the chart, (P_s + s)^(e_s) (P_t + t)^(e_t) phi^(e_z).  It forms psi^k for
+k <= N by truncated grid products (psi has no constant term, so no higher
+power has a term of degree <= N), phi^e = sum_k C(e, k) P_z^(e - k) psi^k
+from the jet table of P_z (`binomial_shift`), and multiplies by the jets of
+P_s along a and of P_t along b, one shift-and-add step per jet coefficient.
+The condition rows are these grids for the degree-d columns.  A polynomial
+F = sum_e c_e x^e along the chart is sum_e c_e restrict(x^e) over F's own
+terms, and that is how `solve_implicit` reads its residual: with psi exact
+below degree D, the degree-D part of F(P_s + s, P_t + t, P_z + psi) is
+F_z(P) psi_D plus the same part with psi_D = 0, so
+psi_D = -[sum_e c_e restrict(x^e)]_D / F_z(P), computed on the
+(D + 1) x (D + 1) corner alone.
+
+On int64 (p <= isqrt(2^63), see `field_dtype`) every step stays exact.
+Every entry is reduced; a shift-and-add step adds one product of two
+reduced entries to a reduced entry and reduces, which stays below
+p (p - 1) < 2^63; and the coefficient sum over F's terms (35 for a
+quartic) reduces each product c_e * entry before it adds, so the sum stays
+below 35 p.  Object arrays hold Python integers and are exact at any size.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import List, Mapping, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
-from .field import inverse_mod
+import numpy as np
+
+from .field import field_dtype, inverse_mod
 
 
 class ChartSingularError(ValueError):
@@ -57,122 +74,125 @@ def binomial_shift(x: int, top: int, kmax: int, p: int) -> List[List[int]]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# Dense triangular coefficient lists.  The tables are built on first use of
-# each order (one per fat-point multiplicity in use), never at import.
-
-
 @lru_cache(maxsize=64)
 def triangle(order: int) -> Tuple[Tuple[int, int], ...]:
-    """Exponent pairs (i, j) with i + j <= order, in dense-list order."""
+    """Exponent pairs (i, j) with i + j <= order, in lexicographic order: the
+    order of a point's condition rows and of the planar columns."""
     return tuple((i, j) for i in range(order + 1) for j in range(order + 1 - i))
 
 
-@lru_cache(maxsize=64)
-def unit_pairs(order: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Index triples (a, b, c) with triangle[a] + triangle[b] = triangle[c],
-    b != 0, of total degree <= order: the terms of x * y truncated at
-    `order` when y has zero constant term."""
-    pos = triangle(order)
-    index = {ij: k for k, ij in enumerate(pos)}
-    return tuple(
-        (a, b, index[(i1 + i2, j1 + j2)])
-        for a, (i1, j1) in enumerate(pos)
-        for b, (i2, j2) in enumerate(pos)
-        if b and i1 + i2 + j1 + j2 <= order
+def chart_jets(points, slots, top: int, kmax: int, p: int) -> np.ndarray:
+    """jets[n, role, k, e]: row k = 0..kmax, entry e = 0..top of the jet
+    table (binomial_shift) of the coordinate of points[n] in slot
+    slots[n][role], the roles in the order (s, t, z)."""
+    return np.array(
+        [[binomial_shift(x[slot], top, kmax, p) for slot in roles]
+         for x, roles in zip(points, slots)],
+        dtype=field_dtype(p),
     )
 
 
-def dense_mul(x, y, pairs, p: int) -> List[int]:
-    """x * y mod p for dense lists, y with zero constant term (see unit_pairs)."""
-    out = [0] * len(x)
-    for a, b, c in pairs:
-        out[c] += x[a] * y[b]
-    return [v % p for v in out]
+def _times_psi(x: np.ndarray, psi: np.ndarray, low: int, p: int) -> np.ndarray:
+    """x * psi truncated at total degree N, for grids [n, a, b], x without
+    terms below degree `low` and psi without constant term: one
+    shift-and-add step per term of psi that reaches a + b <= N, over the
+    window that does."""
+    order = psi.shape[1] - 1
+    out = np.zeros_like(x)
+    for i in range(order + 1 - low):
+        for j in range(i == 0, order + 1 - low - i):
+            w = order + 1 - i - j
+            step = x[:, :w, :w] * psi[:, i, j, None, None]
+            step += out[:, i:i + w, j:j + w]
+            step %= p
+            out[:, i:i + w, j:j + w] = step
+    return out
 
 
-def _taylor_shift(coeffs, point, order: int, p: int) -> List[List[int]]:
-    """h(s, t, w) = f(p1 + s, p2 + t, p3 + w) as dense lists h[k] of the
-    coefficients of w^k, keeping the terms with i + j <= order and k <=
-    max(order, 1): psi^k has no term below total degree k, so `_compose`
-    never reads h[k] for k > order, and h[1] holds the chart's w-partial.
+def restrict(psi: np.ndarray, jets: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
+    """The monomials x^e restricted along each point's chart, as grids.
 
-    The coefficient of s^i t^j w^k gathers C(e1, i) C(e2, j) C(e3, k)
-    p1^(e1-i) p2^(e2-j) p3^(e3-k) over the terms c x^e1 y^e2 z^e3 of f."""
-    size = len(triangle(order))
-    top = [max(column) for column in zip(*coeffs)] if coeffs else [0, 0, 0]
-    # sh[k][e]: coefficient of s^k in (point[c] + s)^e
-    kmax = (min(top[0], order), min(top[1], order), min(top[2], max(order, 1)))
-    sh1, sh2, sh3 = (binomial_shift(x, n, k, p) for x, n, k in zip(point, top, kmax))
-    # Shift in (s, t) first, keeping the z-exponent, then shift in w.
-    by_e3 = [[0] * size for _ in range(top[2] + 1)]
-    for (e1, e2, e3), c in coeffs.items():
-        acc = by_e3[e3]
-        for i, j, position in _shift_terms(order, e1, e2):
-            acc[position] += c * sh1[i][e1] * sh2[j][e2]
-    h = [[0] * size for _ in range(kmax[2] + 1)]
-    for e3, acc in enumerate(by_e3):
-        acc = [v % p for v in acc]
-        for k in range(min(e3, kmax[2]) + 1):
-            w = sh3[k][e3]
-            h[k] = [x + w * v for x, v in zip(h[k], acc)]
-    return [[v % p for v in hk] for hk in h]
-
-
-@lru_cache(maxsize=1024)
-def _shift_terms(order: int, e1: int, e2: int) -> Tuple[Tuple[int, int, int], ...]:
-    """(i, j, position of (i, j) in triangle(order)) for the terms s^i t^j
-    of (x + s)^e1 (y + t)^e2 with i + j <= order."""
-    return tuple(
-        (i, j, position) for position, (i, j) in enumerate(triangle(order))
-        if i <= e1 and j <= e2
-    )
-
-
-def _compose(h: List[List[int]], psi: List[int], pairs, p: int) -> List[int]:
-    """h(s, t, psi(s, t)) by Horner's rule in w; psi(0, 0) = 0."""
-    acc = h[-1]
-    for hk in reversed(h[:-1]):
-        acc = [(v + c) % p for v, c in zip(dense_mul(acc, psi, pairs, p), hk)]
-    return acc
+    psi[n] is the (N + 1) x (N + 1) grid of point n's psi, jets[n] its jet
+    tables in role order (chart_jets) with rows 0..N at least and a column
+    for every exponent, and exps[n, role, c] the exponents of monomial c in
+    role order.  Entry [n, c, a, b] of the result is the s^a t^b coefficient
+    of (P_s + s)^(e_s) (P_t + t)^(e_t) (P_z + psi)^(e_z) for a + b <= N.
+    """
+    order = psi.shape[1] - 1
+    n = np.arange(len(psi))[:, None]
+    power = np.zeros_like(psi)
+    power[:, 0, 0] = 1
+    phi = jets[:, 2, 0, :, None, None] * power[:, None]  # [n, e, a, b]
+    for k in range(1, min(int(exps[:, 2].max(initial=0)), order) + 1):
+        power = _times_psi(power, psi, k - 1, p) if k > 1 else psi
+        phi += jets[:, 2, k, :, None, None] * power[:, None]
+        phi %= p
+    grid = phi[n, exps[:, 2]]  # [n, c, a, b]
+    for role in (0, 1):  # times (P_s + s)^e_s along a, then (P_t + t)^e_t along b
+        jet = jets[n, role, :, exps[:, role]]  # [n, c, i]
+        out = np.zeros_like(grid)
+        for i in range(order + 1):  # only a + b <= order is ever read
+            w = order + 1 - i
+            step = grid[:, :, :w, :w] * jet[:, :, i, None, None]
+            step += out[:, :, i:, :w]
+            step %= p
+            out[:, :, i:, :w] = step
+        grid = out.swapaxes(2, 3)  # the next factor runs along the other axis
+    return grid
 
 
 def solve_implicit(
     coeffs: Mapping[Tuple[int, int, int], int],
-    p1: int,
-    p2: int,
-    p3: int,
+    points: Sequence[Tuple[int, int, int]],
+    slots,
     order: int,
     p: int,
-) -> Tuple[int, ...]:
-    """Series phi with f(p1 + s, p2 + t, phi) = 0 mod total degree > order,
-    phi(0, 0) = p3, for a trivariate polynomial f vanishing at (p1, p2, p3)
-    whose third-variable partial is nonzero there.  phi is returned as its
-    dense coefficients in triangle(order) order, so phi[0] = p3.
+) -> np.ndarray:
+    """psi for each point of a run: grids [n, a, b] of the given order, zero
+    at (0, 0) and above the triangle, with f(P_s + s, P_t + t, P_z + psi) = 0
+    mod total degree > order.
 
-    f is Taylor-shifted once to h(s, t, w) = f(p1 + s, p2 + t, p3 + w), and
-    phi = p3 + psi is solved degree by degree: with psi exact below degree D,
-    the degree-D part of h(s, t, psi) is h_w(0, 0, 0) * psi_D plus known
-    terms, so psi_D = -(residual)_D / h_w(0, 0, 0).
+    f is a trivariate polynomial keyed by exponents in slot order, points[n]
+    a zero of f, and slots[n] its chart's (s, t, z) slots, 0-based.  Raises
+    ChartSingularError when f_z vanishes at a point and ValueError when f
+    does not vanish there; psi_D is fixed degree by degree (see the module
+    docstring), and the full residual is checked at the end.
     """
-    h = _taylor_shift(coeffs, (p1, p2, p3), order, p)
-    if len(h) < 2 or h[1][0] == 0:
+    dtype = field_dtype(p)
+    slots = np.asarray(slots)
+    c = np.array([v % p for v in coeffs.values()], dtype=dtype)
+    exps = np.array(list(coeffs), dtype=np.intp).T[slots]  # [n, role, term]
+    jets = chart_jets(points, slots, int(exps.max()), max(order, 1), p)
+
+    def along_f(values):  # sum_e c_e values[..., e], each product reduced first
+        return (values * c % p).sum(axis=-1) % p
+
+    def residual(psi):  # f along the chart, [n, a, b]
+        return along_f(restrict(psi, jets, exps, p).transpose(0, 2, 3, 1))
+
+    n = np.arange(len(slots))[:, None]
+
+    def at_point(z_row):  # sum_e c_e P_s^(e_s) P_t^(e_t) jet_z[z_row][e_z]
+        values = jets[n, 2, z_row, exps[:, 2]]
+        for role in (0, 1):
+            values = values * jets[n, role, 0, exps[:, role]] % p
+        return along_f(values)
+
+    fz = at_point(1)
+    if not fz.all():
         raise ChartSingularError("z-partial vanishes at the expansion point")
-    if h[0][0] != 0:
+    if at_point(0).any():
         raise ValueError("the polynomial does not vanish at the expansion point")
 
-    pos = triangle(order)
-    pairs = unit_pairs(order)
-    neg_inv = p - inverse_mod(h[1][0], p)
-    psi = [0] * len(pos)
+    psi = np.zeros((len(slots), order + 1, order + 1), dtype=dtype)
+    neg_inv = np.array([p - inverse_mod(int(v), p) for v in fz], dtype=dtype)[:, None]
     for degree in range(1, order + 1):
-        residual = _compose(h, psi, pairs, p)
-        for k, (i, j) in enumerate(pos):
-            if i + j == degree:
-                psi[k] = residual[k] * neg_inv % p
+        a = np.arange(degree + 1)  # psi_D sits at (a, degree - a)
+        corner = residual(psi[:, :degree + 1, :degree + 1])
+        psi[:, a, degree - a] = corner[:, a, degree - a] * neg_inv % p
 
-    # Sanity: residual must vanish through the requested order.
-    if any(_compose(h, psi, pairs, p)):
+    # Sanity: the residual must vanish through the requested order.
+    a = np.arange(order + 1)
+    if residual(psi)[:, a[:, None] + a <= order].any():
         raise ArithmeticError("implicit solve did not converge to the requested order")
-    psi[0] = p3
-    return tuple(psi)
+    return psi

@@ -2,18 +2,24 @@
 
 A Series2 is a sparse map (i, j) -> coefficient of s^i t^j with i + j <=
 order; all products are truncated at that total degree.  The oracle itself
-works on dense triangular lists only; the reference implementations in the
-tests compute with this slower, independent arithmetic and convert at the
-boundary with to_dense / from_dense.  `ref_solve_implicit` is the reference
-implicit solve, Newton iteration on Series2 at doubling precision, and
-`ref_series_at` the local series of a sampled point that both reference
-row builders read.
+works on coefficient grids; the reference implementations in the tests
+compute with this slower, independent arithmetic and hand their results
+over as dense tuples in triangle order, converting with to_dense /
+from_dense.  `ref_solve_implicit` is the reference implicit solve, Newton
+iteration on Series2 at doubling precision, and `ref_series_at` the local
+series of a sampled point that both reference row builders read.
+
+`triangle_solve_implicit` is the oracle's former solve, kept verbatim in
+behaviour: dense triangular lists, one Taylor shift of f, and a
+degree-by-degree solve that composes h(s, t, psi) by Horner's rule with the
+pure-Python truncated product `dense_mul`.
 """
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, Tuple
 
 from k3fat.oracle.field import inverse_mod
-from k3fat.oracle.series import ChartSingularError
+from k3fat.oracle.series import ChartSingularError, binomial_shift, triangle
 
 
 def positions(order: int):
@@ -178,3 +184,109 @@ def ref_series_at(instance, pt):
             f[tuple(exps[i] for i in axes)] = c
     return ref_solve_implicit(f, *(pt.affine[i] for i in axes),
                               pt.multiplicity - 1, instance.prime)
+
+
+# ---------------------------------------------------------------------------
+# The former solve on dense triangular lists: position k of a list holds the
+# coefficient of s^i t^j for (i, j) = triangle(order)[k].
+
+
+@lru_cache(maxsize=64)
+def unit_pairs(order: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Index triples (a, b, c) with triangle[a] + triangle[b] = triangle[c],
+    b != 0, of total degree <= order: the terms of x * y truncated at
+    `order` when y has zero constant term."""
+    pos = triangle(order)
+    index = {ij: k for k, ij in enumerate(pos)}
+    return tuple(
+        (a, b, index[(i1 + i2, j1 + j2)])
+        for a, (i1, j1) in enumerate(pos)
+        for b, (i2, j2) in enumerate(pos)
+        if b and i1 + i2 + j1 + j2 <= order
+    )
+
+
+def dense_mul(x, y, pairs, p: int) -> List[int]:
+    """x * y mod p for dense lists, y with zero constant term (see unit_pairs)."""
+    out = [0] * len(x)
+    for a, b, c in pairs:
+        out[c] += x[a] * y[b]
+    return [v % p for v in out]
+
+
+def _taylor_shift(coeffs, point, order: int, p: int) -> List[List[int]]:
+    """h(s, t, w) = f(p1 + s, p2 + t, p3 + w) as dense lists h[k] of the
+    coefficients of w^k, keeping the terms with i + j <= order and k <=
+    max(order, 1): psi^k has no term below total degree k, so `_compose`
+    never reads h[k] for k > order, and h[1] holds the chart's w-partial.
+
+    The coefficient of s^i t^j w^k gathers C(e1, i) C(e2, j) C(e3, k)
+    p1^(e1-i) p2^(e2-j) p3^(e3-k) over the terms c x^e1 y^e2 z^e3 of f."""
+    size = len(triangle(order))
+    top = [max(column) for column in zip(*coeffs)] if coeffs else [0, 0, 0]
+    # sh[k][e]: coefficient of s^k in (point[c] + s)^e
+    kmax = (min(top[0], order), min(top[1], order), min(top[2], max(order, 1)))
+    sh1, sh2, sh3 = (binomial_shift(x, n, k, p) for x, n, k in zip(point, top, kmax))
+    # Shift in (s, t) first, keeping the z-exponent, then shift in w.
+    by_e3 = [[0] * size for _ in range(top[2] + 1)]
+    for (e1, e2, e3), c in coeffs.items():
+        acc = by_e3[e3]
+        for i, j, position in _shift_terms(order, e1, e2):
+            acc[position] += c * sh1[i][e1] * sh2[j][e2]
+    h = [[0] * size for _ in range(kmax[2] + 1)]
+    for e3, acc in enumerate(by_e3):
+        acc = [v % p for v in acc]
+        for k in range(min(e3, kmax[2]) + 1):
+            w = sh3[k][e3]
+            h[k] = [x + w * v for x, v in zip(h[k], acc)]
+    return [[v % p for v in hk] for hk in h]
+
+
+@lru_cache(maxsize=1024)
+def _shift_terms(order: int, e1: int, e2: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(i, j, position of (i, j) in triangle(order)) for the terms s^i t^j
+    of (x + s)^e1 (y + t)^e2 with i + j <= order."""
+    return tuple(
+        (i, j, position) for position, (i, j) in enumerate(triangle(order))
+        if i <= e1 and j <= e2
+    )
+
+
+def _compose(h: List[List[int]], psi: List[int], pairs, p: int) -> List[int]:
+    """h(s, t, psi(s, t)) by Horner's rule in w; psi(0, 0) = 0."""
+    acc = h[-1]
+    for hk in reversed(h[:-1]):
+        acc = [(v + c) % p for v, c in zip(dense_mul(acc, psi, pairs, p), hk)]
+    return acc
+
+
+def triangle_solve_implicit(coeffs, p1, p2, p3, order, p) -> Tuple[int, ...]:
+    """Series phi with f(p1 + s, p2 + t, phi) = 0 mod total degree > order,
+    phi(0, 0) = p3, as its dense coefficients in triangle(order) order.
+
+    f is Taylor-shifted once to h(s, t, w) = f(p1 + s, p2 + t, p3 + w), and
+    phi = p3 + psi is solved degree by degree: with psi exact below degree D,
+    the degree-D part of h(s, t, psi) is h_w(0, 0, 0) * psi_D plus known
+    terms, so psi_D = -(residual)_D / h_w(0, 0, 0).
+    """
+    h = _taylor_shift(coeffs, (p1, p2, p3), order, p)
+    if len(h) < 2 or h[1][0] == 0:
+        raise ChartSingularError("z-partial vanishes at the expansion point")
+    if h[0][0] != 0:
+        raise ValueError("the polynomial does not vanish at the expansion point")
+
+    pos = triangle(order)
+    pairs = unit_pairs(order)
+    neg_inv = p - inverse_mod(h[1][0], p)
+    psi = [0] * len(pos)
+    for degree in range(1, order + 1):
+        residual = _compose(h, psi, pairs, p)
+        for k, (i, j) in enumerate(pos):
+            if i + j == degree:
+                psi[k] = residual[k] * neg_inv % p
+
+    # Sanity: residual must vanish through the requested order.
+    if any(_compose(h, psi, pairs, p)):
+        raise ArithmeticError("implicit solve did not converge to the requested order")
+    psi[0] = p3
+    return tuple(psi)

@@ -472,6 +472,42 @@ def test_sweep_summary_counts_low_confidence_rows(runner, tmp_path, monkeypatch)
     assert all(line.endswith(",AGREE") for line in out.read_text().splitlines()[1:])
 
 
+OVER_BUDGET_SWEEP = ("--budget-rows", "10", "sweep", "--d-range", "2", "3",
+                     "--m-range", "2", "2", "--n-set", "4", "--oracle")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_exits_3_when_rows_are_over_budget(runner, tmp_path, jobs):
+    # 12 conditions on 10 and 20 columns: both rows are skipped over a budget
+    # of 10, the summary counts them and the sweep exits as verify does; the
+    # CSV bytes stay those of a sweep that reported no budget skips
+    out = tmp_path / "s.csv"
+    result = invoke(runner, *OVER_BUDGET_SWEEP, "--out", str(out), "--jobs", jobs)
+    assert result.exit_code == 3
+    assert result.output == f"wrote 2 rows to {out}; 2 over budget\n"
+    assert out.read_text() == (f"{SWEEP_HEADER}\n"
+                               "4,2,2,4,-3,-1,-1,NONSPECIAL,,SKIPPED\n"
+                               "4,3,2,4,7,7,7,NONSPECIAL,,SKIPPED\n")
+
+
+def test_sweep_disagreement_exit_wins_over_budget(runner, tmp_path, monkeypatch):
+    import k3fat.oracle
+
+    real = k3fat.oracle.measure_k3_cross_checked
+
+    def measure(d, points, cfg):  # the d = 2 row over budget, a wrong dim at d = 3
+        if d == 2:
+            raise k3fat.oracle.BudgetExceededError("over budget")
+        meas = real(d, points, cfg)
+        return dataclasses.replace(meas, dim=meas.dim + 1)
+
+    monkeypatch.setattr(k3fat.oracle, "measure_k3_cross_checked", measure)
+    out = tmp_path / "s.csv"
+    result = invoke(runner, *OVER_BUDGET_SWEEP[2:], "--out", str(out))
+    assert result.exit_code == 1
+    assert result.output == f"wrote 2 rows to {out}; 1 DISAGREE; 1 over budget\n"
+
+
 def test_env_var_overrides(runner):
     env = {"K3FAT_SEED": "99", "K3FAT_TRIALS": "2", "K3FAT_PRIME2": "0"}
     result = invoke(runner, "verify", "--gamma", "4", "-d", "1", "-m", "1", "-n", "4",

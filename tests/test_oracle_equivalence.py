@@ -35,6 +35,7 @@ from series_reference import (
     ref_series_at,
     ref_solve_implicit,
     to_dense,
+    triangle_solve_implicit,
 )
 
 from k3fat.core import PlanarSystem, vdim_planar
@@ -331,16 +332,22 @@ def test_quadratic_split_replays_a_shift_that_zeroes_a_factor(p):
 @st.composite
 def implicit_problems(draw):
     """A trivariate polynomial of degree <= 4 through a random point, the
-    point, an order 1..4 and a prime; sometimes with a singular chart."""
-    p = draw(st.sampled_from(PRIMES))
-    element = st.integers(min_value=0, max_value=p - 1)
+    point, an order 1..8 and a prime; sometimes with a singular chart, and
+    sometimes off the point.  The residues come from a generator that
+    hypothesis seeds: hypothesis favours small integers, whose products
+    would never come near 2^63."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
     exps = [(i, j, k) for i in range(5) for j in range(5 - i) for k in range(5 - i - j)]
-    f = {e: draw(element) for e in draw(st.lists(st.sampled_from(exps), min_size=1,
-                                                  max_size=len(exps), unique=True))}
-    point = (draw(element), draw(element), draw(element))
+    f = {e: rng.randrange(p) for e in draw(st.lists(st.sampled_from(exps), min_size=1,
+                                                     max_size=len(exps), unique=True))}
+    point = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
+    if draw(st.integers(min_value=0, max_value=7)) == 0:  # f_z(P) = 0
+        fz = {(i, j, k - 1): k * c for (i, j, k), c in f.items() if k}
+        f[(0, 0, 1)] = (f.get((0, 0, 1), 0) - ref_eval_scalar(fz, *point, p)) % p
     f[(0, 0, 0)] = 0
-    f[(0, 0, 0)] = (-ref_eval_scalar(f, *point, p)) % p
-    return f, point, draw(st.integers(min_value=1, max_value=4)), p
+    f[(0, 0, 0)] = (-ref_eval_scalar(f, *point, p) + draw(st.sampled_from((0, 0, 0, 1)))) % p
+    return f, point, draw(st.integers(min_value=1, max_value=8)), p
 
 
 def _outcome(solver, *args):
@@ -350,12 +357,59 @@ def _outcome(solver, *args):
         return type(exc)
 
 
+def grid_solve(f, points, slots, order, p):
+    """solve_implicit on a run, each point's phi = P_z + psi handed over as
+    a dense tuple in triangle order."""
+    psi = solve_implicit(f, points, slots, order, p)
+    return [tuple(int(psi[n, i, j]) + (pt[roles[2]] if i + j == 0 else 0)
+                  for i, j in triangle(order))
+            for n, (pt, roles) in enumerate(zip(points, slots))]
+
+
+def grid_solve_at(f, p1, p2, p3, order, p):
+    return grid_solve(f, [(p1, p2, p3)], [(0, 1, 2)], order, p)[0]
+
+
 @given(implicit_problems())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_solve_implicit_matches_reference(problem):
     f, (p1, p2, p3), order, p = problem
     expected = _outcome(ref_solve_implicit, f, p1, p2, p3, order, p)
-    assert _outcome(solve_implicit, f, p1, p2, p3, order, p) == expected
+    assert _outcome(triangle_solve_implicit, f, p1, p2, p3, order, p) == expected
+    assert _outcome(grid_solve_at, f, p1, p2, p3, order, p) == expected
+
+
+def oriented(f, slots):
+    """f with its exponents read in the chart's role order (s, t, z)."""
+    return {tuple(e[slot] for slot in slots): c for e, c in f.items()}
+
+
+@given(st.sampled_from(ORACLE_PRIMES), st.integers(min_value=0, max_value=2**32),
+       st.lists(st.permutations((0, 1, 2)), min_size=2, max_size=5),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=25, deadline=None)
+def test_solve_implicit_on_a_run_with_mixed_charts(p, seed, charts, order):
+    # points of one quartic, each solved along a slot of its own (a random
+    # point's three partials are all nonzero), s and t in either order
+    instance = sample_quartic_instance(((1, len(charts)),), p, Random(seed))
+    f = instance.affine_poly()
+    points = [pt.affine for pt in instance.points]
+    solved = grid_solve(f, points, charts, order, p)
+    for phi, pt, roles in zip(solved, points, charts):
+        args = (oriented(f, roles), *(pt[slot] for slot in roles), order, p)
+        assert phi == ref_solve_implicit(*args) == triangle_solve_implicit(*args)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES[:2])
+def test_solve_implicit_at_order_30(p):
+    # far above the orders drawn above, on the int64 path
+    instance = sample_quartic_instance(((31, 1),), p, Random(p))
+    pt = instance.points[0]
+    roles = [slot - 1 for slot in (*pt.param_slots, pt.solved_slot)]
+    f = instance.affine_poly()
+    args = (oriented(f, roles), *(pt.affine[slot] for slot in roles), 30, p)
+    phi = grid_solve(f, [pt.affine], [roles], 30, p)[0]
+    assert phi == triangle_solve_implicit(*args) == ref_solve_implicit(*args)
 
 
 groups_strategy = st.lists(

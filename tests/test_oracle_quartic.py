@@ -14,7 +14,7 @@ from k3fat.oracle import (
     num_degree_forms,
     quartic,
     sample_quartic_instance,
-    series_at,
+    solve_implicit,
 )
 
 P = 2**31 - 1
@@ -97,9 +97,13 @@ def test_instance_invariants():
         assert pt.solved_slot in (1, 2, 3)
         assert sorted((*pt.param_slots, pt.solved_slot)) == [1, 2, 3]
         assert list(pt.param_slots) == sorted(pt.param_slots)
-        phi = series_at(instance, pt)
-        assert len(phi) == pt.multiplicity * (pt.multiplicity + 1) // 2
-        assert phi[0] == pt.affine[pt.solved_slot - 1]
+    # the run of the two triple points: psi on 3 x 3 grids, zero at (0, 0)
+    # and above the triangle a + b <= 2
+    run = instance.points[:2]
+    slots = [[slot - 1 for slot in (*pt.param_slots, pt.solved_slot)] for pt in run]
+    psi = solve_implicit(instance.affine_poly(), [pt.affine for pt in run], slots, 2, P)
+    assert psi.shape == (2, 3, 3)
+    assert not psi[:, 0, 0].any() and not (psi[:, 1:, 1:] * [[0, 1], [1, 1]]).any()
 
     rows = k3_condition_rows(2, instance)
     assert len(rows) == 2 * 6 + 3 * 1

@@ -5,7 +5,7 @@ import pytest
 from series_reference import Series2, eval_poly3, from_dense
 
 from k3fat.oracle.field import inverse_mod
-from k3fat.oracle.quartic import sample_quartic_instance, series_at
+from k3fat.oracle.quartic import sample_quartic_instance
 from k3fat.oracle.series import (
     ChartSingularError,
     binomial_shift,
@@ -18,10 +18,16 @@ from k3fat.oracle.series import (
 P = 2**31 - 1
 
 
-def coefficients(phi, order):
-    """The dense series phi of the given order as a map (i, j) -> coefficient."""
-    assert len(phi) == len(triangle(order))
-    return dict(zip(triangle(order), phi))
+def coefficients(psi, z, order):
+    """phi = z + psi, for the grid psi of the given order, as a map
+    (i, j) -> coefficient over the triangle i + j <= order."""
+    assert psi.shape == (order + 1, order + 1) and psi[0, 0] == 0
+    return {(i, j): int(psi[i, j]) + (z if (i, j) == (0, 0) else 0) for i, j in triangle(order)}
+
+
+def solve_at(f, point, order, p=P):
+    """phi at one point whose chart's (s, t, z) are the slots (0, 1, 2)."""
+    return coefficients(solve_implicit(f, [point], [(0, 1, 2)], order, p)[0], point[2], order)
 
 
 def test_series_arithmetic_basics():
@@ -58,7 +64,7 @@ def test_solve_implicit_graph_case():
     q = {(i, j): rng.randrange(P) for i in range(5) for j in range(5 - i)}
     f = {(i, j, 0): (-c) % P for (i, j), c in q.items()}
     f[(0, 0, 1)] = 1
-    phi = coefficients(solve_implicit(f, 0, 0, q[(0, 0)], 3, P), 3)
+    phi = solve_at(f, (0, 0, q[(0, 0)]), 3)
     for (i, j), c in q.items():
         if i + j <= 3:
             assert phi[(i, j)] == c % P
@@ -68,7 +74,7 @@ def test_solve_implicit_square_root_series():
     # u^2 + v^2 + w^2 - 1 at (0, 0, 1): w = sqrt(1 - u^2 - v^2)
     #   = 1 - (u^2+v^2)/2 - (u^2+v^2)^2/8 - ...
     f = {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1}
-    phi = coefficients(solve_implicit(f, 0, 0, 1, 4, P), 4)
+    phi = solve_at(f, (0, 0, 1), 4)
     inv2 = inverse_mod(2, P)
     inv8 = inverse_mod(8, P)
     assert phi[(0, 0)] == 1
@@ -110,7 +116,7 @@ def test_solve_implicit_order_one_is_gradient():
                  for (i, j, k), c in f.items() if k == 1) % P
         if fw == 0:
             continue
-        phi = coefficients(solve_implicit(f, p1, p2, 0, 1, P), 1)
+        phi = solve_at(f, (p1, p2, 0), 1)
         inv_fw = inverse_mod(fw, P)
         assert phi[(1, 0)] == (-fu * inv_fw) % P
         assert phi[(0, 1)] == (-fv * inv_fw) % P
@@ -119,7 +125,7 @@ def test_solve_implicit_order_one_is_gradient():
 def test_solve_implicit_rejects_singular_chart():
     f = {(0, 0, 2): 1}  # w^2: zero w-partial at w = 0
     with pytest.raises(ChartSingularError):
-        solve_implicit(f, 0, 0, 0, 2, P)
+        solve_implicit(f, [(0, 0, 0)], [(0, 1, 2)], 2, P)
 
 
 def test_local_series_residual_vanishes_on_random_quartics():
@@ -129,7 +135,10 @@ def test_local_series_residual_vanishes_on_random_quartics():
     f = instance.affine_poly()
     for pt in instance.points:
         order = pt.multiplicity - 1
-        phi = series_at(instance, pt)
+        slots = [slot - 1 for slot in (*pt.param_slots, pt.solved_slot)]
+        psi = solve_implicit(f, [pt.affine], [slots], order, P)[0]
+        phi = coefficients(psi, pt.affine[pt.solved_slot - 1], order)
+        phi = tuple(phi[ij] for ij in triangle(order))
         assert len(phi) == len(triangle(order))
         assert phi[0] == pt.affine[pt.solved_slot - 1]
         # residual check: substitute the series back into the affine quartic
