@@ -26,9 +26,10 @@ trailing block, so the pivot rows themselves are never transformed.
 Roots are found by Cantor-Zassenhaus (Math. Comp. 36, 1981): the root part
 gcd(T^p - T, f) is split by equal-degree splitting with random shifts.  The
 Frobenius T^p mod f is the hot path.  It runs left to right on
-four-coefficient residues, one unrolled squaring per exponent bit (each
-coefficient reduced once); at a set bit the multiply by T is fused into the
-squaring, a^2 * T with one more fold, so every bit costs one kernel call.
+four-coefficient residues packed into one integer (Kronecker substitution),
+so a squaring is one integer product; at a set bit the multiply by T is a
+shift of the square, and T^4..T^7 fold back through their packed residues
+before each coefficient is reduced once.
 The root-part gcd runs in place on at most five coefficients with a single
 inverse, for the final monic normalisation.  A root part of degree 2, the
 common case, is solved in closed form with a Tonelli-Shanks square root on
@@ -206,73 +207,44 @@ def _pgcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
     return _monic(f, p)
 
 
-def _sqrmod4(a: Tuple[int, ...], g: Sequence[int], p: int) -> Tuple[int, ...]:
-    """a^2 mod T^4 + g[3] T^3 + g[2] T^2 + g[1] T + g[0], in four coefficients.
-
-    The square is formed in plain integers and each coefficient is reduced
-    mod p once: T^6, T^5 and T^4 fold back onto g from the top down."""
-    a0, a1, a2, a3 = a
-    g0, g1, g2, g3 = g
-    c6 = a3 * a3 % p
-    c5 = (2 * a2 * a3 - c6 * g3) % p
-    c4 = (2 * a1 * a3 + a2 * a2 - c6 * g2 - c5 * g3) % p
-    return (
-        (a0 * a0 - c4 * g0) % p,
-        (2 * a0 * a1 - c5 * g0 - c4 * g1) % p,
-        (2 * a0 * a2 + a1 * a1 - c6 * g0 - c5 * g1 - c4 * g2) % p,
-        (2 * (a0 * a3 + a1 * a2) - c6 * g1 - c5 * g2 - c4 * g3) % p,
-    )
-
-
-def _mul_linear4(a: Tuple[int, ...], shift: int, g: Sequence[int], p: int) -> Tuple[int, ...]:
-    """a * (T + shift) mod the quartic of `_sqrmod4`."""
-    a0, a1, a2, a3 = a
-    g0, g1, g2, g3 = g
-    return (
-        (shift * a0 - a3 * g0) % p,
-        (a0 + shift * a1 - a3 * g1) % p,
-        (a1 + shift * a2 - a3 * g2) % p,
-        (a2 + shift * a3 - a3 * g3) % p,
-    )
-
-
-def _sqr_times_t4(a: Tuple[int, ...], g: Sequence[int], p: int) -> Tuple[int, ...]:
-    """a^2 * T mod the quartic of `_sqrmod4`: the squaring and the multiply
-    by T of a set exponent bit in one step, with one more fold (T^7)."""
-    a0, a1, a2, a3 = a
-    g0, g1, g2, g3 = g
-    c7 = a3 * a3 % p
-    c6 = (2 * a2 * a3 - c7 * g3) % p
-    c5 = (2 * a1 * a3 + a2 * a2 - c7 * g2 - c6 * g3) % p
-    c4 = (2 * (a0 * a3 + a1 * a2) - c7 * g1 - c6 * g2 - c5 * g3) % p
-    return (
-        -c4 * g0 % p,
-        (a0 * a0 - c5 * g0 - c4 * g1) % p,
-        (2 * a0 * a1 - c6 * g0 - c5 * g1 - c4 * g2) % p,
-        (2 * a0 * a2 + a1 * a1 - c7 * g0 - c6 * g1 - c5 * g2 - c4 * g3) % p,
-    )
-
-
 def _linear_powmod(shift: int, e: int, g: Sequence[int], p: int) -> List[int]:
     """(T + shift)^e mod a monic g of degree 2 to 4, stripped.
 
-    Left-to-right binary powering: one squaring per bit of e and one
-    multiply-by-(T + shift) per set bit after the leading one; for shift 0
-    (the Frobenius T^p) the two are one fused step.  The powers are kept
-    modulo the quartic g * T^(4 - deg g), a multiple of g, so the same
-    four-coefficient kernels serve every degree; one final reduction mod g
-    gives the result."""
-    low = ([0] * (5 - len(g)) + list(g))[:4]
+    Left-to-right binary powering: one squaring per bit of e, times
+    (T + shift) for a set bit after the leading one.  The powers are kept
+    modulo the quartic g * T^(4 - deg g), a multiple of g, and one final
+    reduction mod g gives the result.
+
+    A power is packed into one integer, its coefficient of T^i in bits
+    [i W, (i + 1) W) with W = `width` (Kronecker substitution), so a step
+    is one integer square, a shift and at most one more product for the
+    factor T + shift; then the coefficients of T^4..T^7 fold back through
+    the packed residues of T^4..T^7 modulo the quartic, and each
+    coefficient is reduced mod p.  Every coefficient stays nonnegative,
+    below 4 p^2 (1 + shift) before the fold and below 5 p times that after
+    it, so below 2^W, and no slot carries into the next."""
     shift %= p
-    r = (shift, 1, 0, 0)
+    width = (4 if shift else 3) * p.bit_length() + 6
+    mask = (1 << width) - 1
+    below4 = (1 << 4 * width) - 1
+    w2, w3, w4, w5, w6, w7 = (k * width for k in range(2, 8))
+    g0, g1, g2, g3 = ([0] * (5 - len(g)) + list(g))[:4]
+    folds = []  # T^4..T^7 modulo the quartic, packed
+    v0, v1, v2, v3 = -g0 % p, -g1 % p, -g2 % p, -g3 % p
+    for _ in range(4):
+        folds.append(v0 | v1 << width | v2 << w2 | v3 << w3)
+        v0, v1, v2, v3 = -v3 * g0 % p, (v0 - v3 * g1) % p, (v1 - v3 * g2) % p, (v2 - v3 * g3) % p
+    q4, q5, q6, q7 = folds
+    r = shift | 1 << width
     for bit in bin(e)[3:]:
-        if bit == "0":
-            r = _sqrmod4(r, low, p)
-        elif shift:
-            r = _mul_linear4(_sqrmod4(r, low, p), shift, low, p)
-        else:
-            r = _sqr_times_t4(r, low, p)
-    return _pdivmod(r, g, p)[1]
+        t = r * r
+        if bit == "1":
+            t = (t << width) + shift * t if shift else t << width
+        t = ((t & below4) + (t >> w4 & mask) * q4 + (t >> w5 & mask) * q5
+             + (t >> w6 & mask) * q6 + (t >> w7) * q7)
+        r = ((t & mask) % p | (t >> width & mask) % p << width
+             | (t >> w2 & mask) % p << w2 | (t >> w3) % p << w3)
+    return _pdivmod([r & mask, r >> width & mask, r >> w2 & mask, r >> w3], g, p)[1]
 
 
 @lru_cache(maxsize=16)

@@ -88,6 +88,9 @@ def monomial_exponents(degree: int, nvars: int = 4) -> List[Tuple[int, ...]]:
     return out
 
 
+_QUARTIC_EXPONENTS = tuple(monomial_exponents(4))  # the terms of a random quartic, drawn in order
+
+
 def binom3(n: int) -> int:
     """C(n, 3), zero for n < 3."""
     return n * (n - 1) * (n - 2) // 6 if n >= 3 else 0
@@ -235,9 +238,8 @@ def sample_quartic_instance(
     points are drawn one after another from rng, so the groups cut after
     k points draw the first k points of the full draw on the same quartic.
     """
-    quartic_exps = monomial_exponents(4)
     for _ in range(_MAX_SURFACE_ATTEMPTS):
-        coeffs = {e: rng.randrange(p) for e in quartic_exps}
+        coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
         if not any(coeffs.values()):
             continue
         f_affine = _dehomogenize(coeffs)

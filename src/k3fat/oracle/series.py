@@ -81,15 +81,31 @@ def triangle(order: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((i, j) for i in range(order + 1) for j in range(order + 1 - i))
 
 
+@lru_cache(maxsize=64)
+def _jet_pattern(top: int, kmax: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(C(e, k) mod p, max(e - k, 0)) for k = 0..kmax and e = 0..top: the
+    binomials of binomial_shift and the power each one multiplies."""
+    k, e = np.ogrid[:kmax + 1, :top + 1]
+    binom = np.array([[comb(j, i) % p for j in range(top + 1)] for i in range(kmax + 1)],
+                     dtype=field_dtype(p))
+    shift = np.maximum(e - k, 0)
+    binom.flags.writeable = shift.flags.writeable = False
+    return binom, shift
+
+
 def chart_jets(points, slots, top: int, kmax: int, p: int) -> np.ndarray:
     """jets[n, role, k, e]: row k = 0..kmax, entry e = 0..top of the jet
     table (binomial_shift) of the coordinate of points[n] in slot
-    slots[n][role], the roles in the order (s, t, z)."""
-    return np.array(
-        [[binomial_shift(x[slot], top, kmax, p) for slot in roles]
-         for x, roles in zip(points, slots)],
-        dtype=field_dtype(p),
-    )
+    slots[n][role], the roles in the order (s, t, z), for the whole run at
+    once: the power tables grow one column per step, and each entry is a
+    reduced binomial times a reduced power, reduced."""
+    dtype = field_dtype(p)
+    x = np.take_along_axis(np.array(points, dtype=dtype), np.asarray(slots), axis=1) % p
+    table = np.ones(x.shape + (top + 1,), dtype=dtype)  # [n, role, e]: x^e
+    for e in range(1, top + 1):
+        table[..., e] = table[..., e - 1] * x % p
+    binom, shift = _jet_pattern(top, kmax, p)
+    return binom * table[..., shift] % p
 
 
 def _times_psi(x: np.ndarray, psi: np.ndarray, low: int, p: int) -> np.ndarray:
@@ -120,9 +136,8 @@ def restrict(psi: np.ndarray, jets: np.ndarray, exps: np.ndarray, p: int) -> np.
     """
     order = psi.shape[1] - 1
     n = np.arange(len(psi))[:, None]
-    power = np.zeros_like(psi)
-    power[:, 0, 0] = 1
-    phi = jets[:, 2, 0, :, None, None] * power[:, None]  # [n, e, a, b]
+    phi = np.zeros((len(psi), jets.shape[3], order + 1, order + 1), dtype=psi.dtype)
+    phi[:, :, 0, 0] = jets[:, 2, 0]  # phi[n, e, a, b]: psi^0 = 1 times the z jet's row 0
     for k in range(1, min(int(exps[:, 2].max(initial=0)), order) + 1):
         power = _times_psi(power, psi, k - 1, p) if k > 1 else psi
         phi += jets[:, 2, k, :, None, None] * power[:, None]
@@ -130,8 +145,8 @@ def restrict(psi: np.ndarray, jets: np.ndarray, exps: np.ndarray, p: int) -> np.
     grid = phi[n, exps[:, 2]]  # [n, c, a, b]
     for role in (0, 1):  # times (P_s + s)^e_s along a, then (P_t + t)^e_t along b
         jet = jets[n, role, :, exps[:, role]]  # [n, c, i]
-        out = np.zeros_like(grid)
-        for i in range(order + 1):  # only a + b <= order is ever read
+        out = grid * jet[:, :, 0, None, None] % p
+        for i in range(1, order + 1):  # only a + b <= order is ever read
             w = order + 1 - i
             step = grid[:, :, :w, :w] * jet[:, :, i, None, None]
             step += out[:, :, i:, :w]

@@ -6,6 +6,8 @@ import pytest
 from k3fat.oracle import DEFAULT_PRIME, DEFAULT_PRIME2, field
 from k3fat.oracle.field import (
     _INT64_SAFE_PRIME,
+    _linear_powmod,
+    _pdivmod,
     _pgcd,
     _pstrip,
     _quadratic_roots,
@@ -213,6 +215,34 @@ def test_poly_roots_rejects_degree_above_four():
     # the powering kernels work on four-coefficient residues
     with pytest.raises(ValueError):
         poly_roots([1, 0, 0, 0, 0, 1], P1, Random(0))
+
+
+def _powmod_reference(shift, e, g, p):
+    """(T + shift)^e mod g by plain square-and-multiply on coefficient lists."""
+    out, base = [1], [shift % p, 1]
+    while e:
+        if e & 1:
+            out = _pdivmod(_pmul(out, base, p), g, p)[1]
+        base = _pdivmod(_pmul(base, base, p), g, p)[1]
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p", (7, 10007, P1, P_EDGE, P2))
+def test_linear_powmod_matches_square_and_multiply(p):
+    """The packed powering equals plain polynomial arithmetic, for the
+    Frobenius T^p, the splitting power (T + shift)^((p-1)/2) and other
+    exponents, on monic g of degree 2 to 4 with top coefficients p - 1."""
+    rng = Random(p)
+    for deg in (2, 3, 4):
+        for _ in range(6):
+            g = [rng.randrange(p) for _ in range(deg)] + [1]
+            for shift, e in ((0, p), (rng.randrange(1, p), (p - 1) // 2), (0, 2),
+                             (rng.randrange(p), rng.randrange(1, 10**6))):
+                assert _linear_powmod(shift, e, g, p) == _powmod_reference(shift, e, g, p)
+        g = [p - 1] * deg + [1]  # every coefficient at its largest
+        assert _linear_powmod(p - 1, p, g, p) == _powmod_reference(p - 1, p, g, p)
+        assert _linear_powmod(0, p, g, p) == _powmod_reference(0, p, g, p)
 
 
 def test_pgcd_monic():

@@ -9,6 +9,7 @@ from k3fat.oracle.quartic import sample_quartic_instance
 from k3fat.oracle.series import (
     ChartSingularError,
     binomial_shift,
+    chart_jets,
     eval_poly3_scalar,
     powers,
     solve_implicit,
@@ -160,3 +161,19 @@ def test_binomial_shift_is_the_taylor_table():
                            for e in range(top + 1)]
     assert binomial_shift(0, 3, 3, P) == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                                           [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("p", (7, P, 3037000493, 2**61 - 1))
+def test_chart_jets_are_the_binomial_shift_tables(p):
+    """The whole-run jet tables equal binomial_shift of each point's
+    coordinate in each role, at small, int64 and object primes and with
+    kmax above top."""
+    rng = Random(p)
+    for top, kmax in ((0, 0), (4, 1), (4, 4), (9, 3), (2, 5), (20, 12)):
+        points = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(4)]
+        slots = [rng.sample(range(3), 3) for _ in points]
+        jets = chart_jets(points, slots, top, kmax, p)
+        assert jets.shape == (len(points), 3, kmax + 1, top + 1)
+        for n, (point, roles) in enumerate(zip(points, slots)):
+            for role, slot in enumerate(roles):
+                assert jets[n, role].tolist() == binomial_shift(point[slot], top, kmax, p)
