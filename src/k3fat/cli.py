@@ -80,6 +80,15 @@ def _check_out_dir(path: str) -> None:
         raise click.UsageError(f"the directory of {path} does not exist")
 
 
+def _make_cache_dir(path: str) -> None:
+    """Create the cache directory `path` before any work: a usage error,
+    naming it, when it cannot be created."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot use {path} as the cache directory: {exc.strerror}")
+
+
 def _validated_system(gamma: int, d: int, m: Optional[int], n: int) -> K3System:
     """L^gamma(d, m^n); without m, the unconditioned system L^gamma(d)."""
     if m is None:
@@ -219,12 +228,6 @@ def _replacing(path):
         raise
 
 
-def _cache_store(path, key: dict, meas: OracleMeasurement) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with _replacing(path) as fh:
-        json.dump(dict(key, measurement=dataclasses.asdict(meas)), fh, indent=2)
-
-
 def _verify_with_cache(sys_, report, cfg, cache_dir):
     if not cache_dir:
         return verify(sys_, report, cfg)
@@ -235,7 +238,8 @@ def _verify_with_cache(sys_, report, cfg, cache_dir):
         meas = _cache_lookup(path, key)
         if meas is None:
             meas = measure_k3_cross_checked(d, points, cfg)
-            _cache_store(path, key, meas)
+            with _replacing(path) as fh:
+                json.dump(dict(key, measurement=dataclasses.asdict(meas)), fh, indent=2)
         return meas
 
     return verify(sys_, report, cfg, cached_measure)
@@ -257,6 +261,8 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
         raise click.UsageError(f"n must be of the form 4^u * 9^w, got {n}")
     if gamma != 4:
         raise click.UsageError("verify requires gamma=4 (the oracle is quartic-only)")
+    if cache_dir:
+        _make_cache_dir(cache_dir)
     report = classify(sys_)
     outcome = _verify_with_cache(sys_, report, cfg, cache_dir)
     engine_dim = "NA" if report.dim is None else report.dim
@@ -341,6 +347,8 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
             f"the grid has {count} (d, m, n) tasks; a sweep holds at most {MAX_SWEEP_TASKS}"
         )
     _check_out_dir(out_path)
+    if oracle and cache_dir:
+        _make_cache_dir(cache_dir)
 
     tasks = [
         (gamma, d, m, n, cfg, oracle, cache_dir)

@@ -5,11 +5,11 @@ Taylor coefficient of total degree < m at the point.  The columns are the
 monomials x^a y^b, a + b <= delta, in triangle(delta) order (the
 dehomogenized basis of degree-delta forms).  At a point (px, py) the row of
 s^i t^j, for (i, j) in triangle(m - 1) order, holds the s^i t^j coefficient
-of (px + s)^a (py + t)^b, which is the product of the jet tables of px and
-py (binomial_shift, the one the quartic rows use): one outer product per
-point.  That row is the (i, j) partial derivative divided by i! j!, a unit
-mod p, so the rank is the same.  Points are sampled uniformly over F_p, and
-the dimension is (number of monomials) - rank - 1, min-aggregated over
+of (px + s)^a (py + t)^b, the product of the jet tables of px and py: one
+`chart_jets` call per group, the jet table of the quartic rows.  That row
+is the (i, j) partial derivative divided by i! j!, a unit mod p, so the
+rank is the same.  Points are sampled uniformly over F_p, and the
+dimension is (number of monomials) - rank - 1, min-aggregated over
 independently seeded trials.
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from ..core import PlanarSystem, point_conditions
 from .config import BudgetExceededError, OracleMeasurement, PrimeFieldConfig, derived_rng
 from .field import field_dtype, rank_mod_p
-from .series import binomial_shift, triangle
+from .series import chart_jets, triangle
 
 
 def planar_condition_rows(
@@ -34,21 +34,22 @@ def planar_condition_rows(
     `rng`; the row of (i, j) in triangle(m - 1) at (px, py) has the entry
     C(a, i) px^(a-i) C(b, j) py^(b-j) mod p in the column of x^a y^b.
     """
-    dtype = field_dtype(p)
     a, b = np.array(triangle(delta), dtype=np.intp).T
-    blocks = [np.zeros((0, len(a)), dtype=dtype)]
+    blocks = [np.zeros((0, len(a)), dtype=field_dtype(p))]
     seen = set()
     for m, count in groups:
+        if not count:
+            continue
+        points = []
+        while len(points) < count:
+            point = (rng.randrange(p), rng.randrange(p))
+            if point not in seen:
+                seen.add(point)
+                points.append(point)
+        jets = chart_jets(points, [(0, 1)] * count, delta, m - 1, p)  # [n, role, k, e]
         i, j = np.array(triangle(m - 1), dtype=np.intp).T
-        for _ in range(count):
-            while True:
-                px, py = rng.randrange(p), rng.randrange(p)
-                if (px, py) not in seen:
-                    seen.add((px, py))
-                    break
-            jet_x = np.array(binomial_shift(px, delta, m - 1, p), dtype=dtype)
-            jet_y = np.array(binomial_shift(py, delta, m - 1, p), dtype=dtype)
-            blocks.append(jet_x[i][:, a] * jet_y[j][:, b] % p)
+        block = jets[:, 0, i][..., a] * jets[:, 1, j][..., b] % p  # [n, (i, j), (a, b)]
+        blocks.append(block.reshape(-1, len(a)))
     return np.concatenate(blocks)
 
 

@@ -32,9 +32,10 @@ restrictions are one representation, m x m coefficient grids over (a, b)
 is sum_e c_e restrict(x^e) over F's own terms, so `solve_implicit` fixes
 psi for a whole run of points of equal multiplicity from that sum, and the
 block of the degree-d columns is `restrict` of those columns with that
-psi.  Every int64 step reduces each product of two reduced entries before
-it adds, also in the sum over F's 35 terms, so it stays exact in the
-arrays of `field_dtype`.
+psi.  That solve is the one chart check; every run goes through it, simple
+points at order 0 included, and the sampler only draws.  Every int64 step
+reduces each product of two reduced entries before it adds, also in the
+sum over F's 35 terms, so it stays exact in the arrays of `field_dtype`.
 
 A trial stops drawing points once its conditions reach full column rank.
 Let k be the first point count whose conditions reach 2d^2 + 2 with points
@@ -53,6 +54,7 @@ shrinks, and OracleMeasurement.rows stays the system's condition count.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, groupby
@@ -121,31 +123,14 @@ def _dehomogenize(coeffs: Dict[Exponents, int]) -> Dict[Tuple[int, int, int], in
     return {(e1, e2, e3): c for (e0, e1, e2, e3), c in coeffs.items() if c}
 
 
-def _affine_partial(f: Dict[Tuple[int, int, int], int], slot: int, p: int):
-    out: Dict[Tuple[int, int, int], int] = {}
-    for exps, c in f.items():
-        e = exps[slot - 1]
-        if e > 0:
-            key = list(exps)
-            key[slot - 1] = e - 1
-            key = tuple(key)
-            out[key] = (out.get(key, 0) + e * c) % p
-    return out
-
-
 def _affine_partials(f: Dict[Tuple[int, int, int], int], p: int) -> tuple:
     """The partials of f along affine slots 1, 2 and 3, at index slot - 1."""
-    return tuple(_affine_partial(f, slot, p) for slot in (1, 2, 3))
-
-
-def _check_points(f, partials, points, p: int) -> None:
-    """F(P) = 0 and a nonzero solved-slot partial at every point."""
-    for pt in points:
-        tables = [powers(x, 4, p) for x in pt.affine]
-        if eval_poly3_scalar(f, tables, p) != 0:
-            raise AssertionError(f"stored point {pt.affine} is not on the surface")
-        if eval_poly3_scalar(partials[pt.solved_slot - 1], tables, p) == 0:
-            raise AssertionError(f"chart is singular at {pt.affine}")
+    partials = ({}, {}, {})
+    for exps, c in f.items():
+        for i, e in enumerate(exps):
+            if e:  # each term of f gives its own term of the partial
+                partials[i][exps[:i] + (e - 1,) + exps[i + 1:]] = e * c % p
+    return partials
 
 
 @dataclass(frozen=True)
@@ -166,6 +151,12 @@ class SurfacePoint:
     def param_slots(self) -> Tuple[int, int]:
         """The two slots other than solved_slot, in increasing order."""
         return tuple(s for s in (1, 2, 3) if s != self.solved_slot)
+
+
+def _charts(points: Sequence[SurfacePoint]) -> Tuple[list, np.ndarray]:
+    """The points' affine coordinates and 0-based chart slots (s, t, z)."""
+    slots = np.array([(*pt.param_slots, pt.solved_slot) for pt in points]) - 1
+    return [pt.affine for pt in points], slots
 
 
 @dataclass(frozen=True)
@@ -192,9 +183,10 @@ class QuarticSurfaceInstance:
         return exps
 
     def validate(self) -> None:
-        """Check F(P) = 0 and chart smoothness at every stored point."""
-        f = self.affine_poly()
-        _check_points(f, _affine_partials(f, self.prime), self.points, self.prime)
+        """The check of k3_condition_rows at every stored point: F(P) = 0
+        (else ValueError) and F_z(P) != 0 (else ChartSingularError)."""
+        if self.points:
+            solve_implicit(self.affine_poly(), *_charts(self.points), 0, self.prime)
 
 
 def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int, int], int]:
@@ -217,15 +209,10 @@ def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int
         point = (a, b, z)
         if point in seen:
             continue
-        solved = 0
         tables = (a_pow, b_pow, powers(z, 4, p))
-        for slot in (3, 2, 1):  # largest available index first
-            if eval_poly3_scalar(partials[slot - 1], tables, p) != 0:
-                solved = slot
-                break
-        if solved == 0:
-            continue  # singular point of the surface; resample
-        return point, solved
+        solved = next((s for s in (3, 2, 1) if eval_poly3_scalar(partials[s - 1], tables, p)), 0)
+        if solved:  # the largest slot with a nonzero partial; else a singular point: resample
+            return point, solved
     raise SamplingError("could not sample a smooth surface point within budget")
 
 
@@ -237,6 +224,8 @@ def sample_quartic_instance(
     groups is a normalized ((multiplicity, count), ...) multiset.  The
     points are drawn one after another from rng, so the groups cut after
     k points draw the first k points of the full draw on the same quartic.
+    Each z is a root of F on its line, and the solved slot's partial is
+    nonzero there; nothing here checks that, solve_implicit does.
     """
     for _ in range(_MAX_SURFACE_ATTEMPTS):
         coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
@@ -254,7 +243,6 @@ def sample_quartic_instance(
                     points.append(SurfacePoint(affine, m, solved))
         except SamplingError:
             continue
-        _check_points(f_affine, partials, points, p)
         return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
     raise SamplingError("could not sample a usable quartic within budget")
 
@@ -267,26 +255,32 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     A point's block holds the truncated Taylor series of each column
     monomial restricted along its chart (see the module docstring), one row
     per coefficient s^a t^b in triangle order.  Entries are reduced mod p
-    and computed in the dtype `field_dtype(p)` chooses.
+    and computed in the dtype `field_dtype(p)` chooses.  Every run goes
+    through solve_implicit first, which raises at a point that is no chart.
     """
     p = instance.prime
-    dtype = field_dtype(p)
     f = instance.affine_poly()
     exps = instance.column_exponents(d)[:, 1:].T  # exps[slot, column]
-    blocks = [np.zeros((0, exps.shape[1]), dtype=dtype)]
+    blocks = [np.zeros((0, exps.shape[1]), dtype=field_dtype(p))]
     for multiplicity, run in groupby(instance.points, key=lambda pt: pt.multiplicity):
-        run = list(run)
         order = multiplicity - 1
-        affine = [pt.affine for pt in run]
-        slots = np.array([(*pt.param_slots, pt.solved_slot) for pt in run]) - 1
-        if order:
-            psi = solve_implicit(f, affine, slots, order, p)
-        else:  # a simple point needs only phi(0, 0) = P_z
-            psi = np.zeros((len(run), 1, 1), dtype=dtype)
+        affine, slots = _charts(list(run))
+        psi = solve_implicit(f, affine, slots, order, p)
         grid = restrict(psi, chart_jets(affine, slots, d, order, p), exps[slots], p)
         a, b = np.array(triangle(order), dtype=np.intp).T
         blocks.append(grid[:, :, a, b].transpose(0, 2, 1).reshape(-1, exps.shape[1]))
     return list(np.concatenate(blocks))
+
+
+def _point_group(group) -> Tuple[int, int]:
+    """(m, n) as ints, for integers m, n >= 1 of any type; else ValueError."""
+    try:
+        m, n = map(operator.index, group)
+    except (TypeError, ValueError):  # not a pair, or not of integers
+        m = n = 0
+    if m < 1 or n < 1:
+        raise ValueError(f"a point group is (m, n) with integers m, n >= 1, got {group!r}")
+    return m, n
 
 
 def measure_k3(
@@ -304,7 +298,7 @@ def measure_k3(
         raise ValueError("d must be positive")
     p = prime or cfg.prime
     # (m, n) as ints, largest first: the groups also tag each trial's RNG
-    groups = tuple(sorted(((int(m), int(n)) for m, n in points), reverse=True))
+    groups = tuple(sorted(map(_point_group, points), reverse=True))
     ncols = num_surface_forms(d)
     nrows = sum(n * point_conditions(m) for m, n in groups)
     if nrows > cfg.budget_rows or ncols > cfg.budget_rows:

@@ -1,5 +1,5 @@
-"""Truncated bivariate power series over F_p on coefficient grids, and the
-implicit-function solve.
+"""Truncated bivariate power series over F_p on coefficient grids, jet
+tables, and the implicit-function solve, the oracle's one chart check.
 
 A series of order N in (s, t) is one (N + 1) x (N + 1) grid whose entry
 [a, b] is its s^a t^b coefficient; only the triangle a + b <= N carries
@@ -9,19 +9,24 @@ three affine slots in the roles (s, t, z): s and t are the shifts of the two
 parameter coordinates, and the solved coordinate is the series
 z = phi(s, t) = P_z + psi(s, t), psi without constant term.
 
+`chart_jets` is the one jet table, for the quartic and the planar rows: row
+k of a coordinate x holds C(e, k) x^(e - k), the s^k coefficient of (x + s)^e.
+
 `restrict` is the one kernel on grids: the monomials x^e restricted along
 the chart, (P_s + s)^(e_s) (P_t + t)^(e_t) phi^(e_z).  It forms psi^k for
 k <= N by truncated grid products (psi has no constant term, so no higher
 power has a term of degree <= N), phi^e = sum_k C(e, k) P_z^(e - k) psi^k
-from the jet table of P_z (`binomial_shift`), and multiplies by the jets of
-P_s along a and of P_t along b, one shift-and-add step per jet coefficient.
+from the jet table of P_z, and multiplies by the jets of P_s along a and
+of P_t along b, one shift-and-add step per jet coefficient.
 The condition rows are these grids for the degree-d columns.  A polynomial
 F = sum_e c_e x^e along the chart is sum_e c_e restrict(x^e) over F's own
 terms, and that is how `solve_implicit` reads its residual: with psi exact
 below degree D, the degree-D part of F(P_s + s, P_t + t, P_z + psi) is
 F_z(P) psi_D plus the same part with psi_D = 0, so
 psi_D = -[sum_e c_e restrict(x^e)]_D / F_z(P), computed on the
-(D + 1) x (D + 1) corner alone.
+(D + 1) x (D + 1) corner alone.  First it checks F(P) = 0 and F_z(P) != 0
+at every point, at order 0 too, so no condition row is built at a point
+that it has not checked, whoever drew it (the quartic sampler only draws).
 
 On int64 (p <= isqrt(2^63), see `field_dtype`) every step stays exact.
 Every entry is reduced; a shift-and-add step adds one product of two
@@ -64,16 +69,6 @@ def eval_poly3_scalar(coeffs: Mapping[Tuple[int, int, int], int], tables, p: int
     return acc % p
 
 
-def binomial_shift(x: int, top: int, kmax: int, p: int) -> List[List[int]]:
-    """Rows k = 0..kmax of the jet table of x: entry e = 0..top of row k is
-    the s^k coefficient C(e, k) x^(e - k) of (x + s)^e mod p, zero if e < k."""
-    table = powers(x, top, p)
-    return [
-        [0] * min(k, top + 1) + [comb(e, k) * table[e - k] % p for e in range(k, top + 1)]
-        for k in range(kmax + 1)
-    ]
-
-
 @lru_cache(maxsize=64)
 def triangle(order: int) -> Tuple[Tuple[int, int], ...]:
     """Exponent pairs (i, j) with i + j <= order, in lexicographic order: the
@@ -84,7 +79,7 @@ def triangle(order: int) -> Tuple[Tuple[int, int], ...]:
 @lru_cache(maxsize=64)
 def _jet_pattern(top: int, kmax: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
     """(C(e, k) mod p, max(e - k, 0)) for k = 0..kmax and e = 0..top: the
-    binomials of binomial_shift and the power each one multiplies."""
+    binomials of the jet table and the power each one multiplies."""
     k, e = np.ogrid[:kmax + 1, :top + 1]
     binom = np.array([[comb(j, i) % p for j in range(top + 1)] for i in range(kmax + 1)],
                      dtype=field_dtype(p))
@@ -94,9 +89,9 @@ def _jet_pattern(top: int, kmax: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def chart_jets(points, slots, top: int, kmax: int, p: int) -> np.ndarray:
-    """jets[n, role, k, e]: row k = 0..kmax, entry e = 0..top of the jet
-    table (binomial_shift) of the coordinate of points[n] in slot
-    slots[n][role], the roles in the order (s, t, z), for the whole run at
+    """jets[n, role, k, e]: the s^k coefficient C(e, k) x^(e - k) of
+    (x + s)^e mod p, zero if e < k, for k = 0..kmax, e = 0..top and x the
+    coordinate of points[n] in slot slots[n][role], for the whole run at
     once: the power tables grow one column per step, and each entry is a
     reduced binomial times a reduced power, reduced."""
     dtype = field_dtype(p)
@@ -170,8 +165,9 @@ def solve_implicit(
     f is a trivariate polynomial keyed by exponents in slot order, points[n]
     a zero of f, and slots[n] its chart's (s, t, z) slots, 0-based.  Raises
     ChartSingularError when f_z vanishes at a point and ValueError when f
-    does not vanish there; psi_D is fixed degree by degree (see the module
-    docstring), and the full residual is checked at the end.
+    does not vanish there, at order 0 too, where psi is all zero; psi_D is
+    fixed degree by degree (see the module docstring), and the full residual
+    is checked at the end.
     """
     dtype = field_dtype(p)
     slots = np.asarray(slots)

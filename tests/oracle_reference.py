@@ -21,7 +21,7 @@ the tests compare the oracle with them.
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from series_reference import dense_mul, ref_series_at, unit_pairs
+from series_reference import binomial_shift, dense_mul, ref_series_at, unit_pairs
 
 from k3fat.core import point_conditions
 from k3fat.oracle.config import BudgetExceededError, OracleMeasurement, derived_rng
@@ -32,7 +32,7 @@ from k3fat.oracle.quartic import (
     num_surface_forms,
     sample_quartic_instance,
 )
-from k3fat.oracle.series import binomial_shift, triangle
+from k3fat.oracle.series import triangle
 
 
 def ref_rank_mod_p(matrix, p: int) -> int:

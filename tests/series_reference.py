@@ -9,6 +9,10 @@ from_dense.  `ref_solve_implicit` is the reference implicit solve, Newton
 iteration on Series2 at doubling precision, and `ref_series_at` the local
 series of a sampled point that both reference row builders read.
 
+`binomial_shift` is the oracle's former jet table, one list per
+coordinate, kept verbatim: the reference for `chart_jets`, and the jets of
+`ref_k3_condition_rows` and of the former solve below.
+
 `triangle_solve_implicit` is the oracle's former solve, kept verbatim in
 behaviour: dense triangular lists, one Taylor shift of f, and a
 degree-by-degree solve that composes h(s, t, psi) by Horner's rule with the
@@ -16,10 +20,21 @@ pure-Python truncated product `dense_mul`.
 """
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Dict, List, Mapping, Tuple
 
 from k3fat.oracle.field import inverse_mod
-from k3fat.oracle.series import ChartSingularError, binomial_shift, triangle
+from k3fat.oracle.series import ChartSingularError, powers, triangle
+
+
+def binomial_shift(x: int, top: int, kmax: int, p: int) -> List[List[int]]:
+    """Rows k = 0..kmax of the jet table of x: entry e = 0..top of row k is
+    the s^k coefficient C(e, k) x^(e - k) of (x + s)^e mod p, zero if e < k."""
+    table = powers(x, top, p)
+    return [
+        [0] * min(k, top + 1) + [comb(e, k) * table[e - k] % p for e in range(k, top + 1)]
+        for k in range(kmax + 1)
+    ]
 
 
 def positions(order: int):

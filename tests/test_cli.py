@@ -312,6 +312,25 @@ def test_outputs_into_a_missing_directory_are_usage_errors(runner, tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ("verify", "--gamma", "4", "-d", "2", "-m", "1", "-n", "4"),
+    ("sweep", "--d-range", "2", "2", "--m-range", "1", "1", "--n-set", "4", "--oracle"),
+])
+def test_an_unusable_cache_directory_is_a_usage_error(runner, tmp_path, monkeypatch, command):
+    # a file where the cache directory would go: exit 2 before the oracle
+    # runs, not exit 1 (the disagreement code) with a traceback after it
+    def oracle(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "measure_k3_cross_checked", oracle)
+    (tmp_path / "f").touch()
+    out = ["--out", str(tmp_path / "table.csv")] if command[0] == "sweep" else []
+    result = runner.invoke(main, [*command, *out, "--cache", str(tmp_path / "f" / "sub")])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert f"cannot use {tmp_path / 'f' / 'sub'} as the cache directory" in result.output
+    assert [path.name for path in tmp_path.iterdir()] == ["f"]
+
+
 def test_verify_cache_respects_budget(runner, tmp_path):
     # an entry measured under a larger budget is not served under a smaller
     # one: the run is over budget (exit 3) with or without the cache

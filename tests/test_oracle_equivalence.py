@@ -49,7 +49,6 @@ from k3fat.oracle.config import (
 )
 from k3fat.oracle.field import field_dtype, inverse_mod, poly_roots, rank_mod_p
 from k3fat.oracle.quartic import (
-    _affine_partial,
     _dehomogenize,
     QuarticSurfaceInstance,
     SurfacePoint,
@@ -200,8 +199,17 @@ def ref_poly_roots(coeffs, p, rng):
 # Reference sampling and condition rows.
 
 
+def _ref_partial(f_affine, slot, p):
+    """The partial of f along the affine slot `slot` (1-based), term by term."""
+    out = {}
+    for exps, c in f_affine.items():
+        if exps[slot - 1]:
+            out[tuple(e - (i == slot - 1) for i, e in enumerate(exps))] = exps[slot - 1] * c % p
+    return out
+
+
 def _ref_sample_point(f_affine, p, rng, seen):
-    partials = {slot: _affine_partial(f_affine, slot, p) for slot in (1, 2, 3)}
+    partials = {slot: _ref_partial(f_affine, slot, p) for slot in (1, 2, 3)}
     for _ in range(256):
         a = rng.randrange(p)
         b = rng.randrange(p)
@@ -577,23 +585,24 @@ STOPPING_SYSTEMS = (
 
 class Draws:
     """Counts quartic._sample_point calls and records the points that
-    quartic._check_points receives."""
+    quartic.solve_implicit, the one chart check, receives."""
 
     def __init__(self, monkeypatch):
         self.sampled, self.checked = [], set()
-        sample, check = quartic._sample_point, quartic._check_points
+        sample, solve = quartic._sample_point, quartic.solve_implicit
 
         def counting_sample(*args):
             point = sample(*args)
             self.sampled.append(point[0])
             return point
 
-        def recording_check(f, partials, points, p):
-            check(f, partials, points, p)
-            self.checked.update(pt.affine for pt in points)
+        def recording_solve(f, points, slots, order, p):
+            psi = solve(f, points, slots, order, p)
+            self.checked.update(map(tuple, points))
+            return psi
 
         monkeypatch.setattr(quartic, "_sample_point", counting_sample)
-        monkeypatch.setattr(quartic, "_check_points", recording_check)
+        monkeypatch.setattr(quartic, "solve_implicit", recording_solve)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

@@ -1,5 +1,8 @@
+from dataclasses import replace
+from math import prod
 from random import Random
 
+import numpy as np
 import pytest
 
 from k3fat.core import K3System, vdim_k3
@@ -16,8 +19,12 @@ from k3fat.oracle import (
     sample_quartic_instance,
     solve_implicit,
 )
+from k3fat.oracle.field import field_dtype
+from k3fat.oracle.quartic import SurfacePoint
+from k3fat.oracle.series import ChartSingularError
 
 P = 2**31 - 1
+PRIMES = (P, 3037000493, 2**61 - 1)  # int64 at the default primes, object arrays at 2^61 - 1
 
 
 def test_monomial_counts():
@@ -108,6 +115,76 @@ def test_instance_invariants():
     rows = k3_condition_rows(2, instance)
     assert len(rows) == 2 * 6 + 3 * 1
     assert len(instance.coefficients) == 35
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rows_refuse_a_simple_point_off_the_surface(p):
+    # the fat point is on F, the second simple point one step off it along z:
+    # the simple points' run goes through the same check as the fat point's
+    instance = sample_quartic_instance(((2, 1), (1, 2)), p, Random(5))
+    pt = instance.points[2]
+    moved = SurfacePoint((*pt.affine[:2], (pt.affine[2] + 1) % p), 1, pt.solved_slot)
+    bad = replace(instance, points=instance.points[:2] + (moved,))
+    assert len(k3_condition_rows(3, instance)) == 5
+    with pytest.raises(ValueError, match="does not vanish"):
+        k3_condition_rows(3, bad)
+    with pytest.raises(ValueError, match="does not vanish"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rows_refuse_a_simple_point_with_a_zero_solved_partial(p):
+    # F - F_s(P) (x_s - P_s), s the solved slot, still vanishes at P, and its
+    # partial along s vanishes there: P is no chart of the changed quartic
+    instance = sample_quartic_instance(((1, 1),), p, Random(7))
+    (pt,) = instance.points
+    s = pt.solved_slot
+    partial = sum(c * e[s - 1] * prod(pow(x, k - (i == s - 1), p)
+                                      for i, (x, k) in enumerate(zip(pt.affine, e)))
+                  for e, c in instance.affine_poly().items() if e[s - 1]) % p
+    coeffs = dict(instance.coefficients)
+    linear = tuple(3 if v == 0 else int(v == s) for v in range(4))  # x0^3 x_s
+    coeffs[linear] = (coeffs[linear] - partial) % p
+    coeffs[(4, 0, 0, 0)] = (coeffs[(4, 0, 0, 0)] + partial * pt.affine[s - 1]) % p
+    bad = replace(instance, coefficients=tuple(sorted(coeffs.items())))
+    assert partial and len(k3_condition_rows(3, instance)) == 1
+    with pytest.raises(ChartSingularError):
+        k3_condition_rows(3, bad)
+    with pytest.raises(ChartSingularError):
+        bad.validate()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_solve_at_order_zero_checks_and_returns_zero_psi(p):
+    # six simple points in charts of every slot order: psi is all zero
+    instance = sample_quartic_instance(((1, 6),), p, Random(3))
+    slots = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]]
+    psi = solve_implicit(instance.affine_poly(), [pt.affine for pt in instance.points],
+                         slots, 0, p)
+    assert psi.shape == (6, 1, 1) and psi.dtype == field_dtype(p) and not psi.any()
+
+
+@pytest.mark.parametrize("points", [
+    [(1.5, 2)], [(2, -1)], [(2, 0)], [(0, 3)], [(-1, 2)], [(2, 4), (1.0, 1)], [(2,)],
+])
+def test_malformed_point_groups_raise_before_any_draw(monkeypatch, small_cfg, points):
+    def sample(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(quartic, "sample_quartic_instance", sample)
+    with pytest.raises(ValueError, match="point group"):
+        measure_k3(2, points, small_cfg)
+
+
+def test_numpy_integer_groups_measure_as_python_ints(monkeypatch, small_cfg):
+    # the same measurement from the same random streams: the groups tag them
+    tags = []
+    derive = quartic.derived_rng
+    monkeypatch.setattr(quartic, "derived_rng", lambda *t: tags.append(repr(t)) or derive(*t))
+    numpy_ints = measure_k3(2, [(np.int64(2), np.int64(4))], small_cfg)
+    half = len(tags)
+    assert numpy_ints == measure_k3(2, [(2, 4)], small_cfg)
+    assert half and tags[:half] == tags[half:]
 
 
 def test_determinism_same_seed(small_cfg):

@@ -2,13 +2,12 @@ from math import comb
 from random import Random
 
 import pytest
-from series_reference import Series2, eval_poly3, from_dense
+from series_reference import Series2, binomial_shift, eval_poly3, from_dense
 
 from k3fat.oracle.field import inverse_mod
 from k3fat.oracle.quartic import sample_quartic_instance
 from k3fat.oracle.series import (
     ChartSingularError,
-    binomial_shift,
     chart_jets,
     eval_poly3_scalar,
     powers,
