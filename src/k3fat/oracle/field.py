@@ -6,22 +6,39 @@ only an explicit choice reaches, take object arrays of Python integers,
 which stay exact at any size.  `field_dtype` makes that choice for every
 array of field elements.
 
-`matmul_mod_p` is the one matrix product.  On int64 it is float64 BLAS on
-16-bit limbs with delayed reduction, in the style of FFLAS-FFPACK (Dumas,
-Giorgi and Pernet, ISSAC 2004 and ACM TOMS 35(3), 2008).  The left factor
-is split into its high and low 16-bit limbs, and each limb times the right
-factor is one float64 product per slab of _SLAB inner indices.  A limb is
-below 2^16 and an entry below p < 2^32, so a slab sum stays below
+`matmul_mod_p` is the one matrix product, fused with a subtraction: it
+returns (c - a b) mod p.  On int64 it is float64 BLAS on 16-bit limbs with
+delayed reduction, in the style of FFLAS-FFPACK (Dumas, Giorgi and Pernet,
+ISSAC 2004 and ACM TOMS 35(3), 2008).  The left factor is split into its
+high and low 16-bit limbs, and each limb times the right factor is one
+float64 product per slab of _SLAB inner indices.  A limb is below 2^16 and
+an entry below p < 2^32, so a slab sum stays below
 _SLAB * 2^16 * 2^32 = 2^53, where float64 is exact.  The slab sums are added
-up in int64 and reduced mod p once per _SLABS_PER_REDUCTION slabs and at
-the end.  On object arrays the product is (a @ b) % p.
+up in int64 and reduced mod p once per _SLABS_PER_REDUCTION slabs; at the
+end the high-limb sum is reduced once, so shifted by 16 bits it is below
+2^48, the low-limb sum is added (below 2^63 - 2^48, so the total stays in
+int64), the total is subtracted from c, and the difference is reduced once.
+On object arrays the kernel is (c - a @ b) % p.
 
-`rank_mod_p` is blocked Gaussian elimination, one algorithm for both dtypes.
-Each panel of _PANEL columns is factored column by column while every row
-records its multipliers on the panel's original pivot rows; the rows without
-a pivot then get their trailing columns from one kernel call,
-T[k:] + G21 . T[:k].  The rank is the pivot count plus the rank of that
-trailing block, so the pivot rows themselves are never transformed.
+`rank_mod_p` eliminates by Schur complements, one algorithm for both
+dtypes (the block recursion of FFLAS-FFPACK, and of Jeannerod, Pernet and
+Storjohann, J. Symb. Comput. 56, 2013).  The matrix is split as
+    [[A11, A12],
+     [A21, A22]]
+with A11 the leading square block of order _BLOCK (or less, at the edge),
+and Gauss-Jordan elimination on [A11 | -I] swaps rows only within A11.
+When A11 is invertible, the invertible row operations
+[[I, 0], [-A21 A11^-1, I]] turn the matrix into [[A11, A12], [0, S]] with
+the Schur complement S = A22 - A21 (A11^-1 A12), so over F_p the rank is
+exactly the order of A11 plus the rank of S.  A11^-1 A12 and S are one
+call of the kernel each, and only S is eliminated further; an invertible
+A11 with nothing beside or below it ends the loop without a product.  A singular A11 falls back to one
+panel of _PANEL columns: the panel is factored column by column over all
+rows while every row records its negated multipliers on the panel's
+original pivot rows, and the rows without a pivot get their trailing
+columns from one kernel call, T[k:] - G21 . T[:k].  The rank is then the
+pivot count plus the rank of that trailing block, so pivot rows are never
+transformed either way.
 
 Roots are found by Cantor-Zassenhaus (Math. Comp. 36, 1981): the root part
 gcd(T^p - T, f) is split by equal-degree splitting with random shifts.  The
@@ -56,6 +73,9 @@ _INT64_SAFE_PRIME = 3_037_000_499
 # a slab, so each trailing update is a single slab.
 _SLAB = 32
 _PANEL = 24
+# Order of the leading block A11 of each Schur step, at most a slab: of 16,
+# 24 and 32, 16 was measured fastest on the acceptance grid's matrices.
+_BLOCK = 16
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Slab sums are added up in int64 and reduced once per this many slabs:
@@ -73,30 +93,41 @@ def inverse_mod(a: int, p: int) -> int:
     return pow(a % p, -1, p)
 
 
-def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for two matrices with entries in [0, p), in their dtype.
+def matmul_mod_p(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(c - a @ b) mod p for matrices with entries in [0, p), in their dtype,
+    for an inner dimension of at least 1.
 
     int64 operands (p <= isqrt(2^63) < 2^32) go through float64 BLAS on the
-    16-bit limbs of `a`, slab by slab (see the module docstring); object
-    operands multiply exactly as Python integers."""
+    16-bit limbs of `a`, slab by slab, and are reduced twice: the high-limb
+    sum before its shift and the difference at the end (see the module
+    docstring); object operands multiply exactly as Python integers."""
     if a.dtype == object or b.dtype == object:
-        return (a @ b) % p
-    hi = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    lo = np.zeros_like(hi)
+        return (c - a @ b) % p
     for count, start in enumerate(range(0, a.shape[1], _SLAB), 1):
         part = a[:, start:start + _SLAB]
         slab = b[start:start + _SLAB].astype(np.float64)
-        hi += ((part >> _LIMB_BITS).astype(np.float64) @ slab).astype(np.int64)
-        lo += ((part & _LIMB_MASK).astype(np.float64) @ slab).astype(np.int64)
+        hi_part = ((part >> _LIMB_BITS).astype(np.float64) @ slab).astype(np.int64)
+        lo_part = ((part & _LIMB_MASK).astype(np.float64) @ slab).astype(np.int64)
+        if count == 1:
+            hi, lo = hi_part, lo_part
+        else:
+            hi += hi_part
+            lo += lo_part
         if count % _SLABS_PER_REDUCTION == 0:
             hi %= p
             lo %= p
-    return ((hi % p << _LIMB_BITS) + lo) % p
+    hi %= p
+    hi <<= _LIMB_BITS
+    hi += lo
+    np.subtract(c, hi, out=hi)
+    hi %= p
+    return hi
 
 
 def rank_mod_p(matrix, p: int) -> int:
     """Exact rank over F_p of an integer matrix (a 2-D array or a sequence
-    of rows; an empty one has rank 0) by blocked row elimination."""
+    of rows; an empty one has rank 0) by block elimination on Schur
+    complements."""
     arr = np.asarray(matrix)
     if arr.size == 0:
         return 0
@@ -105,12 +136,43 @@ def rank_mod_p(matrix, p: int) -> int:
     # rank(A) = rank(A^T); eliminating on the short side is cheaper.
     if arr.shape[0] > arr.shape[1]:
         arr = arr.T
-    block = np.array(arr, dtype=field_dtype(p), order="C") % p
+    block = np.remainder(np.asarray(arr, dtype=field_dtype(p)), p, order="C")
     rank = 0
     while block.shape[0] and block.shape[1]:
-        pivots, block = _eliminate_panel(block, p)
-        rank += pivots
+        size = min(_BLOCK, *block.shape)
+        neg_inv = _negated_inverse(block[:size, :size], p)
+        if neg_inv is None:
+            pivots, block = _eliminate_panel(block, p)
+            rank += pivots
+            continue
+        rank += size
+        if size == min(block.shape):  # nothing is left beside or below A11
+            break
+        a12 = block[:size, size:]
+        x = matmul_mod_p(np.zeros_like(a12), neg_inv, a12, p)  # A11^-1 A12
+        block = matmul_mod_p(block[size:, size:], block[size:, :size], x, p)
     return rank
+
+
+def _negated_inverse(a11: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """-A11^-1 mod p by Gauss-Jordan elimination on [A11 | -I], swapping
+    rows only within the block; None when A11 is singular."""
+    size = a11.shape[0]
+    work = np.zeros((size, 2 * size), dtype=a11.dtype)
+    work[:, :size] = a11
+    work[:, size:][np.diag_indices(size)] = p - 1
+    for col in range(size):
+        if not work.item(col, col):
+            nz = np.flatnonzero(work[col + 1:, col])
+            if nz.size == 0:
+                return None
+            pivot = col + 1 + nz[0]
+            work[[col, pivot]] = work[[pivot, col]]
+        row = work[col] * inverse_mod(work.item(col, col), p) % p
+        work -= work[:, col, None] * row
+        work[col] = row
+        work %= p
+    return work[:, size:]
 
 
 def _eliminate_panel(block: np.ndarray, p: int):
@@ -119,8 +181,9 @@ def _eliminate_panel(block: np.ndarray, p: int):
     against the k pivot rows.
 
     `work` holds the panel and, beside it, each row's multipliers on the
-    original pivot rows found so far: a pivot row's own multiplier is 1, so
-    subtracting f times a pivot row subtracts f times its multipliers."""
+    original pivot rows found so far, negated: a pivot row's own entry is
+    -1, so subtracting f times a pivot row subtracts f times its entries,
+    and the trailing columns become T[k:] - G21 . T[:k] in one kernel call."""
     n_rows = block.shape[0]
     width = min(_PANEL, block.shape[1])
     work = np.zeros((n_rows, 2 * width), dtype=block.dtype)
@@ -135,7 +198,7 @@ def _eliminate_panel(block: np.ndarray, p: int):
         if pivot != k:
             work[[k, pivot]] = work[[pivot, k]]
             order[[k, pivot]] = order[[pivot, k]]
-        work[k, width + k] = 1
+        work[k, width + k] = p - 1
         rows = k + 1 + np.flatnonzero(work[k + 1:, col])
         if rows.size:
             factors = work[rows, col] * inverse_mod(int(work[k, col]), p) % p
@@ -147,7 +210,7 @@ def _eliminate_panel(block: np.ndarray, p: int):
     if k == 0 or trailing.size == 0:
         return k, trailing
     multipliers = work[k:, width:width + k]
-    return k, (trailing + matmul_mod_p(multipliers, block[order[:k], width:], p)) % p
+    return k, matmul_mod_p(trailing, multipliers, block[order[:k], width:], p)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,10 @@ def measure_k3(
     every point again from a fresh generator with the same tags (see the
     module docstring).  `rows` is the system's condition count.
     """
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(f"d must be an integer, got {d!r}") from None
     if d < 1:
         raise ValueError("d must be positive")
     p = prime or cfg.prime

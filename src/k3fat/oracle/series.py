@@ -165,9 +165,10 @@ def solve_implicit(
     f is a trivariate polynomial keyed by exponents in slot order, points[n]
     a zero of f, and slots[n] its chart's (s, t, z) slots, 0-based.  Raises
     ChartSingularError when f_z vanishes at a point and ValueError when f
-    does not vanish there, at order 0 too, where psi is all zero; psi_D is
-    fixed degree by degree (see the module docstring), and the full residual
-    is checked at the end.
+    does not vanish there, at order 0 too, where psi is all zero and is
+    returned after these two checks; above order 0, psi_D is fixed degree by
+    degree (see the module docstring), and the full residual is checked at
+    the end.
     """
     dtype = field_dtype(p)
     slots = np.asarray(slots)
@@ -196,6 +197,8 @@ def solve_implicit(
         raise ValueError("the polynomial does not vanish at the expansion point")
 
     psi = np.zeros((len(slots), order + 1, order + 1), dtype=dtype)
+    if order == 0:  # the residual's one term is f(P), checked above
+        return psi
     neg_inv = np.array([p - inverse_mod(int(v), p) for v in fz], dtype=dtype)[:, None]
     for degree in range(1, order + 1):
         a = np.arange(degree + 1)  # psi_D sits at (a, degree - a)

@@ -2,6 +2,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from oracle_reference import ref_rank_mod_p
 
 from k3fat.oracle import DEFAULT_PRIME, DEFAULT_PRIME2, field
 from k3fat.oracle.field import (
@@ -23,6 +24,7 @@ P2 = 2**61 - 1
 P_EDGE = 3037000493  # the largest prime p with p^2 < 2^63
 P_TS = 3 * 2**30 + 1  # p - 1 = 3 * 2^30: thirty Tonelli-Shanks levels
 SQRT_PRIMES = (10007, P1, P_EDGE, P_TS, P2)
+RANK_PRIMES = (10007, P1, P_EDGE, P2)
 
 
 def _pmul(f, g, p):
@@ -115,8 +117,10 @@ def test_matmul_mod_p_is_exact(p):
     for inner in (1, 31, 32, 33, 64):
         a = [[rng.choice(values) for _ in range(inner)] for _ in range(5)]
         b = [[rng.choice(values) for _ in range(7)] for _ in range(inner)]
-        expected = (np.array(a, dtype=object) @ np.array(b, dtype=object)) % p
-        got = matmul_mod_p(np.array(a, dtype=field_dtype(p)), np.array(b, dtype=field_dtype(p)), p)
+        c = [[rng.choice(values) for _ in range(7)] for _ in range(5)]
+        expected = (np.array(c, dtype=object)
+                    - np.array(a, dtype=object) @ np.array(b, dtype=object)) % p
+        got = matmul_mod_p(*(np.array(x, dtype=field_dtype(p)) for x in (c, a, b)), p)
         assert got.dtype == field_dtype(p)
         assert got.tolist() == expected.tolist()
     # 2^11 slabs whose low limbs are all 2^16 - 1: their unreduced sum
@@ -125,7 +129,104 @@ def test_matmul_mod_p_is_exact(p):
     x = ((p >> 16) - 1) << 16 | 0xFFFF
     a = np.full((1, inner), x, dtype=field_dtype(p))
     b = np.full((inner, 1), p - 1, dtype=field_dtype(p))
-    assert matmul_mod_p(a, b, p).tolist() == [[inner * x * (p - 1) % p]]
+    c = np.full((1, 1), p - 1, dtype=field_dtype(p))
+    assert matmul_mod_p(c, a, b, p).tolist() == [[(p - 1 - inner * x * (p - 1)) % p]]
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_fused_kernel_with_every_entry_at_p_minus_one(p):
+    # the largest limb sums, the largest reduced high-limb sum shifted and
+    # the largest c, at the inner dimensions of a Schur step and a slab
+    for inner in (1, 16, 32):
+        c, a, b = (np.full(shape, p - 1, dtype=field_dtype(p))
+                   for shape in ((3, 4), (3, inner), (inner, 4)))
+        expected = (c.astype(object) - a.astype(object) @ b.astype(object)) % p
+        assert matmul_mod_p(c, a, b, p).tolist() == expected.tolist()
+
+
+def _sparse(rng, n_rows, n_cols, p):
+    """A random matrix mod p with many zeros and units, so that pivots
+    inside a leading block often sit off its diagonal."""
+    return np.array([[rng.choice((0, 0, 1, p - 1, rng.randrange(p))) for _ in range(n_cols)]
+                     for _ in range(n_rows)], dtype=object)
+
+
+def _low_rank(rng, n_rows, n_cols, rank, p):
+    """U . V mod p for sparse U (n_rows x rank) and V (rank x n_cols)."""
+    return (_sparse(rng, n_rows, rank, p) @ _sparse(rng, rank, n_cols, p)) % p
+
+
+def _assert_rank_matches_reference(m, p):
+    for matrix in (m, m.T):
+        assert rank_mod_p(matrix.tolist(), p) == ref_rank_mod_p(matrix.tolist(), p)
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_at_block_seams(p):
+    # one row or column either side of one and two leading blocks of 16,
+    # at full rank and at ranks on both sides of the block order
+    rng = Random(p)
+    sizes = (15, 16, 17, 32, 33)
+    for n_rows in sizes:
+        for n_cols in sizes:
+            _assert_rank_matches_reference(_sparse(rng, n_rows, n_cols, p), p)
+            for rank in (15, 17):
+                _assert_rank_matches_reference(_low_rank(rng, n_rows, n_cols, rank, p), p)
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_of_low_rank_products(p):
+    rng = Random(p + 1)
+    for n_rows, n_cols in ((40, 40), (50, 70), (70, 34)):
+        for rank in (1, 3, 16, 20, 33):
+            m = _low_rank(rng, n_rows, n_cols, rank, p)
+            _assert_rank_matches_reference(m, p)
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_falls_back_on_a_singular_leading_block_then_takes_schur_steps(p, monkeypatch):
+    # the first 16 rows are zero in column 0 and sparse elsewhere: the
+    # leading block is singular, a panel finds the pivot of column 0 below
+    # it, and Schur steps take over on the dense rows after that
+    rng = Random(p + 2)
+    m = np.array([[rng.randrange(1, p) for _ in range(70)] for _ in range(56)], dtype=object)
+    m[:16] = _sparse(rng, 16, 70, p)
+    m[:16, 0] = 0
+    m[40:] = _low_rank(rng, 16, 70, 5, p)  # rank 45 of 56
+    steps = []
+    panel, kernel = field._eliminate_panel, field.matmul_mod_p
+
+    def logged_panel(block, p):
+        steps.append("panel")
+        return panel(block, p)
+
+    def logged_kernel(c, a, b, p):
+        steps.append("product")
+        return kernel(c, a, b, p)
+
+    monkeypatch.setattr(field, "_eliminate_panel", logged_panel)
+    monkeypatch.setattr(field, "matmul_mod_p", logged_kernel)
+    assert rank_mod_p(m.tolist(), p) == ref_rank_mod_p(m.tolist(), p) == 45
+    assert steps[0] == "panel"
+    assert steps[1:].count("product") >= 3  # the panel's update and Schur steps after it
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_of_a_zero_schur_complement(p):
+    # [[A11, A11 X], [W A11, W A11 X]] = [I; W] A11 [I, X] has rank 16, and
+    # its Schur complement A22 - A21 A11^-1 A12 is zero; A11 is a permuted
+    # triangle, so its inverse needs row swaps
+    rng = Random(p + 3)
+    tri = np.array([[rng.randrange(1, p) if j == i else rng.randrange(p) if j > i else 0
+                     for j in range(16)] for i in range(16)], dtype=object)
+    order = list(range(16))
+    rng.shuffle(order)
+    a11 = tri[order]
+    x = _sparse(rng, 16, 30, p)
+    w = _sparse(rng, 20, 16, p)
+    top = np.hstack((a11, a11 @ x % p))
+    m = np.vstack((top, w @ top % p))
+    assert rank_mod_p(m.tolist(), p) == ref_rank_mod_p(m.tolist(), p) == 16
 
 
 def test_rank_transpose_invariance():

@@ -187,6 +187,29 @@ def test_numpy_integer_groups_measure_as_python_ints(monkeypatch, small_cfg):
     assert half and tags[:half] == tags[half:]
 
 
+@pytest.mark.parametrize("d", [2.5, "3", None])
+def test_a_degree_that_is_not_an_integer_raises_before_any_draw(monkeypatch, small_cfg, d):
+    def sample(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(quartic, "sample_quartic_instance", sample)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        measure_k3(d, [(1, 1)], small_cfg)
+    with pytest.raises(ValueError, match="d must be positive"):
+        measure_k3(0, [(1, 1)], small_cfg)
+
+
+def test_a_numpy_integer_degree_measures_as_a_python_int(monkeypatch, small_cfg):
+    # the same measurement from the same random streams: d tags them
+    tags = []
+    derive = quartic.derived_rng
+    monkeypatch.setattr(quartic, "derived_rng", lambda *t: tags.append(repr(t)) or derive(*t))
+    numpy_int = measure_k3(np.int64(3), [(2, 4)], small_cfg)
+    half = len(tags)
+    assert numpy_int == measure_k3(3, [(2, 4)], small_cfg)
+    assert half and tags[:half] == tags[half:]
+
+
 def test_determinism_same_seed(small_cfg):
     a = measure_k3(3, [(2, 9)], small_cfg)
     b = measure_k3(3, [(2, 9)], small_cfg)
