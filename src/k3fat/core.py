@@ -12,7 +12,8 @@ m = n = 0 for the unconditioned system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -40,6 +41,23 @@ def normalized_points(multiplicity: int, count: int) -> Tuple[int, int]:
     return (multiplicity, count) if multiplicity and count else (0, 0)
 
 
+def as_int(name: str, value) -> int:
+    """`value` as a Python int, for an integer of any type (numpy integers
+    and bools too); ValueError for anything else, such as 2.5 or "3"."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def index_fields(record, names) -> None:
+    """Store the named fields of a frozen dataclass as Python ints (see
+    `as_int`), so that a record built from numpy integers compares, hashes
+    and serialises like one built from ints."""
+    for name in names:
+        object.__setattr__(record, name, as_int(name, getattr(record, name)))
+
+
 def _check_points(multiplicity: int, count: int) -> None:
     if multiplicity < 0 or count < 0 or (multiplicity == 0) != (count == 0):
         raise ValueError("multiplicity and count must be both 0 (no points) or both "
@@ -63,6 +81,7 @@ class K3System:
     count: int = 0
 
     def __post_init__(self) -> None:
+        index_fields(self, (f.name for f in fields(self)))
         if self.gamma < 2 or self.gamma % 2 != 0:
             raise ValueError(f"gamma must be even and >= 2, got {self.gamma}")
         if self.degree < 1:
@@ -96,6 +115,7 @@ class PlanarSystem:
     count: int = 0
 
     def __post_init__(self) -> None:
+        index_fields(self, (f.name for f in fields(self)))
         _check_points(self.multiplicity, self.count)
 
     @staticmethod

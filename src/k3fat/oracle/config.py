@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Tuple
 
+from ..core import index_fields
+
 DEFAULT_PRIME = 2**31 - 1
 DEFAULT_PRIME2 = 3_037_000_493
 DEFAULT_TRIALS = 3
@@ -91,6 +93,8 @@ class PrimeFieldConfig:
     budget_rows: int = DEFAULT_BUDGET_ROWS
 
     def __post_init__(self) -> None:
+        index_fields(self, ("prime", "seed", "trials", "budget_rows")
+                     + (("prime2",) if self.prime2 is not None else ()))
         _check_prime("prime", self.prime)
         if self.prime2 is not None:
             _check_prime("prime2", self.prime2)

@@ -22,23 +22,21 @@ On object arrays the kernel is (c - a @ b) % p.
 
 `rank_mod_p` eliminates by Schur complements, one algorithm for both
 dtypes (the block recursion of FFLAS-FFPACK, and of Jeannerod, Pernet and
-Storjohann, J. Symb. Comput. 56, 2013).  The matrix is split as
-    [[A11, A12],
-     [A21, A22]]
-with A11 the leading square block of order _BLOCK (or less, at the edge),
-and Gauss-Jordan elimination on [A11 | -I] swaps rows only within A11.
-When A11 is invertible, the invertible row operations
-[[I, 0], [-A21 A11^-1, I]] turn the matrix into [[A11, A12], [0, S]] with
-the Schur complement S = A22 - A21 (A11^-1 A12), so over F_p the rank is
-exactly the order of A11 plus the rank of S.  A11^-1 A12 and S are one
-call of the kernel each, and only S is eliminated further; an invertible
-A11 with nothing beside or below it ends the loop without a product.  A singular A11 falls back to one
-panel of _PANEL columns: the panel is factored column by column over all
-rows while every row records its negated multipliers on the panel's
-original pivot rows, and the rows without a pivot get their trailing
-columns from one kernel call, T[k:] - G21 . T[:k].  The rank is then the
-pivot count plus the rank of that trailing block, so pivot rows are never
-transformed either way.
+Storjohann, J. Symb. Comput. 56, 2013, which handles a rank-deficient
+leading block within the step).  A step takes the strip of the first
+_BLOCK rows (fewer at the edge) and runs Gauss-Jordan on [A11 | -I], A11
+its leading square block, swapping rows only within A11, up to the first
+column k without a pivot among the rows not yet pivoted (k is the order
+of an invertible A11).  The right half is then -E, E the block's row
+operations.  E is invertible, so E . strip has the row space of the
+strip; it holds I_k over zeros in its first k columns, and the new block
+is the Schur complement of that I_k: the rows below, less their first k
+entries times Y[:k], with Y = E . strip from column k on, and under them
+Y[k:], so that the next leading block starts on fresh rows.  Over F_p the
+rank is exactly k plus the rank of the new block, and for an invertible
+A11 the new block is A22 - A21 (A11^-1 A12).  Y and the rows below are
+one kernel call each.  At k = 0, column 0 is zero in A11: the first row
+below that is nonzero there is swapped in, or else the column is dropped.
 
 Roots are found by Cantor-Zassenhaus (Math. Comp. 36, 1981): the root part
 gcd(T^p - T, f) is split by equal-degree splitting with random shifts.  The
@@ -68,13 +66,11 @@ import numpy as np
 # two reduced entries plus one more reduced entry fits in int64.
 _INT64_SAFE_PRIME = 3_037_000_499
 
-# Inner-dimension slab of the limb product (32 * 2^16 * 2^32 = 2^53) and
-# column width of an elimination panel; a panel's pivot count never exceeds
-# a slab, so each trailing update is a single slab.
+# Inner-dimension slab of the limb product (32 * 2^16 * 2^32 = 2^53).
 _SLAB = 32
-_PANEL = 24
-# Order of the leading block A11 of each Schur step, at most a slab: of 16,
-# 24 and 32, 16 was measured fastest on the acceptance grid's matrices.
+# Order of the leading block A11 of each Schur step, at most a slab, so each
+# update is a single slab: of 16, 24 and 32, 16 was measured fastest on the
+# acceptance grid's matrices.
 _BLOCK = 16
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -127,36 +123,52 @@ def matmul_mod_p(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndar
 def rank_mod_p(matrix, p: int) -> int:
     """Exact rank over F_p of an integer matrix (a 2-D array or a sequence
     of rows; an empty one has rank 0) by block elimination on Schur
-    complements."""
+    complements.  Entries may be integers of any size; a matrix of floats
+    or of any other non-integer dtype raises ValueError."""
     arr = np.asarray(matrix)
     if arr.size == 0:
         return 0
     if arr.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
+    if arr.dtype.kind not in "biuO":
+        raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
     # rank(A) = rank(A^T); eliminating on the short side is cheaper.
     if arr.shape[0] > arr.shape[1]:
         arr = arr.T
-    block = np.remainder(np.asarray(arr, dtype=field_dtype(p)), p, order="C")
+    dtype = field_dtype(p)
+    if arr.dtype.kind in "uO":  # entries may pass int64: reduce them before any cast
+        block = np.remainder(arr.astype(object, copy=False), p, order="C")
+        block = block.astype(dtype, copy=False)
+    else:
+        block = np.remainder(np.asarray(arr, dtype=dtype), p, order="C")
     rank = 0
     while block.shape[0] and block.shape[1]:
         size = min(_BLOCK, *block.shape)
-        neg_inv = _negated_inverse(block[:size, :size], p)
-        if neg_inv is None:
-            pivots, block = _eliminate_panel(block, p)
-            rank += pivots
+        k, neg_e = _negated_inverse(block[:size, :size], p)
+        if k == 0:  # column 0 is zero in the leading block
+            below = np.flatnonzero(block[size:, 0])
+            if below.size:
+                row = size + below[0]
+                block[[0, row]] = block[[row, 0]]
+            else:
+                block = block[:, 1:]
             continue
-        rank += size
-        if size == min(block.shape):  # nothing is left beside or below A11
+        rank += k
+        if k == min(block.shape):  # nothing is left beside or below the pivots
             break
-        a12 = block[:size, size:]
-        x = matmul_mod_p(np.zeros_like(a12), neg_inv, a12, p)  # A11^-1 A12
-        block = matmul_mod_p(block[size:, size:], block[size:, :size], x, p)
+        strip = block[:size, k:]
+        y = matmul_mod_p(np.zeros_like(strip), neg_e, strip, p)  # E . strip from column k on
+        rest = matmul_mod_p(block[size:, k:], block[size:, :k], y[:k], p)
+        block = rest if k == size else np.concatenate((rest, y[k:]))
     return rank
 
 
-def _negated_inverse(a11: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """-A11^-1 mod p by Gauss-Jordan elimination on [A11 | -I], swapping
-    rows only within the block; None when A11 is singular."""
+def _negated_inverse(a11: np.ndarray, p: int) -> Tuple[int, np.ndarray]:
+    """(k, -E) from Gauss-Jordan elimination on [A11 | -I], swapping rows
+    only within the block: k is the first column with no pivot among the
+    rows not yet pivoted (the order of A11 when it is invertible), and E
+    the block's row operations, so that E A11 holds I_k in the first k
+    columns of its first k rows and zeros below them."""
     size = a11.shape[0]
     work = np.zeros((size, 2 * size), dtype=a11.dtype)
     work[:, :size] = a11
@@ -165,52 +177,14 @@ def _negated_inverse(a11: np.ndarray, p: int) -> Optional[np.ndarray]:
         if not work.item(col, col):
             nz = np.flatnonzero(work[col + 1:, col])
             if nz.size == 0:
-                return None
+                return col, work[:, size:]
             pivot = col + 1 + nz[0]
             work[[col, pivot]] = work[[pivot, col]]
         row = work[col] * inverse_mod(work.item(col, col), p) % p
         work -= work[:, col, None] * row
         work[col] = row
         work %= p
-    return work[:, size:]
-
-
-def _eliminate_panel(block: np.ndarray, p: int):
-    """Eliminate the first panel of columns of `block`; returns the number
-    of pivots k it holds and the trailing columns of the other rows, reduced
-    against the k pivot rows.
-
-    `work` holds the panel and, beside it, each row's multipliers on the
-    original pivot rows found so far, negated: a pivot row's own entry is
-    -1, so subtracting f times a pivot row subtracts f times its entries,
-    and the trailing columns become T[k:] - G21 . T[:k] in one kernel call."""
-    n_rows = block.shape[0]
-    width = min(_PANEL, block.shape[1])
-    work = np.zeros((n_rows, 2 * width), dtype=block.dtype)
-    work[:, :width] = block[:, :width]
-    order = np.arange(n_rows)
-    k = 0
-    for col in range(width):
-        nz = np.flatnonzero(work[k:, col])
-        if nz.size == 0:
-            continue
-        pivot = k + nz[0]
-        if pivot != k:
-            work[[k, pivot]] = work[[pivot, k]]
-            order[[k, pivot]] = order[[pivot, k]]
-        work[k, width + k] = p - 1
-        rows = k + 1 + np.flatnonzero(work[k + 1:, col])
-        if rows.size:
-            factors = work[rows, col] * inverse_mod(int(work[k, col]), p) % p
-            work[rows] = (work[rows] - factors[:, None] * work[k]) % p
-        k += 1
-        if k == n_rows:
-            break
-    trailing = block[order[k:], width:]
-    if k == 0 or trailing.size == 0:
-        return k, trailing
-    multipliers = work[k:, width:width + k]
-    return k, matmul_mod_p(trailing, multipliers, block[order[:k], width:], p)
+    return size, work[:, size:]
 
 
 # ---------------------------------------------------------------------------

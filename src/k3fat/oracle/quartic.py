@@ -62,7 +62,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core import point_conditions
+from ..core import as_int, point_conditions
 from .config import (
     BudgetExceededError,
     OracleMeasurement,
@@ -294,10 +294,7 @@ def measure_k3(
     every point again from a fresh generator with the same tags (see the
     module docstring).  `rows` is the system's condition count.
     """
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise ValueError(f"d must be an integer, got {d!r}") from None
+    d = as_int("d", d)
     if d < 1:
         raise ValueError("d must be positive")
     p = prime or cfg.prime

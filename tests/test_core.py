@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from k3fat.classify import classify
 from k3fat.core import (
     DimensionReport,
     K3System,
@@ -81,6 +83,22 @@ def test_system_records_reject_invalid_points():
             K3System(4, 2, m, n)
         with pytest.raises(ValueError):
             PlanarSystem(2, m, n)
+
+
+def test_system_records_read_their_fields_as_ints():
+    # a non-integer field fails at construction, not later inside classify
+    for args in ((4.0, 3, 1, 4), (4, 2.5, 1, 1), (4, 3, "1", 4), (4, 3, 1, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            K3System(*args)
+    for args in ((2.5, 1, 1), (3, "1", 4), (3, 1, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PlanarSystem(*args)
+    # numpy integers are stored as ints, so the trace serialises as for ints
+    sys = K3System(4, np.int64(3), np.int32(1), np.int64(4))
+    assert all(type(x) is int for x in sys.key) and sys == K3System(4, 3, 1, 4)
+    assert classify(sys).trace.to_json() == classify(K3System(4, 3, 1, 4)).trace.to_json()
+    plane = PlanarSystem(np.int64(2), np.int64(1), np.int64(4))
+    assert all(type(x) is int for x in (plane.degree, plane.multiplicity, plane.count))
 
 
 def test_homogeneous_constructor_normalizes_empty():

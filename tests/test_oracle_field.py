@@ -18,6 +18,7 @@ from k3fat.oracle.field import (
     rank_mod_p,
     sqrt_mod,
 )
+from k3fat.oracle.quartic import k3_condition_rows, sample_quartic_instance
 
 P1 = 2**31 - 1
 P2 = 2**61 - 1
@@ -51,6 +52,19 @@ def non_residue(p, start=2):
 def test_rank_zero_matrix():
     assert rank_mod_p(np.zeros((4, 7), dtype=np.int64), P1) == 0
     assert rank_mod_p([], P1) == 0
+
+
+def test_rank_reduces_entries_of_any_size_before_the_cast():
+    # 2^70 = 2^8 and 2^64 - 1 = 3 mod 2^31 - 1, so each pair of rows is equal
+    assert rank_mod_p([[2**70, 1], [2**8, 1]], P1) == 1
+    assert rank_mod_p([[2**70, 1], [2**8, 1]], P2) == 2
+    assert rank_mod_p(np.array([[2**64 - 1, 1], [3, 1]], dtype=np.uint64), P1) == 1
+
+
+def test_rank_refuses_a_matrix_that_is_not_of_integers():
+    for m in ([[1.5, 2.0], [3.0, 4.0]], np.eye(3), [["1", "2"]], [[1j, 1]]):
+        with pytest.raises(ValueError, match="must be integers"):
+            rank_mod_p(m, P1)
 
 
 def test_rank_identity_pattern_padded():
@@ -183,32 +197,91 @@ def test_rank_of_low_rank_products(p):
             _assert_rank_matches_reference(m, p)
 
 
+def _step_orders(monkeypatch):
+    """The (k, order of A11) of every step of rank_mod_p from now on: k is
+    the number of pivots Gauss-Jordan finds in the leading block."""
+    orders = []
+    negated_inverse = field._negated_inverse
+
+    def logged(a11, p):
+        k, neg_e = negated_inverse(a11, p)
+        orders.append((k, a11.shape[0]))
+        return k, neg_e
+
+    monkeypatch.setattr(field, "_negated_inverse", logged)
+    return orders
+
+
 @pytest.mark.parametrize("p", RANK_PRIMES)
 def test_rank_falls_back_on_a_singular_leading_block_then_takes_schur_steps(p, monkeypatch):
-    # the first 16 rows are zero in column 0 and sparse elsewhere: the
-    # leading block is singular, a panel finds the pivot of column 0 below
-    # it, and Schur steps take over on the dense rows after that
+    # the first 16 rows are zero in column 0 and sparse elsewhere: the first
+    # step finds no pivot and swaps in the first row below, then Schur steps
+    # take 16, 16 and 13 pivots, and zero columns are dropped at the end
     rng = Random(p + 2)
     m = np.array([[rng.randrange(1, p) for _ in range(70)] for _ in range(56)], dtype=object)
     m[:16] = _sparse(rng, 16, 70, p)
     m[:16, 0] = 0
     m[40:] = _low_rank(rng, 16, 70, 5, p)  # rank 45 of 56
-    steps = []
-    panel, kernel = field._eliminate_panel, field.matmul_mod_p
-
-    def logged_panel(block, p):
-        steps.append("panel")
-        return panel(block, p)
-
-    def logged_kernel(c, a, b, p):
-        steps.append("product")
-        return kernel(c, a, b, p)
-
-    monkeypatch.setattr(field, "_eliminate_panel", logged_panel)
-    monkeypatch.setattr(field, "matmul_mod_p", logged_kernel)
+    orders = _step_orders(monkeypatch)
     assert rank_mod_p(m.tolist(), p) == ref_rank_mod_p(m.tolist(), p) == 45
-    assert steps[0] == "panel"
-    assert steps[1:].count("product") >= 3  # the panel's update and Schur steps after it
+    assert [k for k, _ in orders[:4]] == [0, 16, 16, 13]
+    assert sum(k for k, _ in orders) == 45
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+@pytest.mark.parametrize("stop", (1, 7, 15))
+def test_rank_when_the_leading_block_stops_early(p, stop, monkeypatch):
+    # column `stop` of the first 16 rows is a combination of the columns
+    # before it, so the first step takes `stop` pivots and moves the other
+    # rows of its strip under the dense, full-rank rows below
+    rng = Random(p + stop)
+    m = np.array([[rng.randrange(1, p) for _ in range(60)] for _ in range(40)], dtype=object)
+    m[:16, stop] = m[:16, :stop] @ [rng.randrange(p) for _ in range(stop)] % p
+    orders = _step_orders(monkeypatch)
+    assert rank_mod_p(m.tolist(), p) == ref_rank_mod_p(m.tolist(), p) == 40
+    assert orders[0] == (stop, 16)
+    assert sum(k for k, _ in orders) == 40
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+@pytest.mark.parametrize("col", (0, 25))
+def test_rank_with_a_column_that_is_zero_in_every_row(p, col, monkeypatch):
+    # the dense rows reach the zero column with a step of order 0, which
+    # finds it zero in the whole block and drops it
+    rng = Random(p + col)
+    m = np.array([[rng.randrange(1, p) for _ in range(50)] for _ in range(30)], dtype=object)
+    m[:, col] = 0
+    orders = _step_orders(monkeypatch)
+    assert rank_mod_p(m.tolist(), p) == ref_rank_mod_p(m.tolist(), p) == 30
+    assert any(k == 0 for k, _ in orders)
+    m = _low_rank(rng, 30, 50, 20, p)
+    m[:, col] = 0
+    _assert_rank_matches_reference(m, p)
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_swaps_in_a_row_from_below_a_leading_block_with_column_0_zero(p):
+    # column 0 is nonzero only in row 20, which is zero elsewhere: dropping
+    # the column in place of swapping that row in would lose a pivot
+    rng = Random(p + 4)
+    m = _sparse(rng, 30, 40, p)
+    m[:, 0] = 0
+    m[20] = 0
+    m[20, 0] = rng.randrange(1, p)
+    _assert_rank_matches_reference(m, p)
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+@pytest.mark.parametrize("d", (5, 10))
+def test_rank_of_the_rows_of_a_wall(p, d, monkeypatch):
+    # one point of multiplicity 2d: L^4(d, 2d^1) has dimension 0, so its
+    # rows have rank one below the column count, and a leading block on
+    # the way is singular
+    instance = sample_quartic_instance(((2 * d, 1),), p, Random(p))
+    rows = np.array(k3_condition_rows(d, instance))
+    orders = _step_orders(monkeypatch)
+    assert rank_mod_p(rows, p) == ref_rank_mod_p(rows, p) == rows.shape[1] - 1
+    assert any(0 < k < size for k, size in orders)
 
 
 @pytest.mark.parametrize("p", RANK_PRIMES)

@@ -274,6 +274,23 @@ def test_config_validation():
         PrimeFieldConfig(prime2=2**31 - 1)  # equal to default prime
 
 
+@pytest.mark.parametrize("name, good, bad", [
+    ("prime", np.int64(2**31 - 1), 2.0**31 - 1),
+    ("prime2", np.int64(3037000493), 3037000493.0),
+    ("seed", np.int64(1), "1"),
+    ("trials", np.int64(3), 3.0),
+    ("budget_rows", np.int64(10), 10.5),
+])
+def test_config_reads_each_integer_field_as_an_int(name, good, bad):
+    # a numpy integer is stored as the int it equals, so it draws the same
+    # random streams; anything else fails at construction
+    cfg = PrimeFieldConfig(**{name: good})
+    assert type(getattr(cfg, name)) is int and cfg == PrimeFieldConfig(**{name: int(good)})
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        PrimeFieldConfig(**{name: bad})
+    assert PrimeFieldConfig(prime2=None).prime2 is None
+
+
 def test_config_rejects_composite_and_out_of_range_moduli():
     # each of these used to pass validation and fail deep inside the oracle
     for bad in (2**31 + 1, 2**32, 3037000499, 2**61 + 1):
