@@ -20,7 +20,6 @@ from .quartic import (
     measure_k3,
     measure_k3_cross_checked,
     monomial_exponents,
-    num_degree_forms,
     sample_quartic_instance,
 )
 from .series import ChartSingularError, solve_implicit
@@ -43,7 +42,6 @@ __all__ = [
     "measure_k3_cross_checked",
     "measure_planar",
     "monomial_exponents",
-    "num_degree_forms",
     "planar_condition_rows",
     "poly_roots",
     "rank_mod_p",

@@ -7,17 +7,16 @@ which stay exact at any size.  `field_dtype` makes that choice for every
 array of field elements.
 
 `matmul_mod_p` is the one matrix product, fused with a subtraction: it
-returns (c - a b) mod p.  On int64 it is float64 BLAS on 16-bit limbs with
-delayed reduction, in the style of FFLAS-FFPACK (Dumas, Giorgi and Pernet,
-ISSAC 2004 and ACM TOMS 35(3), 2008).  The left factor is split into its
-high and low 16-bit limbs, and each limb times the right factor is one
-float64 product per slab of _SLAB inner indices.  A limb is below 2^16 and
-an entry below p < 2^32, so a slab sum stays below
-_SLAB * 2^16 * 2^32 = 2^53, where float64 is exact.  The slab sums are added
-up in int64 and reduced mod p once per _SLABS_PER_REDUCTION slabs; at the
-end the high-limb sum is reduced once, so shifted by 16 bits it is below
-2^48, the low-limb sum is added (below 2^63 - 2^48, so the total stays in
-int64), the total is subtracted from c, and the difference is reduced once.
+returns (c - a b) mod p.  On int64 it is float64 BLAS on 16-bit limbs, in
+the style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ISSAC 2004 and ACM
+TOMS 35(3), 2008).  The left factor is split into its high and low 16-bit
+limbs, and each limb times the right factor is one float64 product.  A limb
+is below 2^16 and an entry below p < 2^32, so for an inner dimension of at
+most _SLAB a sum stays below _SLAB * 2^16 * 2^32 = 2^53, where float64 is
+exact; the kernel refuses a wider product.  The high-limb sum is reduced
+once, so shifted by 16 bits it is below 2^48, the low-limb sum is added
+(below 2^53, so the total stays in int64), the total is subtracted from c,
+and the difference is reduced once.
 On object arrays the kernel is (c - a @ b) % p.
 
 `rank_mod_p` eliminates by Schur complements, one algorithm for both
@@ -57,6 +56,7 @@ quadratic pieces again take the closed form.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -66,17 +66,14 @@ import numpy as np
 # two reduced entries plus one more reduced entry fits in int64.
 _INT64_SAFE_PRIME = 3_037_000_499
 
-# Inner-dimension slab of the limb product (32 * 2^16 * 2^32 = 2^53).
+# Widest inner dimension of an exact int64 limb product (32 * 2^16 * 2^32 = 2^53).
 _SLAB = 32
-# Order of the leading block A11 of each Schur step, at most a slab, so each
-# update is a single slab: of 16, 24 and 32, 16 was measured fastest on the
-# acceptance grid's matrices.
+# Order of the leading block A11 of each Schur step, at most _SLAB, so each
+# update is one limb product: of 16, 24 and 32, 16 was measured fastest on
+# the acceptance grid's matrices.
 _BLOCK = 16
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-# Slab sums are added up in int64 and reduced once per this many slabs:
-# 2^9 sums below 2^53 on top of a reduced entry stay below 2^63 - 2^48.
-_SLABS_PER_REDUCTION = 1 << 9
 
 
 def field_dtype(p: int):
@@ -93,25 +90,18 @@ def matmul_mod_p(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndar
     """(c - a @ b) mod p for matrices with entries in [0, p), in their dtype,
     for an inner dimension of at least 1.
 
-    int64 operands (p <= isqrt(2^63) < 2^32) go through float64 BLAS on the
-    16-bit limbs of `a`, slab by slab, and are reduced twice: the high-limb
-    sum before its shift and the difference at the end (see the module
-    docstring); object operands multiply exactly as Python integers."""
+    int64 operands (p <= isqrt(2^63) < 2^32) go through one float64 BLAS
+    product per 16-bit limb of `a`, exact for an inner dimension of at most
+    _SLAB (a wider one raises ValueError), and are reduced twice: the
+    high-limb sum before its shift and the difference at the end (see the
+    module docstring); object operands multiply exactly as Python integers."""
     if a.dtype == object or b.dtype == object:
         return (c - a @ b) % p
-    for count, start in enumerate(range(0, a.shape[1], _SLAB), 1):
-        part = a[:, start:start + _SLAB]
-        slab = b[start:start + _SLAB].astype(np.float64)
-        hi_part = ((part >> _LIMB_BITS).astype(np.float64) @ slab).astype(np.int64)
-        lo_part = ((part & _LIMB_MASK).astype(np.float64) @ slab).astype(np.int64)
-        if count == 1:
-            hi, lo = hi_part, lo_part
-        else:
-            hi += hi_part
-            lo += lo_part
-        if count % _SLABS_PER_REDUCTION == 0:
-            hi %= p
-            lo %= p
+    if a.shape[1] > _SLAB:
+        raise ValueError(f"an int64 product has inner dimension at most {_SLAB}, got {a.shape[1]}")
+    right = b.astype(np.float64)
+    hi = ((a >> _LIMB_BITS).astype(np.float64) @ right).astype(np.int64)
+    lo = ((a & _LIMB_MASK).astype(np.float64) @ right).astype(np.int64)
     hi %= p
     hi <<= _LIMB_BITS
     hi += lo
@@ -123,8 +113,9 @@ def matmul_mod_p(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndar
 def rank_mod_p(matrix, p: int) -> int:
     """Exact rank over F_p of an integer matrix (a 2-D array or a sequence
     of rows; an empty one has rank 0) by block elimination on Schur
-    complements.  Entries may be integers of any size; a matrix of floats
-    or of any other non-integer dtype raises ValueError."""
+    complements.  Entries may be integers of any size; a matrix of floats,
+    of any other non-integer dtype or of objects that are not all integers
+    raises ValueError."""
     arr = np.asarray(matrix)
     if arr.size == 0:
         return 0
@@ -137,8 +128,13 @@ def rank_mod_p(matrix, p: int) -> int:
         arr = arr.T
     dtype = field_dtype(p)
     if arr.dtype.kind in "uO":  # entries may pass int64: reduce them before any cast
-        block = np.remainder(arr.astype(object, copy=False), p, order="C")
-        block = block.astype(dtype, copy=False)
+        entries = arr.astype(object, copy=False)
+        if arr.dtype.kind == "O":  # the cast would truncate a float: refuse it here
+            try:
+                entries = np.frompyfunc(operator.index, 1, 1)(entries)
+            except TypeError as exc:
+                raise ValueError(f"matrix entries must be integers: {exc}") from None
+        block = np.remainder(entries, p, order="C").astype(dtype, copy=False)
     else:
         block = np.remainder(np.asarray(arr, dtype=dtype), p, order="C")
     rank = 0

@@ -18,8 +18,9 @@ C(d+3,3) - C(d-1,3) = 2d^2 + 2 of them, so the ambient projective dimension
 is ncols - 1 and the measured dimension of the system is that minus the
 rank of the condition matrix.  Every condition row vanishes on the multiples
 of F, so the rank on the standard columns equals the rank on all monomials.
-A quartic with no pure fourth power keeps every monomial as a column; the
-multiples of F then span C(d-1,3) of them and the ambient stays 2d^2 + 2.
+The sampler redraws a quartic with no pure fourth power, as it redraws the
+zero quartic; a uniform draw gives one with probability p^-4.  So x_v is
+always there, and every trial ranks the same 2d^2 + 2 columns.
 
 The block of conditions at a point P of multiplicity m holds the truncated
 Taylor series of each column monomial restricted along the chart at P: the
@@ -91,16 +92,7 @@ def monomial_exponents(degree: int, nvars: int = 4) -> List[Tuple[int, ...]]:
 
 
 _QUARTIC_EXPONENTS = tuple(monomial_exponents(4))  # the terms of a random quartic, drawn in order
-
-
-def binom3(n: int) -> int:
-    """C(n, 3), zero for n < 3."""
-    return n * (n - 1) * (n - 2) // 6 if n >= 3 else 0
-
-
-def num_degree_forms(d: int) -> int:
-    """Monomial count C(d+3, 3) of degree-d forms in four variables."""
-    return binom3(d + 3)
+_PURE_POWERS = tuple(e for e in _QUARTIC_EXPONENTS if 4 in e)  # x_v^4 for v = 0, 1, 2, 3
 
 
 def num_surface_forms(d: int) -> int:
@@ -171,22 +163,17 @@ class QuarticSurfaceInstance:
         return _dehomogenize(dict(self.coefficients))
 
     def column_exponents(self, d: int) -> np.ndarray:
-        """The degree-d monomials indexing the condition columns, as rows
-        (e0, e1, e2, e3) in monomial_exponents order: those with e_v <= 3
-        for the first variable v whose pure fourth power has a nonzero
-        coefficient in F, or all of them when none has."""
-        exps = _degree_exponents(d)
+        """The degree-d standard monomials indexing the condition columns, as
+        rows (e0, e1, e2, e3) in monomial_exponents order: those with
+        e_v <= 3 for the first variable v whose pure fourth power has a
+        nonzero coefficient in F.  A quartic with no pure fourth power, which
+        the sampler never returns, raises ValueError."""
         coeffs = dict(self.coefficients)
-        for v in range(4):
-            if coeffs.get(tuple(4 * (c == v) for c in range(4))):
-                return exps[exps[:, v] <= 3]
-        return exps
-
-    def validate(self) -> None:
-        """The check of k3_condition_rows at every stored point: F(P) = 0
-        (else ValueError) and F_z(P) != 0 (else ChartSingularError)."""
-        if self.points:
-            solve_implicit(self.affine_poly(), *_charts(self.points), 0, self.prime)
+        v = next((v for v, e in enumerate(_PURE_POWERS) if coeffs.get(e)), None)
+        if v is None:
+            raise ValueError("a quartic with no pure fourth power has no standard monomials")
+        exps = _degree_exponents(d)
+        return exps[exps[:, v] <= 3]
 
 
 def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int, int], int]:
@@ -224,12 +211,13 @@ def sample_quartic_instance(
     groups is a normalized ((multiplicity, count), ...) multiset.  The
     points are drawn one after another from rng, so the groups cut after
     k points draw the first k points of the full draw on the same quartic.
+    A quartic with no pure fourth power, the zero one included, is redrawn.
     Each z is a root of F on its line, and the solved slot's partial is
     nonzero there; nothing here checks that, solve_implicit does.
     """
     for _ in range(_MAX_SURFACE_ATTEMPTS):
         coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
-        if not any(coeffs.values()):
+        if not any(coeffs[e] for e in _PURE_POWERS):
             continue
         f_affine = _dehomogenize(coeffs)
         partials = _affine_partials(f_affine, p)
@@ -307,15 +295,6 @@ def measure_k3(
             f"quartic condition matrix {nrows}x{ncols} exceeds budget {cfg.budget_rows}"
         )
 
-    def rank(instance: QuarticSurfaceInstance) -> int:
-        columns = len(instance.column_exponents(d))
-        if columns > cfg.budget_rows:  # a quartic without pure fourth powers
-            raise BudgetExceededError(
-                f"quartic condition matrix {nrows}x{columns} (all monomials) "
-                f"exceeds budget {cfg.budget_rows}"
-            )
-        return rank_mod_p(k3_condition_rows(d, instance), p)
-
     multiplicities = [m for m, n in groups for _ in range(n)]  # in draw order
     running = accumulate(map(point_conditions, multiplicities))
     k = next((k for k, count in enumerate(running, 1) if count >= ncols), len(multiplicities))
@@ -324,11 +303,13 @@ def measure_k3(
     trial_dims = []
     for trial in range(cfg.trials):
         tags = (cfg.seed, "k3", p, d, groups, trial)
-        if prefix and rank(sample_quartic_instance(prefix, p, derived_rng(*tags))) == ncols:
-            trial_dims.append(-1)
-            continue
+        if prefix:
+            instance = sample_quartic_instance(prefix, p, derived_rng(*tags))
+            if rank_mod_p(k3_condition_rows(d, instance), p) == ncols:
+                trial_dims.append(-1)
+                continue
         instance = sample_quartic_instance(groups, p, derived_rng(*tags))
-        trial_dims.append(ncols - rank(instance) - 1)
+        trial_dims.append(ncols - rank_mod_p(k3_condition_rows(d, instance), p) - 1)
     return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)
 
 

@@ -6,17 +6,19 @@ term at a time: Jet3 holds the s^i t^j w^k coefficient of each monomial
 shifted to P, at (P_s + s, P_t + t, P_z + w), and Sub the coefficients of
 s^i t^j psi^k, psi the local series less its constant term, which
 series_reference's `ref_series_at` solves.  The oracle itself keeps only
-the standard monomials of `QuarticSurfaceInstance.column_exponents` and
-forms each block from the monomials restricted along the chart, on
-coefficient grids.
+the 2d^2 + 2 standard monomials of `QuarticSurfaceInstance.column_exponents`
+(its sampler redraws a quartic with no pure fourth power, so every trial
+has them) and forms each block from the monomials restricted along the
+chart, on coefficient grids.
 `ref_planar_condition_rows` builds the plane rows as partial derivatives,
 one falling-factorial product and one power per entry; the oracle's row
 (i, j) is the Taylor coefficient, the derivative row divided by i! j!.
 `ref_rank_mod_p` is the unblocked elimination, one pivot at a time over the
 trailing columns.  `ref_measure_k3` is the trial loop that samples and
-ranks every point of the system; the oracle stops a trial once its rows
-reach full column rank.  All of them are kept verbatim in behaviour, and
-the tests compare the oracle with them.
+ranks every point of the system, with its one budget check made before
+it samples; the oracle stops a trial once its rows reach full column rank.
+All of them are kept verbatim in behaviour, and the tests compare the
+oracle with them.
 """
 from typing import List, Sequence, Tuple
 
@@ -177,12 +179,6 @@ def ref_measure_k3(d: int, points, cfg, prime: int = 0) -> OracleMeasurement:
     for trial in range(cfg.trials):
         rng = derived_rng(cfg.seed, "k3", p, d, groups, trial)
         instance = sample_quartic_instance(groups, p, rng)
-        columns = len(instance.column_exponents(d))
-        if columns > cfg.budget_rows:
-            raise BudgetExceededError(
-                f"quartic condition matrix {nrows}x{columns} (all monomials) "
-                f"exceeds budget {cfg.budget_rows}"
-            )
         rows = k3_condition_rows(d, instance)
         rank = rank_mod_p(rows, p) if rows else 0
         trial_dims.append(ncols - rank - 1)

@@ -15,9 +15,12 @@ oracle's trials stop drawing points once their rows reach full column rank;
 the measurements are compared with oracle_reference's trial loop, which
 samples and ranks every point.  The plane rows are Taylor coefficients, and
 are compared with oracle_reference's derivative rows divided by i! j!.
+The sampler redraws a quartic with no pure fourth power, which the seed
+kept; a uniform draw gives one with probability p^-4, and a generator that
+forces one is tested against the stream it then continues.
 """
 from dataclasses import replace
-from math import factorial
+from math import comb, factorial
 from random import Random
 from typing import List
 
@@ -52,11 +55,9 @@ from k3fat.oracle.quartic import (
     _dehomogenize,
     QuarticSurfaceInstance,
     SurfacePoint,
-    binom3,
     k3_condition_rows,
     measure_k3,
     monomial_exponents,
-    num_degree_forms,
     num_surface_forms,
     sample_quartic_instance,
 )
@@ -486,7 +487,7 @@ def full_column_dim(d, instance):
     the C(d-1, 3) multiples of F, less the one-pivot rank."""
     p = instance.prime
     rank = ref_one_pivot_rank(ref_k3_condition_rows(d, instance), p)
-    return num_degree_forms(d) - binom3(d - 1) - rank - 1
+    return comb(d + 3, 3) - comb(d - 1, 3) - rank - 1
 
 
 def std_column_dim(d, instance):
@@ -509,26 +510,47 @@ def test_standard_columns_keep_the_dimension(p, groups, d, seed):
     assert std_column_dim(d, instance) == full_column_dim(d, instance)
 
 
-def test_quartic_without_pure_powers_falls_back_to_all_monomials():
-    for p in (DEFAULT_PRIME, DEFAULT_PRIME2):
-        instance = sample_quartic_instance(((3, 2), (2, 3), (1, 4)), p, NoPurePowers(5))
-        instance.validate()
-        coeffs = dict(instance.coefficients)
-        assert all(coeffs[e] == 0 for e in monomial_exponents(4) if 4 in e)
-        for d in range(1, 10):
-            assert len(instance.column_exponents(d)) == num_degree_forms(d)
-            assert std_column_dim(d, instance) == full_column_dim(d, instance)
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, DEFAULT_PRIME2, 2**61 - 1))
+def test_a_quartic_without_pure_powers_is_redrawn(p):
+    # the first 35 draws are a quartic with no pure fourth power: the
+    # sampler draws a second one from the stream, as a plain generator
+    # that has made 35 draws does
+    forced, plain = NoPurePowers(5), Random(5)
+    for _ in monomial_exponents(4):
+        plain.randrange(p)
+    groups = ((3, 2), (2, 3), (1, 4))
+    instance = sample_quartic_instance(groups, p, forced)
+    assert instance == sample_quartic_instance(groups, p, plain)
+    assert forced.getstate() == plain.getstate()
+    assert any(dict(instance.coefficients)[e] for e in monomial_exponents(4) if 4 in e)
+    for d in range(1, 10):
+        assert len(instance.column_exponents(d)) == num_surface_forms(d)
+        assert std_column_dim(d, instance) == full_column_dim(d, instance)
 
 
-def test_full_column_fallback_counts_against_the_budget(monkeypatch):
-    # 2d^2 + 2 = 52 standard columns pass a budget of 53; the fallback's
-    # C(8, 3) = 56 columns do not, and the over-budget message says so
+def test_a_redrawn_quartic_is_measured_within_the_standard_column_budget(monkeypatch):
+    # 2d^2 + 2 = 52 columns at d = 5: a budget of 52 holds every trial, the
+    # redrawn quartics included, and a budget of 51 refuses before any draw
     monkeypatch.setattr(quartic, "derived_rng", lambda seed, *tags: NoPurePowers(seed))
-    cfg = PrimeFieldConfig(prime2=None, trials=2, budget_rows=53)
-    with pytest.raises(BudgetExceededError, match="9x56"):
-        measure_k3(5, [(2, 3)], cfg)
-    m = measure_k3(5, [(2, 3)], replace(cfg, budget_rows=56))
+    cfg = PrimeFieldConfig(prime2=None, trials=2, budget_rows=52)
+    m = measure_k3(5, [(2, 3)], cfg)
     assert (m.dim, m.rows, m.cols) == (42, 9, 52)
+    monkeypatch.setattr(quartic, "sample_quartic_instance", None)
+    with pytest.raises(BudgetExceededError, match="9x52"):
+        measure_k3(5, [(2, 3)], replace(cfg, budget_rows=51))
+
+
+def test_columns_refuse_a_quartic_without_pure_powers():
+    # a hand-built instance the sampler would have redrawn: the multiples of
+    # F span no standard monomials, so there is no column set to rank on
+    instance = sample_quartic_instance(((2, 1),), DEFAULT_PRIME, Random(3))
+    coeffs = {e: (0 if 4 in e else c) for e, c in instance.coefficients}
+    bad = replace(instance, coefficients=tuple(sorted(coeffs.items())))
+    assert len(instance.column_exponents(3)) == num_surface_forms(3)
+    with pytest.raises(ValueError, match="no pure fourth power"):
+        bad.column_exponents(3)
+    with pytest.raises(ValueError, match="no pure fourth power"):
+        k3_condition_rows(3, bad)
 
 
 def _rank_problem(p, n_rows, n_cols, n_basis, seed, zero_band=(0, 0)):

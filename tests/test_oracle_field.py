@@ -6,7 +6,9 @@ from oracle_reference import ref_rank_mod_p
 
 from k3fat.oracle import DEFAULT_PRIME, DEFAULT_PRIME2, field
 from k3fat.oracle.field import (
+    _BLOCK,
     _INT64_SAFE_PRIME,
+    _SLAB,
     _linear_powmod,
     _pdivmod,
     _pgcd,
@@ -67,6 +69,16 @@ def test_rank_refuses_a_matrix_that_is_not_of_integers():
             rank_mod_p(m, P1)
 
 
+@pytest.mark.parametrize("p", (P1, P2))
+def test_rank_refuses_an_object_matrix_that_holds_a_float(p):
+    # 2^70 makes the array one of objects; the cast to int64 after the
+    # reduction would truncate 1.5 to 1 and give rank 1
+    m = np.array([[1.5, 2**70], [1, 2**70]], dtype=object)
+    with pytest.raises(ValueError, match="must be integers"):
+        rank_mod_p(m, p)
+    assert rank_mod_p(np.array([[np.int64(1), 2**70], [True, 2**70]], dtype=object), p) == 1
+
+
 def test_rank_identity_pattern_padded():
     for r in (1, 3, 5):
         m = np.zeros((r + 2, r + 4), dtype=np.int64)
@@ -124,11 +136,11 @@ def test_rank_int64_edge_matches_object_path(monkeypatch):
 
 @pytest.mark.parametrize("p", (P1, P_EDGE, P2))
 def test_matmul_mod_p_is_exact(p):
-    # entries next to p maximise every limb product, and inner dimensions
-    # around the 32-wide slab cross its boundaries
+    # entries next to p maximise every limb product, at inner dimensions up
+    # to the widest exact int64 product, and past it on the object path
     rng = Random(p)
     values = (0, p - 2, p - 1)
-    for inner in (1, 31, 32, 33, 64):
+    for inner in (1, 16, 31, 32) + ((33, 64) if field_dtype(p) is object else ()):
         a = [[rng.choice(values) for _ in range(inner)] for _ in range(5)]
         b = [[rng.choice(values) for _ in range(7)] for _ in range(inner)]
         c = [[rng.choice(values) for _ in range(7)] for _ in range(5)]
@@ -137,14 +149,18 @@ def test_matmul_mod_p_is_exact(p):
         got = matmul_mod_p(*(np.array(x, dtype=field_dtype(p)) for x in (c, a, b)), p)
         assert got.dtype == field_dtype(p)
         assert got.tolist() == expected.tolist()
-    # 2^11 slabs whose low limbs are all 2^16 - 1: their unreduced sum
-    # would pass 2^63, so this needs the periodic reduction of the slab sums
-    inner = 2**16
-    x = ((p >> 16) - 1) << 16 | 0xFFFF
-    a = np.full((1, inner), x, dtype=field_dtype(p))
-    b = np.full((inner, 1), p - 1, dtype=field_dtype(p))
-    c = np.full((1, 1), p - 1, dtype=field_dtype(p))
-    assert matmul_mod_p(c, a, b, p).tolist() == [[(p - 1 - inner * x * (p - 1)) % p]]
+
+
+@pytest.mark.parametrize("p", (P1, P_EDGE))
+def test_int64_kernel_refuses_an_inner_dimension_above_the_slab(p):
+    # past _SLAB a float64 limb sum may pass 2^53 and round; on object
+    # arrays the same product stays exact at any width
+    c, a, b = (np.full(shape, p - 1, dtype=np.int64)
+               for shape in ((2, 3), (2, _SLAB + 1), (_SLAB + 1, 3)))
+    with pytest.raises(ValueError, match="inner dimension"):
+        matmul_mod_p(c, a, b, p)
+    c, a, b = (np.full(shape, p - 1, dtype=object) for shape in ((2, 3), (2, 64), (64, 3)))
+    assert matmul_mod_p(c, a, b, p).tolist() == [[(p - 1 - 64 * (p - 1) ** 2) % p] * 3] * 2
 
 
 @pytest.mark.parametrize("p", RANK_PRIMES)
@@ -195,6 +211,23 @@ def test_rank_of_low_rank_products(p):
         for rank in (1, 3, 16, 20, 33):
             m = _low_rank(rng, n_rows, n_cols, rank, p)
             _assert_rank_matches_reference(m, p)
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_multiplies_with_an_inner_dimension_of_at_most_a_block(p, monkeypatch):
+    # every product of the elimination, at the block seams and at low rank,
+    # is within the one limb product of the int64 kernel
+    inner = []
+    matmul = field.matmul_mod_p
+
+    def logged(c, a, b, p):
+        inner.append(a.shape[1])
+        return matmul(c, a, b, p)
+
+    monkeypatch.setattr(field, "matmul_mod_p", logged)
+    test_rank_at_block_seams(p)
+    test_rank_of_low_rank_products(p)
+    assert inner and max(inner) <= _BLOCK <= _SLAB
 
 
 def _step_orders(monkeypatch):
