@@ -28,7 +28,7 @@ print("\nThe canonical SPECIAL detection: two double points on a conic.")
 print("vdim says empty, but the doubled line through the points exists:")
 sys = PlanarSystem.homogeneous(2, 2, 2)
 m = measure_planar(sys, cfg)
-rows = planar_condition_rows(2, ((2, 2),), p, derived_rng(cfg.seed, "demo", p))
+rows = planar_condition_rows(2, (2, 2), p, derived_rng(cfg.seed, "demo", p))
 print(f"  L(2, 2^2): vdim = {vdim_planar(sys)}, measured dim = {m.dim}")
 print(f"  the 6x6 condition matrix has rank {rank_mod_p(rows, p)} (one dependency)")
 

@@ -24,7 +24,7 @@ cfg = PrimeFieldConfig(seed=11, trials=3, prime2=None)
 p = cfg.prime
 
 print("Sampling a quartic with one point of multiplicity 4:")
-instance = sample_quartic_instance(((4, 1),), p, Random(3))
+instance = sample_quartic_instance((4, 1), p, Random(3))
 pt = instance.points[0]
 print(f"  point (chart x0=1): {pt.affine}")
 print(f"  solved coordinate slot: {pt.solved_slot}, parameters: {pt.param_slots}")
@@ -38,13 +38,13 @@ print("\nThe doubled tangent-plane section: 10 conditions on 10 quadric")
 print("monomials, but the condition matrix drops rank by exactly one:")
 rows = k3_condition_rows(2, instance)
 print(f"  rank of the 10x10 matrix: {rank_mod_p(rows, p)}")
-m = measure_k3(2, [(4, 1)], cfg)
+m = measure_k3(2, (4, 1), cfg)
 print(f"  measured dim of L^4(2, 4) = {m.dim}  (vdim = "
       f"{vdim_k3(K3System.homogeneous(4, 2, 4, 1))}, so the system is special)")
 
 print("\nThe classification wall for single points, d = 3:")
 for mu in (5, 6, 7):
-    got = measure_k3(3, [(mu, 1)], cfg).dim
+    got = measure_k3(3, (mu, 1), cfg).dim
     print(f"  L^4(3, {mu}): dim = {got}")
 print("  (below the wall: non-special; at mu = 2d: the single divisor;")
 print("   above: empty)")
@@ -52,10 +52,10 @@ print("   above: empty)")
 print("\nMulti-point systems match the engine's certified dimensions:")
 for d, mu, n in [(3, 1, 9), (4, 2, 9), (2, 2, 4)]:
     sys = K3System.homogeneous(4, d, mu, n)
-    got = measure_k3(d, [(mu, n)], cfg).dim
+    got = measure_k3(d, (mu, n), cfg).dim
     print(f"  L^4({d}, {mu}^{n}): oracle dim = {got}, vdim = {vdim_k3(sys)}")
 
 print("\nDegree-d multiples of F cut no divisor, so for d >= 4 the ambient")
 print("dimension is C(d+3,3) - C(d-1,3) - 1:")
-m = measure_k3(5, [], cfg)
+m = measure_k3(5, (0, 0), cfg)
 print(f"  unconditioned d = 5: dim = {m.dim} = 2*25 + 1")

@@ -7,7 +7,6 @@ from .core import (
     PlanarSystem,
     Status,
     edim,
-    planar_dim_nonspecial,
     point_conditions,
     vdim_k3,
     vdim_planar,

@@ -138,7 +138,7 @@ def verify(sys: K3System, report: DimensionReport, cfg, measure=None) -> Verific
     Skipped (with the reason) when the oracle cannot run: gamma != 4 or the
     condition matrix exceeds the size budget (the BudgetExceededError of the
     measurement).  UNKNOWN reports are always measured so the oracle
-    dimension can be recorded as advisory data.  `measure(d, points, cfg)`
+    dimension can be recorded as advisory data.  `measure(d, (m, n), cfg)`
     supplies the oracle measurement; it defaults to measure_k3_cross_checked,
     and a cache may serve a stored one instead.  The verdict itself is always
     computed here, from the current report.
@@ -147,9 +147,9 @@ def verify(sys: K3System, report: DimensionReport, cfg, measure=None) -> Verific
 
     if sys.gamma != 4:
         return VerificationOutcome(Verdict.SKIPPED, reason="oracle supports gamma=4 only")
-    points = [(sys.multiplicity, sys.count)] if sys.count else []
     try:
-        meas = (measure or measure_k3_cross_checked)(sys.degree, points, cfg)
+        meas = (measure or measure_k3_cross_checked)(
+            sys.degree, (sys.multiplicity, sys.count), cfg)
     except BudgetExceededError as exc:
         return VerificationOutcome(Verdict.SKIPPED, reason=str(exc), over_budget=True)
     if report.dim is None:

@@ -176,10 +176,11 @@ def _cache_path(cache_dir, key: dict) -> str:
 
 
 def _cache_key(d, points, cfg) -> dict:
+    m, n = points
     return {
         "schema": CACHE_SCHEMA,
         "d": d,
-        "points": [list(group) for group in points],
+        "points": [[m, n]] if n else [],
         "prime": cfg.prime,
         "prime2": cfg.prime2,
         "seed": cfg.seed,
@@ -188,12 +189,14 @@ def _cache_key(d, points, cfg) -> dict:
     }
 
 
-def _cache_lookup(path, key: dict) -> Optional[OracleMeasurement]:
-    """The stored measurement, or None when the file is missing, unreadable,
-    of another schema, made under a different configuration, or not what
-    the key and its trial dims determine: trial_dims must be a list of
-    `trials` ints per prime, and the rest what OracleMeasurement.from_trials
-    makes of them with the key's prime and the system's rows and cols."""
+def _cache_lookup(path, key: dict, points) -> Optional[OracleMeasurement]:
+    """The stored measurement of the points (m, n), or None when the file is
+    missing, unreadable, of another schema, made under a different
+    configuration, or not what the key and its trial dims determine:
+    trial_dims must be a list of `trials` ints per prime, and the rest what
+    OracleMeasurement.from_trials makes of them with the key's prime and the
+    system's rows and cols."""
+    m, n = points
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
@@ -204,7 +207,7 @@ def _cache_lookup(path, key: dict) -> Optional[OracleMeasurement]:
         ints = isinstance(dims, list) and all(type(t) is int for t in dims)
         if not ints or len(dims) != key["trials"] * (2 if key["prime2"] else 1):
             return None
-        rows = sum(n * point_conditions(m) for m, n in key["points"])
+        rows = n * point_conditions(m)
         meas = OracleMeasurement.from_trials(dims, key["prime"], rows, num_surface_forms(key["d"]))
         return meas if stored == dict(dataclasses.asdict(meas), trial_dims=dims) else None
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
@@ -235,7 +238,7 @@ def _verify_with_cache(sys_, report, cfg, cache_dir):
     def cached_measure(d, points, cfg):
         key = _cache_key(d, points, cfg)
         path = _cache_path(cache_dir, key)
-        meas = _cache_lookup(path, key)
+        meas = _cache_lookup(path, key, points)
         if meas is None:
             meas = measure_k3_cross_checked(d, points, cfg)
             with _replacing(path) as fh:

@@ -162,17 +162,6 @@ def planar_vdim_formula(delta: int, multiplicity: int, count: int) -> int:
     return delta * (delta + 3) // 2 - count * point_conditions(multiplicity)
 
 
-def planar_dim_nonspecial(delta: int, multiplicity: int, count: int) -> int:
-    """Dimension max(-1, vdim) of a plane system known to be non-special.
-
-    Valid in particular for homogeneous systems with 4 or 9 general points,
-    which are never special.
-    """
-    if delta < 0:
-        return -1
-    return max(-1, planar_vdim_formula(delta, multiplicity, count))
-
-
 @dataclass(frozen=True)
 class DimensionReport:
     """vdim, edim, computed dimension and speciality verdict for one system.

@@ -106,6 +106,16 @@ class PrimeFieldConfig:
             raise ValueError("budget_rows must be positive")
 
 
+def check_budget(cfg: PrimeFieldConfig, kind: str, rows: int, cols: int) -> None:
+    """Raise BudgetExceededError when a rows x cols condition matrix of the
+    given kind ("quartic" or "planar") exceeds cfg.budget_rows in either
+    dimension."""
+    if rows > cfg.budget_rows or cols > cfg.budget_rows:
+        raise BudgetExceededError(
+            f"{kind} condition matrix {rows}x{cols} exceeds budget {cfg.budget_rows}"
+        )
+
+
 @dataclass(frozen=True)
 class OracleMeasurement:
     """One measured dimension with its per-trial evidence."""

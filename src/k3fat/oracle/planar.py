@@ -6,69 +6,58 @@ monomials x^a y^b, a + b <= delta, in triangle(delta) order (the
 dehomogenized basis of degree-delta forms).  At a point (px, py) the row of
 s^i t^j, for (i, j) in triangle(m - 1) order, holds the s^i t^j coefficient
 of (px + s)^a (py + t)^b, the product of the jet tables of px and py: one
-`chart_jets` call per group, the jet table of the quartic rows.  That row
-is the (i, j) partial derivative divided by i! j!, a unit mod p, so the
-rank is the same.  Points are sampled uniformly over F_p, and the
+`chart_jets` call for all the points, the jet table of the quartic rows.
+That row is the (i, j) partial derivative divided by i! j!, a unit mod p,
+so the rank is the same.  Points are sampled uniformly over F_p, and the
 dimension is (number of monomials) - rank - 1, min-aggregated over
 independently seeded trials.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..core import PlanarSystem, point_conditions
-from .config import BudgetExceededError, OracleMeasurement, PrimeFieldConfig, derived_rng
+from .config import OracleMeasurement, PrimeFieldConfig, check_budget, derived_rng
 from .field import field_dtype, rank_mod_p
 from .series import chart_jets, triangle
 
 
-def planar_condition_rows(
-    delta: int, groups: Sequence[Tuple[int, int]], p: int, rng
-) -> np.ndarray:
+def planar_condition_rows(delta: int, points: Tuple[int, int], p: int, rng) -> np.ndarray:
     """Taylor-coefficient rows over the degree-delta monomial columns, one
     2-D array of dtype `field_dtype(p)`.
 
-    For each group (m, count), m >= 1, count distinct points are drawn from
-    `rng`; the row of (i, j) in triangle(m - 1) at (px, py) has the entry
+    For points = (m, n), n distinct points are drawn from `rng`, none for
+    (0, 0); the row of (i, j) in triangle(m - 1) at (px, py) has the entry
     C(a, i) px^(a-i) C(b, j) py^(b-j) mod p in the column of x^a y^b.
     """
+    m, n = points
     a, b = np.array(triangle(delta), dtype=np.intp).T
-    blocks = [np.zeros((0, len(a)), dtype=field_dtype(p))]
-    seen = set()
-    for m, count in groups:
-        if not count:
-            continue
-        points = []
-        while len(points) < count:
-            point = (rng.randrange(p), rng.randrange(p))
-            if point not in seen:
-                seen.add(point)
-                points.append(point)
-        jets = chart_jets(points, [(0, 1)] * count, delta, m - 1, p)  # [n, role, k, e]
-        i, j = np.array(triangle(m - 1), dtype=np.intp).T
-        block = jets[:, 0, i][..., a] * jets[:, 1, j][..., b] % p  # [n, (i, j), (a, b)]
-        blocks.append(block.reshape(-1, len(a)))
-    return np.concatenate(blocks)
+    if not n:
+        return np.zeros((0, len(a)), dtype=field_dtype(p))
+    drawn = {}  # the distinct points in draw order
+    while len(drawn) < n:
+        drawn[rng.randrange(p), rng.randrange(p)] = None
+    jets = chart_jets(list(drawn), [(0, 1)] * n, delta, m - 1, p)  # [n, role, k, e]
+    i, j = np.array(triangle(m - 1), dtype=np.intp).T
+    block = jets[:, 0, i][..., a] * jets[:, 1, j][..., b] % p  # [n, (i, j), (a, b)]
+    return block.reshape(-1, len(a))
 
 
 def measure_planar(sys: PlanarSystem, cfg: PrimeFieldConfig, prime: int = 0) -> OracleMeasurement:
     """Monte-Carlo dimension of a plane system, min-aggregated over trials."""
     p = prime or cfg.prime
-    delta = sys.degree
-    groups = ((sys.multiplicity, sys.count),) if sys.count else ()
+    delta, m, n = sys.degree, sys.multiplicity, sys.count
     if delta < 0:
         return OracleMeasurement(-1, (), False, p, 0, 0)
     ncols = (delta + 2) * (delta + 1) // 2
-    nrows = sum(n * point_conditions(m) for m, n in groups)
-    if nrows > cfg.budget_rows or ncols > cfg.budget_rows:
-        raise BudgetExceededError(
-            f"planar condition matrix {nrows}x{ncols} exceeds budget {cfg.budget_rows}"
-        )
+    nrows = n * point_conditions(m)
+    check_budget(cfg, "planar", nrows, ncols)
+    group = ((m, n),) if n else ()  # tags each trial's RNG
     trial_dims = []
     for trial in range(cfg.trials):
-        rng = derived_rng(cfg.seed, "planar", p, delta, groups, trial)
-        rows = planar_condition_rows(delta, groups, p, rng)
+        rng = derived_rng(cfg.seed, "planar", p, delta, group, trial)
+        rows = planar_condition_rows(delta, (m, n), p, rng)
         trial_dims.append(ncols - rank_mod_p(rows, p) - 1)
     return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)

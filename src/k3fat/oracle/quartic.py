@@ -39,36 +39,36 @@ reduces each product of two reduced entries before it adds, also in the
 sum over F's 35 terms, so it stays exact in the arrays of `field_dtype`.
 
 A trial stops drawing points once its conditions reach full column rank.
-Let k be the first point count whose conditions reach 2d^2 + 2 with points
-left to draw.  A trial draws the groups cut after k points from its random
-stream and ranks their rows: at full rank its dim is -1.  Otherwise it
-draws the full groups from a fresh copy of the stream, whose first k points
-are the same, and ranks all rows.  Rank only grows as rows are added and
-never exceeds 2d^2 + 2 (the multiples of F meet no condition), so a full
-draw has full rank whenever its first k points have.  That holds also when
-it leaves the prefix's quartic, because a later point's draw ran out of
-_MAX_POINT_ATTEMPTS, and finishes on a new one.  The one divergence left
-needs such a failed draw (about 0.37^256) and a rank drop on the new
-quartic's prefix.  A stopped trial ranks fewer rows than the system's
-n m (m + 1) / 2, so its rows * deg / p error bound (see config) only
-shrinks, and OracleMeasurement.rows stays the system's condition count.
+Let k = ceil((2d^2 + 2) / (m (m + 1) / 2)), the first point count whose
+conditions reach 2d^2 + 2.  When k < n a trial draws the first k points
+from its random stream and ranks their rows: at full rank its dim is -1.
+Otherwise it draws all n points from a fresh copy of the stream, whose
+first k points are the same, and ranks all rows.  Rank only grows as rows
+are added and never exceeds 2d^2 + 2 (the multiples of F meet no
+condition), so a full draw has full rank whenever its first k points
+have.  That holds also when it leaves the prefix's quartic, because a
+later point's draw ran out of _MAX_POINT_ATTEMPTS, and finishes on a new
+one.  The one divergence left needs such a failed draw (about 0.37^256)
+and a rank drop on the new quartic's prefix.  A stopped trial ranks fewer
+rows than the system's n m (m + 1) / 2, so its rows * deg / p error bound
+(see config) only shrinks, and OracleMeasurement.rows stays the system's
+condition count.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import groupby
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core import as_int, point_conditions
+from ..core import K3System, point_conditions
 from .config import (
-    BudgetExceededError,
     OracleMeasurement,
     PrimeFieldConfig,
     SamplingError,
+    check_budget,
     derived_rng,
 )
 from .field import field_dtype, poly_roots, rank_mod_p
@@ -203,35 +203,33 @@ def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int
     raise SamplingError("could not sample a smooth surface point within budget")
 
 
-def sample_quartic_instance(
-    groups: Sequence[Tuple[int, int]], p: int, rng
-) -> QuarticSurfaceInstance:
-    """Random quartic plus one smooth point per required fat point.
+def sample_quartic_instance(points: Tuple[int, int], p: int, rng) -> QuarticSurfaceInstance:
+    """Random quartic plus n smooth points of multiplicity m, for points
+    = (m, n); (0, 0) draws the quartic alone.
 
-    groups is a normalized ((multiplicity, count), ...) multiset.  The
-    points are drawn one after another from rng, so the groups cut after
-    k points draw the first k points of the full draw on the same quartic.
-    A quartic with no pure fourth power, the zero one included, is redrawn.
-    Each z is a root of F on its line, and the solved slot's partial is
-    nonzero there; nothing here checks that, solve_implicit does.
+    The points are drawn one after another from rng, so (m, k) draws the
+    first k points of the draw of (m, n) on the same quartic.  A quartic
+    with no pure fourth power, the zero one included, is redrawn.  Each z
+    is a root of F on its line, and the solved slot's partial is nonzero
+    there; nothing here checks that, solve_implicit does.
     """
+    m, n = points
     for _ in range(_MAX_SURFACE_ATTEMPTS):
         coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
         if not any(coeffs[e] for e in _PURE_POWERS):
             continue
         f_affine = _dehomogenize(coeffs)
         partials = _affine_partials(f_affine, p)
-        points: List[SurfacePoint] = []
+        drawn: List[SurfacePoint] = []
         seen = set()
         try:
-            for m, count in groups:
-                for _ in range(count):
-                    affine, solved = _sample_point(f_affine, partials, p, rng, seen)
-                    seen.add(affine)
-                    points.append(SurfacePoint(affine, m, solved))
+            for _ in range(n):
+                affine, solved = _sample_point(f_affine, partials, p, rng, seen)
+                seen.add(affine)
+                drawn.append(SurfacePoint(affine, m, solved))
         except SamplingError:
             continue
-        return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
+        return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(drawn))
     raise SamplingError("could not sample a usable quartic within budget")
 
 
@@ -260,63 +258,48 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     return list(np.concatenate(blocks))
 
 
-def _point_group(group) -> Tuple[int, int]:
-    """(m, n) as ints, for integers m, n >= 1 of any type; else ValueError."""
-    try:
-        m, n = map(operator.index, group)
-    except (TypeError, ValueError):  # not a pair, or not of integers
-        m = n = 0
-    if m < 1 or n < 1:
-        raise ValueError(f"a point group is (m, n) with integers m, n >= 1, got {group!r}")
-    return m, n
-
-
 def measure_k3(
-    d: int, points, cfg: PrimeFieldConfig, prime: int = 0
+    d: int, points: Tuple[int, int], cfg: PrimeFieldConfig, prime: int = 0
 ) -> OracleMeasurement:
-    """Monte-Carlo dimension of the degree-d system through fat points on a
-    random quartic, min-aggregated over independently seeded trials.
+    """Monte-Carlo dimension of L^4(d, m^n) on a random quartic, for points
+    = (m, n) and (0, 0) for no points, min-aggregated over independently
+    seeded trials.
 
     A trial reports -1 when the rows of its first k points, whose conditions
     reach ncols = 2d^2 + 2, have full rank, and otherwise draws and ranks
-    every point again from a fresh generator with the same tags (see the
+    all n points again from a fresh generator with the same tags (see the
     module docstring).  `rows` is the system's condition count.
     """
-    d = as_int("d", d)
-    if d < 1:
-        raise ValueError("d must be positive")
+    sys = K3System(4, d, *points)
+    d, m, n = sys.degree, sys.multiplicity, sys.count
     p = prime or cfg.prime
-    # (m, n) as ints, largest first: the groups also tag each trial's RNG
-    groups = tuple(sorted(map(_point_group, points), reverse=True))
     ncols = num_surface_forms(d)
-    nrows = sum(n * point_conditions(m) for m, n in groups)
-    if nrows > cfg.budget_rows or ncols > cfg.budget_rows:
-        raise BudgetExceededError(
-            f"quartic condition matrix {nrows}x{ncols} exceeds budget {cfg.budget_rows}"
-        )
+    nrows = n * point_conditions(m)
+    check_budget(cfg, "quartic", nrows, ncols)
 
-    multiplicities = [m for m, n in groups for _ in range(n)]  # in draw order
-    running = accumulate(map(point_conditions, multiplicities))
-    k = next((k for k, count in enumerate(running, 1) if count >= ncols), len(multiplicities))
-    cut = multiplicities[:k] if k < len(multiplicities) else []  # points left after k
-    prefix = tuple((m, len(list(run))) for m, run in groupby(cut))  # the groups cut after k
+    # ceil(ncols / m(m+1)/2): the first k points reach ncols conditions
+    k = -(-ncols // point_conditions(m)) if n else 0
+    group = ((m, n),) if n else ()  # tags each trial's RNG
     trial_dims = []
     for trial in range(cfg.trials):
-        tags = (cfg.seed, "k3", p, d, groups, trial)
-        if prefix:
-            instance = sample_quartic_instance(prefix, p, derived_rng(*tags))
+        tags = (cfg.seed, "k3", p, d, group, trial)
+        if k < n:
+            instance = sample_quartic_instance((m, k), p, derived_rng(*tags))
             if rank_mod_p(k3_condition_rows(d, instance), p) == ncols:
                 trial_dims.append(-1)
                 continue
-        instance = sample_quartic_instance(groups, p, derived_rng(*tags))
+        instance = sample_quartic_instance((m, n), p, derived_rng(*tags))
         trial_dims.append(ncols - rank_mod_p(k3_condition_rows(d, instance), p) - 1)
     return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)
 
 
-def measure_k3_cross_checked(d: int, points, cfg: PrimeFieldConfig) -> OracleMeasurement:
-    """Measure over cfg.prime and, when set, cfg.prime2, aggregating the
-    trials of both primes as one: the dim is the minimum of all of them,
-    low-confidence when any two disagree, within a prime or across."""
+def measure_k3_cross_checked(
+    d: int, points: Tuple[int, int], cfg: PrimeFieldConfig
+) -> OracleMeasurement:
+    """Measure L^4(d, m^n), points = (m, n), over cfg.prime and, when set,
+    cfg.prime2, aggregating the trials of both primes as one: the dim is the
+    minimum of all of them, low-confidence when any two disagree, within a
+    prime or across."""
     first = measure_k3(d, points, cfg)
     if cfg.prime2 is None:
         return first

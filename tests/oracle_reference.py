@@ -1,4 +1,5 @@
-"""The seed's condition rows and rank: the tests' reference for the oracle.
+"""The seed's sampling, condition rows and rank: the tests' reference for
+the oracle.
 
 `ref_k3_condition_rows` builds the condition rows over every degree-d
 monomial, C(d+3, 3) columns, as the product Sub(P) . Jet3(P), one (i, j, k)
@@ -14,25 +15,33 @@ chart, on coefficient grids.
 one falling-factorial product and one power per entry; the oracle's row
 (i, j) is the Taylor coefficient, the derivative row divided by i! j!.
 `ref_rank_mod_p` is the unblocked elimination, one pivot at a time over the
-trailing columns.  `ref_measure_k3` is the trial loop that samples and
-ranks every point of the system, with its one budget check made before
+trailing columns.  `ref_poly_roots` finds roots with generic list
+arithmetic and right-to-left powering, and `ref_sample_quartic_instance`
+draws a quartic and its points with it; it redraws only the zero quartic,
+where the oracle also redraws one with no pure fourth power (probability
+p^-4).  `ref_measure_k3` is the trial loop that samples, with that sampler,
+and ranks every point of the system, with its one budget check made before
 it samples; the oracle stops a trial once its rows reach full column rank.
-All of them are kept verbatim in behaviour, and the tests compare the
-oracle with them.
+The sampler, the plane rows and the trial loop take a tuple of (m, n)
+groups, as the seed did: ((m, n),) is the oracle's system (m, n), and ()
+has no points.  All of them are kept verbatim in behaviour, and the tests
+compare the oracle with them.
 """
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from series_reference import binomial_shift, dense_mul, ref_series_at, unit_pairs
+from series_reference import binomial_shift, dense_mul, ref_eval_scalar, ref_series_at, unit_pairs
 
 from k3fat.core import point_conditions
-from k3fat.oracle.config import BudgetExceededError, OracleMeasurement, derived_rng
+from k3fat.oracle.config import BudgetExceededError, OracleMeasurement, SamplingError, derived_rng
 from k3fat.oracle.field import field_dtype, inverse_mod, rank_mod_p
 from k3fat.oracle.quartic import (
+    QuarticSurfaceInstance,
+    SurfacePoint,
+    _dehomogenize,
     k3_condition_rows,
     monomial_exponents,
     num_surface_forms,
-    sample_quartic_instance,
 )
 from k3fat.oracle.series import triangle
 
@@ -163,12 +172,157 @@ def ref_planar_condition_rows(
     return rows
 
 
-def ref_measure_k3(d: int, points, cfg, prime: int = 0) -> OracleMeasurement:
-    """measure_k3 with every point of every trial sampled and ranked."""
+# ---------------------------------------------------------------------------
+# Reference root finding: generic list arithmetic, right-to-left powering.
+
+
+def _ref_strip(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _ref_mul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] = (out[i + j] + fi * gj) % p
+    return _ref_strip(out)
+
+
+def _ref_divmod(f, g, p):
+    f = list(f)
+    dg = len(g) - 1
+    q = [0] * max(0, len(f) - dg)
+    while len(f) - 1 >= dg and f:
+        lead = f[-1] % p
+        shift = len(f) - 1 - dg
+        if lead:
+            q[shift] = lead
+            for i in range(dg):
+                f[shift + i] = (f[shift + i] - lead * g[i]) % p
+        f.pop()
+    return _ref_strip(q), _ref_strip(f)
+
+
+def _ref_monic(f, p):
+    f = _ref_strip([c % p for c in f])
+    if not f:
+        return []
+    inv = inverse_mod(f[-1], p)
+    return [(c * inv) % p for c in f]
+
+
+def _ref_gcd(f, g, p):
+    f, g = _ref_monic(f, p), _ref_monic(g, p)
+    while g:
+        f, g = g, _ref_monic(_ref_divmod(f, g, p)[1], p)
+    return f
+
+
+def _ref_powmod(base, e, mod, p):
+    result = [1]
+    base = _ref_divmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = _ref_divmod(_ref_mul(result, base, p), mod, p)[1]
+        base = _ref_divmod(_ref_mul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+def _ref_split(g, p, rng):
+    deg = len(g) - 1
+    if deg <= 0:
+        return []
+    if deg == 1:
+        return [(-g[0]) % p]
+    while True:
+        shift = rng.randrange(p)
+        h = _ref_powmod([shift, 1], (p - 1) // 2, g, p) or [0]
+        h[0] = (h[0] - 1) % p
+        d = _ref_gcd(_ref_strip(h), g, p)
+        if 0 < len(d) - 1 < deg:
+            q, r = _ref_divmod(g, d, p)
+            assert not r
+            return _ref_split(d, p, rng) + _ref_split(_ref_monic(q, p), p, rng)
+
+
+def ref_poly_roots(coeffs, p, rng):
+    f = _ref_monic(coeffs, p)
+    if len(f) == 1:
+        return []
+    xp = _ref_powmod([0, 1], p, f, p)
+    xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
+    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+    return sorted(_ref_split(_ref_gcd(_ref_strip(xp_minus_x), f, p), p, rng))
+
+
+# ---------------------------------------------------------------------------
+# Reference sampling: the seed's sampler, which redraws only the zero quartic.
+
+
+def _ref_partial(f_affine, slot, p):
+    """The partial of f along the affine slot `slot` (1-based), term by term."""
+    out = {}
+    for exps, c in f_affine.items():
+        if exps[slot - 1]:
+            out[tuple(e - (i == slot - 1) for i, e in enumerate(exps))] = exps[slot - 1] * c % p
+    return out
+
+
+def _ref_sample_point(f_affine, p, rng, seen):
+    partials = {slot: _ref_partial(f_affine, slot, p) for slot in (1, 2, 3)}
+    for _ in range(256):
+        a = rng.randrange(p)
+        b = rng.randrange(p)
+        restricted = [0, 0, 0, 0, 0]
+        for (e1, e2, e3), c in f_affine.items():
+            restricted[e3] = (restricted[e3] + c * pow(a, e1, p) * pow(b, e2, p)) % p
+        if not any(restricted):
+            continue
+        roots = ref_poly_roots(restricted, p, rng)
+        if not roots:
+            continue
+        z = roots[rng.randrange(len(roots))]
+        if (a, b, z) in seen:
+            continue
+        for slot in (3, 2, 1):
+            if ref_eval_scalar(partials[slot], a, b, z, p) != 0:
+                return (a, b, z), slot
+    raise SamplingError("could not sample a smooth surface point within budget")
+
+
+def ref_sample_quartic_instance(groups, p, rng):
+    for _ in range(32):
+        coeffs = {e: rng.randrange(p) for e in monomial_exponents(4)}
+        if not any(coeffs.values()):
+            continue
+        f_affine = {k: v for k, v in _dehomogenize(coeffs).items() if v % p}
+        try:
+            points = []
+            seen = set()
+            for m, count in groups:
+                for _ in range(count):
+                    affine, solved = _ref_sample_point(f_affine, p, rng, seen)
+                    seen.add(affine)
+                    points.append(SurfacePoint(affine, m, solved))
+            return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
+        except SamplingError:
+            continue
+    raise SamplingError("could not sample a usable quartic within budget")
+
+
+def ref_measure_k3(d: int, groups, cfg, prime: int = 0) -> OracleMeasurement:
+    """measure_k3 with every point of every trial sampled, by the reference
+    sampler, and ranked; groups is a tuple of (m, n) groups, ((m, n),) for
+    the oracle's (m, n) and () for no points."""
     if d < 1:
         raise ValueError("d must be positive")
     p = prime or cfg.prime
-    groups = tuple(sorted(((int(m), int(n)) for m, n in points), reverse=True))
+    groups = tuple(sorted(((int(m), int(n)) for m, n in groups), reverse=True))
     ncols = num_surface_forms(d)
     nrows = sum(n * point_conditions(m) for m, n in groups)
     if nrows > cfg.budget_rows or ncols > cfg.budget_rows:
@@ -178,7 +332,7 @@ def ref_measure_k3(d: int, points, cfg, prime: int = 0) -> OracleMeasurement:
     trial_dims = []
     for trial in range(cfg.trials):
         rng = derived_rng(cfg.seed, "k3", p, d, groups, trial)
-        instance = sample_quartic_instance(groups, p, rng)
+        instance = ref_sample_quartic_instance(groups, p, rng)
         rows = k3_condition_rows(d, instance)
         rank = rank_mod_p(rows, p) if rows else 0
         trial_dims.append(ncols - rank - 1)

@@ -91,7 +91,7 @@ def test_criterion_2_special_case_reproduction():
         rep = classify(sys)
         assert rep.status is Status.SPECIAL
         assert rep.dim == 0 and rep.edim == -1
-        meas = measure_k3_cross_checked(d, [(2 * d, 1)], CFG)
+        meas = measure_k3_cross_checked(d, (2 * d, 1), CFG)
         assert meas.dim == 0 and not meas.low_confidence
     print("\nACCEPTANCE 2 PASS: the single-divisor systems at mu = 2d have "
           "oracle dim 0 and engine verdict SPECIAL(0) for d in {2, 3}")
@@ -99,7 +99,7 @@ def test_criterion_2_special_case_reproduction():
 
 def test_criterion_3_emptiness_above_the_wall():
     for d in (2, 3):
-        meas = measure_k3_cross_checked(d, [(2 * d + 1, 1)], CFG)
+        meas = measure_k3_cross_checked(d, (2 * d + 1, 1), CFG)
         assert meas.dim == -1 and not meas.low_confidence
     print("\nACCEPTANCE 3 PASS: oracle confirms emptiness at mu = 2d+1 for d in {2, 3}")
 

@@ -191,6 +191,18 @@ def test_verify_cache_roundtrip(runner, tmp_path):
     assert second.output == first.output
 
 
+def test_verify_cache_entry_names_stay_fixed(runner, tmp_path):
+    # L^4(2, 2^4) at the default configuration: an entry already on disk is
+    # served only while its key, and so its file name, stays the same
+    cache = tmp_path / "cache"
+    result = invoke(runner, "verify", "-g", "4", "-d", "2", "-m", "2", "-n", "4",
+                    "--cache", str(cache))
+    assert result.output == ("verdict=AGREE status=NONSPECIAL engine_dim=-1 oracle_dim=-1 "
+                             "low_confidence=False\n")
+    assert [p.name for p in cache.iterdir()] == [
+        "947c06e192580472f36c87c00d19a920d5ce06f6e8bfc67daebeeb399b23753b.json"]
+
+
 def test_verify_cache_measures_schema_2_entries_again(runner, tmp_path):
     # schema 2 stored the raw monomial count C(d+3, 3) as cols; such an
     # entry, even one with a wrong dim, is never served
@@ -480,7 +492,7 @@ def test_sweep_summary_counts_low_confidence_rows(runner, tmp_path, monkeypatch)
 
     def doubtful_measure(d, points, cfg):
         meas = measure(d, points, cfg)
-        return dataclasses.replace(meas, low_confidence=points[0][0] == 2)
+        return dataclasses.replace(meas, low_confidence=points[0] == 2)
 
     monkeypatch.setattr(k3fat.oracle, "measure_k3_cross_checked", doubtful_measure)
     out = tmp_path / "doubtful.csv"

@@ -8,7 +8,6 @@ from k3fat.core import (
     PlanarSystem,
     Status,
     edim,
-    planar_dim_nonspecial,
     planar_vdim_formula,
     point_conditions,
     vdim_k3,
@@ -56,7 +55,7 @@ def test_vdim_planar_negative_degree_convention():
     assert vdim_planar(PlanarSystem.homogeneous(-5, 1, 9)) == -1
     # the raw formula used in bookkeeping identities is unclamped
     assert planar_vdim_formula(-1, 1, 4) == -1 - 4
-    assert planar_dim_nonspecial(-1, 3, 4) == -1
+    assert edim(vdim_planar(PlanarSystem(-1, 3, 4))) == -1
 
 
 def test_append_point_decreases_vdim_by_conditions():

@@ -3,8 +3,9 @@
 Root finding, the implicit series solve, point sampling and condition-row
 construction were rewritten for speed with the promise that, for a fixed
 seed, every result and every draw from the random generator stays the same.
-The reference implementations below are the original list/dict versions,
-kept here verbatim in behaviour, and each property compares the two.  The
+The reference implementations, below and in oracle_reference (root finding
+and sampling), are the original list/dict versions, kept verbatim in
+behaviour, and each property compares the two.  The
 rank reference is the elimination that rewrote whole rows at every pivot.
 The series references compute with the sparse Series2 of series_reference and
 hand their results over in the oracle's dense layout.  The condition-row
@@ -15,6 +16,9 @@ oracle's trials stop drawing points once their rows reach full column rank;
 the measurements are compared with oracle_reference's trial loop, which
 samples and ranks every point.  The plane rows are Taylor coefficients, and
 are compared with oracle_reference's derivative rows divided by i! j!.
+The oracle measures one homogeneous system (m, n); the references take the
+seed's tuple of groups, and the tests hand them ((m, n),), or () for no
+points, the tuple that also tags each trial's random stream.
 The sampler redraws a quartic with no pure fourth power, which the seed
 kept; a uniform draw gives one with probability p^-4, and a generator that
 forces one is tested against the stream it then continues.
@@ -28,7 +32,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_reference import ref_k3_condition_rows, ref_measure_k3, ref_planar_condition_rows
+from oracle_reference import (
+    _ref_mul,
+    ref_k3_condition_rows,
+    ref_measure_k3,
+    ref_planar_condition_rows,
+    ref_poly_roots,
+    ref_sample_quartic_instance,
+)
 from oracle_reference import ref_rank_mod_p as ref_one_pivot_rank
 from series_reference import (
     Series2,
@@ -42,19 +53,15 @@ from series_reference import (
 )
 
 from k3fat.core import PlanarSystem, vdim_planar
-from k3fat.oracle import quartic
+from k3fat.oracle import planar, quartic
 from k3fat.oracle.config import (
     DEFAULT_PRIME,
     DEFAULT_PRIME2,
     BudgetExceededError,
     PrimeFieldConfig,
-    SamplingError,
 )
 from k3fat.oracle.field import field_dtype, inverse_mod, poly_roots, rank_mod_p
 from k3fat.oracle.quartic import (
-    _dehomogenize,
-    QuarticSurfaceInstance,
-    SurfacePoint,
     k3_condition_rows,
     measure_k3,
     monomial_exponents,
@@ -109,146 +116,7 @@ def ref_rank_mod_p(matrix, p):
 
 
 # ---------------------------------------------------------------------------
-# Reference root finding: generic list arithmetic, right-to-left powering.
-
-
-def _ref_strip(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _ref_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            out[i + j] = (out[i + j] + fi * gj) % p
-    return _ref_strip(out)
-
-
-def _ref_divmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    q = [0] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        lead = f[-1] % p
-        shift = len(f) - 1 - dg
-        if lead:
-            q[shift] = lead
-            for i in range(dg):
-                f[shift + i] = (f[shift + i] - lead * g[i]) % p
-        f.pop()
-    return _ref_strip(q), _ref_strip(f)
-
-
-def _ref_monic(f, p):
-    f = _ref_strip([c % p for c in f])
-    if not f:
-        return []
-    inv = inverse_mod(f[-1], p)
-    return [(c * inv) % p for c in f]
-
-
-def _ref_gcd(f, g, p):
-    f, g = _ref_monic(f, p), _ref_monic(g, p)
-    while g:
-        f, g = g, _ref_monic(_ref_divmod(f, g, p)[1], p)
-    return f
-
-
-def _ref_powmod(base, e, mod, p):
-    result = [1]
-    base = _ref_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _ref_divmod(_ref_mul(result, base, p), mod, p)[1]
-        base = _ref_divmod(_ref_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _ref_split(g, p, rng):
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-g[0]) % p]
-    while True:
-        shift = rng.randrange(p)
-        h = _ref_powmod([shift, 1], (p - 1) // 2, g, p) or [0]
-        h[0] = (h[0] - 1) % p
-        d = _ref_gcd(_ref_strip(h), g, p)
-        if 0 < len(d) - 1 < deg:
-            q, r = _ref_divmod(g, d, p)
-            assert not r
-            return _ref_split(d, p, rng) + _ref_split(_ref_monic(q, p), p, rng)
-
-
-def ref_poly_roots(coeffs, p, rng):
-    f = _ref_monic(coeffs, p)
-    if len(f) == 1:
-        return []
-    xp = _ref_powmod([0, 1], p, f, p)
-    xp_minus_x = list(xp) + [0] * max(0, 2 - len(xp))
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    return sorted(_ref_split(_ref_gcd(_ref_strip(xp_minus_x), f, p), p, rng))
-
-
-# ---------------------------------------------------------------------------
-# Reference sampling and condition rows.
-
-
-def _ref_partial(f_affine, slot, p):
-    """The partial of f along the affine slot `slot` (1-based), term by term."""
-    out = {}
-    for exps, c in f_affine.items():
-        if exps[slot - 1]:
-            out[tuple(e - (i == slot - 1) for i, e in enumerate(exps))] = exps[slot - 1] * c % p
-    return out
-
-
-def _ref_sample_point(f_affine, p, rng, seen):
-    partials = {slot: _ref_partial(f_affine, slot, p) for slot in (1, 2, 3)}
-    for _ in range(256):
-        a = rng.randrange(p)
-        b = rng.randrange(p)
-        restricted = [0, 0, 0, 0, 0]
-        for (e1, e2, e3), c in f_affine.items():
-            restricted[e3] = (restricted[e3] + c * pow(a, e1, p) * pow(b, e2, p)) % p
-        if not any(restricted):
-            continue
-        roots = ref_poly_roots(restricted, p, rng)
-        if not roots:
-            continue
-        z = roots[rng.randrange(len(roots))]
-        if (a, b, z) in seen:
-            continue
-        for slot in (3, 2, 1):
-            if ref_eval_scalar(partials[slot], a, b, z, p) != 0:
-                return (a, b, z), slot
-    raise SamplingError("could not sample a smooth surface point within budget")
-
-
-def ref_sample_quartic_instance(groups, p, rng):
-    for _ in range(32):
-        coeffs = {e: rng.randrange(p) for e in monomial_exponents(4)}
-        if not any(coeffs.values()):
-            continue
-        f_affine = {k: v for k, v in _dehomogenize(coeffs).items() if v % p}
-        try:
-            points = []
-            seen = set()
-            for m, count in groups:
-                for _ in range(count):
-                    affine, solved = _ref_sample_point(f_affine, p, rng, seen)
-                    seen.add(affine)
-                    points.append(SurfacePoint(affine, m, solved))
-            return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
-        except SamplingError:
-            continue
-    raise SamplingError("could not sample a usable quartic within budget")
+# Reference condition rows.
 
 
 def ref_condition_rows(d, instance) -> List[List[int]]:
@@ -400,7 +268,7 @@ def oriented(f, slots):
 def test_solve_implicit_on_a_run_with_mixed_charts(p, seed, charts, order):
     # points of one quartic, each solved along a slot of its own (a random
     # point's three partials are all nonzero), s and t in either order
-    instance = sample_quartic_instance(((1, len(charts)),), p, Random(seed))
+    instance = sample_quartic_instance((1, len(charts)), p, Random(seed))
     f = instance.affine_poly()
     points = [pt.affine for pt in instance.points]
     solved = grid_solve(f, points, charts, order, p)
@@ -412,7 +280,7 @@ def test_solve_implicit_on_a_run_with_mixed_charts(p, seed, charts, order):
 @pytest.mark.parametrize("p", ORACLE_PRIMES[:2])
 def test_solve_implicit_at_order_30(p):
     # far above the orders drawn above, on the int64 path
-    instance = sample_quartic_instance(((31, 1),), p, Random(p))
+    instance = sample_quartic_instance((31, 1), p, Random(p))
     pt = instance.points[0]
     roles = [slot - 1 for slot in (*pt.param_slots, pt.solved_slot)]
     f = instance.affine_poly()
@@ -421,18 +289,25 @@ def test_solve_implicit_at_order_30(p):
     assert phi == triangle_solve_implicit(*args) == ref_solve_implicit(*args)
 
 
-groups_strategy = st.lists(
-    st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=2)),
-    min_size=1, max_size=3, unique_by=lambda g: g[0],
-).map(lambda gs: tuple(sorted(gs, reverse=True)))
+def pair(groups):
+    """The oracle's (m, n) for the references' groups ((m, n),), and (0, 0)
+    for ()."""
+    (points,) = groups or ((0, 0),)
+    return points
 
 
-@given(st.sampled_from(ORACLE_PRIMES), groups_strategy, st.integers(min_value=0, max_value=2**32))
+def point_pairs(max_count):
+    """(m, n) with 1 <= m <= 4 and 1 <= n <= max_count."""
+    return st.tuples(st.integers(min_value=1, max_value=4),
+                     st.integers(min_value=1, max_value=max_count))
+
+
+@given(st.sampled_from(ORACLE_PRIMES), point_pairs(4), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=25, deadline=None)
-def test_sample_quartic_instance_matches_reference_and_rng_stream(p, groups, seed):
+def test_sample_quartic_instance_matches_reference_and_rng_stream(p, points, seed):
     new_rng, ref_rng = Random(seed), Random(seed)
-    assert sample_quartic_instance(groups, p, new_rng) == \
-        ref_sample_quartic_instance(groups, p, ref_rng)
+    assert sample_quartic_instance(points, p, new_rng) == \
+        ref_sample_quartic_instance((points,), p, ref_rng)
     assert new_rng.getstate() == ref_rng.getstate()
 
 
@@ -442,11 +317,11 @@ def kept_columns(d, instance):
     return [index[tuple(e)] for e in instance.column_exponents(d).tolist()]
 
 
-@given(st.sampled_from(ORACLE_PRIMES), groups_strategy,
+@given(st.sampled_from(ORACLE_PRIMES), point_pairs(4),
        st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=25, deadline=None)
-def test_condition_rows_match_reference(p, groups, d, seed):
-    instance = sample_quartic_instance(groups, p, Random(seed))
+def test_condition_rows_match_reference(p, points, d, seed):
+    instance = sample_quartic_instance(points, p, Random(seed))
     rows = np.array(k3_condition_rows(d, instance))
     full = ref_condition_rows(d, instance)
     assert ref_k3_condition_rows(d, instance) == full
@@ -456,11 +331,11 @@ def test_condition_rows_match_reference(p, groups, d, seed):
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
-@pytest.mark.parametrize("d, groups", [(6, ((12, 1),)), (7, ((8, 1), (5, 2), (1, 3)))])
+@pytest.mark.parametrize("d, groups", [(6, ((12, 1),)), (7, ((8, 2),)), (7, ((5, 3),))])
 def test_condition_rows_match_reference_at_high_multiplicity(p, d, groups):
-    # order 11 alone, and orders 7, 4 and 0 in one instance: above the
-    # orders the hypothesis test draws, on the int64 and object paths alike
-    instance = sample_quartic_instance(groups, p, Random(d))
+    # orders 11, 7 and 4: above the orders the hypothesis test draws, on
+    # the int64 and object paths alike
+    instance = sample_quartic_instance(pair(groups), p, Random(d))
     rows = np.array(k3_condition_rows(d, instance))
     keep = kept_columns(d, instance)
     assert rows.tolist() == [[row[n] for n in keep] for row in ref_k3_condition_rows(d, instance)]
@@ -495,17 +370,11 @@ def std_column_dim(d, instance):
     return num_surface_forms(d) - (rank_mod_p(rows, instance.prime) if rows else 0) - 1
 
 
-point_groups = st.lists(
-    st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6)),
-    min_size=1, max_size=3, unique_by=lambda g: g[0],
-).map(lambda gs: tuple(sorted(gs, reverse=True)))
-
-
-@given(st.sampled_from((DEFAULT_PRIME, DEFAULT_PRIME2)), point_groups,
+@given(st.sampled_from((DEFAULT_PRIME, DEFAULT_PRIME2)), point_pairs(12),
        st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=60, deadline=None)
-def test_standard_columns_keep_the_dimension(p, groups, d, seed):
-    instance = sample_quartic_instance(groups, p, Random(seed))
+def test_standard_columns_keep_the_dimension(p, points, d, seed):
+    instance = sample_quartic_instance(points, p, Random(seed))
     assert len(instance.column_exponents(d)) == num_surface_forms(d)
     assert std_column_dim(d, instance) == full_column_dim(d, instance)
 
@@ -518,9 +387,8 @@ def test_a_quartic_without_pure_powers_is_redrawn(p):
     forced, plain = NoPurePowers(5), Random(5)
     for _ in monomial_exponents(4):
         plain.randrange(p)
-    groups = ((3, 2), (2, 3), (1, 4))
-    instance = sample_quartic_instance(groups, p, forced)
-    assert instance == sample_quartic_instance(groups, p, plain)
+    instance = sample_quartic_instance((2, 9), p, forced)
+    assert instance == sample_quartic_instance((2, 9), p, plain)
     assert forced.getstate() == plain.getstate()
     assert any(dict(instance.coefficients)[e] for e in monomial_exponents(4) if 4 in e)
     for d in range(1, 10):
@@ -533,17 +401,17 @@ def test_a_redrawn_quartic_is_measured_within_the_standard_column_budget(monkeyp
     # redrawn quartics included, and a budget of 51 refuses before any draw
     monkeypatch.setattr(quartic, "derived_rng", lambda seed, *tags: NoPurePowers(seed))
     cfg = PrimeFieldConfig(prime2=None, trials=2, budget_rows=52)
-    m = measure_k3(5, [(2, 3)], cfg)
+    m = measure_k3(5, (2, 3), cfg)
     assert (m.dim, m.rows, m.cols) == (42, 9, 52)
     monkeypatch.setattr(quartic, "sample_quartic_instance", None)
     with pytest.raises(BudgetExceededError, match="9x52"):
-        measure_k3(5, [(2, 3)], replace(cfg, budget_rows=51))
+        measure_k3(5, (2, 3), replace(cfg, budget_rows=51))
 
 
 def test_columns_refuse_a_quartic_without_pure_powers():
     # a hand-built instance the sampler would have redrawn: the multiples of
     # F span no standard monomials, so there is no column set to rank on
-    instance = sample_quartic_instance(((2, 1),), DEFAULT_PRIME, Random(3))
+    instance = sample_quartic_instance((2, 1), DEFAULT_PRIME, Random(3))
     coeffs = {e: (0 if 4 in e else c) for e, c in instance.coefficients}
     bad = replace(instance, coefficients=tuple(sorted(coeffs.items())))
     assert len(instance.column_exponents(3)) == num_surface_forms(3)
@@ -591,17 +459,18 @@ def test_rank_mod_p_matches_whole_row_reference(problem):
 # ---------------------------------------------------------------------------
 # Trials that stop once their rows reach full column rank.
 
-# L^4(d, groups), with the number of points after which the condition count
-# first reaches 2d^2 + 2: 1 of L^4(1, 3^36) at 4 columns, 4 of L^4(2, 2^9) at
-# 10, 6 of L^4(4, 3^16) at 34, 13 of L^4(6, 3^36) at 74, 18 of L^4(5, 2^36)
-# at 52, and 5 of L^4(4, 4^2 3^3 2^4) at 34, inside its second group.
+# L^4(d, m^n) as (d, ((m, n),), k), k = ceil((2d^2 + 2) / (m(m+1)/2)) the
+# number of points after which the condition count first reaches 2d^2 + 2:
+# 1 of L^4(1, 3^36) at 4 columns, 4 of L^4(2, 2^9) at 10, 6 of L^4(4, 3^16)
+# at 34, 13 of L^4(6, 3^36) at 74, 18 of L^4(5, 2^36) at 52, and 4 of
+# L^4(4, 4^9) at 34.
 STOPPING_SYSTEMS = (
     (1, ((3, 36),), 1),
     (2, ((2, 9),), 4),
     (4, ((3, 16),), 6),
     (6, ((3, 36),), 13),
     (5, ((2, 36),), 18),
-    (4, ((4, 2), (3, 3), (2, 4)), 5),
+    (4, ((4, 9),), 4),
 )
 
 
@@ -632,7 +501,7 @@ class Draws:
 def test_stopped_trials_match_the_full_trial_loop(monkeypatch, p, d, groups, k):
     cfg = PrimeFieldConfig(prime2=None)
     draws = Draws(monkeypatch)
-    measured = measure_k3(d, groups, cfg, prime=p)
+    measured = measure_k3(d, pair(groups), cfg, prime=p)
     assert len(draws.sampled) == cfg.trials * k < cfg.trials * sum(n for _, n in groups)
     assert draws.checked == set(draws.sampled)
     assert measured == ref_measure_k3(d, groups, cfg, prime=p)
@@ -656,7 +525,7 @@ def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_
         return rank(rows, p)
 
     monkeypatch.setattr(quartic, "rank_mod_p", counting_rank)
-    measured = measure_k3(d, groups, cfg)
+    measured = measure_k3(d, pair(groups), cfg)
     # a trial that ranks twice drew the 1-point prefix of L^4(3, 6^4) first,
     # then all four points again from a fresh generator, the same point first
     prefix = 1 if ranks_per_trial == 2 else 0
@@ -670,25 +539,44 @@ def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_
     assert measured == ref_measure_k3(d, groups, cfg)
 
 
-def cut_after(groups, k):
-    """groups cut after their first k points."""
-    out = []
-    for m, n in groups:
-        if k > 0:
-            out.append((m, min(n, k)))
-        k -= n
-    return tuple(out)
-
-
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_cut_groups_draw_the_prefix_of_the_full_draw(p):
-    # k = 1, 3, 4 and 6 cut inside a group, 2 and 5 between two groups
-    groups = ((3, 2), (2, 3), (1, 2))
-    full = sample_quartic_instance(groups, p, Random(p))
-    for k in range(1, len(full.points) + 1):
-        prefix = sample_quartic_instance(cut_after(groups, k), p, Random(p))
+    # (m, k) draws the first k points of the draw of (m, n), on its quartic
+    full = sample_quartic_instance((3, 7), p, Random(p))
+    for k in range(1, 8):
+        prefix = sample_quartic_instance((3, k), p, Random(p))
         assert prefix.coefficients == full.coefficients
         assert prefix.points == full.points[:k]
+
+
+# ---------------------------------------------------------------------------
+# Random streams: each trial's generator is tagged with its system, as the
+# group tuple ((m, n),), or () for no points.
+
+
+def recorded_tags(monkeypatch, module):
+    """The tags of every derived_rng call that `module` makes."""
+    tags = []
+    derive = module.derived_rng
+    monkeypatch.setattr(module, "derived_rng", lambda *t: tags.append(t) or derive(*t))
+    return tags
+
+
+def test_each_trial_draws_from_the_tags_of_its_system(monkeypatch):
+    cfg = PrimeFieldConfig(prime2=None, trials=2)
+    k3, plane = recorded_tags(monkeypatch, quartic), recorded_tags(monkeypatch, planar)
+    p = DEFAULT_PRIME
+    assert measure_k3(2, (2, 4), cfg).trial_dims == (-1, -1)
+    assert measure_k3(3, (6, 4), cfg).trial_dims == (-1, -1)  # one prefix, then all
+    assert measure_k3(2, (0, 0), cfg).trial_dims == (9, 9)
+    assert k3 == [(1, "k3", p, 2, ((2, 4),), 0), (1, "k3", p, 2, ((2, 4),), 1),
+                  (1, "k3", p, 3, ((6, 4),), 0), (1, "k3", p, 3, ((6, 4),), 0),
+                  (1, "k3", p, 3, ((6, 4),), 1), (1, "k3", p, 3, ((6, 4),), 1),
+                  (1, "k3", p, 2, (), 0), (1, "k3", p, 2, (), 1)]
+    assert measure_planar(PlanarSystem(3, 2, 4), cfg).trial_dims == (-1, -1)
+    assert measure_planar(PlanarSystem(3), cfg).trial_dims == (9, 9)
+    assert plane == [(1, "planar", p, 3, ((2, 4),), 0), (1, "planar", p, 3, ((2, 4),), 1),
+                     (1, "planar", p, 3, (), 0), (1, "planar", p, 3, (), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +585,10 @@ def test_cut_groups_draw_the_prefix_of_the_full_draw(p):
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 @pytest.mark.parametrize("delta", [0, 2, 5, 24])
-@pytest.mark.parametrize("groups", [((3, 1), (2, 2), (1, 3)), ((8, 2),), ((1, 1),), ()])
+@pytest.mark.parametrize("groups", [((3, 4),), ((8, 2),), ((1, 1),), ()])
 def test_planar_rows_are_derivative_rows_over_factorials(p, delta, groups):
     rng, ref_rng = Random(delta), Random(delta)
-    rows = planar_condition_rows(delta, groups, p, rng)
+    rows = planar_condition_rows(delta, pair(groups), p, rng)
     ref = ref_planar_condition_rows(delta, groups, p, ref_rng)
     assert rng.getstate() == ref_rng.getstate()
     ncols = (delta + 1) * (delta + 2) // 2

@@ -310,7 +310,7 @@ def test_rank_of_the_rows_of_a_wall(p, d, monkeypatch):
     # one point of multiplicity 2d: L^4(d, 2d^1) has dimension 0, so its
     # rows have rank one below the column count, and a leading block on
     # the way is singular
-    instance = sample_quartic_instance(((2 * d, 1),), p, Random(p))
+    instance = sample_quartic_instance((2 * d, 1), p, Random(p))
     rows = np.array(k3_condition_rows(d, instance))
     orders = _step_orders(monkeypatch)
     assert rank_mod_p(rows, p) == ref_rank_mod_p(rows, p) == rows.shape[1] - 1

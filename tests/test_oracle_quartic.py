@@ -33,16 +33,16 @@ def test_monomial_counts():
 
 
 def test_planes_through_one_point(small_cfg):
-    assert measure_k3(1, [(1, 1)], small_cfg).dim == 2
+    assert measure_k3(1, (1, 1), small_cfg).dim == 2
 
 
 def test_tangent_plane_unique(small_cfg):
-    assert measure_k3(1, [(2, 1)], small_cfg).dim == 0
+    assert measure_k3(1, (2, 1), small_cfg).dim == 0
 
 
 def test_doubled_tangent_section_is_special(small_cfg):
     # 10 conditions on 10 quadric monomials, but rank only 9
-    m = measure_k3(2, [(4, 1)], small_cfg)
+    m = measure_k3(2, (4, 1), small_cfg)
     assert m.dim == 0
     assert m.rows == 10 and m.cols == 10
 
@@ -50,20 +50,20 @@ def test_doubled_tangent_section_is_special(small_cfg):
 def test_wall_cases_d3(small_cfg):
     # the wall mu = 2d at d = 3 and at order 19, where dim 0 is special
     for d in (3, 10):
-        assert measure_k3(d, [(2 * d, 1)], small_cfg).dim == 0
-        assert measure_k3(d, [(2 * d + 1, 1)], small_cfg).dim == -1
+        assert measure_k3(d, (2 * d, 1), small_cfg).dim == 0
+        assert measure_k3(d, (2 * d + 1, 1), small_cfg).dim == -1
 
 
 def test_empty_point_set_floor(small_cfg):
     for d in (1, 2, 3, 4, 5):
-        m = measure_k3(d, [], small_cfg)
+        m = measure_k3(d, (0, 0), small_cfg)
         assert m.dim == 2 * d * d + 1
 
 
 def test_degree_four_quotient_dimension(small_cfg):
     # degree-d multiples of the quartic impose no divisor: the empty-system
     # dimension matches the ambient projective dimension 2d^2 + 1 for d >= 4
-    m = measure_k3(5, [], small_cfg)
+    m = measure_k3(5, (0, 0), small_cfg)
     assert m.dim == 51
     assert m.cols == 52  # the standard monomials, 2d^2 + 2
 
@@ -72,22 +72,23 @@ def test_oracle_at_least_vdim(small_cfg):
     for d in (1, 2, 3):
         for mu, count in [(1, 4), (2, 4), (1, 9), (3, 1)]:
             sys = K3System.homogeneous(4, d, mu, count)
-            dim = measure_k3(d, [(mu, count)], small_cfg).dim
+            dim = measure_k3(d, (mu, count), small_cfg).dim
             assert dim >= vdim_k3(sys)
             assert dim >= -1
 
 
 def test_monotone_in_conditions(small_cfg):
-    base = measure_k3(3, [(2, 4)], small_cfg).dim
-    more = measure_k3(3, [(2, 4), (1, 1)], small_cfg).dim
-    higher = measure_k3(3, [(3, 1), (2, 3)], small_cfg).dim
+    # one more point, or a higher multiplicity, never raises the dim
+    base = measure_k3(3, (2, 4), small_cfg).dim
+    more = measure_k3(3, (2, 5), small_cfg).dim
+    higher = measure_k3(3, (3, 4), small_cfg).dim
     assert more <= base
     assert higher <= base
 
 
 def test_semicontinuity_in_trials():
     dims = [
-        measure_k3(2, [(2, 4)], PrimeFieldConfig(seed=5, trials=t, prime2=None)).dim
+        measure_k3(2, (2, 4), PrimeFieldConfig(seed=5, trials=t, prime2=None)).dim
         for t in (2, 4)
     ]
     assert dims[0] >= dims[1]
@@ -95,15 +96,15 @@ def test_semicontinuity_in_trials():
 
 def test_instance_invariants():
     rng = Random(12)
-    instance = sample_quartic_instance(((3, 2), (1, 3)), P, rng)
+    instance = sample_quartic_instance((3, 5), P, rng)
     assert len(instance.points) == 5
     assert len({pt.affine for pt in instance.points}) == 5
     for pt in instance.points:
-        assert pt.solved_slot in (1, 2, 3)
+        assert pt.multiplicity == 3 and pt.solved_slot in (1, 2, 3)
         assert sorted((*pt.param_slots, pt.solved_slot)) == [1, 2, 3]
         assert list(pt.param_slots) == sorted(pt.param_slots)
-    # the run of the two triple points: psi on 3 x 3 grids, zero at (0, 0)
-    # and above the triangle a + b <= 2
+    # a run of two triple points: psi on 3 x 3 grids, zero at (0, 0) and
+    # above the triangle a + b <= 2
     run = instance.points[:2]
     slots = [[slot - 1 for slot in (*pt.param_slots, pt.solved_slot)] for pt in run]
     psi = solve_implicit(instance.affine_poly(), [pt.affine for pt in run], slots, 2, P)
@@ -111,19 +112,19 @@ def test_instance_invariants():
     assert not psi[:, 0, 0].any() and not (psi[:, 1:, 1:] * [[0, 1], [1, 1]]).any()
 
     rows = k3_condition_rows(2, instance)
-    assert len(rows) == 2 * 6 + 3 * 1
+    assert len(rows) == 5 * 6
     assert len(instance.coefficients) == 35
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_rows_refuse_a_simple_point_off_the_surface(p):
-    # the fat point is on F, the second simple point one step off it along z:
-    # the simple points' run goes through the same check as the fat point's
-    instance = sample_quartic_instance(((2, 1), (1, 2)), p, Random(5))
+    # the third simple point one step off F along z: runs of simple points
+    # go through the same chart check as runs of fat points
+    instance = sample_quartic_instance((1, 3), p, Random(5))
     pt = instance.points[2]
     moved = SurfacePoint((*pt.affine[:2], (pt.affine[2] + 1) % p), 1, pt.solved_slot)
     bad = replace(instance, points=instance.points[:2] + (moved,))
-    assert len(k3_condition_rows(3, instance)) == 5
+    assert len(k3_condition_rows(3, instance)) == 3
     with pytest.raises(ValueError, match="does not vanish"):
         k3_condition_rows(3, bad)
 
@@ -132,7 +133,7 @@ def test_rows_refuse_a_simple_point_off_the_surface(p):
 def test_rows_refuse_a_simple_point_with_a_zero_solved_partial(p):
     # F - F_s(P) (x_s - P_s), s the solved slot, still vanishes at P, and its
     # partial along s vanishes there: P is no chart of the changed quartic
-    instance = sample_quartic_instance(((1, 1),), p, Random(7))
+    instance = sample_quartic_instance((1, 1), p, Random(7))
     (pt,) = instance.points
     s = pt.solved_slot
     partial = sum(c * e[s - 1] * prod(pow(x, k - (i == s - 1), p)
@@ -151,7 +152,7 @@ def test_rows_refuse_a_simple_point_with_a_zero_solved_partial(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_solve_at_order_zero_checks_and_returns_zero_psi(p):
     # six simple points in charts of every slot order: psi is all zero
-    instance = sample_quartic_instance(((1, 6),), p, Random(3))
+    instance = sample_quartic_instance((1, 6), p, Random(3))
     slots = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]]
     psi = solve_implicit(instance.affine_poly(), [pt.affine for pt in instance.points],
                          slots, 0, p)
@@ -159,25 +160,26 @@ def test_solve_at_order_zero_checks_and_returns_zero_psi(p):
 
 
 @pytest.mark.parametrize("points", [
-    [(1.5, 2)], [(2, -1)], [(2, 0)], [(0, 3)], [(-1, 2)], [(2, 4), (1.0, 1)], [(2,)],
+    (1.5, 2), (2, -1), (2, 0), (0, 3), (-1, 2), (2, 4.0), (2,),
 ])
 def test_malformed_point_groups_raise_before_any_draw(monkeypatch, small_cfg, points):
+    # K3System(4, d, m, n) refuses them
     def sample(*args):
         raise AssertionError("a point was drawn")
 
     monkeypatch.setattr(quartic, "sample_quartic_instance", sample)
-    with pytest.raises(ValueError, match="point group"):
+    with pytest.raises(ValueError, match="multiplicity|count"):
         measure_k3(2, points, small_cfg)
 
 
 def test_numpy_integer_groups_measure_as_python_ints(monkeypatch, small_cfg):
-    # the same measurement from the same random streams: the groups tag them
+    # the same measurement from the same random streams: (m, n) tags them
     tags = []
     derive = quartic.derived_rng
     monkeypatch.setattr(quartic, "derived_rng", lambda *t: tags.append(repr(t)) or derive(*t))
-    numpy_ints = measure_k3(2, [(np.int64(2), np.int64(4))], small_cfg)
+    numpy_ints = measure_k3(2, (np.int64(2), np.int64(4)), small_cfg)
     half = len(tags)
-    assert numpy_ints == measure_k3(2, [(2, 4)], small_cfg)
+    assert numpy_ints == measure_k3(2, (2, 4), small_cfg)
     assert half and tags[:half] == tags[half:]
 
 
@@ -187,10 +189,10 @@ def test_a_degree_that_is_not_an_integer_raises_before_any_draw(monkeypatch, sma
         raise AssertionError("a point was drawn")
 
     monkeypatch.setattr(quartic, "sample_quartic_instance", sample)
-    with pytest.raises(ValueError, match="d must be an integer"):
-        measure_k3(d, [(1, 1)], small_cfg)
-    with pytest.raises(ValueError, match="d must be positive"):
-        measure_k3(0, [(1, 1)], small_cfg)
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        measure_k3(d, (1, 1), small_cfg)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        measure_k3(0, (1, 1), small_cfg)
 
 
 def test_a_numpy_integer_degree_measures_as_a_python_int(monkeypatch, small_cfg):
@@ -198,38 +200,38 @@ def test_a_numpy_integer_degree_measures_as_a_python_int(monkeypatch, small_cfg)
     tags = []
     derive = quartic.derived_rng
     monkeypatch.setattr(quartic, "derived_rng", lambda *t: tags.append(repr(t)) or derive(*t))
-    numpy_int = measure_k3(np.int64(3), [(2, 4)], small_cfg)
+    numpy_int = measure_k3(np.int64(3), (2, 4), small_cfg)
     half = len(tags)
-    assert numpy_int == measure_k3(3, [(2, 4)], small_cfg)
+    assert numpy_int == measure_k3(3, (2, 4), small_cfg)
     assert half and tags[:half] == tags[half:]
 
 
 def test_determinism_same_seed(small_cfg):
-    a = measure_k3(3, [(2, 9)], small_cfg)
-    b = measure_k3(3, [(2, 9)], small_cfg)
+    a = measure_k3(3, (2, 9), small_cfg)
+    b = measure_k3(3, (2, 9), small_cfg)
     assert a == b
 
 
 def test_different_seeds_change_instances():
     cfg_a = PrimeFieldConfig(seed=1, trials=2, prime2=None)
     cfg_b = PrimeFieldConfig(seed=2, trials=2, prime2=None)
-    inst_a = sample_quartic_instance(((1, 1),), P, Random(1))
-    inst_b = sample_quartic_instance(((1, 1),), P, Random(2))
+    inst_a = sample_quartic_instance((1, 1), P, Random(1))
+    inst_b = sample_quartic_instance((1, 1), P, Random(2))
     assert inst_a.coefficients != inst_b.coefficients
     # but measured generic dimensions agree
-    assert measure_k3(2, [(2, 4)], cfg_a).dim == measure_k3(2, [(2, 4)], cfg_b).dim
+    assert measure_k3(2, (2, 4), cfg_a).dim == measure_k3(2, (2, 4), cfg_b).dim
 
 
 def test_prime_independence_on_acceptance_instances():
     cfg = PrimeFieldConfig(seed=1, trials=2, prime2=None)
     for d, mu, count in [(1, 1, 4), (2, 2, 4), (3, 1, 9), (2, 2, 9), (4, 2, 9)]:
-        a = measure_k3(d, [(mu, count)], cfg)
-        b = measure_k3(d, [(mu, count)], cfg, prime=2**61 - 1)
+        a = measure_k3(d, (mu, count), cfg)
+        b = measure_k3(d, (mu, count), cfg, prime=2**61 - 1)
         assert a.dim == b.dim, (d, mu, count)
 
 
 def test_cross_checked_measurement(cross_cfg):
-    m = measure_k3_cross_checked(2, [(2, 4)], cross_cfg)
+    m = measure_k3_cross_checked(2, (2, 4), cross_cfg)
     assert m.dim == -1
     assert len(m.trial_dims) == 2 * cross_cfg.trials
     assert not m.low_confidence
@@ -247,16 +249,19 @@ def test_cross_check_aggregates_the_trials_of_both_primes(
         return OracleMeasurement.from_trials(dims, prime or cfg.prime, 6, 10)
 
     monkeypatch.setattr(quartic, "measure_k3", fake_measure)
-    m = measure_k3_cross_checked(2, [(2, 1)], cross_cfg)
+    m = measure_k3_cross_checked(2, (2, 1), cross_cfg)
     assert m == OracleMeasurement(dim, first + second, low, cross_cfg.prime, 6, 10)
 
 
 def test_budget_refusal():
+    # the messages are what verify reports as its reason
     cfg = PrimeFieldConfig(budget_rows=20, prime2=None)
-    with pytest.raises(BudgetExceededError):
-        measure_k3(2, [(2, 9)], cfg)
-    with pytest.raises(BudgetExceededError):
-        measure_k3(30, [(1, 1)], cfg)  # column count over budget
+    with pytest.raises(BudgetExceededError) as rows:
+        measure_k3(2, (2, 9), cfg)
+    assert str(rows.value) == "quartic condition matrix 27x10 exceeds budget 20"
+    with pytest.raises(BudgetExceededError) as cols:
+        measure_k3(30, (1, 1), cfg)  # column count over budget
+    assert str(cols.value) == "quartic condition matrix 1x1802 exceeds budget 20"
 
 
 def test_config_validation():

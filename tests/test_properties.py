@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from k3fat.classify import base_gamma4, classify
 from k3fat.core import (
     K3System,
+    PlanarSystem,
     Status,
     edim,
     point_conditions,
     vdim_k3,
+    vdim_planar,
 )
 from k3fat.degeneration import (
     Regime,
@@ -128,11 +130,10 @@ def test_any_admissible_k_certifies_the_same_value():
             rep_sh, _ = recurse(K3System.homogeneous(4, d, k + 1, b), base)
             if rep_s.status is not Status.NONSPECIAL or rep_sh.status is not Status.NONSPECIAL:
                 continue
-            from k3fat.core import planar_dim_nonspecial
-
             l0 = _recombine(
                 rep_s.dim, rep_sh.dim,
-                planar_dim_nonspecial(k, m, c), planar_dim_nonspecial(k - 1, m, c),
+                edim(vdim_planar(PlanarSystem(k, m, c))),
+                edim(vdim_planar(PlanarSystem(k - 1, m, c))),
                 b, k,
             )[3]
             assert l0 == v, (d, m, n, k)
