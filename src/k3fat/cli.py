@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import secrets
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Tuple
 
 import click
@@ -29,9 +28,8 @@ from .oracle import (
     DEFAULT_TRIALS,
     OracleMeasurement,
     PrimeFieldConfig,
-    measure_k3_cross_checked,
 )
-from .oracle.quartic import num_surface_forms
+from .oracle.config import num_surface_forms
 
 SWEEP_HEADER = "gamma,d,m,n,vdim,edim,dim,status,oracle_dim,verdict"
 # Most (d, m, n) tasks one sweep may hold; a larger grid is a usage error
@@ -180,7 +178,7 @@ def _cache_key(d, points, cfg) -> dict:
     return {
         "schema": CACHE_SCHEMA,
         "d": d,
-        "points": [[m, n]] if n else [],
+        "points": [[m, n]],
         "prime": cfg.prime,
         "prime2": cfg.prime2,
         "seed": cfg.seed,
@@ -240,6 +238,8 @@ def _verify_with_cache(sys_, report, cfg, cache_dir):
         path = _cache_path(cache_dir, key)
         meas = _cache_lookup(path, key, points)
         if meas is None:
+            from .oracle import measure_k3_cross_checked
+
             meas = measure_k3_cross_checked(d, points, cfg)
             with _replacing(path) as fh:
                 json.dump(dict(key, measurement=dataclasses.asdict(meas)), fh, indent=2)
@@ -361,6 +361,8 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
     ]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_row, tasks))
     else:

@@ -106,6 +106,12 @@ class PrimeFieldConfig:
             raise ValueError("budget_rows must be positive")
 
 
+def num_surface_forms(d: int) -> int:
+    """dim H^0(O_S(d)) = C(d+3,3) - C(d-1,3) = 2d^2 + 2 for a quartic S and
+    d >= 1: the number of standard monomials of degree d."""
+    return 2 * d * d + 2
+
+
 def check_budget(cfg: PrimeFieldConfig, kind: str, rows: int, cols: int) -> None:
     """Raise BudgetExceededError when a rows x cols condition matrix of the
     given kind ("quartic" or "planar") exceeds cfg.budget_rows in either

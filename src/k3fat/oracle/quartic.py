@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -70,8 +69,9 @@ from .config import (
     SamplingError,
     check_budget,
     derived_rng,
+    num_surface_forms,
 )
-from .field import field_dtype, poly_roots, rank_mod_p
+from .field import poly_roots, rank_mod_p
 from .series import chart_jets, eval_poly3_scalar, powers, restrict, solve_implicit, triangle
 
 _MAX_POINT_ATTEMPTS = 256
@@ -93,12 +93,6 @@ def monomial_exponents(degree: int, nvars: int = 4) -> List[Tuple[int, ...]]:
 
 _QUARTIC_EXPONENTS = tuple(monomial_exponents(4))  # the terms of a random quartic, drawn in order
 _PURE_POWERS = tuple(e for e in _QUARTIC_EXPONENTS if 4 in e)  # x_v^4 for v = 0, 1, 2, 3
-
-
-def num_surface_forms(d: int) -> int:
-    """dim H^0(O_S(d)) = C(d+3,3) - C(d-1,3) = 2d^2 + 2 for a quartic S and
-    d >= 1: the number of standard monomials of degree d."""
-    return 2 * d * d + 2
 
 
 @lru_cache(maxsize=64)
@@ -236,26 +230,30 @@ def sample_quartic_instance(points: Tuple[int, int], p: int, rng) -> QuarticSurf
 def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarray]:
     """Condition rows over the columns `instance.column_exponents(d)` for
     every point: the rows of one 2-D array, as a list, so that truth tests
-    and len() keep working for callers.
+    and len() keep working for callers.  An instance with no points has no
+    rows.
 
-    A point's block holds the truncated Taylor series of each column
-    monomial restricted along its chart (see the module docstring), one row
-    per coefficient s^a t^b in triangle order.  Entries are reduced mod p
-    and computed in the dtype `field_dtype(p)` chooses.  Every run goes
-    through solve_implicit first, which raises at a point that is no chart.
+    The points are one run of one multiplicity, as the sampler draws them;
+    an instance with two multiplicities raises ValueError.  A point's block
+    holds the truncated Taylor series of each column monomial restricted
+    along its chart (see the module docstring), one row per coefficient
+    s^a t^b in triangle order.  Entries are reduced mod p and computed in
+    the dtype `field_dtype(p)` chooses.  The run goes through
+    solve_implicit first, which raises at a point that is no chart.
     """
     p = instance.prime
-    f = instance.affine_poly()
     exps = instance.column_exponents(d)[:, 1:].T  # exps[slot, column]
-    blocks = [np.zeros((0, exps.shape[1]), dtype=field_dtype(p))]
-    for multiplicity, run in groupby(instance.points, key=lambda pt: pt.multiplicity):
-        order = multiplicity - 1
-        affine, slots = _charts(list(run))
-        psi = solve_implicit(f, affine, slots, order, p)
-        grid = restrict(psi, chart_jets(affine, slots, d, order, p), exps[slots], p)
-        a, b = np.array(triangle(order), dtype=np.intp).T
-        blocks.append(grid[:, :, a, b].transpose(0, 2, 1).reshape(-1, exps.shape[1]))
-    return list(np.concatenate(blocks))
+    if not instance.points:
+        return []
+    multiplicities = {pt.multiplicity for pt in instance.points}
+    if len(multiplicities) > 1:
+        raise ValueError(f"the points hold multiplicities {sorted(multiplicities)}, not one")
+    order = multiplicities.pop() - 1
+    affine, slots = _charts(instance.points)
+    psi = solve_implicit(instance.affine_poly(), affine, slots, order, p)
+    grid = restrict(psi, chart_jets(affine, slots, d, order, p), exps[slots], p)
+    a, b = np.array(triangle(order), dtype=np.intp).T
+    return list(grid[:, :, a, b].transpose(0, 2, 1).reshape(-1, exps.shape[1]))
 
 
 def measure_k3(

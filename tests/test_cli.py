@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -5,6 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import k3fat.oracle
 from k3fat import cli
 from k3fat.cli import SWEEP_HEADER, main
 from k3fat.classify import classify
@@ -228,13 +230,13 @@ def test_verify_cache_keeps_one_file_per_key(runner, tmp_path, monkeypatch):
     # runs that differ only in a key field other than (d, m, n, prime, seed)
     # keep separate entries: switching back is served from the cache
     calls = []
-    measure = cli.measure_k3_cross_checked
+    measure = k3fat.oracle.measure_k3_cross_checked
 
     def counting_measure(*args):
         calls.append(args)
         return measure(*args)
 
-    monkeypatch.setattr(cli, "measure_k3_cross_checked", counting_measure)
+    monkeypatch.setattr(k3fat.oracle, "measure_k3_cross_checked", counting_measure)
     cache = tmp_path / "cache"
     args = ("verify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4", "--cache", str(cache))
     outputs = [invoke(runner, "--trials", trials, "--prime2", "0", *args).output
@@ -282,13 +284,13 @@ def test_verify_cache_recomputes_verdict(runner, tmp_path):
 ], ids=["dim", "low_confidence", "cols", "string_trial_dims", "trial_count"])
 def test_verify_cache_measures_inconsistent_entries_again(runner, tmp_path, monkeypatch, tampered):
     calls = []
-    measure = cli.measure_k3_cross_checked
+    measure = k3fat.oracle.measure_k3_cross_checked
 
     def counting_measure(*args):
         calls.append(args)
         return measure(*args)
 
-    monkeypatch.setattr(cli, "measure_k3_cross_checked", counting_measure)
+    monkeypatch.setattr(k3fat.oracle, "measure_k3_cross_checked", counting_measure)
     cache = tmp_path / "cache"
     args = ("--trials", "2", "--prime2", "0",
             "verify", "--gamma", "4", "-d", "3", "-m", "2", "-n", "4", "--cache", str(cache))
@@ -334,7 +336,7 @@ def test_an_unusable_cache_directory_is_a_usage_error(runner, tmp_path, monkeypa
     def oracle(*args):
         raise AssertionError("the oracle ran")
 
-    monkeypatch.setattr(cli, "measure_k3_cross_checked", oracle)
+    monkeypatch.setattr(k3fat.oracle, "measure_k3_cross_checked", oracle)
     (tmp_path / "f").touch()
     out = ["--out", str(tmp_path / "table.csv")] if command[0] == "sweep" else []
     result = runner.invoke(main, [*command, *out, "--cache", str(tmp_path / "f" / "sub")])
@@ -381,7 +383,7 @@ def test_sweep_clamps_worker_count(runner, tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     base = ["sweep", "--d-range", "1", "1", "--m-range", "1", "1"]
     out = str(tmp_path / "x.csv")
@@ -481,8 +483,6 @@ def test_sweep_worker_pool_matches_serial(runner, tmp_path):
 def test_sweep_summary_counts_low_confidence_rows(runner, tmp_path, monkeypatch):
     # a low-confidence AGREE is counted in the summary line; the CSV bytes
     # stay those of a clean run
-    import k3fat.oracle
-
     args = ("--trials", "2", "--prime2", "0",
             "sweep", "--d-range", "1", "1", "--m-range", "1", "2", "--n-set", "1,4",
             "--oracle")
@@ -522,8 +522,6 @@ def test_sweep_exits_3_when_rows_are_over_budget(runner, tmp_path, jobs):
 
 
 def test_sweep_disagreement_exit_wins_over_budget(runner, tmp_path, monkeypatch):
-    import k3fat.oracle
-
     real = k3fat.oracle.measure_k3_cross_checked
 
     def measure(d, points, cfg):  # the d = 2 row over budget, a wrong dim at d = 3

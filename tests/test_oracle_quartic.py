@@ -149,6 +149,18 @@ def test_rows_refuse_a_simple_point_with_a_zero_solved_partial(p):
         k3_condition_rows(3, bad)
 
 
+def test_rows_refuse_an_instance_of_two_multiplicities():
+    # the sampler draws one multiplicity per instance: a hand-built mix of
+    # double and simple points is refused, not built as two runs
+    instance = sample_quartic_instance((2, 3), P, Random(5))
+    simple = replace(instance.points[2], multiplicity=1)
+    mixed = replace(instance, points=instance.points[:2] + (simple,))
+    assert len(k3_condition_rows(3, instance)) == 3 * 3
+    with pytest.raises(ValueError, match="multiplicities"):
+        k3_condition_rows(3, mixed)
+    assert k3_condition_rows(3, replace(instance, points=())) == []
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_solve_at_order_zero_checks_and_returns_zero_psi(p):
     # six simple points in charts of every slot order: psi is all zero
