@@ -359,7 +359,8 @@ def cmd_sweep(ctx, gamma, d_range, m_range, n_set, oracle, out_path, jobs, cache
         for m in range(m_lo, m_hi + 1)
         for n in n_values
     ]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    # An engine-only row takes microseconds, less than starting a worker.
+    workers = min(jobs, os.cpu_count() or 1, len(tasks)) if oracle else 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

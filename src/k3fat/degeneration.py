@@ -24,18 +24,27 @@ and l >= edim always, so l0 == edim certifies dim = edim (non-special).
 The engine only ever certifies; when the side conditions of a step fail it
 reports UNKNOWN rather than guessing.
 
-The admissible matching degrees of a step form one interval [k_min, k_max]
-(_bounds).  Each end is the least k >= 0 with k(k+3) >= r for an
-integer threshold r read off one of the two quadratic inequalities, that is
-ceil((sqrt(9 + 4r) - 3)/2); it is computed in closed form with math.isqrt
-and one integer correction, so no search runs per node.
+One function, _step, computes the arithmetic of a step in one pass: b,
+the interval [k_min, k_max] of admissible matching degrees, the chosen
+degree k, the four branch vdims from the node's shared terms gamma d^2/2 + 1
+and c m(m+1)/2, and the bookkeeping identity, which it checks on every step
+(EngineError when it fails).  Each end of the interval is the least k >= 0
+with k(k+3) >= r for an integer threshold r read off one of the two
+quadratic inequalities, that is ceil((sqrt(9 + 4r) - 3)/2), computed in
+closed form with math.isqrt and one integer correction (_least_k).  The
+final-step tie-break (_final_k) compares k_min and k_max with 2d, so no
+search runs per node, whatever d is.
 
 The recursion runs on system keys (gamma, d, m, n), as in K3System.key; each
 distinct key becomes one TraceNode, and one row of the trace's flat node
 table (schema k3fat.trace/2).  The records TraceNode, DegenerationStep and
-PlanarLeaf are named tuples, immutable and cheap to build, since every node
-builds four of them.  No K3System is built per node: `TraceNode.system`
-derives it from the key on demand.
+PlanarLeaf are named tuples, immutable and cheap to build: every node builds
+four of them, builds its children's keys as plain tuples, and no K3System
+(`TraceNode.system` derives one from the key on demand).  The trace reads
+the records back by tuple unpacking, not field by field.  A system with
+u + w = t has about 2^t + 1 distinct nodes, so its cost is that many times
+the per-node Python overhead, once in the recursion and once in the rows of
+the trace.
 
 One recursion resolves at most MAX_NODES distinct nodes.  Each node past
 that budget is reported UNKNOWN, of kind "failed", with a note, so the
@@ -58,8 +67,6 @@ from .core import (
     Status,
     edim,
     k3_vdim_formula,
-    normalized_points,
-    planar_vdim_formula,
 )
 
 #: Resolves a single-point system L^gamma(d, mu) to a DimensionReport.
@@ -85,6 +92,10 @@ _UNKNOWN = Status.UNKNOWN
 _NONNEG = Regime.NONNEG
 _NEG = Regime.NEG
 _BRANCH_OK = (_NONSPECIAL, _CONDITIONAL)
+# Builds a named tuple of class `cls` from the tuple of all its fields, as
+# `cls._make` does, without the Python-level `cls.__new__` that binds them
+# one by one; the recursion builds four records per node this way.
+_record = tuple.__new__
 
 
 class EngineError(RuntimeError):
@@ -105,12 +116,6 @@ def factor_4_9(n: int) -> Optional[Tuple[int, int]]:
     return (u, w) if n == 1 else None
 
 
-def _key(gamma: int, d: int, m: int, n: int) -> Key:
-    """The key of L^gamma(d, m^n); multiplicity or count 0 is the
-    unconditioned system (gamma, d, 0, 0)."""
-    return (gamma, d, *normalized_points(m, n))
-
-
 def _least_k(r: int) -> int:
     """Smallest k >= 0 with k(k+3) >= r.
 
@@ -123,8 +128,37 @@ def _least_k(r: int) -> int:
     return k if k * (k + 3) >= r else k + 1
 
 
-def _bounds(key: Key, c: int, regime: Regime) -> Tuple[int, int]:
-    """(k_min, k_max): the admissible matching degrees k of one step.
+def _final_k(regime: Regime, d: int, k_min: int, k_max: int) -> int:
+    """The matching degree of a final step (b = 1) over gamma = 4, from its
+    non-empty interval [k_min, k_max].
+
+    The choice mirrors the proved endgame.  NONNEG: for d >= 2 the largest
+    admissible k outside {2d-1, 2d}, where the single-point branches
+    L^4(d, 2d) would be special, or k_max when there is none; since 2d-1 and
+    2d are adjacent, that is 2d-2 exactly when k_max is one of them and
+    k_min <= 2d-2.  NEG: k = 2d whenever it is admissible.  Otherwise k_max.
+    """
+    if regime is _NONNEG:
+        if d >= 2 and 2 * d - 1 <= k_max <= 2 * d and k_min <= 2 * d - 2:
+            return 2 * d - 2
+    elif k_min <= 2 * d <= k_max:
+        return 2 * d
+    return k_max
+
+
+def _step(
+    key: Key, v: int, c: int, regime: Regime
+) -> Tuple[int, int, int, Optional[int], Optional[Tuple[int, int, int, int]]]:
+    """The arithmetic of one degeneration step of the system `key`, of vdim
+    v, through planes of c points in one regime:
+
+        (b, k_min, k_max, k, (v_S, v_S_hat, v_P, v_P_hat))
+
+    [k_min, k_max] is the interval of admissible matching degrees.  When it
+    is empty, k and the vdims are None.  Otherwise k is the chosen degree,
+    the largest admissible one apart from the final-step rule of _final_k,
+    and the vdims are those of the surface branches at multiplicities k and
+    k+1 and the unclamped ones of the planar branches at degrees k and k-1.
 
     NONNEG regime: k^2 + k <= alpha and k^2 + 3k >= beta with
         alpha = (gamma d^2 + 4)/b,    beta = c m(m+1) - 2,
@@ -134,8 +168,8 @@ def _bounds(key: Key, c: int, regime: Regime) -> Tuple[int, int]:
         alpha = (gamma d^2 + 4)/b - 2,  beta = c m(m+1),
     equivalent to v_surface_hat <= -1 and v_planar_hat <= -1.
 
-    Either way the admissible non-negative integers form one interval
-    [k_min, k_max], empty when k_min > k_max.
+    The bookkeeping identity of _identity_holds is checked on every step;
+    EngineError is raised when it fails.
     """
     gamma, d, m, n = key
     b = n // c
@@ -152,31 +186,19 @@ def _bounds(key: Key, c: int, regime: Regime) -> Tuple[int, int]:
         # (k+1)(k+2) >= alpha + 2  and  k(k+1) <= beta
         k_min = _least_k(-(-a_num // b) - 2)  # least k with b (k+1)(k+2) >= a_num
         k_max = _least_k(cm - 1)  # least k with (k+1)(k+2) > cm
-    return k_min, k_max
-
-
-def _select_k(key: Key, c: int, regime: Regime) -> Optional[int]:
-    """The matching degree for one step, or None if none is admissible.
-
-    Tie-break: the largest admissible k.  On the final step (b = 1) over
-    gamma = 4 the choice mirrors the proved endgame: in the NONNEG regime
-    k in {2d-1, 2d} is avoided when possible for d >= 2, because the
-    single-point branches L^4(d, 2d) would be special; in the NEG regime
-    k = 2d is forced whenever admissible.
-    """
-    k_min, k_max = _bounds(key, c, regime)
     if k_min > k_max:
-        return None
-    gamma, d, _, n = key
-    if gamma == 4 and n == c:  # the final step, b = 1
-        if regime is _NONNEG and d >= 2:
-            preferred = [k for k in range(k_min, k_max + 1) if k not in (2 * d - 1, 2 * d)]
-            if preferred:
-                return max(preferred)
-            return k_max
-        if regime is _NEG and k_min <= 2 * d <= k_max:
-            return 2 * d
-    return k_max
+        return b, k_min, k_max, None, None
+    k = _final_k(regime, d, k_min, k_max) if gamma == 4 and b == 1 else k_max
+    # The shared terms: the ambient gamma d^2/2 + 1 and the c m(m+1)/2
+    # conditions of one plane's points.
+    ambient = gamma // 2 * d * d + 1
+    planar = cm // 2
+    surface = b * (k * (k + 1) // 2)
+    vdims = (ambient - surface, ambient - surface - b * (k + 1),
+             k * (k + 3) // 2 - planar, (k - 1) * (k + 2) // 2 - planar)
+    if not _identity_holds(v, b, k, vdims):
+        raise EngineError(f"vdim bookkeeping identity failed for {_name(key)}, c={c}, k={k}")
+    return b, k_min, k_max, k, vdims
 
 
 def _recombine(
@@ -189,27 +211,14 @@ def _recombine(
     return r_s, r_p, intersection, intersection + b * (l_p_hat + 1) + l_s_hat + 1
 
 
-def _branch_vdims(key: Key, c: int, k: int) -> Tuple[int, int, int, int]:
-    """(v_S, v_S_hat, v_P, v_P_hat): the surface branch vdims at
-    multiplicities k, k+1 and the unclamped planar vdims at degrees k, k-1."""
-    gamma, d, m, n = key
-    b = n // c
-    return (
-        k3_vdim_formula(gamma, d, k, b),
-        k3_vdim_formula(gamma, d, k + 1, b),
-        planar_vdim_formula(k, m, c),
-        planar_vdim_formula(k - 1, m, c),
-    )
-
-
 def _identity_holds(v: int, b: int, k: int, vdims: Tuple[int, int, int, int]) -> bool:
     """The four equivalent virtual-dimension bookkeeping identities
 
         v = v_S + b*v_P_hat + b = v_S + b*(v_P - k)
           = v_S_hat + b*v_P + b = v_S_hat + b*(v_P_hat + k + 2)
 
-    for the branch vdims of _branch_vdims.  A permanent self-check inside
-    the recursion.
+    for the branch vdims of _step.  A permanent self-check inside the
+    recursion.
     """
     v_s, v_sh, v_p, v_ph = vdims
     return (
@@ -341,115 +350,46 @@ class DegenerationTrace:
 
 
 def _node_rows(root: TraceNode) -> Iterator[list]:
-    """The rows of the node table; a node's id is its index in DFS preorder."""
+    """The rows of the node table; a node's id is its index in DFS preorder.
+
+    The records are read by tuple unpacking, in their field order, which
+    costs less than reading their fields one by one."""
     order = []
     ids: Dict[Key, int] = {}
     todo = [root]
     while todo:
         node = todo.pop()
-        if node.key in ids:
+        key = node[0]
+        if key in ids:
             continue
-        ids[node.key] = len(order)
+        ids[key] = len(order)
         order.append(node)
-        if node.step is not None:
-            todo += (node.step.surface_hat_node, node.step.surface_node)
+        step = node[7]  # node.step
+        if step is not None:
+            todo += (step[5], step[4])  # surface_hat_node, then surface_node
     # A Status or Regime member's JSON string is its `_value_`, the attribute
     # that `.value` reads through a descriptor.
-    for node in order:
-        row = [*node.key, node.vdim, node.edim, node.dim, node.status._value_,
-               node.certified, node.kind, node.note]
-        step = node.step
-        if step is not None:
-            p, ph = step.planar_leaf, step.planar_hat_leaf
-            row += [step.c, step.b, step.k, step.regime._value_,
-                    ids[step.surface_node.key], ids[step.surface_hat_node.key],
-                    p.key[0], p.vdim, p.edim, p.dim, p.status._value_,
-                    ph.key[0], ph.vdim, ph.edim, ph.dim, ph.status._value_,
-                    step.r_surface, step.r_planar, step.intersection_dim, step.l0]
-        yield row
+    for key, vdim, e, dim, status, certified, kind, step, note in order:
+        if step is None:
+            yield [*key, vdim, e, dim, status._value_, certified, kind, note]
+            continue
+        (c, b, k, regime, node_s, node_sh,
+         ((p_delta, _, _), p_vdim, p_edim, p_dim, p_status),
+         ((ph_delta, _, _), ph_vdim, ph_edim, ph_dim, ph_status),
+         r_s, r_p, intersection, l0) = step
+        yield [*key, vdim, e, dim, status._value_, certified, kind, note,
+               c, b, k, regime._value_, ids[node_s[0]], ids[node_sh[0]],
+               p_delta, p_vdim, p_edim, p_dim, p_status._value_,
+               ph_delta, ph_vdim, ph_edim, ph_dim, ph_status._value_,
+               r_s, r_p, intersection, l0]
 
 
 # ---------------------------------------------------------------------------
 # The recursion
 
 
-def _planar_leaf(delta: int, m: int, c: int, v: int) -> PlanarLeaf:
-    """L(delta, m^c) from its unclamped vdim v; delta < 0 is the empty
-    system, of vdim -1.  Being non-special, its dimension is its edim."""
-    if delta < 0:
-        v = -1
-    e = edim(v)
-    return PlanarLeaf((delta, m, c), v, e, e, _NONSPECIAL)
-
-
 def _name(key: Key) -> str:
     return "L^{}({}, {}^{})".format(*key)
-
-
-def _attempt_step(
-    key: Key,
-    v: int,
-    c: int,
-    k: int,
-    regime: Regime,
-    base: BaseResolver,
-    memo: Dict[Key, Optional[TraceNode]],
-) -> Tuple[bool, bool, DegenerationStep]:
-    """Try one degeneration step; returns (certified, conditional, record)."""
-    gamma, d, m, n = key
-    b = n // c
-    vdims = _branch_vdims(key, c, k)
-    if not _identity_holds(v, b, k, vdims):
-        raise EngineError(f"vdim bookkeeping identity failed for {_name(key)}, c={c}, k={k}")
-    v_s, v_sh, v_p, v_ph = vdims
-    # A node is a non-empty tuple, so `or` falls through only on a miss.
-    key_s, key_sh = _key(gamma, d, k, b), _key(gamma, d, k + 1, b)
-    node_s = memo.get(key_s) or _resolve(key_s, base, memo)
-    node_sh = memo.get(key_sh) or _resolve(key_sh, base, memo)
-    leaf_p = _planar_leaf(k, m, c, v_p)
-    leaf_ph = _planar_leaf(k - 1, m, c, v_ph)
-
-    l_s, l_sh = node_s.dim, node_sh.dim
-    if l_s is None or l_sh is None:
-        step = DegenerationStep(c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
-                                None, None, None, None)
-        return False, False, step
-
-    step = DegenerationStep(c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
-                            *_recombine(l_s, l_sh, leaf_p.dim, leaf_ph.dim, b, k))
-    l0 = step.l0
-    status_s, status_sh = node_s.status, node_sh.status
-    branch_nonspecial = status_s in _BRANCH_OK and status_sh in _BRANCH_OK
-    conditional = status_s is _CONDITIONAL or status_sh is _CONDITIONAL
-
-    if regime is _NONNEG:
-        ok = v_s >= -1 and v_p >= -1 and branch_nonspecial
-        if ok and l0 != v:
-            raise EngineError(
-                f"NONNEG step for {_name(key)} at k={k} combined to l0={l0} != v={v}"
-            )
-        return ok, conditional, step
-
-    # NEG regime: the plain step needs both hat branches virtually empty and
-    # the surface branches non-special; the gamma=4 endgame replaces that by
-    # the k = 2d step through the known dimension-0 single-point system, which
-    # is only applied inside the proved scope (c = 4, or 2d != 1 mod 3).
-    plain = v_sh <= -1 and v_ph <= -1 and branch_nonspecial
-    patched = (
-        gamma == 4
-        and b == 1
-        and k == 2 * d
-        and (c == 4 or (2 * d) % 3 != 1)
-        and v <= -d
-        and l_s == 0
-        and l_sh == -1
-        and v_p <= 2 * d - 1
-        and v_ph <= -1
-    )
-    ok = plain or patched
-    if ok and l0 != -1:
-        raise EngineError(f"NEG step for {_name(key)} at k={k} combined to l0={l0} != -1")
-    return ok, conditional, step
 
 
 def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]]) -> TraceNode:
@@ -472,13 +412,16 @@ def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]])
 
 
 def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]]) -> TraceNode:
+    """The node of `key`: a base or unconditioned leaf, or the first step,
+    over the regimes of its vdim, that certifies; else UNKNOWN, "failed",
+    with the last step tried."""
     gamma, d, m, n = key
     if n == 1:
         rep = base(gamma, d, m)
         return TraceNode(key, rep.vdim, rep.edim, rep.dim, rep.status,
                          rep.dim is not None, "base")
     v = k3_vdim_formula(*key)
-    e = edim(v)
+    e = v if v > -1 else -1
     if n == 0:
         return TraceNode(key, v, e, v, _NONSPECIAL, True, "unconditioned")
 
@@ -490,24 +433,71 @@ def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]]
     else:
         regimes = (_NONNEG, _NEG)
 
-    last_step: Optional[DegenerationStep] = None
+    step: Optional[DegenerationStep] = None
     for regime in regimes:
-        k = _select_k(key, c, regime)
+        b, _, _, k, vdims = _step(key, v, c, regime)
         if k is None:
             continue
-        certified, conditional, last_step = _attempt_step(
-            key, v, c, k, regime, base, memo)
-        if certified:
-            status = _CONDITIONAL if conditional else _NONSPECIAL
-            return TraceNode(key, v, e, e, status, True, "step", step=last_step)
+        v_s, v_sh, v_p, v_ph = vdims
+        # k >= 1 (k_min >= 1 in NONNEG, k_max >= 1 in NEG, as c m(m+1) >= 8),
+        # so both children hold points and both planar degrees are >= 0.
+        # A node is a non-empty tuple, so `or` falls through only on a miss.
+        key_s, key_sh = (gamma, d, k, b), (gamma, d, k + 1, b)
+        node_s = memo.get(key_s) or _resolve(key_s, base, memo)
+        node_sh = memo.get(key_sh) or _resolve(key_sh, base, memo)
+        # A planar branch is non-special, so its dimension is its edim.
+        e_p = v_p if v_p > -1 else -1
+        e_ph = v_ph if v_ph > -1 else -1
+        leaf_p = _record(PlanarLeaf, ((k, m, c), v_p, e_p, e_p, _NONSPECIAL))
+        leaf_ph = _record(PlanarLeaf, ((k - 1, m, c), v_ph, e_ph, e_ph, _NONSPECIAL))
+
+        l_s, l_sh = node_s.dim, node_sh.dim
+        if l_s is None or l_sh is None:
+            step = _record(DegenerationStep, (c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
+                                              None, None, None, None))
+            continue
+        r_s, r_p, intersection, l0 = _recombine(l_s, l_sh, e_p, e_ph, b, k)
+        step = _record(DegenerationStep, (c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
+                                          r_s, r_p, intersection, l0))
+        status_s, status_sh = node_s.status, node_sh.status
+        branch_nonspecial = status_s in _BRANCH_OK and status_sh in _BRANCH_OK
+
+        if regime is _NONNEG:
+            ok = v_s >= -1 and v_p >= -1 and branch_nonspecial
+            if ok and l0 != v:
+                raise EngineError(
+                    f"NONNEG step for {_name(key)} at k={k} combined to l0={l0} != v={v}"
+                )
+        else:
+            # NEG regime: the plain step needs both hat branches virtually
+            # empty and the surface branches non-special; the gamma=4 endgame
+            # replaces that by the k = 2d step through the known dimension-0
+            # single-point system, which is only applied inside the proved
+            # scope (c = 4, or 2d != 1 mod 3).
+            ok = (v_sh <= -1 and v_ph <= -1 and branch_nonspecial) or (
+                gamma == 4
+                and b == 1
+                and k == 2 * d
+                and (c == 4 or (2 * d) % 3 != 1)
+                and v <= -d
+                and l_s == 0
+                and l_sh == -1
+                and v_p <= 2 * d - 1
+                and v_ph <= -1
+            )
+            if ok and l0 != -1:
+                raise EngineError(f"NEG step for {_name(key)} at k={k} combined to l0={l0} != -1")
+        if ok:
+            conditional = status_s is _CONDITIONAL or status_sh is _CONDITIONAL
+            return _record(TraceNode, (key, v, e, e, _CONDITIONAL if conditional else _NONSPECIAL,
+                                       True, "step", step, None))
 
     note = (
         "no admissible matching degree"
-        if last_step is None
+        if step is None
         else "step side conditions failed; dimension not certified"
     )
-    return TraceNode(key, v, e, None, _UNKNOWN, False, "failed",
-                     step=last_step, note=note)
+    return _record(TraceNode, (key, v, e, None, _UNKNOWN, False, "failed", step, note))
 
 
 def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, DegenerationTrace]:

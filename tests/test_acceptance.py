@@ -21,8 +21,9 @@ from k3fat.core import (
     vdim_k3,
     vdim_planar,
 )
-from k3fat.degeneration import Regime, _branch_vdims, _identity_holds, _select_k
+from k3fat.degeneration import Regime, _identity_holds, _step
 from k3fat.oracle import PrimeFieldConfig, measure_k3_cross_checked, measure_planar
+from step_reference import ref_branch_vdims
 
 SEED = 1
 SWEEP_ARGS = [
@@ -137,7 +138,8 @@ def test_criterion_6_vdim_identity_suite():
         c = rng.choice([cc for cc in (4, 9) if n % cc == 0])
         k = rng.randrange(1, 51)
         sys = K3System.homogeneous(gamma, d, m, n)
-        if not _identity_holds(vdim_k3(sys), n // c, k, _branch_vdims(sys.key, c, k)):
+        vdims = ref_branch_vdims(gamma, d, m, n // c, c, k)
+        if not _identity_holds(vdim_k3(sys), n // c, k, vdims):
             failures += 1
     assert failures == 0
     print("\nACCEPTANCE 6 PASS: all four bookkeeping-identity forms hold on "
@@ -159,7 +161,7 @@ def test_criterion_7_matching_degree_existence():
         regime = Regime.NONNEG if v >= -1 else Regime.NEG
         if confirmed[regime] >= 1000:
             continue
-        k = _select_k(sys.key, c, regime)
+        k = _step(sys.key, v, c, regime)[3]
         if k is None:
             failures += 1
             continue

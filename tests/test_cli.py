@@ -12,6 +12,7 @@ from k3fat.cli import SWEEP_HEADER, main
 from k3fat.classify import classify
 from k3fat.core import K3System
 from k3fat.degeneration import DegenerationTrace
+from k3fat.oracle import OracleMeasurement
 
 
 @pytest.fixture()
@@ -365,27 +366,43 @@ def test_sweep_rejects_nonpositive_jobs(runner, tmp_path):
     assert "--jobs" in result.output
 
 
-def test_sweep_clamps_worker_count(runner, tmp_path, monkeypatch):
+class RecordingPool:
+    """Stands in for the process pool: records its size, maps serially."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _record_pools(monkeypatch):
+    """Patch the process pool with RecordingPool; returns the sizes started."""
     started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(started, max_workers))
+    return started
 
-    class RecordingPool:
-        """Stands in for the process pool: records its size, maps serially."""
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
+def _measure_edim(d, points, cfg):
+    """A stand-in measurement of L^4(d, m^n): its expected dimension."""
+    m, n = points
+    return OracleMeasurement.from_trials([max(2 * d * d + 1 - n * m * (m + 1) // 2, -1)],
+                                         cfg.prime, 0, 0)
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_sweep_clamps_worker_count(runner, tmp_path, monkeypatch):
+    started = _record_pools(monkeypatch)
+    # only the pool's size is under test, so no row samples anything
+    monkeypatch.setattr(k3fat.oracle, "measure_k3_cross_checked", _measure_edim)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    base = ["sweep", "--d-range", "1", "1", "--m-range", "1", "1"]
+    base = ["sweep", "--d-range", "1", "1", "--m-range", "1", "1", "--oracle"]
     out = str(tmp_path / "x.csv")
     assert invoke(runner, *base, "--n-set", "1,4,9", "--jobs", "1000", "--out", out).exit_code == 0
     assert invoke(runner, *base, "--n-set", "1,4,9,16,36,64,81,144,256,324",
@@ -394,6 +411,17 @@ def test_sweep_clamps_worker_count(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert invoke(runner, *base, "--n-set", "1,4,9", "--jobs", "4", "--out", out).exit_code == 0
     assert started == [3, 8]  # unknown CPU count: serial, no pool
+
+
+def test_sweep_without_the_oracle_starts_no_pool(runner, tmp_path, monkeypatch):
+    args = ["sweep", "--d-range", "1", "3", "--m-range", "1", "2", "--n-set", "1,4,9"]
+    serial = invoke(runner, *args, "--out", str(tmp_path / "serial.csv"))
+    started = _record_pools(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    pooled = invoke(runner, *args, "--jobs", "2", "--out", str(tmp_path / "jobs.csv"))
+    assert pooled.exit_code == serial.exit_code == 0
+    assert started == []
+    assert (tmp_path / "jobs.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_sweep_rejects_a_grid_over_the_task_cap(runner, tmp_path, monkeypatch):

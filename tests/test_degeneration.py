@@ -8,17 +8,18 @@ from k3fat import degeneration
 from k3fat.core import K3System, Status, point_conditions, vdim_k3
 from k3fat.degeneration import (
     DegenerationStep,
+    EngineError,
     PlanarLeaf,
     Regime,
     TraceNode,
-    _bounds,
-    _branch_vdims,
+    _final_k,
     _identity_holds,
     _recombine,
-    _select_k,
+    _step,
     factor_4_9,
     recurse,
 )
+from step_reference import ref_branch_vdims, ref_final_k, ref_select_k
 
 
 def gamma4_base(gamma, d, mu):
@@ -37,12 +38,16 @@ def test_factor_4_9():
     assert factor_4_9(0) is None
 
 
-# --- _select_k and _bounds -------------------------------------------------
+# --- _step: the interval and the matching degree ---------------------------
+
+
+def _step_of(sys, c, regime):
+    """(b, k_min, k_max, k, vdims) of one step of `sys`."""
+    return _step(sys.key, vdim_k3(sys), c, regime)
 
 
 def test_select_k_nonneg_final_step_avoids_special_leaves():
-    key = K3System.homogeneous(4, 3, 1, 9).key
-    k_min, k_max = _bounds(key, 9, Regime.NONNEG)
+    _, k_min, k_max, k, _ = _step_of(K3System.homogeneous(4, 3, 1, 9), 9, Regime.NONNEG)
     # brute-force oracle for the admissible set
     admissible = [
         k for k in range(11)
@@ -51,11 +56,11 @@ def test_select_k_nonneg_final_step_avoids_special_leaves():
     assert admissible == [3, 4, 5]
     assert list(range(k_min, k_max + 1)) == admissible
     # k in {2d-1, 2d} = {5, 6} is avoided; the largest survivor is 4
-    assert _select_k(key, 9, Regime.NONNEG) == 4
+    assert k == 4
 
 
 def test_select_k_neg_final_step_forces_2d():
-    k = _select_k(K3System.homogeneous(4, 2, 2, 4).key, 4, Regime.NEG)
+    k = _step_of(K3System.homogeneous(4, 2, 2, 4), 4, Regime.NEG)[3]
     assert k == 4
     # and 2d satisfies both NEG inequalities here
     assert k * k + 3 * k >= 18
@@ -65,8 +70,8 @@ def test_select_k_neg_final_step_forces_2d():
 def test_select_k_none_when_hypothesis_fails():
     sys = K3System.homogeneous(4, 1, 5, 4)
     assert vdim_k3(sys) < -1
-    assert _select_k(sys.key, 4, Regime.NONNEG) is None
-    k_min, k_max = _bounds(sys.key, 4, Regime.NONNEG)
+    _, k_min, k_max, k, vdims = _step_of(sys, 4, Regime.NONNEG)
+    assert k is None and vdims is None
     assert k_min > k_max
 
 
@@ -93,13 +98,33 @@ def test_select_k_output_always_in_admissible_interval():
         sys = K3System.homogeneous(gamma, d, m, n)
         v = vdim_k3(sys)
         regime = Regime.NONNEG if v >= -1 else Regime.NEG
-        k = _select_k(sys.key, c, regime)
+        b, k_min, k_max, k, _ = _step_of(sys, c, regime)
+        assert b == n // c
+        assert k == ref_select_k(gamma, d, m, n, c, regime)
         if k is None:
             continue
-        k_min, k_max = _bounds(sys.key, c, regime)
         assert k_min <= k <= k_max
         assert _regime_inequalities_hold(gamma, d, m, n, c, k, regime)
         checked += 1
+
+
+def test_final_step_tie_break_matches_the_list_rule():
+    # the O(1) rule against the search over the interval it replaced
+    for d in range(1, 41):
+        for k_max in range(2 * d + 3):
+            for k_min in range(k_max + 1):
+                for regime in Regime:
+                    assert _final_k(regime, d, k_min, k_max) == \
+                        ref_final_k(regime, d, k_min, k_max), (regime, d, k_min, k_max)
+
+
+def test_final_step_of_a_large_degree():
+    # d = 10^6: the list rule would list about 2d degrees at the final step
+    sys = K3System.homogeneous(4, 10**6, 1, 4)
+    _, k_min, k_max, k, _ = _step_of(sys, 4, Regime.NONNEG)
+    assert (k_min, k_max, k) == (2, 2 * 10**6 - 1, 2 * 10**6 - 2)
+    rep, _ = recurse(sys, gamma4_base)
+    assert (rep.vdim, rep.dim, rep.status) == (2 * 10**12 - 3, 2 * 10**12 - 3, Status.NONSPECIAL)
 
 
 # --- _recombine ------------------------------------------------------------
@@ -135,8 +160,9 @@ def test_combine_dims_matches_simplified_form_when_intersection_nonempty():
 
 
 def _step_identity(sys, c, k):
-    """The recursion's bookkeeping self-check for one step of `sys`."""
-    return _identity_holds(vdim_k3(sys), sys.count // c, k, _branch_vdims(sys.key, c, k))
+    """The recursion's bookkeeping self-check for one step of `sys` at any k."""
+    gamma, d, m, n = sys.key
+    return _identity_holds(vdim_k3(sys), n // c, k, ref_branch_vdims(gamma, d, m, n // c, c, k))
 
 
 def test_check_vdim_identity_examples():
@@ -154,12 +180,22 @@ def test_check_vdim_identity_negative_control():
     v_p = k * (k + 3) // 2 - c * point_conditions(m)
     assert v == v_s + b * (v_p - k)
     assert v != (v_s + 1) + b * (v_p - k)
-    vdims = _branch_vdims(sys.key, c, k)
+    _, _, _, k_step, vdims = _step_of(sys, c, Regime.NONNEG)
+    assert k_step == k
     assert vdims[0] == v_s and vdims[2] == v_p
     assert _identity_holds(v, b, k, vdims)
     for i in range(4):
         perturbed = tuple(x + (j == i) for j, x in enumerate(vdims))
         assert not _identity_holds(v, b, k, perturbed)
+
+
+def test_step_raises_when_the_identity_fails():
+    # the self-check is permanent: a vdim off by one for the key is caught
+    sys = K3System.homogeneous(4, 3, 1, 9)
+    v = vdim_k3(sys)
+    assert _step(sys.key, v, 9, Regime.NONNEG)[3] == 4
+    with pytest.raises(EngineError, match=r"identity failed for L\^4\(3, 1\^9\), c=9, k=4"):
+        _step(sys.key, v + 1, 9, Regime.NONNEG)
 
 
 # --- recurse ---------------------------------------------------------------

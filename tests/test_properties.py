@@ -16,15 +16,14 @@ from k3fat.core import (
 )
 from k3fat.degeneration import (
     Regime,
-    _bounds,
-    _branch_vdims,
     _identity_holds,
     _least_k,
     _recombine,
-    _select_k,
+    _step,
     factor_4_9,
     recurse,
 )
+from step_reference import ref_bounds, ref_branch_vdims, ref_least_k
 
 ADMISSIBLE_N = sorted(
     4**u * 9**w for u in range(7) for w in range(4) if 4**u * 9**w <= 5184
@@ -43,7 +42,13 @@ ks = st.integers(min_value=1, max_value=50)
 def test_vdim_identity_property(gamma, d, m, n, k, rnd):
     c = rnd.choice([cc for cc in (4, 9) if n % cc == 0])
     sys = K3System.homogeneous(gamma, d, m, n)
-    assert _identity_holds(vdim_k3(sys), n // c, k, _branch_vdims(sys.key, c, k))
+    v = vdim_k3(sys)
+    assert _identity_holds(v, n // c, k, ref_branch_vdims(gamma, d, m, n // c, c, k))
+    # the step's own vdims, at the degree it chooses, are the same formulas
+    for regime in Regime:
+        b, _, _, k_step, vdims = _step(sys.key, v, c, regime)
+        if k_step is not None:
+            assert vdims == ref_branch_vdims(gamma, d, m, b, c, k_step)
 
 
 @given(gammas, degrees, mults, st.integers(min_value=0, max_value=5184))
@@ -94,7 +99,7 @@ def test_select_k_substitution_bulk():
         sys = K3System.homogeneous(gamma, d, m, n)
         v = vdim_k3(sys)
         regime = Regime.NONNEG if v >= -1 else Regime.NEG
-        k = _select_k(sys.key, c, regime)
+        k = _step(sys.key, v, c, regime)[3]
         assert k is not None, (gamma, d, m, n, c, regime)
         b = n // c
         half = gamma // 2
@@ -124,7 +129,7 @@ def test_any_admissible_k_certifies_the_same_value():
             continue
         c = 9 if n % 9 == 0 else 4
         b = n // c
-        k_min, k_max = _bounds(sys.key, c, Regime.NONNEG)
+        _, k_min, k_max, _, _ = _step(sys.key, v, c, Regime.NONNEG)
         for k in range(k_min, k_max + 1):
             rep_s, _ = recurse(K3System.homogeneous(4, d, k, b), base)
             rep_sh, _ = recurse(K3System.homogeneous(4, d, k + 1, b), base)
@@ -174,36 +179,6 @@ def test_classify_matches_recursion_whenever_it_certifies():
 # --- closed-form k bounds against the doubling search they replaced --------
 
 
-def ref_least_k(pred):
-    """Smallest k >= 0 with pred(k) true, for a predicate monotone in k."""
-    k = 0
-    step = 1
-    while not pred(k):
-        k += step
-        step *= 2
-    lo, hi = max(0, k - step // 2), k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def ref_bounds(gamma, d, m, n, c, regime):
-    b = n // c
-    a_num = gamma * d * d + 4
-    cm = c * m * (m + 1)
-    if regime is Regime.NONNEG:
-        k_max = ref_least_k(lambda k: b * (k + 1) * (k + 2) > a_num)
-        k_min = ref_least_k(lambda k: k * (k + 3) >= cm - 2)
-    else:
-        k_min = ref_least_k(lambda k: b * (k + 1) * (k + 2) >= a_num)
-        k_max = ref_least_k(lambda k: (k + 1) * (k + 2) > cm)
-    return k_min, k_max
-
-
 @given(
     st.sampled_from([4, 9]),
     st.one_of(st.just(1), st.integers(min_value=1, max_value=10**6)),
@@ -215,7 +190,8 @@ def ref_bounds(gamma, d, m, n, c, regime):
 @settings(max_examples=500, deadline=None)
 def test_closed_form_k_bounds_match_the_search(c, b, gamma, d, m, regime):
     sys = K3System.homogeneous(gamma, d, m, b * c)
-    assert _bounds(sys.key, c, regime) == ref_bounds(gamma, d, m, b * c, c, regime)
+    bounds = _step(sys.key, vdim_k3(sys), c, regime)[1:3]
+    assert bounds == ref_bounds(gamma, d, m, b * c, c, regime)
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=-2, max_value=2))
