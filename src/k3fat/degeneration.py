@@ -38,13 +38,22 @@ search runs per node, whatever d is.
 The recursion runs on system keys (gamma, d, m, n), as in K3System.key; each
 distinct key becomes one TraceNode, and one row of the trace's flat node
 table (schema k3fat.trace/2).  The records TraceNode, DegenerationStep and
-PlanarLeaf are named tuples, immutable and cheap to build: every node builds
-four of them, builds its children's keys as plain tuples, and no K3System
-(`TraceNode.system` derives one from the key on demand).  The trace reads
-the records back by tuple unpacking, not field by field.  A system with
-u + w = t has about 2^t + 1 distinct nodes, so its cost is that many times
-the per-node Python overhead, once in the recursion and once in the rows of
-the trace.
+PlanarLeaf are named tuples, built without a K3System (`TraceNode.system`
+derives one on demand) and read back by tuple unpacking.  A system with
+u + w = t has about 2^t + 1 distinct nodes, each costing the per-node Python
+overhead once in the recursion and once in the rows of the trace.
+
+The memo is the trace: it holds the keys in the order the recursion first
+reaches them, surface branch before surface hat branch, which is DFS
+preorder from the root, the rows' order.  That is exact because every key
+is reached through the step its node finally records.  Two regimes are
+tried only at v = -1.  There gamma d^2 + 4 = b c m(m+1), so a_num // b =
+c m(m+1), and in both regimes k_min and k_max are the least k with
+(k+1)(k+2) >= c m(m+1) and with (k+1)(k+2) > c m(m+1); as c m(m+1) is never
+such a product for c in {4, 9}, both regimes admit one k, the same, which
+_final_k also picks (at v = -1 it meets only L^4(1, 1^4), k = 2).  So a NEG
+attempt after a rejected NONNEG step asks for the same two branch keys,
+which are memo hits, also at the node budget.
 
 One recursion resolves at most MAX_NODES distinct nodes.  Each node past
 that budget is reported UNKNOWN, of kind "failed", with a note, so the
@@ -56,7 +65,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from .core import (
@@ -311,8 +319,9 @@ _ROWS_PER_CHUNK = 64
 class DegenerationTrace:
     """Serializable audit trail of one full recursion.
 
-    The document (schema k3fat.trace/2) is a table with one positional row
-    per distinct node, in DFS preorder from the root, whose id is 0:
+    `nodes` holds the recursion's distinct nodes in DFS preorder from the
+    root.  The document (schema k3fat.trace/2) has one positional row per
+    node, whose id is its index in `nodes`, 0 for the root:
 
         {"schema": "k3fat.trace/2", "root": 0, "fields": TRACE_FIELDS,
          "nodes": [row, ...]}
@@ -320,11 +329,17 @@ class DegenerationTrace:
     A node shared by several steps appears once and is referenced by id.
     """
 
-    node: TraceNode
+    nodes: Tuple[TraceNode, ...]
+
+    @property
+    def node(self) -> TraceNode:
+        """The root."""
+        return self.nodes[0]
 
     def to_dict(self) -> dict:
+        ids = {node[0]: i for i, node in enumerate(self.nodes)}
         return {"schema": TRACE_SCHEMA, "root": 0, "fields": list(TRACE_FIELDS),
-                "nodes": list(_node_rows(self.node))}
+                "nodes": list(_node_rows(self.nodes, ids))}
 
     def to_json(self) -> str:
         """The document in compact JSON with one node row per line."""
@@ -335,12 +350,10 @@ class DegenerationTrace:
         its piece is asked for, so that a writer holds one piece at a time."""
         head = _ENCODER.encode({"schema": TRACE_SCHEMA, "root": 0, "fields": list(TRACE_FIELDS)})
         yield head[:-1] + ',"nodes":[\n'
-        rows = _node_rows(self.node)
+        ids = {node[0]: i for i, node in enumerate(self.nodes)}
         separator = ""
-        while True:
-            chunk = list(islice(rows, _ROWS_PER_CHUNK))
-            if not chunk:
-                break
+        for start in range(0, len(self.nodes), _ROWS_PER_CHUNK):
+            chunk = list(_node_rows(self.nodes[start:start + _ROWS_PER_CHUNK], ids))
             # A row holds only scalars and this module's fixed strings, none
             # of which contains a bracket, so "],[" in the text of a chunk of
             # rows is always the boundary between two rows.
@@ -349,27 +362,12 @@ class DegenerationTrace:
         yield "\n]}"
 
 
-def _node_rows(root: TraceNode) -> Iterator[list]:
-    """The rows of the node table; a node's id is its index in DFS preorder.
-
-    The records are read by tuple unpacking, in their field order, which
-    costs less than reading their fields one by one."""
-    order = []
-    ids: Dict[Key, int] = {}
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        key = node[0]
-        if key in ids:
-            continue
-        ids[key] = len(order)
-        order.append(node)
-        step = node[7]  # node.step
-        if step is not None:
-            todo += (step[5], step[4])  # surface_hat_node, then surface_node
+def _node_rows(nodes: Tuple[TraceNode, ...], ids: Dict[Key, int]) -> Iterator[list]:
+    """The rows of `nodes`, with `ids` mapping each key to its row id; the
+    records are read by tuple unpacking, cheaper than field by field."""
     # A Status or Regime member's JSON string is its `_value_`, the attribute
     # that `.value` reads through a descriptor.
-    for key, vdim, e, dim, status, certified, kind, step, note in order:
+    for key, vdim, e, dim, status, certified, kind, step, note in nodes:
         if step is None:
             yield [*key, vdim, e, dim, status._value_, certified, kind, note]
             continue
@@ -511,7 +509,8 @@ def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, Degener
     n = sys.count
     if n != 0 and factor_4_9(n) is None:
         raise ValueError(f"point count {n} is not of the form 4^u * 9^w")
-    node = _resolve(sys.key, base, {})
-    trace = DegenerationTrace(node)
+    memo: Dict[Key, Optional[TraceNode]] = {}
+    node = _resolve(sys.key, base, memo)
+    trace = DegenerationTrace(tuple(memo.values()))
     report = DimensionReport(node.vdim, node.edim, node.dim, node.status, trace=trace)
     return report, trace

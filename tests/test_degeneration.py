@@ -1,11 +1,12 @@
 import json
+import math
 from random import Random
 
 import pytest
 
 from k3fat.classify import base_gamma4
 from k3fat import degeneration
-from k3fat.core import K3System, Status, point_conditions, vdim_k3
+from k3fat.core import DimensionReport, K3System, Status, k3_vdim_formula, point_conditions, vdim_k3
 from k3fat.degeneration import (
     DegenerationStep,
     EngineError,
@@ -20,6 +21,7 @@ from k3fat.degeneration import (
     recurse,
 )
 from step_reference import ref_branch_vdims, ref_final_k, ref_select_k
+from trace_reference import ref_node_order
 
 
 def gamma4_base(gamma, d, mu):
@@ -401,6 +403,7 @@ def test_walk_by_id_visits_one_node_per_row(regime):
         if node.step is not None:
             todo += [node.step.surface_node, node.step.surface_hat_node]
     assert len(seen) == len(trace.to_dict()["nodes"])
+    assert len(seen) == len(trace.nodes)
 
 
 def test_node_budget_default_covers_the_deep_case():
@@ -450,3 +453,80 @@ def test_node_budget_spent_gives_unknown_not_an_error(monkeypatch):
     rep = classify(K3System.homogeneous(6, 306, 2, 4**3 * 9**3), assume_base=True)
     assert rep.status is Status.UNKNOWN and rep.dim is None
     assert _budget_rows(rep.trace)
+
+
+# --- the memo's order is the rows' order ------------------------------------
+
+
+def _v_minus_one_keys():
+    # every key of vdim -1: n m(m+1) = gamma d^2 + 4
+    for gamma in range(2, 61, 2):
+        for d in range(1, 301):
+            for n in (4, 9, 16, 36, 81, 144, 324, 729, 1296):
+                q, r = divmod(gamma * d * d + 4, n)
+                m = (math.isqrt(4 * q + 1) - 1) // 2
+                if r == 0 and m * (m + 1) == q:
+                    yield gamma, d, m, n
+
+
+def test_both_regimes_choose_the_same_k_at_v_minus_one():
+    # the two regimes are tried only at v = -1; when both have a matching
+    # degree it is the same, so a NEG attempt after a rejected NONNEG step
+    # asks for keys already in the memo, and the memo stays in the walk's order
+    keys = list(_v_minus_one_keys())
+    for key in ((4, 1, 1, 4), (2, 5, 2, 9), (14, 1, 1, 9), (2, 22, 3, 81), (8, 11, 3, 81)):
+        assert key in keys
+    both = 0
+    for key in keys:
+        assert k3_vdim_formula(*key) == -1
+        c = 9 if key[3] % 9 == 0 else 4
+        _, k_min, k_max, k_nonneg, _ = _step(key, -1, c, Regime.NONNEG)
+        _, neg_min, neg_max, k_neg, _ = _step(key, -1, c, Regime.NEG)
+        if k_nonneg is not None and k_neg is not None:
+            assert k_nonneg == k_neg, key
+            both += 1
+        # why: both regimes admit the same single k, since c m(m+1) is never
+        # (k+1)(k+2), so no rule of choice inside the interval tells them apart
+        assert (neg_min, neg_max) == (k_min, k_max) and k_min == k_max, key
+    assert both == len(keys)
+
+
+def _assert_nodes_follow_the_walk(trace):
+    assert trace.node is trace.nodes[0]
+    assert [node.key for node in trace.nodes] == [node.key for node in ref_node_order(trace.node)]
+
+
+@pytest.mark.parametrize("regime", sorted(DEEP6))
+def test_trace_nodes_follow_the_reference_walk(regime):
+    _, trace = recurse(DEEP6[regime][0], gamma4_base)
+    _assert_nodes_follow_the_walk(trace)
+
+
+@pytest.mark.parametrize("regime", sorted(DEEP6))
+def test_trace_nodes_follow_the_reference_walk_at_the_budget(regime, monkeypatch):
+    sys = DEEP6[regime][0]
+    nodes = len(recurse(sys, gamma4_base)[1].nodes)
+    for budget in (5, nodes - 1):
+        monkeypatch.setattr(degeneration, "MAX_NODES", budget)
+        _, trace = recurse(sys, gamma4_base)
+        assert _budget_rows(trace)
+        _assert_nodes_follow_the_walk(trace)
+
+
+def test_rejected_nonneg_step_adds_no_node():
+    # L^2(5, 2^9) has v = -1, so both regimes are tried, both at k = 6; with
+    # the base UNKNOWN at mu = 7 each is rejected, and the NEG attempt finds
+    # its two branches in the memo
+    def base(gamma, d, mu):
+        v = k3_vdim_formula(gamma, d, mu, 1)
+        if mu == 7:
+            return DimensionReport(v, max(v, -1), None, Status.UNKNOWN)
+        return DimensionReport(v, max(v, -1), max(v, -1), Status.CONDITIONAL)
+
+    rep, trace = recurse(K3System(2, 5, 2, 9), base)
+    assert rep.status is Status.UNKNOWN
+    assert [node.key for node in trace.nodes] == [(2, 5, 2, 9), (2, 5, 6, 1), (2, 5, 7, 1)]
+    assert len(trace.to_dict()["nodes"]) == 3
+    root = trace.node
+    assert (root.kind, root.step.regime, root.step.k) == ("failed", Regime.NEG, 6)
+    _assert_nodes_follow_the_walk(trace)

@@ -19,7 +19,7 @@ import pytest
 
 from k3fat.classify import classify
 from k3fat.core import K3System
-from trace_reference import reference_dict
+from trace_reference import ref_node_order, reference_dict
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "trace_sha256.json").read_text())
@@ -132,6 +132,17 @@ def test_node_table_matches_reference(case):
 def test_node_table_matches_reference_on_grid(gamma):
     for report in _grid(gamma):
         assert_table_matches_reference(report.trace)
+
+
+@pytest.mark.parametrize("gamma", [4, 6, 8])
+def test_trace_nodes_follow_the_reference_walk_on_grid(gamma):
+    # the trace keeps the recursion's memo order, which must be the DFS
+    # preorder of the reference walk
+    for report in _grid(gamma):
+        trace = report.trace
+        assert trace.node is trace.nodes[0]
+        assert [node.key for node in trace.nodes] == \
+            [node.key for node in ref_node_order(trace.node)]
 
 
 @pytest.mark.parametrize("gamma", [4, 6, 8])

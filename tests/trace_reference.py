@@ -6,7 +6,32 @@ returned before the node table: the root carries its system and
 `certified`, every step lists its four branches, and a node shared by
 several steps is expanded again at each of them.  `json.dumps` of it with
 `indent=2` gives the schema-1 `to_json()` bytes.
+
+`ref_node_order(root)` walks the tree from the root and lists its distinct
+nodes in DFS preorder, surface branch before surface hat branch: the order
+that the rows of the node table, and so `trace.nodes`, must have.
 """
+from typing import Dict
+
+from k3fat.core import Key
+
+
+def ref_node_order(root):
+    """The distinct nodes below `root`, root included, in DFS preorder."""
+    order = []
+    ids: Dict[Key, int] = {}
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        key = node[0]
+        if key in ids:
+            continue
+        ids[key] = len(order)
+        order.append(node)
+        step = node[7]  # node.step
+        if step is not None:
+            todo += (step[5], step[4])  # surface_hat_node, then surface_node
+    return order
 
 
 def _planar_leaf_dict(leaf):
