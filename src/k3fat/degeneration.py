@@ -45,19 +45,21 @@ overhead once in the recursion and once in the rows of the trace.
 
 The memo is the trace: it holds the keys in the order the recursion first
 reaches them, surface branch before surface hat branch, which is DFS
-preorder from the root, the rows' order.  That is exact because every key
-is reached through the step its node finally records.  Two regimes are
-tried only at v = -1.  There gamma d^2 + 4 = b c m(m+1), so a_num // b =
-c m(m+1), and in both regimes k_min and k_max are the least k with
-(k+1)(k+2) >= c m(m+1) and with (k+1)(k+2) > c m(m+1); as c m(m+1) is never
-such a product for c in {4, 9}, both regimes admit one k, the same, which
-_final_k also picks (at v = -1 it meets only L^4(1, 1^4), k = 2).  So a NEG
-attempt after a rejected NONNEG step asks for the same two branch keys,
-which are memo hits, also at the node budget.
+preorder from the root, the rows' order: each node takes one step, in the
+regime of the sign of its vdim v, and asks for its two branch keys once.
+At v = -1 both regimes' rules apply to that step.  There gamma d^2 + 4 =
+b c m(m+1), so a_num // b = c m(m+1), and in both regimes k_min and k_max
+are the least k with (k+1)(k+2) >= c m(m+1) and with (k+1)(k+2) >
+c m(m+1); as c m(m+1) is never such a product for c in {4, 9}, both
+regimes admit one k, the same, which _final_k also picks (at v = -1 it
+meets only L^4(1, 1^4), k = 2).  The step is recorded as NONNEG when the
+NONNEG rule accepts it, else as NEG.
 
 One recursion resolves at most MAX_NODES distinct nodes.  Each node past
 that budget is reported UNKNOWN, of kind "failed", with a note, so the
-verdict of a system too deep for the budget is UNKNOWN rather than an error.
+verdict of a system with more nodes than the budget is UNKNOWN rather
+than an error.  The recursion takes one Python frame per level, so its
+depth is bounded by the interpreter's recursion limit (see MAX_NODES).
 """
 from __future__ import annotations
 
@@ -81,8 +83,10 @@ from .core import (
 BaseResolver = Callable[[int, int, int], DimensionReport]
 
 # Most distinct nodes one recursion resolves; every node past them is left
-# UNKNOWN, so a system of any depth costs bounded time and memory.  The
-# deepest case in CI, L^4(500, 100^(4^10 9^5)), has 32 769 nodes.
+# UNKNOWN, so a recursion costs bounded time and memory.  Python's recursion
+# limit bounds its depth, at one frame per level: 989 levels, L^4(10, 1^(4^989)),
+# from a script's top level at the default limit of 1 000.  The deepest case
+# in CI, L^4(500, 100^(4^10 9^5)), has 32 769 nodes.
 MAX_NODES = 150_000
 
 
@@ -154,19 +158,18 @@ def _final_k(regime: Regime, d: int, k_min: int, k_max: int) -> int:
     return k_max
 
 
-def _step(
-    key: Key, v: int, c: int, regime: Regime
-) -> Tuple[int, int, int, Optional[int], Optional[Tuple[int, int, int, int]]]:
+def _step(key: Key, v: int, c: int) -> Tuple[int, int, int, int, Tuple[int, int, int, int]]:
     """The arithmetic of one degeneration step of the system `key`, of vdim
-    v, through planes of c points in one regime:
+    v, through planes of c points, in the regime of the sign of v (NONNEG
+    for v >= -1, NEG otherwise):
 
         (b, k_min, k_max, k, (v_S, v_S_hat, v_P, v_P_hat))
 
-    [k_min, k_max] is the interval of admissible matching degrees.  When it
-    is empty, k and the vdims are None.  Otherwise k is the chosen degree,
-    the largest admissible one apart from the final-step rule of _final_k,
-    and the vdims are those of the surface branches at multiplicities k and
-    k+1 and the unclamped ones of the planar branches at degrees k and k-1.
+    [k_min, k_max] is the interval of admissible matching degrees, k the
+    chosen one, the largest admissible one apart from the final-step rule
+    of _final_k, and the vdims are those of the surface branches at
+    multiplicities k and k+1 and the unclamped ones of the planar branches
+    at degrees k and k-1.
 
     NONNEG regime: k^2 + k <= alpha and k^2 + 3k >= beta with
         alpha = (gamma d^2 + 4)/b,    beta = c m(m+1) - 2,
@@ -175,6 +178,11 @@ def _step(
     NEG regime: k^2 + 3k >= alpha and k^2 + k <= beta with
         alpha = (gamma d^2 + 4)/b - 2,  beta = c m(m+1),
     equivalent to v_surface_hat <= -1 and v_planar_hat <= -1.
+
+    The interval is never empty.  With a = gamma d^2 + 4 and q = c m(m+1),
+    v >= -1 is a >= b q, so b (k+1)(k+2) > a, true at k_max, gives (k+1)(k+2) > q;
+    v < -1 is a < b q, so (k+1)(k+2) > q, true at k_max, gives b (k+1)(k+2) > a:
+    either way k_max meets the inequality that defines k_min.
 
     The bookkeeping identity of _identity_holds is checked on every step;
     EngineError is raised when it fails.
@@ -186,6 +194,7 @@ def _step(
     # Each end is the least k meeting one inequality, rewritten as
     # k(k+3) >= r: for the integer x = (k+1)(k+2) = k(k+3) + 2, b*x > a_num
     # is x >= a_num // b + 1 and b*x >= a_num is x >= ceil(a_num / b).
+    regime = _NONNEG if v >= -1 else _NEG
     if regime is _NONNEG:
         # k(k+1) <= alpha  and  k(k+3) >= beta
         k_max = _least_k(a_num // b - 1)  # least k with b (k+1)(k+2) > a_num
@@ -194,8 +203,6 @@ def _step(
         # (k+1)(k+2) >= alpha + 2  and  k(k+1) <= beta
         k_min = _least_k(-(-a_num // b) - 2)  # least k with b (k+1)(k+2) >= a_num
         k_max = _least_k(cm - 1)  # least k with (k+1)(k+2) > cm
-    if k_min > k_max:
-        return b, k_min, k_max, None, None
     k = _final_k(regime, d, k_min, k_max) if gamma == 4 and b == 1 else k_max
     # The shared terms: the ambient gamma d^2/2 + 1 and the c m(m+1)/2
     # conditions of one plane's points.
@@ -336,11 +343,6 @@ class DegenerationTrace:
         """The root."""
         return self.nodes[0]
 
-    def to_dict(self) -> dict:
-        ids = {node[0]: i for i, node in enumerate(self.nodes)}
-        return {"schema": TRACE_SCHEMA, "root": 0, "fields": list(TRACE_FIELDS),
-                "nodes": list(_node_rows(self.nodes, ids))}
-
     def to_json(self) -> str:
         """The document in compact JSON with one node row per line."""
         return "".join(self.json_chunks())
@@ -391,111 +393,78 @@ def _name(key: Key) -> str:
 
 
 def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]]) -> TraceNode:
-    """Build the node of a key not yet in `memo` and store it there.
+    """Build, store in `memo` and return the node of a key not yet there: a
+    leaf, or one step that certifies it or leaves it UNKNOWN, "failed".
 
-    While the memo holds fewer than MAX_NODES keys the node is resolved in
-    full; past that it is UNKNOWN, with a note.  The key is reserved before
-    its branches are resolved, so len(memo) also counts the nodes still in
-    progress.  The placeholder is never read: every step lowers the point
-    count, so no descendant has the key."""
-    if len(memo) < MAX_NODES:
-        memo[key] = None
-        node = _new_node(key, base, memo)
-    else:
+    Past MAX_NODES keys in the memo the node is UNKNOWN, with a note.  The
+    key is reserved before its branches are resolved, so len(memo) also
+    counts the nodes in progress.  The placeholder is never read: every step
+    lowers the point count, so no descendant has the key."""
+    if len(memo) >= MAX_NODES:
         v = k3_vdim_formula(*key)
-        node = TraceNode(key, v, edim(v), None, _UNKNOWN, False, "failed",
-                         note=f"node budget of {MAX_NODES} spent; dimension not certified")
-    memo[key] = node
-    return node
-
-
-def _new_node(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]]) -> TraceNode:
-    """The node of `key`: a base or unconditioned leaf, or the first step,
-    over the regimes of its vdim, that certifies; else UNKNOWN, "failed",
-    with the last step tried."""
+        node = memo[key] = TraceNode(key, v, edim(v), None, _UNKNOWN, False, "failed", None,
+                                     f"node budget of {MAX_NODES} spent; dimension not certified")
+        return node
     gamma, d, m, n = key
     if n == 1:
         rep = base(gamma, d, m)
-        return TraceNode(key, rep.vdim, rep.edim, rep.dim, rep.status,
-                         rep.dim is not None, "base")
+        node = memo[key] = TraceNode(key, rep.vdim, rep.edim, rep.dim, rep.status,
+                                     rep.dim is not None, "base")
+        return node
     v = k3_vdim_formula(*key)
     e = v if v > -1 else -1
     if n == 0:
-        return TraceNode(key, v, e, v, _NONSPECIAL, True, "unconditioned")
-
+        node = memo[key] = TraceNode(key, v, e, v, _NONSPECIAL, True, "unconditioned")
+        return node
+    memo[key] = None
     c = 9 if n % 9 == 0 else 4
-    if v > -1:
-        regimes = (_NONNEG,)
-    elif v < -1:
-        regimes = (_NEG,)
+    b, _, _, k, (v_s, v_sh, v_p, v_ph) = _step(key, v, c)
+    # k >= 1 (k_min >= 1 in NONNEG, k_max >= 1 in NEG, as c m(m+1) >= 8),
+    # so both children hold points and both planar degrees are >= 0.
+    # A node is a non-empty tuple, so `or` falls through only on a miss.
+    key_s, key_sh = (gamma, d, k, b), (gamma, d, k + 1, b)
+    node_s = memo.get(key_s) or _resolve(key_s, base, memo)
+    node_sh = memo.get(key_sh) or _resolve(key_sh, base, memo)
+    # A planar branch is non-special, so its dimension is its edim.
+    e_p = v_p if v_p > -1 else -1
+    e_ph = v_ph if v_ph > -1 else -1
+    leaf_p = _record(PlanarLeaf, ((k, m, c), v_p, e_p, e_p, _NONSPECIAL))
+    leaf_ph = _record(PlanarLeaf, ((k - 1, m, c), v_ph, e_ph, e_ph, _NONSPECIAL))
+
+    l_s, l_sh = node_s.dim, node_sh.dim
+    if l_s is None or l_sh is None:
+        ok = nonneg = False
+        r_s = r_p = intersection = l0 = None
     else:
-        regimes = (_NONNEG, _NEG)
-
-    step: Optional[DegenerationStep] = None
-    for regime in regimes:
-        b, _, _, k, vdims = _step(key, v, c, regime)
-        if k is None:
-            continue
-        v_s, v_sh, v_p, v_ph = vdims
-        # k >= 1 (k_min >= 1 in NONNEG, k_max >= 1 in NEG, as c m(m+1) >= 8),
-        # so both children hold points and both planar degrees are >= 0.
-        # A node is a non-empty tuple, so `or` falls through only on a miss.
-        key_s, key_sh = (gamma, d, k, b), (gamma, d, k + 1, b)
-        node_s = memo.get(key_s) or _resolve(key_s, base, memo)
-        node_sh = memo.get(key_sh) or _resolve(key_sh, base, memo)
-        # A planar branch is non-special, so its dimension is its edim.
-        e_p = v_p if v_p > -1 else -1
-        e_ph = v_ph if v_ph > -1 else -1
-        leaf_p = _record(PlanarLeaf, ((k, m, c), v_p, e_p, e_p, _NONSPECIAL))
-        leaf_ph = _record(PlanarLeaf, ((k - 1, m, c), v_ph, e_ph, e_ph, _NONSPECIAL))
-
-        l_s, l_sh = node_s.dim, node_sh.dim
-        if l_s is None or l_sh is None:
-            step = _record(DegenerationStep, (c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
-                                              None, None, None, None))
-            continue
         r_s, r_p, intersection, l0 = _recombine(l_s, l_sh, e_p, e_ph, b, k)
-        step = _record(DegenerationStep, (c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
-                                          r_s, r_p, intersection, l0))
         status_s, status_sh = node_s.status, node_sh.status
         branch_nonspecial = status_s in _BRANCH_OK and status_sh in _BRANCH_OK
-
-        if regime is _NONNEG:
-            ok = v_s >= -1 and v_p >= -1 and branch_nonspecial
-            if ok and l0 != v:
-                raise EngineError(
-                    f"NONNEG step for {_name(key)} at k={k} combined to l0={l0} != v={v}"
-                )
-        else:
-            # NEG regime: the plain step needs both hat branches virtually
-            # empty and the surface branches non-special; the gamma=4 endgame
-            # replaces that by the k = 2d step through the known dimension-0
-            # single-point system, which is only applied inside the proved
-            # scope (c = 4, or 2d != 1 mod 3).
-            ok = (v_sh <= -1 and v_ph <= -1 and branch_nonspecial) or (
-                gamma == 4
-                and b == 1
-                and k == 2 * d
-                and (c == 4 or (2 * d) % 3 != 1)
-                and v <= -d
-                and l_s == 0
-                and l_sh == -1
-                and v_p <= 2 * d - 1
-                and v_ph <= -1
-            )
-            if ok and l0 != -1:
-                raise EngineError(f"NEG step for {_name(key)} at k={k} combined to l0={l0} != -1")
-        if ok:
-            conditional = status_s is _CONDITIONAL or status_sh is _CONDITIONAL
-            return _record(TraceNode, (key, v, e, e, _CONDITIONAL if conditional else _NONSPECIAL,
-                                       True, "step", step, None))
-
-    note = (
-        "no admissible matching degree"
-        if step is None
-        else "step side conditions failed; dimension not certified"
-    )
-    return _record(TraceNode, (key, v, e, None, _UNKNOWN, False, "failed", step, note))
+        nonneg = v >= -1 and v_s >= -1 and v_p >= -1 and branch_nonspecial
+        # At v <= -1 the NEG rule: the plain step needs both hat branches
+        # virtually empty and the surface branches non-special; the gamma=4
+        # endgame replaces that by the k = 2d step through the known
+        # dimension-0 single-point system, which is only applied inside the
+        # proved scope (c = 4, or 2d != 1 mod 3).
+        ok = nonneg or v <= -1 and (
+            (v_sh <= -1 and v_ph <= -1 and branch_nonspecial)
+            or (gamma == 4 and b == 1 and k == 2 * d and (c == 4 or (2 * d) % 3 != 1)
+                and v <= -d and l_s == 0 and l_sh == -1 and v_p <= 2 * d - 1 and v_ph <= -1))
+    regime = _NONNEG if v > -1 or nonneg else _NEG
+    step = _record(DegenerationStep, (c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
+                                      r_s, r_p, intersection, l0))
+    if ok:
+        # A NONNEG step combines to v, a NEG step to -1: to edim either way.
+        if l0 != e:
+            raise EngineError(f"{regime._value_} step for {_name(key)} at k={k} "
+                              f"combined to l0={l0} != {e}")
+        conditional = status_s is _CONDITIONAL or status_sh is _CONDITIONAL
+        node = _record(TraceNode, (key, v, e, e, _CONDITIONAL if conditional else _NONSPECIAL,
+                                   True, "step", step, None))
+    else:
+        node = _record(TraceNode, (key, v, e, None, _UNKNOWN, False, "failed", step,
+                                   "step side conditions failed; dimension not certified"))
+    memo[key] = node
+    return node
 
 
 def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, DegenerationTrace]:

@@ -161,7 +161,7 @@ def test_criterion_7_matching_degree_existence():
         regime = Regime.NONNEG if v >= -1 else Regime.NEG
         if confirmed[regime] >= 1000:
             continue
-        k = _step(sys.key, v, c, regime)[3]
+        k = _step(sys.key, v, c)[3]
         if k is None:
             failures += 1
             continue

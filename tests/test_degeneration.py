@@ -4,12 +4,14 @@ from random import Random
 
 import pytest
 
-from k3fat.classify import base_gamma4
+from k3fat.classify import _assumed_base, _proved_base, base_gamma4
 from k3fat import degeneration
 from k3fat.core import DimensionReport, K3System, Status, k3_vdim_formula, point_conditions, vdim_k3
 from k3fat.degeneration import (
     DegenerationStep,
     EngineError,
+    TRACE_FIELDS,
+    TRACE_SCHEMA,
     PlanarLeaf,
     Regime,
     TraceNode,
@@ -20,8 +22,8 @@ from k3fat.degeneration import (
     factor_4_9,
     recurse,
 )
-from step_reference import ref_branch_vdims, ref_final_k, ref_select_k
-from trace_reference import ref_node_order
+from step_reference import ref_bounds, ref_branch_vdims, ref_final_k, ref_select_k
+from trace_reference import ref_node_order, ref_recurse
 
 
 def gamma4_base(gamma, d, mu):
@@ -43,13 +45,13 @@ def test_factor_4_9():
 # --- _step: the interval and the matching degree ---------------------------
 
 
-def _step_of(sys, c, regime):
+def _step_of(sys, c):
     """(b, k_min, k_max, k, vdims) of one step of `sys`."""
-    return _step(sys.key, vdim_k3(sys), c, regime)
+    return _step(sys.key, vdim_k3(sys), c)
 
 
 def test_select_k_nonneg_final_step_avoids_special_leaves():
-    _, k_min, k_max, k, _ = _step_of(K3System.homogeneous(4, 3, 1, 9), 9, Regime.NONNEG)
+    _, k_min, k_max, k, _ = _step_of(K3System.homogeneous(4, 3, 1, 9), 9)
     # brute-force oracle for the admissible set
     admissible = [
         k for k in range(11)
@@ -62,7 +64,7 @@ def test_select_k_nonneg_final_step_avoids_special_leaves():
 
 
 def test_select_k_neg_final_step_forces_2d():
-    k = _step_of(K3System.homogeneous(4, 2, 2, 4), 4, Regime.NEG)[3]
+    k = _step_of(K3System.homogeneous(4, 2, 2, 4), 4)[3]
     assert k == 4
     # and 2d satisfies both NEG inequalities here
     assert k * k + 3 * k >= 18
@@ -70,11 +72,15 @@ def test_select_k_neg_final_step_forces_2d():
 
 
 def test_select_k_none_when_hypothesis_fails():
+    # the NONNEG interval of a system with v < -1 can be empty; the step
+    # takes the regime of the sign of v, whose interval never is
     sys = K3System.homogeneous(4, 1, 5, 4)
     assert vdim_k3(sys) < -1
-    _, k_min, k_max, k, vdims = _step_of(sys, 4, Regime.NONNEG)
-    assert k is None and vdims is None
-    assert k_min > k_max
+    k_min, k_max = ref_bounds(4, 1, 5, 4, 4, Regime.NONNEG)
+    assert k_min > k_max and ref_select_k(4, 1, 5, 4, 4, Regime.NONNEG) is None
+    _, k_min, k_max, k, _ = _step_of(sys, 4)
+    assert (k_min, k_max) == ref_bounds(4, 1, 5, 4, 4, Regime.NEG)
+    assert k_min <= k == ref_select_k(4, 1, 5, 4, 4, Regime.NEG) <= k_max
 
 
 def _regime_inequalities_hold(gamma, d, m, n, c, k, regime):
@@ -100,11 +106,9 @@ def test_select_k_output_always_in_admissible_interval():
         sys = K3System.homogeneous(gamma, d, m, n)
         v = vdim_k3(sys)
         regime = Regime.NONNEG if v >= -1 else Regime.NEG
-        b, k_min, k_max, k, _ = _step_of(sys, c, regime)
+        b, k_min, k_max, k, _ = _step_of(sys, c)
         assert b == n // c
         assert k == ref_select_k(gamma, d, m, n, c, regime)
-        if k is None:
-            continue
         assert k_min <= k <= k_max
         assert _regime_inequalities_hold(gamma, d, m, n, c, k, regime)
         checked += 1
@@ -123,7 +127,7 @@ def test_final_step_tie_break_matches_the_list_rule():
 def test_final_step_of_a_large_degree():
     # d = 10^6: the list rule would list about 2d degrees at the final step
     sys = K3System.homogeneous(4, 10**6, 1, 4)
-    _, k_min, k_max, k, _ = _step_of(sys, 4, Regime.NONNEG)
+    _, k_min, k_max, k, _ = _step_of(sys, 4)
     assert (k_min, k_max, k) == (2, 2 * 10**6 - 1, 2 * 10**6 - 2)
     rep, _ = recurse(sys, gamma4_base)
     assert (rep.vdim, rep.dim, rep.status) == (2 * 10**12 - 3, 2 * 10**12 - 3, Status.NONSPECIAL)
@@ -182,7 +186,7 @@ def test_check_vdim_identity_negative_control():
     v_p = k * (k + 3) // 2 - c * point_conditions(m)
     assert v == v_s + b * (v_p - k)
     assert v != (v_s + 1) + b * (v_p - k)
-    _, _, _, k_step, vdims = _step_of(sys, c, Regime.NONNEG)
+    _, _, _, k_step, vdims = _step_of(sys, c)
     assert k_step == k
     assert vdims[0] == v_s and vdims[2] == v_p
     assert _identity_holds(v, b, k, vdims)
@@ -195,9 +199,9 @@ def test_step_raises_when_the_identity_fails():
     # the self-check is permanent: a vdim off by one for the key is caught
     sys = K3System.homogeneous(4, 3, 1, 9)
     v = vdim_k3(sys)
-    assert _step(sys.key, v, 9, Regime.NONNEG)[3] == 4
+    assert _step(sys.key, v, 9)[3] == 4
     with pytest.raises(EngineError, match=r"identity failed for L\^4\(3, 1\^9\), c=9, k=4"):
-        _step(sys.key, v + 1, 9, Regime.NONNEG)
+        _step(sys.key, v + 1, 9)
 
 
 # --- recurse ---------------------------------------------------------------
@@ -305,7 +309,6 @@ def test_trace_serialization_field_names():
     rows = text.split("\n")[1:-1]
     assert rows == [json.dumps(row, separators=(",", ":")) + ("," if i < 2 else "")
                     for i, row in enumerate(doc["nodes"])]
-    assert trace.to_dict() == doc
 
 
 def test_trace_serialization_deterministic():
@@ -328,10 +331,11 @@ DEEP6 = {
 
 def _per_row_json(trace):
     # to_json as one encoder call per row, the form it had before chunking
-    doc = trace.to_dict()
-    head = json.dumps({key: doc[key] for key in ("schema", "root", "fields")},
+    ids = {node.key: i for i, node in enumerate(trace.nodes)}
+    head = json.dumps({"schema": TRACE_SCHEMA, "root": 0, "fields": list(TRACE_FIELDS)},
                       separators=(",", ":"))
-    rows = ",\n".join(json.dumps(row, separators=(",", ":")) for row in doc["nodes"])
+    rows = ",\n".join(json.dumps(row, separators=(",", ":"))
+                      for row in degeneration._node_rows(trace.nodes, ids))
     return head[:-1] + ',"nodes":[\n' + rows + "\n]}"
 
 
@@ -340,7 +344,7 @@ def test_trace_json_chunks_match_per_row_encoding(regime, monkeypatch):
     sys, expected = DEEP6[regime]
     rep, trace = recurse(sys, gamma4_base)
     assert (rep.status, rep.dim) == expected
-    assert len(trace.to_dict()["nodes"]) > degeneration._ROWS_PER_CHUNK
+    assert len(trace.nodes) > degeneration._ROWS_PER_CHUNK
     reference = _per_row_json(trace)
     assert trace.to_json() == reference
     # chunk boundaries anywhere: one row per chunk, and chunks that do not
@@ -353,7 +357,7 @@ def test_trace_json_chunks_match_per_row_encoding(regime, monkeypatch):
 @pytest.mark.parametrize("regime", sorted(DEEP6))
 def test_trace_json_chunks_encode_one_chunk_of_rows_at_a_time(regime, monkeypatch):
     rep, trace = recurse(DEEP6[regime][0], gamma4_base)
-    text, nrows = trace.to_json(), len(trace.to_dict()["nodes"])
+    text, nrows = trace.to_json(), len(trace.nodes)
     pieces = list(trace.json_chunks())
     assert "".join(pieces) == text
     assert len(pieces) == 2 + -(-nrows // degeneration._ROWS_PER_CHUNK)
@@ -402,7 +406,7 @@ def test_walk_by_id_visits_one_node_per_row(regime):
         seen.add(id(node))
         if node.step is not None:
             todo += [node.step.surface_node, node.step.surface_hat_node]
-    assert len(seen) == len(trace.to_dict()["nodes"])
+    assert len(seen) == len(json.loads(trace.to_json())["nodes"])
     assert len(seen) == len(trace.nodes)
 
 
@@ -412,14 +416,14 @@ def test_node_budget_default_covers_the_deep_case():
 
 
 def _budget_rows(trace):
-    rows = [dict(zip(degeneration.TRACE_FIELDS, row)) for row in trace.to_dict()["nodes"]]
+    rows = [dict(zip(TRACE_FIELDS, row)) for row in json.loads(trace.to_json())["nodes"]]
     return [row for row in rows if (row["note"] or "").startswith("node budget")]
 
 
 def test_node_budget_counts_distinct_nodes(monkeypatch):
     sys = DEEP6["NEG"][0]
     rep, trace = recurse(sys, gamma4_base)
-    nodes = len(trace.to_dict()["nodes"])
+    nodes = len(trace.nodes)
     text = trace.to_json()
     # a budget of exactly the node count changes nothing
     monkeypatch.setattr(degeneration, "MAX_NODES", nodes)
@@ -431,7 +435,7 @@ def test_node_budget_counts_distinct_nodes(monkeypatch):
     monkeypatch.setattr(degeneration, "MAX_NODES", nodes - 1)
     rep_under, trace_under = recurse(sys, gamma4_base)
     assert rep_under.status is Status.UNKNOWN and rep_under.dim is None
-    assert len(trace_under.to_dict()["nodes"]) == nodes
+    assert len(trace_under.nodes) == nodes
     (row,) = _budget_rows(trace_under)
     assert (row["status"], row["kind"], row["certified"], row["dim"]) == (
         "UNKNOWN", "failed", False, None)
@@ -447,8 +451,7 @@ def test_node_budget_spent_gives_unknown_not_an_error(monkeypatch):
     rep = classify(sys)
     assert (rep.status, rep.dim) == DEEP6["NONNEG"][1]
     assert rep.trace.node.status is Status.UNKNOWN
-    rows = rep.trace.to_dict()["nodes"]
-    assert len(rows) - len(_budget_rows(rep.trace)) == 5
+    assert len(rep.trace.nodes) - len(_budget_rows(rep.trace)) == 5
     # assumed base: nothing but the recursion, so the report is UNKNOWN
     rep = classify(K3System.homogeneous(6, 306, 2, 4**3 * 9**3), assume_base=True)
     assert rep.status is Status.UNKNOWN and rep.dim is None
@@ -470,25 +473,22 @@ def _v_minus_one_keys():
 
 
 def test_both_regimes_choose_the_same_k_at_v_minus_one():
-    # the two regimes are tried only at v = -1; when both have a matching
-    # degree it is the same, so a NEG attempt after a rejected NONNEG step
-    # asks for keys already in the memo, and the memo stays in the walk's order
+    # at v = -1 the one step of a node is subject to both regimes' rules;
+    # both regimes admit the same single k, the step's, so it does not
+    # matter which regime's formulas the step reads
     keys = list(_v_minus_one_keys())
     for key in ((4, 1, 1, 4), (2, 5, 2, 9), (14, 1, 1, 9), (2, 22, 3, 81), (8, 11, 3, 81)):
         assert key in keys
-    both = 0
     for key in keys:
         assert k3_vdim_formula(*key) == -1
         c = 9 if key[3] % 9 == 0 else 4
-        _, k_min, k_max, k_nonneg, _ = _step(key, -1, c, Regime.NONNEG)
-        _, neg_min, neg_max, k_neg, _ = _step(key, -1, c, Regime.NEG)
-        if k_nonneg is not None and k_neg is not None:
-            assert k_nonneg == k_neg, key
-            both += 1
-        # why: both regimes admit the same single k, since c m(m+1) is never
-        # (k+1)(k+2), so no rule of choice inside the interval tells them apart
-        assert (neg_min, neg_max) == (k_min, k_max) and k_min == k_max, key
-    assert both == len(keys)
+        _, k_min, k_max, k, _ = _step(key, -1, c)
+        # why: c m(m+1) is never (k+1)(k+2), so both ends are one k, and no
+        # rule of choice inside the interval tells the regimes apart
+        assert k_min == k_max == k, key
+        for regime in Regime:
+            assert ref_bounds(*key, c, regime) == (k_min, k_max), (key, regime)
+            assert ref_select_k(*key, c, regime) == k, (key, regime)
 
 
 def _assert_nodes_follow_the_walk(trace):
@@ -513,20 +513,85 @@ def test_trace_nodes_follow_the_reference_walk_at_the_budget(regime, monkeypatch
         _assert_nodes_follow_the_walk(trace)
 
 
-def test_rejected_nonneg_step_adds_no_node():
-    # L^2(5, 2^9) has v = -1, so both regimes are tried, both at k = 6; with
-    # the base UNKNOWN at mu = 7 each is rejected, and the NEG attempt finds
-    # its two branches in the memo
-    def base(gamma, d, mu):
-        v = k3_vdim_formula(gamma, d, mu, 1)
-        if mu == 7:
-            return DimensionReport(v, max(v, -1), None, Status.UNKNOWN)
-        return DimensionReport(v, max(v, -1), max(v, -1), Status.CONDITIONAL)
+def _rejecting_base(gamma, d, mu):
+    # CONDITIONAL at its edim, but UNKNOWN at mu = 7, the surface hat branch
+    # of the one step of L^2(5, 2^9)
+    v = k3_vdim_formula(gamma, d, mu, 1)
+    if mu == 7:
+        return DimensionReport(v, max(v, -1), None, Status.UNKNOWN)
+    return DimensionReport(v, max(v, -1), max(v, -1), Status.CONDITIONAL)
 
-    rep, trace = recurse(K3System(2, 5, 2, 9), base)
+
+def test_rejected_nonneg_step_adds_no_node():
+    # L^2(5, 2^9) has v = -1, so its one step, at k = 6, is subject to both
+    # rules; with the base UNKNOWN at mu = 7 both reject it, and the step is
+    # recorded as NEG
+    rep, trace = recurse(K3System(2, 5, 2, 9), _rejecting_base)
     assert rep.status is Status.UNKNOWN
     assert [node.key for node in trace.nodes] == [(2, 5, 2, 9), (2, 5, 6, 1), (2, 5, 7, 1)]
-    assert len(trace.to_dict()["nodes"]) == 3
+    assert len(json.loads(trace.to_json())["nodes"]) == 3
     root = trace.node
     assert (root.kind, root.step.regime, root.step.k) == ("failed", Regime.NEG, 6)
     _assert_nodes_follow_the_walk(trace)
+
+
+# --- the recursion against the two-regime reference it replaced -------------
+
+
+def _classify_base(gamma, d, mu):
+    # the base classify recurses on: proved at gamma = 4, assumed elsewhere
+    return (_proved_base if gamma == 4 else _assumed_base)(gamma, d, mu)
+
+
+def _assert_matches_reference(sys, base):
+    # whole records, children and leaves included, not only the keys
+    _, trace = recurse(sys, base)
+    assert trace.nodes == ref_recurse(sys, base)
+
+
+@pytest.mark.parametrize("regime", sorted(DEEP6))
+def test_trace_nodes_match_the_reference_recursion(regime, monkeypatch):
+    sys = DEEP6[regime][0]
+    nodes = len(recurse(sys, gamma4_base)[1].nodes)
+    for budget in (degeneration.MAX_NODES, 5, nodes - 1):
+        monkeypatch.setattr(degeneration, "MAX_NODES", budget)
+        _assert_matches_reference(sys, gamma4_base)
+
+
+@pytest.mark.parametrize("base", [_classify_base, _rejecting_base])
+def test_trace_nodes_match_the_reference_recursion_at_v_minus_one(base):
+    for key in _v_minus_one_keys():
+        _assert_matches_reference(K3System(*key), base)
+
+
+def test_one_step_per_node(monkeypatch):
+    calls = []
+    step = degeneration._step
+
+    def counting(key, v, c):
+        calls.append(key)
+        return step(key, v, c)
+
+    monkeypatch.setattr(degeneration, "_step", counting)
+    # v = -1 and the NONNEG rule rejects the step: still one step
+    recurse(K3System(2, 5, 2, 9), _rejecting_base)
+    assert calls == [(2, 5, 2, 9)]
+    # one step for each node with n > 1 within the budget, in memo order
+    default = degeneration.MAX_NODES
+    for sys, _ in DEEP6.values():
+        for budget in (default, 5):
+            monkeypatch.setattr(degeneration, "MAX_NODES", budget)
+            calls.clear()
+            _, trace = recurse(sys, gamma4_base)
+            assert calls == [node.key for node in trace.nodes if node.step is not None]
+
+
+def test_recursion_depth_is_one_frame_per_level(monkeypatch):
+    # n = 4^800: 800 levels down the first branches, more than Python's
+    # default recursion limit holds at two frames per level; the budget keeps
+    # the run short
+    monkeypatch.setattr(degeneration, "MAX_NODES", 3_000)
+    rep, trace = recurse(K3System(4, 10, 1, 4**800), gamma4_base)
+    assert rep.status is Status.UNKNOWN and rep.dim is None
+    assert trace.node.kind == "failed"
+    assert len(trace.nodes) - len(_budget_rows(trace)) == 3_000
