@@ -29,15 +29,3 @@ from . import oracle
 from .oracle import PrimeFieldConfig
 
 __version__ = "0.1.0"
-
-_ORACLE_NAMES = ("measure_k3", "measure_planar", "rank_mod_p")
-
-
-def __getattr__(name):
-    # The oracle's functions resolve through k3fat.oracle on first access,
-    # which loads numpy then; the engine never needs it.
-    if name not in _ORACLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(oracle, name)
-    globals()[name] = value
-    return value

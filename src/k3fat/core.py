@@ -37,7 +37,10 @@ def point_conditions(multiplicity: int) -> int:
 
 def normalized_points(multiplicity: int, count: int) -> Tuple[int, int]:
     """(m, n) for the points m^n, where multiplicity or count 0 means no
-    points at all: (0, 0), the unconditioned system."""
+    points at all: (0, 0), the unconditioned system; ValueError if either is
+    negative."""
+    if multiplicity < 0 or count < 0:
+        raise ValueError("multiplicity and count must be non-negative")
     return (multiplicity, count) if multiplicity and count else (0, 0)
 
 
@@ -92,8 +95,6 @@ class K3System:
     def homogeneous(gamma: int, degree: int, multiplicity: int, count: int) -> "K3System":
         """Build L^gamma(degree, multiplicity^count); multiplicity 0 or count 0
         normalize to the unconditioned system."""
-        if multiplicity < 0 or count < 0:
-            raise ValueError("multiplicity and count must be non-negative")
         return K3System(gamma, degree, *normalized_points(multiplicity, count))
 
     @property

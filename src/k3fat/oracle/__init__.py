@@ -51,26 +51,14 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BudgetExceededError",
-    "ChartSingularError",
     "DEFAULT_BUDGET_ROWS",
     "DEFAULT_PRIME",
     "DEFAULT_PRIME2",
     "DEFAULT_TRIALS",
+    "BudgetExceededError",
     "OracleMeasurement",
     "PrimeFieldConfig",
-    "QuarticSurfaceInstance",
     "SamplingError",
-    "SurfacePoint",
     "derived_rng",
-    "k3_condition_rows",
-    "measure_k3",
-    "measure_k3_cross_checked",
-    "measure_planar",
-    "monomial_exponents",
-    "planar_condition_rows",
-    "poly_roots",
-    "rank_mod_p",
-    "sample_quartic_instance",
-    "solve_implicit",
+    *_SUBMODULE,
 ]

@@ -37,6 +37,12 @@ def test_planar_dim_c49(delta, mu, c, expected):
     assert edim(vdim_planar(PlanarSystem(delta, mu, c))) == expected
 
 
+def test_classify_unconditioned_system():
+    rep = classify(K3System(4, 3))
+    assert (rep.status, rep.dim) == (Status.NONSPECIAL, 19)
+    assert [node.kind for node in rep.trace.nodes] == ["unconditioned"]
+
+
 def test_classify_nonneg_case():
     rep = classify(K3System.homogeneous(4, 4, 2, 9))
     assert (rep.dim, rep.status) == (6, Status.NONSPECIAL)
@@ -107,6 +113,8 @@ def test_classify_rejects_bad_inputs():
         classify(K3System.homogeneous(6, 2, 1, 4))  # no proved base
     with pytest.raises(ValueError):
         classify(K3System.homogeneous(6, 2, 1, 6), assume_base=True)
+    with pytest.raises(ValueError, match="d and mu must be positive"):
+        base_gamma4(0, 1)
 
 
 def test_hypothesis_policy_marks_conditional():

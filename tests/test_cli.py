@@ -488,6 +488,25 @@ def test_sweep_rejects_bad_n_entry(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (("verify", "-g", "4", "-d", "2", "-m", "1", "-n", "5"),
+     "n must be of the form 4^u * 9^w, got 5"),
+    (("verify", "-g", "6", "-d", "2", "-m", "1", "-n", "4"), "verify requires gamma=4"),
+    (("sweep", "--gamma", "6", "--d-range", "1", "2", "--m-range", "1", "1", "--n-set", "1,4"),
+     "sweep supports gamma=4 only"),
+    (("sweep", "--d-range", "3", "1", "--m-range", "1", "1", "--n-set", "1"),
+     "empty or invalid d/m range"),
+    (("sweep", "--d-range", "1", "2", "--m-range", "1", "1", "--n-set", "1,x"),
+     "could not parse n-set '1,x'"),
+])
+def test_verify_and_sweep_argument_errors_are_usage_errors(runner, tmp_path, args, message):
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, list(args) + (["--out", str(out)] if args[0] == "sweep" else []))
+    assert result.exit_code == 2
+    assert message in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_byte_identical_reruns(runner, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("--trials", "2", "--prime2", "0",

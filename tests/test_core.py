@@ -107,8 +107,12 @@ def test_homogeneous_constructor_normalizes_empty():
     assert PlanarSystem.homogeneous(2, 0, 4) == PlanarSystem(2)
     sys = K3System.homogeneous(4, 2, 3, 5)
     assert (sys.multiplicity, sys.count) == (3, 5) and sys.key == (4, 2, 3, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be non-negative"):
         K3System.homogeneous(4, 2, -1, 0)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        PlanarSystem.homogeneous(2, -1, 0)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        PlanarSystem.homogeneous(2, 0, -3)
 
 
 def test_dimension_report_invariants():
@@ -129,3 +133,5 @@ def test_dimension_report_invariants():
         DimensionReport(3, 3, None, Status.NONSPECIAL)  # missing dim
     with pytest.raises(ValueError):
         DimensionReport(3, 3, 2, Status.NONSPECIAL)  # dim below edim
+    with pytest.raises(ValueError, match="carry no dimension"):
+        DimensionReport(-18, -1, 0, Status.UNKNOWN)

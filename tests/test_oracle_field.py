@@ -69,6 +69,11 @@ def test_rank_refuses_a_matrix_that_is_not_of_integers():
             rank_mod_p(m, P1)
 
 
+def test_rank_refuses_an_array_that_is_not_two_dimensional():
+    with pytest.raises(ValueError, match="two-dimensional"):
+        rank_mod_p(np.ones((2, 2, 2), dtype=np.int64), P1)
+
+
 @pytest.mark.parametrize("p", (P1, P2))
 def test_rank_refuses_an_object_matrix_that_holds_a_float(p):
     # 2^70 makes the array one of objects; the cast to int64 after the

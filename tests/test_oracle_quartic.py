@@ -283,6 +283,8 @@ def test_config_validation():
         PrimeFieldConfig(trials=1)
     with pytest.raises(ValueError):
         PrimeFieldConfig(prime2=2**31 - 1)  # equal to default prime
+    with pytest.raises(ValueError, match="budget_rows must be positive"):
+        PrimeFieldConfig(budget_rows=0)
 
 
 @pytest.mark.parametrize("name, good, bad", [
