@@ -7,7 +7,7 @@ degree k, and recombines their dimensions along the matching curves.  The
 recombined fiber dimension l0 bounds the true dimension from above, and
 l0 == edim certifies the system is non-special.
 """
-from k3fat import K3System, Status, classify, recurse
+from k3fat import K3System, Status, classify, edim, recurse
 from k3fat.classify import base_gamma4
 
 
@@ -26,9 +26,9 @@ def show(node, indent=0):
     print(f"{pad}  step: c={st.c} b={st.b} k={st.k} regime={st.regime.value} "
           f"r_surface={st.r_surface} r_planar={st.r_planar} "
           f"intersection={st.intersection_dim} l0={st.l0}")
-    print(f"{pad}  planar branches: L({st.planar_leaf.system.degree}, ...) dim "
-          f"{st.planar_leaf.dim}; L({st.planar_hat_leaf.system.degree}, ...) dim "
-          f"{st.planar_hat_leaf.dim}")
+    # the planar branches L(k, m^c) and L(k-1, m^c) are non-special
+    print(f"{pad}  planar branches: L({st.k}, ...) dim {edim(st.planar_vdim)}; "
+          f"L({st.k - 1}, ...) dim {edim(st.planar_hat_vdim)}")
     show(st.surface_node, indent + 1)
     show(st.surface_hat_node, indent + 1)
 

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import click
 
 from .classify import Verdict, classify, verify
-from .core import K3System, edim, point_conditions, vdim_k3
+from .core import DimensionReport, K3System, edim, point_conditions, vdim_k3
 from .degeneration import factor_4_9
 from .oracle import (
     DEFAULT_BUDGET_ROWS,
@@ -115,6 +115,18 @@ def cmd_vdim(gamma, d, m, n):
     click.echo(f"vdim={v} edim={edim(v)}")
 
 
+def _classified(sys_: K3System, assume_base: bool = False) -> DimensionReport:
+    """classify(sys_), looked up at call time so that a wrapper set on this
+    module's `classify` sees it; a usage error when the recursion, one Python
+    frame per level, is deeper than the interpreter's recursion limit."""
+    try:
+        return classify(sys_, assume_base=assume_base)
+    except RecursionError:
+        u, w = factor_4_9(sys_.count)
+        raise click.UsageError(f"n = 4^{u} * 9^{w}: a recursion u + w = {u + w} levels "
+                               "deep does not fit in the interpreter's recursion limit") from None
+
+
 def _report_line(gamma, d, m, n, report) -> str:
     dim = "NA" if report.dim is None else str(report.dim)
     return (
@@ -145,7 +157,7 @@ def cmd_classify(gamma, d, m, n, trace_path, assume_base):
         )
     if trace_path:
         _check_out_dir(trace_path)
-    report = classify(sys_, assume_base=assume_base)
+    report = _classified(sys_, assume_base)
     click.echo(_report_line(gamma, d, m, n, report))
     if trace_path:
         with _replacing(trace_path) as fh:
@@ -266,7 +278,7 @@ def cmd_verify(ctx, gamma, d, m, n, cache_dir):
         raise click.UsageError("verify requires gamma=4 (the oracle is quartic-only)")
     if cache_dir:
         _make_cache_dir(cache_dir)
-    report = classify(sys_)
+    report = _classified(sys_)
     outcome = _verify_with_cache(sys_, report, cfg, cache_dir)
     engine_dim = "NA" if report.dim is None else report.dim
     oracle_dim = "NA" if outcome.oracle_dim is None else outcome.oracle_dim
@@ -293,7 +305,7 @@ def _sweep_row(task: Tuple) -> Tuple[str, str, bool, bool]:
     fields when the oracle is off or skipped."""
     gamma, d, m, n, cfg, oracle_on, cache_dir = task
     sys_ = K3System.homogeneous(gamma, d, m, n)
-    report = classify(sys_)
+    report = _classified(sys_)
     dim = "" if report.dim is None else str(report.dim)
     oracle_dim = ""
     verdict = ""

@@ -37,9 +37,12 @@ search runs per node, whatever d is.
 
 The recursion runs on system keys (gamma, d, m, n), as in K3System.key; each
 distinct key becomes one TraceNode, and one row of the trace's flat node
-table (schema k3fat.trace/2).  The records TraceNode, DegenerationStep and
-PlanarLeaf are named tuples, built without a K3System (`TraceNode.system`
-derives one on demand) and read back by tuple unpacking.  A system with
+table (schema k3fat.trace/2).  The records TraceNode and DegenerationStep
+are named tuples, built without a K3System (`TraceNode.system` derives one
+on demand) and read back by tuple unpacking.  They hold what the recursion
+decides, and the trace rows derive the rest: a node's edim, max(vdim, -1),
+whether it is certified (its dim is not None), and the non-special planar
+branches L(k, m^c) and L(k-1, m^c) from their vdims.  A system with
 u + w = t has about 2^t + 1 distinct nodes, each costing the per-node Python
 overhead once in the recursion and once in the rows of the trace.
 
@@ -73,7 +76,6 @@ from .core import (
     DimensionReport,
     K3System,
     Key,
-    PlanarSystem,
     Status,
     edim,
     k3_vdim_formula,
@@ -106,7 +108,7 @@ _NEG = Regime.NEG
 _BRANCH_OK = (_NONSPECIAL, _CONDITIONAL)
 # Builds a named tuple of class `cls` from the tuple of all its fields, as
 # `cls._make` does, without the Python-level `cls.__new__` that binds them
-# one by one; the recursion builds four records per node this way.
+# one by one; the recursion builds two records per node this way.
 _record = tuple.__new__
 
 
@@ -248,32 +250,15 @@ def _identity_holds(v: int, b: int, k: int, vdims: Tuple[int, int, int, int]) ->
 # Trace records
 
 
-class PlanarLeaf(NamedTuple):
-    """A planar branch L(delta, m^c), key (delta, m, c), resolved by the
-    4-and-9-points non-speciality rule."""
-
-    key: Tuple[int, int, int]
-    vdim: int
-    edim: int
-    dim: int
-    status: Status
-
-    @property
-    def system(self) -> PlanarSystem:
-        return PlanarSystem(*self.key)
-
-
 class TraceNode(NamedTuple):
     """One node of the recursion tree: a system, by its key, with its
     verdict and, for composite systems, the degeneration step that
-    resolved it."""
+    resolved it; its edim is max(vdim, -1)."""
 
     key: Key
     vdim: int
-    edim: int
     dim: Optional[int]
     status: Status
-    certified: bool
     kind: str  # "unconditioned" | "base" | "step" | "failed"
     step: Optional["DegenerationStep"] = None
     note: Optional[str] = None
@@ -284,9 +269,9 @@ class TraceNode(NamedTuple):
 
 
 class DegenerationStep(NamedTuple):
-    """One recursion level: the chosen (c, b, k), the four branches, the
-    restriction dimensions and the combined fiber dimension l0 (None when
-    a surface branch has no certified dimension)."""
+    """One recursion level: the chosen (c, b, k), the surface branch nodes,
+    the vdims of the planar branches L(k, m^c) and L(k-1, m^c), the restriction
+    dimensions and l0 (None when a surface branch has no certified dimension)."""
 
     c: int
     b: int
@@ -294,8 +279,8 @@ class DegenerationStep(NamedTuple):
     regime: Regime
     surface_node: TraceNode
     surface_hat_node: TraceNode
-    planar_leaf: PlanarLeaf
-    planar_hat_leaf: PlanarLeaf
+    planar_vdim: int
+    planar_hat_vdim: int
     r_surface: Optional[int]
     r_planar: Optional[int]
     intersection_dim: Optional[int]
@@ -305,9 +290,9 @@ class DegenerationStep(NamedTuple):
 TRACE_SCHEMA = "k3fat.trace/2"
 
 #: Columns of a node row, all scalars.  "surface" and "surface_hat" are the
-#: ids of the two surface branch nodes; the two planar leaves are inline, as
-#: "planar.*" and "planar_hat.*".  The row of a node without a step stops
-#: after "note".
+#: ids of the two surface branch nodes; the two planar branches are inline,
+#: as "planar.*" and "planar_hat.*", derived from the step's k and planar
+#: vdims.  The row of a node without a step stops after "note".
 TRACE_FIELDS = (
     "gamma", "d", "m", "n", "vdim", "edim", "dim", "status", "certified", "kind", "note",
     "c", "b", "k", "regime", "surface", "surface_hat",
@@ -369,18 +354,19 @@ def _node_rows(nodes: Tuple[TraceNode, ...], ids: Dict[Key, int]) -> Iterator[li
     records are read by tuple unpacking, cheaper than field by field."""
     # A Status or Regime member's JSON string is its `_value_`, the attribute
     # that `.value` reads through a descriptor.
-    for key, vdim, e, dim, status, certified, kind, step, note in nodes:
+    nonspecial = _NONSPECIAL._value_
+    for key, vdim, dim, status, kind, step, note in nodes:
+        e = vdim if vdim > -1 else -1
         if step is None:
-            yield [*key, vdim, e, dim, status._value_, certified, kind, note]
+            yield [*key, vdim, e, dim, status._value_, dim is not None, kind, note]
             continue
-        (c, b, k, regime, node_s, node_sh,
-         ((p_delta, _, _), p_vdim, p_edim, p_dim, p_status),
-         ((ph_delta, _, _), ph_vdim, ph_edim, ph_dim, ph_status),
-         r_s, r_p, intersection, l0) = step
-        yield [*key, vdim, e, dim, status._value_, certified, kind, note,
+        c, b, k, regime, node_s, node_sh, v_p, v_ph, r_s, r_p, intersection, l0 = step
+        e_p = v_p if v_p > -1 else -1
+        e_ph = v_ph if v_ph > -1 else -1
+        yield [*key, vdim, e, dim, status._value_, dim is not None, kind, note,
                c, b, k, regime._value_, ids[node_s[0]], ids[node_sh[0]],
-               p_delta, p_vdim, p_edim, p_dim, p_status._value_,
-               ph_delta, ph_vdim, ph_edim, ph_dim, ph_status._value_,
+               k, v_p, e_p, e_p, nonspecial,
+               k - 1, v_ph, e_ph, e_ph, nonspecial,
                r_s, r_p, intersection, l0]
 
 
@@ -402,19 +388,17 @@ def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]])
     lowers the point count, so no descendant has the key."""
     if len(memo) >= MAX_NODES:
         v = k3_vdim_formula(*key)
-        node = memo[key] = TraceNode(key, v, edim(v), None, _UNKNOWN, False, "failed", None,
+        node = memo[key] = TraceNode(key, v, None, _UNKNOWN, "failed", None,
                                      f"node budget of {MAX_NODES} spent; dimension not certified")
         return node
     gamma, d, m, n = key
     if n == 1:
         rep = base(gamma, d, m)
-        node = memo[key] = TraceNode(key, rep.vdim, rep.edim, rep.dim, rep.status,
-                                     rep.dim is not None, "base")
+        node = memo[key] = TraceNode(key, rep.vdim, rep.dim, rep.status, "base")
         return node
     v = k3_vdim_formula(*key)
-    e = v if v > -1 else -1
     if n == 0:
-        node = memo[key] = TraceNode(key, v, e, v, _NONSPECIAL, True, "unconditioned")
+        node = memo[key] = TraceNode(key, v, v, _NONSPECIAL, "unconditioned")
         return node
     memo[key] = None
     c = 9 if n % 9 == 0 else 4
@@ -425,17 +409,15 @@ def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]])
     key_s, key_sh = (gamma, d, k, b), (gamma, d, k + 1, b)
     node_s = memo.get(key_s) or _resolve(key_s, base, memo)
     node_sh = memo.get(key_sh) or _resolve(key_sh, base, memo)
-    # A planar branch is non-special, so its dimension is its edim.
-    e_p = v_p if v_p > -1 else -1
-    e_ph = v_ph if v_ph > -1 else -1
-    leaf_p = _record(PlanarLeaf, ((k, m, c), v_p, e_p, e_p, _NONSPECIAL))
-    leaf_ph = _record(PlanarLeaf, ((k - 1, m, c), v_ph, e_ph, e_ph, _NONSPECIAL))
 
     l_s, l_sh = node_s.dim, node_sh.dim
     if l_s is None or l_sh is None:
         ok = nonneg = False
         r_s = r_p = intersection = l0 = None
     else:
+        # A planar branch is non-special, so its dimension is its edim.
+        e_p = v_p if v_p > -1 else -1
+        e_ph = v_ph if v_ph > -1 else -1
         r_s, r_p, intersection, l0 = _recombine(l_s, l_sh, e_p, e_ph, b, k)
         status_s, status_sh = node_s.status, node_sh.status
         branch_nonspecial = status_s in _BRANCH_OK and status_sh in _BRANCH_OK
@@ -450,18 +432,19 @@ def _resolve(key: Key, base: BaseResolver, memo: Dict[Key, Optional[TraceNode]])
             or (gamma == 4 and b == 1 and k == 2 * d and (c == 4 or (2 * d) % 3 != 1)
                 and v <= -d and l_s == 0 and l_sh == -1 and v_p <= 2 * d - 1 and v_ph <= -1))
     regime = _NONNEG if v > -1 or nonneg else _NEG
-    step = _record(DegenerationStep, (c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
+    step = _record(DegenerationStep, (c, b, k, regime, node_s, node_sh, v_p, v_ph,
                                       r_s, r_p, intersection, l0))
     if ok:
         # A NONNEG step combines to v, a NEG step to -1: to edim either way.
+        e = v if v > -1 else -1
         if l0 != e:
             raise EngineError(f"{regime._value_} step for {_name(key)} at k={k} "
                               f"combined to l0={l0} != {e}")
         conditional = status_s is _CONDITIONAL or status_sh is _CONDITIONAL
-        node = _record(TraceNode, (key, v, e, e, _CONDITIONAL if conditional else _NONSPECIAL,
-                                   True, "step", step, None))
+        node = _record(TraceNode, (key, v, e, _CONDITIONAL if conditional else _NONSPECIAL,
+                                   "step", step, None))
     else:
-        node = _record(TraceNode, (key, v, e, None, _UNKNOWN, False, "failed", step,
+        node = _record(TraceNode, (key, v, None, _UNKNOWN, "failed", step,
                                    "step side conditions failed; dimension not certified"))
     memo[key] = node
     return node
@@ -481,5 +464,5 @@ def recurse(sys: K3System, base: BaseResolver) -> Tuple[DimensionReport, Degener
     memo: Dict[Key, Optional[TraceNode]] = {}
     node = _resolve(sys.key, base, memo)
     trace = DegenerationTrace(tuple(memo.values()))
-    report = DimensionReport(node.vdim, node.edim, node.dim, node.status, trace=trace)
+    report = DimensionReport(node.vdim, edim(node.vdim), node.dim, node.status, trace=trace)
     return report, trace

@@ -151,6 +151,45 @@ def test_classify_rejects_bad_n(runner):
     assert "4^u * 9^w" in result.output
 
 
+DEEPER_THAN_THE_RECURSION_LIMIT = str(4**1200)
+
+
+@pytest.mark.parametrize("command", [
+    ("classify", "-g", "4", "-d", "10", "-m", "1", "-n", DEEPER_THAN_THE_RECURSION_LIMIT),
+    ("verify", "-g", "4", "-d", "10", "-m", "1", "-n", DEEPER_THAN_THE_RECURSION_LIMIT),
+    ("sweep", "--d-range", "10", "10", "--m-range", "1", "1",
+     "--n-set", DEEPER_THAN_THE_RECURSION_LIMIT),
+], ids=lambda command: command[0])
+def test_recursion_deeper_than_the_limit_is_a_usage_error(runner, tmp_path, command):
+    # 1 200 levels, one Python frame each: exit 2 with one line naming
+    # u + w, not a traceback and exit 1, the code of an oracle disagreement
+    out = tmp_path / "sweep.csv"
+    args = command + (("--out", str(out)) if command[0] == "sweep" else ())
+    result = runner.invoke(main, list(args))
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert ("Error: n = 4^1200 * 9^0: a recursion u + w = 1200 levels deep does not fit "
+            "in the interpreter's recursion limit") in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_commands_call_classify_through_the_module(runner, tmp_path, monkeypatch):
+    # a wrapper set on cli.classify sees every call of classify, verify and sweep
+    calls = []
+
+    def counting(sys_, **kwargs):
+        calls.append(sys_.key)
+        return classify(sys_, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    assert invoke(runner, "classify", "-g", "4", "-d", "2", "-m", "1", "-n", "4").exit_code == 0
+    assert invoke(runner, "--trials", "2", "--prime2", "0",
+                  "verify", "-g", "4", "-d", "1", "-m", "2").exit_code == 0
+    assert invoke(runner, "sweep", "--d-range", "1", "1", "--m-range", "1", "1",
+                  "--n-set", "1", "--out", str(tmp_path / "sweep.csv")).exit_code == 0
+    assert calls == [(4, 2, 1, 4), (4, 1, 2, 1), (4, 1, 1, 1)]
+
+
 def test_verify_agree(runner):
     result = invoke(runner, "--trials", "2", "--prime2", "0",
                     "verify", "--gamma", "4", "-d", "1", "-m", "2", "-n", "1")

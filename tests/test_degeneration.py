@@ -12,7 +12,6 @@ from k3fat.degeneration import (
     EngineError,
     TRACE_FIELDS,
     TRACE_SCHEMA,
-    PlanarLeaf,
     Regime,
     TraceNode,
     _final_k,
@@ -267,7 +266,7 @@ def test_trace_step_combination_matches_regime_targets():
         if rep.status is not Status.NONSPECIAL:
             continue
         for node in _walk_steps(trace.node):
-            if not node.certified:
+            if node.dim is None:
                 continue
             if node.step.regime is Regime.NONNEG:
                 assert node.step.l0 == node.vdim
@@ -382,15 +381,26 @@ def test_trace_json_chunks_encode_one_chunk_of_rows_at_a_time(regime, monkeypatc
 def test_trace_records_are_immutable():
     _, trace = recurse(K3System.homogeneous(4, 2, 2, 4), gamma4_base)
     node = trace.node
-    records = (node, node.step, node.step.planar_leaf)
-    assert [type(r) for r in records] == [TraceNode, DegenerationStep, PlanarLeaf]
-    for record in records:
+    records = (node, node.step)
+    assert [type(r) for r in records] == [TraceNode, DegenerationStep]
+    for record, field in zip(records, ("dim", "planar_vdim")):
         with pytest.raises(AttributeError):
-            record.dim = 7
+            setattr(record, field, 7)
         with pytest.raises(AttributeError):
             record.extra = 7
-    assert node.step.planar_leaf.system.degree == node.step.k
     assert node.system.key == node.key
+
+
+def test_trace_records_hold_only_what_the_recursion_decides():
+    # a node's edim and `certified`, and the planar branches' systems and
+    # dimensions, are derived where they are read, not stored
+    assert TraceNode._fields == ("key", "vdim", "dim", "status", "kind", "step", "note")
+    assert DegenerationStep._fields == (
+        "c", "b", "k", "regime", "surface_node", "surface_hat_node",
+        "planar_vdim", "planar_hat_vdim", "r_surface", "r_planar", "intersection_dim", "l0")
+    _, trace = recurse(K3System.homogeneous(4, 2, 2, 4), gamma4_base)
+    step = trace.node.step
+    assert (step.k, step.planar_vdim, step.planar_hat_vdim) == (4, 2, -3)
 
 
 @pytest.mark.parametrize("regime", sorted(DEEP6))

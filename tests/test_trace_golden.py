@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from k3fat.classify import _assumed_base, _proved_base, classify
-from k3fat.core import K3System
+from k3fat.core import K3System, PlanarSystem, Status, edim, vdim_planar
 from trace_reference import ref_node_order, ref_recurse, reference_dict
 
 DATA = Path(__file__).parent / "data"
@@ -133,6 +133,24 @@ def test_node_table_matches_reference(case):
 def test_node_table_matches_reference_on_grid(gamma):
     for report in _grid(gamma):
         assert_table_matches_reference(report.trace)
+
+
+@pytest.mark.parametrize("gamma", [4, 6, 8])
+def test_planar_columns_match_the_planar_formula_on_grid(gamma):
+    # the planar branches are stored as two vdims; their rows' columns must
+    # be those of L(k, m^c) and L(k-1, m^c) by core's formula
+    steps = 0
+    for report in _grid(gamma):
+        for row in decode(json.loads(report.trace.to_json())):
+            if row.get("c") is None:
+                continue
+            for leaf, delta in (("planar", row["k"]), ("planar_hat", row["k"] - 1)):
+                v = vdim_planar(PlanarSystem(delta, row["m"], row["c"]))
+                assert [row[f"{leaf}.{name}"] for name in
+                        ("delta", "vdim", "edim", "dim", "status")] == \
+                    [delta, v, edim(v), edim(v), Status.NONSPECIAL.value]
+            steps += 1
+    assert steps
 
 
 @pytest.mark.parametrize("gamma", [4, 6, 8])

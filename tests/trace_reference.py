@@ -4,8 +4,10 @@ flat node table of schema k3fat.trace/2.
 `reference_dict(trace)` rebuilds the nested dictionary that the trace
 serialised before the node table: the root carries its system and
 `certified`, every step lists its four branches, and a node shared by
-several steps is expanded again at each of them.  `json.dumps` of it with
-`indent=2` gives the schema-1 `to_json()` bytes.
+several steps is expanded again at each of them.  The two planar branches
+are derived from the step: L(k, m^c) and L(k-1, m^c), non-special, with
+the step's two planar vdims.  `json.dumps` of it with `indent=2` gives the
+schema-1 `to_json()` bytes.
 
 `ref_node_order(root)` walks the tree from the root and lists its distinct
 nodes in DFS preorder, surface branch before surface hat branch: the order
@@ -20,7 +22,7 @@ from typing import Dict
 
 from k3fat import degeneration
 from k3fat.core import Key, Status, edim, k3_vdim_formula
-from k3fat.degeneration import DegenerationStep, EngineError, PlanarLeaf, Regime, TraceNode
+from k3fat.degeneration import DegenerationStep, EngineError, Regime, TraceNode
 from step_reference import ref_branch_vdims, ref_select_k
 
 
@@ -40,7 +42,7 @@ def _ref_resolve(key, base, memo):
         node = _ref_new_node(key, base, memo)
     else:
         v = k3_vdim_formula(*key)
-        node = TraceNode(key, v, edim(v), None, Status.UNKNOWN, False, "failed",
+        node = TraceNode(key, v, None, Status.UNKNOWN, "failed",
                          note=f"node budget of {degeneration.MAX_NODES} spent; "
                               "dimension not certified")
     memo[key] = node
@@ -54,11 +56,10 @@ def _ref_new_node(key, base, memo):
     gamma, d, m, n = key
     if n == 1:
         rep = base(gamma, d, m)
-        return TraceNode(key, rep.vdim, rep.edim, rep.dim, rep.status, rep.dim is not None, "base")
+        return TraceNode(key, rep.vdim, rep.dim, rep.status, "base")
     v = k3_vdim_formula(*key)
-    e = edim(v)
     if n == 0:
-        return TraceNode(key, v, e, v, Status.NONSPECIAL, True, "unconditioned")
+        return TraceNode(key, v, v, Status.NONSPECIAL, "unconditioned")
 
     c = 9 if n % 9 == 0 else 4
     b = n // c
@@ -77,18 +78,17 @@ def _ref_new_node(key, base, memo):
         key_s, key_sh = (gamma, d, k, b), (gamma, d, k + 1, b)
         node_s = memo[key_s] if key_s in memo else _ref_resolve(key_s, base, memo)
         node_sh = memo[key_sh] if key_sh in memo else _ref_resolve(key_sh, base, memo)
-        leaf_p = PlanarLeaf((k, m, c), v_p, edim(v_p), edim(v_p), Status.NONSPECIAL)
-        leaf_ph = PlanarLeaf((k - 1, m, c), v_ph, edim(v_ph), edim(v_ph), Status.NONSPECIAL)
         l_s, l_sh = node_s.dim, node_sh.dim
         if l_s is None or l_sh is None:
-            step = DegenerationStep(c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
+            step = DegenerationStep(c, b, k, regime, node_s, node_sh, v_p, v_ph,
                                     None, None, None, None)
             continue
+        # the planar branches are non-special: dimension edim
         r_s = l_s - l_sh - 1
-        r_p = leaf_p.dim - leaf_ph.dim - 1
+        r_p = edim(v_p) - edim(v_ph) - 1
         intersection = max(-1, r_s + b * r_p - b * k)
-        l0 = intersection + b * (leaf_ph.dim + 1) + l_sh + 1
-        step = DegenerationStep(c, b, k, regime, node_s, node_sh, leaf_p, leaf_ph,
+        l0 = intersection + b * (edim(v_ph) + 1) + l_sh + 1
+        step = DegenerationStep(c, b, k, regime, node_s, node_sh, v_p, v_ph,
                                 r_s, r_p, intersection, l0)
         ok_branches = {node_s.status, node_sh.status} <= {Status.NONSPECIAL, Status.CONDITIONAL}
         if regime is Regime.NONNEG:
@@ -104,11 +104,11 @@ def _ref_new_node(key, base, memo):
                 raise EngineError(f"{regime.value} step for {key} combined to {l0} != {target}")
             conditional = Status.CONDITIONAL in (node_s.status, node_sh.status)
             status = Status.CONDITIONAL if conditional else Status.NONSPECIAL
-            return TraceNode(key, v, e, e, status, True, "step", step)
+            return TraceNode(key, v, edim(v), status, "step", step)
 
     note = ("no admissible matching degree" if step is None
             else "step side conditions failed; dimension not certified")
-    return TraceNode(key, v, e, None, Status.UNKNOWN, False, "failed", step, note)
+    return TraceNode(key, v, None, Status.UNKNOWN, "failed", step, note)
 
 
 def ref_node_order(root):
@@ -123,26 +123,27 @@ def ref_node_order(root):
             continue
         ids[key] = len(order)
         order.append(node)
-        step = node[7]  # node.step
+        step = node.step
         if step is not None:
-            todo += (step[5], step[4])  # surface_hat_node, then surface_node
+            todo += (step.surface_hat_node, step.surface_node)
     return order
 
 
-def _planar_leaf_dict(leaf):
+def _planar_dict(delta, vdim):
+    """The planar branch L(delta, m^c) of vdim `vdim`, non-special."""
     return {
-        "delta": leaf.system.degree,
-        "vdim": leaf.vdim,
-        "edim": leaf.edim,
-        "dim": leaf.dim,
-        "status": leaf.status.value,
+        "delta": delta,
+        "vdim": vdim,
+        "edim": edim(vdim),
+        "dim": edim(vdim),
+        "status": Status.NONSPECIAL.value,
     }
 
 
 def _branch_summary(node):
     out = {
         "vdim": node.vdim,
-        "edim": node.edim,
+        "edim": edim(node.vdim),
         "dim": node.dim,
         "status": node.status.value,
         "kind": node.kind,
@@ -163,8 +164,8 @@ def _step_to_dict(step):
         "branches": {
             "surface": _branch_summary(step.surface_node),
             "surface_hat": _branch_summary(step.surface_hat_node),
-            "planar": _planar_leaf_dict(step.planar_leaf),
-            "planar_hat": _planar_leaf_dict(step.planar_hat_leaf),
+            "planar": _planar_dict(step.k, step.planar_vdim),
+            "planar_hat": _planar_dict(step.k - 1, step.planar_hat_vdim),
         },
         "r_surface": step.r_surface,
         "r_planar": step.r_planar,
@@ -178,10 +179,10 @@ def _node_to_dict(node):
     out = {
         "system": {"gamma": sys.gamma, "d": sys.degree, "m": sys.multiplicity, "n": sys.count},
         "vdim": node.vdim,
-        "edim": node.edim,
+        "edim": edim(node.vdim),
         "dim": node.dim,
         "status": node.status.value,
-        "certified": node.certified,
+        "certified": node.dim is not None,
         "kind": node.kind,
     }
     if node.note:
