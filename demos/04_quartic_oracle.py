@@ -26,11 +26,10 @@ p = cfg.prime
 print("Sampling a quartic with one point of multiplicity 4:")
 instance = sample_quartic_instance((4, 1), p, Random(3))
 pt = instance.points[0]
-print(f"  point (chart x0=1): {pt.affine}")
-print(f"  solved coordinate slot: {pt.solved_slot}, parameters: {pt.param_slots}")
-slots = [slot - 1 for slot in (*pt.param_slots, pt.solved_slot)]
-phi = solve_implicit(instance.affine_poly(), [pt.affine], [slots], 3, p)[0]
-phi[0, 0] = pt.affine[pt.solved_slot - 1]  # phi = z + psi
+print(f"  point (chart x0=1): {pt}")
+print("  solved coordinate slot: 3, parameters: (1, 2)")  # every point's one chart
+phi = solve_implicit(instance.affine_poly(), [pt], 3, p)[0]
+phi[0, 0] = pt[2]  # phi = z + psi
 terms = [(ij, int(phi[ij])) for ij in triangle(3) if phi[ij]][:6]
 print(f"  local series phi (first terms): {terms}")
 

@@ -199,14 +199,14 @@ def _cache_key(d, points, cfg) -> dict:
     }
 
 
-def _cache_lookup(path, key: dict, points) -> Optional[OracleMeasurement]:
-    """The stored measurement of the points (m, n), or None when the file is
-    missing, unreadable, of another schema, made under a different
+def _cache_lookup(path, key: dict) -> Optional[OracleMeasurement]:
+    """The stored measurement of the key's points [[m, n]], or None when the
+    file is missing, unreadable, of another schema, made under a different
     configuration, or not what the key and its trial dims determine:
     trial_dims must be a list of `trials` ints per prime, and the rest what
     OracleMeasurement.from_trials makes of them with the key's prime and the
     system's rows and cols."""
-    m, n = points
+    [(m, n)] = key["points"]
     try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
@@ -248,7 +248,7 @@ def _verify_with_cache(sys_, report, cfg, cache_dir):
     def cached_measure(d, points, cfg):
         key = _cache_key(d, points, cfg)
         path = _cache_path(cache_dir, key)
-        meas = _cache_lookup(path, key, points)
+        meas = _cache_lookup(path, key)
         if meas is None:
             from .oracle import measure_k3_cross_checked
 

@@ -26,7 +26,6 @@ from .config import (
 _SUBMODULE = {
     "ChartSingularError": "series",
     "QuarticSurfaceInstance": "quartic",
-    "SurfacePoint": "quartic",
     "k3_condition_rows": "quartic",
     "measure_k3": "quartic",
     "measure_k3_cross_checked": "quartic",

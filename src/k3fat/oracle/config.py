@@ -10,10 +10,13 @@ polynomial of degree at most deg in the sampled coordinates, a maximal minor
 has degree at most rows * deg, and by Schwartz-Zippel one trial at prime p
 drops rank with probability at most rows * deg / p (a sketch: it assumes
 the generic minor stays nonzero mod p and the points are uniform, while
-the quartic's points are roots of restricted equations).  The measured
-dimension is the minimum over trials and primes, so a dimension that is
-too high needs every trial at both primes to drop rank.  They are evidence,
-not proofs.
+the quartic's points are roots of restricted equations).  Those points
+range over the points of the surface in the chart x0 = 1 where F_z != 0,
+a dense open set: each is a uniform (x1, x2) and a uniform simple root x3
+over it, so any point of that set can be drawn, though a line with k
+roots gives each of them 1/k of its weight.  The measured dimension is
+the minimum over trials and primes, so a dimension that is too high needs
+every trial at both primes to drop rank.  They are evidence, not proofs.
 """
 from __future__ import annotations
 

@@ -39,7 +39,7 @@ def planar_condition_rows(delta: int, points: Tuple[int, int], p: int, rng) -> n
     drawn = {}  # the distinct points in draw order
     while len(drawn) < n:
         drawn[rng.randrange(p), rng.randrange(p)] = None
-    jets = chart_jets(list(drawn), [(0, 1)] * n, delta, m - 1, p)  # [n, role, k, e]
+    jets = chart_jets(list(drawn), delta, m - 1, p)  # [n, role, k, e]
     i, j = np.array(triangle(m - 1), dtype=np.intp).T
     block = jets[:, 0, i][..., a] * jets[:, 1, j][..., b] % p  # [n, (i, j), (a, b)]
     return block.reshape(-1, len(a))

@@ -22,21 +22,30 @@ The sampler redraws a quartic with no pure fourth power, as it redraws the
 zero quartic; a uniform draw gives one with probability p^-4.  So x_v is
 always there, and every trial ranks the same 2d^2 + 2 columns.
 
+Points are drawn in the chart x0 = 1: a uniform (x1, x2) = (a, b), then a
+uniform root z of the restricted quartic r(T) = F(1, a, b, T).  A point
+where z is a multiple root of r, r'(z) = F_z(P) = 0, is redrawn, as is a
+line with no root or a point drawn before; so every point is smooth and
+has the one chart, x3 solved over (x1, x2).  The vertical lines tangent to
+S lie over the branch curve of the projection from (0 : 0 : 0 : 1), of
+degree 12, so a uniform (a, b) is redrawn for this with probability at
+most about 12/p.
+
 The block of conditions at a point P of multiplicity m holds the truncated
 Taylor series of each column monomial restricted along the chart at P: the
 row of s^a t^b, for (a, b) in triangle(m - 1) order, holds its s^a t^b
-coefficient.  With s and t the shifts of the two parameter coordinates and
-z = P_z + psi the solved one, the column x^e restricts to
-(P_s + s)^(e_s) (P_t + t)^(e_t) (P_z + psi)^(e_z).  Series and
-restrictions are one representation, m x m coefficient grids over (a, b)
-(see the series module), with one kernel, `restrict`.  F along the chart
-is sum_e c_e restrict(x^e) over F's own terms, so `solve_implicit` fixes
-psi for a whole run of points of equal multiplicity from that sum, and the
-block of the degree-d columns is `restrict` of those columns with that
-psi.  That solve is the one chart check; every run goes through it, simple
-points at order 0 included, and the sampler only draws.  Every int64 step
-reduces each product of two reduced entries before it adds, also in the
-sum over F's 35 terms, so it stays exact in the arrays of `field_dtype`.
+coefficient.  With s = x1 - P_1, t = x2 - P_2 and z = x3 = P_z + psi, the
+column x^e restricts to (P_1 + s)^(e_1) (P_2 + t)^(e_2) (P_z + psi)^(e_3).
+Series and restrictions are one representation, m x m coefficient grids
+over (a, b) (see the series module), with one kernel, `restrict`.  F along
+the chart is sum_e c_e restrict(x^e) over F's own terms, so
+`solve_implicit` fixes psi for all the points of an instance, which share
+one multiplicity, from that sum, and the block of the degree-d columns is
+`restrict` of those columns with that psi.  That solve checks every point,
+simple points at order 0 included, so a hand-built instance is held to the
+same check as a sampled one.  Every int64 step reduces each product of two
+reduced entries before it adds, also in the sum over F's 35 terms, so it
+stays exact in the arrays of `field_dtype`.
 
 A trial stops drawing points once its conditions reach full column rank.
 Let k = ceil((2d^2 + 2) / (m (m + 1) / 2)), the first point count whose
@@ -58,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -72,7 +81,7 @@ from .config import (
     num_surface_forms,
 )
 from .field import poly_roots, rank_mod_p
-from .series import chart_jets, eval_poly3_scalar, powers, restrict, solve_implicit, triangle
+from .series import chart_jets, powers, restrict, solve_implicit, triangle
 
 _MAX_POINT_ATTEMPTS = 256
 _MAX_SURFACE_ATTEMPTS = 32
@@ -109,49 +118,15 @@ def _dehomogenize(coeffs: Dict[Exponents, int]) -> Dict[Tuple[int, int, int], in
     return {(e1, e2, e3): c for (e0, e1, e2, e3), c in coeffs.items() if c}
 
 
-def _affine_partials(f: Dict[Tuple[int, int, int], int], p: int) -> tuple:
-    """The partials of f along affine slots 1, 2 and 3, at index slot - 1."""
-    partials = ({}, {}, {})
-    for exps, c in f.items():
-        for i, e in enumerate(exps):
-            if e:  # each term of f gives its own term of the partial
-                partials[i][exps[:i] + (e - 1,) + exps[i + 1:]] = e * c % p
-    return partials
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A smooth point of the sampled quartic and its chart.
-
-    Affine coordinates live in the chart x0 = 1.  solved_slot is the affine
-    coordinate (1-based) expressed as a series in the other two, which are
-    the local parameters; the chart requires the partial of F along the
-    solved coordinate to be nonzero at the point (see solve_implicit).
-    """
-
-    affine: Tuple[int, int, int]
-    multiplicity: int
-    solved_slot: int
-
-    @property
-    def param_slots(self) -> Tuple[int, int]:
-        """The two slots other than solved_slot, in increasing order."""
-        return tuple(s for s in (1, 2, 3) if s != self.solved_slot)
-
-
-def _charts(points: Sequence[SurfacePoint]) -> Tuple[list, np.ndarray]:
-    """The points' affine coordinates and 0-based chart slots (s, t, z)."""
-    slots = np.array([(*pt.param_slots, pt.solved_slot) for pt in points]) - 1
-    return [pt.affine for pt in points], slots
-
-
 @dataclass(frozen=True)
 class QuarticSurfaceInstance:
-    """A random quartic over F_p with sampled surface points and local data."""
+    """A random quartic over F_p and sampled surface points, all of one
+    multiplicity, as affine triples (x1, x2, x3) in the chart x0 = 1."""
 
     prime: int
     coefficients: Tuple[Tuple[Exponents, int], ...]
-    points: Tuple[SurfacePoint, ...]
+    multiplicity: int
+    points: Tuple[Tuple[int, int, int], ...]
 
     def affine_poly(self) -> Dict[Tuple[int, int, int], int]:
         return _dehomogenize(dict(self.coefficients))
@@ -170,8 +145,9 @@ class QuarticSurfaceInstance:
         return exps[exps[:, v] <= 3]
 
 
-def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int, int], int]:
-    """One smooth surface point in the chart x0 = 1, with its solved slot."""
+def _sample_point(f_affine, p: int, rng, seen) -> Tuple[int, int, int]:
+    """One surface point (a, b, z) in the chart x0 = 1, not in `seen`, with
+    F_z != 0 there: z is a simple root of F on its vertical line."""
     for _ in range(_MAX_POINT_ATTEMPTS):
         a = rng.randrange(p)
         b = rng.randrange(p)
@@ -190,10 +166,9 @@ def _sample_point(f_affine, partials, p: int, rng, seen) -> Tuple[Tuple[int, int
         point = (a, b, z)
         if point in seen:
             continue
-        tables = (a_pow, b_pow, powers(z, 4, p))
-        solved = next((s for s in (3, 2, 1) if eval_poly3_scalar(partials[s - 1], tables, p)), 0)
-        if solved:  # the largest slot with a nonzero partial; else a singular point: resample
-            return point, solved
+        _, r1, r2, r3, r4 = restricted
+        if (r1 + z * (2 * r2 + z * (3 * r3 + z * 4 * r4))) % p:  # r'(z) = F_z(a, b, z)
+            return point
     raise SamplingError("could not sample a smooth surface point within budget")
 
 
@@ -204,8 +179,7 @@ def sample_quartic_instance(points: Tuple[int, int], p: int, rng) -> QuarticSurf
     The points are drawn one after another from rng, so (m, k) draws the
     first k points of the draw of (m, n) on the same quartic.  A quartic
     with no pure fourth power, the zero one included, is redrawn.  Each z
-    is a root of F on its line, and the solved slot's partial is nonzero
-    there; nothing here checks that, solve_implicit does.
+    is a simple root of F on its line (see _sample_point).
     """
     m, n = points
     for _ in range(_MAX_SURFACE_ATTEMPTS):
@@ -213,17 +187,13 @@ def sample_quartic_instance(points: Tuple[int, int], p: int, rng) -> QuarticSurf
         if not any(coeffs[e] for e in _PURE_POWERS):
             continue
         f_affine = _dehomogenize(coeffs)
-        partials = _affine_partials(f_affine, p)
-        drawn: List[SurfacePoint] = []
-        seen = set()
+        drawn = {}  # the distinct points in draw order
         try:
-            for _ in range(n):
-                affine, solved = _sample_point(f_affine, partials, p, rng, seen)
-                seen.add(affine)
-                drawn.append(SurfacePoint(affine, m, solved))
+            while len(drawn) < n:
+                drawn[_sample_point(f_affine, p, rng, drawn)] = None
         except SamplingError:
             continue
-        return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(drawn))
+        return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), m, tuple(drawn))
     raise SamplingError("could not sample a usable quartic within budget")
 
 
@@ -233,25 +203,19 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     and len() keep working for callers.  An instance with no points has no
     rows.
 
-    The points are one run of one multiplicity, as the sampler draws them;
-    an instance with two multiplicities raises ValueError.  A point's block
-    holds the truncated Taylor series of each column monomial restricted
-    along its chart (see the module docstring), one row per coefficient
-    s^a t^b in triangle order.  Entries are reduced mod p and computed in
-    the dtype `field_dtype(p)` chooses.  The run goes through
-    solve_implicit first, which raises at a point that is no chart.
+    A point's block holds the truncated Taylor series of each column
+    monomial restricted along the chart (see the module docstring), one row
+    per coefficient s^a t^b in triangle order.  Entries are reduced mod p
+    and computed in the dtype `field_dtype(p)` chooses.  The points go
+    through solve_implicit first, which raises at a point that is no chart.
     """
     p = instance.prime
-    exps = instance.column_exponents(d)[:, 1:].T  # exps[slot, column]
+    exps = instance.column_exponents(d)[:, 1:].T  # exps[coordinate, column]
     if not instance.points:
         return []
-    multiplicities = {pt.multiplicity for pt in instance.points}
-    if len(multiplicities) > 1:
-        raise ValueError(f"the points hold multiplicities {sorted(multiplicities)}, not one")
-    order = multiplicities.pop() - 1
-    affine, slots = _charts(instance.points)
-    psi = solve_implicit(instance.affine_poly(), affine, slots, order, p)
-    grid = restrict(psi, chart_jets(affine, slots, d, order, p), exps[slots], p)
+    order = instance.multiplicity - 1
+    psi = solve_implicit(instance.affine_poly(), instance.points, order, p)
+    grid = restrict(psi, chart_jets(instance.points, d, order, p), exps, p)
     a, b = np.array(triangle(order), dtype=np.intp).T
     return list(grid[:, :, a, b].transpose(0, 2, 1).reshape(-1, exps.shape[1]))
 

@@ -4,10 +4,12 @@ tables, and the implicit-function solve, the oracle's one chart check.
 A series of order N in (s, t) is one (N + 1) x (N + 1) grid whose entry
 [a, b] is its s^a t^b coefficient; only the triangle a + b <= N carries
 meaning, and nothing reads the entries above it.  Every array holds a run
-of points at once, the point first.  The chart at a surface point P names
-three affine slots in the roles (s, t, z): s and t are the shifts of the two
-parameter coordinates, and the solved coordinate is the series
-z = phi(s, t) = P_z + psi(s, t), psi without constant term.
+of points at once, the point first.  There is one chart, at every point P:
+the affine coordinates (x1, x2, x3) take the roles (s, t, z), s and t the
+shifts of x1 and x2, and x3 is the series z = phi(s, t) = P_z + psi(s, t),
+psi without constant term.  It needs F_z(P) != 0, which the quartic
+sampler ensures by redrawing a point where z is a multiple root of F on its
+vertical line.
 
 `chart_jets` is the one jet table, for the quartic and the planar rows: row
 k of a coordinate x holds C(e, k) x^(e - k), the s^k coefficient of (x + s)^e.
@@ -26,7 +28,7 @@ F_z(P) psi_D plus the same part with psi_D = 0, so
 psi_D = -[sum_e c_e restrict(x^e)]_D / F_z(P), computed on the
 (D + 1) x (D + 1) corner alone.  First it checks F(P) = 0 and F_z(P) != 0
 at every point, at order 0 too, so no condition row is built at a point
-that it has not checked, whoever drew it (the quartic sampler only draws).
+that it has not checked, whoever drew it.
 
 On int64 (p <= isqrt(2^63), see `field_dtype`) every step stays exact.
 Every entry is reduced; a shift-and-add step adds one product of two
@@ -58,17 +60,6 @@ def powers(x: int, top: int, p: int) -> List[int]:
     return out
 
 
-def eval_poly3_scalar(coeffs: Mapping[Tuple[int, int, int], int], tables, p: int) -> int:
-    """The value mod p of a trivariate polynomial at a point, read from the
-    point's three power tables (`powers` of each coordinate, each reaching
-    the largest exponent of its variable)."""
-    t1, t2, t3 = tables
-    acc = 0
-    for (e1, e2, e3), c in coeffs.items():
-        acc += c * t1[e1] * t2[e2] * t3[e3]
-    return acc % p
-
-
 @lru_cache(maxsize=64)
 def triangle(order: int) -> Tuple[Tuple[int, int], ...]:
     """Exponent pairs (i, j) with i + j <= order, in lexicographic order: the
@@ -88,14 +79,15 @@ def _jet_pattern(top: int, kmax: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
     return binom, shift
 
 
-def chart_jets(points, slots, top: int, kmax: int, p: int) -> np.ndarray:
+def chart_jets(points, top: int, kmax: int, p: int) -> np.ndarray:
     """jets[n, role, k, e]: the s^k coefficient C(e, k) x^(e - k) of
     (x + s)^e mod p, zero if e < k, for k = 0..kmax, e = 0..top and x the
-    coordinate of points[n] in slot slots[n][role], for the whole run at
-    once: the power tables grow one column per step, and each entry is a
-    reduced binomial times a reduced power, reduced."""
+    coordinate `role` of points[n] (triples on the quartic, pairs in the
+    plane), for the whole run at once: the power tables grow one column per
+    step, and each entry is a reduced binomial times a reduced power,
+    reduced."""
     dtype = field_dtype(p)
-    x = np.take_along_axis(np.array(points, dtype=dtype), np.asarray(slots), axis=1) % p
+    x = np.array(points, dtype=dtype) % p
     table = np.ones(x.shape + (top + 1,), dtype=dtype)  # [n, role, e]: x^e
     for e in range(1, top + 1):
         table[..., e] = table[..., e - 1] * x % p
@@ -121,29 +113,28 @@ def _times_psi(x: np.ndarray, psi: np.ndarray, low: int, p: int) -> np.ndarray:
 
 
 def restrict(psi: np.ndarray, jets: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
-    """The monomials x^e restricted along each point's chart, as grids.
+    """The monomials x^e restricted along the chart at each point, as grids.
 
     psi[n] is the (N + 1) x (N + 1) grid of point n's psi, jets[n] its jet
-    tables in role order (chart_jets) with rows 0..N at least and a column
-    for every exponent, and exps[n, role, c] the exponents of monomial c in
-    role order.  Entry [n, c, a, b] of the result is the s^a t^b coefficient
+    tables (chart_jets) with rows 0..N at least and a column for every
+    exponent, and exps[role, c] the exponents of monomial c, shared by the
+    whole run.  Entry [n, c, a, b] of the result is the s^a t^b coefficient
     of (P_s + s)^(e_s) (P_t + t)^(e_t) (P_z + psi)^(e_z) for a + b <= N.
     """
     order = psi.shape[1] - 1
-    n = np.arange(len(psi))[:, None]
     phi = np.zeros((len(psi), jets.shape[3], order + 1, order + 1), dtype=psi.dtype)
     phi[:, :, 0, 0] = jets[:, 2, 0]  # phi[n, e, a, b]: psi^0 = 1 times the z jet's row 0
-    for k in range(1, min(int(exps[:, 2].max(initial=0)), order) + 1):
+    for k in range(1, min(int(exps[2].max(initial=0)), order) + 1):
         power = _times_psi(power, psi, k - 1, p) if k > 1 else psi
         phi += jets[:, 2, k, :, None, None] * power[:, None]
         phi %= p
-    grid = phi[n, exps[:, 2]]  # [n, c, a, b]
+    grid = phi[:, exps[2]]  # [n, c, a, b]
     for role in (0, 1):  # times (P_s + s)^e_s along a, then (P_t + t)^e_t along b
-        jet = jets[n, role, :, exps[:, role]]  # [n, c, i]
-        out = grid * jet[:, :, 0, None, None] % p
+        jet = jets[:, role][..., exps[role]]  # [n, i, c]
+        out = grid * jet[:, 0, :, None, None] % p
         for i in range(1, order + 1):  # only a + b <= order is ever read
             w = order + 1 - i
-            step = grid[:, :, :w, :w] * jet[:, :, i, None, None]
+            step = grid[:, :, :w, :w] * jet[:, i, :, None, None]
             step += out[:, :, i:, :w]
             step %= p
             out[:, :, i:, :w] = step
@@ -154,7 +145,6 @@ def restrict(psi: np.ndarray, jets: np.ndarray, exps: np.ndarray, p: int) -> np.
 def solve_implicit(
     coeffs: Mapping[Tuple[int, int, int], int],
     points: Sequence[Tuple[int, int, int]],
-    slots,
     order: int,
     p: int,
 ) -> np.ndarray:
@@ -162,19 +152,18 @@ def solve_implicit(
     at (0, 0) and above the triangle, with f(P_s + s, P_t + t, P_z + psi) = 0
     mod total degree > order.
 
-    f is a trivariate polynomial keyed by exponents in slot order, points[n]
-    a zero of f, and slots[n] its chart's (s, t, z) slots, 0-based.  Raises
-    ChartSingularError when f_z vanishes at a point and ValueError when f
-    does not vanish there, at order 0 too, where psi is all zero and is
-    returned after these two checks; above order 0, psi_D is fixed degree by
-    degree (see the module docstring), and the full residual is checked at
-    the end.
+    f is a trivariate polynomial keyed by exponents (e1, e2, e3) of
+    (x1, x2, x3) and points[n] a zero of f, with z = x3 solved over
+    s = x1 - P_1 and t = x2 - P_2.  Raises ChartSingularError when f_z
+    vanishes at a point and ValueError when f does not vanish there, at
+    order 0 too, where psi is all zero and is returned after these two
+    checks; above order 0, psi_D is fixed degree by degree (see the module
+    docstring), and the full residual is checked at the end.
     """
     dtype = field_dtype(p)
-    slots = np.asarray(slots)
     c = np.array([v % p for v in coeffs.values()], dtype=dtype)
-    exps = np.array(list(coeffs), dtype=np.intp).T[slots]  # [n, role, term]
-    jets = chart_jets(points, slots, int(exps.max()), max(order, 1), p)
+    exps = np.array(list(coeffs), dtype=np.intp).T  # [role, term]
+    jets = chart_jets(points, int(exps.max()), max(order, 1), p)
 
     def along_f(values):  # sum_e c_e values[..., e], each product reduced first
         return (values * c % p).sum(axis=-1) % p
@@ -182,12 +171,10 @@ def solve_implicit(
     def residual(psi):  # f along the chart, [n, a, b]
         return along_f(restrict(psi, jets, exps, p).transpose(0, 2, 3, 1))
 
-    n = np.arange(len(slots))[:, None]
-
     def at_point(z_row):  # sum_e c_e P_s^(e_s) P_t^(e_t) jet_z[z_row][e_z]
-        values = jets[n, 2, z_row, exps[:, 2]]
+        values = jets[:, 2, z_row][:, exps[2]]
         for role in (0, 1):
-            values = values * jets[n, role, 0, exps[:, role]] % p
+            values = values * jets[:, role, 0][:, exps[role]] % p
         return along_f(values)
 
     fz = at_point(1)
@@ -196,7 +183,7 @@ def solve_implicit(
     if at_point(0).any():
         raise ValueError("the polynomial does not vanish at the expansion point")
 
-    psi = np.zeros((len(slots), order + 1, order + 1), dtype=dtype)
+    psi = np.zeros((len(points), order + 1, order + 1), dtype=dtype)
     if order == 0:  # the residual's one term is f(P), checked above
         return psi
     neg_inv = np.array([p - inverse_mod(int(v), p) for v in fz], dtype=dtype)[:, None]

@@ -19,14 +19,21 @@ trailing columns.  `ref_poly_roots` finds roots with generic list
 arithmetic and right-to-left powering, and `ref_sample_quartic_instance`
 draws a quartic and its points with it; it redraws only the zero quartic,
 where the oracle also redraws one with no pure fourth power (probability
-p^-4).  `ref_measure_k3` is the trial loop that samples, with that sampler,
-and ranks every point of the system, with its one budget check made before
-it samples; the oracle stops a trial once its rows reach full column rank.
+p^-4).  It keeps the seed's chart rule: a point is accepted when any
+partial of F is nonzero there, and solves for the largest coordinate whose
+partial is, where the oracle redraws every point with F_z = 0 and solves
+for x3.  So it returns its own point records, `RefPoint`, with the slot it
+chose, and `RefInstance.oracle_instance` is the oracle's record of the
+same draw when every slot is 3.  `ref_measure_k3` is the trial loop that
+samples, with that sampler, and ranks every point of the system, with its
+one budget check made before it samples; the oracle stops a trial once its
+rows reach full column rank.
 The sampler, the plane rows and the trial loop take a tuple of (m, n)
 groups, as the seed did: ((m, n),) is the oracle's system (m, n), and ()
 has no points.  All of them are kept verbatim in behaviour, and the tests
 compare the oracle with them.
 """
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +44,6 @@ from k3fat.oracle.config import BudgetExceededError, OracleMeasurement, Sampling
 from k3fat.oracle.field import field_dtype, inverse_mod, rank_mod_p
 from k3fat.oracle.quartic import (
     QuarticSurfaceInstance,
-    SurfacePoint,
     _dehomogenize,
     k3_condition_rows,
     monomial_exponents,
@@ -114,13 +120,9 @@ def ref_k3_condition_rows(d: int, instance) -> List[List[int]]:
     dtype = field_dtype(p)
     exps = np.array(monomial_exponents(d), dtype=np.int64)[:, 1:].T
     rows: List[List[int]] = []
+    order = instance.multiplicity - 1
     for pt in instance.points:
-        order = pt.multiplicity - 1
-        sa, sb = pt.param_slots
-        jet_a, jet_b, jet_c = (
-            _jet_factors(pt.affine[slot - 1], exps[slot - 1], d, order, p, dtype)
-            for slot in (sa, sb, pt.solved_slot)
-        )
+        jet_a, jet_b, jet_c = (_jet_factors(x, e, d, order, p, dtype) for x, e in zip(pt, exps))
         psi = (0, *ref_series_at(instance, pt)[1:]) if order else (0,)
         block = [0] * len(psi)
         for i, j, k, entries in _substitution(psi, order, p):
@@ -273,6 +275,38 @@ def _ref_partial(f_affine, slot, p):
     return out
 
 
+@dataclass(frozen=True)
+class RefPoint:
+    """A point the reference sampler drew, and the 1-based slot of the
+    coordinate its chart solves for."""
+
+    affine: Tuple[int, int, int]
+    multiplicity: int
+    solved_slot: int
+
+
+@dataclass(frozen=True)
+class RefInstance:
+    """A quartic and the points the reference sampler drew on it."""
+
+    prime: int
+    coefficients: tuple
+    points: Tuple[RefPoint, ...]
+
+    def oracle_instance(self) -> QuarticSurfaceInstance:
+        """The same draw as the oracle records it, x3 solved at every point;
+        a point solved along another slot, or two multiplicities, raise
+        ValueError: the oracle would have drawn differently."""
+        slots = {pt.solved_slot for pt in self.points}
+        if slots - {3}:
+            raise ValueError(f"the reference solved along slots {sorted(slots)}")
+        multiplicities = {pt.multiplicity for pt in self.points} or {0}
+        if len(multiplicities) > 1:
+            raise ValueError(f"the points hold multiplicities {sorted(multiplicities)}")
+        return QuarticSurfaceInstance(self.prime, self.coefficients, multiplicities.pop(),
+                                      tuple(pt.affine for pt in self.points))
+
+
 def _ref_sample_point(f_affine, p, rng, seen):
     partials = {slot: _ref_partial(f_affine, slot, p) for slot in (1, 2, 3)}
     for _ in range(256):
@@ -308,8 +342,8 @@ def ref_sample_quartic_instance(groups, p, rng):
                 for _ in range(count):
                     affine, solved = _ref_sample_point(f_affine, p, rng, seen)
                     seen.add(affine)
-                    points.append(SurfacePoint(affine, m, solved))
-            return QuarticSurfaceInstance(p, tuple(sorted(coeffs.items())), tuple(points))
+                    points.append(RefPoint(affine, m, solved))
+            return RefInstance(p, tuple(sorted(coeffs.items())), tuple(points))
         except SamplingError:
             continue
     raise SamplingError("could not sample a usable quartic within budget")
@@ -332,7 +366,7 @@ def ref_measure_k3(d: int, groups, cfg, prime: int = 0) -> OracleMeasurement:
     trial_dims = []
     for trial in range(cfg.trials):
         rng = derived_rng(cfg.seed, "k3", p, d, groups, trial)
-        instance = ref_sample_quartic_instance(groups, p, rng)
+        instance = ref_sample_quartic_instance(groups, p, rng).oracle_instance()
         rows = k3_condition_rows(d, instance)
         rank = rank_mod_p(rows, p) if rows else 0
         trial_dims.append(ncols - rank - 1)

@@ -188,17 +188,10 @@ def ref_solve_implicit(coeffs, p1, p2, p3, order, p):
 
 
 def ref_series_at(instance, pt):
-    """The local series of the chart at a sampled point, to order
-    multiplicity - 1: the quartic set to x0 = 1, its exponents ordered as
-    (parameter, parameter, solved coordinate), solved by ref_solve_implicit."""
-    a, b = (slot for slot in (1, 2, 3) if slot != pt.solved_slot)
-    axes = (a - 1, b - 1, pt.solved_slot - 1)
-    f = {}
-    for (_, *exps), c in instance.coefficients:
-        if c % instance.prime:
-            f[tuple(exps[i] for i in axes)] = c
-    return ref_solve_implicit(f, *(pt.affine[i] for i in axes),
-                              pt.multiplicity - 1, instance.prime)
+    """The local series x3 = phi(x1, x2) at a point of an instance, to order
+    multiplicity - 1: the quartic set to x0 = 1, solved by ref_solve_implicit."""
+    f = {tuple(exps): c for (_, *exps), c in instance.coefficients if c % instance.prime}
+    return ref_solve_implicit(f, *pt, instance.multiplicity - 1, instance.prime)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_engine_path_loads_no_numpy():
     found = json.loads(result.stdout.strip().splitlines()[-1])
     assert found["loaded"] == []
     assert set(found["lazy"]) == {
-        "ChartSingularError", "QuarticSurfaceInstance", "SurfacePoint", "k3_condition_rows",
+        "ChartSingularError", "QuarticSurfaceInstance", "k3_condition_rows",
         "measure_k3", "measure_k3_cross_checked", "measure_planar", "monomial_exponents",
         "planar_condition_rows", "poly_roots", "rank_mod_p", "sample_quartic_instance",
         "solve_implicit"}

@@ -21,9 +21,13 @@ seed's tuple of groups, and the tests hand them ((m, n),), or () for no
 points, the tuple that also tags each trial's random stream.
 The sampler redraws a quartic with no pure fourth power, which the seed
 kept; a uniform draw gives one with probability p^-4, and a generator that
-forces one is tested against the stream it then continues.
+forces one is tested against the stream it then continues.  It also redraws
+a point where F_z = 0, which the seed kept when another partial was
+nonzero, and solved along that coordinate; on every stream below the seed's
+sampler solves for x3 at every point, so both draw the same points.
 """
 from dataclasses import replace
+from functools import partial
 from math import comb, factorial
 from random import Random
 from typing import List
@@ -34,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_reference import (
     _ref_mul,
+    _ref_sample_point,
     ref_k3_condition_rows,
     ref_measure_k3,
     ref_planar_condition_rows,
@@ -59,6 +64,7 @@ from k3fat.oracle.config import (
     DEFAULT_PRIME2,
     BudgetExceededError,
     PrimeFieldConfig,
+    derived_rng,
 )
 from k3fat.oracle.field import field_dtype, inverse_mod, poly_roots, rank_mod_p
 from k3fat.oracle.quartic import (
@@ -122,24 +128,21 @@ def ref_rank_mod_p(matrix, p):
 def ref_condition_rows(d, instance) -> List[List[int]]:
     p = instance.prime
     columns = monomial_exponents(d)
+    order = instance.multiplicity - 1
     rows = []
     for pt in instance.points:
-        if pt.multiplicity == 1:
-            x1, x2, x3 = ([pow(a, e, p) for e in range(d + 1)] for a in pt.affine)
+        if order == 0:
+            x1, x2, x3 = ([pow(a, e, p) for e in range(d + 1)] for a in pt)
             rows.append([x1[e1] * x2[e2] % p * x3[e3] % p for (_, e1, e2, e3) in columns])
             continue
-        order = pt.multiplicity - 1
-        sa, sb = pt.param_slots
         phi = ref_series_at(instance, pt)
-        var_series = {
-            sa: Series2.linear(p, order, pt.affine[sa - 1], 1, 0),
-            sb: Series2.linear(p, order, pt.affine[sb - 1], 0, 1),
-            pt.solved_slot: from_dense(p, order, phi),
-        }
-        tables = {slot: power_table(var_series[slot], d) for slot in (1, 2, 3)}
+        var_series = (Series2.linear(p, order, pt[0], 1, 0),
+                      Series2.linear(p, order, pt[1], 0, 1),
+                      from_dense(p, order, phi))
+        t1, t2, t3 = (power_table(series, d) for series in var_series)
         block = [[0] * len(columns) for _ in phi]
         for col, (_, e1, e2, e3) in enumerate(columns):
-            values = to_dense(tables[1][e1] * tables[2][e2] * tables[3][e3])
+            values = to_dense(t1[e1] * t2[e2] * t3[e3])
             for r, c in enumerate(values):
                 block[r][col] = c
         rows.extend(block)
@@ -234,17 +237,16 @@ def _outcome(solver, *args):
         return type(exc)
 
 
-def grid_solve(f, points, slots, order, p):
+def grid_solve(f, points, order, p):
     """solve_implicit on a run, each point's phi = P_z + psi handed over as
     a dense tuple in triangle order."""
-    psi = solve_implicit(f, points, slots, order, p)
-    return [tuple(int(psi[n, i, j]) + (pt[roles[2]] if i + j == 0 else 0)
-                  for i, j in triangle(order))
-            for n, (pt, roles) in enumerate(zip(points, slots))]
+    psi = solve_implicit(f, points, order, p)
+    return [tuple(int(psi[n, i, j]) + (pt[2] if i + j == 0 else 0) for i, j in triangle(order))
+            for n, pt in enumerate(points)]
 
 
 def grid_solve_at(f, p1, p2, p3, order, p):
-    return grid_solve(f, [(p1, p2, p3)], [(0, 1, 2)], order, p)[0]
+    return grid_solve(f, [(p1, p2, p3)], order, p)[0]
 
 
 @given(implicit_problems())
@@ -256,37 +258,39 @@ def test_solve_implicit_matches_reference(problem):
     assert _outcome(grid_solve_at, f, p1, p2, p3, order, p) == expected
 
 
-def oriented(f, slots):
-    """f with its exponents read in the chart's role order (s, t, z)."""
-    return {tuple(e[slot] for slot in slots): c for e, c in f.items()}
+def oriented(f, roles):
+    """f with its coordinates permuted: coordinate k of the result is
+    coordinate roles[k] of f."""
+    return {tuple(e[slot] for slot in roles): c for e, c in f.items()}
 
 
 @given(st.sampled_from(ORACLE_PRIMES), st.integers(min_value=0, max_value=2**32),
        st.lists(st.permutations((0, 1, 2)), min_size=2, max_size=5),
        st.integers(min_value=1, max_value=8))
 @settings(max_examples=25, deadline=None)
-def test_solve_implicit_on_a_run_with_mixed_charts(p, seed, charts, order):
-    # points of one quartic, each solved along a slot of its own (a random
-    # point's three partials are all nonzero), s and t in either order
+def test_solve_implicit_on_runs_with_permuted_coordinates(p, seed, charts, order):
+    # the points of one quartic as a run, f and every point permuted alike
+    # by each chart, so that each coordinate is solved over the other two
+    # in either order (a random point's three partials are all nonzero);
+    # point n is checked in chart n
     instance = sample_quartic_instance((1, len(charts)), p, Random(seed))
     f = instance.affine_poly()
-    points = [pt.affine for pt in instance.points]
-    solved = grid_solve(f, points, charts, order, p)
-    for phi, pt, roles in zip(solved, points, charts):
-        args = (oriented(f, roles), *(pt[slot] for slot in roles), order, p)
-        assert phi == ref_solve_implicit(*args) == triangle_solve_implicit(*args)
+    for n, roles in enumerate(charts):
+        g = oriented(f, roles)
+        points = [tuple(pt[slot] for slot in roles) for pt in instance.points]
+        args = (g, *points[n], order, p)
+        assert grid_solve(g, points, order, p)[n] == ref_solve_implicit(*args) == \
+            triangle_solve_implicit(*args)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES[:2])
 def test_solve_implicit_at_order_30(p):
     # far above the orders drawn above, on the int64 path
     instance = sample_quartic_instance((31, 1), p, Random(p))
-    pt = instance.points[0]
-    roles = [slot - 1 for slot in (*pt.param_slots, pt.solved_slot)]
+    (pt,) = instance.points
     f = instance.affine_poly()
-    args = (oriented(f, roles), *(pt.affine[slot] for slot in roles), 30, p)
-    phi = grid_solve(f, [pt.affine], [roles], 30, p)[0]
-    assert phi == triangle_solve_implicit(*args) == ref_solve_implicit(*args)
+    phi = grid_solve(f, [pt], 30, p)[0]
+    assert phi == triangle_solve_implicit(f, *pt, 30, p) == ref_solve_implicit(f, *pt, 30, p)
 
 
 def pair(groups):
@@ -307,8 +311,19 @@ def point_pairs(max_count):
 def test_sample_quartic_instance_matches_reference_and_rng_stream(p, points, seed):
     new_rng, ref_rng = Random(seed), Random(seed)
     assert sample_quartic_instance(points, p, new_rng) == \
-        ref_sample_quartic_instance((points,), p, ref_rng)
+        ref_sample_quartic_instance((points,), p, ref_rng).oracle_instance()
     assert new_rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_a_multiple_root_is_redrawn_though_another_partial_is_nonzero(p):
+    # f = z^2 - x on the line x = 0: z = 0 is a double root, where f_z = 0
+    # but f_x = -1.  The seed's sampler took that point, solving for x; the
+    # oracle draws another line, and the point it returns has f_z != 0
+    f = {(0, 0, 2): 1, (1, 0, 0): p - 1}
+    assert _ref_sample_point(f, p, ScriptedShifts(11, [0, 5]), set()) == ((0, 5, 0), 1)
+    a, b, z = quartic._sample_point(f, p, ScriptedShifts(11, [0, 5]), {})
+    assert (a, b) != (0, 5) and z * z % p == a and 2 * z % p
 
 
 def kept_columns(d, instance):
@@ -330,8 +345,11 @@ def test_condition_rows_match_reference(p, points, d, seed):
     assert rows.tolist() == [[row[n] for n in keep] for row in full]
 
 
+HIGH_MULTIPLICITY = ((6, ((12, 1),)), (7, ((8, 2),)), (7, ((5, 3),)))
+
+
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
-@pytest.mark.parametrize("d, groups", [(6, ((12, 1),)), (7, ((8, 2),)), (7, ((5, 3),))])
+@pytest.mark.parametrize("d, groups", HIGH_MULTIPLICITY)
 def test_condition_rows_match_reference_at_high_multiplicity(p, d, groups):
     # orders 11, 7 and 4: above the orders the hypothesis test draws, on
     # the int64 and object paths alike
@@ -355,6 +373,14 @@ class NoPurePowers(Random):
         value = super().randrange(*args)
         self.draws += 1
         return 0 if self.draws - 1 in self.PURE else value
+
+
+def after_a_quartic(seed, p):
+    """Random(seed) once it has drawn the 35 coefficients of a quartic."""
+    rng = Random(seed)
+    for _ in monomial_exponents(4):
+        rng.randrange(p)
+    return rng
 
 
 def full_column_dim(d, instance):
@@ -384,9 +410,7 @@ def test_a_quartic_without_pure_powers_is_redrawn(p):
     # the first 35 draws are a quartic with no pure fourth power: the
     # sampler draws a second one from the stream, as a plain generator
     # that has made 35 draws does
-    forced, plain = NoPurePowers(5), Random(5)
-    for _ in monomial_exponents(4):
-        plain.randrange(p)
+    forced, plain = NoPurePowers(5), after_a_quartic(5, p)
     instance = sample_quartic_instance((2, 9), p, forced)
     assert instance == sample_quartic_instance((2, 9), p, plain)
     assert forced.getstate() == plain.getstate()
@@ -484,11 +508,11 @@ class Draws:
 
         def counting_sample(*args):
             point = sample(*args)
-            self.sampled.append(point[0])
+            self.sampled.append(point)
             return point
 
-        def recording_solve(f, points, slots, order, p):
-            psi = solve(f, points, slots, order, p)
+        def recording_solve(f, points, order, p):
+            psi = solve(f, points, order, p)
             self.checked.update(map(tuple, points))
             return psi
 
@@ -509,11 +533,14 @@ def test_stopped_trials_match_the_full_trial_loop(monkeypatch, p, d, groups, k):
     assert measured.rows == sum(n * m * (m + 1) // 2 for m, n in groups)
 
 
-@pytest.mark.parametrize("d, groups, ranks_per_trial", [
+FULL_DRAW_SYSTEMS = (
     (3, ((6, 4),), 2),  # the prefix L^4(3, 6^1) is the wall: rank 19 of 20
     (11, ((2, 64),), 1),  # 192 conditions on 244 columns never reach the stop
     (2, ((5, 1),), 1),  # 15 conditions on 10 columns, but no point left to draw
-])
+)
+
+
+@pytest.mark.parametrize("d, groups, ranks_per_trial", FULL_DRAW_SYSTEMS)
 def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_per_trial):
     cfg = PrimeFieldConfig(prime2=None)
     draws = Draws(monkeypatch)
@@ -547,6 +574,44 @@ def test_cut_groups_draw_the_prefix_of_the_full_draw(p):
         prefix = sample_quartic_instance((3, k), p, Random(p))
         assert prefix.coefficients == full.coefficients
         assert prefix.points == full.points[:k]
+
+
+def pinned_streams():
+    """(points, p, a maker of the generator) for every fixed stream that the
+    oracle in the tests of this file draws a quartic instance from: the
+    seeded generators, and each trial's derived one, as far as the trial
+    draws it (k points when it stops, else all n).  A draw of n points
+    stands for its prefixes, the draws of its first k points."""
+    streams = [((31, 1), p, partial(Random, p)) for p in ORACLE_PRIMES[:2]]
+    for p in ORACLE_PRIMES:
+        streams += [(pair(groups), p, partial(Random, d)) for d, groups in HIGH_MULTIPLICITY]
+        streams.append(((3, 7), p, partial(Random, p)))  # and its prefixes (3, k)
+    streams += [((2, 9), p, partial(after_a_quartic, 5, p))
+                for p in (DEFAULT_PRIME, DEFAULT_PRIME2, 2**61 - 1)]
+    streams.append(((2, 3), DEFAULT_PRIME, partial(after_a_quartic, 1, DEFAULT_PRIME)))
+    measured = [(p, d, groups, (groups[0][0], k), 3)
+                for p in ORACLE_PRIMES for d, groups, k in STOPPING_SYSTEMS]
+    measured += [(DEFAULT_PRIME, d, groups, pair(groups), 3) for d, groups, _ in FULL_DRAW_SYSTEMS]
+    measured += [(DEFAULT_PRIME, d, groups, pair(groups), 2)
+                 for d, groups in ((2, ((2, 4),)), (3, ((6, 4),)), (2, ()))]
+    for p, d, groups, points, trials in measured:
+        streams += [(points, p, partial(derived_rng, 1, "k3", p, d, groups, trial))
+                    for trial in range(trials)]
+    return streams
+
+
+def test_the_seed_sampler_solves_for_x3_on_every_pinned_stream():
+    # the seed's sampler kept a point with F_z = 0 and another partial
+    # nonzero, solved along that coordinate; the oracle redraws it.  On
+    # every pinned stream no such point comes up: the seed solves for x3 at
+    # every point, and both samplers draw the same instance and leave the
+    # generator in the same state
+    for points, p, stream in pinned_streams():
+        new_rng, ref_rng = stream(), stream()
+        ref = ref_sample_quartic_instance((points,) if points[1] else (), p, ref_rng)
+        assert {pt.solved_slot for pt in ref.points} <= {3}, (points, p)
+        assert sample_quartic_instance(points, p, new_rng) == ref.oracle_instance()
+        assert new_rng.getstate() == ref_rng.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import permutations
 from math import comb, prod
 from random import Random
 
@@ -19,7 +20,6 @@ from k3fat.oracle import (
     solve_implicit,
 )
 from k3fat.oracle.field import field_dtype
-from k3fat.oracle.quartic import SurfacePoint
 from k3fat.oracle.series import ChartSingularError
 
 P = 2**31 - 1
@@ -97,23 +97,24 @@ def test_semicontinuity_in_trials():
 def test_instance_invariants():
     rng = Random(12)
     instance = sample_quartic_instance((3, 5), P, rng)
-    assert len(instance.points) == 5
-    assert len({pt.affine for pt in instance.points}) == 5
-    for pt in instance.points:
-        assert pt.multiplicity == 3 and pt.solved_slot in (1, 2, 3)
-        assert sorted((*pt.param_slots, pt.solved_slot)) == [1, 2, 3]
-        assert list(pt.param_slots) == sorted(pt.param_slots)
+    assert instance.multiplicity == 3 and len(instance.points) == 5
+    assert len(set(instance.points)) == 5
+    f = instance.affine_poly()
+    for x, y, z in instance.points:  # on the surface, with a nonzero partial along x3
+        assert sum(c * pow(x, i, P) * pow(y, j, P) * pow(z, k, P)
+                   for (i, j, k), c in f.items()) % P == 0
+        assert sum(k * c * pow(x, i, P) * pow(y, j, P) * pow(z, k - 1, P)
+                   for (i, j, k), c in f.items() if k) % P
     # a run of two triple points: psi on 3 x 3 grids, zero at (0, 0) and
     # above the triangle a + b <= 2
-    run = instance.points[:2]
-    slots = [[slot - 1 for slot in (*pt.param_slots, pt.solved_slot)] for pt in run]
-    psi = solve_implicit(instance.affine_poly(), [pt.affine for pt in run], slots, 2, P)
+    psi = solve_implicit(f, instance.points[:2], 2, P)
     assert psi.shape == (2, 3, 3)
     assert not psi[:, 0, 0].any() and not (psi[:, 1:, 1:] * [[0, 1], [1, 1]]).any()
 
     rows = k3_condition_rows(2, instance)
     assert len(rows) == 5 * 6
     assert len(instance.coefficients) == 35
+    assert k3_condition_rows(2, replace(instance, points=())) == []
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -121,9 +122,8 @@ def test_rows_refuse_a_simple_point_off_the_surface(p):
     # the third simple point one step off F along z: runs of simple points
     # go through the same chart check as runs of fat points
     instance = sample_quartic_instance((1, 3), p, Random(5))
-    pt = instance.points[2]
-    moved = SurfacePoint((*pt.affine[:2], (pt.affine[2] + 1) % p), 1, pt.solved_slot)
-    bad = replace(instance, points=instance.points[:2] + (moved,))
+    a, b, z = instance.points[2]
+    bad = replace(instance, points=instance.points[:2] + ((a, b, (z + 1) % p),))
     assert len(k3_condition_rows(3, instance)) == 3
     with pytest.raises(ValueError, match="does not vanish"):
         k3_condition_rows(3, bad)
@@ -131,44 +131,32 @@ def test_rows_refuse_a_simple_point_off_the_surface(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_rows_refuse_a_simple_point_with_a_zero_solved_partial(p):
-    # F - F_s(P) (x_s - P_s), s the solved slot, still vanishes at P, and its
-    # partial along s vanishes there: P is no chart of the changed quartic
+    # F - F_z(P) (x3 - P_z) still vanishes at P, and its partial along x3
+    # vanishes there: P is no chart of the changed quartic
     instance = sample_quartic_instance((1, 1), p, Random(7))
     (pt,) = instance.points
-    s = pt.solved_slot
-    partial = sum(c * e[s - 1] * prod(pow(x, k - (i == s - 1), p)
-                                      for i, (x, k) in enumerate(zip(pt.affine, e)))
-                  for e, c in instance.affine_poly().items() if e[s - 1]) % p
+    partial = sum(c * e[2] * prod(pow(x, k - (i == 2), p) for i, (x, k) in enumerate(zip(pt, e)))
+                  for e, c in instance.affine_poly().items() if e[2]) % p
     coeffs = dict(instance.coefficients)
-    linear = tuple(3 if v == 0 else int(v == s) for v in range(4))  # x0^3 x_s
-    coeffs[linear] = (coeffs[linear] - partial) % p
-    coeffs[(4, 0, 0, 0)] = (coeffs[(4, 0, 0, 0)] + partial * pt.affine[s - 1]) % p
+    coeffs[(3, 0, 0, 1)] = (coeffs[(3, 0, 0, 1)] - partial) % p  # x0^3 x3
+    coeffs[(4, 0, 0, 0)] = (coeffs[(4, 0, 0, 0)] + partial * pt[2]) % p
     bad = replace(instance, coefficients=tuple(sorted(coeffs.items())))
     assert partial and len(k3_condition_rows(3, instance)) == 1
     with pytest.raises(ChartSingularError):
         k3_condition_rows(3, bad)
 
 
-def test_rows_refuse_an_instance_of_two_multiplicities():
-    # the sampler draws one multiplicity per instance: a hand-built mix of
-    # double and simple points is refused, not built as two runs
-    instance = sample_quartic_instance((2, 3), P, Random(5))
-    simple = replace(instance.points[2], multiplicity=1)
-    mixed = replace(instance, points=instance.points[:2] + (simple,))
-    assert len(k3_condition_rows(3, instance)) == 3 * 3
-    with pytest.raises(ValueError, match="multiplicities"):
-        k3_condition_rows(3, mixed)
-    assert k3_condition_rows(3, replace(instance, points=())) == []
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_solve_at_order_zero_checks_and_returns_zero_psi(p):
-    # six simple points in charts of every slot order: psi is all zero
+    # six simple points, with f and the points permuted by each of the six
+    # orders of the coordinates: psi is all zero
     instance = sample_quartic_instance((1, 6), p, Random(3))
-    slots = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]]
-    psi = solve_implicit(instance.affine_poly(), [pt.affine for pt in instance.points],
-                         slots, 0, p)
-    assert psi.shape == (6, 1, 1) and psi.dtype == field_dtype(p) and not psi.any()
+    f = instance.affine_poly()
+    for roles in permutations(range(3)):
+        g = {tuple(e[i] for i in roles): c for e, c in f.items()}
+        points = [tuple(pt[i] for i in roles) for pt in instance.points]
+        psi = solve_implicit(g, points, 0, p)
+        assert psi.shape == (6, 1, 1) and psi.dtype == field_dtype(p) and not psi.any()
 
 
 @pytest.mark.parametrize("points", [

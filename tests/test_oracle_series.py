@@ -2,18 +2,11 @@ from math import comb
 from random import Random
 
 import pytest
-from series_reference import Series2, binomial_shift, eval_poly3, from_dense
+from series_reference import Series2, binomial_shift, eval_poly3, from_dense, ref_eval_scalar
 
 from k3fat.oracle.field import inverse_mod
 from k3fat.oracle.quartic import sample_quartic_instance
-from k3fat.oracle.series import (
-    ChartSingularError,
-    chart_jets,
-    eval_poly3_scalar,
-    powers,
-    solve_implicit,
-    triangle,
-)
+from k3fat.oracle.series import ChartSingularError, chart_jets, powers, solve_implicit, triangle
 
 P = 2**31 - 1
 
@@ -26,8 +19,8 @@ def coefficients(psi, z, order):
 
 
 def solve_at(f, point, order, p=P):
-    """phi at one point whose chart's (s, t, z) are the slots (0, 1, 2)."""
-    return coefficients(solve_implicit(f, [point], [(0, 1, 2)], order, p)[0], point[2], order)
+    """phi at one point, z = x3 solved over (x1, x2)."""
+    return coefficients(solve_implicit(f, [point], order, p)[0], point[2], order)
 
 
 def test_series_arithmetic_basics():
@@ -86,15 +79,16 @@ def test_solve_implicit_square_root_series():
     assert phi[(2, 2)] == (-2 * inv8) % P
 
 
-def test_eval_poly3_scalar_reads_the_power_tables_in_order():
+def test_power_tables_evaluate_as_ref_eval_scalar():
     rng = Random(4)
     for _ in range(20):
         f = {(i, j, k): rng.randrange(P)
              for i in range(5) for j in range(5 - i) for k in range(5 - i - j)}
         point = [rng.randrange(P) for _ in range(3)]
-        expected = sum(c * pow(point[0], i, P) * pow(point[1], j, P) * pow(point[2], k, P)
-                       for (i, j, k), c in f.items()) % P
-        assert eval_poly3_scalar(f, [powers(x, 4, P) for x in point], P) == expected
+        t1, t2, t3 = (powers(x, 4, P) for x in point)
+        assert t1 == [pow(point[0], e, P) for e in range(5)]
+        from_tables = sum(c * t1[i] * t2[j] * t3[k] for (i, j, k), c in f.items()) % P
+        assert from_tables == ref_eval_scalar(f, *point, P)
     assert powers(3, 4, 7) == [1, 3, 2, 6, 4]
 
 
@@ -107,7 +101,7 @@ def test_solve_implicit_order_one_is_gradient():
         p1, p2 = rng.randrange(P), rng.randrange(P)
         # force f(p1, p2, 0) = 0 by adjusting the constant term
         f[(0, 0, 0)] = 0
-        f[(0, 0, 0)] = (-eval_poly3_scalar(f, [powers(x, 2, P) for x in (p1, p2, 0)], P)) % P
+        f[(0, 0, 0)] = (-ref_eval_scalar(f, p1, p2, 0, P)) % P
         fu = sum(i * c * pow(p1, i - 1, P) * pow(p2, j, P)
                  for (i, j, k), c in f.items() if i and not k) % P
         fv = sum(j * c * pow(p1, i, P) * pow(p2, j - 1, P)
@@ -125,27 +119,23 @@ def test_solve_implicit_order_one_is_gradient():
 def test_solve_implicit_rejects_singular_chart():
     f = {(0, 0, 2): 1}  # w^2: zero w-partial at w = 0
     with pytest.raises(ChartSingularError):
-        solve_implicit(f, [(0, 0, 0)], [(0, 1, 2)], 2, P)
+        solve_implicit(f, [(0, 0, 0)], 2, P)
 
 
 def test_local_series_residual_vanishes_on_random_quartics():
     rng = Random(31)
     instance = sample_quartic_instance((4, 3), P, rng)
     f = instance.affine_poly()
-    for pt in instance.points:
-        order = pt.multiplicity - 1
-        slots = [slot - 1 for slot in (*pt.param_slots, pt.solved_slot)]
-        psi = solve_implicit(f, [pt.affine], [slots], order, P)[0]
-        phi = coefficients(psi, pt.affine[pt.solved_slot - 1], order)
+    order = instance.multiplicity - 1
+    for pt, psi in zip(instance.points, solve_implicit(f, instance.points, order, P)):
+        phi = coefficients(psi, pt[2], order)
         phi = tuple(phi[ij] for ij in triangle(order))
         assert len(phi) == len(triangle(order))
-        assert phi[0] == pt.affine[pt.solved_slot - 1]
+        assert phi[0] == pt[2]
         # residual check: substitute the series back into the affine quartic
-        a, b = pt.param_slots
-        args = {a: Series2.linear(P, order, pt.affine[a - 1], 1, 0),
-                b: Series2.linear(P, order, pt.affine[b - 1], 0, 1),
-                pt.solved_slot: from_dense(P, order, phi)}
-        assert eval_poly3(f, args[1], args[2], args[3]).is_zero()
+        assert eval_poly3(f, Series2.linear(P, order, pt[0], 1, 0),
+                          Series2.linear(P, order, pt[1], 0, 1),
+                          from_dense(P, order, phi)).is_zero()
 
 
 def test_binomial_shift_is_the_taylor_table():
@@ -164,14 +154,16 @@ def test_binomial_shift_is_the_taylor_table():
 @pytest.mark.parametrize("p", (7, P, 3037000493, 2**61 - 1))
 def test_chart_jets_are_the_binomial_shift_tables(p):
     """The whole-run jet tables equal binomial_shift of each point's
-    coordinate in each role, at small, int64 and object primes and with
-    kmax above top."""
+    coordinates, for triples and for the plane's pairs, each point's
+    coordinates permuted at random, at small, int64 and object primes and
+    with kmax above top."""
     rng = Random(p)
     for top, kmax in ((0, 0), (4, 1), (4, 4), (9, 3), (2, 5), (20, 12)):
-        points = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(4)]
-        slots = [rng.sample(range(3), 3) for _ in points]
-        jets = chart_jets(points, slots, top, kmax, p)
-        assert jets.shape == (len(points), 3, kmax + 1, top + 1)
-        for n, (point, roles) in enumerate(zip(points, slots)):
-            for role, slot in enumerate(roles):
-                assert jets[n, role].tolist() == binomial_shift(point[slot], top, kmax, p)
+        for size in (3, 2):
+            drawn = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
+            points = [tuple(rng.sample(x, size)) for x in drawn]
+            jets = chart_jets(points, top, kmax, p)
+            assert jets.shape == (len(points), size, kmax + 1, top + 1)
+            for n, point in enumerate(points):
+                for role, x in enumerate(point):
+                    assert jets[n, role].tolist() == binomial_shift(x, top, kmax, p)
