@@ -35,6 +35,10 @@ SWEEP_HEADER = "gamma,d,m,n,vdim,edim,dim,status,oracle_dim,verdict"
 # Most (d, m, n) tasks one sweep may hold; a larger grid is a usage error
 # before any task runs or any worker starts.
 MAX_SWEEP_TASKS = 10_000
+# Thread counts of numpy's BLAS and its neighbours: 1 unless set (see main),
+# since the oracle's small products gain nothing and sweep workers contend.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _build_config(prime, prime2, seed, trials, budget_rows) -> PrimeFieldConfig:
@@ -67,6 +71,8 @@ def _build_config(prime, prime2, seed, trials, budget_rows) -> PrimeFieldConfig:
 def main(ctx, prime, prime2, seed, trials, budget_rows):
     """Dimensions and speciality of fat-point linear systems on generic K3
     surfaces, with finite-field oracle verification."""
+    for var in _THREAD_VARS:  # before numpy loads, on the oracle's first use
+        os.environ.setdefault(var, "1")
     ctx.obj = _build_config(prime, prime2, seed, trials, budget_rows)
 
 

@@ -7,20 +7,18 @@ coefficient of total degree < m of G restricted to S in local coordinates
 at P, where the restriction is computed through the implicit local series
 z = phi(x, y) of the surface.
 
-The columns are a basis of H^0(O_S(d)), not of all degree-d forms.  Let x_v
-be the first homogeneous variable whose pure fourth power has a nonzero
-coefficient in F (no random draw picks it).  In lex order with x_v first the
-leading term of F is a multiple of x_v^4, so the division algorithm writes
-every degree-d form as F * G plus a combination of the standard monomials,
-those with e_v <= 3, and F * G is zero on S (standard monomials: Cox, Little
-and O'Shea, Ideals, Varieties, and Algorithms, ch. 2).  There are
-C(d+3,3) - C(d-1,3) = 2d^2 + 2 of them, so the ambient projective dimension
-is ncols - 1 and the measured dimension of the system is that minus the
-rank of the condition matrix.  Every condition row vanishes on the multiples
-of F, so the rank on the standard columns equals the rank on all monomials.
-The sampler redraws a quartic with no pure fourth power, as it redraws the
-zero quartic; a uniform draw gives one with probability p^-4.  So x_v is
-always there, and every trial ranks the same 2d^2 + 2 columns.
+The columns are a basis of H^0(O_S(d)), not of all degree-d forms.  The
+sampler redraws a quartic with no x0^4 term (probability 1/p), so in lex
+order the leading term of F is a multiple of x0^4, and the division
+algorithm writes every degree-d form as F * G plus a combination of the
+standard monomials, those with e_0 <= 3; F * G is zero on S (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 2).  In the chart x0 = 1
+they are the monomials of degree at least d - 3, C(d+3,3) - C(d-1,3) =
+2d^2 + 2 of them, the same for every instance (column_exponents).  So the
+ambient projective dimension is ncols - 1 and the measured dimension of the
+system is that minus the rank of the condition matrix.  Every condition row
+vanishes on the multiples of F, so the rank on the standard columns equals
+the rank on all monomials.
 
 Points are drawn in the chart x0 = 1: a uniform (x1, x2) = (a, b), then a
 uniform root z of the restricted quartic r(T) = F(1, a, b, T).  A point
@@ -101,13 +99,14 @@ def monomial_exponents(degree: int, nvars: int = 4) -> List[Tuple[int, ...]]:
 
 
 _QUARTIC_EXPONENTS = tuple(monomial_exponents(4))  # the terms of a random quartic, drawn in order
-_PURE_POWERS = tuple(e for e in _QUARTIC_EXPONENTS if 4 in e)  # x_v^4 for v = 0, 1, 2, 3
 
 
 @lru_cache(maxsize=64)
-def _degree_exponents(d: int) -> np.ndarray:
-    """monomial_exponents(d) as a read-only (C(d+3,3), 4) array."""
-    exps = np.array(monomial_exponents(d), dtype=np.int64)
+def column_exponents(d: int) -> np.ndarray:
+    """The degree-d standard monomials, those with e_0 <= 3, that index the
+    condition columns: a read-only (2d^2 + 2, 4) array of rows
+    (e0, e1, e2, e3) in monomial_exponents order."""
+    exps = np.array([e for e in monomial_exponents(d) if e[0] <= 3], dtype=np.int64)
     exps.flags.writeable = False
     return exps
 
@@ -130,19 +129,6 @@ class QuarticSurfaceInstance:
 
     def affine_poly(self) -> Dict[Tuple[int, int, int], int]:
         return _dehomogenize(dict(self.coefficients))
-
-    def column_exponents(self, d: int) -> np.ndarray:
-        """The degree-d standard monomials indexing the condition columns, as
-        rows (e0, e1, e2, e3) in monomial_exponents order: those with
-        e_v <= 3 for the first variable v whose pure fourth power has a
-        nonzero coefficient in F.  A quartic with no pure fourth power, which
-        the sampler never returns, raises ValueError."""
-        coeffs = dict(self.coefficients)
-        v = next((v for v, e in enumerate(_PURE_POWERS) if coeffs.get(e)), None)
-        if v is None:
-            raise ValueError("a quartic with no pure fourth power has no standard monomials")
-        exps = _degree_exponents(d)
-        return exps[exps[:, v] <= 3]
 
 
 def _sample_point(f_affine, p: int, rng, seen) -> Tuple[int, int, int]:
@@ -178,13 +164,13 @@ def sample_quartic_instance(points: Tuple[int, int], p: int, rng) -> QuarticSurf
 
     The points are drawn one after another from rng, so (m, k) draws the
     first k points of the draw of (m, n) on the same quartic.  A quartic
-    with no pure fourth power, the zero one included, is redrawn.  Each z
-    is a simple root of F on its line (see _sample_point).
+    with no x0^4 term is redrawn.  Each z is a simple root of F on its line
+    (see _sample_point).
     """
     m, n = points
     for _ in range(_MAX_SURFACE_ATTEMPTS):
         coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
-        if not any(coeffs[e] for e in _PURE_POWERS):
+        if not coeffs[_QUARTIC_EXPONENTS[0]]:  # x0^4
             continue
         f_affine = _dehomogenize(coeffs)
         drawn = {}  # the distinct points in draw order
@@ -198,10 +184,11 @@ def sample_quartic_instance(points: Tuple[int, int], p: int, rng) -> QuarticSurf
 
 
 def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarray]:
-    """Condition rows over the columns `instance.column_exponents(d)` for
-    every point: the rows of one 2-D array, as a list, so that truth tests
-    and len() keep working for callers.  An instance with no points has no
-    rows.
+    """Condition rows over the columns `column_exponents(d)` for every
+    point: the rows of one 2-D array, as a list, so that truth tests and
+    len() keep working for callers.  An instance with no points has no
+    rows; a quartic with no x0^4 term, which the sampler never returns,
+    raises ValueError.
 
     A point's block holds the truncated Taylor series of each column
     monomial restricted along the chart (see the module docstring), one row
@@ -210,11 +197,14 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     through solve_implicit first, which raises at a point that is no chart.
     """
     p = instance.prime
-    exps = instance.column_exponents(d)[:, 1:].T  # exps[coordinate, column]
+    f = instance.affine_poly()
+    if not f.get((0, 0, 0), 0) % p:  # F(1, 0, 0, 0), the x0^4 coefficient
+        raise ValueError("a quartic with no x0^4 term has no standard monomials in x0")
     if not instance.points:
         return []
+    exps = column_exponents(d)[:, 1:].T  # exps[coordinate, column]
     order = instance.multiplicity - 1
-    psi = solve_implicit(instance.affine_poly(), instance.points, order, p)
+    psi = solve_implicit(f, instance.points, order, p)
     grid = restrict(psi, chart_jets(instance.points, d, order, p), exps, p)
     a, b = np.array(triangle(order), dtype=np.intp).T
     return list(grid[:, :, a, b].transpose(0, 2, 1).reshape(-1, exps.shape[1]))

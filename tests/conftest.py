@@ -1,6 +1,22 @@
+import os
+
 import pytest
 
+from k3fat.cli import _THREAD_VARS
 from k3fat.oracle import PrimeFieldConfig
+
+
+@pytest.fixture(autouse=True)
+def thread_vars_restored():
+    """Undo what an in-process `cli.main` writes to the thread variables, so
+    that no test leaks them to later tests or to the processes they start."""
+    saved = {var: os.environ.get(var) for var in _THREAD_VARS}
+    yield
+    for var, value in saved.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,10 @@ term at a time: Jet3 holds the s^i t^j w^k coefficient of each monomial
 shifted to P, at (P_s + s, P_t + t, P_z + w), and Sub the coefficients of
 s^i t^j psi^k, psi the local series less its constant term, which
 series_reference's `ref_series_at` solves.  The oracle itself keeps only
-the 2d^2 + 2 standard monomials of `QuarticSurfaceInstance.column_exponents`
-(its sampler redraws a quartic with no pure fourth power, so every trial
-has them) and forms each block from the monomials restricted along the
-chart, on coefficient grids.
+the 2d^2 + 2 standard monomials of `column_exponents`, those with e0 <= 3
+(its sampler redraws a quartic with no x0^4 term, so every trial has them),
+and forms each block from the monomials restricted along the chart, on
+coefficient grids.
 `ref_planar_condition_rows` builds the plane rows as partial derivatives,
 one falling-factorial product and one power per entry; the oracle's row
 (i, j) is the Taylor coefficient, the derivative row divided by i! j!.
@@ -18,11 +18,11 @@ one falling-factorial product and one power per entry; the oracle's row
 trailing columns.  `ref_poly_roots` finds roots with generic list
 arithmetic and right-to-left powering, and `ref_sample_quartic_instance`
 draws a quartic and its points with it; it redraws only the zero quartic,
-where the oracle also redraws one with no pure fourth power (probability
-p^-4).  It keeps the seed's chart rule: a point is accepted when any
-partial of F is nonzero there, and solves for the largest coordinate whose
-partial is, where the oracle redraws every point with F_z = 0 and solves
-for x3.  So it returns its own point records, `RefPoint`, with the slot it
+where the oracle redraws every quartic with no x0^4 term (probability 1/p),
+so the two streams differ only when the x0^4 coefficient is 0.  It keeps
+the seed's chart rule: a point is accepted when any partial of F is
+nonzero there, and solves for the largest coordinate whose partial is,
+where the oracle redraws every point with F_z = 0 and solves for x3.  So it returns its own point records, `RefPoint`, with the slot it
 chose, and `RefInstance.oracle_instance` is the oracle's record of the
 same draw when every slot is 3.  `ref_measure_k3` is the trial loop that
 samples, with that sampler, and ranks every point of the system, with its

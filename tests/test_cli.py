@@ -2,6 +2,10 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -633,6 +637,30 @@ def test_env_var_overrides(runner):
     result = runner.invoke(main, ["verify", "--gamma", "4", "-d", "2", "-m", "2", "-n", "4"],
                            env={"K3FAT_BUDGET_ROWS": "5"})
     assert result.exit_code == 3
+
+
+THREADS_SCRIPT = r"""
+import json, os
+from k3fat import cli
+cli.main(["vdim", "-g", "4", "-d", "2"], standalone_mode=False)
+print(json.dumps({var: os.environ.get(var) for var in cli._THREAD_VARS}))
+"""
+
+
+def test_main_defaults_every_thread_variable_to_one():
+    # in a fresh interpreter, where numpy loads after main: an unset
+    # variable becomes "1", one the caller set keeps its value
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["OPENBLAS_NUM_THREADS"] = "3"
+    result = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], capture_output=True,
+                            text=True, env=env, cwd=root, timeout=120)
+    assert result.returncode == 0, result.stderr
+    found = json.loads(result.stdout.strip().splitlines()[-1])
+    assert found == {var: "3" if var == "OPENBLAS_NUM_THREADS" else "1"
+                     for var in cli._THREAD_VARS}
 
 
 def test_sweep_24_row_example(runner, tmp_path):

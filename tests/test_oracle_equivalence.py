@@ -6,7 +6,7 @@ seed, every result and every draw from the random generator stays the same.
 The reference implementations, below and in oracle_reference (root finding
 and sampling), are the original list/dict versions, kept verbatim in
 behaviour, and each property compares the two.  The
-rank reference is the elimination that rewrote whole rows at every pivot.
+rank reference is oracle_reference's elimination, one pivot at a time.
 The series references compute with the sparse Series2 of series_reference and
 hand their results over in the oracle's dense layout.  The condition-row
 reference spans every degree-d monomial; the oracle keeps the standard
@@ -19,9 +19,9 @@ are compared with oracle_reference's derivative rows divided by i! j!.
 The oracle measures one homogeneous system (m, n); the references take the
 seed's tuple of groups, and the tests hand them ((m, n),), or () for no
 points, the tuple that also tags each trial's random stream.
-The sampler redraws a quartic with no pure fourth power, which the seed
-kept; a uniform draw gives one with probability p^-4, and a generator that
-forces one is tested against the stream it then continues.  It also redraws
+The sampler redraws a quartic with no x0^4 term, which the seed kept; a
+uniform draw gives one with probability 1/p, and a generator that forces one
+is tested against the stream it then continues.  It also redraws
 a point where F_z = 0, which the seed kept when another partial was
 nonzero, and solved along that coordinate; on every stream below the seed's
 sampler solves for x3 at every point, so both draw the same points.
@@ -43,9 +43,9 @@ from oracle_reference import (
     ref_measure_k3,
     ref_planar_condition_rows,
     ref_poly_roots,
+    ref_rank_mod_p,
     ref_sample_quartic_instance,
 )
-from oracle_reference import ref_rank_mod_p as ref_one_pivot_rank
 from series_reference import (
     Series2,
     from_dense,
@@ -68,6 +68,7 @@ from k3fat.oracle.config import (
 )
 from k3fat.oracle.field import field_dtype, inverse_mod, poly_roots, rank_mod_p
 from k3fat.oracle.quartic import (
+    column_exponents,
     k3_condition_rows,
     measure_k3,
     monomial_exponents,
@@ -83,43 +84,6 @@ PRIMES = (10007, 2**31 - 1, 2**61 - 1)
 # at DEFAULT_PRIME2 and s = 30 at 3 * 2^30 + 1.
 ROOT_PRIMES = PRIMES + (3037000493, 3 * 2**30 + 1)
 ORACLE_PRIMES = (2**31 - 1, 3037000493, 2**61 - 1)
-
-# ---------------------------------------------------------------------------
-# Reference rank: whole-row elimination.
-
-
-def ref_rank_mod_p(matrix, p):
-    arr = np.asarray(matrix)
-    if arr.size == 0:
-        return 0
-    if arr.shape[0] > arr.shape[1]:
-        arr = arr.T
-    a = np.array(arr, dtype=field_dtype(p)) % p
-    n_rows, n_cols = a.shape
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(rank, n_rows):
-            if a[i, col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot], :] = a[[pivot, rank], :]
-        inv = inverse_mod(int(a[rank, col]), p)
-        a[rank, :] = (a[rank, :] * inv) % p
-        below = a[rank + 1:, col]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            rows = nz + rank + 1
-            factors = a[rows, col]
-            a[rows, :] = (a[rows, :] - factors[:, None] * a[rank, :][None, :]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
 
 # ---------------------------------------------------------------------------
 # Reference condition rows.
@@ -326,10 +290,10 @@ def test_a_multiple_root_is_redrawn_though_another_partial_is_nonzero(p):
     assert (a, b) != (0, 5) and z * z % p == a and 2 * z % p
 
 
-def kept_columns(d, instance):
+def kept_columns(d):
     """Positions of the oracle's columns among all degree-d monomials."""
     index = {e: n for n, e in enumerate(monomial_exponents(d))}
-    return [index[tuple(e)] for e in instance.column_exponents(d).tolist()]
+    return [index[tuple(e)] for e in column_exponents(d).tolist()]
 
 
 @given(st.sampled_from(ORACLE_PRIMES), point_pairs(4),
@@ -340,8 +304,9 @@ def test_condition_rows_match_reference(p, points, d, seed):
     rows = np.array(k3_condition_rows(d, instance))
     full = ref_condition_rows(d, instance)
     assert ref_k3_condition_rows(d, instance) == full
-    keep = kept_columns(d, instance)
-    assert len(keep) == 2 * d * d + 2
+    keep = kept_columns(d)
+    assert keep == [n for n, e in enumerate(monomial_exponents(d)) if e[0] <= 3]
+    assert len(keep) == 2 * d * d + 2 and not column_exponents(d).flags.writeable
     assert rows.tolist() == [[row[n] for n in keep] for row in full]
 
 
@@ -355,15 +320,13 @@ def test_condition_rows_match_reference_at_high_multiplicity(p, d, groups):
     # the int64 and object paths alike
     instance = sample_quartic_instance(pair(groups), p, Random(d))
     rows = np.array(k3_condition_rows(d, instance))
-    keep = kept_columns(d, instance)
+    keep = kept_columns(d)
     assert rows.tolist() == [[row[n] for n in keep] for row in ref_k3_condition_rows(d, instance)]
 
 
-class NoPurePowers(Random):
-    """A generator whose first draws, the coefficients of the first sampled
-    quartic, are 0 at the four pure fourth powers x_v^4."""
-
-    PURE = frozenset(n for n, e in enumerate(monomial_exponents(4)) if 4 in e)
+class NoX0Fourth(Random):
+    """A generator whose first draw, the x0^4 coefficient of the first
+    sampled quartic, is 0; every other draw is its own."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -372,7 +335,7 @@ class NoPurePowers(Random):
     def randrange(self, *args):
         value = super().randrange(*args)
         self.draws += 1
-        return 0 if self.draws - 1 in self.PURE else value
+        return 0 if self.draws == 1 else value
 
 
 def after_a_quartic(seed, p):
@@ -387,7 +350,7 @@ def full_column_dim(d, instance):
     """The dimension the seed measured: all C(d+3, 3) monomial columns, less
     the C(d-1, 3) multiples of F, less the one-pivot rank."""
     p = instance.prime
-    rank = ref_one_pivot_rank(ref_k3_condition_rows(d, instance), p)
+    rank = ref_rank_mod_p(ref_k3_condition_rows(d, instance), p)
     return comb(d + 3, 3) - comb(d - 1, 3) - rank - 1
 
 
@@ -401,29 +364,32 @@ def std_column_dim(d, instance):
 @settings(max_examples=60, deadline=None)
 def test_standard_columns_keep_the_dimension(p, points, d, seed):
     instance = sample_quartic_instance(points, p, Random(seed))
-    assert len(instance.column_exponents(d)) == num_surface_forms(d)
+    assert len(column_exponents(d)) == num_surface_forms(d)
     assert std_column_dim(d, instance) == full_column_dim(d, instance)
 
 
 @pytest.mark.parametrize("p", (DEFAULT_PRIME, DEFAULT_PRIME2, 2**61 - 1))
-def test_a_quartic_without_pure_powers_is_redrawn(p):
-    # the first 35 draws are a quartic with no pure fourth power: the
-    # sampler draws a second one from the stream, as a plain generator
-    # that has made 35 draws does
-    forced, plain = NoPurePowers(5), after_a_quartic(5, p)
+def test_a_quartic_without_x0_fourth_power_is_redrawn(p):
+    # the first 35 draws are a quartic with no x0^4 term but with x1^4 and
+    # the other pure fourth powers: the sampler draws a second one from the
+    # stream, as a plain generator that has made 35 draws does
+    rng = Random(5)
+    first = {e: rng.randrange(p) for e in monomial_exponents(4)}
+    assert all(first[e] for e in ((0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)))
+    forced, plain = NoX0Fourth(5), after_a_quartic(5, p)
     instance = sample_quartic_instance((2, 9), p, forced)
     assert instance == sample_quartic_instance((2, 9), p, plain)
     assert forced.getstate() == plain.getstate()
-    assert any(dict(instance.coefficients)[e] for e in monomial_exponents(4) if 4 in e)
+    assert dict(instance.coefficients)[(4, 0, 0, 0)]
     for d in range(1, 10):
-        assert len(instance.column_exponents(d)) == num_surface_forms(d)
+        assert len(column_exponents(d)) == num_surface_forms(d)
         assert std_column_dim(d, instance) == full_column_dim(d, instance)
 
 
 def test_a_redrawn_quartic_is_measured_within_the_standard_column_budget(monkeypatch):
     # 2d^2 + 2 = 52 columns at d = 5: a budget of 52 holds every trial, the
     # redrawn quartics included, and a budget of 51 refuses before any draw
-    monkeypatch.setattr(quartic, "derived_rng", lambda seed, *tags: NoPurePowers(seed))
+    monkeypatch.setattr(quartic, "derived_rng", lambda seed, *tags: NoX0Fourth(seed))
     cfg = PrimeFieldConfig(prime2=None, trials=2, budget_rows=52)
     m = measure_k3(5, (2, 3), cfg)
     assert (m.dim, m.rows, m.cols) == (42, 9, 52)
@@ -432,17 +398,23 @@ def test_a_redrawn_quartic_is_measured_within_the_standard_column_budget(monkeyp
         measure_k3(5, (2, 3), replace(cfg, budget_rows=51))
 
 
-def test_columns_refuse_a_quartic_without_pure_powers():
-    # a hand-built instance the sampler would have redrawn: the multiples of
-    # F span no standard monomials, so there is no column set to rank on
-    instance = sample_quartic_instance((2, 1), DEFAULT_PRIME, Random(3))
-    coeffs = {e: (0 if 4 in e else c) for e, c in instance.coefficients}
-    bad = replace(instance, coefficients=tuple(sorted(coeffs.items())))
-    assert len(instance.column_exponents(3)) == num_surface_forms(3)
-    with pytest.raises(ValueError, match="no pure fourth power"):
-        bad.column_exponents(3)
-    with pytest.raises(ValueError, match="no pure fourth power"):
-        k3_condition_rows(3, bad)
+def test_rows_refuse_a_quartic_without_x0_fourth_power():
+    # a hand-built instance the sampler would have redrawn: with no x0^4
+    # term, F itself lies in the span of the monomials with e0 <= 3 at
+    # d = 4, so they are no basis on S; refused with points and without,
+    # also when the coefficient is p, which is 0 mod p
+    p = DEFAULT_PRIME
+    instance = sample_quartic_instance((2, 1), p, Random(3))
+    assert len(k3_condition_rows(4, instance)) == 3
+    assert len(column_exponents(4)) == num_surface_forms(4)
+    coeffs = dict(instance.coefficients)
+    assert all(coeffs[e] for e in ((0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)))
+    for x0_fourth in (0, p):
+        coeffs[(4, 0, 0, 0)] = x0_fourth
+        bad = replace(instance, coefficients=tuple(sorted(coeffs.items())))
+        for points in (instance.points, ()):
+            with pytest.raises(ValueError, match=r"no x0\^4 term"):
+                k3_condition_rows(4, replace(bad, points=points))
 
 
 def _rank_problem(p, n_rows, n_cols, n_basis, seed, zero_band=(0, 0)):
