@@ -54,13 +54,15 @@ def _build_config(prime, prime2, seed, trials, budget_rows) -> PrimeFieldConfig:
         raise click.UsageError(str(exc))
 
 
+_PRIME_RANGE = ("A prime in 2^30 < p < 318665857834031151167461; primes above "
+                "isqrt(2^63) take the slow object-array path.")
+
+
 @click.group()
 @click.option("--prime", type=int, default=DEFAULT_PRIME, show_default=True,
-              envvar="K3FAT_PRIME", help="Oracle prime (> 2^30).")
+              envvar="K3FAT_PRIME", help="Oracle prime.  " + _PRIME_RANGE)
 @click.option("--prime2", type=int, default=DEFAULT_PRIME2, show_default=True,
-              envvar="K3FAT_PRIME2",
-              help="Cross-check prime; 0 disables.  Primes above isqrt(2^63) "
-                   "take the slow object-array path.")
+              envvar="K3FAT_PRIME2", help="Cross-check prime; 0 disables.  " + _PRIME_RANGE)
 @click.option("--seed", type=int, default=1, show_default=True,
               envvar="K3FAT_SEED", help="Master seed for all sampling.")
 @click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True,

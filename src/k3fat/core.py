@@ -61,10 +61,14 @@ def index_fields(record, names) -> None:
         object.__setattr__(record, name, as_int(name, getattr(record, name)))
 
 
-def _check_points(multiplicity: int, count: int) -> None:
+def check_points(multiplicity: int, count: int) -> Tuple[int, int]:
+    """The point group (m, n) as Python ints (see `as_int`); ValueError
+    unless it is (0, 0), no points, or has both entries positive."""
+    multiplicity, count = as_int("multiplicity", multiplicity), as_int("count", count)
     if multiplicity < 0 or count < 0 or (multiplicity == 0) != (count == 0):
         raise ValueError("multiplicity and count must be both 0 (no points) or both "
                          f"positive, got {multiplicity} and {count}")
+    return multiplicity, count
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class K3System:
             raise ValueError(f"gamma must be even and >= 2, got {self.gamma}")
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
-        _check_points(self.multiplicity, self.count)
+        check_points(self.multiplicity, self.count)
 
     @staticmethod
     def homogeneous(gamma: int, degree: int, multiplicity: int, count: int) -> "K3System":
@@ -117,7 +121,7 @@ class PlanarSystem:
 
     def __post_init__(self) -> None:
         index_fields(self, (f.name for f in fields(self)))
-        _check_points(self.multiplicity, self.count)
+        check_points(self.multiplicity, self.count)
 
     @staticmethod
     def homogeneous(degree: int, multiplicity: int, count: int) -> "PlanarSystem":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Tuple
 
-from ..core import index_fields
+from ..core import as_int, index_fields
 
 DEFAULT_PRIME = 2**31 - 1
 DEFAULT_PRIME2 = 3_037_000_493
@@ -107,6 +107,14 @@ class PrimeFieldConfig:
             raise ValueError(f"trials must be >= 2, got {self.trials}")
         if self.budget_rows < 1:
             raise ValueError("budget_rows must be positive")
+
+    def field_prime(self, prime: int = 0) -> int:
+        """The prime of a measurement: `prime`, or self.prime for 0.  A prime
+        other than prime and prime2 is checked as they are (ValueError)."""
+        p = as_int("prime", prime) or self.prime
+        if p not in (self.prime, self.prime2):
+            _check_prime("prime", p)
+        return p
 
 
 def num_surface_forms(d: int) -> int:

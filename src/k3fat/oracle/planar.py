@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core import PlanarSystem, point_conditions
+from ..core import PlanarSystem, check_points, point_conditions
 from .config import OracleMeasurement, PrimeFieldConfig, check_budget, derived_rng
 from .field import field_dtype, rank_mod_p
 from .series import chart_jets, triangle
@@ -29,10 +29,12 @@ def planar_condition_rows(delta: int, points: Tuple[int, int], p: int, rng) -> n
     2-D array of dtype `field_dtype(p)`.
 
     For points = (m, n), n distinct points are drawn from `rng`, none for
-    (0, 0); the row of (i, j) in triangle(m - 1) at (px, py) has the entry
-    C(a, i) px^(a-i) C(b, j) py^(b-j) mod p in the column of x^a y^b.
+    (0, 0); a group that core's check_points refuses raises ValueError
+    before any draw.  The row of (i, j) in triangle(m - 1) at (px, py) has
+    the entry C(a, i) px^(a-i) C(b, j) py^(b-j) mod p in the column of
+    x^a y^b.
     """
-    m, n = points
+    m, n = check_points(*points)
     a, b = np.array(triangle(delta), dtype=np.intp).T
     if not n:
         return np.zeros((0, len(a)), dtype=field_dtype(p))
@@ -46,8 +48,10 @@ def planar_condition_rows(delta: int, points: Tuple[int, int], p: int, rng) -> n
 
 
 def measure_planar(sys: PlanarSystem, cfg: PrimeFieldConfig, prime: int = 0) -> OracleMeasurement:
-    """Monte-Carlo dimension of a plane system, min-aggregated over trials."""
-    p = prime or cfg.prime
+    """Monte-Carlo dimension of a plane system, min-aggregated over trials;
+    a `prime` other than cfg.prime and cfg.prime2 is checked as cfg checks
+    them."""
+    p = cfg.field_prime(prime)
     delta, m, n = sys.degree, sys.multiplicity, sys.count
     if delta < 0:
         return OracleMeasurement(-1, (), False, p, 0, 0)

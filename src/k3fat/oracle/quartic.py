@@ -48,28 +48,26 @@ stays exact in the arrays of `field_dtype`.
 A trial stops drawing points once its conditions reach full column rank.
 Let k = ceil((2d^2 + 2) / (m (m + 1) / 2)), the first point count whose
 conditions reach 2d^2 + 2.  When k < n a trial draws the first k points
-from its random stream and ranks their rows: at full rank its dim is -1.
-Otherwise it draws all n points from a fresh copy of the stream, whose
-first k points are the same, and ranks all rows.  Rank only grows as rows
-are added and never exceeds 2d^2 + 2 (the multiples of F meet no
-condition), so a full draw has full rank whenever its first k points
-have.  That holds also when it leaves the prefix's quartic, because a
-later point's draw ran out of _MAX_POINT_ATTEMPTS, and finishes on a new
-one.  The one divergence left needs such a failed draw (about 0.37^256)
-and a rank drop on the new quartic's prefix.  A stopped trial ranks fewer
-rows than the system's n m (m + 1) / 2, so its rows * deg / p error bound
-(see config) only shrinks, and OracleMeasurement.rows stays the system's
+from its generator and ranks their rows: at full rank its dim is -1.
+Short of it, the trial goes on drawing the other n - k points from the
+same generator and ranks the rows of all n; ranking draws nothing, so
+these are the points a draw of all n at once returns (see
+sample_quartic_instance).  Rank only grows as rows are added and never
+exceeds 2d^2 + 2 (the multiples of F meet no condition), so a trial that
+stops has the dim of all n points.  A stopped trial ranks fewer rows than
+the system's n m (m + 1) / 2, so its rows * deg / p error bound (see
+config) only shrinks, and OracleMeasurement.rows stays the system's
 condition count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core import K3System, point_conditions
+from ..core import K3System, check_points, point_conditions
 from .config import (
     OracleMeasurement,
     PrimeFieldConfig,
@@ -158,22 +156,36 @@ def _sample_point(f_affine, p: int, rng, seen) -> Tuple[int, int, int]:
     raise SamplingError("could not sample a smooth surface point within budget")
 
 
-def sample_quartic_instance(points: Tuple[int, int], p: int, rng) -> QuarticSurfaceInstance:
+def sample_quartic_instance(
+    points: Tuple[int, int], p: int, rng, start: Optional[QuarticSurfaceInstance] = None
+) -> QuarticSurfaceInstance:
     """Random quartic plus n smooth points of multiplicity m, for points
-    = (m, n); (0, 0) draws the quartic alone.
+    = (m, n); (0, 0) draws the quartic alone.  A group that core's
+    check_points refuses raises ValueError before any draw.
 
     The points are drawn one after another from rng, so (m, k) draws the
-    first k points of the draw of (m, n) on the same quartic.  A quartic
-    with no x0^4 term is redrawn.  Each z is a simple root of F on its line
-    (see _sample_point).
+    first k points of the draw of (m, n) on the same quartic.  With `start`,
+    an instance of (m, k) that rng drew last, the start's quartic and
+    points are the first of the attempts, and only the later points are
+    drawn: the instance, and rng's state, are those of a draw of (m, n) from
+    rng as it was before the start's draw, whenever that draw returns.  A
+    quartic with no x0^4 term is redrawn, as is one where a point's draw
+    fails.  Each z is a simple root of F on its line (see _sample_point).
     """
-    m, n = points
+    m, n = check_points(*points)
+    if start is not None and (
+            (start.prime, start.multiplicity) != (p, m) or len(start.points) > n):
+        raise ValueError(f"the start instance is no prefix of a draw of {points} at p = {p}")
     for _ in range(_MAX_SURFACE_ATTEMPTS):
-        coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
-        if not coeffs[_QUARTIC_EXPONENTS[0]]:  # x0^4
-            continue
+        if start is not None:
+            coeffs, drawn = dict(start.coefficients), dict.fromkeys(start.points)
+            start = None
+        else:
+            coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
+            if not coeffs[_QUARTIC_EXPONENTS[0]]:  # x0^4
+                continue
+            drawn = {}  # the distinct points in draw order
         f_affine = _dehomogenize(coeffs)
-        drawn = {}  # the distinct points in draw order
         try:
             while len(drawn) < n:
                 drawn[_sample_point(f_affine, p, rng, drawn)] = None
@@ -217,14 +229,16 @@ def measure_k3(
     = (m, n) and (0, 0) for no points, min-aggregated over independently
     seeded trials.
 
-    A trial reports -1 when the rows of its first k points, whose conditions
-    reach ncols = 2d^2 + 2, have full rank, and otherwise draws and ranks
-    all n points again from a fresh generator with the same tags (see the
-    module docstring).  `rows` is the system's condition count.
+    A trial draws its first k points, whose conditions reach ncols =
+    2d^2 + 2, from its one generator and reports -1 when their rows have
+    full rank; short of it, it draws the other n - k points from the same
+    generator and ranks all rows (see the module docstring).  A `prime`
+    other than cfg.prime and cfg.prime2 is checked as cfg checks them,
+    before any draw.  `rows` is the system's condition count.
     """
     sys = K3System(4, d, *points)
     d, m, n = sys.degree, sys.multiplicity, sys.count
-    p = prime or cfg.prime
+    p = cfg.field_prime(prime)
     ncols = num_surface_forms(d)
     nrows = n * point_conditions(m)
     check_budget(cfg, "quartic", nrows, ncols)
@@ -234,14 +248,13 @@ def measure_k3(
     group = ((m, n),) if n else ()  # tags each trial's RNG
     trial_dims = []
     for trial in range(cfg.trials):
-        tags = (cfg.seed, "k3", p, d, group, trial)
-        if k < n:
-            instance = sample_quartic_instance((m, k), p, derived_rng(*tags))
-            if rank_mod_p(k3_condition_rows(d, instance), p) == ncols:
-                trial_dims.append(-1)
-                continue
-        instance = sample_quartic_instance((m, n), p, derived_rng(*tags))
-        trial_dims.append(ncols - rank_mod_p(k3_condition_rows(d, instance), p) - 1)
+        rng = derived_rng(cfg.seed, "k3", p, d, group, trial)
+        instance = sample_quartic_instance((m, min(k, n)), p, rng)
+        rank = rank_mod_p(k3_condition_rows(d, instance), p)
+        if rank < ncols and k < n:
+            instance = sample_quartic_instance((m, n), p, rng, start=instance)
+            rank = rank_mod_p(k3_condition_rows(d, instance), p)
+        trial_dims.append(ncols - rank - 1)
     return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)
 
 

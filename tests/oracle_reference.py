@@ -27,7 +27,11 @@ chose, and `RefInstance.oracle_instance` is the oracle's record of the
 same draw when every slot is 3.  `ref_measure_k3` is the trial loop that
 samples, with that sampler, and ranks every point of the system, with its
 one budget check made before it samples; the oracle stops a trial once its
-rows reach full column rank.
+rows reach full column rank.  `ref_prefix_measure_k3` is the oracle's
+former trial loop with that stop, on the oracle's own sampler: when the
+first k points of a trial fall short of full rank, it draws all n points
+again from a fresh generator with the same tags, where the oracle goes on
+drawing from the one generator of the trial.
 The sampler, the plane rows and the trial loop take a tuple of (m, n)
 groups, as the seed did: ((m, n),) is the oracle's system (m, n), and ()
 has no points.  All of them are kept verbatim in behaviour, and the tests
@@ -39,8 +43,14 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from series_reference import binomial_shift, dense_mul, ref_eval_scalar, ref_series_at, unit_pairs
 
-from k3fat.core import point_conditions
-from k3fat.oracle.config import BudgetExceededError, OracleMeasurement, SamplingError, derived_rng
+from k3fat.core import K3System, point_conditions
+from k3fat.oracle.config import (
+    BudgetExceededError,
+    OracleMeasurement,
+    SamplingError,
+    check_budget,
+    derived_rng,
+)
 from k3fat.oracle.field import field_dtype, inverse_mod, rank_mod_p
 from k3fat.oracle.quartic import (
     QuarticSurfaceInstance,
@@ -48,6 +58,7 @@ from k3fat.oracle.quartic import (
     k3_condition_rows,
     monomial_exponents,
     num_surface_forms,
+    sample_quartic_instance,
 )
 from k3fat.oracle.series import triangle
 
@@ -373,3 +384,30 @@ def ref_measure_k3(d: int, groups, cfg, prime: int = 0) -> OracleMeasurement:
     dim = min(trial_dims)
     low_confidence = len(set(trial_dims)) > 1
     return OracleMeasurement(dim, tuple(trial_dims), low_confidence, p, nrows, ncols)
+
+
+def ref_prefix_measure_k3(d: int, points, cfg, prime: int = 0) -> OracleMeasurement:
+    """measure_k3 with two generators per trial that does not stop: the
+    rows of the first k points, k = ceil((2d^2 + 2) / (m(m+1)/2)), are
+    ranked when k < n, and at full rank the trial's dim is -1; otherwise
+    all n points are drawn from a fresh generator with the same tags and
+    ranked.  points = (m, n), (0, 0) for no points."""
+    sys = K3System(4, d, *points)
+    d, m, n = sys.degree, sys.multiplicity, sys.count
+    p = prime or cfg.prime
+    ncols = num_surface_forms(d)
+    nrows = n * point_conditions(m)
+    check_budget(cfg, "quartic", nrows, ncols)
+    k = -(-ncols // point_conditions(m)) if n else 0
+    group = ((m, n),) if n else ()
+    trial_dims = []
+    for trial in range(cfg.trials):
+        tags = (cfg.seed, "k3", p, d, group, trial)
+        if k < n:
+            instance = sample_quartic_instance((m, k), p, derived_rng(*tags))
+            if rank_mod_p(k3_condition_rows(d, instance), p) == ncols:
+                trial_dims.append(-1)
+                continue
+        instance = sample_quartic_instance((m, n), p, derived_rng(*tags))
+        trial_dims.append(ncols - rank_mod_p(k3_condition_rows(d, instance), p) - 1)
+    return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)

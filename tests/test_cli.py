@@ -68,6 +68,17 @@ def test_vdim_record_errors_are_usage_errors(runner):
         assert message in result.output, args
 
 
+def test_prime_help_states_the_range_that_the_config_accepts(runner):
+    # both options: the bounds that config's prime check enforces
+    text = " ".join(invoke(runner, "--help").output.split())
+    bound = k3fat.oracle.config._MR_EXACT_BELOW
+    assert text.count(f"A prime in 2^30 < p < {bound}; primes above isqrt(2^63) take "
+                      "the slow object-array path.") == 2
+    for prime in (2**30, bound):
+        result = runner.invoke(main, ["--prime", str(prime), "vdim", "--gamma", "4", "-d", "2"])
+        assert result.exit_code == 2 and f"got {prime}" in result.output
+
+
 def test_classify_with_trace(runner, tmp_path):
     trace = tmp_path / "trace.json"
     result = invoke(runner, "classify", "--gamma", "4", "-d", "2", "-m", "2",

@@ -14,8 +14,12 @@ monomials only, so the rows are compared on the kept columns, and the
 dimensions against the full-column pipeline of oracle_reference.  The
 oracle's trials stop drawing points once their rows reach full column rank;
 the measurements are compared with oracle_reference's trial loop, which
-samples and ranks every point.  The plane rows are Taylor coefficients, and
-are compared with oracle_reference's derivative rows divided by i! j!.
+samples and ranks every point, and with `ref_prefix_measure_k3`, the
+two-generator loop that draws all points again from a fresh generator when
+the first k points fall short of full rank, where the oracle goes on
+drawing from the trial's one generator.  The plane rows are Taylor
+coefficients, and are compared with oracle_reference's derivative rows
+divided by i! j!.
 The oracle measures one homogeneous system (m, n); the references take the
 seed's tuple of groups, and the tests hand them ((m, n),), or () for no
 points, the tuple that also tags each trial's random stream.
@@ -43,6 +47,7 @@ from oracle_reference import (
     ref_measure_k3,
     ref_planar_condition_rows,
     ref_poly_roots,
+    ref_prefix_measure_k3,
     ref_rank_mod_p,
     ref_sample_quartic_instance,
 )
@@ -64,6 +69,7 @@ from k3fat.oracle.config import (
     DEFAULT_PRIME2,
     BudgetExceededError,
     PrimeFieldConfig,
+    SamplingError,
     derived_rng,
 )
 from k3fat.oracle.field import field_dtype, inverse_mod, poly_roots, rank_mod_p
@@ -501,6 +507,7 @@ def test_stopped_trials_match_the_full_trial_loop(monkeypatch, p, d, groups, k):
     assert len(draws.sampled) == cfg.trials * k < cfg.trials * sum(n for _, n in groups)
     assert draws.checked == set(draws.sampled)
     assert measured == ref_measure_k3(d, groups, cfg, prime=p)
+    assert measured == ref_prefix_measure_k3(d, pair(groups), cfg, prime=p)
     assert measured.trial_dims == (-1,) * cfg.trials
     assert measured.rows == sum(n * m * (m + 1) // 2 for m, n in groups)
 
@@ -515,7 +522,10 @@ FULL_DRAW_SYSTEMS = (
 @pytest.mark.parametrize("d, groups, ranks_per_trial", FULL_DRAW_SYSTEMS)
 def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_per_trial):
     cfg = PrimeFieldConfig(prime2=None)
-    draws = Draws(monkeypatch)
+    p, (m, n) = DEFAULT_PRIME, pair(groups)
+    full = [sample_quartic_instance((m, n), p, derived_rng(1, "k3", p, d, groups, trial))
+            for trial in range(cfg.trials)]
+    draws, tags = Draws(monkeypatch), recorded_tags(monkeypatch, quartic)
     ranks = []
     rank = quartic.rank_mod_p
 
@@ -524,18 +534,80 @@ def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_
         return rank(rows, p)
 
     monkeypatch.setattr(quartic, "rank_mod_p", counting_rank)
-    measured = measure_k3(d, pair(groups), cfg)
-    # a trial that ranks twice drew the 1-point prefix of L^4(3, 6^4) first,
-    # then all four points again from a fresh generator, the same point first
-    prefix = 1 if ranks_per_trial == 2 else 0
-    per_trial = prefix + sum(n for _, n in groups)
-    assert len(draws.sampled) == cfg.trials * per_trial
-    for start in range(0, len(draws.sampled), per_trial):
-        drawn = draws.sampled[start:start + per_trial]
-        assert drawn[:prefix] == drawn[prefix:2 * prefix]
+    measured = measure_k3(d, (m, n), cfg)
+    # each trial takes one generator and draws each of its n points once: a
+    # trial that ranks twice drew the 1-point prefix of L^4(3, 6^4), then
+    # the other three from the same generator, the points of one draw of all
+    # four from a fresh generator with the trial's tags
+    assert tags == [(1, "k3", p, d, groups, trial) for trial in range(cfg.trials)]
+    assert draws.sampled == [pt for instance in full for pt in instance.points]
     assert draws.checked == set(draws.sampled)
     assert len(ranks) == cfg.trials * ranks_per_trial
-    assert measured == ref_measure_k3(d, groups, cfg)
+    assert ranks[ranks_per_trial - 1::ranks_per_trial] == [n * m * (m + 1) // 2] * cfg.trials
+    assert measured == ref_measure_k3(d, groups, cfg) == ref_prefix_measure_k3(d, (m, n), cfg)
+
+
+class Instances:
+    """Records the instances that quartic.k3_condition_rows receives."""
+
+    def __init__(self, monkeypatch):
+        self.ranked = []
+        rows = quartic.k3_condition_rows
+        monkeypatch.setattr(quartic, "k3_condition_rows",
+                            lambda d, instance: self.ranked.append(instance) or rows(d, instance))
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_a_draw_continued_from_its_prefix_is_the_draw_of_all_points(monkeypatch, p):
+    # with one attempt per point, about 3/8 of the point draws fail (a line
+    # with no root), so many draws leave their first quartic: wherever the
+    # draw of all four points at once returns, the draw that goes on from
+    # its first k points returns the same instance and leaves the generator
+    # in the same state, also when it moves off the prefix's quartic
+    monkeypatch.setattr(quartic, "_MAX_POINT_ATTEMPTS", 1)
+    moved = 0
+    for seed in range(30):
+        full_rng = Random(seed)
+        try:
+            full = sample_quartic_instance((6, 4), p, full_rng)
+        except SamplingError:
+            continue
+        rng = Random(seed)
+        prefix = sample_quartic_instance((6, 1 + seed % 3), p, rng)
+        assert sample_quartic_instance((6, 4), p, rng, start=prefix) == full
+        assert rng.getstate() == full_rng.getstate()
+        moved += prefix.coefficients != full.coefficients
+    assert moved
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_forced_point_failures_measure_as_the_two_generator_loop(monkeypatch, p):
+    # every trial of L^4(3, 6^4) goes on from its 1-point prefix, the wall
+    # L^4(3, 6^1); with one attempt per point, trials leave the prefix's
+    # quartic, and each is measured as the fresh generator's draw of all
+    # four points
+    monkeypatch.setattr(quartic, "_MAX_POINT_ATTEMPTS", 1)
+    moved = 0
+    for seed in range(1, 9):
+        cfg = PrimeFieldConfig(prime2=None, seed=seed)
+        try:
+            expected = ref_prefix_measure_k3(3, (6, 4), cfg, prime=p)
+        except SamplingError:
+            continue
+        instances = Instances(monkeypatch)
+        assert measure_k3(3, (6, 4), cfg, prime=p) == expected
+        assert len(instances.ranked) == 2 * cfg.trials  # a prefix, then all four
+        prefixes, fulls = instances.ranked[::2], instances.ranked[1::2]
+        moved += sum(a.coefficients != b.coefficients for a, b in zip(prefixes, fulls))
+    assert moved
+
+
+def test_a_start_that_is_no_prefix_of_the_draw_is_refused():
+    p = DEFAULT_PRIME
+    start = sample_quartic_instance((2, 3), p, Random(1))
+    for points, prime in (((3, 4), p), ((2, 2), p), ((2, 4), DEFAULT_PRIME2)):
+        with pytest.raises(ValueError, match="no prefix"):
+            sample_quartic_instance(points, prime, Random(1), start=start)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -604,12 +676,13 @@ def test_each_trial_draws_from_the_tags_of_its_system(monkeypatch):
     k3, plane = recorded_tags(monkeypatch, quartic), recorded_tags(monkeypatch, planar)
     p = DEFAULT_PRIME
     assert measure_k3(2, (2, 4), cfg).trial_dims == (-1, -1)
-    assert measure_k3(3, (6, 4), cfg).trial_dims == (-1, -1)  # one prefix, then all
+    assert measure_k3(3, (6, 4), cfg).trial_dims == (-1, -1)  # one prefix, then the rest
     assert measure_k3(2, (0, 0), cfg).trial_dims == (9, 9)
     assert k3 == [(1, "k3", p, 2, ((2, 4),), 0), (1, "k3", p, 2, ((2, 4),), 1),
-                  (1, "k3", p, 3, ((6, 4),), 0), (1, "k3", p, 3, ((6, 4),), 0),
-                  (1, "k3", p, 3, ((6, 4),), 1), (1, "k3", p, 3, ((6, 4),), 1),
+                  (1, "k3", p, 3, ((6, 4),), 0), (1, "k3", p, 3, ((6, 4),), 1),
                   (1, "k3", p, 2, (), 0), (1, "k3", p, 2, (), 1)]
+    for d, points in ((2, (2, 4)), (3, (6, 4)), (2, (0, 0))):
+        assert measure_k3(d, points, cfg) == ref_prefix_measure_k3(d, points, cfg)
     assert measure_planar(PlanarSystem(3, 2, 4), cfg).trial_dims == (-1, -1)
     assert measure_planar(PlanarSystem(3), cfg).trial_dims == (9, 9)
     assert plane == [(1, "planar", p, 3, ((2, 4),), 0), (1, "planar", p, 3, ((2, 4),), 1),

@@ -1,9 +1,22 @@
 from dataclasses import replace
+from random import Random
 
 import pytest
 
 from k3fat.core import PlanarSystem, vdim_planar
-from k3fat.oracle import BudgetExceededError, PrimeFieldConfig, measure_planar
+from k3fat.oracle import (
+    DEFAULT_PRIME,
+    BudgetExceededError,
+    PrimeFieldConfig,
+    measure_planar,
+    planar,
+    planar_condition_rows,
+)
+
+
+class NoDraws(Random):
+    def randrange(self, *args):
+        raise AssertionError("a draw was made")
 
 
 def test_line_through_two_points(small_cfg):
@@ -82,3 +95,25 @@ def test_prime_independence_sample(small_cfg):
     for delta, mu, nu in [(3, 1, 4), (5, 2, 9), (2, 2, 2)]:
         sys = PlanarSystem.homogeneous(delta, mu, nu)
         assert measure_planar(sys, small_cfg).dim == measure_planar(sys, cfg2).dim
+
+
+@pytest.mark.parametrize("points", [(2, -1), (0, 3), (2, 0), (-1, 2), (1.5, 2), (2, 4.0)])
+def test_rows_refuse_a_malformed_group_before_any_draw(points):
+    # core's rule: integers, both 0 (no points) or both positive
+    with pytest.raises(ValueError, match="multiplicity|count"):
+        planar_condition_rows(3, points, DEFAULT_PRIME, NoDraws())
+
+
+@pytest.mark.parametrize("prime", [4, 101, 2**31 + 1])
+def test_a_measurement_prime_outside_the_config_range_raises_before_any_draw(
+        monkeypatch, small_cfg, prime):
+    # 4 and 101 lie below 2^30; 2^31 + 1 = 3 * 715827883
+    monkeypatch.setattr(planar, "derived_rng", lambda *tags: NoDraws())
+    for sys in (PlanarSystem(3, 2, 4), PlanarSystem(-1)):
+        with pytest.raises(ValueError, match="prime must"):
+            measure_planar(sys, small_cfg, prime=prime)
+
+
+def test_a_measurement_prime_in_the_config_range_is_measured_at(small_cfg):
+    m = measure_planar(PlanarSystem(3, 2, 4), small_cfg, prime=2**61 - 1)
+    assert (m.prime, m.dim) == (2**61 - 1, -1)

@@ -172,6 +172,32 @@ def test_malformed_point_groups_raise_before_any_draw(monkeypatch, small_cfg, po
         measure_k3(2, points, small_cfg)
 
 
+class NoDraws(Random):
+    def randrange(self, *args):
+        raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize("points", [(2, -1), (0, 3), (2, 0), (-1, 2), (1.5, 2), (2, 4.0)])
+def test_sampling_refuses_a_malformed_group_before_any_draw(points):
+    # core's rule: integers, both 0 (no points) or both positive
+    with pytest.raises(ValueError, match="multiplicity|count"):
+        sample_quartic_instance(points, P, NoDraws())
+
+
+@pytest.mark.parametrize("prime", [4, 101, 2**31 + 1])
+def test_a_measurement_prime_outside_the_config_range_raises_before_any_draw(
+        monkeypatch, small_cfg, prime):
+    # 4 and 101 lie below 2^30; 2^31 + 1 = 3 * 715827883
+    monkeypatch.setattr(quartic, "derived_rng", lambda *tags: NoDraws())
+    with pytest.raises(ValueError, match="prime must"):
+        measure_k3(2, (2, 4), small_cfg, prime=prime)
+
+
+def test_a_measurement_prime_in_the_config_range_is_measured_at(small_cfg):
+    m = measure_k3(2, (2, 4), small_cfg, prime=2**61 - 1)
+    assert (m.prime, m.dim) == (2**61 - 1, -1)
+
+
 def test_numpy_integer_groups_measure_as_python_ints(monkeypatch, small_cfg):
     # the same measurement from the same random streams: (m, n) tags them
     tags = []
