@@ -1,4 +1,4 @@
-"""Exact prime-field linear algebra and root finding for degree <= 4.
+"""Exact prime-field linear algebra and the roots of monic quartics.
 
 For p up to isqrt(2^63) field elements live in int64 numpy arrays (a product
 of two reduced entries fits in a signed 64-bit word); larger primes, which
@@ -37,13 +37,14 @@ A11 the new block is A22 - A21 (A11^-1 A12).  Y and the rows below are
 one kernel call each.  At k = 0, column 0 is zero in A11: the first row
 below that is nonzero there is swapped in, or else the column is dropped.
 
-Roots are found by Cantor-Zassenhaus (Math. Comp. 36, 1981): the root part
-gcd(T^p - T, f) is split by equal-degree splitting with random shifts.  The
-Frobenius T^p mod f is the hot path.  It runs left to right on
-four-coefficient residues packed into one integer (Kronecker substitution),
-so a squaring is one integer product; at a set bit the multiply by T is a
-shift of the square, and T^4..T^7 fold back through their packed residues
-before each coefficient is reduced once.
+Roots are found for one shape, a monic quartic f (a sampled quartic
+surface on a vertical line), by Cantor-Zassenhaus (Math. Comp. 36, 1981):
+the root part gcd(T^p - T, f) is split by equal-degree splitting with
+random shifts.  The Frobenius T^p mod f is the hot path.  It runs left to
+right on four-coefficient residues packed into one integer (Kronecker
+substitution), so a squaring is one integer product; at a set bit the
+multiply by T is a shift of the square, and T^4..T^7 fold back through
+their packed residues before each coefficient is reduced once.
 The root-part gcd runs in place on at most five coefficients with a single
 inverse, for the final monic normalisation.  A root part of degree 2, the
 common case, is solved in closed form with a Tonelli-Shanks square root on
@@ -210,12 +211,9 @@ def _pdivmod(f: Sequence[int], g: Sequence[int], p: int):
     return _pstrip(q), _pstrip(f)
 
 
-def _monic(f: Sequence[int], p: int) -> List[int]:
-    f = _pstrip([c % p for c in f])
-    if not f:
-        return []
+def _monic(f: Sequence[int], p: int) -> List[int]:  # f nonzero, reduced and stripped
     inv = inverse_mod(f[-1], p)
-    return [(c * inv) % p for c in f]
+    return [c * inv % p for c in f]
 
 
 def _pgcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
@@ -319,21 +317,17 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     return r
 
 
-def poly_roots(coeffs: Sequence[int], p: int, rng) -> List[int]:
-    """Sorted distinct roots in F_p of a nonzero polynomial of degree <= 4.
+def poly_roots(f: Sequence[int], p: int, rng) -> List[int]:
+    """Sorted distinct roots in F_p of a monic quartic, ascending
+    coefficients [f0, f1, f2, f3, 1]; any other shape raises ValueError.
 
     The root part is isolated as gcd(T^p - T, f) and then split by
     equal-degree splitting with random shifts, a quadratic in closed form
     with the same shifts drawn; `rng` drives the shifts, so results and the
     generator's state afterwards are deterministic for a fixed seed.
     """
-    f = _monic(coeffs, p)
-    if not f:
-        raise ValueError("the zero polynomial has every root")
-    if len(f) > 5:
-        raise ValueError("poly_roots handles degree at most 4")
-    if len(f) <= 2:  # constant or linear: nothing to split, no draws from rng
-        return [(-f[0]) % p] if len(f) == 2 else []
+    if len(f) != 5 or f[4] != 1:
+        raise ValueError(f"poly_roots takes a monic quartic [f0, f1, f2, f3, 1], got {list(f)}")
     xp = _linear_powmod(0, p, f, p)
     xp_minus_x = xp + [0] * max(0, 2 - len(xp))
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p

@@ -7,27 +7,29 @@ coefficient of total degree < m of G restricted to S in local coordinates
 at P, where the restriction is computed through the implicit local series
 z = phi(x, y) of the surface.
 
-The columns are a basis of H^0(O_S(d)), not of all degree-d forms.  The
-sampler redraws a quartic with no x0^4 term (probability 1/p), so in lex
-order the leading term of F is a multiple of x0^4, and the division
-algorithm writes every degree-d form as F * G plus a combination of the
-standard monomials, those with e_0 <= 3; F * G is zero on S (Cox, Little and
-O'Shea, Ideals, Varieties, and Algorithms, ch. 2).  In the chart x0 = 1
-they are the monomials of degree at least d - 3, C(d+3,3) - C(d-1,3) =
-2d^2 + 2 of them, the same for every instance (column_exponents).  So the
-ambient projective dimension is ncols - 1 and the measured dimension of the
-system is that minus the rank of the condition matrix.  Every condition row
-vanishes on the multiples of F, so the rank on the standard columns equals
-the rank on all monomials.
+F leads with x0^4 and x3^4: the sampler redraws a quartic without either
+(probability about 2/p).  The columns are a basis of H^0(O_S(d)), not of
+all degree-d forms: in lex order the leading term of F is a multiple of
+x0^4, and the division algorithm writes every degree-d form as F * G plus a
+combination of the standard monomials, those with e_0 <= 3; F * G is zero
+on S (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2).  In
+the chart x0 = 1 they are the monomials of degree at least d - 3,
+C(d+3,3) - C(d-1,3) = 2d^2 + 2 of them, the same for every instance
+(column_exponents).  So the ambient projective dimension is ncols - 1 and
+the measured dimension of the system is that minus the rank of the
+condition matrix.  Every condition row vanishes on the multiples of F, so
+the rank on the standard columns equals the rank on all monomials.
 
 Points are drawn in the chart x0 = 1: a uniform (x1, x2) = (a, b), then a
-uniform root z of the restricted quartic r(T) = F(1, a, b, T).  A point
-where z is a multiple root of r, r'(z) = F_z(P) = 0, is redrawn, as is a
-line with no root or a point drawn before; so every point is smooth and
-has the one chart, x3 solved over (x1, x2).  The vertical lines tangent to
-S lie over the branch curve of the projection from (0 : 0 : 0 : 1), of
-degree 12, so a uniform (a, b) is redrawn for this with probability at
-most about 12/p.
+uniform root z of r(T) = F(1, a, b, T).  F's affine terms are scaled once
+per quartic by the inverse of its x3^4 coefficient, r's T^4 coefficient, so
+every r is a monic quartic, the one shape poly_roots takes.  A point where
+z is a multiple root of r, r'(z) = F_z(P) = 0, is redrawn, as is a line
+with no root or a point drawn before; so every point is smooth and has the
+one chart, x3 solved over (x1, x2).  As x3^4 is in F, (0 : 0 : 0 : 1) is
+off S, and the vertical lines tangent to S lie over the branch curve of the
+projection from it, of degree 12, so a uniform (a, b) is redrawn for this
+with probability at most about 12/p.
 
 The block of conditions at a point P of multiplicity m holds the truncated
 Taylor series of each column monomial restricted along the chart at P: the
@@ -76,7 +78,7 @@ from .config import (
     derived_rng,
     num_surface_forms,
 )
-from .field import poly_roots, rank_mod_p
+from .field import inverse_mod, poly_roots, rank_mod_p
 from .series import chart_jets, powers, restrict, solve_implicit, triangle
 
 _MAX_POINT_ATTEMPTS = 256
@@ -97,6 +99,7 @@ def monomial_exponents(degree: int, nvars: int = 4) -> List[Tuple[int, ...]]:
 
 
 _QUARTIC_EXPONENTS = tuple(monomial_exponents(4))  # the terms of a random quartic, drawn in order
+_X0_FOURTH, _X3_FOURTH = _QUARTIC_EXPONENTS[0], _QUARTIC_EXPONENTS[-1]
 
 
 @lru_cache(maxsize=64)
@@ -131,7 +134,7 @@ class QuarticSurfaceInstance:
 
 def _sample_point(f_affine, p: int, rng, seen) -> Tuple[int, int, int]:
     """One surface point (a, b, z) in the chart x0 = 1, not in `seen`, with
-    F_z != 0 there: z is a simple root of F on its vertical line."""
+    F_z != 0 there: z is a simple root of f_affine = z^4 + ... on its line."""
     for _ in range(_MAX_POINT_ATTEMPTS):
         a = rng.randrange(p)
         b = rng.randrange(p)
@@ -141,8 +144,6 @@ def _sample_point(f_affine, p: int, rng, seen) -> Tuple[int, int, int]:
         for (e1, e2, e3), c in f_affine.items():
             restricted[e3] += c * a_pow[e1] * b_pow[e2]
         restricted = [c % p for c in restricted]
-        if not any(restricted):
-            continue  # the whole vertical line lies on the surface; resample
         roots = poly_roots(restricted, p, rng)
         if not roots:
             continue
@@ -169,12 +170,14 @@ def sample_quartic_instance(
     points are the first of the attempts, and only the later points are
     drawn: the instance, and rng's state, are those of a draw of (m, n) from
     rng as it was before the start's draw, whenever that draw returns.  A
-    quartic with no x0^4 term is redrawn, as is one where a point's draw
-    fails.  Each z is a simple root of F on its line (see _sample_point).
+    quartic with no x0^4 or no x3^4 term is redrawn, after its 35 draws, as
+    is one where a point's draw fails; a start with no such term raises
+    ValueError.  Each z is a simple root of F on its line (see _sample_point).
     """
     m, n = check_points(*points)
     if start is not None and (
-            (start.prime, start.multiplicity) != (p, m) or len(start.points) > n):
+            (start.prime, start.multiplicity) != (p, m) or len(start.points) > n
+            or not all(dict(start.coefficients).get(e, 0) % p for e in (_X0_FOURTH, _X3_FOURTH))):
         raise ValueError(f"the start instance is no prefix of a draw of {points} at p = {p}")
     for _ in range(_MAX_SURFACE_ATTEMPTS):
         if start is not None:
@@ -182,10 +185,11 @@ def sample_quartic_instance(
             start = None
         else:
             coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
-            if not coeffs[_QUARTIC_EXPONENTS[0]]:  # x0^4
+            if not (coeffs[_X0_FOURTH] and coeffs[_X3_FOURTH]):
                 continue
             drawn = {}  # the distinct points in draw order
-        f_affine = _dehomogenize(coeffs)
+        inv = inverse_mod(coeffs[_X3_FOURTH], p)  # every vertical line is then monic in z
+        f_affine = {e: c * inv % p for e, c in _dehomogenize(coeffs).items()}
         try:
             while len(drawn) < n:
                 drawn[_sample_point(f_affine, p, rng, drawn)] = None

@@ -1,9 +1,15 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from k3fat.cli import _THREAD_VARS
 from k3fat.oracle import PrimeFieldConfig
+
+# A failing property prints its @reproduce_failure line (the default is not
+# to); the examples drawn are the default profile's.
+settings.register_profile("k3fat", print_blob=True)
+settings.load_profile("k3fat")
 
 
 @pytest.fixture(autouse=True)

@@ -16,10 +16,13 @@ one falling-factorial product and one power per entry; the oracle's row
 (i, j) is the Taylor coefficient, the derivative row divided by i! j!.
 `ref_rank_mod_p` is the unblocked elimination, one pivot at a time over the
 trailing columns.  `ref_poly_roots` finds roots with generic list
-arithmetic and right-to-left powering, and `ref_sample_quartic_instance`
+arithmetic and right-to-left powering, on any nonzero polynomial of
+degree <= 4 (the oracle's takes monic quartics only; `non_residue` helps
+build them with a root-free factor), and `ref_sample_quartic_instance`
 draws a quartic and its points with it; it redraws only the zero quartic,
-where the oracle redraws every quartic with no x0^4 term (probability 1/p),
-so the two streams differ only when the x0^4 coefficient is 0.  It keeps
+where the oracle redraws every quartic with no x0^4 or no x3^4 term
+(probability about 2/p), so the two streams differ only when one of those
+two coefficients is 0.  It keeps
 the seed's chart rule: a point is accepted when any partial of F is
 nonzero there, and solves for the largest coordinate whose partial is,
 where the oracle redraws every point with F_z = 0 and solves for x3.  So it returns its own point records, `RefPoint`, with the slot it
@@ -261,6 +264,14 @@ def _ref_split(g, p, rng):
             q, r = _ref_divmod(g, d, p)
             assert not r
             return _ref_split(d, p, rng) + _ref_split(_ref_monic(q, p), p, rng)
+
+
+def non_residue(p, start=2):
+    """The least quadratic non-residue mod p from `start` on (Euler's criterion)."""
+    c = start
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return c
 
 
 def ref_poly_roots(coeffs, p, rng):

@@ -23,9 +23,12 @@ divided by i! j!.
 The oracle measures one homogeneous system (m, n); the references take the
 seed's tuple of groups, and the tests hand them ((m, n),), or () for no
 points, the tuple that also tags each trial's random stream.
-The sampler redraws a quartic with no x0^4 term, which the seed kept; a
-uniform draw gives one with probability 1/p, and a generator that forces one
-is tested against the stream it then continues.  It also redraws
+The sampler redraws a quartic with no x0^4 or no x3^4 term, which the seed
+kept; a uniform draw gives one with probability about 2/p, and a generator
+that forces one is tested against the stream it then continues.  The x3^4
+coefficient makes every vertical line a monic quartic once F is scaled by
+its inverse, the one shape the oracle's root finder takes, so root finding
+is compared on monic quartics with 0 to 4 planted roots.  It also redraws
 a point where F_z = 0, which the seed kept when another partial was
 nonzero, and solved along that coordinate; on every stream below the seed's
 sampler solves for x3 at every point, so both draw the same points.
@@ -43,6 +46,7 @@ from hypothesis import strategies as st
 from oracle_reference import (
     _ref_mul,
     _ref_sample_point,
+    non_residue,
     ref_k3_condition_rows,
     ref_measure_k3,
     ref_planar_condition_rows,
@@ -125,16 +129,15 @@ def ref_condition_rows(d, instance) -> List[List[int]]:
 
 @st.composite
 def root_problems(draw):
-    """A prime, a polynomial of degree <= 4 with a planted set of roots
-    (repeats allowed), and a generator seed."""
+    """A prime, a monic quartic with 0 to 4 planted roots (repeats allowed)
+    times a monic factor of the remaining degree, and a generator seed."""
     p = draw(st.sampled_from(ROOT_PRIMES))
     element = st.integers(min_value=0, max_value=p - 1)
     roots = draw(st.lists(element, max_size=4))
-    f = [draw(st.integers(min_value=1, max_value=p - 1))]
+    f = draw(st.lists(element, min_size=4 - len(roots), max_size=4 - len(roots))) + [1]
     for r in roots:
         f = _ref_mul(f, [(-r) % p, 1], p)
-    extra = draw(st.lists(element, max_size=4 - len(roots)))
-    f = _ref_mul(f, extra + [1], p) if extra else f
+    assert len(f) == 5 and f[4] == 1
     return p, f, draw(st.integers(min_value=0, max_value=2**32))
 
 
@@ -165,11 +168,13 @@ class ScriptedShifts(Random):
 def test_quadratic_split_replays_a_shift_that_zeroes_a_factor(p):
     # shift = -r makes r + shift = 0: splitting by it succeeds exactly when
     # the other factor's (r' - r)^((p-1)/2) is 1, a case random shifts reach
-    # with probability 2/p
+    # with probability 2/p.  The quartic (T - r1)(T - r2)(T^2 - c), c a
+    # non-residue, has the root part (T - r1)(T - r2)
     rng = Random(p)
+    irreducible = [p - non_residue(p), 0, 1]
     for _ in range(20):
         r1, r2 = rng.sample(range(p), 2)
-        f = _ref_mul([(-r1) % p, 1], [(-r2) % p, 1], p)
+        f = _ref_mul(_ref_mul([(-r1) % p, 1], [(-r2) % p, 1], p), irreducible, p)
         for first in ((-r1) % p, (-r2) % p):
             seed = rng.randrange(2**32)
             new_rng = ScriptedShifts(seed, [first])
@@ -280,20 +285,25 @@ def point_pairs(max_count):
 @settings(max_examples=25, deadline=None)
 def test_sample_quartic_instance_matches_reference_and_rng_stream(p, points, seed):
     new_rng, ref_rng = Random(seed), Random(seed)
-    assert sample_quartic_instance(points, p, new_rng) == \
-        ref_sample_quartic_instance((points,), p, ref_rng).oracle_instance()
+    instance = sample_quartic_instance(points, p, new_rng)
+    assert instance == ref_sample_quartic_instance((points,), p, ref_rng).oracle_instance()
     assert new_rng.getstate() == ref_rng.getstate()
+    coeffs = dict(instance.coefficients)
+    assert coeffs[X0_FOURTH] and coeffs[X3_FOURTH]
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_a_multiple_root_is_redrawn_though_another_partial_is_nonzero(p):
-    # f = z^2 - x on the line x = 0: z = 0 is a double root, where f_z = 0
-    # but f_x = -1.  The seed's sampler took that point, solving for x; the
+    # f = z^4 + c z^2 - x with -c a non-residue, on the line x = 0:
+    # z^2 (z^2 + c) has the one root z = 0, a double root, where f_z = 0 but
+    # f_x = -1.  The seed's sampler took that point, solving for x; the
     # oracle draws another line, and the point it returns has f_z != 0
-    f = {(0, 0, 2): 1, (1, 0, 0): p - 1}
+    c = p - non_residue(p)
+    f = {(0, 0, 4): 1, (0, 0, 2): c, (1, 0, 0): p - 1}
     assert _ref_sample_point(f, p, ScriptedShifts(11, [0, 5]), set()) == ((0, 5, 0), 1)
     a, b, z = quartic._sample_point(f, p, ScriptedShifts(11, [0, 5]), {})
-    assert (a, b) != (0, 5) and z * z % p == a and 2 * z % p
+    assert (a, b) != (0, 5) and (z**4 + c * z * z - a) % p == 0
+    assert (4 * z**3 + 2 * c * z) % p
 
 
 def kept_columns(d):
@@ -330,18 +340,23 @@ def test_condition_rows_match_reference_at_high_multiplicity(p, d, groups):
     assert rows.tolist() == [[row[n] for n in keep] for row in ref_k3_condition_rows(d, instance)]
 
 
-class NoX0Fourth(Random):
-    """A generator whose first draw, the x0^4 coefficient of the first
-    sampled quartic, is 0; every other draw is its own."""
+X0_FOURTH, X3_FOURTH = (4, 0, 0, 0), (0, 0, 0, 4)
 
-    def __init__(self, seed):
+
+class ZeroDraw(Random):
+    """A generator whose draw number `zeroed` (from 1) is 0; every other
+    draw is its own.  Draws 1 and 35 are the x0^4 and x3^4 coefficients of
+    the first sampled quartic."""
+
+    def __init__(self, seed, zeroed=1):
         super().__init__(seed)
+        self.zeroed = zeroed
         self.draws = 0
 
     def randrange(self, *args):
         value = super().randrange(*args)
         self.draws += 1
-        return 0 if self.draws == 1 else value
+        return 0 if self.draws == self.zeroed else value
 
 
 def after_a_quartic(seed, p):
@@ -376,26 +391,38 @@ def test_standard_columns_keep_the_dimension(p, points, d, seed):
 
 @pytest.mark.parametrize("p", (DEFAULT_PRIME, DEFAULT_PRIME2, 2**61 - 1))
 def test_a_quartic_without_x0_fourth_power_is_redrawn(p):
-    # the first 35 draws are a quartic with no x0^4 term but with x1^4 and
-    # the other pure fourth powers: the sampler draws a second one from the
-    # stream, as a plain generator that has made 35 draws does
+    # the first 35 draws are a quartic with every pure fourth power.  With
+    # its x0^4 (the first draw) or its x3^4 (the 35th) zeroed, the sampler
+    # draws a second one from the stream, as a plain generator that has made
+    # 35 draws does, and the instance has both terms
     rng = Random(5)
     first = {e: rng.randrange(p) for e in monomial_exponents(4)}
-    assert all(first[e] for e in ((0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)))
-    forced, plain = NoX0Fourth(5), after_a_quartic(5, p)
-    instance = sample_quartic_instance((2, 9), p, forced)
-    assert instance == sample_quartic_instance((2, 9), p, plain)
-    assert forced.getstate() == plain.getstate()
-    assert dict(instance.coefficients)[(4, 0, 0, 0)]
+    assert all(first[e] for e in (X0_FOURTH, (0, 4, 0, 0), (0, 0, 4, 0), X3_FOURTH))
+    assert [monomial_exponents(4)[k - 1] for k in (1, 35)] == [X0_FOURTH, X3_FOURTH]
+    for zeroed in (1, 35):
+        forced, plain = ZeroDraw(5, zeroed), after_a_quartic(5, p)
+        instance = sample_quartic_instance((2, 9), p, forced)
+        assert instance == sample_quartic_instance((2, 9), p, plain)
+        assert forced.getstate() == plain.getstate()
+        coeffs = dict(instance.coefficients)
+        assert coeffs[X0_FOURTH] and coeffs[X3_FOURTH] and coeffs != first
     for d in range(1, 10):
         assert len(column_exponents(d)) == num_surface_forms(d)
         assert std_column_dim(d, instance) == full_column_dim(d, instance)
+    # a start with either term 0 (or p) is no prefix of a draw
+    start = sample_quartic_instance((2, 3), p, Random(5))
+    for term in (X0_FOURTH, X3_FOURTH):
+        for value in (0, p):
+            coeffs = {**dict(start.coefficients), term: value}
+            bad = replace(start, coefficients=tuple(sorted(coeffs.items())))
+            with pytest.raises(ValueError, match="no prefix"):
+                sample_quartic_instance((2, 9), p, Random(5), start=bad)
 
 
 def test_a_redrawn_quartic_is_measured_within_the_standard_column_budget(monkeypatch):
     # 2d^2 + 2 = 52 columns at d = 5: a budget of 52 holds every trial, the
     # redrawn quartics included, and a budget of 51 refuses before any draw
-    monkeypatch.setattr(quartic, "derived_rng", lambda seed, *tags: NoX0Fourth(seed))
+    monkeypatch.setattr(quartic, "derived_rng", lambda seed, *tags: ZeroDraw(seed))
     cfg = PrimeFieldConfig(prime2=None, trials=2, budget_rows=52)
     m = measure_k3(5, (2, 3), cfg)
     assert (m.dim, m.rows, m.cols) == (42, 9, 52)
@@ -654,8 +681,11 @@ def test_the_seed_sampler_solves_for_x3_on_every_pinned_stream():
         new_rng, ref_rng = stream(), stream()
         ref = ref_sample_quartic_instance((points,) if points[1] else (), p, ref_rng)
         assert {pt.solved_slot for pt in ref.points} <= {3}, (points, p)
-        assert sample_quartic_instance(points, p, new_rng) == ref.oracle_instance()
+        instance = sample_quartic_instance(points, p, new_rng)
+        assert instance == ref.oracle_instance()
         assert new_rng.getstate() == ref_rng.getstate()
+        coeffs = dict(instance.coefficients)  # F leads with both pure powers
+        assert coeffs[X0_FOURTH] and coeffs[X3_FOURTH]
 
 
 # ---------------------------------------------------------------------------

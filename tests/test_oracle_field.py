@@ -2,7 +2,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from oracle_reference import ref_rank_mod_p
+from oracle_reference import non_residue, ref_rank_mod_p
 
 from k3fat.oracle import DEFAULT_PRIME, DEFAULT_PRIME2, field
 from k3fat.oracle.field import (
@@ -41,14 +41,6 @@ def _pmul(f, g, p):
                 if gj:
                     out[i + j] = (out[i + j] + fi * gj) % p
     return _pstrip(out)
-
-
-def non_residue(p, start=2):
-    """The least quadratic non-residue mod p from `start` on (Euler's criterion)."""
-    c = start
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    return c
 
 
 def test_rank_zero_matrix():
@@ -354,12 +346,15 @@ def _brute_roots(coeffs, p):
 
 
 def test_poly_roots_brute_force_small_prime():
-    p = 10007  # generic helper works at any odd prime
+    # monic quartics with 0 to 4 planted roots, repeats allowed, times a
+    # random monic factor of the remaining degree
+    p = 10007
     rng = Random(3)
     for _ in range(25):
-        deg = rng.randrange(1, 5)
-        coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-        assert poly_roots(coeffs, p, Random(0)) == _brute_roots(coeffs, p)
+        f = [rng.randrange(p) for _ in range(rng.randrange(5))] + [1]
+        while len(f) < 5:
+            f = _pmul(f, [rng.randrange(p), 1], p)
+        assert poly_roots(f, p, Random(0)) == _brute_roots(f, p)
 
 
 def test_poly_roots_constructed_large_prime():
@@ -412,21 +407,26 @@ def test_quadratic_roots_are_checked(monkeypatch):
 
 
 def test_poly_roots_repeated_root():
+    # (T - r)^2 (T^2 - c) with c a non-residue, and (T - r)^4: the root
+    # part is T - r in both
     p = P1
     r = 123456789
-    f = _pmul([(-r) % p, 1], [(-r) % p, 1], p)  # (T - r)^2
-    assert poly_roots(f, p, Random(0)) == [r]
+    square = _pmul([(-r) % p, 1], [(-r) % p, 1], p)
+    for f in (_pmul(square, [p - non_residue(p), 0, 1], p), _pmul(square, square, p)):
+        assert len(f) == 5 and f[4] == 1
+        assert poly_roots(f, p, Random(0)) == [r]
 
 
-def test_poly_roots_rejects_zero_polynomial():
-    with pytest.raises(ValueError):
-        poly_roots([0, 0], P1, Random(0))
-
-
-def test_poly_roots_rejects_degree_above_four():
-    # the powering kernels work on four-coefficient residues
-    with pytest.raises(ValueError):
-        poly_roots([1, 0, 0, 0, 0, 1], P1, Random(0))
+def test_poly_roots_takes_only_a_monic_quartic():
+    # zero, linear, cubic, non-monic (also with a lead of p + 1) and degree
+    # 5: each refused before any draw
+    rng = Random(0)
+    state = rng.getstate()
+    for f in ([], [0, 0, 0, 0, 0], [0, 0], [5, 1], [1, 2, 3, 1], [1, 2, 3, 4, 2],
+              [1, 2, 3, 4, P1 + 1], [1, 0, 0, 0, 0, 1]):
+        with pytest.raises(ValueError, match="monic quartic"):
+            poly_roots(f, P1, rng)
+    assert rng.getstate() == state
 
 
 def _powmod_reference(shift, e, g, p):
