@@ -417,16 +417,29 @@ def test_poly_roots_repeated_root():
         assert poly_roots(f, p, Random(0)) == [r]
 
 
-def test_poly_roots_takes_only_a_monic_quartic():
-    # zero, linear, cubic, non-monic (also with a lead of p + 1) and degree
-    # 5: each refused before any draw
+def _assert_refused_before_any_draw(f):
     rng = Random(0)
     state = rng.getstate()
-    for f in ([], [0, 0, 0, 0, 0], [0, 0], [5, 1], [1, 2, 3, 1], [1, 2, 3, 4, 2],
-              [1, 2, 3, 4, P1 + 1], [1, 0, 0, 0, 0, 1]):
-        with pytest.raises(ValueError, match="monic quartic"):
-            poly_roots(f, P1, rng)
+    with pytest.raises(ValueError, match="monic quartic"):
+        poly_roots(f, P1, rng)
     assert rng.getstate() == state
+
+
+def test_poly_roots_rejects_zero_polynomial():
+    for f in ([], [0, 0], [0, 0, 0, 0, 0]):
+        _assert_refused_before_any_draw(f)
+
+
+def test_poly_roots_rejects_degree_above_four():
+    # the powering kernels work on four-coefficient residues
+    _assert_refused_before_any_draw([1, 0, 0, 0, 0, 1])
+
+
+def test_poly_roots_takes_only_a_monic_quartic():
+    # linear, cubic and non-monic (also with a lead of p + 1): each refused
+    # before any draw
+    for f in ([5, 1], [1, 2, 3, 1], [1, 2, 3, 4, 2], [1, 2, 3, 4, P1 + 1]):
+        _assert_refused_before_any_draw(f)
 
 
 def _powmod_reference(shift, e, g, p):
