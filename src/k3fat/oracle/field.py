@@ -33,9 +33,19 @@ is the Schur complement of that I_k: the rows below, less their first k
 entries times Y[:k], with Y = E . strip from column k on, and under them
 Y[k:], so that the next leading block starts on fresh rows.  Over F_p the
 rank is exactly k plus the rank of the new block, and for an invertible
-A11 the new block is A22 - A21 (A11^-1 A12).  Y and the rows below are
-one kernel call each.  At k = 0, column 0 is zero in A11: the first row
-below that is nonzero there is swapped in, or else the column is dropped.
+A11 the new block is A22 - A21 (A11^-1 A12).  Y is one kernel call.  The
+rows below are updated in place, one slab of _SLAB_ROWS rows at a time,
+one kernel call per slab, so the product's temporaries are the size of a
+slab, not of all the rows below.  That is exact: a slab's new entries are
+its old ones less its own first k entries times Y[:k], so it reads only its
+own rows and Y, and no slab reads a row that another slab writes.  The
+update writes from column k on and its first k columns are read, never
+written.  The new block is then a view of the rows below from column k on,
+and only a singular A11 (k < the strip's order) concatenates Y[k:] under
+it, so the one working copy of the matrix is the reduced, possibly
+transposed block that the elimination starts from.  At k = 0, column 0 is
+zero in A11: the first row below that is nonzero there is swapped in, or
+else the column is dropped.
 
 Roots are found for one shape, a monic quartic f (a sampled quartic
 surface on a vertical line), by Cantor-Zassenhaus (Math. Comp. 36, 1981):
@@ -73,6 +83,11 @@ _SLAB = 32
 # update is one limb product: of 16, 24 and 32, 16 was measured fastest on
 # the acceptance grid's matrices.
 _BLOCK = 16
+# Rows below the leading block that one fused product updates in place,
+# so that its temporaries are the size of a slab, not of all those rows: of
+# 32, 64, 128 and unbounded, 64 was measured as fast as unbounded on the
+# oracle_large matrices and lowest in peak RSS with 32.
+_SLAB_ROWS = 64
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -116,28 +131,13 @@ def rank_mod_p(matrix, p: int) -> int:
     of rows; an empty one has rank 0) by block elimination on Schur
     complements.  Entries may be integers of any size; a matrix of floats,
     of any other non-integer dtype or of objects that are not all integers
-    raises ValueError."""
-    arr = np.asarray(matrix)
-    if arr.size == 0:
-        return 0
-    if arr.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    if arr.dtype.kind not in "biuO":
-        raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
-    # rank(A) = rank(A^T); eliminating on the short side is cheaper.
-    if arr.shape[0] > arr.shape[1]:
-        arr = arr.T
-    dtype = field_dtype(p)
-    if arr.dtype.kind in "uO":  # entries may pass int64: reduce them before any cast
-        entries = arr.astype(object, copy=False)
-        if arr.dtype.kind == "O":  # the cast would truncate a float: refuse it here
-            try:
-                entries = np.frompyfunc(operator.index, 1, 1)(entries)
-            except TypeError as exc:
-                raise ValueError(f"matrix entries must be integers: {exc}") from None
-        block = np.remainder(entries, p, order="C").astype(dtype, copy=False)
-    else:
-        block = np.remainder(np.asarray(arr, dtype=dtype), p, order="C")
+    raises ValueError.
+
+    The one working copy is the reduced, possibly transposed block
+    (`_reduced_block`); each step updates the rows below its leading block
+    in place, one slab of _SLAB_ROWS rows at a time (see the module
+    docstring)."""
+    block = _reduced_block(matrix, p)
     rank = 0
     while block.shape[0] and block.shape[1]:
         size = min(_BLOCK, *block.shape)
@@ -155,9 +155,39 @@ def rank_mod_p(matrix, p: int) -> int:
             break
         strip = block[:size, k:]
         y = matmul_mod_p(np.zeros_like(strip), neg_e, strip, p)  # E . strip from column k on
-        rest = matmul_mod_p(block[size:, k:], block[size:, :k], y[:k], p)
-        block = rest if k == size else np.concatenate((rest, y[k:]))
+        rest = block[size:]
+        for lo in range(0, len(rest), _SLAB_ROWS):  # in place, one slab of rows at a time
+            slab = rest[lo:lo + _SLAB_ROWS]
+            slab[:, k:] = matmul_mod_p(slab[:, k:], slab[:, :k], y[:k], p)
+        block = rest[:, k:] if k == size else np.concatenate((rest[:, k:], y[k:]))
     return rank
+
+
+def _reduced_block(matrix, p: int) -> np.ndarray:
+    """The matrix reduced mod p in the dtype `field_dtype(p)` chooses, as a
+    new C-ordered array, transposed when it has more rows than columns;
+    (0, 0) when it is empty.  Its temporaries end with this call, so the
+    elimination holds no other copy of the matrix."""
+    arr = np.asarray(matrix)
+    dtype = field_dtype(p)
+    if arr.size == 0:
+        return np.zeros((0, 0), dtype=dtype)
+    if arr.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    if arr.dtype.kind not in "biuO":
+        raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
+    # rank(A) = rank(A^T); eliminating on the short side is cheaper.
+    if arr.shape[0] > arr.shape[1]:
+        arr = arr.T
+    if arr.dtype.kind in "uO":  # entries may pass int64: reduce them before any cast
+        entries = arr.astype(object, copy=False)
+        if arr.dtype.kind == "O":  # the cast would truncate a float: refuse it here
+            try:
+                entries = np.frompyfunc(operator.index, 1, 1)(entries)
+            except TypeError as exc:
+                raise ValueError(f"matrix entries must be integers: {exc}") from None
+        return np.remainder(entries, p, order="C").astype(dtype, copy=False)
+    return np.remainder(np.asarray(arr, dtype=dtype), p, order="C")
 
 
 def _negated_inverse(a11: np.ndarray, p: int) -> Tuple[int, np.ndarray]:
@@ -239,7 +269,9 @@ def _pgcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
 
 
 def _linear_powmod(shift: int, e: int, g: Sequence[int], p: int) -> List[int]:
-    """(T + shift)^e mod a monic g of degree 2 to 4, stripped.
+    """(T + shift)^e mod a monic g of degree at most 4, stripped: poly_roots
+    passes the quartic for the Frobenius T^p, and root parts of degree 3 or
+    4 when it splits by (T + shift)^((p-1)/2).
 
     Left-to-right binary powering: one squaring per bit of e, times
     (T + shift) for a set bit after the leading one.  The powers are kept
@@ -370,7 +402,7 @@ def _split_linear(g: List[int], p: int, rng) -> List[int]:
             q, r = _pdivmod(g, d, p)
             if r:
                 raise ArithmeticError("equal-degree split produced a non-divisor")
-            return _split_linear(d, p, rng) + _split_linear(_monic(q, p), p, rng)
+            return _split_linear(d, p, rng) + _split_linear(q, p, rng)  # q is monic: g and d are
 
 
 def _quadratic_roots(g: Sequence[int], p: int) -> List[int]:

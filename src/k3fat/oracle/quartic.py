@@ -37,15 +37,24 @@ row of s^a t^b, for (a, b) in triangle(m - 1) order, holds its s^a t^b
 coefficient.  With s = x1 - P_1, t = x2 - P_2 and z = x3 = P_z + psi, the
 column x^e restricts to (P_1 + s)^(e_1) (P_2 + t)^(e_2) (P_z + psi)^(e_3).
 Series and restrictions are one representation, m x m coefficient grids
-over (a, b) (see the series module), with one kernel, `restrict`.  F along
-the chart is sum_e c_e restrict(x^e) over F's own terms, so
-`solve_implicit` fixes psi for all the points of an instance, which share
-one multiplicity, from that sum, and the block of the degree-d columns is
-`restrict` of those columns with that psi.  That solve checks every point,
-simple points at order 0 included, so a hand-built instance is held to the
-same check as a sampled one.  Every int64 step reduces each product of two
-reduced entries before it adds, also in the sum over F's 35 terms, so it
-stays exact in the arrays of `field_dtype`.
+over (a, b) (see the series module), with one kernel, `restrict`.  F
+along the chart is sum_e c_e restrict(x^e) over F's own terms, so
+`solve_implicit` fixes psi for all the points of an instance, which
+share one multiplicity, from that sum, and the block of the degree-d
+columns is `restrict` of those columns with that psi.  That solve checks
+every point, simple points at order 0 included, so a hand-built instance
+is held to the same check as a sampled one.  The solve runs once for all
+the points, as psi is small; the grids are not.  `k3_condition_rows`
+allocates the condition matrix once, after the first chunk's `restrict`
+has returned, and fills it one chunk of points at a time: each chunk
+takes as many points as fit _CHUNK_ENTRIES grid entries (points x
+columns x m^2), and at least one, gets its own jets and `restrict`, and
+its triangle entries are copied straight into its rows.  A point's rows
+depend on that point alone, so the chunks give the rows of one call, and
+the grids in memory at once are one chunk's, not every point's.  Every
+int64 step reduces each product of two reduced entries before it adds,
+also in the sum over F's 35 terms, so it stays exact in the arrays of
+`field_dtype`.
 
 A trial stops drawing points once its conditions reach full column rank.
 Let k = ceil((2d^2 + 2) / (m (m + 1) / 2)), the first point count whose
@@ -54,16 +63,19 @@ from its generator and ranks their rows: at full rank its dim is -1.
 Short of it, the trial goes on drawing the other n - k points from the
 same generator and ranks the rows of all n; ranking draws nothing, so
 these are the points a draw of all n at once returns (see
-sample_quartic_instance).  Rank only grows as rows are added and never
-exceeds 2d^2 + 2 (the multiples of F meet no condition), so a trial that
-stops has the dim of all n points.  A stopped trial ranks fewer rows than
-the system's n m (m + 1) / 2, so its rows * deg / p error bound (see
-config) only shrinks, and OracleMeasurement.rows stays the system's
-condition count.
+sample_quartic_instance).  When that draw kept the prefix's quartic and
+points, the prefix's rows are kept and only the other n - k points get
+rows; when a point's draw failed and the draw moved to a new quartic,
+all n points of that quartic get rows.  Rank only grows as rows are
+added and never exceeds 2d^2 + 2 (the multiples of F meet no condition),
+so a trial that stops has the dim of all n points.  A stopped trial
+ranks fewer rows than the system's n m (m + 1) / 2, so its
+rows * deg / p error bound (see config) only shrinks, and
+OracleMeasurement.rows stays the system's condition count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -79,10 +91,15 @@ from .config import (
     num_surface_forms,
 )
 from .field import inverse_mod, poly_roots, rank_mod_p
-from .series import chart_jets, powers, restrict, solve_implicit, triangle
+from .series import chart_jets, powers, restrict, solve_implicit
 
 _MAX_POINT_ATTEMPTS = 256
 _MAX_SURFACE_ATTEMPTS = 32
+# Grid entries (points x columns x m^2) that one chunk of points restricts
+# at once, and at least one point: of 2^12 to 2^15, 2^14 was measured as
+# fast as one chunk on the oracle_large instances and lowest in peak RSS,
+# and it holds every trial of the acceptance grid in one chunk.
+_CHUNK_ENTRIES = 1 << 14
 
 Exponents = Tuple[int, int, int, int]
 
@@ -210,7 +227,9 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     monomial restricted along the chart (see the module docstring), one row
     per coefficient s^a t^b in triangle order.  Entries are reduced mod p
     and computed in the dtype `field_dtype(p)` chooses.  The points go
-    through solve_implicit first, which raises at a point that is no chart.
+    through solve_implicit first, which raises at a point that is no chart;
+    then the rows are filled one chunk of points at a time (see the module
+    docstring), so the list holds views of the one matrix, not copies.
     """
     p = instance.prime
     f = instance.affine_poly()
@@ -218,12 +237,23 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
         raise ValueError("a quartic with no x0^4 term has no standard monomials in x0")
     if not instance.points:
         return []
+    points, order = instance.points, instance.multiplicity - 1
     exps = column_exponents(d)[:, 1:].T  # exps[coordinate, column]
-    order = instance.multiplicity - 1
-    psi = solve_implicit(f, instance.points, order, p)
-    grid = restrict(psi, chart_jets(instance.points, d, order, p), exps, p)
-    a, b = np.array(triangle(order), dtype=np.intp).T
-    return list(grid[:, :, a, b].transpose(0, 2, 1).reshape(-1, exps.shape[1]))
+    psi = solve_implicit(f, points, order, p)
+    ncols, block = exps.shape[1], point_conditions(order + 1)
+    chunk = max(1, _CHUNK_ENTRIES // (ncols * (order + 1) ** 2))
+    matrix = None
+    for lo in range(0, len(points), chunk):
+        grid = restrict(psi[lo:lo + chunk], chart_jets(points[lo:lo + chunk], d, order, p), exps, p)
+        if matrix is None:  # after the first restrict, whose temporaries peak a one-chunk call
+            matrix = np.empty((len(points) * block, ncols), dtype=grid.dtype)
+            blocks = matrix.reshape(len(points), block, ncols)  # a view: [point, row, column]
+        row = 0
+        for a in range(order + 1):  # the rows (a, 0), ..., (a, order - a) of triangle order
+            width = order + 1 - a
+            blocks[lo:lo + chunk, row:row + width] = grid[:, :, a, :width].transpose(0, 2, 1)
+            row += width
+    return list(matrix)
 
 
 def measure_k3(
@@ -236,9 +266,10 @@ def measure_k3(
     A trial draws its first k points, whose conditions reach ncols =
     2d^2 + 2, from its one generator and reports -1 when their rows have
     full rank; short of it, it draws the other n - k points from the same
-    generator and ranks all rows (see the module docstring).  A `prime`
-    other than cfg.prime and cfg.prime2 is checked as cfg checks them,
-    before any draw.  `rows` is the system's condition count.
+    generator and ranks all rows, building rows for the prefix's points
+    once (see the module docstring).  A `prime` other than cfg.prime and
+    cfg.prime2 is checked as cfg checks them, before any draw.  `rows` is
+    the system's condition count.
     """
     sys = K3System(4, d, *points)
     d, m, n = sys.degree, sys.multiplicity, sys.count
@@ -253,11 +284,17 @@ def measure_k3(
     trial_dims = []
     for trial in range(cfg.trials):
         rng = derived_rng(cfg.seed, "k3", p, d, group, trial)
-        instance = sample_quartic_instance((m, min(k, n)), p, rng)
-        rank = rank_mod_p(k3_condition_rows(d, instance), p)
+        prefix = sample_quartic_instance((m, min(k, n)), p, rng)
+        rows = k3_condition_rows(d, prefix)
+        rank = rank_mod_p(rows, p)
         if rank < ncols and k < n:
-            instance = sample_quartic_instance((m, n), p, rng, start=instance)
-            rank = rank_mod_p(k3_condition_rows(d, instance), p)
+            instance = sample_quartic_instance((m, n), p, rng, start=prefix)
+            if (instance.coefficients, instance.points[:k]) == (prefix.coefficients, prefix.points):
+                rows += k3_condition_rows(d, replace(instance, points=instance.points[k:]))
+            else:  # a point's draw failed, and the draw moved to a new quartic
+                rows = k3_condition_rows(d, instance)
+            rank = rank_mod_p(rows, p)
+        del rows  # so that the next trial's rows are not built beside these
         trial_dims.append(ncols - rank - 1)
     return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)
 

@@ -340,6 +340,27 @@ def test_condition_rows_match_reference_at_high_multiplicity(p, d, groups):
     assert rows.tolist() == [[row[n] for n in keep] for row in ref_k3_condition_rows(d, instance)]
 
 
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("per_chunk, chunks", ((5, 1), (3, 2), (2, 3)))
+def test_condition_rows_match_reference_across_chunks(monkeypatch, p, per_chunk, chunks):
+    # five triple points at d = 4 (34 columns, 9 grid entries per column),
+    # with the chunk budget set to hold `per_chunk` points: one restrict per
+    # chunk, the last one short, and the same rows as the reference
+    d, instance = 4, sample_quartic_instance((3, 5), p, Random(p))
+    monkeypatch.setattr(quartic, "_CHUNK_ENTRIES", per_chunk * num_surface_forms(d) * 9 + 8)
+    calls = []
+    restrict = quartic.restrict
+    monkeypatch.setattr(quartic, "restrict", lambda psi, *args: calls.append(len(psi))
+                        or restrict(psi, *args))
+    rows = k3_condition_rows(d, instance)
+    assert calls == [min(per_chunk, 5 - lo) for lo in range(0, 5, per_chunk)]
+    assert len(calls) == chunks
+    keep = kept_columns(d)
+    assert np.array(rows).tolist() == [[row[n] for n in keep]
+                                       for row in ref_k3_condition_rows(d, instance)]
+    assert all(row.base is rows[0].base for row in rows)  # views of one matrix
+
+
 X0_FOURTH, X3_FOURTH = (4, 0, 0, 0), (0, 0, 0, 4)
 
 
@@ -623,10 +644,37 @@ def test_forced_point_failures_measure_as_the_two_generator_loop(monkeypatch, p)
             continue
         instances = Instances(monkeypatch)
         assert measure_k3(3, (6, 4), cfg, prime=p) == expected
-        assert len(instances.ranked) == 2 * cfg.trials  # a prefix, then all four
-        prefixes, fulls = instances.ranked[::2], instances.ranked[1::2]
-        moved += sum(a.coefficients != b.coefficients for a, b in zip(prefixes, fulls))
+        assert len(instances.ranked) == 2 * cfg.trials  # a prefix, then the rest
+        prefixes, rests = instances.ranked[::2], instances.ranked[1::2]
+        for prefix, rest in zip(prefixes, rests):
+            # rows for the other three points on the prefix's quartic, for
+            # all four on a new one
+            assert len(rest.points) == (3 if rest.coefficients == prefix.coefficients else 4)
+        moved += sum(a.coefficients != b.coefficients for a, b in zip(prefixes, rests))
     assert moved
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_a_trial_that_goes_on_builds_the_rows_of_its_prefix_once(monkeypatch, p):
+    # each trial of L^4(3, 6^4) builds the 21 rows of its 1-point prefix,
+    # the wall L^4(3, 6^1) at rank 19 of 20, then the 63 rows of the other
+    # three points only, and ranks the 21 and then all 84 rows
+    cfg = PrimeFieldConfig(prime2=None)
+    built, ranked = [], []
+    rows, rank = quartic.k3_condition_rows, quartic.rank_mod_p
+
+    def counting_rows(d, instance):
+        out = rows(d, instance)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(quartic, "k3_condition_rows", counting_rows)
+    monkeypatch.setattr(quartic, "rank_mod_p", lambda m, p: ranked.append(len(m)) or rank(m, p))
+    measured = measure_k3(3, (6, 4), cfg, prime=p)
+    assert built == [21, 63] * cfg.trials
+    assert ranked == [21, 84] * cfg.trials
+    assert measured == ref_prefix_measure_k3(3, (6, 4), cfg, prime=p)
+    assert measured.trial_dims == ref_measure_k3(3, ((6, 4),), cfg, prime=p).trial_dims
 
 
 def test_a_start_that_is_no_prefix_of_the_draw_is_refused():

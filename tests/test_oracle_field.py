@@ -9,6 +9,7 @@ from k3fat.oracle.field import (
     _BLOCK,
     _INT64_SAFE_PRIME,
     _SLAB,
+    _SLAB_ROWS,
     _linear_powmod,
     _pdivmod,
     _pgcd,
@@ -330,6 +331,40 @@ def test_rank_of_a_zero_schur_complement(p):
     top = np.hstack((a11, a11 @ x % p))
     m = np.vstack((top, w @ top % p))
     assert rank_mod_p(m.tolist(), p) == ref_rank_mod_p(m.tolist(), p) == 16
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+@pytest.mark.parametrize("below", (_SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1))
+def test_rank_updates_the_rows_below_the_block_one_slab_at_a_time(p, below, monkeypatch):
+    # a leading block of 16 rows over `below` rows: the first Schur step
+    # updates those rows in place, one product per slab, and no product
+    # has more rows than a slab.  Dense at full rank (also transposed), at
+    # low rank, and with a singular leading block (column 5 of its rows a
+    # combination of the columns before it), each matches the reference
+    rng = Random(p + below)
+    n_rows, n_cols = _BLOCK + below, _BLOCK + below + 9
+    products = []
+    matmul = field.matmul_mod_p
+
+    def logged(c, a, b, p):
+        products.append(a.shape[0])
+        return matmul(c, a, b, p)
+
+    monkeypatch.setattr(field, "matmul_mod_p", logged)
+    dense = np.array([[rng.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)],
+                     dtype=object)
+    assert rank_mod_p(dense.tolist(), p) == ref_rank_mod_p(dense.tolist(), p) == n_rows
+    # Y, then the slabs of the first step
+    slabs = [min(_SLAB_ROWS, below - lo) for lo in range(0, below, _SLAB_ROWS)]
+    assert products[:1 + len(slabs)] == [_BLOCK] + slabs
+    _assert_rank_matches_reference(dense, p)
+    _assert_rank_matches_reference(_low_rank(rng, n_rows, n_cols, 40, p), p)
+    singular = dense.copy()
+    singular[:_BLOCK, 5] = singular[:_BLOCK, :5] @ [rng.randrange(p) for _ in range(5)] % p
+    orders = _step_orders(monkeypatch)
+    assert rank_mod_p(singular.tolist(), p) == ref_rank_mod_p(singular.tolist(), p)
+    assert orders[0] == (5, _BLOCK)
+    assert max(products) <= _SLAB_ROWS
 
 
 def test_rank_transpose_invariance():

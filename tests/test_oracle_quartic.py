@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations
 from math import comb, prod
@@ -19,7 +20,7 @@ from k3fat.oracle import (
     sample_quartic_instance,
     solve_implicit,
 )
-from k3fat.oracle.field import field_dtype
+from k3fat.oracle.field import field_dtype, rank_mod_p
 from k3fat.oracle.series import ChartSingularError
 
 P = 2**31 - 1
@@ -115,6 +116,23 @@ def test_instance_invariants():
     assert len(rows) == 5 * 6
     assert len(instance.coefficients) == 35
     assert k3_condition_rows(2, replace(instance, points=())) == []
+
+
+def test_one_trial_peaks_within_four_condition_matrices():
+    # L^4(20, 13^9): 819 x 802 int64 entries, 5.25 MB.  The rows are filled
+    # one chunk of points at a time and the rank keeps one working copy and
+    # slab-sized temporaries, so one trial's rows and rank peak at about
+    # three matrices (the rows, the rank's input array and its block)
+    instance = sample_quartic_instance((13, 9), P, Random(1))
+    tracemalloc.start()
+    try:
+        rows = k3_condition_rows(20, instance)
+        rank = rank_mod_p(rows, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(rows), len(rows[0]), rank) == (819, 802, 802)
+    assert peak <= 4 * 819 * 802 * 8
 
 
 @pytest.mark.parametrize("p", PRIMES)
