@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
-import secrets
 from typing import Optional, Tuple
 
 import click
@@ -189,6 +187,8 @@ CACHE_SCHEMA = "k3fat.oracle-measurement/3"
 
 
 def _cache_path(cache_dir, key: dict) -> str:
+    import hashlib  # here, so that engine-only commands load no OpenSSL
+
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
     return os.path.join(cache_dir, f"{digest}.json")
 
@@ -238,7 +238,7 @@ def _replacing(path):
     the block completes and is removed when the block raises, so an
     interrupted run never leaves a half-written file."""
     directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:

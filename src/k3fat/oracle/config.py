@@ -20,7 +20,6 @@ every trial at both primes to drop rank.  They are evidence, not proofs.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from random import Random
 from typing import Optional, Tuple
@@ -158,6 +157,8 @@ def derived_rng(seed: int, *tags) -> Random:
     The tag tuple is hashed with SHA-256, never with Python's randomized
     hash(), so identical seeds reproduce identical streams everywhere.
     """
+    import hashlib  # here, so that engine-only commands load no OpenSSL
+
     material = repr((seed,) + tags).encode()
     digest = hashlib.sha256(material).digest()
     return Random(int.from_bytes(digest[:16], "big"))

@@ -7,17 +7,18 @@ which stay exact at any size.  `field_dtype` makes that choice for every
 array of field elements.
 
 `matmul_mod_p` is the one matrix product, fused with a subtraction: it
-returns (c - a b) mod p.  On int64 it is float64 BLAS on 16-bit limbs, in
-the style of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ISSAC 2004 and ACM
-TOMS 35(3), 2008).  The left factor is split into its high and low 16-bit
-limbs, and each limb times the right factor is one float64 product.  A limb
-is below 2^16 and an entry below p < 2^32, so for an inner dimension of at
-most _SLAB a sum stays below _SLAB * 2^16 * 2^32 = 2^53, where float64 is
-exact; the kernel refuses a wider product.  The high-limb sum is reduced
-once, so shifted by 16 bits it is below 2^48, the low-limb sum is added
-(below 2^53, so the total stays in int64), the total is subtracted from c,
-and the difference is reduced once.
-On object arrays the kernel is (c - a @ b) % p.
+computes (c - a b) mod p, into a given array or a new one.  On int64 it is
+float64 BLAS on 16-bit limbs, in the style of FFLAS-FFPACK (Dumas, Giorgi
+and Pernet, ISSAC 2004 and ACM TOMS 35(3), 2008).  The left factor is split
+into its high and low 16-bit limbs, and each limb times the right factor is
+one float64 product.  A limb is below 2^16 and an entry below p < 2^32, so
+for an inner dimension of at most _SLAB a sum stays below
+_SLAB * 2^16 * 2^32 = 2^53, where float64 is exact; the kernel refuses a
+wider product.  The high-limb sum is reduced once, so shifted by 16 bits
+it is below 2^48 and is subtracted from c, the low-limb sum (below 2^53,
+so exact as it is cast back) is subtracted from that difference, which
+stays above -2^54, in int64, and the result is reduced once.  On object
+arrays the kernel is (c - a @ b) % p.
 
 `rank_mod_p` eliminates by Schur complements, one algorithm for both
 dtypes (the block recursion of FFLAS-FFPACK, and of Jeannerod, Pernet and
@@ -33,19 +34,26 @@ is the Schur complement of that I_k: the rows below, less their first k
 entries times Y[:k], with Y = E . strip from column k on, and under them
 Y[k:], so that the next leading block starts on fresh rows.  Over F_p the
 rank is exactly k plus the rank of the new block, and for an invertible
-A11 the new block is A22 - A21 (A11^-1 A12).  Y is one kernel call.  The
-rows below are updated in place, one slab of _SLAB_ROWS rows at a time,
-one kernel call per slab, so the product's temporaries are the size of a
-slab, not of all the rows below.  That is exact: a slab's new entries are
-its old ones less its own first k entries times Y[:k], so it reads only its
-own rows and Y, and no slab reads a row that another slab writes.  The
-update writes from column k on and its first k columns are read, never
-written.  The new block is then a view of the rows below from column k on,
-and only a singular A11 (k < the strip's order) concatenates Y[k:] under
-it, so the one working copy of the matrix is the reduced, possibly
-transposed block that the elimination starts from.  At k = 0, column 0 is
-zero in A11: the first row below that is nonzero there is swapped in, or
-else the column is dropped.
+A11 the new block is A22 - A21 (A11^-1 A12).  Y is one kernel call.
+The whole elimination works in one array, the reduced, possibly
+transposed block that `_reduced_block` builds from the caller's rows in
+one pass: each step writes its new block into the rows of the old one,
+and the new block is the view from row k and column k on.  The rows below
+are updated one slab at a time, one kernel call per slab, a slab being as
+many rows as fit _SLAB_ENTRIES entries from column k on (and at least
+one), so the kernel's two temporaries stay small at any width.  The
+kernel writes each slab's result straight into the block, size - k rows
+above the slab it reads, so the rows below move up into the rows the
+strip leaves (none when A11 is invertible), and Y[k:] is written under
+them, in the order a concatenation of the two would have.  That is
+exact: a slab's new entries are its old ones less its own first k entries
+times Y[:k], so it reads only its own rows and Y, and the rows it writes
+are its own or lie above it, among rows already read (the previous
+slab's, or the strip's, which Y holds), so no slab reads a row that
+another has written.  The update writes from column k on; the first k
+columns are read, never written.  At k = 0, column 0 is zero in A11: the
+first row below that is nonzero there is swapped in, or else the column
+is dropped.
 
 Roots are found for one shape, a monic quartic f (a sampled quartic
 surface on a vertical line), by Cantor-Zassenhaus (Math. Comp. 36, 1981):
@@ -83,11 +91,17 @@ _SLAB = 32
 # update is one limb product: of 16, 24 and 32, 16 was measured fastest on
 # the acceptance grid's matrices.
 _BLOCK = 16
-# Rows below the leading block that one fused product updates in place,
-# so that its temporaries are the size of a slab, not of all those rows: of
-# 32, 64, 128 and unbounded, 64 was measured as fast as unbounded on the
-# oracle_large matrices and lowest in peak RSS with 32.
-_SLAB_ROWS = 64
+# Entries from column k on of the rows below the leading block that one
+# fused product updates (max(1, _SLAB_ENTRIES // columns) rows), so that
+# its two temporaries stay small at any width.  With each product written
+# straight into the block, 64-row slabs made the allocator hand their
+# temporaries back to the system and fault them in again, slab after slab,
+# on some heaps (up to 1.8x the minor faults of L^4(30, 6^64)).  Of 64 rows
+# and 2^14, 2^15 and 2^16 entries, 2^14 had the fewest minor faults and the
+# lowest oracle_large peak RSS with 64 rows (2^15 was higher), was as fast
+# on L^4(30, 6^64) and L^4(38, 25^9), and 3 % slower in the rank of
+# L^4(29, 19^9).
+_SLAB_ENTRIES = 1 << 14
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -102,28 +116,41 @@ def inverse_mod(a: int, p: int) -> int:
     return pow(a % p, -1, p)
 
 
-def matmul_mod_p(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def matmul_mod_p(c: np.ndarray, a: np.ndarray, b: np.ndarray, p: int,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """(c - a @ b) mod p for matrices with entries in [0, p), in their dtype,
-    for an inner dimension of at least 1.
+    for an inner dimension of at least 1, written into `out` when it is
+    given (an array of c's shape and dtype, which may share memory with any
+    operand: every operand is read before `out` is written) and into a new
+    array otherwise.
 
     int64 operands (p <= isqrt(2^63) < 2^32) go through one float64 BLAS
     product per 16-bit limb of `a`, exact for an inner dimension of at most
-    _SLAB (a wider one raises ValueError), and are reduced twice: the
-    high-limb sum before its shift and the difference at the end (see the
-    module docstring); object operands multiply exactly as Python integers."""
+    _SLAB (a wider one raises ValueError), with two temporaries the size of
+    the result, and are reduced twice: the high-limb sum before its shift
+    and the difference at the end (see the module docstring).  `b` may also
+    be given as its float64 cast, which a caller that multiplies many slabs
+    by one right factor makes once.  Object operands multiply exactly as
+    Python integers."""
     if a.dtype == object or b.dtype == object:
-        return (c - a @ b) % p
+        if out is None:
+            return (c - a @ b) % p
+        out[...] = (c - a @ b) % p
+        return out
     if a.shape[1] > _SLAB:
         raise ValueError(f"an int64 product has inner dimension at most {_SLAB}, got {a.shape[1]}")
-    right = b.astype(np.float64)
+    right = b if b.dtype == np.float64 else b.astype(np.float64)
     hi = ((a >> _LIMB_BITS).astype(np.float64) @ right).astype(np.int64)
-    lo = ((a & _LIMB_MASK).astype(np.float64) @ right).astype(np.int64)
     hi %= p
     hi <<= _LIMB_BITS
-    hi += lo
     np.subtract(c, hi, out=hi)
-    hi %= p
-    return hi
+    lo = (a & _LIMB_MASK).astype(np.float64) @ right
+    if out is None:
+        out = np.empty(c.shape, dtype=np.int64)
+    np.copyto(out, lo, casting="unsafe")
+    np.subtract(hi, out, out=out)
+    out %= p
+    return out
 
 
 def rank_mod_p(matrix, p: int) -> int:
@@ -131,11 +158,12 @@ def rank_mod_p(matrix, p: int) -> int:
     of rows; an empty one has rank 0) by block elimination on Schur
     complements.  Entries may be integers of any size; a matrix of floats,
     of any other non-integer dtype or of objects that are not all integers
-    raises ValueError.
+    raises ValueError.  The caller's matrix is never written.
 
     The one working copy is the reduced, possibly transposed block
-    (`_reduced_block`); each step updates the rows below its leading block
-    in place, one slab of _SLAB_ROWS rows at a time (see the module
+    (`_reduced_block`); each step writes the new block into it, from the
+    rows below its leading block, one slab of at most _SLAB_ENTRIES
+    entries at a time, and from Y[k:] under them (see the module
     docstring)."""
     block = _reduced_block(matrix, p)
     rank = 0
@@ -155,39 +183,68 @@ def rank_mod_p(matrix, p: int) -> int:
             break
         strip = block[:size, k:]
         y = matmul_mod_p(np.zeros_like(strip), neg_e, strip, p)  # E . strip from column k on
-        rest = block[size:]
-        for lo in range(0, len(rest), _SLAB_ROWS):  # in place, one slab of rows at a time
-            slab = rest[lo:lo + _SLAB_ROWS]
-            slab[:, k:] = matmul_mod_p(slab[:, k:], slab[:, :k], y[:k], p)
-        block = rest[:, k:] if k == size else np.concatenate((rest[:, k:], y[k:]))
+        right = y[:k] if y.dtype == object else y[:k].astype(np.float64)  # cast once per step
+        shift, nrows = size - k, len(block)  # rows of the strip with no pivot
+        height = max(1, _SLAB_ENTRIES // y.shape[1])
+        for lo in range(size, nrows, height):
+            slab = block[lo:lo + height]
+            matmul_mod_p(slab[:, k:], slab[:, :k], right, p,
+                         out=block[lo - shift:lo - shift + len(slab), k:])
+        block[nrows - shift:, k:] = y[k:]
+        block = block[k:, k:]
     return rank
 
 
 def _reduced_block(matrix, p: int) -> np.ndarray:
     """The matrix reduced mod p in the dtype `field_dtype(p)` chooses, as a
     new C-ordered array, transposed when it has more rows than columns;
-    (0, 0) when it is empty.  Its temporaries end with this call, so the
-    elimination holds no other copy of the matrix."""
-    arr = np.asarray(matrix)
+    (0, 0) when it is empty.  The matrix is copied once, straight into the
+    block, and reduced there: a 2-D integer array, or a sequence of
+    equal-length 1-D integer arrays (the rows `k3_condition_rows`
+    returns), which are stacked without an intermediate array.  Any other
+    matrix (nested lists, unsigned or object entries) first goes through
+    `np.asarray`, and object entries are checked to be integers."""
     dtype = field_dtype(p)
+    if _is_integer_rows(matrix):
+        nrows, ncols = len(matrix), len(matrix[0])
+        if not nrows * ncols:
+            return np.zeros((0, 0), dtype=dtype)
+        tall = nrows > ncols  # rank(A) = rank(A^T); eliminating on the short side is cheaper
+        block = np.empty((ncols, nrows) if tall else (nrows, ncols), dtype=dtype)
+        np.stack(matrix, axis=int(tall), out=block)
+        block %= p
+        return block
+    arr = np.asarray(matrix)
     if arr.size == 0:
         return np.zeros((0, 0), dtype=dtype)
     if arr.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     if arr.dtype.kind not in "biuO":
         raise ValueError(f"matrix entries must be integers, got dtype {arr.dtype}")
-    # rank(A) = rank(A^T); eliminating on the short side is cheaper.
     if arr.shape[0] > arr.shape[1]:
         arr = arr.T
-    if arr.dtype.kind in "uO":  # entries may pass int64: reduce them before any cast
-        entries = arr.astype(object, copy=False)
-        if arr.dtype.kind == "O":  # the cast would truncate a float: refuse it here
-            try:
-                entries = np.frompyfunc(operator.index, 1, 1)(entries)
-            except TypeError as exc:
-                raise ValueError(f"matrix entries must be integers: {exc}") from None
-        return np.remainder(entries, p, order="C").astype(dtype, copy=False)
-    return np.remainder(np.asarray(arr, dtype=dtype), p, order="C")
+    if arr.dtype.kind in "bi":
+        block = np.array(arr, dtype=dtype, order="C")
+        block %= p
+        return block
+    # entries may pass int64: reduce them before any cast
+    entries = arr.astype(object, copy=False)
+    if arr.dtype.kind == "O":  # the cast would truncate a float: refuse it here
+        try:
+            entries = np.frompyfunc(operator.index, 1, 1)(entries)
+        except TypeError as exc:
+            raise ValueError(f"matrix entries must be integers: {exc}") from None
+    return np.remainder(entries, p, order="C").astype(dtype, copy=False)
+
+
+def _is_integer_rows(matrix) -> bool:
+    """Whether `matrix` is a nonempty list or tuple of 1-D signed-integer
+    (or boolean) arrays of one length."""
+    if not isinstance(matrix, (list, tuple)) or not matrix:
+        return False
+    first = matrix[0]
+    return all(isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype.kind in "bi"
+               and row.shape == first.shape for row in matrix)
 
 
 def _negated_inverse(a11: np.ndarray, p: int) -> Tuple[int, np.ndarray]:

@@ -1,4 +1,4 @@
-"""The engine path loads no numpy and no process pool.
+"""The engine path loads no numpy, no process pool and no OpenSSL.
 
 `classify`, `to_json` and the CLI's `vdim`, `classify --trace` and
 oracle-free `sweep` run in a fresh interpreter, since this one has imported
@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory() as tmp:
         except SystemExit as exc:
             assert exc.code in (0, None), (args, exc.code)
 heavy = ("numpy", "k3fat.oracle.field", "k3fat.oracle.quartic", "k3fat.oracle.series",
-         "k3fat.oracle.planar", "concurrent.futures.process")
+         "k3fat.oracle.planar", "concurrent.futures.process", "_hashlib", "secrets")
 loaded = [name for name in heavy if name in sys.modules]
 
 oracle = k3fat.oracle

@@ -9,7 +9,7 @@ from k3fat.oracle.field import (
     _BLOCK,
     _INT64_SAFE_PRIME,
     _SLAB,
-    _SLAB_ROWS,
+    _SLAB_ENTRIES,
     _linear_powmod,
     _pdivmod,
     _pgcd,
@@ -218,9 +218,9 @@ def test_rank_multiplies_with_an_inner_dimension_of_at_most_a_block(p, monkeypat
     inner = []
     matmul = field.matmul_mod_p
 
-    def logged(c, a, b, p):
+    def logged(c, a, b, p, **kwargs):
         inner.append(a.shape[1])
-        return matmul(c, a, b, p)
+        return matmul(c, a, b, p, **kwargs)
 
     monkeypatch.setattr(field, "matmul_mod_p", logged)
     test_rank_at_block_seams(p)
@@ -333,38 +333,100 @@ def test_rank_of_a_zero_schur_complement(p):
     assert rank_mod_p(m.tolist(), p) == ref_rank_mod_p(m.tolist(), p) == 16
 
 
+# 256 columns right of the leading block: its Schur step updates the rows
+# below it in slabs of 64 rows
+SLAB_WIDTH = 256
+SLAB_HEIGHT = _SLAB_ENTRIES // SLAB_WIDTH
+
+
 @pytest.mark.parametrize("p", RANK_PRIMES)
-@pytest.mark.parametrize("below", (_SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1))
+@pytest.mark.parametrize("below", (SLAB_HEIGHT - 1, SLAB_HEIGHT, SLAB_HEIGHT + 1))
 def test_rank_updates_the_rows_below_the_block_one_slab_at_a_time(p, below, monkeypatch):
-    # a leading block of 16 rows over `below` rows: the first Schur step
-    # updates those rows in place, one product per slab, and no product
-    # has more rows than a slab.  Dense at full rank (also transposed), at
-    # low rank, and with a singular leading block (column 5 of its rows a
-    # combination of the columns before it), each matches the reference
+    # a leading block of 16 rows over `below` rows, SLAB_WIDTH columns right
+    # of it: the first Schur step updates those rows in place, one product
+    # per slab, and no product has more entries than a slab.  Dense at full
+    # rank (also transposed), at low rank, and with a singular leading block
+    # (column 5 of its rows a combination of the columns before it), each
+    # matches the reference
     rng = Random(p + below)
-    n_rows, n_cols = _BLOCK + below, _BLOCK + below + 9
+    n_rows, n_cols = _BLOCK + below, _BLOCK + SLAB_WIDTH
     products = []
     matmul = field.matmul_mod_p
 
-    def logged(c, a, b, p):
-        products.append(a.shape[0])
-        return matmul(c, a, b, p)
+    def logged(c, a, b, p, **kwargs):
+        products.append(c.shape)
+        return matmul(c, a, b, p, **kwargs)
 
     monkeypatch.setattr(field, "matmul_mod_p", logged)
     dense = np.array([[rng.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)],
                      dtype=object)
     assert rank_mod_p(dense.tolist(), p) == ref_rank_mod_p(dense.tolist(), p) == n_rows
     # Y, then the slabs of the first step
-    slabs = [min(_SLAB_ROWS, below - lo) for lo in range(0, below, _SLAB_ROWS)]
-    assert products[:1 + len(slabs)] == [_BLOCK] + slabs
-    _assert_rank_matches_reference(dense, p)
-    _assert_rank_matches_reference(_low_rank(rng, n_rows, n_cols, 40, p), p)
+    slabs = [(min(SLAB_HEIGHT, below - lo), SLAB_WIDTH) for lo in range(0, below, SLAB_HEIGHT)]
+    assert products[:1 + len(slabs)] == [(_BLOCK, SLAB_WIDTH)] + slabs
+    assert rank_mod_p(dense.T.tolist(), p) == n_rows
+    low = _low_rank(rng, n_rows, n_cols, 40, p)
+    expected = ref_rank_mod_p(low.tolist(), p)
+    assert rank_mod_p(low.tolist(), p) == rank_mod_p(low.T.tolist(), p) == expected
     singular = dense.copy()
     singular[:_BLOCK, 5] = singular[:_BLOCK, :5] @ [rng.randrange(p) for _ in range(5)] % p
     orders = _step_orders(monkeypatch)
     assert rank_mod_p(singular.tolist(), p) == ref_rank_mod_p(singular.tolist(), p)
     assert orders[0] == (5, _BLOCK)
-    assert max(products) <= _SLAB_ROWS
+    assert max(rows * cols for rows, cols in products) <= _SLAB_ENTRIES
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_moves_the_rows_below_a_singular_block_up_across_slabs(p, monkeypatch):
+    # two slabs and 9 rows below the leading block: the first step takes 5
+    # pivots (column 5 of the first 16 rows is a combination of the columns
+    # before it), so each of its three slab products writes 11 rows above
+    # the slab it reads, and Y[5:] goes under them.  Wide and tall, and at
+    # low rank, where later leading blocks are singular too, each matches
+    # the reference
+    rng = Random(p + 7)
+    below = 2 * SLAB_HEIGHT + 9
+    n_rows, n_cols = _BLOCK + below, 5 + SLAB_WIDTH
+    moved = []
+    matmul = field.matmul_mod_p
+
+    def logged(c, a, b, p, **kwargs):
+        if kwargs.get("out") is not None:
+            moved.append(kwargs["out"].ctypes.data != c.ctypes.data)
+        return matmul(c, a, b, p, **kwargs)
+
+    monkeypatch.setattr(field, "matmul_mod_p", logged)
+    singular = np.array([[rng.randrange(p) for _ in range(n_cols)] for _ in range(n_rows)],
+                        dtype=object)
+    singular[:_BLOCK, 5] = singular[:_BLOCK, :5] @ [rng.randrange(p) for _ in range(5)] % p
+    orders = _step_orders(monkeypatch)
+    expected = ref_rank_mod_p(singular.tolist(), p)
+    assert rank_mod_p(singular.tolist(), p) == expected
+    assert orders[0] == (5, _BLOCK)
+    assert moved[:3] == [True] * 3
+    assert rank_mod_p(singular.T.tolist(), p) == expected
+    orders.clear()
+    low = _low_rank(rng, n_rows, n_cols, 40, p)
+    expected = ref_rank_mod_p(low.tolist(), p)
+    assert rank_mod_p(low.tolist(), p) == rank_mod_p(low.T.tolist(), p) == expected
+    assert any(0 < k < size for k, size in orders)
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+def test_rank_never_writes_the_callers_matrix(p):
+    # unreduced entries, negative and past p, in a wide and a tall array and
+    # in a list of row views of one array (what k3_condition_rows returns),
+    # of int64 and of objects: the rank reduces its own copy
+    rng = Random(p + 6)
+    for n_rows, n_cols in ((20, 50), (50, 20)):
+        m = np.array([[rng.randrange(-2 * p, 2 * p) for _ in range(n_cols)]
+                      for _ in range(n_rows)], dtype=np.int64)
+        expected = ref_rank_mod_p(m.tolist(), p)
+        for matrix in (m, m.astype(object)):
+            before = matrix.copy()
+            assert rank_mod_p(matrix, p) == expected
+            assert rank_mod_p(list(matrix), p) == expected
+            assert np.array_equal(matrix, before)
 
 
 def test_rank_transpose_invariance():
