@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from ..core import as_int, index_fields
+from ..core import as_int, index_fields, point_conditions
 
 DEFAULT_PRIME = 2**31 - 1
 DEFAULT_PRIME2 = 3_037_000_493
@@ -149,6 +149,23 @@ class OracleMeasurement:
         unless every trial measured the same dim."""
         dims = tuple(trial_dims)
         return cls(min(dims), dims, len(set(dims)) > 1, prime, rows, cols)
+
+
+def measure_trials(
+    run: Callable[[Random], int], cfg: PrimeFieldConfig, p: int, kind: str, tag: str,
+    degree: int, points: Tuple[int, int], cols: int,
+) -> OracleMeasurement:
+    """The one trial loop of both oracles.  points = (m, n) gives n m(m+1)/2
+    rows, checked with `cols` against the budget of `kind` before any draw.
+    Trial t's dim is run(derived_rng(cfg.seed, tag, p, degree, group, t)),
+    group being ((m, n),), or () with no points, and the dims are aggregated
+    by OracleMeasurement.from_trials."""
+    m, n = points
+    rows = n * point_conditions(m)
+    check_budget(cfg, kind, rows, cols)
+    group = ((m, n),) if n else ()
+    dims = [run(derived_rng(cfg.seed, tag, p, degree, group, t)) for t in range(cfg.trials)]
+    return OracleMeasurement.from_trials(dims, p, rows, cols)
 
 
 def derived_rng(seed: int, *tags) -> Random:

@@ -18,8 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core import PlanarSystem, check_points, point_conditions
-from .config import OracleMeasurement, PrimeFieldConfig, check_budget, derived_rng
+from ..core import PlanarSystem, check_points
+from .config import OracleMeasurement, PrimeFieldConfig, measure_trials
 from .field import field_dtype, rank_mod_p
 from .series import chart_jets, triangle
 
@@ -56,12 +56,6 @@ def measure_planar(sys: PlanarSystem, cfg: PrimeFieldConfig, prime: int = 0) -> 
     if delta < 0:
         return OracleMeasurement(-1, (), False, p, 0, 0)
     ncols = (delta + 2) * (delta + 1) // 2
-    nrows = n * point_conditions(m)
-    check_budget(cfg, "planar", nrows, ncols)
-    group = ((m, n),) if n else ()  # tags each trial's RNG
-    trial_dims = []
-    for trial in range(cfg.trials):
-        rng = derived_rng(cfg.seed, "planar", p, delta, group, trial)
-        rows = planar_condition_rows(delta, (m, n), p, rng)
-        trial_dims.append(ncols - rank_mod_p(rows, p) - 1)
-    return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)
+    return measure_trials(
+        lambda rng: ncols - rank_mod_p(planar_condition_rows(delta, (m, n), p, rng), p) - 1,
+        cfg, p, "planar", "planar", delta, (m, n), ncols)

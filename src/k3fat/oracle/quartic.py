@@ -55,23 +55,6 @@ the grids in memory at once are one chunk's, not every point's.  Every
 int64 step reduces each product of two reduced entries before it adds,
 also in the sum over F's 35 terms, so it stays exact in the arrays of
 `field_dtype`.
-
-A trial stops drawing points once its conditions reach full column rank.
-Let k = ceil((2d^2 + 2) / (m (m + 1) / 2)), the first point count whose
-conditions reach 2d^2 + 2.  When k < n a trial draws the first k points
-from its generator and ranks their rows: at full rank its dim is -1.
-Short of it, the trial goes on drawing the other n - k points from the
-same generator and ranks the rows of all n; ranking draws nothing, so
-these are the points a draw of all n at once returns (see
-sample_quartic_instance).  When that draw kept the prefix's quartic and
-points, the prefix's rows are kept and only the other n - k points get
-rows; when a point's draw failed and the draw moved to a new quartic,
-all n points of that quartic get rows.  Rank only grows as rows are
-added and never exceeds 2d^2 + 2 (the multiples of F meet no condition),
-so a trial that stops has the dim of all n points.  A stopped trial
-ranks fewer rows than the system's n m (m + 1) / 2, so its
-rows * deg / p error bound (see config) only shrinks, and
-OracleMeasurement.rows stays the system's condition count.
 """
 from __future__ import annotations
 
@@ -86,8 +69,7 @@ from .config import (
     OracleMeasurement,
     PrimeFieldConfig,
     SamplingError,
-    check_budget,
-    derived_rng,
+    measure_trials,
     num_surface_forms,
 )
 from .field import inverse_mod, poly_roots, rank_mod_p
@@ -256,47 +238,54 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     return list(matrix)
 
 
+def run_trial(d: int, points: Tuple[int, int], p: int, rng) -> int:
+    """One trial of L^4(d, m^n), points = (m, n) and (0, 0) for no points:
+    the dim of the degree-d system through the points drawn from rng.
+
+    A trial stops drawing points once its conditions reach full column
+    rank.  Let k = ceil(ncols / (m (m + 1) / 2)), ncols = 2d^2 + 2, the
+    first point count whose conditions reach ncols.  When k < n the trial
+    draws and ranks the first k points: at full rank its dim is -1.  Short
+    of it, it goes on drawing the other n - k points from the same
+    generator (start=) and ranks the rows of all n; ranking draws nothing,
+    so these are the points one draw of all n returns (see
+    sample_quartic_instance).  When that draw kept the prefix's quartic and
+    points, only the other n - k points get rows; when a point's draw
+    failed and the draw moved to a new quartic, all n points get rows.
+    Rank only grows as rows are added and never exceeds ncols (the
+    multiples of F meet no condition), so a trial that stops has the dim
+    of all n points.  A stopped trial ranks fewer rows than the system's
+    n m (m + 1) / 2, so its rows * deg / p error bound (see config) only
+    shrinks; OracleMeasurement.rows stays that count.
+    """
+    m, n = points
+    ncols = num_surface_forms(d)
+    k = -(-ncols // point_conditions(m)) if n else 0
+    prefix = sample_quartic_instance((m, min(k, n)), p, rng)
+    rows = k3_condition_rows(d, prefix)
+    rank = rank_mod_p(rows, p)
+    if rank < ncols and k < n:
+        instance = sample_quartic_instance((m, n), p, rng, start=prefix)
+        if (instance.coefficients, instance.points[:k]) == (prefix.coefficients, prefix.points):
+            rows += k3_condition_rows(d, replace(instance, points=instance.points[k:]))
+        else:  # a point's draw failed, and the draw moved to a new quartic
+            rows = k3_condition_rows(d, instance)
+        rank = rank_mod_p(rows, p)
+    return ncols - rank - 1
+
+
 def measure_k3(
     d: int, points: Tuple[int, int], cfg: PrimeFieldConfig, prime: int = 0
 ) -> OracleMeasurement:
-    """Monte-Carlo dimension of L^4(d, m^n) on a random quartic, for points
-    = (m, n) and (0, 0) for no points, min-aggregated over independently
-    seeded trials.
-
-    A trial draws its first k points, whose conditions reach ncols =
-    2d^2 + 2, from its one generator and reports -1 when their rows have
-    full rank; short of it, it draws the other n - k points from the same
-    generator and ranks all rows, building rows for the prefix's points
-    once (see the module docstring).  A `prime` other than cfg.prime and
-    cfg.prime2 is checked as cfg checks them, before any draw.  `rows` is
-    the system's condition count.
-    """
+    """Monte-Carlo dimension of L^4(d, m^n) on a random quartic, points =
+    (m, n) and (0, 0) for no points: the min of independently seeded
+    run_trial dims (config.measure_trials).  A `prime` other than cfg.prime
+    and cfg.prime2 is checked as cfg checks them, before any draw."""
     sys = K3System(4, d, *points)
-    d, m, n = sys.degree, sys.multiplicity, sys.count
+    d, points = sys.degree, (sys.multiplicity, sys.count)
     p = cfg.field_prime(prime)
-    ncols = num_surface_forms(d)
-    nrows = n * point_conditions(m)
-    check_budget(cfg, "quartic", nrows, ncols)
-
-    # ceil(ncols / m(m+1)/2): the first k points reach ncols conditions
-    k = -(-ncols // point_conditions(m)) if n else 0
-    group = ((m, n),) if n else ()  # tags each trial's RNG
-    trial_dims = []
-    for trial in range(cfg.trials):
-        rng = derived_rng(cfg.seed, "k3", p, d, group, trial)
-        prefix = sample_quartic_instance((m, min(k, n)), p, rng)
-        rows = k3_condition_rows(d, prefix)
-        rank = rank_mod_p(rows, p)
-        if rank < ncols and k < n:
-            instance = sample_quartic_instance((m, n), p, rng, start=prefix)
-            if (instance.coefficients, instance.points[:k]) == (prefix.coefficients, prefix.points):
-                rows += k3_condition_rows(d, replace(instance, points=instance.points[k:]))
-            else:  # a point's draw failed, and the draw moved to a new quartic
-                rows = k3_condition_rows(d, instance)
-            rank = rank_mod_p(rows, p)
-        del rows  # so that the next trial's rows are not built beside these
-        trial_dims.append(ncols - rank - 1)
-    return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)
+    return measure_trials(lambda rng: run_trial(d, points, p, rng),
+                          cfg, p, "quartic", "k3", d, points, num_surface_forms(d))
 
 
 def measure_k3_cross_checked(

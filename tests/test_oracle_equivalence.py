@@ -67,11 +67,12 @@ from series_reference import (
 )
 
 from k3fat.core import PlanarSystem, vdim_planar
-from k3fat.oracle import planar, quartic
+from k3fat.oracle import config, quartic
 from k3fat.oracle.config import (
     DEFAULT_PRIME,
     DEFAULT_PRIME2,
     BudgetExceededError,
+    OracleMeasurement,
     PrimeFieldConfig,
     SamplingError,
     derived_rng,
@@ -83,6 +84,7 @@ from k3fat.oracle.quartic import (
     measure_k3,
     monomial_exponents,
     num_surface_forms,
+    run_trial,
     sample_quartic_instance,
 )
 from k3fat.oracle.planar import measure_planar, planar_condition_rows
@@ -443,7 +445,7 @@ def test_a_quartic_without_x0_fourth_power_is_redrawn(p):
 def test_a_redrawn_quartic_is_measured_within_the_standard_column_budget(monkeypatch):
     # 2d^2 + 2 = 52 columns at d = 5: a budget of 52 holds every trial, the
     # redrawn quartics included, and a budget of 51 refuses before any draw
-    monkeypatch.setattr(quartic, "derived_rng", lambda seed, *tags: ZeroDraw(seed))
+    monkeypatch.setattr(config, "derived_rng", lambda seed, *tags: ZeroDraw(seed))
     cfg = PrimeFieldConfig(prime2=None, trials=2, budget_rows=52)
     m = measure_k3(5, (2, 3), cfg)
     assert (m.dim, m.rows, m.cols) == (42, 9, 52)
@@ -573,7 +575,7 @@ def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_
     p, (m, n) = DEFAULT_PRIME, pair(groups)
     full = [sample_quartic_instance((m, n), p, derived_rng(1, "k3", p, d, groups, trial))
             for trial in range(cfg.trials)]
-    draws, tags = Draws(monkeypatch), recorded_tags(monkeypatch, quartic)
+    draws, tags = Draws(monkeypatch), recorded_tags(monkeypatch, "k3")
     ranks = []
     rank = quartic.rank_mod_p
 
@@ -741,17 +743,19 @@ def test_the_seed_sampler_solves_for_x3_on_every_pinned_stream():
 # group tuple ((m, n),), or () for no points.
 
 
-def recorded_tags(monkeypatch, module):
-    """The tags of every derived_rng call that `module` makes."""
+def recorded_tags(monkeypatch, tag):
+    """The tags of every derived_rng call for the oracle that `tag` names,
+    "k3" or "planar"; config.measure_trials makes every such call."""
     tags = []
-    derive = module.derived_rng
-    monkeypatch.setattr(module, "derived_rng", lambda *t: tags.append(t) or derive(*t))
+    derive = config.derived_rng
+    monkeypatch.setattr(config, "derived_rng",
+                        lambda *t: (t[1] == tag and tags.append(t)) or derive(*t))
     return tags
 
 
 def test_each_trial_draws_from_the_tags_of_its_system(monkeypatch):
     cfg = PrimeFieldConfig(prime2=None, trials=2)
-    k3, plane = recorded_tags(monkeypatch, quartic), recorded_tags(monkeypatch, planar)
+    k3, plane = recorded_tags(monkeypatch, "k3"), recorded_tags(monkeypatch, "planar")
     p = DEFAULT_PRIME
     assert measure_k3(2, (2, 4), cfg).trial_dims == (-1, -1)
     assert measure_k3(3, (6, 4), cfg).trial_dims == (-1, -1)  # one prefix, then the rest
@@ -765,6 +769,33 @@ def test_each_trial_draws_from_the_tags_of_its_system(monkeypatch):
     assert measure_planar(PlanarSystem(3), cfg).trial_dims == (9, 9)
     assert plane == [(1, "planar", p, 3, ((2, 4),), 0), (1, "planar", p, 3, ((2, 4),), 1),
                      (1, "planar", p, 3, (), 0), (1, "planar", p, 3, (), 1)]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, DEFAULT_PRIME2])
+@pytest.mark.parametrize("d, points", [(2, (2, 9)), (3, (6, 4)), (3, (0, 0))])
+def test_a_k3_measurement_aggregates_run_trial_on_the_tagged_streams(p, d, points):
+    # L^4(2, 2^9) stops after its 4-point prefix, L^4(3, 6^4) goes on after
+    # its short 1-point prefix, and L^4(3) draws the quartic alone
+    cfg = PrimeFieldConfig()
+    group = (points,) if points[1] else ()
+    dims = tuple(run_trial(d, points, p, derived_rng(cfg.seed, "k3", p, d, group, t))
+                 for t in range(cfg.trials))
+    rows = points[1] * points[0] * (points[0] + 1) // 2
+    assert measure_k3(d, points, cfg, p) == OracleMeasurement.from_trials(
+        dims, p, rows, num_surface_forms(d))
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, DEFAULT_PRIME2])
+@pytest.mark.parametrize("sys", [PlanarSystem(3, 2, 4), PlanarSystem(5, 2, 9), PlanarSystem(3)])
+def test_a_planar_measurement_aggregates_its_trials_on_the_tagged_streams(p, sys):
+    cfg = PrimeFieldConfig()
+    delta, points = sys.degree, (sys.multiplicity, sys.count)
+    group = (points,) if sys.count else ()
+    ncols = (delta + 1) * (delta + 2) // 2
+    rngs = (derived_rng(cfg.seed, "planar", p, delta, group, t) for t in range(cfg.trials))
+    dims = [ncols - rank_mod_p(planar_condition_rows(delta, points, p, rng), p) - 1 for rng in rngs]
+    rows = sys.count * sys.multiplicity * (sys.multiplicity + 1) // 2
+    assert measure_planar(sys, cfg, p) == OracleMeasurement.from_trials(dims, p, rows, ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from k3fat.oracle import (
     DEFAULT_PRIME,
     BudgetExceededError,
     PrimeFieldConfig,
+    config,
     measure_planar,
     planar,
     planar_condition_rows,
@@ -84,10 +85,13 @@ def test_trial_dims_recorded_and_confident(small_cfg):
     assert not m.low_confidence
 
 
-def test_budget_refusal():
+def test_budget_refusal(monkeypatch):
+    # the message is what verify reports as its reason; nothing is drawn
+    monkeypatch.setattr(planar, "planar_condition_rows", None)
     cfg = PrimeFieldConfig(budget_rows=10, prime2=None)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as refused:
         measure_planar(PlanarSystem.homogeneous(8, 4, 9), cfg)
+    assert str(refused.value) == "planar condition matrix 90x45 exceeds budget 10"
 
 
 def test_prime_independence_sample(small_cfg):
@@ -108,7 +112,7 @@ def test_rows_refuse_a_malformed_group_before_any_draw(points):
 def test_a_measurement_prime_outside_the_config_range_raises_before_any_draw(
         monkeypatch, small_cfg, prime):
     # 4 and 101 lie below 2^30; 2^31 + 1 = 3 * 715827883
-    monkeypatch.setattr(planar, "derived_rng", lambda *tags: NoDraws())
+    monkeypatch.setattr(config, "derived_rng", lambda *tags: NoDraws())
     for sys in (PlanarSystem(3, 2, 4), PlanarSystem(-1)):
         with pytest.raises(ValueError, match="prime must"):
             measure_planar(sys, small_cfg, prime=prime)

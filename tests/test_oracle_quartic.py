@@ -12,6 +12,7 @@ from k3fat.oracle import (
     BudgetExceededError,
     OracleMeasurement,
     PrimeFieldConfig,
+    config,
     k3_condition_rows,
     measure_k3,
     measure_k3_cross_checked,
@@ -207,7 +208,7 @@ def test_sampling_refuses_a_malformed_group_before_any_draw(points):
 def test_a_measurement_prime_outside_the_config_range_raises_before_any_draw(
         monkeypatch, small_cfg, prime):
     # 4 and 101 lie below 2^30; 2^31 + 1 = 3 * 715827883
-    monkeypatch.setattr(quartic, "derived_rng", lambda *tags: NoDraws())
+    monkeypatch.setattr(config, "derived_rng", lambda *tags: NoDraws())
     with pytest.raises(ValueError, match="prime must"):
         measure_k3(2, (2, 4), small_cfg, prime=prime)
 
@@ -220,8 +221,8 @@ def test_a_measurement_prime_in_the_config_range_is_measured_at(small_cfg):
 def test_numpy_integer_groups_measure_as_python_ints(monkeypatch, small_cfg):
     # the same measurement from the same random streams: (m, n) tags them
     tags = []
-    derive = quartic.derived_rng
-    monkeypatch.setattr(quartic, "derived_rng", lambda *t: tags.append(repr(t)) or derive(*t))
+    derive = config.derived_rng
+    monkeypatch.setattr(config, "derived_rng", lambda *t: tags.append(repr(t)) or derive(*t))
     numpy_ints = measure_k3(2, (np.int64(2), np.int64(4)), small_cfg)
     half = len(tags)
     assert numpy_ints == measure_k3(2, (2, 4), small_cfg)
@@ -243,8 +244,8 @@ def test_a_degree_that_is_not_an_integer_raises_before_any_draw(monkeypatch, sma
 def test_a_numpy_integer_degree_measures_as_a_python_int(monkeypatch, small_cfg):
     # the same measurement from the same random streams: d tags them
     tags = []
-    derive = quartic.derived_rng
-    monkeypatch.setattr(quartic, "derived_rng", lambda *t: tags.append(repr(t)) or derive(*t))
+    derive = config.derived_rng
+    monkeypatch.setattr(config, "derived_rng", lambda *t: tags.append(repr(t)) or derive(*t))
     numpy_int = measure_k3(np.int64(3), (2, 4), small_cfg)
     half = len(tags)
     assert numpy_int == measure_k3(3, (2, 4), small_cfg)
