@@ -7,7 +7,7 @@ gamma*d^2/2 + 1.  A point of multiplicity m imposes m(m+1)/2 linear
 conditions, so the virtual dimension is the ambient dimension minus the
 conditions, and the expected dimension clamps at -1 (empty system).
 """
-from k3fat import K3System, PlanarSystem, edim, point_conditions, vdim_k3, vdim_planar
+from k3fat import K3System, edim, point_conditions, vdim_k3, vdim_planar
 
 print("Unconditioned quartic-surface systems (gamma = 4):")
 for d in range(1, 5):
@@ -26,8 +26,7 @@ print(f"  three double and five simple points: vdim = {v}")
 
 print("\nPlane systems L(delta, mu^nu):")
 for delta, mu, nu in [(2, 1, 4), (4, 2, 4), (3, 2, 4), (-1, 2, 4)]:
-    sys = PlanarSystem.homogeneous(delta, mu, nu)
-    print(f"  L({delta}, {mu}^{nu}): vdim = {vdim_planar(sys)}")
+    print(f"  L({delta}, {mu}^{nu}): vdim = {vdim_planar(delta, mu, nu)}")
 print("  (negative degree means the empty system by convention)")
 
 print("\nThe interesting question is when the true dimension EXCEEDS edim:")

@@ -4,7 +4,6 @@ finite-field interpolation oracle for independent verification."""
 from .core import (
     DimensionReport,
     K3System,
-    PlanarSystem,
     Status,
     edim,
     point_conditions,

@@ -6,9 +6,10 @@ m(m+1)/2 linear conditions; virtual dimensions are the ambient dimension minus
 the imposed conditions, and the expected dimension clamps at -1 (the empty
 system).
 
-Systems are homogeneous records of their key: K3System(gamma, d, m, n) is
-L^gamma(d, m^n) and PlanarSystem(delta, m, n) is L(delta, m^n), with
-m = n = 0 for the unconditioned system.
+A surface system is a homogeneous record of its key: K3System(gamma, d, m, n)
+is L^gamma(d, m^n), with m = n = 0 for the unconditioned system.  A plane
+system L(delta, m^n) is its three integers, as the engine carries its planar
+branches; check_points reads the pair (m, n) for both.
 """
 from __future__ import annotations
 
@@ -106,28 +107,6 @@ class K3System:
         return (self.gamma, self.degree, self.multiplicity, self.count)
 
 
-@dataclass(frozen=True)
-class PlanarSystem:
-    """The plane system L(degree, multiplicity^count) of curves of degree
-    delta through `count` general points of one multiplicity.
-
-    delta < 0 denotes the empty system by convention; the point data is then
-    irrelevant.  multiplicity = count = 0 is the unconditioned system.
-    """
-
-    degree: int
-    multiplicity: int = 0
-    count: int = 0
-
-    def __post_init__(self) -> None:
-        index_fields(self, (f.name for f in fields(self)))
-        check_points(self.multiplicity, self.count)
-
-    @staticmethod
-    def homogeneous(degree: int, multiplicity: int, count: int) -> "PlanarSystem":
-        return PlanarSystem(degree, *normalized_points(multiplicity, count))
-
-
 def k3_vdim_formula(gamma: int, d: int, multiplicity: int, count: int) -> int:
     """Virtual dimension gamma*d^2/2 + 1 - count*m(m+1)/2 of L^gamma(d, m^count).
 
@@ -146,15 +125,18 @@ def edim(v: int) -> int:
     return max(v, -1)
 
 
-def vdim_planar(sys: PlanarSystem) -> int:
-    """Virtual dimension delta(delta+3)/2 - n*m(m+1)/2.
+def vdim_planar(delta: int, multiplicity: int, count: int) -> int:
+    """Virtual dimension delta(delta+3)/2 - count*m(m+1)/2 of L(delta,
+    m^count); ValueError for a non-integer argument (see `as_int`) or a pair
+    that check_points refuses.
 
     For delta < 0 the system is empty by convention and -1 is returned, so
     that the combination formulas stay total.
     """
-    if sys.degree < 0:
+    delta, (multiplicity, count) = as_int("delta", delta), check_points(multiplicity, count)
+    if delta < 0:
         return -1
-    return planar_vdim_formula(sys.degree, sys.multiplicity, sys.count)
+    return planar_vdim_formula(delta, multiplicity, count)
 
 
 def planar_vdim_formula(delta: int, multiplicity: int, count: int) -> int:

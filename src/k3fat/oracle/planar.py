@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core import PlanarSystem, check_points
+from ..core import as_int, check_points
 from .config import OracleMeasurement, PrimeFieldConfig, measure_trials
 from .field import field_dtype, rank_mod_p
 from .series import chart_jets, triangle
@@ -29,12 +29,14 @@ def planar_condition_rows(delta: int, points: Tuple[int, int], p: int, rng) -> n
     2-D array of dtype `field_dtype(p)`.
 
     For points = (m, n), n distinct points are drawn from `rng`, none for
-    (0, 0); a group that core's check_points refuses raises ValueError
-    before any draw.  The row of (i, j) in triangle(m - 1) at (px, py) has
-    the entry C(a, i) px^(a-i) C(b, j) py^(b-j) mod p in the column of
-    x^a y^b.
+    (0, 0); a group that core's check_points refuses, or a negative delta,
+    raises ValueError before any draw.  The row of (i, j) in triangle(m - 1)
+    at (px, py) has the entry C(a, i) px^(a-i) C(b, j) py^(b-j) mod p in the
+    column of x^a y^b.
     """
     m, n = check_points(*points)
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
     a, b = np.array(triangle(delta), dtype=np.intp).T
     if not n:
         return np.zeros((0, len(a)), dtype=field_dtype(p))
@@ -47,15 +49,20 @@ def planar_condition_rows(delta: int, points: Tuple[int, int], p: int, rng) -> n
     return block.reshape(-1, len(a))
 
 
-def measure_planar(sys: PlanarSystem, cfg: PrimeFieldConfig, prime: int = 0) -> OracleMeasurement:
-    """Monte-Carlo dimension of a plane system, min-aggregated over trials;
-    a `prime` other than cfg.prime and cfg.prime2 is checked as cfg checks
-    them."""
+def measure_planar(
+    delta: int, points: Tuple[int, int], cfg: PrimeFieldConfig, prime: int = 0
+) -> OracleMeasurement:
+    """Monte-Carlo dimension of L(delta, m^n), points = (m, n) and (0, 0) for
+    no points, min-aggregated over trials (config.measure_trials); delta < 0
+    is the empty system, measured as dim -1 with no trials.  delta and the
+    pair are read as core's as_int and check_points read them, and a
+    `prime` other than cfg.prime and cfg.prime2 is checked as cfg checks
+    them, before any draw."""
+    delta, points = as_int("delta", delta), check_points(*points)
     p = cfg.field_prime(prime)
-    delta, m, n = sys.degree, sys.multiplicity, sys.count
     if delta < 0:
         return OracleMeasurement(-1, (), False, p, 0, 0)
     ncols = (delta + 2) * (delta + 1) // 2
     return measure_trials(
-        lambda rng: ncols - rank_mod_p(planar_condition_rows(delta, (m, n), p, rng), p) - 1,
-        cfg, p, "planar", "planar", delta, (m, n), ncols)
+        lambda rng: ncols - rank_mod_p(planar_condition_rows(delta, points, p, rng), p) - 1,
+        cfg, p, "planar", "planar", delta, points, ncols)

@@ -49,7 +49,7 @@ allocates the condition matrix once, after the first chunk's `restrict`
 has returned, and fills it one chunk of points at a time: each chunk
 takes as many points as fit _CHUNK_ENTRIES grid entries (points x
 columns x m^2), and at least one, gets its own jets and `restrict`, and
-its triangle entries are copied straight into its rows.  A point's rows
+its entries at triangle(m - 1) are gathered into its rows.  A point's rows
 depend on that point alone, so the chunks give the rows of one call, and
 the grids in memory at once are one chunk's, not every point's.  Every
 int64 step reduces each product of two reduced entries before it adds,
@@ -73,7 +73,7 @@ from .config import (
     num_surface_forms,
 )
 from .field import inverse_mod, poly_roots, rank_mod_p
-from .series import chart_jets, powers, restrict, solve_implicit
+from .series import chart_jets, powers, restrict, solve_implicit, triangle
 
 _MAX_POINT_ATTEMPTS = 256
 _MAX_SURFACE_ATTEMPTS = 32
@@ -222,19 +222,16 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     points, order = instance.points, instance.multiplicity - 1
     exps = column_exponents(d)[:, 1:].T  # exps[coordinate, column]
     psi = solve_implicit(f, points, order, p)
-    ncols, block = exps.shape[1], point_conditions(order + 1)
+    ncols = exps.shape[1]
+    a, b = np.array(triangle(order), dtype=np.intp).T  # a point's rows, in triangle order
     chunk = max(1, _CHUNK_ENTRIES // (ncols * (order + 1) ** 2))
     matrix = None
     for lo in range(0, len(points), chunk):
         grid = restrict(psi[lo:lo + chunk], chart_jets(points[lo:lo + chunk], d, order, p), exps, p)
         if matrix is None:  # after the first restrict, whose temporaries peak a one-chunk call
-            matrix = np.empty((len(points) * block, ncols), dtype=grid.dtype)
-            blocks = matrix.reshape(len(points), block, ncols)  # a view: [point, row, column]
-        row = 0
-        for a in range(order + 1):  # the rows (a, 0), ..., (a, order - a) of triangle order
-            width = order + 1 - a
-            blocks[lo:lo + chunk, row:row + width] = grid[:, :, a, :width].transpose(0, 2, 1)
-            row += width
+            matrix = np.empty((len(points) * len(a), ncols), dtype=grid.dtype)
+            blocks = matrix.reshape(len(points), len(a), ncols)  # a view: [point, row, column]
+        blocks[lo:lo + chunk] = grid[:, :, a, b].transpose(0, 2, 1)
     return list(matrix)
 
 

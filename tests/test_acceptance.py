@@ -15,7 +15,6 @@ from k3fat.classify import Verdict, classify, verify
 from k3fat.cli import main
 from k3fat.core import (
     K3System,
-    PlanarSystem,
     Status,
     point_conditions,
     vdim_k3,
@@ -110,19 +109,17 @@ def test_criterion_4_planar_four_and_nine_points():
     for delta in range(-2, 13):
         for mu in range(1, 5):
             for c in (4, 9):
-                sys = PlanarSystem.homogeneous(delta, mu, c)
-                expected = max(-1, vdim_planar(sys))
-                assert measure_planar(sys, CFG).dim == expected, (delta, mu, c)
+                expected = max(-1, vdim_planar(delta, mu, c))
+                assert measure_planar(delta, (mu, c), CFG).dim == expected, (delta, mu, c)
                 checked += 1
     print(f"\nACCEPTANCE 4 PASS: planar oracle equals max(-1, vdim) on all "
           f"{checked} systems with 4 or 9 points, delta <= 12, mu <= 4")
 
 
 def test_criterion_5_special_detector_control():
-    sys = PlanarSystem.homogeneous(2, 2, 2)
-    meas = measure_planar(sys, CFG)
+    meas = measure_planar(2, (2, 2), CFG)
     assert meas.dim == 0
-    assert vdim_planar(sys) == -1  # edim -1: the oracle catches the doubled line
+    assert vdim_planar(2, 2, 2) == -1  # edim -1: the oracle catches the doubled line
     print("\nACCEPTANCE 5 PASS: oracle detects the special doubled-line system "
           "L(2, 2^2) with dim 0 against edim -1")
 

@@ -1,7 +1,7 @@
 import pytest
 
 from k3fat.classify import Verdict, base_gamma4, classify, verify
-from k3fat.core import K3System, PlanarSystem, Status, edim, vdim_k3, vdim_planar
+from k3fat.core import K3System, Status, edim, vdim_k3, vdim_planar
 from k3fat.oracle import BudgetExceededError, PrimeFieldConfig
 
 
@@ -34,7 +34,7 @@ def test_base_gamma4_d1_tangent_section_not_special():
 )
 def test_planar_dim_c49(delta, mu, c, expected):
     # plane systems through 4 or 9 general points are non-special
-    assert edim(vdim_planar(PlanarSystem(delta, mu, c))) == expected
+    assert edim(vdim_planar(delta, mu, c)) == expected
 
 
 def test_classify_unconditioned_system():

@@ -5,7 +5,6 @@ from k3fat.classify import classify
 from k3fat.core import (
     DimensionReport,
     K3System,
-    PlanarSystem,
     Status,
     edim,
     planar_vdim_formula,
@@ -13,6 +12,7 @@ from k3fat.core import (
     vdim_k3,
     vdim_planar,
 )
+from k3fat.oracle import measure_planar
 
 
 def test_vdim_k3_single_point_wall():
@@ -47,15 +47,15 @@ def test_edim_idempotent_and_monotone():
     [(2, 1, 4, 1), (4, 2, 4, 2), (3, 2, 4, -3)],
 )
 def test_vdim_planar(delta, mu, nu, expected):
-    assert vdim_planar(PlanarSystem.homogeneous(delta, mu, nu)) == expected
+    assert vdim_planar(delta, mu, nu) == expected
 
 
 def test_vdim_planar_negative_degree_convention():
-    assert vdim_planar(PlanarSystem.homogeneous(-1, 3, 4)) == -1
-    assert vdim_planar(PlanarSystem.homogeneous(-5, 1, 9)) == -1
+    assert vdim_planar(-1, 3, 4) == -1
+    assert vdim_planar(-5, 1, 9) == -1
     # the raw formula used in bookkeeping identities is unclamped
     assert planar_vdim_formula(-1, 1, 4) == -1 - 4
-    assert edim(vdim_planar(PlanarSystem(-1, 3, 4))) == -1
+    assert edim(vdim_planar(-1, 3, 4)) == -1
 
 
 def test_append_point_decreases_vdim_by_conditions():
@@ -74,45 +74,47 @@ def test_gamma_validation():
         K3System(4, 0)
 
 
-def test_system_records_reject_invalid_points():
+def test_system_records_reject_invalid_points(small_cfg):
     # a negative field, or points of multiplicity 0, or a multiplicity
-    # without points
+    # without points; the plane system is refused as its pair is read
     for m, n in [(-1, 4), (2, -1), (-1, 0), (0, -1), (0, 4), (2, 0)]:
         with pytest.raises(ValueError):
             K3System(4, 2, m, n)
         with pytest.raises(ValueError):
-            PlanarSystem(2, m, n)
+            vdim_planar(2, m, n)
+        with pytest.raises(ValueError):
+            measure_planar(2, (m, n), small_cfg)
 
 
-def test_system_records_read_their_fields_as_ints():
+def test_system_records_read_their_fields_as_ints(small_cfg):
     # a non-integer field fails at construction, not later inside classify
     for args in ((4.0, 3, 1, 4), (4, 2.5, 1, 1), (4, 3, "1", 4), (4, 3, 1, None)):
         with pytest.raises(ValueError, match="must be an integer"):
             K3System(*args)
-    for args in ((2.5, 1, 1), (3, "1", 4), (3, 1, None)):
+    for delta, m, n in ((2.5, 1, 1), (3, "1", 4), (3, 1, None)):
         with pytest.raises(ValueError, match="must be an integer"):
-            PlanarSystem(*args)
+            vdim_planar(delta, m, n)
+        with pytest.raises(ValueError, match="must be an integer"):
+            measure_planar(delta, (m, n), small_cfg)
     # numpy integers are stored as ints, so the trace serialises as for ints
     sys = K3System(4, np.int64(3), np.int32(1), np.int64(4))
     assert all(type(x) is int for x in sys.key) and sys == K3System(4, 3, 1, 4)
     assert classify(sys).trace.to_json() == classify(K3System(4, 3, 1, 4)).trace.to_json()
-    plane = PlanarSystem(np.int64(2), np.int64(1), np.int64(4))
-    assert all(type(x) is int for x in (plane.degree, plane.multiplicity, plane.count))
+    v = vdim_planar(np.int64(2), np.int64(1), np.int64(4))
+    assert type(v) is int and v == 1
+    plane = measure_planar(np.int64(2), (np.int64(1), np.int64(4)), small_cfg)
+    assert plane == measure_planar(2, (1, 4), small_cfg)
+    assert all(type(x) is int for x in (plane.dim, *plane.trial_dims, plane.rows, plane.cols))
 
 
 def test_homogeneous_constructor_normalizes_empty():
     assert K3System.homogeneous(4, 2, 0, 5).key == (4, 2, 0, 0)
     assert K3System.homogeneous(4, 2, 3, 0).key == (4, 2, 0, 0)
     assert K3System(4, 2).key == (4, 2, 0, 0)
-    assert PlanarSystem.homogeneous(2, 0, 4) == PlanarSystem(2)
     sys = K3System.homogeneous(4, 2, 3, 5)
     assert (sys.multiplicity, sys.count) == (3, 5) and sys.key == (4, 2, 3, 5)
     with pytest.raises(ValueError, match="must be non-negative"):
         K3System.homogeneous(4, 2, -1, 0)
-    with pytest.raises(ValueError, match="must be non-negative"):
-        PlanarSystem.homogeneous(2, -1, 0)
-    with pytest.raises(ValueError, match="must be non-negative"):
-        PlanarSystem.homogeneous(2, 0, -3)
 
 
 def test_dimension_report_invariants():

@@ -66,7 +66,7 @@ from series_reference import (
     triangle_solve_implicit,
 )
 
-from k3fat.core import PlanarSystem, vdim_planar
+from k3fat.core import vdim_planar
 from k3fat.oracle import config, quartic
 from k3fat.oracle.config import (
     DEFAULT_PRIME,
@@ -765,8 +765,8 @@ def test_each_trial_draws_from_the_tags_of_its_system(monkeypatch):
                   (1, "k3", p, 2, (), 0), (1, "k3", p, 2, (), 1)]
     for d, points in ((2, (2, 4)), (3, (6, 4)), (2, (0, 0))):
         assert measure_k3(d, points, cfg) == ref_prefix_measure_k3(d, points, cfg)
-    assert measure_planar(PlanarSystem(3, 2, 4), cfg).trial_dims == (-1, -1)
-    assert measure_planar(PlanarSystem(3), cfg).trial_dims == (9, 9)
+    assert measure_planar(3, (2, 4), cfg).trial_dims == (-1, -1)
+    assert measure_planar(3, (0, 0), cfg).trial_dims == (9, 9)
     assert plane == [(1, "planar", p, 3, ((2, 4),), 0), (1, "planar", p, 3, ((2, 4),), 1),
                      (1, "planar", p, 3, (), 0), (1, "planar", p, 3, (), 1)]
 
@@ -786,16 +786,15 @@ def test_a_k3_measurement_aggregates_run_trial_on_the_tagged_streams(p, d, point
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, DEFAULT_PRIME2])
-@pytest.mark.parametrize("sys", [PlanarSystem(3, 2, 4), PlanarSystem(5, 2, 9), PlanarSystem(3)])
-def test_a_planar_measurement_aggregates_its_trials_on_the_tagged_streams(p, sys):
+@pytest.mark.parametrize("delta, points", [(3, (2, 4)), (5, (2, 9)), (3, (0, 0))])
+def test_a_planar_measurement_aggregates_its_trials_on_the_tagged_streams(p, delta, points):
     cfg = PrimeFieldConfig()
-    delta, points = sys.degree, (sys.multiplicity, sys.count)
-    group = (points,) if sys.count else ()
+    group = (points,) if points[1] else ()
     ncols = (delta + 1) * (delta + 2) // 2
     rngs = (derived_rng(cfg.seed, "planar", p, delta, group, t) for t in range(cfg.trials))
     dims = [ncols - rank_mod_p(planar_condition_rows(delta, points, p, rng), p) - 1 for rng in rngs]
-    rows = sys.count * sys.multiplicity * (sys.multiplicity + 1) // 2
-    assert measure_planar(sys, cfg, p) == OracleMeasurement.from_trials(dims, p, rows, ncols)
+    rows = points[1] * points[0] * (points[0] + 1) // 2
+    assert measure_planar(delta, points, cfg, p) == OracleMeasurement.from_trials(dims, p, rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +819,7 @@ def test_planar_rows_are_derivative_rows_over_factorials(p, delta, groups):
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, DEFAULT_PRIME2])
 def test_planar_oracle_at_the_degree_of_the_planar_leaves(p):
-    sys = PlanarSystem(24, 8, 9)
-    m = measure_planar(sys, PrimeFieldConfig(prime2=None), prime=p)
+    m = measure_planar(24, (8, 9), PrimeFieldConfig(prime2=None), prime=p)
     assert (m.rows, m.cols) == (324, 325)
-    assert m.dim == vdim_planar(sys) == 0
+    assert m.dim == vdim_planar(24, 8, 9) == 0
     assert m.trial_dims == (0, 0, 0) and not m.low_confidence

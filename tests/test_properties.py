@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from k3fat.classify import base_gamma4, classify
 from k3fat.core import (
     K3System,
-    PlanarSystem,
     Status,
     edim,
     point_conditions,
@@ -135,8 +134,8 @@ def test_any_admissible_k_certifies_the_same_value():
                 continue
             l0 = _recombine(
                 rep_s.dim, rep_sh.dim,
-                edim(vdim_planar(PlanarSystem(k, m, c))),
-                edim(vdim_planar(PlanarSystem(k - 1, m, c))),
+                edim(vdim_planar(k, m, c)),
+                edim(vdim_planar(k - 1, m, c)),
                 b, k,
             )[3]
             assert l0 == v, (d, m, n, k)

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from k3fat.classify import _assumed_base, _proved_base, classify
-from k3fat.core import K3System, PlanarSystem, Status, edim, vdim_planar
+from k3fat.core import K3System, Status, edim, vdim_planar
 from trace_reference import ref_node_order, ref_recurse, reference_dict
 
 DATA = Path(__file__).parent / "data"
@@ -145,7 +145,7 @@ def test_planar_columns_match_the_planar_formula_on_grid(gamma):
             if row.get("c") is None:
                 continue
             for leaf, delta in (("planar", row["k"]), ("planar_hat", row["k"] - 1)):
-                v = vdim_planar(PlanarSystem(delta, row["m"], row["c"]))
+                v = vdim_planar(delta, row["m"], row["c"])
                 assert [row[f"{leaf}.{name}"] for name in
                         ("delta", "vdim", "edim", "dim", "status")] == \
                     [delta, v, edim(v), edim(v), Status.NONSPECIAL.value]
