@@ -36,15 +36,6 @@ def point_conditions(multiplicity: int) -> int:
     return multiplicity * (multiplicity + 1) // 2
 
 
-def normalized_points(multiplicity: int, count: int) -> Tuple[int, int]:
-    """(m, n) for the points m^n, where multiplicity or count 0 means no
-    points at all: (0, 0), the unconditioned system; ValueError if either is
-    negative."""
-    if multiplicity < 0 or count < 0:
-        raise ValueError("multiplicity and count must be non-negative")
-    return (multiplicity, count) if multiplicity and count else (0, 0)
-
-
 def as_int(name: str, value) -> int:
     """`value` as a Python int, for an integer of any type (numpy integers
     and bools too); ValueError for anything else, such as 2.5 or "3"."""
@@ -99,8 +90,13 @@ class K3System:
     @staticmethod
     def homogeneous(gamma: int, degree: int, multiplicity: int, count: int) -> "K3System":
         """Build L^gamma(degree, multiplicity^count); multiplicity 0 or count 0
-        normalize to the unconditioned system."""
-        return K3System(gamma, degree, *normalized_points(multiplicity, count))
+        normalize to the unconditioned system, and a negative one raises
+        ValueError."""
+        if multiplicity < 0 or count < 0:
+            raise ValueError("multiplicity and count must be non-negative")
+        if not (multiplicity and count):
+            multiplicity = count = 0
+        return K3System(gamma, degree, multiplicity, count)
 
     @property
     def key(self) -> Key:

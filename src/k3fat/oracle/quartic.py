@@ -58,9 +58,9 @@ also in the sum over F's 35 terms, so it stays exact in the arrays of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -156,37 +156,23 @@ def _sample_point(f_affine, p: int, rng, seen) -> Tuple[int, int, int]:
     raise SamplingError("could not sample a smooth surface point within budget")
 
 
-def sample_quartic_instance(
-    points: Tuple[int, int], p: int, rng, start: Optional[QuarticSurfaceInstance] = None
-) -> QuarticSurfaceInstance:
+def sample_quartic_instance(points: Tuple[int, int], p: int, rng) -> QuarticSurfaceInstance:
     """Random quartic plus n smooth points of multiplicity m, for points
     = (m, n); (0, 0) draws the quartic alone.  A group that core's
     check_points refuses raises ValueError before any draw.
 
     The points are drawn one after another from rng, so (m, k) draws the
-    first k points of the draw of (m, n) on the same quartic.  With `start`,
-    an instance of (m, k) that rng drew last, the start's quartic and
-    points are the first of the attempts, and only the later points are
-    drawn: the instance, and rng's state, are those of a draw of (m, n) from
-    rng as it was before the start's draw, whenever that draw returns.  A
-    quartic with no x0^4 or no x3^4 term is redrawn, after its 35 draws, as
-    is one where a point's draw fails; a start with no such term raises
-    ValueError.  Each z is a simple root of F on its line (see _sample_point).
+    first k points of the draw of (m, n) on the same quartic.  A quartic
+    with no x0^4 or no x3^4 term is redrawn, after its 35 draws, as is one
+    where a point's draw fails.  Each z is a simple root of F on its line
+    (see _sample_point).
     """
     m, n = check_points(*points)
-    if start is not None and (
-            (start.prime, start.multiplicity) != (p, m) or len(start.points) > n
-            or not all(dict(start.coefficients).get(e, 0) % p for e in (_X0_FOURTH, _X3_FOURTH))):
-        raise ValueError(f"the start instance is no prefix of a draw of {points} at p = {p}")
     for _ in range(_MAX_SURFACE_ATTEMPTS):
-        if start is not None:
-            coeffs, drawn = dict(start.coefficients), dict.fromkeys(start.points)
-            start = None
-        else:
-            coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
-            if not (coeffs[_X0_FOURTH] and coeffs[_X3_FOURTH]):
-                continue
-            drawn = {}  # the distinct points in draw order
+        coeffs = {e: rng.randrange(p) for e in _QUARTIC_EXPONENTS}
+        if not (coeffs[_X0_FOURTH] and coeffs[_X3_FOURTH]):
+            continue
+        drawn = {}  # the distinct points in draw order
         inv = inverse_mod(coeffs[_X3_FOURTH], p)  # every vertical line is then monic in z
         f_affine = {e: c * inv % p for e, c in _dehomogenize(coeffs).items()}
         try:
@@ -243,32 +229,26 @@ def run_trial(d: int, points: Tuple[int, int], p: int, rng) -> int:
     rank.  Let k = ceil(ncols / (m (m + 1) / 2)), ncols = 2d^2 + 2, the
     first point count whose conditions reach ncols.  When k < n the trial
     draws and ranks the first k points: at full rank its dim is -1.  Short
-    of it, it goes on drawing the other n - k points from the same
-    generator (start=) and ranks the rows of all n; ranking draws nothing,
-    so these are the points one draw of all n returns (see
-    sample_quartic_instance).  When that draw kept the prefix's quartic and
-    points, only the other n - k points get rows; when a point's draw
-    failed and the draw moved to a new quartic, all n points get rows.
-    Rank only grows as rows are added and never exceeds ncols (the
-    multiples of F meet no condition), so a trial that stops has the dim
-    of all n points.  A stopped trial ranks fewer rows than the system's
-    n m (m + 1) / 2, so its rows * deg / p error bound (see config) only
-    shrinks; OracleMeasurement.rows stays that count.
+    of it, it sets rng back to its state before that draw and draws and
+    ranks all n points.  Rank only grows as rows are added and never
+    exceeds ncols (the multiples of F meet no condition), and (m, k) draws
+    the first k points of the draw of (m, n) (see sample_quartic_instance),
+    so a trial that stops has the dim of all n points.  A stopped trial
+    ranks fewer rows than the system's n m (m + 1) / 2, so its
+    rows * deg / p error bound (see config) only shrinks;
+    OracleMeasurement.rows stays that count.
     """
     m, n = points
     ncols = num_surface_forms(d)
     k = -(-ncols // point_conditions(m)) if n else 0
-    prefix = sample_quartic_instance((m, min(k, n)), p, rng)
-    rows = k3_condition_rows(d, prefix)
-    rank = rank_mod_p(rows, p)
-    if rank < ncols and k < n:
-        instance = sample_quartic_instance((m, n), p, rng, start=prefix)
-        if (instance.coefficients, instance.points[:k]) == (prefix.coefficients, prefix.points):
-            rows += k3_condition_rows(d, replace(instance, points=instance.points[k:]))
-        else:  # a point's draw failed, and the draw moved to a new quartic
-            rows = k3_condition_rows(d, instance)
-        rank = rank_mod_p(rows, p)
-    return ncols - rank - 1
+    if k < n:
+        state = rng.getstate()
+        prefix = sample_quartic_instance((m, k), p, rng)
+        if rank_mod_p(k3_condition_rows(d, prefix), p) == ncols:
+            return -1
+        rng.setstate(state)
+    instance = sample_quartic_instance((m, n), p, rng)
+    return ncols - rank_mod_p(k3_condition_rows(d, instance), p) - 1
 
 
 def measure_k3(

@@ -31,16 +31,18 @@ same draw when every slot is 3.  `ref_measure_k3` is the trial loop that
 samples, with that sampler, and ranks every point of the system, with its
 one budget check made before it samples; the oracle stops a trial once its
 rows reach full column rank.  `ref_prefix_measure_k3` is the oracle's
-former trial loop with that stop, on the oracle's own sampler: when the
-first k points of a trial fall short of full rank, it draws all n points
-again from a fresh generator with the same tags, where the oracle goes on
-drawing from the one generator of the trial.
+trial loop with that stop, on the oracle's own sampler, and
+`ref_prefix_trial` its trial: when the first k points of a trial fall
+short of full rank, it draws all n points again from a fresh generator
+with the same tags, where the oracle sets the trial's one generator back
+to its state before the prefix.
 The sampler, the plane rows and the trial loop take a tuple of (m, n)
 groups, as the seed did: ((m, n),) is the oracle's system (m, n), and ()
 has no points.  All of them are kept verbatim in behaviour, and the tests
 compare the oracle with them.
 """
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -397,28 +399,36 @@ def ref_measure_k3(d: int, groups, cfg, prime: int = 0) -> OracleMeasurement:
     return OracleMeasurement(dim, tuple(trial_dims), low_confidence, p, nrows, ncols)
 
 
+def ref_prefix_trial(d: int, points, p: int, new_rng) -> int:
+    """One trial of ref_prefix_measure_k3, on the generators that new_rng()
+    makes, each fresh with the same state: the rows of the first k points,
+    k = ceil((2d^2 + 2) / (m(m+1)/2)), are ranked when k < n, and at full
+    rank the trial's dim is -1; otherwise all n points are drawn from a
+    fresh generator and ranked.  points = (m, n), (0, 0) for no points."""
+    m, n = points
+    ncols = num_surface_forms(d)
+    k = -(-ncols // point_conditions(m)) if n else 0
+    if k < n:
+        instance = sample_quartic_instance((m, k), p, new_rng())
+        if rank_mod_p(k3_condition_rows(d, instance), p) == ncols:
+            return -1
+    instance = sample_quartic_instance((m, n), p, new_rng())
+    return ncols - rank_mod_p(k3_condition_rows(d, instance), p) - 1
+
+
 def ref_prefix_measure_k3(d: int, points, cfg, prime: int = 0) -> OracleMeasurement:
-    """measure_k3 with two generators per trial that does not stop: the
-    rows of the first k points, k = ceil((2d^2 + 2) / (m(m+1)/2)), are
-    ranked when k < n, and at full rank the trial's dim is -1; otherwise
-    all n points are drawn from a fresh generator with the same tags and
-    ranked.  points = (m, n), (0, 0) for no points."""
+    """measure_k3 with two generators per trial that does not stop
+    (ref_prefix_trial), each derived with the trial's tags.  points =
+    (m, n), (0, 0) for no points."""
     sys = K3System(4, d, *points)
     d, m, n = sys.degree, sys.multiplicity, sys.count
     p = prime or cfg.prime
     ncols = num_surface_forms(d)
     nrows = n * point_conditions(m)
     check_budget(cfg, "quartic", nrows, ncols)
-    k = -(-ncols // point_conditions(m)) if n else 0
     group = ((m, n),) if n else ()
     trial_dims = []
     for trial in range(cfg.trials):
-        tags = (cfg.seed, "k3", p, d, group, trial)
-        if k < n:
-            instance = sample_quartic_instance((m, k), p, derived_rng(*tags))
-            if rank_mod_p(k3_condition_rows(d, instance), p) == ncols:
-                trial_dims.append(-1)
-                continue
-        instance = sample_quartic_instance((m, n), p, derived_rng(*tags))
-        trial_dims.append(ncols - rank_mod_p(k3_condition_rows(d, instance), p) - 1)
+        new_rng = partial(derived_rng, cfg.seed, "k3", p, d, group, trial)
+        trial_dims.append(ref_prefix_trial(d, (m, n), p, new_rng))
     return OracleMeasurement.from_trials(trial_dims, p, nrows, ncols)

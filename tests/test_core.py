@@ -113,8 +113,9 @@ def test_homogeneous_constructor_normalizes_empty():
     assert K3System(4, 2).key == (4, 2, 0, 0)
     sys = K3System.homogeneous(4, 2, 3, 5)
     assert (sys.multiplicity, sys.count) == (3, 5) and sys.key == (4, 2, 3, 5)
-    with pytest.raises(ValueError, match="must be non-negative"):
-        K3System.homogeneous(4, 2, -1, 0)
+    for m, n in ((-1, 0), (3, -1)):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            K3System.homogeneous(4, 2, m, n)
 
 
 def test_dimension_report_invariants():

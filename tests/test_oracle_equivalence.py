@@ -16,10 +16,10 @@ oracle's trials stop drawing points once their rows reach full column rank;
 the measurements are compared with oracle_reference's trial loop, which
 samples and ranks every point, and with `ref_prefix_measure_k3`, the
 two-generator loop that draws all points again from a fresh generator when
-the first k points fall short of full rank, where the oracle goes on
-drawing from the trial's one generator.  The plane rows are Taylor
-coefficients, and are compared with oracle_reference's derivative rows
-divided by i! j!.
+the first k points fall short of full rank, where the oracle sets the
+trial's one generator back to its state before the prefix.  The plane rows
+are Taylor coefficients, and are compared with oracle_reference's
+derivative rows divided by i! j!.
 The oracle measures one homogeneous system (m, n); the references take the
 seed's tuple of groups, and the tests hand them ((m, n),), or () for no
 points, the tuple that also tags each trial's random stream.
@@ -52,6 +52,7 @@ from oracle_reference import (
     ref_planar_condition_rows,
     ref_poly_roots,
     ref_prefix_measure_k3,
+    ref_prefix_trial,
     ref_rank_mod_p,
     ref_sample_quartic_instance,
 )
@@ -432,14 +433,6 @@ def test_a_quartic_without_x0_fourth_power_is_redrawn(p):
     for d in range(1, 10):
         assert len(column_exponents(d)) == num_surface_forms(d)
         assert std_column_dim(d, instance) == full_column_dim(d, instance)
-    # a start with either term 0 (or p) is no prefix of a draw
-    start = sample_quartic_instance((2, 3), p, Random(5))
-    for term in (X0_FOURTH, X3_FOURTH):
-        for value in (0, p):
-            coeffs = {**dict(start.coefficients), term: value}
-            bad = replace(start, coefficients=tuple(sorted(coeffs.items())))
-            with pytest.raises(ValueError, match="no prefix"):
-                sample_quartic_instance((2, 9), p, Random(5), start=bad)
 
 
 def test_a_redrawn_quartic_is_measured_within_the_standard_column_budget(monkeypatch):
@@ -575,6 +568,8 @@ def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_
     p, (m, n) = DEFAULT_PRIME, pair(groups)
     full = [sample_quartic_instance((m, n), p, derived_rng(1, "k3", p, d, groups, trial))
             for trial in range(cfg.trials)]
+    k = -(-num_surface_forms(d) // (m * (m + 1) // 2))
+    prefixes = [instance.points[:k] if k < n else () for instance in full]
     draws, tags = Draws(monkeypatch), recorded_tags(monkeypatch, "k3")
     ranks = []
     rank = quartic.rank_mod_p
@@ -585,12 +580,13 @@ def test_trials_that_do_not_stop_draw_every_point(monkeypatch, d, groups, ranks_
 
     monkeypatch.setattr(quartic, "rank_mod_p", counting_rank)
     measured = measure_k3(d, (m, n), cfg)
-    # each trial takes one generator and draws each of its n points once: a
-    # trial that ranks twice drew the 1-point prefix of L^4(3, 6^4), then
-    # the other three from the same generator, the points of one draw of all
-    # four from a fresh generator with the trial's tags
+    # each trial takes one generator: a trial that ranks twice drew the
+    # 1-point prefix of L^4(3, 6^4), then set the generator back and drew
+    # all four, the points of one draw of all four from a fresh generator
+    # with the trial's tags; any other trial draws each of its n points once
     assert tags == [(1, "k3", p, d, groups, trial) for trial in range(cfg.trials)]
-    assert draws.sampled == [pt for instance in full for pt in instance.points]
+    assert draws.sampled == [pt for prefix, instance in zip(prefixes, full)
+                             for pt in prefix + instance.points]
     assert draws.checked == set(draws.sampled)
     assert len(ranks) == cfg.trials * ranks_per_trial
     assert ranks[ranks_per_trial - 1::ranks_per_trial] == [n * m * (m + 1) // 2] * cfg.trials
@@ -608,34 +604,12 @@ class Instances:
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
-def test_a_draw_continued_from_its_prefix_is_the_draw_of_all_points(monkeypatch, p):
-    # with one attempt per point, about 3/8 of the point draws fail (a line
-    # with no root), so many draws leave their first quartic: wherever the
-    # draw of all four points at once returns, the draw that goes on from
-    # its first k points returns the same instance and leaves the generator
-    # in the same state, also when it moves off the prefix's quartic
-    monkeypatch.setattr(quartic, "_MAX_POINT_ATTEMPTS", 1)
-    moved = 0
-    for seed in range(30):
-        full_rng = Random(seed)
-        try:
-            full = sample_quartic_instance((6, 4), p, full_rng)
-        except SamplingError:
-            continue
-        rng = Random(seed)
-        prefix = sample_quartic_instance((6, 1 + seed % 3), p, rng)
-        assert sample_quartic_instance((6, 4), p, rng, start=prefix) == full
-        assert rng.getstate() == full_rng.getstate()
-        moved += prefix.coefficients != full.coefficients
-    assert moved
-
-
-@pytest.mark.parametrize("p", ORACLE_PRIMES)
 def test_forced_point_failures_measure_as_the_two_generator_loop(monkeypatch, p):
-    # every trial of L^4(3, 6^4) goes on from its 1-point prefix, the wall
-    # L^4(3, 6^1); with one attempt per point, trials leave the prefix's
-    # quartic, and each is measured as the fresh generator's draw of all
-    # four points
+    # every trial of L^4(3, 6^4) falls short at its 1-point prefix, the
+    # wall L^4(3, 6^1), and draws all four points again from its generator
+    # set back; with one attempt per point, the draw of all four often
+    # leaves the prefix's quartic, and each trial is measured as the fresh
+    # generator's draw of all four points
     monkeypatch.setattr(quartic, "_MAX_POINT_ATTEMPTS", 1)
     moved = 0
     for seed in range(1, 9):
@@ -646,21 +620,44 @@ def test_forced_point_failures_measure_as_the_two_generator_loop(monkeypatch, p)
             continue
         instances = Instances(monkeypatch)
         assert measure_k3(3, (6, 4), cfg, prime=p) == expected
-        assert len(instances.ranked) == 2 * cfg.trials  # a prefix, then the rest
-        prefixes, rests = instances.ranked[::2], instances.ranked[1::2]
-        for prefix, rest in zip(prefixes, rests):
-            # rows for the other three points on the prefix's quartic, for
-            # all four on a new one
-            assert len(rest.points) == (3 if rest.coefficients == prefix.coefficients else 4)
-        moved += sum(a.coefficients != b.coefficients for a, b in zip(prefixes, rests))
+        assert len(instances.ranked) == 2 * cfg.trials  # a prefix, then all points
+        prefixes, fulls = instances.ranked[::2], instances.ranked[1::2]
+        for prefix, full in zip(prefixes, fulls):
+            assert (len(prefix.points), len(full.points)) == (1, 4)
+            if full.coefficients == prefix.coefficients:
+                assert full.points[:1] == prefix.points
+        moved += sum(a.coefficients != b.coefficients for a, b in zip(prefixes, fulls))
     assert moved
 
 
+def test_a_trial_at_the_attempt_budget_is_the_fresh_generator_trial(monkeypatch):
+    # with one attempt per point and two quartics per draw, the draw of all
+    # four points of L^4(3, 6^4) often runs out of quartics where its
+    # 1-point prefix did not: the trial then raises SamplingError exactly
+    # when the trial that draws all four from a fresh generator does, and
+    # has its dim wherever that one returns.  A draw that went on from the
+    # prefix's quartic took it as one more attempt, and returned a dim at 9
+    # of these seeds where the fresh draw raises
+    monkeypatch.setattr(quartic, "_MAX_POINT_ATTEMPTS", 1)
+    monkeypatch.setattr(quartic, "_MAX_SURFACE_ATTEMPTS", 2)
+    p, raised = DEFAULT_PRIME, 0
+    for seed in range(200):
+        try:
+            expected = ref_prefix_trial(3, (6, 4), p, partial(Random, seed))
+        except SamplingError:
+            with pytest.raises(SamplingError):
+                run_trial(3, (6, 4), p, Random(seed))
+            raised += 1
+            continue
+        assert run_trial(3, (6, 4), p, Random(seed)) == expected
+    assert raised
+
+
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
-def test_a_trial_that_goes_on_builds_the_rows_of_its_prefix_once(monkeypatch, p):
-    # each trial of L^4(3, 6^4) builds the 21 rows of its 1-point prefix,
-    # the wall L^4(3, 6^1) at rank 19 of 20, then the 63 rows of the other
-    # three points only, and ranks the 21 and then all 84 rows
+def test_a_trial_that_falls_short_ranks_its_prefix_then_all_points(monkeypatch, p):
+    # each trial of L^4(3, 6^4) builds and ranks the 21 rows of its 1-point
+    # prefix, the wall L^4(3, 6^1) at rank 19 of 20, then the 84 rows of
+    # all four points
     cfg = PrimeFieldConfig(prime2=None)
     built, ranked = [], []
     rows, rank = quartic.k3_condition_rows, quartic.rank_mod_p
@@ -673,18 +670,9 @@ def test_a_trial_that_goes_on_builds_the_rows_of_its_prefix_once(monkeypatch, p)
     monkeypatch.setattr(quartic, "k3_condition_rows", counting_rows)
     monkeypatch.setattr(quartic, "rank_mod_p", lambda m, p: ranked.append(len(m)) or rank(m, p))
     measured = measure_k3(3, (6, 4), cfg, prime=p)
-    assert built == [21, 63] * cfg.trials
-    assert ranked == [21, 84] * cfg.trials
+    assert built == ranked == [21, 84] * cfg.trials
     assert measured == ref_prefix_measure_k3(3, (6, 4), cfg, prime=p)
     assert measured.trial_dims == ref_measure_k3(3, ((6, 4),), cfg, prime=p).trial_dims
-
-
-def test_a_start_that_is_no_prefix_of_the_draw_is_refused():
-    p = DEFAULT_PRIME
-    start = sample_quartic_instance((2, 3), p, Random(1))
-    for points, prime in (((3, 4), p), ((2, 2), p), ((2, 4), DEFAULT_PRIME2)):
-        with pytest.raises(ValueError, match="no prefix"):
-            sample_quartic_instance(points, prime, Random(1), start=start)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -758,7 +746,7 @@ def test_each_trial_draws_from_the_tags_of_its_system(monkeypatch):
     k3, plane = recorded_tags(monkeypatch, "k3"), recorded_tags(monkeypatch, "planar")
     p = DEFAULT_PRIME
     assert measure_k3(2, (2, 4), cfg).trial_dims == (-1, -1)
-    assert measure_k3(3, (6, 4), cfg).trial_dims == (-1, -1)  # one prefix, then the rest
+    assert measure_k3(3, (6, 4), cfg).trial_dims == (-1, -1)  # one prefix, then all four
     assert measure_k3(2, (0, 0), cfg).trial_dims == (9, 9)
     assert k3 == [(1, "k3", p, 2, ((2, 4),), 0), (1, "k3", p, 2, ((2, 4),), 1),
                   (1, "k3", p, 3, ((6, 4),), 0), (1, "k3", p, 3, ((6, 4),), 1),
@@ -774,8 +762,8 @@ def test_each_trial_draws_from_the_tags_of_its_system(monkeypatch):
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, DEFAULT_PRIME2])
 @pytest.mark.parametrize("d, points", [(2, (2, 9)), (3, (6, 4)), (3, (0, 0))])
 def test_a_k3_measurement_aggregates_run_trial_on_the_tagged_streams(p, d, points):
-    # L^4(2, 2^9) stops after its 4-point prefix, L^4(3, 6^4) goes on after
-    # its short 1-point prefix, and L^4(3) draws the quartic alone
+    # L^4(2, 2^9) stops after its 4-point prefix, L^4(3, 6^4) draws all four
+    # points after its short 1-point prefix, and L^4(3) draws the quartic alone
     cfg = PrimeFieldConfig()
     group = (points,) if points[1] else ()
     dims = tuple(run_trial(d, points, p, derived_rng(cfg.seed, "k3", p, d, group, t))
