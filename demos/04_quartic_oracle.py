@@ -18,7 +18,7 @@ from k3fat.oracle import (
     sample_quartic_instance,
     solve_implicit,
 )
-from k3fat.oracle.series import triangle
+from k3fat.oracle.series import chart_jets, triangle
 
 cfg = PrimeFieldConfig(seed=11, trials=3, prime2=None)
 p = cfg.prime
@@ -28,7 +28,8 @@ instance = sample_quartic_instance((4, 1), p, Random(3))
 pt = instance.points[0]
 print(f"  point (chart x0=1): {pt}")
 print("  solved coordinate slot: 3, parameters: (1, 2)")  # every point's one chart
-phi = solve_implicit(instance.affine_poly(), [pt], 3, p)[0]
+jets = chart_jets([pt], 4, 3, p)  # the point's jet table: the quartic's columns, rows 0..3
+phi = solve_implicit(instance.affine_poly(), jets, 3, p)[0]
 phi[0, 0] = pt[2]  # phi = z + psi
 terms = [(ij, int(phi[ij])) for ij in triangle(3) if phi[ij]][:6]
 print(f"  local series phi (first terms): {terms}")

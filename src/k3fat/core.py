@@ -91,7 +91,8 @@ class K3System:
     def homogeneous(gamma: int, degree: int, multiplicity: int, count: int) -> "K3System":
         """Build L^gamma(degree, multiplicity^count); multiplicity 0 or count 0
         normalize to the unconditioned system, and a negative one raises
-        ValueError."""
+        ValueError, as does a non-integer one (see `as_int`)."""
+        multiplicity, count = as_int("multiplicity", multiplicity), as_int("count", count)
         if multiplicity < 0 or count < 0:
             raise ValueError("multiplicity and count must be non-negative")
         if not (multiplicity and count):

@@ -21,6 +21,7 @@ every trial at both primes to drop rank.  They are evidence, not proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Callable, Optional, Tuple
 
@@ -38,8 +39,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
 
 
+@lru_cache(maxsize=16)
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_EXACT_BELOW."""
+    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_EXACT_BELOW,
+    memoised, as every config tests its primes (nearly always the defaults)."""
     for a in _MR_BASES:
         if n % a == 0:
             return n == a

@@ -43,18 +43,18 @@ along the chart is sum_e c_e restrict(x^e) over F's own terms, so
 share one multiplicity, from that sum, and the block of the degree-d
 columns is `restrict` of those columns with that psi.  That solve checks
 every point, simple points at order 0 included, so a hand-built instance
-is held to the same check as a sampled one.  The solve runs once for all
-the points, as psi is small; the grids are not.  `k3_condition_rows`
-allocates the condition matrix once, after the first chunk's `restrict`
-has returned, and fills it one chunk of points at a time: each chunk
-takes as many points as fit _CHUNK_ENTRIES grid entries (points x
-columns x m^2), and at least one, gets its own jets and `restrict`, and
+is held to the same check as a sampled one.  `k3_condition_rows` builds
+one jet table per trial, columns up to max(d, 4), for the solve and every
+chunk: the table and psi are small for all the points; the grids are not.
+It allocates the condition matrix once, after the first chunk's
+`restrict` has returned, and fills it one chunk of points at a time: each
+chunk takes as many points as fit _CHUNK_ENTRIES grid entries (points x
+columns x m^2), and at least one, restricts its slice of the table, and
 its entries at triangle(m - 1) are gathered into its rows.  A point's rows
 depend on that point alone, so the chunks give the rows of one call, and
 the grids in memory at once are one chunk's, not every point's.  Every
 int64 step reduces each product of two reduced entries before it adds,
-also in the sum over F's 35 terms, so it stays exact in the arrays of
-`field_dtype`.
+also in the sum over F's 35 terms, so it stays exact in `field_dtype`.
 """
 from __future__ import annotations
 
@@ -196,8 +196,8 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
     per coefficient s^a t^b in triangle order.  Entries are reduced mod p
     and computed in the dtype `field_dtype(p)` chooses.  The points go
     through solve_implicit first, which raises at a point that is no chart;
-    then the rows are filled one chunk of points at a time (see the module
-    docstring), so the list holds views of the one matrix, not copies.
+    then the rows are filled one chunk of points at a time, from slices of
+    the one jet table, so the list holds views of the one matrix, not copies.
     """
     p = instance.prime
     f = instance.affine_poly()
@@ -207,13 +207,14 @@ def k3_condition_rows(d: int, instance: QuarticSurfaceInstance) -> List[np.ndarr
         return []
     points, order = instance.points, instance.multiplicity - 1
     exps = column_exponents(d)[:, 1:].T  # exps[coordinate, column]
-    psi = solve_implicit(f, points, order, p)
+    jets = chart_jets(points, max(d, 4), max(order, 1), p)  # the solve's and every chunk's
+    psi = solve_implicit(f, jets, order, p)
     ncols = exps.shape[1]
     a, b = np.array(triangle(order), dtype=np.intp).T  # a point's rows, in triangle order
     chunk = max(1, _CHUNK_ENTRIES // (ncols * (order + 1) ** 2))
     matrix = None
     for lo in range(0, len(points), chunk):
-        grid = restrict(psi[lo:lo + chunk], chart_jets(points[lo:lo + chunk], d, order, p), exps, p)
+        grid = restrict(psi[lo:lo + chunk], jets[lo:lo + chunk], exps, p)
         if matrix is None:  # after the first restrict, whose temporaries peak a one-chunk call
             matrix = np.empty((len(points) * len(a), ncols), dtype=grid.dtype)
             blocks = matrix.reshape(len(points), len(a), ncols)  # a view: [point, row, column]

@@ -11,8 +11,10 @@ psi without constant term.  It needs F_z(P) != 0, which the quartic
 sampler ensures by redrawing a point where z is a multiple root of F on its
 vertical line.
 
-`chart_jets` is the one jet table, for the quartic and the planar rows: row
-k of a coordinate x holds C(e, k) x^(e - k), the s^k coefficient of (x + s)^e.
+`chart_jets` is where points become tables, the one jet table for the
+quartic and the planar rows: row k of a coordinate x holds C(e, k)
+x^(e - k), the s^k coefficient of (x + s)^e.  The kernels read tables,
+never points.
 
 `restrict` is the one kernel on grids: the monomials x^e restricted along
 the chart, (P_s + s)^(e_s) (P_t + t)^(e_t) phi^(e_z).  It forms psi^k for
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
@@ -143,27 +145,25 @@ def restrict(psi: np.ndarray, jets: np.ndarray, exps: np.ndarray, p: int) -> np.
 
 
 def solve_implicit(
-    coeffs: Mapping[Tuple[int, int, int], int],
-    points: Sequence[Tuple[int, int, int]],
-    order: int,
-    p: int,
+    coeffs: Mapping[Tuple[int, int, int], int], jets: np.ndarray, order: int, p: int
 ) -> np.ndarray:
     """psi for each point of a run: grids [n, a, b] of the given order, zero
     at (0, 0) and above the triangle, with f(P_s + s, P_t + t, P_z + psi) = 0
     mod total degree > order.
 
     f is a trivariate polynomial keyed by exponents (e1, e2, e3) of
-    (x1, x2, x3) and points[n] a zero of f, with z = x3 solved over
-    s = x1 - P_1 and t = x2 - P_2.  Raises ChartSingularError when f_z
-    vanishes at a point and ValueError when f does not vanish there, at
-    order 0 too, where psi is all zero and is returned after these two
-    checks; above order 0, psi_D is fixed degree by degree (see the module
-    docstring), and the full residual is checked at the end.
+    (x1, x2, x3), jets[n] the jet table (chart_jets) of a zero P of f, of
+    which it reads rows 0..max(order, 1) and the columns up to f's degree,
+    and z = x3 is solved over s = x1 - P_1 and t = x2 - P_2.  Raises
+    ChartSingularError when f_z vanishes at a point and ValueError when f
+    does not vanish there, at order 0 too, where psi is all zero and is
+    returned after these two checks; above order 0, psi_D is fixed degree by
+    degree (see the module docstring); the full residual is checked at the end.
     """
     dtype = field_dtype(p)
     c = np.array([v % p for v in coeffs.values()], dtype=dtype)
     exps = np.array(list(coeffs), dtype=np.intp).T  # [role, term]
-    jets = chart_jets(points, int(exps.max()), max(order, 1), p)
+    jets = jets[..., :int(exps.max()) + 1]  # f's columns alone
 
     def along_f(values):  # sum_e c_e values[..., e], each product reduced first
         return (values * c % p).sum(axis=-1) % p
@@ -183,7 +183,7 @@ def solve_implicit(
     if at_point(0).any():
         raise ValueError("the polynomial does not vanish at the expansion point")
 
-    psi = np.zeros((len(points), order + 1, order + 1), dtype=dtype)
+    psi = np.zeros((len(jets), order + 1, order + 1), dtype=dtype)
     if order == 0:  # the residual's one term is f(P), checked above
         return psi
     neg_inv = np.array([p - inverse_mod(int(v), p) for v in fz], dtype=dtype)[:, None]

@@ -91,6 +91,11 @@ def test_system_records_read_their_fields_as_ints(small_cfg):
     for args in ((4.0, 3, 1, 4), (4, 2.5, 1, 1), (4, 3, "1", 4), (4, 3, 1, None)):
         with pytest.raises(ValueError, match="must be an integer"):
             K3System(*args)
+    # homogeneous reads its pair as integers before it compares them
+    for m, n in (("3", 5), (3, "5"), (2.5, 1), (1, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            K3System.homogeneous(4, 2, m, n)
+    assert K3System.homogeneous(4, 2, np.int64(0), np.int32(5)).key == (4, 2, 0, 0)
     for delta, m, n in ((2.5, 1, 1), (3, "1", 4), (3, 1, None)):
         with pytest.raises(ValueError, match="must be an integer"):
             vdim_planar(delta, m, n)

@@ -68,7 +68,7 @@ from series_reference import (
 )
 
 from k3fat.core import vdim_planar
-from k3fat.oracle import config, quartic
+from k3fat.oracle import config, quartic, series
 from k3fat.oracle.config import (
     DEFAULT_PRIME,
     DEFAULT_PRIME2,
@@ -89,7 +89,7 @@ from k3fat.oracle.quartic import (
     sample_quartic_instance,
 )
 from k3fat.oracle.planar import measure_planar, planar_condition_rows
-from k3fat.oracle.series import ChartSingularError, solve_implicit, triangle
+from k3fat.oracle.series import ChartSingularError, chart_jets, solve_implicit, triangle
 
 PRIMES = (10007, 2**31 - 1, 2**61 - 1)
 # Root finding also at primes = 1 mod 4, where the square root of the
@@ -216,9 +216,10 @@ def _outcome(solver, *args):
 
 
 def grid_solve(f, points, order, p):
-    """solve_implicit on a run, each point's phi = P_z + psi handed over as
-    a dense tuple in triangle order."""
-    psi = solve_implicit(f, points, order, p)
+    """solve_implicit on a run, from the run's jet table (a quartic's
+    columns, the rows the solve reads), each point's phi = P_z + psi handed
+    over as a dense tuple in triangle order."""
+    psi = solve_implicit(f, chart_jets(points, 4, max(order, 1), p), order, p)
     return [tuple(int(psi[n, i, j]) + (pt[2] if i + j == 0 else 0) for i, j in triangle(order))
             for n, pt in enumerate(points)]
 
@@ -269,6 +270,26 @@ def test_solve_implicit_at_order_30(p):
     f = instance.affine_poly()
     phi = grid_solve(f, [pt], 30, p)[0]
     assert phi == triangle_solve_implicit(f, *pt, 30, p) == ref_solve_implicit(f, *pt, 30, p)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("order", (0, 1, 4))
+def test_solve_implicit_reads_a_wider_and_deeper_table_as_the_exact_one(p, order):
+    # the table of the condition rows at d = 11, five rows deeper than the
+    # solve reads: the same psi as on the quartic's own table, and as the
+    # reference at every point, also with the entries it does not read
+    # overwritten
+    instance = sample_quartic_instance((order + 1, 3), p, Random(order))
+    f = instance.affine_poly()
+    exact = solve_implicit(f, chart_jets(instance.points, 4, max(order, 1), p), order, p)
+    jets = chart_jets(instance.points, 11, order + 5, p)
+    wide = solve_implicit(f, jets, order, p)
+    jets[..., 5:] = jets[:, :, max(order, 1) + 1:] = 1
+    assert wide.dtype == exact.dtype and np.array_equal(wide, exact)
+    assert np.array_equal(solve_implicit(f, jets, order, p), exact)
+    for pt, psi in zip(instance.points, wide.tolist()):
+        phi = tuple(psi[i][j] + (pt[2] if i + j == 0 else 0) for i, j in triangle(order))
+        assert phi == ref_solve_implicit(f, *pt, order, p)
 
 
 def pair(groups):
@@ -362,6 +383,26 @@ def test_condition_rows_match_reference_across_chunks(monkeypatch, p, per_chunk,
     assert np.array(rows).tolist() == [[row[n] for n in keep]
                                        for row in ref_k3_condition_rows(d, instance)]
     assert all(row.base is rows[0].base for row in rows)  # views of one matrix
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_one_jet_table_per_call_across_chunks(monkeypatch, p):
+    # L^4(10, 6^9): 202 columns of 36 grid entries each, so the default
+    # chunk budget takes two points at a time, five chunks; one jet table
+    # serves the solve and every chunk, and the solve builds none
+    d, instance = 10, sample_quartic_instance((6, 9), p, Random(p))
+    tables, restricted = [], []
+    jets_of, restrict = quartic.chart_jets, quartic.restrict
+    monkeypatch.setattr(quartic, "chart_jets", lambda *args: tables.append(args[0])
+                        or jets_of(*args))
+    monkeypatch.setattr(quartic, "restrict", lambda psi, *args: restricted.append(len(psi))
+                        or restrict(psi, *args))
+    monkeypatch.setattr(series, "chart_jets", None)  # a call inside the solve would fail
+    rows = k3_condition_rows(d, instance)
+    assert tables == [instance.points] and restricted == [2, 2, 2, 2, 1]
+    keep = kept_columns(d)
+    assert np.array(rows).tolist() == [[row[n] for n in keep]
+                                       for row in ref_k3_condition_rows(d, instance)]
 
 
 X0_FOURTH, X3_FOURTH = (4, 0, 0, 0), (0, 0, 0, 4)
@@ -521,23 +562,31 @@ STOPPING_SYSTEMS = (
 
 class Draws:
     """Counts quartic._sample_point calls and records the points that
-    quartic.solve_implicit, the one chart check, receives."""
+    quartic.chart_jets receives, once quartic.solve_implicit, the one chart
+    check, has returned on their table."""
 
     def __init__(self, monkeypatch):
         self.sampled, self.checked = [], set()
-        sample, solve = quartic._sample_point, quartic.solve_implicit
+        sample, jets_of, solve = quartic._sample_point, quartic.chart_jets, quartic.solve_implicit
+        tables = {}  # id(table) -> (table, its points); the table held, so no id is reused
 
         def counting_sample(*args):
             point = sample(*args)
             self.sampled.append(point)
             return point
 
-        def recording_solve(f, points, order, p):
-            psi = solve(f, points, order, p)
-            self.checked.update(map(tuple, points))
+        def recording_jets(points, *args):
+            jets = jets_of(points, *args)
+            tables[id(jets)] = (jets, points)
+            return jets
+
+        def recording_solve(f, jets, order, p):
+            psi = solve(f, jets, order, p)
+            self.checked.update(map(tuple, tables[id(jets)][1]))
             return psi
 
         monkeypatch.setattr(quartic, "_sample_point", counting_sample)
+        monkeypatch.setattr(quartic, "chart_jets", recording_jets)
         monkeypatch.setattr(quartic, "solve_implicit", recording_solve)
 
 

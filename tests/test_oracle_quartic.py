@@ -22,7 +22,7 @@ from k3fat.oracle import (
     solve_implicit,
 )
 from k3fat.oracle.field import field_dtype, rank_mod_p
-from k3fat.oracle.series import ChartSingularError
+from k3fat.oracle.series import ChartSingularError, chart_jets
 
 P = 2**31 - 1
 PRIMES = (P, 3037000493, 2**61 - 1)  # int64 at the default primes, object arrays at 2^61 - 1
@@ -109,7 +109,7 @@ def test_instance_invariants():
                    for (i, j, k), c in f.items() if k) % P
     # a run of two triple points: psi on 3 x 3 grids, zero at (0, 0) and
     # above the triangle a + b <= 2
-    psi = solve_implicit(f, instance.points[:2], 2, P)
+    psi = solve_implicit(f, chart_jets(instance.points[:2], 4, 2, P), 2, P)
     assert psi.shape == (2, 3, 3)
     assert not psi[:, 0, 0].any() and not (psi[:, 1:, 1:] * [[0, 1], [1, 1]]).any()
 
@@ -175,7 +175,7 @@ def test_solve_at_order_zero_checks_and_returns_zero_psi(p):
     for roles in permutations(range(3)):
         g = {tuple(e[i] for i in roles): c for e, c in f.items()}
         points = [tuple(pt[i] for i in roles) for pt in instance.points]
-        psi = solve_implicit(g, points, 0, p)
+        psi = solve_implicit(g, chart_jets(points, 4, 1, p), 0, p)
         assert psi.shape == (6, 1, 1) and psi.dtype == field_dtype(p) and not psi.any()
 
 
@@ -354,3 +354,20 @@ def test_config_rejects_composite_and_out_of_range_moduli():
     for good in (2**31 - 1, 3037000493, 2**61 - 1):
         assert PrimeFieldConfig(prime=good, prime2=None).prime == good
         assert PrimeFieldConfig(prime=2**31 - 19, prime2=good).prime2 == good
+
+
+def test_config_tests_each_prime_once():
+    # the primality test is memoised: a second config of the same primes
+    # tests neither again, and a composite is refused again from the cache
+    config._is_prime.cache_clear()
+    PrimeFieldConfig(prime=2**31 - 19, prime2=2**61 - 1)
+    PrimeFieldConfig(prime=2**31 - 19, prime2=2**61 - 1)
+    info = config._is_prime.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be prime"):
+            PrimeFieldConfig(prime2=2**31 + 1)
+    with pytest.raises(ValueError, match="prime2 must differ"):
+        PrimeFieldConfig(prime=2**31 - 19, prime2=2**31 - 19)
+    info = config._is_prime.cache_info()
+    assert (info.misses, info.hits) == (4, 6)  # the default prime once, 2^31 - 19 twice more

@@ -18,9 +18,15 @@ def coefficients(psi, z, order):
     return {(i, j): int(psi[i, j]) + (z if (i, j) == (0, 0) else 0) for i, j in triangle(order)}
 
 
+def solve_run(f, points, order, p=P):
+    """psi on a run of points, from the run's jet table: the columns of a
+    quartic and the rows the solve reads."""
+    return solve_implicit(f, chart_jets(points, 4, max(order, 1), p), order, p)
+
+
 def solve_at(f, point, order, p=P):
     """phi at one point, z = x3 solved over (x1, x2)."""
-    return coefficients(solve_implicit(f, [point], order, p)[0], point[2], order)
+    return coefficients(solve_run(f, [point], order, p)[0], point[2], order)
 
 
 def test_series_arithmetic_basics():
@@ -119,7 +125,7 @@ def test_solve_implicit_order_one_is_gradient():
 def test_solve_implicit_rejects_singular_chart():
     f = {(0, 0, 2): 1}  # w^2: zero w-partial at w = 0
     with pytest.raises(ChartSingularError):
-        solve_implicit(f, [(0, 0, 0)], 2, P)
+        solve_run(f, [(0, 0, 0)], 2)
 
 
 def test_local_series_residual_vanishes_on_random_quartics():
@@ -127,7 +133,7 @@ def test_local_series_residual_vanishes_on_random_quartics():
     instance = sample_quartic_instance((4, 3), P, rng)
     f = instance.affine_poly()
     order = instance.multiplicity - 1
-    for pt, psi in zip(instance.points, solve_implicit(f, instance.points, order, P)):
+    for pt, psi in zip(instance.points, solve_run(f, instance.points, order)):
         phi = coefficients(psi, pt[2], order)
         phi = tuple(phi[ij] for ij in triangle(order))
         assert len(phi) == len(triangle(order))
