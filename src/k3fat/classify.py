@@ -12,6 +12,13 @@ composite systems splits on the sign of the virtual dimension v:
     v <= -1 and (u > 0 or 2d != 1 mod 3) -> non-special and empty, dim = -1
     v <= -1, u = 0, 2d = 1 mod 3         -> open; reported UNKNOWN
 
+Beside the open region, degree monotonicity (not applied yet): a smooth
+quartic S is integral, so G -> H G (H a nonzero linear form) embeds
+L^4(d, m^n) in L^4(d+1, m^n), whose 2(d+1) = 0 mod 3 puts it in the second
+row: empty once v(d+1) = v + 4d + 2 <= -1, and then L^4(d, m^n) is empty
+too, dim = edim = -1, with no degeneration step.  For d, m < 40, n <= 1296
+that leaves open the hard core L^4(3j+2, (2j+1)^9) and three n = 81 systems.
+
 For gamma != 4 no base is proved: classify(sys, assume_base=True) assumes
 every single-point system non-special and reports CONDITIONAL verdicts, and
 without it classify refuses.  At gamma = 4 the proved base is always used.

@@ -56,22 +56,22 @@ first row below that is nonzero there is swapped in, or else the column
 is dropped.
 
 Roots are found for one shape, a monic quartic f (a sampled quartic
-surface on a vertical line), by Cantor-Zassenhaus (Math. Comp. 36, 1981):
-the root part gcd(T^p - T, f) is split by equal-degree splitting with
-random shifts.  The Frobenius T^p mod f is the hot path.  It runs left to
-right on four-coefficient residues packed into one integer (Kronecker
-substitution), so a squaring is one integer product; at a set bit the
-multiply by T is a shift of the square, and T^4..T^7 fold back through
-their packed residues before each coefficient is reduced once.
-The root-part gcd runs in place on at most five coefficients with a single
-inverse, for the final monic normalisation.  A root part of degree 2, the
-common case, is solved in closed form with a Tonelli-Shanks square root on
-the builtin pow (Shanks, 1973), and the shifts that splitting would have
-drawn are still drawn: a shift is kept exactly when splitting by it would
-succeed, which one Legendre symbol decides, so the random stream is the
-same.  Root parts of degree 3 and 4 are split by (T + shift)^((p-1)/2),
-one squaring and one multiply-by-linear per exponent bit, and their
-quadratic pieces again take the closed form.
+surface on a vertical line), by Cantor-Zassenhaus (Math. Comp. 36, 1981),
+working modulo f throughout: the root part g = gcd(T^p - T, f) is split by
+equal-degree splitting with random shifts.  The Frobenius T^p mod f is the
+hot path.  It runs left to right on four-coefficient residues packed into
+one integer (Kronecker substitution), so a squaring is one integer
+product; at a set bit the multiply by T is a shift of the square, and
+T^4..T^7 fold back through their packed residues mod f before each
+coefficient is reduced once.  The gcd runs in place on at most five
+coefficients with one inverse, for the final monic normalisation.  A root
+part of degree 2, the common case, is solved in closed form with a
+Tonelli-Shanks square root on the builtin pow (Shanks, 1973), and the
+shifts that splitting would have drawn are still drawn: a shift is kept
+exactly when splitting by it would succeed, which one Legendre symbol
+decides, so the random stream is the same.  A part g of degree 3 or 4 is
+split by gcd(h - 1, g), h = (T + shift)^((p-1)/2) mod f (g divides f, so
+h mod g would give the same gcd); its quadratic pieces take the closed form.
 """
 from __future__ import annotations
 
@@ -298,11 +298,6 @@ def _pdivmod(f: Sequence[int], g: Sequence[int], p: int):
     return _pstrip(q), _pstrip(f)
 
 
-def _monic(f: Sequence[int], p: int) -> List[int]:  # f nonzero, reduced and stripped
-    inv = inverse_mod(f[-1], p)
-    return [c * inv % p for c in f]
-
-
 def _pgcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
     """Monic gcd by Euclid's algorithm, in place on two short lists.
 
@@ -322,38 +317,35 @@ def _pgcd(f: Sequence[int], g: Sequence[int], p: int) -> List[int]:
                 for i in range(dg):
                     f[shift + i] = (f[shift + i] * lead - top * g[i]) % p
         f, g = g, _pstrip(f)
-    return _monic(f, p)
+    inv = inverse_mod(f[-1], p)
+    return [c * inv % p for c in f]
 
 
-def _linear_powmod(shift: int, e: int, g: Sequence[int], p: int) -> List[int]:
-    """(T + shift)^e mod a monic g of degree at most 4, stripped: poly_roots
-    passes the quartic for the Frobenius T^p, and root parts of degree 3 or
-    4 when it splits by (T + shift)^((p-1)/2).
+def _linear_powmod(shift: int, e: int, f: Sequence[int], p: int) -> List[int]:
+    """(T + shift)^e mod the line's monic quartic f = [f0, f1, f2, f3, 1],
+    its four residue coefficients, unstripped: the Frobenius T^p and the
+    splitting powers (T + shift)^((p-1)/2) of root parts of degree 3 and 4.
 
-    Left-to-right binary powering: one squaring per bit of e, times
-    (T + shift) for a set bit after the leading one.  The powers are kept
-    modulo the quartic g * T^(4 - deg g), a multiple of g, and one final
-    reduction mod g gives the result.
-
-    A power is packed into one integer, its coefficient of T^i in bits
-    [i W, (i + 1) W) with W = `width` (Kronecker substitution), so a step
-    is one integer square, a shift and at most one more product for the
-    factor T + shift; then the coefficients of T^4..T^7 fold back through
-    the packed residues of T^4..T^7 modulo the quartic, and each
-    coefficient is reduced mod p.  Every coefficient stays nonnegative,
-    below 4 p^2 (1 + shift) before the fold and below 5 p times that after
-    it, so below 2^W, and no slot carries into the next."""
+    Left-to-right binary powering on a power packed into one integer, its
+    coefficient of T^i in bits [i W, (i + 1) W) with W = `width` (Kronecker
+    substitution): a step is one integer square, a shift and at most one
+    more product for the factor T + shift at a set bit after the leading
+    one; then the coefficients of T^4..T^7 fold back through their packed
+    residues modulo f, and each coefficient is reduced mod p.  Every
+    coefficient stays nonnegative, below 4 p^2 (1 + shift) before the fold
+    and below 5 p times that after it, so below 2^W, and no slot carries
+    into the next."""
     shift %= p
     width = (4 if shift else 3) * p.bit_length() + 6
     mask = (1 << width) - 1
     below4 = (1 << 4 * width) - 1
     w2, w3, w4, w5, w6, w7 = (k * width for k in range(2, 8))
-    g0, g1, g2, g3 = ([0] * (5 - len(g)) + list(g))[:4]
-    folds = []  # T^4..T^7 modulo the quartic, packed
-    v0, v1, v2, v3 = -g0 % p, -g1 % p, -g2 % p, -g3 % p
+    f0, f1, f2, f3 = f[:4]
+    folds = []  # T^4..T^7 modulo f, packed
+    v0, v1, v2, v3 = -f0 % p, -f1 % p, -f2 % p, -f3 % p
     for _ in range(4):
         folds.append(v0 | v1 << width | v2 << w2 | v3 << w3)
-        v0, v1, v2, v3 = -v3 * g0 % p, (v0 - v3 * g1) % p, (v1 - v3 * g2) % p, (v2 - v3 * g3) % p
+        v0, v1, v2, v3 = -v3 * f0 % p, (v0 - v3 * f1) % p, (v1 - v3 * f2) % p, (v2 - v3 * f3) % p
     q4, q5, q6, q7 = folds
     r = shift | 1 << width
     for bit in bin(e)[3:]:
@@ -364,7 +356,7 @@ def _linear_powmod(shift: int, e: int, g: Sequence[int], p: int) -> List[int]:
              + (t >> w6 & mask) * q6 + (t >> w7) * q7)
         r = ((t & mask) % p | (t >> width & mask) % p << width
              | (t >> w2 & mask) % p << w2 | (t >> w3) % p << w3)
-    return _pdivmod([r & mask, r >> width & mask, r >> w2 & mask, r >> w3], g, p)[1]
+    return [r & mask, r >> width & mask, r >> w2 & mask, r >> w3]
 
 
 @lru_cache(maxsize=16)
@@ -417,15 +409,15 @@ def poly_roots(f: Sequence[int], p: int, rng) -> List[int]:
     """
     if len(f) != 5 or f[4] != 1:
         raise ValueError(f"poly_roots takes a monic quartic [f0, f1, f2, f3, 1], got {list(f)}")
-    xp = _linear_powmod(0, p, f, p)
-    xp_minus_x = xp + [0] * max(0, 2 - len(xp))
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _pgcd(_pstrip(xp_minus_x), f, p)
-    return sorted(_split_linear(g, p, rng))
+    xp_minus_x = _linear_powmod(0, p, f, p)
+    xp_minus_x[1] -= 1
+    return sorted(_split_linear(_pgcd(xp_minus_x, f, p), f, p, rng))
 
 
-def _split_linear(g: List[int], p: int, rng) -> List[int]:
-    """Roots of a monic product of distinct linear factors.
+def _split_linear(g: List[int], f: Sequence[int], p: int, rng) -> List[int]:
+    """Roots of a monic product g of distinct linear factors dividing the
+    line's quartic f.  A g of degree 3 or 4 splits by d = gcd(h - 1, g),
+    h = (T + shift)^((p-1)/2) mod f, the gcd that h mod g would give.
 
     A quadratic is solved in closed form and then consumes the draws that
     equal-degree splitting would: a shift splits (T - r1)(T - r2) when
@@ -452,14 +444,14 @@ def _split_linear(g: List[int], p: int, rng) -> List[int]:
                 return roots
     while True:
         shift = rng.randrange(p)
-        h = _linear_powmod(shift, half, g, p) or [0]
-        h[0] = (h[0] - 1) % p
-        d = _pgcd(_pstrip(h), g, p)
+        h = _linear_powmod(shift, half, f, p)
+        h[0] -= 1
+        d = _pgcd(h, g, p)
         if 0 < len(d) - 1 < deg:
             q, r = _pdivmod(g, d, p)
             if r:
                 raise ArithmeticError("equal-degree split produced a non-divisor")
-            return _split_linear(d, p, rng) + _split_linear(q, p, rng)  # q is monic: g and d are
+            return _split_linear(d, f, p, rng) + _split_linear(q, f, p, rng)  # q is monic: g and d are
 
 
 def _quadratic_roots(g: Sequence[int], p: int) -> List[int]:

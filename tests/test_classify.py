@@ -1,7 +1,8 @@
 import pytest
 
-from k3fat.classify import Verdict, base_gamma4, classify, verify
+from k3fat.classify import Verdict, _proved_base, base_gamma4, classify, verify
 from k3fat.core import K3System, Status, edim, vdim_k3, vdim_planar
+from k3fat.degeneration import recurse
 from k3fat.oracle import BudgetExceededError, PrimeFieldConfig
 
 
@@ -104,6 +105,26 @@ def test_classify_theorem_side_condition_chains():
             v = vdim_k3(K3System.homogeneous(4, d, m, 9))
             if v >= -1:
                 assert m <= 1
+
+
+def test_degree_monotonicity_leaves_only_the_hard_core_open():
+    # the classify docstring's argument on the sample n = 4^u 9^w in
+    # {4, ..., 1296}, 1 <= d, m < 40: an open L^4(d, m^n) is empty when
+    # v(d+1, m, n) <= -1, its witness L^4(d+1, m^n) lying outside the open
+    # region, and each witness is certified empty by its own trace
+    ns = (4, 9, 16, 36, 64, 81, 144, 324, 729, 1296)
+    systems = [(d, m, n) for n in ns for d in range(1, 40) for m in range(1, 40)]
+    open_systems = [key for key in systems
+                    if classify(K3System.homogeneous(4, *key)).status is Status.UNKNOWN]
+    witnesses = [K3System.homogeneous(4, d + 1, m, n) for d, m, n in open_systems]
+    closed = [(key, w) for key, w in zip(open_systems, witnesses) if vdim_k3(w) <= -1]
+    assert (len(systems), len(open_systems), len(closed)) == (15210, 1310, 1295)
+    hard_core = [(3 * j + 2, 2 * j + 1, 9) for j in range(1, 13)]
+    left = set(open_systems) - {key for key, _ in closed}
+    assert sorted(left) == sorted(hard_core + [(20, 4, 81), (29, 6, 81), (38, 8, 81)])
+    for key, witness in closed:
+        report, _ = recurse(witness, _proved_base)
+        assert (report.dim, report.status) == (-1, Status.NONSPECIAL), key
 
 
 def test_classify_rejects_bad_inputs():

@@ -41,7 +41,7 @@ from typing import List
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle_reference import (
     _ref_mul,
@@ -144,7 +144,24 @@ def root_problems(draw):
     return p, f, draw(st.integers(min_value=0, max_value=2**32))
 
 
+def _split_examples(test):
+    """At every root prime, two quartics whose root parts take the cubic
+    path: four distinct roots r = q - s, s the example generator's first
+    shift, with q = 1, 4, 9 and a non-residue, so that the first split by
+    (T + s)^((p-1)/2) is 3 + 1; and a double root beside two simple roots,
+    a root part of degree 3 split modulo the quartic it divides."""
+    for p in ROOT_PRIMES:
+        s = Random(p).randrange(p)
+        for qs in ((1, 4, 9, non_residue(p)), (1, 1, 4, 9)):
+            f = [1]
+            for q in qs:
+                f = _ref_mul(f, [(s - q) % p, 1], p)  # T - r
+            test = example((p, f, p))(test)
+    return test
+
+
 @given(root_problems())
+@_split_examples
 @settings(max_examples=250, deadline=None)
 def test_poly_roots_matches_reference_and_rng_stream(problem):
     p, f, seed = problem

@@ -552,19 +552,22 @@ def _powmod_reference(shift, e, g, p):
 
 @pytest.mark.parametrize("p", (7, 10007, P1, P_EDGE, P2))
 def test_linear_powmod_matches_square_and_multiply(p):
-    """The packed powering equals plain polynomial arithmetic, for the
-    Frobenius T^p, the splitting power (T + shift)^((p-1)/2) and other
-    exponents, on monic g of degree 2 to 4 with top coefficients p - 1."""
+    """The packed powering equals plain polynomial arithmetic, as the four
+    residue coefficients mod the line's monic quartic f, zeros on top kept,
+    for the Frobenius T^p, the splitting power (T + shift)^((p-1)/2) and
+    other exponents, also with f's coefficients all at p - 1 and with
+    residues of degree below 3."""
+    def residue(shift, e, f):
+        out = _powmod_reference(shift, e, f, p)
+        return out + [0] * (4 - len(out))
+
     rng = Random(p)
-    for deg in (2, 3, 4):
-        for _ in range(6):
-            g = [rng.randrange(p) for _ in range(deg)] + [1]
-            for shift, e in ((0, p), (rng.randrange(1, p), (p - 1) // 2), (0, 2),
-                             (rng.randrange(p), rng.randrange(1, 10**6))):
-                assert _linear_powmod(shift, e, g, p) == _powmod_reference(shift, e, g, p)
-        g = [p - 1] * deg + [1]  # every coefficient at its largest
-        assert _linear_powmod(p - 1, p, g, p) == _powmod_reference(p - 1, p, g, p)
-        assert _linear_powmod(0, p, g, p) == _powmod_reference(0, p, g, p)
+    quartics = [[rng.randrange(p) for _ in range(4)] + [1] for _ in range(6)]
+    quartics += [[p - 1] * 4 + [1], [0, 0, 0, 0, 1]]  # every coefficient at its largest; T^4
+    for f in quartics:
+        for shift, e in ((0, p), (rng.randrange(1, p), (p - 1) // 2), (p - 1, p), (0, 2),
+                         (rng.randrange(p), rng.randrange(1, 10**6))):
+            assert _linear_powmod(shift, e, f, p) == residue(shift, e, f)
 
 
 def test_pgcd_monic():
